@@ -8,8 +8,9 @@
 //! store: the sequential pass is the **cold** run (populating the store),
 //! the parallel pass runs **warm** (loading Frontend/Translate/Execute
 //! artifacts back), a third timed pass measures the steady warm cost, and
-//! `BENCH_cache.json` records the disk traffic — so a second process over
-//! the same matrix shows zero stage misses for the persisted stages.
+//! the report's `cache` block records the disk traffic — so a second
+//! process over the same matrix shows zero stage misses for the persisted
+//! stages.
 use openarc_bench::args::{BenchArgs, FLAGS_HELP};
 use openarc_bench::sweep::Sweep;
 use openarc_bench::timing;
@@ -245,94 +246,16 @@ fn main() {
     if let Some(dir) = &args.cache_dir {
         let seq_disk = sequential.session.stats().disk;
         let par_disk = parallel.session.stats().disk;
-
-        // Per-codec warm-load comparison: the store is all-binary after
-        // the runs above, so export a JSON twin and time a full
-        // sequential decode of every persisted stage through each codec
-        // (p50 of `samples` passes). The JSON twin is a scratch copy;
-        // the measured store is never mutated.
-        use openarc_core::cache::{DiskCache, DISK_STAGES};
-        let store = DiskCache::new(dir);
-        let json_dir = dir.with_file_name(format!(
-            "{}-json-export",
-            dir.file_name().unwrap_or_default().to_string_lossy()
+        report.push((
+            "cache",
+            Json::obj(vec![
+                ("dir", Json::from(dir.to_string_lossy().as_ref())),
+                ("cold", disk_json(seq_disk)),
+                ("warm", disk_json(par_disk)),
+            ]),
         ));
-        let _ = std::fs::remove_dir_all(&json_dir);
-        let json_store = DiskCache::new(&json_dir);
-        let exported = store.export_json(&json_store);
-        if exported.skipped > 0 {
-            eprintln!(
-                "pipeline: {} cache entries failed to export to JSON",
-                exported.skipped
-            );
-            std::process::exit(1);
-        }
-        let timed_decode = |cache: &DiskCache, stage, ext| {
-            let mut entries = 0;
-            let stats = timing::measure(samples, || {
-                entries = cache.decode_stage(stage, ext).unwrap_or_else(|e| {
-                    eprintln!("pipeline: warm {ext} decode failed: {e}");
-                    std::process::exit(1);
-                })
-            });
-            (entries, stats.median_ns as f64 / 1e3)
-        };
-        println!("warm load, full store decode (p50 of {samples} passes):");
-        let mut warm_rows = Vec::new();
-        let (mut bin_total_us, mut json_total_us) = (0.0f64, 0.0f64);
-        for stage in DISK_STAGES {
-            let (entries, bin_us) = timed_decode(&store, stage, "bin");
-            let (json_entries, json_us) = timed_decode(&json_store, stage, "json");
-            if json_entries != entries {
-                eprintln!(
-                    "pipeline: JSON twin of stage {} has {json_entries} entries, expected {entries}",
-                    stage.label()
-                );
-                std::process::exit(1);
-            }
-            bin_total_us += bin_us;
-            json_total_us += json_us;
-            println!(
-                "  {:<12} {entries:>4} entries   bin {bin_us:>10.1} µs   json {json_us:>10.1} µs",
-                stage.label()
-            );
-            warm_rows.push((
-                stage.label(),
-                Json::obj(vec![
-                    ("entries", Json::from(entries)),
-                    ("bin", Json::from(bin_us)),
-                    ("json", Json::from(json_us)),
-                ]),
-            ));
-        }
-        let _ = std::fs::remove_dir_all(&json_dir);
-        let codec_speedup = json_total_us / bin_total_us.max(1e-9);
         println!(
-            "  {:<12}      total    bin {bin_total_us:>10.1} µs   json {json_total_us:>10.1} µs   \
-             ({codec_speedup:.2}x)",
-            ""
-        );
-        let cache_report = Json::obj(vec![
-            ("dir", Json::from(dir.to_string_lossy().as_ref())),
-            ("codec", Json::from("bin")),
-            ("cold", disk_json(seq_disk)),
-            ("warm", disk_json(par_disk)),
-            ("warm_load_us", Json::obj(warm_rows)),
-            (
-                "codec_warm_load",
-                Json::obj(vec![
-                    ("bin_p50_us", Json::from(bin_total_us)),
-                    ("json_p50_us", Json::from(json_total_us)),
-                    ("speedup", Json::from(codec_speedup)),
-                ]),
-            ),
-        ]);
-        report.push(("cache", cache_report.clone()));
-        // Stand-alone stats file for CI artifact upload next to the main
-        // report.
-        std::fs::write("BENCH_cache.json", cache_report.pretty()).ok();
-        println!(
-            "cache: cold {} stores, warm {} hits / {} misses (wrote BENCH_cache.json)",
+            "cache: cold {} stores, warm {} hits / {} misses",
             seq_disk.stores, par_disk.hits, par_disk.misses
         );
     }

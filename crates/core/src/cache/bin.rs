@@ -1,8 +1,6 @@
 //! Binary on-disk codec for the cached pipeline artifacts.
 //!
-//! This is the cache's primary interchange format (the JSON codec in
-//! [`super::codec`] is retained as the human-readable export path, see
-//! `openarc cache export`). The format is normatively specified in
+//! This is the cache's one entry format, normatively specified in
 //! `docs/FORMAT.md`; this module is the reference implementation. In
 //! brief:
 //!
@@ -17,9 +15,8 @@
 //!   in place, and closed label sets travel as one-byte codes.
 //!
 //! A decode is a single sequential pass over the mapped bytes: no
-//! intermediate DOM is built (unlike the JSON path, which parses into a
-//! `Json` tree first), strings are validated in place and copied exactly
-//! once into the artifact, and every length is bounds-checked against the
+//! intermediate DOM is built, strings are validated in place and copied
+//! exactly once into the artifact, and every length is bounds-checked against the
 //! remaining buffer before any allocation. Any malformed input — bad
 //! magic, wrong version, truncation, an unknown code, trailing bytes —
 //! is a `String` error carrying a byte offset, never a panic; the disk
@@ -142,10 +139,10 @@ fn put_header(w: &mut Writer, stage: u32, id: ArtifactId, sections: u32) {
     w.put_u32(0); // reserved
 }
 
-/// Validate the fixed header against the expected stage and the running
-/// tool, returning the artifact id and a reader positioned at the first
-/// section.
-fn open<'a>(bytes: &'a [u8], stage: Stage, sections: u32) -> R<(ArtifactId, Reader<'a>)> {
+/// Validate the fixed header against the expected stage, the running
+/// tool and the artifact id the entry's cache key was derived from,
+/// returning a reader positioned at the first section.
+fn open(bytes: &[u8], stage: Stage, id: ArtifactId, sections: u32) -> R<Reader<'_>> {
     let code = stage_code(stage)
         .ok_or_else(|| format!("stage {} is not persisted in binary form", stage.label()))?;
     let mut r = Reader::new(bytes);
@@ -169,7 +166,13 @@ fn open<'a>(bytes: &'a [u8], stage: Stage, sections: u32) -> R<(ArtifactId, Read
     if tool != tool_hash() {
         return Err(r.err("tool fingerprint hash mismatch"));
     }
-    let id = ArtifactId(r.u64()?);
+    let got = r.u64()?;
+    if got != id.0 {
+        return Err(r.err(&format!(
+            "artifact id mismatch: entry holds {got:#018x}, expected {:#018x}",
+            id.0
+        )));
+    }
     let n = r.u32()?;
     if n != sections {
         return Err(r.err(&format!("expected {sections} sections, header says {n}")));
@@ -178,7 +181,7 @@ fn open<'a>(bytes: &'a [u8], stage: Stage, sections: u32) -> R<(ArtifactId, Read
     if reserved != 0 {
         return Err(r.err(&format!("reserved header field must be 0, got {reserved}")));
     }
-    Ok((id, r))
+    Ok(r)
 }
 
 /// Append one section: kind, length placeholder, payload, then patch the
@@ -900,28 +903,20 @@ pub fn encode_run(id: ArtifactId, r: &RunResult, events: &[TraceEvent]) -> Vec<u
 // Artifact decoders
 // ---------------------------------------------------------------------------
 
-/// A decoded binary cache entry of any disk stage, as returned by
-/// [`decode_entry`] (used by `openarc cache export` and the cache bench,
-/// which discover entries on disk without knowing their ids up front).
-pub enum Artifact {
-    /// A [`Stage::Frontend`] entry.
-    Frontend(Box<FrontendArtifact>),
-    /// A [`Stage::Analysis`] or [`Stage::Instrument`] entry.
-    Translated(Box<TranslatedArtifact>),
-    /// A [`Stage::Execute`] entry: run surface plus journal events.
-    Run(Box<(RunResult, Vec<TraceEvent>)>),
-}
-
-fn decode_frontend_body(bytes: &[u8]) -> R<(ArtifactId, FrontendArtifact)> {
-    let (id, mut r) = open(bytes, Stage::Frontend, FRONTEND_SECTIONS)?;
+/// Decode a frontend entry, checking the header id against the expected
+/// cache key id.
+pub fn decode_frontend(id: ArtifactId, bytes: &[u8]) -> R<FrontendArtifact> {
+    let mut r = open(bytes, Stage::Frontend, id, FRONTEND_SECTIONS)?;
     let program = get_section(&mut r, section::PROGRAM, mb::read_program)?;
     let sema = get_section(&mut r, section::SEMA, mb::read_sema)?;
     r.expect_end()?;
-    Ok((id, FrontendArtifact { id, program, sema }))
+    Ok(FrontendArtifact { id, program, sema })
 }
 
-fn decode_translated_body(stage: Stage, bytes: &[u8]) -> R<(ArtifactId, TranslatedArtifact)> {
-    let (id, mut r) = open(bytes, stage, TRANSLATED_SECTIONS)?;
+/// Decode a translation entry stored under `stage`, checking the header
+/// id against the expected cache key id.
+pub fn decode_translated(stage: Stage, id: ArtifactId, bytes: &[u8]) -> R<TranslatedArtifact> {
+    let mut r = open(bytes, stage, id, TRANSLATED_SECTIONS)?;
     let instrumented = get_section(&mut r, section::FLAGS, |b| b.bool())?;
     let host_program = get_section(&mut r, section::HOST_PROGRAM, mb::read_program)?;
     let host_sema = get_section(&mut r, section::HOST_SEMA, mb::read_sema)?;
@@ -936,29 +931,28 @@ fn decode_translated_body(stage: Stage, bytes: &[u8]) -> R<(ArtifactId, Translat
     })?;
     let declares = get_section(&mut r, section::DECLARES, get_actions)?;
     r.expect_end()?;
-    Ok((
+    Ok(TranslatedArtifact {
         id,
-        TranslatedArtifact {
-            id,
-            instrumented,
-            tr: Translated {
-                host_program,
-                host_sema,
-                host_module,
-                kernel_program,
-                kernel_module,
-                ops,
-                kernels,
-                data_regions,
-                update_sites,
-                declares,
-            },
+        instrumented,
+        tr: Translated {
+            host_program,
+            host_sema,
+            host_module,
+            kernel_program,
+            kernel_module,
+            ops,
+            kernels,
+            data_regions,
+            update_sites,
+            declares,
         },
-    ))
+    })
 }
 
-fn decode_run_body(bytes: &[u8]) -> R<(ArtifactId, RunResult, Vec<TraceEvent>)> {
-    let (id, mut r) = open(bytes, Stage::Execute, RUN_SECTIONS)?;
+/// Decode a run entry, checking the header id against the expected cache
+/// key id.
+pub fn decode_run(id: ArtifactId, bytes: &[u8]) -> R<(RunResult, Vec<TraceEvent>)> {
+    let mut r = open(bytes, Stage::Execute, id, RUN_SECTIONS)?;
     let (now, breakdown, queues) = get_section(&mut r, section::CLOCK, |b| {
         let now = b.f64()?;
         let n = b.seq_len()?;
@@ -1010,7 +1004,6 @@ fn decode_run_body(bytes: &[u8]) -> R<(ArtifactId, RunResult, Vec<TraceEvent>)> 
     let events = get_section(&mut r, section::EVENTS, read_events)?;
     r.expect_end()?;
     Ok((
-        id,
         RunResult {
             machine,
             verify,
@@ -1020,64 +1013,6 @@ fn decode_run_body(bytes: &[u8]) -> R<(ArtifactId, RunResult, Vec<TraceEvent>)> 
         },
         events,
     ))
-}
-
-/// Decode a binary entry found under `stage`'s store directory, trusting
-/// the artifact id recorded in its header. Errors (never panics) on any
-/// malformed input or if `stage` has no binary artifact form.
-pub fn decode_entry(stage: Stage, bytes: &[u8]) -> R<(ArtifactId, Artifact)> {
-    match stage {
-        Stage::Frontend => {
-            let (id, art) = decode_frontend_body(bytes)?;
-            Ok((id, Artifact::Frontend(Box::new(art))))
-        }
-        Stage::Analysis | Stage::Instrument => {
-            let (id, art) = decode_translated_body(stage, bytes)?;
-            Ok((id, Artifact::Translated(Box::new(art))))
-        }
-        Stage::Execute => {
-            let (id, run, events) = decode_run_body(bytes)?;
-            Ok((id, Artifact::Run(Box::new((run, events)))))
-        }
-        other => Err(format!(
-            "stage {} is not persisted in binary form",
-            other.label()
-        )),
-    }
-}
-
-fn check_id(got: ArtifactId, want: ArtifactId) -> R<()> {
-    if got != want {
-        return Err(format!(
-            "artifact id mismatch: entry holds {:#018x}, expected {:#018x}",
-            got.0, want.0
-        ));
-    }
-    Ok(())
-}
-
-/// Decode a frontend entry, checking the header id against the expected
-/// cache key id.
-pub fn decode_frontend(id: ArtifactId, bytes: &[u8]) -> R<FrontendArtifact> {
-    let (got, art) = decode_frontend_body(bytes)?;
-    check_id(got, id)?;
-    Ok(art)
-}
-
-/// Decode a translation entry stored under `stage`, checking the header
-/// id against the expected cache key id.
-pub fn decode_translated(stage: Stage, id: ArtifactId, bytes: &[u8]) -> R<TranslatedArtifact> {
-    let (got, art) = decode_translated_body(stage, bytes)?;
-    check_id(got, id)?;
-    Ok(art)
-}
-
-/// Decode a run entry, checking the header id against the expected cache
-/// key id.
-pub fn decode_run(id: ArtifactId, bytes: &[u8]) -> R<(RunResult, Vec<TraceEvent>)> {
-    let (got, run, events) = decode_run_body(bytes)?;
-    check_id(got, id)?;
-    Ok((run, events))
 }
 
 #[cfg(test)]
@@ -1205,27 +1140,6 @@ mod tests {
     }
 
     #[test]
-    fn decode_entry_returns_the_stage_shaped_artifact() {
-        let fe = frontend_artifact();
-        let (id, art) = decode_entry(Stage::Frontend, &encode_frontend(&fe)).unwrap();
-        assert_eq!(id, fe.id);
-        assert!(matches!(art, Artifact::Frontend(_)));
-
-        let tr = translated(false);
-        let (id, art) =
-            decode_entry(Stage::Analysis, &encode_translated(Stage::Analysis, &tr)).unwrap();
-        assert_eq!(id, tr.id);
-        assert!(matches!(art, Artifact::Translated(_)));
-
-        let (_, _, bytes) = run_entry();
-        let (id, art) = decode_entry(Stage::Execute, &bytes).unwrap();
-        assert_eq!(id, ArtifactId(9));
-        assert!(matches!(art, Artifact::Run(_)));
-
-        assert!(decode_entry(Stage::Plan, &bytes).is_err());
-    }
-
-    #[test]
     fn header_fields_are_all_validated() {
         let art = frontend_artifact();
         let good = encode_frontend(&art);
@@ -1244,10 +1158,15 @@ mod tests {
             .contains("version"));
 
         // Wrong stage directory for the entry's stage code.
-        assert!(decode_entry(Stage::Execute, &good)
+        assert!(decode_run(art.id, &good)
             .err()
             .unwrap()
             .contains("stage code"));
+
+        // A stage that has no binary artifact form.
+        assert!(decode_translated(Stage::Plan, art.id, &good)
+            .unwrap_err()
+            .contains("not persisted"));
 
         // Another tool version's fingerprint hash.
         let mut bad = good.clone();
@@ -1292,23 +1211,24 @@ mod tests {
     fn truncation_at_every_section_boundary_errors_cleanly() {
         let tr = translated(true);
         let (_, _, run_bytes) = run_entry();
-        let cases = [
-            (Stage::Instrument, encode_translated(Stage::Instrument, &tr)),
-            (Stage::Execute, run_bytes),
-        ];
-        for (stage, bytes) in cases {
-            for at in boundaries(&bytes) {
+        let every_cut_fails = |bytes: &[u8], decodes: &dyn Fn(&[u8]) -> bool| {
+            assert!(decodes(bytes));
+            for at in boundaries(bytes) {
                 for cut in [at.saturating_sub(1), at] {
                     if cut >= bytes.len() {
                         continue;
                     }
                     assert!(
-                        decode_entry(stage, &bytes[..cut]).is_err(),
+                        !decodes(&bytes[..cut]),
                         "truncation at {cut} must be an error"
                     );
                 }
             }
-        }
+        };
+        every_cut_fails(&encode_translated(Stage::Instrument, &tr), &|b| {
+            decode_translated(Stage::Instrument, tr.id, b).is_ok()
+        });
+        every_cut_fails(&run_bytes, &|b| decode_run(ArtifactId(9), b).is_ok());
     }
 
     #[test]

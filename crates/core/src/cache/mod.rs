@@ -7,12 +7,11 @@
 //! serialized Frontend, Translated, and journal-replay Run artifacts.
 //!
 //! Entries are written in the versioned binary format of [`bin`]
-//! (normative spec: `docs/FORMAT.md`). The JSON codec in [`codec`] is
-//! retained as the human-readable debug/export interchange (`openarc
-//! cache export`), and the store still *reads* legacy `<key>.json`
-//! entries: a hit on one transparently re-encodes it as `<key>.bin` and
-//! retires the JSON file, so a store written by an older build upgrades
-//! in place as it is used.
+//! (normative spec: `docs/FORMAT.md`), the store's only entry format:
+//! every other file in a stage directory that is not a live writer lock
+//! or temp file — a `<key>.json` left by a pre-OARCBIN build, say — is
+//! never read, counts toward the store's size, and ages out through
+//! [`DiskCache::gc`] and [`DiskCache::clear`].
 //!
 //! Design rules, all load-bearing:
 //!
@@ -33,11 +32,9 @@
 //!   store fits a byte budget.
 
 pub mod bin;
-pub mod codec;
 
 use crate::exec::RunResult;
 use crate::pipeline::{ArtifactId, Fnv, FrontendArtifact, Stage, TranslatedArtifact};
-use openarc_trace::json::Json;
 use openarc_trace::TraceEvent;
 use std::fs;
 use std::io::Write;
@@ -46,7 +43,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, SystemTime};
 
 /// On-disk layout version; folded into every entry key. Bump when any
-/// [`bin`] or [`codec`] encoding changes shape.
+/// [`bin`] encoding changes shape.
 pub const SCHEMA_VERSION: u64 = 1;
 
 /// Default cache directory used by the CLI and bench drivers.
@@ -95,6 +92,17 @@ pub enum Lookup<T> {
     Corrupt,
 }
 
+impl<T> Lookup<T> {
+    /// Convert a hit's artifact, keeping misses and corruption as they are.
+    pub(crate) fn map<U>(self, f: impl FnOnce(T) -> U) -> Lookup<U> {
+        match self {
+            Lookup::Hit(v) => Lookup::Hit(f(v)),
+            Lookup::Miss => Lookup::Miss,
+            Lookup::Corrupt => Lookup::Corrupt,
+        }
+    }
+}
+
 /// Result of one [`DiskCache::gc`] pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GcResult {
@@ -113,25 +121,10 @@ pub struct GcResult {
 pub struct UsageRow {
     /// Stage directory label.
     pub stage: &'static str,
-    /// Number of entries (all formats).
+    /// Number of entries.
     pub entries: u64,
-    /// Total bytes (all formats).
+    /// Total bytes.
     pub bytes: u64,
-    /// Entries in the primary binary format (`.bin`).
-    pub bin_entries: u64,
-    /// Entries still in the legacy JSON format (`.json`); these upgrade
-    /// to binary in place on their next hit.
-    pub json_entries: u64,
-}
-
-/// Outcome of [`DiskCache::export_json`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExportReport {
-    /// Entries successfully written to the target store.
-    pub exported: u64,
-    /// Entries that failed to decode or publish; left in place, the
-    /// export never mutates the source store.
-    pub skipped: u64,
 }
 
 /// The content-addressed on-disk artifact store.
@@ -160,8 +153,10 @@ impl std::fmt::Debug for DiskCache {
     }
 }
 
-/// Stages whose artifacts are persisted to disk. Directives, Plan, and
-/// Verify artifacts are cheap derivations of these and stay memory-only.
+/// Stages whose artifacts are persisted to disk, cheapest-to-recompute
+/// first ([`DiskCache::gc`] breaks recency ties in this order).
+/// Directives, Plan, and Verify artifacts are cheap derivations of these
+/// and stay memory-only.
 pub const DISK_STAGES: [Stage; 4] = [
     Stage::Frontend,
     Stage::Analysis,
@@ -233,10 +228,10 @@ impl DiskCache {
         h.finish()
     }
 
-    fn entry_path(&self, stage: Stage, key: u64, ext: &str) -> PathBuf {
+    fn entry_path(&self, stage: Stage, key: u64) -> PathBuf {
         self.root
             .join(stage.label())
-            .join(format!("{key:016x}.{ext}"))
+            .join(format!("{key:016x}.bin"))
     }
 
     /// Re-touch an entry's mtime for LRU: [`DiskCache::gc`] evicts
@@ -247,74 +242,21 @@ impl DiskCache {
         }
     }
 
-    /// Format-negotiating lookup of `(stage, id)`: the primary `.bin`
-    /// entry is tried first; absent that, a legacy `.json` entry is
-    /// decoded and — on a hit — re-encoded with `reencode` and upgraded to
-    /// `.bin` in place. Any decode failure deletes the offending file and
-    /// reports [`Lookup::Corrupt`]; the caller recomputes.
+    /// Look up `(stage, id)`: read `<key>.bin` and decode it. An absent
+    /// file is a miss; any decode failure deletes the offending file and
+    /// reports [`Lookup::Corrupt`] — the caller recomputes.
     fn load_entry<T>(
         &self,
         stage: Stage,
         id: ArtifactId,
-        decode_bin: impl FnOnce(&[u8]) -> Result<T, String>,
-        decode_json: impl FnOnce(&Json) -> Result<T, String>,
-        reencode: impl FnOnce(&T) -> Vec<u8>,
+        decode: impl FnOnce(&[u8]) -> Result<T, String>,
     ) -> Lookup<T> {
-        let key = self.entry_key(stage, id);
-        let bin_path = self.entry_path(stage, key, "bin");
-        if let Ok(bytes) = fs::read(&bin_path) {
-            return match decode_bin(&bytes) {
-                Ok(v) => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    Self::touch(&bin_path);
-                    Lookup::Hit(v)
-                }
-                Err(_) => {
-                    self.corrupt.fetch_add(1, Ordering::Relaxed);
-                    let _ = fs::remove_file(&bin_path);
-                    Lookup::Corrupt
-                }
-            };
-        }
-        match self.load_with(stage, id, decode_json) {
-            Lookup::Hit(v) => {
-                // Migrate the legacy entry to the primary format so the
-                // next load takes the fast path. Not counted as a store:
-                // no new artifact was published. The JSON file is only
-                // retired once the binary entry is durably in place.
-                if self.publish(stage, key, "bin", &reencode(&v)) {
-                    let _ = fs::remove_file(self.entry_path(stage, key, "json"));
-                }
-                Lookup::Hit(v)
-            }
-            other => other,
-        }
-    }
-
-    /// Look up `(stage, id)` in the legacy JSON interchange only,
-    /// validating the versioned header and decoding the payload with
-    /// `decode`. Any failure past "file exists" deletes the entry and
-    /// reports [`Lookup::Corrupt`]; the caller recomputes. Binary-format
-    /// entries are invisible to this method — the typed loaders
-    /// ([`DiskCache::load_frontend`] &c.) negotiate both formats.
-    pub fn load_with<T>(
-        &self,
-        stage: Stage,
-        id: ArtifactId,
-        decode: impl FnOnce(&Json) -> Result<T, String>,
-    ) -> Lookup<T> {
-        let key = self.entry_key(stage, id);
-        let path = self.entry_path(stage, key, "json");
-        let text = match fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(_) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                return Lookup::Miss;
-            }
+        let path = self.entry_path(stage, self.entry_key(stage, id));
+        let Ok(bytes) = fs::read(&path) else {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            return Lookup::Miss;
         };
-        let decoded = Json::parse(&text)
-            .and_then(|entry| Self::check_header(&entry, stage, id).and_then(decode));
-        match decoded {
+        match decode(&bytes) {
             Ok(v) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Self::touch(&path);
@@ -328,115 +270,45 @@ impl DiskCache {
         }
     }
 
-    /// Look up a frontend artifact, preferring the binary entry and
-    /// upgrading a legacy JSON one in place.
+    /// Look up a frontend artifact.
     pub fn load_frontend(&self, id: ArtifactId) -> Lookup<FrontendArtifact> {
-        self.load_entry(
-            Stage::Frontend,
-            id,
-            |bytes| bin::decode_frontend(id, bytes),
-            |p| codec::frontend_from_payload(id, p),
-            bin::encode_frontend,
-        )
+        self.load_entry(Stage::Frontend, id, |bytes| bin::decode_frontend(id, bytes))
     }
 
     /// Look up a translation artifact stored under `stage`
-    /// ([`Stage::Analysis`] or [`Stage::Instrument`]), preferring the
-    /// binary entry and upgrading a legacy JSON one in place.
+    /// ([`Stage::Analysis`] or [`Stage::Instrument`]).
     pub fn load_translated(&self, stage: Stage, id: ArtifactId) -> Lookup<TranslatedArtifact> {
-        self.load_entry(
-            stage,
-            id,
-            |bytes| bin::decode_translated(stage, id, bytes),
-            |p| codec::translated_from_payload(id, p),
-            |art| bin::encode_translated(stage, art),
-        )
+        self.load_entry(stage, id, |bytes| bin::decode_translated(stage, id, bytes))
     }
 
-    /// Look up a finished run (surface + journal events), preferring the
-    /// binary entry and upgrading a legacy JSON one in place.
+    /// Look up a finished run (surface + journal events).
     pub fn load_run(&self, id: ArtifactId) -> Lookup<(RunResult, Vec<TraceEvent>)> {
-        self.load_entry(
-            Stage::Execute,
-            id,
-            |bytes| bin::decode_run(id, bytes),
-            codec::run_from_payload,
-            |(r, events)| bin::encode_run(id, r, events),
-        )
+        self.load_entry(Stage::Execute, id, |bytes| bin::decode_run(id, bytes))
     }
 
-    /// Publish a frontend artifact in the primary binary format.
+    /// Publish a frontend artifact. Returns true when this call wrote the
+    /// entry (false: lock held by a live concurrent writer, or I/O
+    /// failure — both benign); likewise for the other stores.
     pub fn store_frontend(&self, art: &FrontendArtifact) -> bool {
         self.store_bytes(Stage::Frontend, art.id, &bin::encode_frontend(art))
     }
 
     /// Publish a translation artifact under `stage` ([`Stage::Analysis`]
-    /// or [`Stage::Instrument`]) in the primary binary format.
+    /// or [`Stage::Instrument`]).
     pub fn store_translated(&self, stage: Stage, art: &TranslatedArtifact) -> bool {
         self.store_bytes(stage, art.id, &bin::encode_translated(stage, art))
     }
 
-    /// Publish a finished run (surface + journal events) in the primary
-    /// binary format.
+    /// Publish a finished run (surface + journal events).
     pub fn store_run(&self, id: ArtifactId, r: &RunResult, events: &[TraceEvent]) -> bool {
         self.store_bytes(Stage::Execute, id, &bin::encode_run(id, r, events))
     }
 
+    /// Atomically publish entry bytes for `(stage, id)`: private temp
+    /// file, fsync, rename, under the entry's `<key>.lock` writer lock.
     fn store_bytes(&self, stage: Stage, id: ArtifactId, bytes: &[u8]) -> bool {
-        let ok = self.publish(stage, self.entry_key(stage, id), "bin", bytes);
-        if ok {
-            self.stores.fetch_add(1, Ordering::Relaxed);
-        }
-        ok
-    }
-
-    /// Validate a parsed entry's versioned header, returning the payload.
-    /// The schema/tool fields are folded into the key, so a mismatch here
-    /// means the entry bytes were tampered with or damaged — corruption.
-    fn check_header(entry: &Json, stage: Stage, id: ArtifactId) -> Result<&Json, String> {
-        let field = |k: &str| entry.get(k).ok_or_else(|| format!("missing header `{k}`"));
-        if field("schema")?.as_u64() != Some(SCHEMA_VERSION) {
-            return Err("schema version mismatch".into());
-        }
-        if field("tool")?.as_str() != Some(tool_fingerprint()) {
-            return Err("tool fingerprint mismatch".into());
-        }
-        if field("stage")?.as_str() != Some(stage.label()) {
-            return Err("stage mismatch".into());
-        }
-        if field("id")?.as_u64() != Some(id.0) {
-            return Err("artifact id mismatch".into());
-        }
-        field("payload")
-    }
-
-    /// Publish `payload` for `(stage, id)` as a legacy JSON entry under a
-    /// versioned header. This is the export/debug interchange writer
-    /// (`openarc cache export`); the pipeline itself stores binary
-    /// entries via the typed methods. Returns true when this call wrote
-    /// the entry (false: lock held by a live concurrent writer, or I/O
-    /// failure — both benign).
-    pub fn store(&self, stage: Stage, id: ArtifactId, payload: Json) -> bool {
-        let entry = Json::obj(vec![
-            ("schema", Json::from(SCHEMA_VERSION)),
-            ("tool", Json::from(tool_fingerprint())),
-            ("stage", Json::from(stage.label())),
-            ("id", Json::from(id.0)),
-            ("payload", payload),
-        ]);
         let key = self.entry_key(stage, id);
-        let ok = self.publish(stage, key, "json", entry.pretty().as_bytes());
-        if ok {
-            self.stores.fetch_add(1, Ordering::Relaxed);
-        }
-        ok
-    }
-
-    /// Atomically publish raw entry bytes at `<stage>/<key>.<ext>`:
-    /// private temp file, fsync, rename. Both formats of one key share
-    /// one `<key>.lock` writer lock.
-    fn publish(&self, stage: Stage, key: u64, ext: &str, bytes: &[u8]) -> bool {
-        let path = self.entry_path(stage, key, ext);
+        let path = self.entry_path(stage, key);
         let Some(dir) = path.parent() else {
             return false;
         };
@@ -459,6 +331,9 @@ impl DiskCache {
             let _ = fs::remove_file(&tmp);
         }
         let _ = fs::remove_file(&lock);
+        if ok {
+            self.stores.fetch_add(1, Ordering::Relaxed);
+        }
         ok
     }
 
@@ -498,18 +373,19 @@ impl DiskCache {
         }
     }
 
-    /// Every entry in the store: `(path, bytes, mtime)`, unsorted. Also
-    /// sweeps abandoned temp files and stale locks as a side effect.
-    fn entries(&self) -> Vec<(PathBuf, u64, SystemTime)> {
+    /// Every entry in the store, unsorted: each file in a stage directory
+    /// that is not a writer lock or temp file (whatever its name — see the
+    /// module docs). Abandoned locks and temp files are swept as a side
+    /// effect; live ones are left to their writers.
+    fn entries(&self) -> Vec<Entry> {
         let mut out = Vec::new();
-        for stage in DISK_STAGES {
-            let dir = self.root.join(stage.label());
-            let Ok(rd) = fs::read_dir(&dir) else {
+        for (stage, dir) in DISK_STAGES.iter().enumerate() {
+            let Ok(rd) = fs::read_dir(self.root.join(dir.label())) else {
                 continue;
             };
-            for entry in rd.flatten() {
-                let path = entry.path();
-                let name = entry.file_name();
+            for file in rd.flatten() {
+                let path = file.path();
+                let name = file.file_name();
                 let name = name.to_string_lossy();
                 if name.starts_with(".tmp-") || name.ends_with(".lock") {
                     if Self::is_stale(&path) {
@@ -517,163 +393,31 @@ impl DiskCache {
                     }
                     continue;
                 }
-                if !name.ends_with(".bin") && !name.ends_with(".json") {
-                    continue;
-                }
-                if let Ok(meta) = entry.metadata() {
-                    let mtime = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
-                    out.push((path, meta.len(), mtime));
+                match file.metadata() {
+                    Ok(meta) if meta.is_file() => out.push(Entry {
+                        stage,
+                        path,
+                        bytes: meta.len(),
+                        mtime: meta.modified().unwrap_or(SystemTime::UNIX_EPOCH),
+                    }),
+                    _ => {}
                 }
             }
         }
         out
     }
 
-    /// Per-stage entry counts, sizes, and format mix.
+    /// Per-stage entry counts and sizes.
     pub fn usage(&self) -> Vec<UsageRow> {
-        DISK_STAGES
-            .iter()
-            .map(|stage| {
-                let dir = self.root.join(stage.label());
-                let mut row = UsageRow {
-                    stage: stage.label(),
-                    ..Default::default()
-                };
-                if let Ok(rd) = fs::read_dir(&dir) {
-                    for entry in rd.flatten() {
-                        let name = entry.file_name();
-                        let name = name.to_string_lossy();
-                        let is_bin = name.ends_with(".bin");
-                        if !is_bin && !name.ends_with(".json") {
-                            continue;
-                        }
-                        if let Ok(meta) = entry.metadata() {
-                            row.entries += 1;
-                            row.bytes += meta.len();
-                            if is_bin {
-                                row.bin_entries += 1;
-                            } else {
-                                row.json_entries += 1;
-                            }
-                        }
-                    }
-                }
-                row
-            })
-            .collect()
-    }
-
-    /// Re-encode every entry into a legacy-JSON store rooted at `dest` —
-    /// the engine behind `openarc cache export`. Binary entries decode
-    /// through [`bin`] and re-encode through [`codec`] under the versioned
-    /// JSON header; entries still in the JSON format copy through
-    /// verbatim. Undecodable or unwritable entries are counted in
-    /// [`ExportReport::skipped`] and otherwise ignored; the source store
-    /// is never modified.
-    pub fn export_json(&self, dest: &DiskCache) -> ExportReport {
-        let mut report = ExportReport::default();
-        for stage in DISK_STAGES {
-            let dir = self.root.join(stage.label());
-            let Ok(rd) = fs::read_dir(&dir) else {
-                continue;
-            };
-            for entry in rd.flatten() {
-                let path = entry.path();
-                let name = entry.file_name();
-                let name = name.to_string_lossy();
-                let ok = if name.ends_with(".bin") {
-                    fs::read(&path)
-                        .ok()
-                        .and_then(|bytes| bin::decode_entry(stage, &bytes).ok())
-                        .map(|(id, art)| {
-                            let payload = match art {
-                                bin::Artifact::Frontend(fe) => {
-                                    codec::frontend_payload(&fe.program, &fe.sema)
-                                }
-                                bin::Artifact::Translated(tr) => codec::translated_payload(&tr),
-                                bin::Artifact::Run(run) => codec::run_payload(&run.0, &run.1),
-                            };
-                            dest.store(stage, id, payload)
-                        })
-                        .unwrap_or(false)
-                } else if let Some(stem) = name.strip_suffix(".json") {
-                    match (u64::from_str_radix(stem, 16), fs::read(&path)) {
-                        (Ok(key), Ok(bytes)) => dest.publish(stage, key, "json", &bytes),
-                        _ => false,
-                    }
-                } else {
-                    continue;
-                };
-                if ok {
-                    report.exported += 1;
-                } else {
-                    report.skipped += 1;
-                }
-            }
+        let mut rows = DISK_STAGES.map(|stage| UsageRow {
+            stage: stage.label(),
+            ..Default::default()
+        });
+        for entry in self.entries() {
+            rows[entry.stage].entries += 1;
+            rows[entry.stage].bytes += entry.bytes;
         }
-        report
-    }
-
-    /// Sequentially decode every `ext`-format (`"bin"` or `"json"`) entry
-    /// under `stage`, discarding the artifacts; returns the number
-    /// decoded, or the first decode error. This is the measured operation
-    /// behind the pipeline bench's per-codec `warm_load_us` comparison —
-    /// it is counter-neutral (no hit/miss/corrupt accounting) and never
-    /// deletes or upgrades entries. Entries are visited in sorted path
-    /// order so repeated passes do identical work.
-    pub fn decode_stage(&self, stage: Stage, ext: &str) -> Result<u64, String> {
-        let dir = self.root.join(stage.label());
-        let Ok(rd) = fs::read_dir(&dir) else {
-            return Ok(0);
-        };
-        let mut paths: Vec<PathBuf> = rd
-            .flatten()
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|e| e == ext))
-            .collect();
-        paths.sort();
-        let fail = |path: &Path, e: String| format!("{}: {e}", path.display());
-        for path in &paths {
-            if ext == "bin" {
-                let bytes = fs::read(path).map_err(|e| fail(path, e.to_string()))?;
-                bin::decode_entry(stage, &bytes).map_err(|e| fail(path, e))?;
-            } else {
-                let text = fs::read_to_string(path).map_err(|e| fail(path, e.to_string()))?;
-                let entry = Json::parse(&text).map_err(|e| fail(path, e))?;
-                let id = entry
-                    .get("id")
-                    .and_then(|j| j.as_u64())
-                    .map(ArtifactId)
-                    .ok_or_else(|| fail(path, "missing header `id`".into()))?;
-                let payload = Self::check_header(&entry, stage, id).map_err(|e| fail(path, e))?;
-                match stage {
-                    Stage::Frontend => codec::frontend_from_payload(id, payload).map(|_| ()),
-                    Stage::Analysis | Stage::Instrument => {
-                        codec::translated_from_payload(id, payload).map(|_| ())
-                    }
-                    Stage::Execute => codec::run_from_payload(payload).map(|_| ()),
-                    _ => Err(format!("stage {} is not persisted", stage.label())),
-                }
-                .map_err(|e| fail(path, e))?;
-            }
-        }
-        Ok(paths.len() as u64)
-    }
-
-    /// Recompute-cost rank of an entry, derived from the stage directory
-    /// it lives in: [`DISK_STAGES`] is ordered cheapest-first (a Frontend
-    /// parse re-runs in microseconds; an Execute artifact replays a whole
-    /// simulated run), so the array position *is* the rank. Unknown
-    /// directories rank cheapest.
-    fn stage_cost(path: &Path) -> usize {
-        path.parent()
-            .and_then(|p| p.file_name())
-            .and_then(|dir| {
-                DISK_STAGES
-                    .iter()
-                    .position(|s| dir.to_string_lossy() == s.label())
-            })
-            .unwrap_or(0)
+        rows.to_vec()
     }
 
     /// Cost-aware LRU eviction pass: delete least-valuable entries until
@@ -682,8 +426,9 @@ impl DiskCache {
     /// Eviction order is least-recently-touched first, with recency
     /// compared at whole-second granularity; inside one second the
     /// cheaper-to-recompute stage goes first (its position in
-    /// [`DISK_STAGES`], cheapest-first), then
-    /// exact mtime. The coarse bucket is deliberate: hits re-touch
+    /// [`DISK_STAGES`], cheapest-first: a Frontend parse re-runs in
+    /// microseconds, an Execute artifact replays a whole simulated run),
+    /// then exact mtime. The coarse bucket is deliberate: hits re-touch
     /// entries, so sub-second mtime deltas mostly record directory-walk
     /// and publish order — at that resolution "which artifact costs more
     /// to rebuild" is the better signal, and a pipeline that stored a
@@ -696,21 +441,21 @@ impl DiskCache {
                 .unwrap_or(0)
         };
         let mut entries = self.entries();
-        entries.sort_by_key(|(path, _, mtime)| (whole_secs(mtime), Self::stage_cost(path), *mtime));
-        let bytes_before: u64 = entries.iter().map(|(_, len, _)| len).sum();
+        entries.sort_by_key(|e| (whole_secs(&e.mtime), e.stage, e.mtime));
+        let bytes_before: u64 = entries.iter().map(|e| e.bytes).sum();
         let mut result = GcResult {
             examined: entries.len() as u64,
             evicted: 0,
             bytes_before,
             bytes_after: bytes_before,
         };
-        for (path, len, _) in entries {
+        for entry in entries {
             if result.bytes_after <= max_bytes {
                 break;
             }
-            if fs::remove_file(&path).is_ok() {
+            if fs::remove_file(&entry.path).is_ok() {
                 result.evicted += 1;
-                result.bytes_after -= len;
+                result.bytes_after -= entry.bytes;
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -720,28 +465,28 @@ impl DiskCache {
     /// Delete every entry (and abandoned temp/lock file). Returns the
     /// number of entries removed.
     pub fn clear(&self) -> u64 {
-        let mut removed = 0;
-        for stage in DISK_STAGES {
-            let dir = self.root.join(stage.label());
-            let Ok(rd) = fs::read_dir(&dir) else {
-                continue;
-            };
-            for entry in rd.flatten() {
-                let name = entry.file_name();
-                let name = name.to_string_lossy();
-                let is_entry = name.ends_with(".bin") || name.ends_with(".json");
-                if fs::remove_file(entry.path()).is_ok() && is_entry {
-                    removed += 1;
-                }
-            }
-        }
-        removed
+        self.entries()
+            .iter()
+            .filter(|e| fs::remove_file(&e.path).is_ok())
+            .count() as u64
     }
+}
+
+/// One file of the store, as listed by [`DiskCache::entries`].
+struct Entry {
+    /// Position of the entry's stage in [`DISK_STAGES`], which is ordered
+    /// cheapest-to-recompute first — so this is also its eviction rank.
+    stage: usize,
+    path: PathBuf,
+    bytes: u64,
+    mtime: SystemTime,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{execute, ExecOptions};
+    use crate::translate::{translate, TranslateOptions};
     use std::sync::atomic::AtomicU32;
 
     /// A fresh per-test cache root under the system temp dir.
@@ -756,197 +501,8 @@ mod tests {
         dir
     }
 
-    fn payload(n: u64) -> Json {
-        Json::obj(vec![("n", Json::from(n))])
-    }
+    // Small but real artifacts of each persisted kind.
 
-    fn decode_n(v: &Json) -> Result<u64, String> {
-        v.get("n")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| "missing n".to_string())
-    }
-
-    #[test]
-    fn store_then_load_round_trips_and_counts() {
-        let cache = DiskCache::new(scratch("roundtrip"));
-        let id = ArtifactId(7);
-        assert!(matches!(
-            cache.load_with(Stage::Frontend, id, decode_n),
-            Lookup::Miss
-        ));
-        assert!(cache.store(Stage::Frontend, id, payload(7)));
-        match cache.load_with(Stage::Frontend, id, decode_n) {
-            Lookup::Hit(n) => assert_eq!(n, 7),
-            _ => panic!("expected hit"),
-        }
-        // Same id under a different stage is a different entry.
-        assert!(matches!(
-            cache.load_with(Stage::Execute, id, decode_n),
-            Lookup::Miss
-        ));
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.stores), (1, 2, 1));
-        let _ = fs::remove_dir_all(cache.root());
-    }
-
-    #[test]
-    fn corrupt_entries_are_deleted_and_recomputable() {
-        // Truncated bytes, garbage bytes, wrong schema version, and a
-        // decodable header with an undecodable payload: all Corrupt, all
-        // deleted, none panic.
-        let cache = DiskCache::new(scratch("corrupt"));
-        let id = ArtifactId(9);
-        let key = cache.entry_key(Stage::Frontend, id);
-        let path = cache.entry_path(Stage::Frontend, key, "json");
-        let wrong_schema = Json::obj(vec![
-            ("schema", Json::from(SCHEMA_VERSION + 1)),
-            ("tool", Json::from(tool_fingerprint())),
-            ("stage", Json::from(Stage::Frontend.label())),
-            ("id", Json::from(id.0)),
-            ("payload", payload(9)),
-        ])
-        .pretty();
-        let bad_payload = Json::obj(vec![
-            ("schema", Json::from(SCHEMA_VERSION)),
-            ("tool", Json::from(tool_fingerprint())),
-            ("stage", Json::from(Stage::Frontend.label())),
-            ("id", Json::from(id.0)),
-            ("payload", Json::obj(vec![("wrong", Json::Null)])),
-        ])
-        .pretty();
-        for bytes in [
-            "{\"schema\": 1, \"tool\"",
-            "not json at all",
-            &wrong_schema,
-            &bad_payload,
-        ] {
-            assert!(cache.store(Stage::Frontend, id, payload(9)));
-            fs::write(&path, bytes).unwrap();
-            assert!(matches!(
-                cache.load_with(Stage::Frontend, id, decode_n),
-                Lookup::Corrupt
-            ));
-            assert!(!path.exists(), "corrupt entry must be deleted");
-            // The stage recomputes and re-stores cleanly.
-            assert!(cache.store(Stage::Frontend, id, payload(9)));
-            assert!(matches!(
-                cache.load_with(Stage::Frontend, id, decode_n),
-                Lookup::Hit(9)
-            ));
-        }
-        assert_eq!(cache.stats().corrupt, 4);
-        let _ = fs::remove_dir_all(cache.root());
-    }
-
-    #[test]
-    fn gc_evicts_least_recently_used_first() {
-        let cache = DiskCache::new(scratch("gc"));
-        for n in 0..4u64 {
-            assert!(cache.store(Stage::Frontend, ArtifactId(n), payload(n)));
-        }
-        // Backdate entries 0..3 in order; then touch entry 0 via a hit so
-        // it becomes the newest and survives eviction.
-        let now = SystemTime::now();
-        for n in 0..4u64 {
-            let key = cache.entry_key(Stage::Frontend, ArtifactId(n));
-            let f = fs::File::open(cache.entry_path(Stage::Frontend, key, "json")).unwrap();
-            f.set_modified(now - Duration::from_secs(100 - n)).unwrap();
-        }
-        assert!(matches!(
-            cache.load_with(Stage::Frontend, ArtifactId(0), decode_n),
-            Lookup::Hit(0)
-        ));
-        let one_entry = cache.usage().iter().map(|r| r.bytes).sum::<u64>() / 4;
-        let gc = cache.gc(2 * one_entry);
-        assert_eq!(gc.examined, 4);
-        assert_eq!(gc.evicted, 2);
-        assert!(gc.bytes_after <= 2 * one_entry && gc.bytes_before > gc.bytes_after);
-        // Oldest-touched (1, 2) went; recently-hit 0 and newest 3 remain.
-        for (n, hit) in [(0u64, true), (1, false), (2, false), (3, true)] {
-            let got = cache.load_with(Stage::Frontend, ArtifactId(n), decode_n);
-            assert_eq!(matches!(got, Lookup::Hit(_)), hit, "entry {n}");
-        }
-        assert_eq!(cache.stats().evictions, 2);
-        let _ = fs::remove_dir_all(cache.root());
-    }
-
-    #[test]
-    fn gc_prefers_evicting_cheap_stages_at_equal_recency() {
-        // ROADMAP cost-aware-gc item: a Frontend parse and an Execute run
-        // land in the same one-second recency bucket, the Execute entry
-        // strictly older by exact mtime. A plain LRU-by-mtime policy
-        // (what `gc` used to be) would evict the expensive Execute
-        // artifact first; the cost-aware order must keep it and evict the
-        // Frontend parse instead.
-        let cache = DiskCache::new(scratch("gc-cost"));
-        assert!(cache.store(Stage::Frontend, ArtifactId(1), payload(1)));
-        assert!(cache.store(Stage::Execute, ArtifactId(2), payload(2)));
-        // Pin both mtimes inside one second, Execute older than Frontend.
-        let secs = SystemTime::now()
-            .duration_since(SystemTime::UNIX_EPOCH)
-            .unwrap()
-            .as_secs();
-        let bucket = SystemTime::UNIX_EPOCH + Duration::from_secs(secs);
-        let touch = |stage: Stage, id: ArtifactId, offset_ms: u64| {
-            let key = cache.entry_key(stage, id);
-            let f = fs::File::open(cache.entry_path(stage, key, "json")).unwrap();
-            f.set_modified(bucket + Duration::from_millis(offset_ms))
-                .unwrap();
-        };
-        touch(Stage::Execute, ArtifactId(2), 100);
-        touch(Stage::Frontend, ArtifactId(1), 800);
-        let total = cache.usage().iter().map(|r| r.bytes).sum::<u64>();
-        let gc = cache.gc(total - 1);
-        assert_eq!(gc.examined, 2);
-        assert_eq!(gc.evicted, 1);
-        assert!(matches!(
-            cache.load_with(Stage::Frontend, ArtifactId(1), decode_n),
-            Lookup::Miss
-        ));
-        assert!(matches!(
-            cache.load_with(Stage::Execute, ArtifactId(2), decode_n),
-            Lookup::Hit(2)
-        ));
-        let _ = fs::remove_dir_all(cache.root());
-    }
-
-    #[test]
-    fn clear_empties_the_store() {
-        let cache = DiskCache::new(scratch("clear"));
-        for n in 0..3u64 {
-            assert!(cache.store(Stage::Analysis, ArtifactId(n), payload(n)));
-        }
-        assert_eq!(cache.clear(), 3);
-        assert!(cache.usage().iter().all(|r| r.entries == 0));
-        assert!(matches!(
-            cache.load_with(Stage::Analysis, ArtifactId(0), decode_n),
-            Lookup::Miss
-        ));
-        let _ = fs::remove_dir_all(cache.root());
-    }
-
-    #[test]
-    fn concurrent_writers_of_the_same_entry_are_safe() {
-        // Two threads race to publish the same content-addressed entry;
-        // at least one wins, and the result decodes cleanly either way.
-        let cache = std::sync::Arc::new(DiskCache::new(scratch("race")));
-        let mut handles = Vec::new();
-        for _ in 0..2 {
-            let cache = cache.clone();
-            handles.push(std::thread::spawn(move || {
-                cache.store(Stage::Execute, ArtifactId(1), payload(1))
-            }));
-        }
-        let wins: Vec<bool> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        assert!(wins.iter().any(|w| *w), "at least one writer publishes");
-        assert!(matches!(
-            cache.load_with(Stage::Execute, ArtifactId(1), decode_n),
-            Lookup::Hit(1)
-        ));
-        let _ = fs::remove_dir_all(cache.root());
-    }
-
-    /// A small but real frontend artifact for format-negotiation tests.
     fn frontend_artifact(id: u64) -> FrontendArtifact {
         let (program, sema) = openarc_minic::frontend("int x;\nvoid main() { x = 1; }").unwrap();
         FrontendArtifact {
@@ -956,113 +512,208 @@ mod tests {
         }
     }
 
+    fn translated_artifact(id: u64) -> TranslatedArtifact {
+        let fe = frontend_artifact(id);
+        TranslatedArtifact {
+            id: fe.id,
+            instrumented: false,
+            tr: translate(&fe.program, &fe.sema, &TranslateOptions::default()).unwrap(),
+        }
+    }
+
+    fn run_result() -> RunResult {
+        execute(&translated_artifact(0).tr, &ExecOptions::default()).unwrap()
+    }
+
+    fn is_hit<T>(got: Lookup<T>) -> bool {
+        matches!(got, Lookup::Hit(_))
+    }
+
     #[test]
-    fn typed_store_and_load_use_the_binary_format() {
-        let cache = DiskCache::new(scratch("typed"));
-        let art = frontend_artifact(3);
+    fn store_then_load_round_trips_and_counts() {
+        let cache = DiskCache::new(scratch("roundtrip"));
+        let art = frontend_artifact(7);
         assert!(matches!(cache.load_frontend(art.id), Lookup::Miss));
         assert!(cache.store_frontend(&art));
         let key = cache.entry_key(Stage::Frontend, art.id);
-        assert!(cache.entry_path(Stage::Frontend, key, "bin").exists());
-        assert!(!cache.entry_path(Stage::Frontend, key, "json").exists());
+        assert!(cache.entry_path(Stage::Frontend, key).exists());
         match cache.load_frontend(art.id) {
             Lookup::Hit(back) => assert_eq!(back.program, art.program),
-            _ => panic!("expected binary hit"),
+            _ => panic!("expected hit"),
         }
+        // Same id under a different stage is a different entry.
+        assert!(matches!(cache.load_run(art.id), Lookup::Miss));
         let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.stores), (1, 1, 1));
+        assert_eq!((stats.hits, stats.misses, stats.stores), (1, 2, 1));
         let _ = fs::remove_dir_all(cache.root());
     }
 
     #[test]
-    fn legacy_json_entries_upgrade_to_binary_on_hit() {
-        let cache = DiskCache::new(scratch("upgrade"));
-        let art = frontend_artifact(11);
-        // A store written by an older build: JSON interchange only.
-        assert!(cache.store(
-            Stage::Frontend,
-            art.id,
-            codec::frontend_payload(&art.program, &art.sema),
-        ));
-        let key = cache.entry_key(Stage::Frontend, art.id);
-        assert!(cache.entry_path(Stage::Frontend, key, "json").exists());
-        assert!(!cache.entry_path(Stage::Frontend, key, "bin").exists());
-        // The hit decodes the JSON entry and migrates it in place.
-        match cache.load_frontend(art.id) {
-            Lookup::Hit(back) => assert_eq!(back.program, art.program),
-            _ => panic!("expected legacy hit"),
-        }
-        assert!(cache.entry_path(Stage::Frontend, key, "bin").exists());
-        assert!(
-            !cache.entry_path(Stage::Frontend, key, "json").exists(),
-            "legacy entry is retired after the upgrade"
-        );
-        // The next load is a pure binary hit; migration was not a store.
-        assert!(matches!(cache.load_frontend(art.id), Lookup::Hit(_)));
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.stores), (2, 1));
-        let usage = cache.usage();
-        let row = usage.iter().find(|r| r.stage == "frontend").unwrap();
-        assert_eq!((row.entries, row.bin_entries, row.json_entries), (1, 1, 0));
-        let _ = fs::remove_dir_all(cache.root());
-    }
-
-    #[test]
-    fn corrupt_binary_entries_are_deleted_and_recomputable() {
-        let cache = DiskCache::new(scratch("bin-corrupt"));
+    fn corrupt_entries_are_deleted_and_recomputable() {
+        // Garbage, truncated, flipped-magic, and empty files, a wrong
+        // format version, and a well-formed entry holding some other
+        // artifact: all Corrupt, all deleted, none panic.
+        let cache = DiskCache::new(scratch("corrupt"));
         let art = frontend_artifact(5);
         let key = cache.entry_key(Stage::Frontend, art.id);
-        let path = cache.entry_path(Stage::Frontend, key, "bin");
-        let good = cache.store_frontend(&art);
-        assert!(good);
-        let original = fs::read(&path).unwrap();
+        let path = cache.entry_path(Stage::Frontend, key);
+        let original = bin::encode_frontend(&art);
         let truncated = original[..original.len() / 2].to_vec();
         let mut flipped = original.clone();
         flipped[0] ^= 0xff;
-        for bytes in [b"junk".to_vec(), truncated, flipped, Vec::new()] {
-            fs::write(&path, &bytes).unwrap();
-            assert!(matches!(cache.load_frontend(art.id), Lookup::Corrupt));
-            assert!(!path.exists(), "corrupt binary entry must be deleted");
+        let mut wrong_version = original.clone();
+        wrong_version[8..12].copy_from_slice(&(bin::FORMAT_VERSION + 1).to_le_bytes());
+        let wrong_artifact = bin::encode_frontend(&frontend_artifact(6));
+        let shapes = [
+            b"junk".to_vec(),
+            truncated,
+            flipped,
+            Vec::new(),
+            wrong_version,
+            wrong_artifact,
+        ];
+        for bytes in &shapes {
             assert!(cache.store_frontend(&art));
-            assert!(matches!(cache.load_frontend(art.id), Lookup::Hit(_)));
+            fs::write(&path, bytes).unwrap();
+            assert!(matches!(cache.load_frontend(art.id), Lookup::Corrupt));
+            assert!(!path.exists(), "corrupt entry must be deleted");
+            // The stage recomputes and re-stores cleanly.
+            assert!(cache.store_frontend(&art));
+            assert!(is_hit(cache.load_frontend(art.id)));
         }
-        assert_eq!(cache.stats().corrupt, 4);
+        assert_eq!(cache.stats().corrupt, shapes.len() as u64);
         let _ = fs::remove_dir_all(cache.root());
     }
 
     #[test]
-    fn export_rebuilds_a_loadable_json_store() {
-        let cache = DiskCache::new(scratch("export-src"));
-        let dest = DiskCache::new(scratch("export-dst"));
-        let art = frontend_artifact(21);
-        assert!(cache.store_frontend(&art));
-        // A legacy JSON straggler rides along verbatim.
-        let json_art = frontend_artifact(22);
-        assert!(cache.store(
-            Stage::Frontend,
-            json_art.id,
-            codec::frontend_payload(&json_art.program, &json_art.sema),
-        ));
-
-        let report = cache.export_json(&dest);
-        assert_eq!((report.exported, report.skipped), (2, 0));
-
-        // The target holds JSON only, and both entries load from it.
-        let row = dest.usage().into_iter().find(|r| r.stage == "frontend");
-        let row = row.unwrap();
-        assert_eq!((row.entries, row.bin_entries, row.json_entries), (2, 0, 2));
-        for wanted in [&art, &json_art] {
-            match dest.load_frontend(wanted.id) {
-                Lookup::Hit(back) => assert_eq!(back.program, wanted.program),
-                _ => panic!("exported entry did not load"),
-            }
+    fn gc_evicts_least_recently_used_first() {
+        let cache = DiskCache::new(scratch("gc"));
+        for n in 0..4u64 {
+            assert!(cache.store_frontend(&frontend_artifact(n)));
         }
-        // The source store is untouched by the export.
-        let src_row = cache.usage().into_iter().find(|r| r.stage == "frontend");
-        let src_row = src_row.unwrap();
-        assert_eq!((src_row.bin_entries, src_row.json_entries), (1, 1));
+        // Backdate entries 0..3 in order; then touch entry 0 via a hit so
+        // it becomes the newest and survives eviction.
+        let now = SystemTime::now();
+        for n in 0..4u64 {
+            let key = cache.entry_key(Stage::Frontend, ArtifactId(n));
+            let f = fs::File::open(cache.entry_path(Stage::Frontend, key)).unwrap();
+            f.set_modified(now - Duration::from_secs(100 - n)).unwrap();
+        }
+        assert!(is_hit(cache.load_frontend(ArtifactId(0))));
+        let one_entry = cache.usage().iter().map(|r| r.bytes).sum::<u64>() / 4;
+        let gc = cache.gc(2 * one_entry);
+        assert_eq!(gc.examined, 4);
+        assert_eq!(gc.evicted, 2);
+        assert!(gc.bytes_after <= 2 * one_entry && gc.bytes_before > gc.bytes_after);
+        // Oldest-touched (1, 2) went; recently-hit 0 and newest 3 remain.
+        for (n, hit) in [(0u64, true), (1, false), (2, false), (3, true)] {
+            assert_eq!(is_hit(cache.load_frontend(ArtifactId(n))), hit, "entry {n}");
+        }
+        assert_eq!(cache.stats().evictions, 2);
         let _ = fs::remove_dir_all(cache.root());
-        let _ = fs::remove_dir_all(dest.root());
+    }
+
+    #[test]
+    fn gc_prefers_evicting_cheap_stages_at_equal_recency() {
+        // A Frontend parse and an Execute run land in the same one-second
+        // recency bucket, the Execute entry strictly older by exact
+        // mtime. A plain LRU-by-mtime policy would evict the expensive
+        // Execute artifact first; the cost-aware order must keep it and
+        // evict the Frontend parse instead.
+        let cache = DiskCache::new(scratch("gc-cost"));
+        assert!(cache.store_frontend(&frontend_artifact(1)));
+        assert!(cache.store_run(ArtifactId(2), &run_result(), &[]));
+        // Pin both mtimes inside one second, Execute older than Frontend.
+        let secs = SystemTime::now()
+            .duration_since(SystemTime::UNIX_EPOCH)
+            .unwrap()
+            .as_secs();
+        let bucket = SystemTime::UNIX_EPOCH + Duration::from_secs(secs);
+        let touch = |stage: Stage, id: ArtifactId, offset_ms: u64| {
+            let key = cache.entry_key(stage, id);
+            let f = fs::File::open(cache.entry_path(stage, key)).unwrap();
+            f.set_modified(bucket + Duration::from_millis(offset_ms))
+                .unwrap();
+        };
+        touch(Stage::Execute, ArtifactId(2), 100);
+        touch(Stage::Frontend, ArtifactId(1), 800);
+        let total = cache.usage().iter().map(|r| r.bytes).sum::<u64>();
+        let gc = cache.gc(total - 1);
+        assert_eq!(gc.examined, 2);
+        assert_eq!(gc.evicted, 1);
+        assert!(matches!(cache.load_frontend(ArtifactId(1)), Lookup::Miss));
+        assert!(is_hit(cache.load_run(ArtifactId(2))));
+        let _ = fs::remove_dir_all(cache.root());
+    }
+
+    #[test]
+    fn clear_empties_the_store() {
+        let cache = DiskCache::new(scratch("clear"));
+        for n in 0..3u64 {
+            assert!(cache.store_translated(Stage::Analysis, &translated_artifact(n)));
+        }
+        assert_eq!(cache.clear(), 3);
+        assert!(cache.usage().iter().all(|r| r.entries == 0));
+        assert!(matches!(
+            cache.load_translated(Stage::Analysis, ArtifactId(0)),
+            Lookup::Miss
+        ));
+        let _ = fs::remove_dir_all(cache.root());
+    }
+
+    #[test]
+    fn concurrent_writers_of_the_same_entry_are_safe() {
+        // Two threads race to publish the same content-addressed entry;
+        // at least one wins, and the result decodes cleanly either way.
+        let cache = DiskCache::new(scratch("race"));
+        let run = run_result();
+        let start = std::sync::Barrier::new(2);
+        let publish = || {
+            start.wait();
+            cache.store_run(ArtifactId(1), &run, &[])
+        };
+        let wins = std::thread::scope(|s| {
+            let (a, b) = (s.spawn(publish), s.spawn(publish));
+            [a.join().unwrap(), b.join().unwrap()]
+        });
+        assert!(wins.iter().any(|w| *w), "at least one writer publishes");
+        assert!(is_hit(cache.load_run(ArtifactId(1))));
+        let _ = fs::remove_dir_all(cache.root());
+    }
+
+    #[test]
+    fn leftover_files_are_never_read_and_age_out() {
+        // A pre-OARCBIN store's `<key>.json` next to a valid `<key>.bin`.
+        let cache = DiskCache::new(scratch("leftover"));
+        let art = frontend_artifact(11);
+        assert!(cache.store_frontend(&art));
+        let bin_path = cache.entry_path(Stage::Frontend, cache.entry_key(Stage::Frontend, art.id));
+        let json_path = bin_path.with_extension("json");
+        let leftover = "{\"schema\": 1, \"not\": \"an entry\"}";
+        fs::write(&json_path, leftover).unwrap();
+
+        // The lookup is served from `.bin`; without it the key is plainly
+        // absent — the leftover is neither decoded nor flagged corrupt.
+        assert!(is_hit(cache.load_frontend(art.id)));
+        let bin_bytes = fs::metadata(&bin_path).unwrap().len();
+        fs::remove_file(&bin_path).unwrap();
+        assert!(matches!(cache.load_frontend(art.id), Lookup::Miss));
+        assert_eq!(cache.stats().corrupt, 0);
+        assert_eq!(fs::read_to_string(&json_path).unwrap(), leftover);
+
+        // It still counts toward the store's size, and gc/clear evict it.
+        assert!(cache.store_frontend(&art));
+        let row = cache.usage()[0];
+        assert_eq!(
+            (row.stage, row.entries, row.bytes),
+            ("frontend", 2, bin_bytes + leftover.len() as u64)
+        );
+        assert_eq!(cache.gc(0).evicted, 2);
+        assert!(!json_path.exists() && !bin_path.exists());
+        fs::write(&json_path, leftover).unwrap();
+        assert_eq!(cache.clear(), 1);
+        assert!(!json_path.exists());
+        let _ = fs::remove_dir_all(cache.root());
     }
 
     #[test]
@@ -1074,44 +725,32 @@ mod tests {
         let a = DiskCache::with_namespace(&root, "tenant-a");
         let b = DiskCache::with_namespace(&root, "tenant-b");
         let default = DiskCache::new(&root);
-        let id = ArtifactId(7);
+        let art = frontend_artifact(7);
         assert_ne!(
-            a.entry_key(Stage::Frontend, id),
-            b.entry_key(Stage::Frontend, id)
+            a.entry_key(Stage::Frontend, art.id),
+            b.entry_key(Stage::Frontend, art.id)
         );
         assert_ne!(
-            a.entry_key(Stage::Frontend, id),
-            default.entry_key(Stage::Frontend, id)
+            a.entry_key(Stage::Frontend, art.id),
+            default.entry_key(Stage::Frontend, art.id)
         );
-        assert!(a.store(Stage::Frontend, id, payload(1)));
-        assert!(matches!(
-            a.load_with(Stage::Frontend, id, decode_n),
-            Lookup::Hit(1)
-        ));
-        assert!(matches!(
-            b.load_with(Stage::Frontend, id, decode_n),
-            Lookup::Miss
-        ));
-        assert!(matches!(
-            default.load_with(Stage::Frontend, id, decode_n),
-            Lookup::Miss
-        ));
+        assert!(a.store_frontend(&art));
+        assert!(is_hit(a.load_frontend(art.id)));
+        assert!(matches!(b.load_frontend(art.id), Lookup::Miss));
+        assert!(matches!(default.load_frontend(art.id), Lookup::Miss));
         // The default namespace is the identity: a second handle made via
         // `new` reads what the first wrote.
-        assert!(default.store(Stage::Execute, id, payload(2)));
+        assert!(default.store_run(art.id, &run_result(), &[]));
         let again = DiskCache::new(&root);
-        assert!(matches!(
-            again.load_with(Stage::Execute, id, decode_n),
-            Lookup::Hit(2)
-        ));
+        assert!(is_hit(again.load_run(art.id)));
         let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
     fn usage_reports_per_stage_rows() {
         let cache = DiskCache::new(scratch("usage"));
-        assert!(cache.store(Stage::Frontend, ArtifactId(1), payload(1)));
-        assert!(cache.store(Stage::Execute, ArtifactId(2), payload(2)));
+        assert!(cache.store_frontend(&frontend_artifact(1)));
+        assert!(cache.store_run(ArtifactId(2), &run_result(), &[]));
         let usage = cache.usage();
         assert_eq!(usage.len(), DISK_STAGES.len());
         for row in &usage {

@@ -35,10 +35,13 @@
 //! * **Verify** — the §III-A report: CPU baseline + verification run, both
 //!   routed through the Execute stage so they cache independently.
 //!
-//! All caches sit behind [`Mutex`]es and artifacts are shared via [`Arc`],
-//! so one `Session` can be driven from many scheduler workers
-//! ([`crate::sched`]) at once; locks are never held across stage work, so
-//! concurrent misses compute in parallel (last insert wins).
+//! Every stage request runs the same memo protocol (one routine, one
+//! table type): memory lookup, disk load-through for the persisted kinds,
+//! else compute and publish — metered and spanned identically whichever
+//! stage asked. The tables sit behind [`Mutex`]es and artifacts are
+//! shared via [`Arc`], so one `Session` can be driven from many scheduler
+//! workers ([`crate::sched`]) at once; locks are never held across stage
+//! work, so concurrent misses compute in parallel (last insert wins).
 //!
 //! Sessions are constructed with [`Session::builder`]. A builder given a
 //! [`SessionBuilder::disk_cache`] directory adds the persistent layer
@@ -68,6 +71,7 @@ use openarc_openacc::{directives_of, Directive};
 use openarc_trace::{EventKind, Journal, TraceEvent, Track};
 use openarc_vm::VmError;
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -565,12 +569,12 @@ impl From<VerifyError> for PipelineError {
 /// ```
 pub struct Session {
     meters: StageMeters,
-    frontends: Mutex<HashMap<u64, Arc<FrontendArtifact>>>,
-    directives: Mutex<HashMap<u64, Arc<DirectiveSummary>>>,
-    translations: Mutex<HashMap<u64, Arc<TranslatedArtifact>>>,
-    plans: Mutex<HashMap<u64, ExecPlan>>,
-    runs: Mutex<HashMap<u64, CachedRun>>,
-    verifications: Mutex<HashMap<u64, Arc<VerificationReport>>>,
+    frontends: Memo<Arc<FrontendArtifact>>,
+    directives: Memo<Arc<DirectiveSummary>>,
+    translations: Memo<Arc<TranslatedArtifact>>,
+    plans: Memo<ExecPlan>,
+    runs: Memo<CachedRun>,
+    verifications: Memo<Arc<VerificationReport>>,
     /// Accumulated wall-clock nanoseconds per stage ([`Stage::ALL`] order).
     stage_wall: [AtomicU64; 7],
     /// Optional session-level stream of [`EventKind::Stage`] spans.
@@ -585,12 +589,12 @@ impl Default for Session {
     fn default() -> Session {
         Session {
             meters: StageMeters::default(),
-            frontends: Mutex::default(),
-            directives: Mutex::default(),
-            translations: Mutex::default(),
-            plans: Mutex::default(),
-            runs: Mutex::default(),
-            verifications: Mutex::default(),
+            frontends: Memo::default(),
+            directives: Memo::default(),
+            translations: Memo::default(),
+            plans: Memo::default(),
+            runs: Memo::default(),
+            verifications: Memo::default(),
             stage_wall: Default::default(),
             stage_journal: Journal::disabled(),
             t0: Instant::now(),
@@ -668,9 +672,38 @@ impl SessionBuilder {
 /// A memoized Execute-stage entry: the run plus the exact event stream it
 /// journaled (empty for unjournaled runs), so a cache hit can replay the
 /// journal side effect byte-for-byte.
+#[derive(Clone)]
 struct CachedRun {
     result: Arc<RunResult>,
     events: Arc<Vec<TraceEvent>>,
+}
+
+/// One in-memory memo table: artifacts by content-hash key. Values are
+/// cheap handles (`Arc`s), cloned out so the lock is never held across
+/// stage work.
+struct Memo<V>(Mutex<HashMap<u64, V>>);
+
+impl<V> Default for Memo<V> {
+    fn default() -> Memo<V> {
+        Memo(Mutex::default())
+    }
+}
+
+impl<V: Clone> Memo<V> {
+    fn get(&self, key: u64) -> Option<V> {
+        self.0.lock().unwrap().get(&key).cloned()
+    }
+
+    fn insert(&self, key: u64, v: V) {
+        self.0.lock().unwrap().insert(key, v);
+    }
+}
+
+/// Disk load/store of one persisted artifact kind, for
+/// [`Session::memoized`].
+struct DiskHooks<'a, V> {
+    load: &'a dyn Fn(&DiskCache) -> Lookup<V>,
+    store: &'a dyn Fn(&DiskCache, &V) -> bool,
 }
 
 /// One end-to-end pipeline run: the translation used plus the run result.
@@ -720,34 +753,49 @@ impl Session {
         }
     }
 
-    /// Try the disk layer with one of its typed, format-negotiating
-    /// loaders; journals the outcome.
-    fn disk_load<T>(&self, stage: Stage, look: impl FnOnce(&DiskCache) -> Lookup<T>) -> Option<T> {
-        let disk = self.disk.as_ref()?;
-        match look(disk) {
-            Lookup::Hit(v) => {
-                self.disk_event(stage, "hit");
-                Some(v)
-            }
-            Lookup::Miss => {
-                self.disk_event(stage, "miss");
-                None
-            }
-            Lookup::Corrupt => {
-                self.disk_event(stage, "corrupt");
-                None
-            }
+    /// The one memo protocol every stage request goes through: serve
+    /// `key` from `memo`; else (persisted kinds) load it through from the
+    /// disk layer — the stage work was skipped, so that is a stage hit
+    /// too; else count a miss, run `compute`, and publish the artifact to
+    /// memory and disk. Each served request is metered and emits one
+    /// Stage span timed from `started`; a failed `compute` has counted
+    /// its miss and emits none. Returns the artifact and whether it was
+    /// cached.
+    fn memoized<V: Clone, E>(
+        &self,
+        stage: Stage,
+        started: Instant,
+        memo: &Memo<V>,
+        key: u64,
+        disk: Option<DiskHooks<'_, V>>,
+        compute: impl FnOnce() -> Result<V, E>,
+    ) -> Result<(V, bool), E> {
+        let cached = memo.get(key).or_else(|| {
+            let (found, op) = match (disk.as_ref()?.load)(self.disk.as_ref()?) {
+                Lookup::Hit(v) => (Some(v), "hit"),
+                Lookup::Miss => (None, "miss"),
+                Lookup::Corrupt => (None, "corrupt"),
+            };
+            self.disk_event(stage, op);
+            let v = found?;
+            memo.insert(key, v.clone());
+            Some(v)
+        });
+        if let Some(v) = cached {
+            self.meters.hit(stage);
+            self.note_stage(stage, started, true);
+            return Ok((v, true));
         }
-    }
-
-    /// Publish a recomputed artifact to the disk layer with one of its
-    /// typed binary-format stores; journals stores.
-    fn disk_store(&self, stage: Stage, store: impl FnOnce(&DiskCache) -> bool) {
-        if let Some(disk) = &self.disk {
-            if store(disk) {
+        self.meters.miss(stage);
+        let v = compute()?;
+        memo.insert(key, v.clone());
+        if let (Some(hooks), Some(cache)) = (&disk, &self.disk) {
+            if (hooks.store)(cache, &v) {
                 self.disk_event(stage, "store");
             }
         }
+        self.note_stage(stage, started, false);
+        Ok((v, false))
     }
 
     /// Record one stage request's wall-clock cost; `cached` marks hits.
@@ -786,28 +834,24 @@ impl Session {
     /// as a hit).
     pub fn frontend(&self, src: &str) -> Result<Arc<FrontendArtifact>, PipelineError> {
         let t = Instant::now();
-        let key = Fnv::new().write_str(src).finish();
-        if let Some(fe) = self.frontends.lock().unwrap().get(&key) {
-            self.meters.hit(Stage::Frontend);
-            let fe = fe.clone();
-            self.note_stage(Stage::Frontend, t, true);
-            return Ok(fe);
-        }
-        let id = ArtifactId(key);
-        if let Some(fe) = self.disk_load(Stage::Frontend, |d| d.load_frontend(id)) {
-            self.meters.hit(Stage::Frontend);
-            let fe = Arc::new(fe);
-            self.frontends.lock().unwrap().insert(key, fe.clone());
-            self.note_stage(Stage::Frontend, t, true);
-            return Ok(fe);
-        }
-        self.meters.miss(Stage::Frontend);
-        let (program, sema) = frontend(src).map_err(PipelineError::Frontend)?;
-        let fe = Arc::new(FrontendArtifact { id, program, sema });
-        self.frontends.lock().unwrap().insert(key, fe.clone());
-        self.disk_store(Stage::Frontend, |d| d.store_frontend(&fe));
-        self.note_stage(Stage::Frontend, t, false);
-        Ok(fe)
+        let id = ArtifactId(Fnv::new().write_str(src).finish());
+        let disk = DiskHooks {
+            load: &|d| d.load_frontend(id).map(Arc::new),
+            store: &|d, fe| d.store_frontend(fe),
+        };
+        let compute = || {
+            let (program, sema) = frontend(src).map_err(PipelineError::Frontend)?;
+            Ok(Arc::new(FrontendArtifact { id, program, sema }))
+        };
+        self.memoized(
+            Stage::Frontend,
+            t,
+            &self.frontends,
+            id.0,
+            Some(disk),
+            compute,
+        )
+        .map(|(fe, _)| fe)
     }
 
     /// Frontend stage for a pre-parsed program (e.g. one produced by a
@@ -815,21 +859,9 @@ impl Session {
     /// keyed by the printed program text.
     pub fn frontend_program(&self, program: Program, sema: Sema) -> Arc<FrontendArtifact> {
         let t = Instant::now();
-        let key = Fnv::new().write_str(&print_program(&program)).finish();
-        if let Some(fe) = self.frontends.lock().unwrap().get(&key) {
-            self.meters.hit(Stage::Frontend);
-            let fe = fe.clone();
-            self.note_stage(Stage::Frontend, t, true);
-            return fe;
-        }
-        self.meters.miss(Stage::Frontend);
-        let fe = Arc::new(FrontendArtifact {
-            id: ArtifactId(key),
-            program,
-            sema,
-        });
-        self.frontends.lock().unwrap().insert(key, fe.clone());
-        self.note_stage(Stage::Frontend, t, false);
+        let id = ArtifactId(Fnv::new().write_str(&print_program(&program)).finish());
+        let compute = || Ok::<_, Infallible>(Arc::new(FrontendArtifact { id, program, sema }));
+        let Ok((fe, _)) = self.memoized(Stage::Frontend, t, &self.frontends, id.0, None, compute);
         fe
     }
 
@@ -840,50 +872,44 @@ impl Session {
     ) -> Result<Arc<DirectiveSummary>, PipelineError> {
         let t = Instant::now();
         let key = combine(fe.id.0, 0xd1ec);
-        if let Some(d) = self.directives.lock().unwrap().get(&key) {
-            self.meters.hit(Stage::Directives);
-            let d = d.clone();
-            self.note_stage(Stage::Directives, t, true);
-            return Ok(d);
-        }
-        self.meters.miss(Stage::Directives);
-        let mut sum = DirectiveSummary {
-            id: ArtifactId(key),
-            ..Default::default()
-        };
-        let mut err = None;
-        for item in &fe.program.items {
-            if let Item::Func(f) = item {
-                walk_stmts(&f.body, &mut |s| match directives_of(s) {
-                    Ok(ds) => {
-                        for (d, _) in ds {
-                            match d {
-                                Directive::Compute(_) => sum.compute += 1,
-                                Directive::Data(_) => sum.data += 1,
-                                Directive::Loop(_) => sum.loops += 1,
-                                Directive::HostData { .. } => sum.host_data += 1,
-                                Directive::Update(_) => sum.updates += 1,
-                                Directive::Wait(_) => sum.waits += 1,
-                                Directive::Declare(_) => sum.declares += 1,
-                                Directive::Cache(_) => sum.caches += 1,
+        let compute = || {
+            let mut sum = DirectiveSummary {
+                id: ArtifactId(key),
+                ..Default::default()
+            };
+            let mut err = None;
+            for item in &fe.program.items {
+                if let Item::Func(f) = item {
+                    walk_stmts(&f.body, &mut |s| match directives_of(s) {
+                        Ok(ds) => {
+                            for (d, _) in ds {
+                                match d {
+                                    Directive::Compute(_) => sum.compute += 1,
+                                    Directive::Data(_) => sum.data += 1,
+                                    Directive::Loop(_) => sum.loops += 1,
+                                    Directive::HostData { .. } => sum.host_data += 1,
+                                    Directive::Update(_) => sum.updates += 1,
+                                    Directive::Wait(_) => sum.waits += 1,
+                                    Directive::Declare(_) => sum.declares += 1,
+                                    Directive::Cache(_) => sum.caches += 1,
+                                }
                             }
                         }
-                    }
-                    Err(d) => {
-                        if err.is_none() {
-                            err = Some(d);
+                        Err(d) => {
+                            if err.is_none() {
+                                err = Some(d);
+                            }
                         }
-                    }
-                });
+                    });
+                }
             }
-        }
-        if let Some(d) = err {
-            return Err(PipelineError::Directives(d));
-        }
-        let sum = Arc::new(sum);
-        self.directives.lock().unwrap().insert(key, sum.clone());
-        self.note_stage(Stage::Directives, t, false);
-        Ok(sum)
+            match err {
+                Some(d) => Err(PipelineError::Directives(d)),
+                None => Ok(Arc::new(sum)),
+            }
+        };
+        self.memoized(Stage::Directives, t, &self.directives, key, None, compute)
+            .map(|(sum, _)| sum)
     }
 
     /// Analysis/Instrument stage: translate under `topts`, cached by
@@ -901,57 +927,40 @@ impl Session {
         } else {
             Stage::Analysis
         };
-        let key = combine(fe.id.0, fp_translate_options(topts));
-        if let Some(tr) = self.translations.lock().unwrap().get(&key) {
-            self.meters.hit(stage);
-            let tr = tr.clone();
-            self.note_stage(stage, t, true);
-            return Ok(tr);
-        }
-        let id = ArtifactId(key);
-        if let Some(art) = self.disk_load(stage, |d| d.load_translated(stage, id)) {
-            self.meters.hit(stage);
-            let art = Arc::new(art);
-            self.translations.lock().unwrap().insert(key, art.clone());
-            self.note_stage(stage, t, true);
-            return Ok(art);
-        }
-        self.meters.miss(stage);
-        let tr = translate(&fe.program, &fe.sema, topts).map_err(PipelineError::Translate)?;
-        let art = Arc::new(TranslatedArtifact {
-            id,
-            instrumented: topts.instrument,
-            tr,
-        });
-        self.translations.lock().unwrap().insert(key, art.clone());
-        self.disk_store(stage, |d| d.store_translated(stage, &art));
-        self.note_stage(stage, t, false);
-        Ok(art)
+        let id = ArtifactId(combine(fe.id.0, fp_translate_options(topts)));
+        let disk = DiskHooks {
+            load: &|d| d.load_translated(stage, id).map(Arc::new),
+            store: &|d, art| d.store_translated(stage, art),
+        };
+        let compute = || {
+            let tr = translate(&fe.program, &fe.sema, topts).map_err(PipelineError::Translate)?;
+            Ok(Arc::new(TranslatedArtifact {
+                id,
+                instrumented: topts.instrument,
+                tr,
+            }))
+        };
+        self.memoized(stage, t, &self.translations, id.0, Some(disk), compute)
+            .map(|(art, _)| art)
     }
 
     /// Plan stage: bind a translation to one options fingerprint.
     pub fn plan(&self, tr: &TranslatedArtifact, eopts: &ExecOptions) -> ExecPlan {
         let t = Instant::now();
         let key = combine(tr.id.0, fp_exec_options(eopts));
-        if let Some(p) = self.plans.lock().unwrap().get(&key) {
-            self.meters.hit(Stage::Plan);
-            let p = p.clone();
-            self.note_stage(Stage::Plan, t, true);
-            return p;
-        }
-        self.meters.miss(Stage::Plan);
-        let plan = ExecPlan {
-            id: ArtifactId(key),
-            translated: tr.id,
-            mode: match eopts.mode {
-                ExecMode::Normal => "normal",
-                ExecMode::CpuOnly => "cpu",
-                ExecMode::Verify(_) => "verify",
-            },
-            journaled: eopts.journal.is_enabled(),
+        let compute = || {
+            Ok::<_, Infallible>(ExecPlan {
+                id: ArtifactId(key),
+                translated: tr.id,
+                mode: match eopts.mode {
+                    ExecMode::Normal => "normal",
+                    ExecMode::CpuOnly => "cpu",
+                    ExecMode::Verify(_) => "verify",
+                },
+                journaled: eopts.journal.is_enabled(),
+            })
         };
-        self.plans.lock().unwrap().insert(key, plan.clone());
-        self.note_stage(Stage::Plan, t, false);
+        let Ok((plan, _)) = self.memoized(Stage::Plan, t, &self.plans, key, None, compute);
         plan
     }
 
@@ -1016,40 +1025,23 @@ impl Session {
         plan: &ExecPlan,
     ) -> Result<Arc<RunResult>, PipelineError> {
         let t = Instant::now();
-        let hit = self
-            .runs
-            .lock()
-            .unwrap()
-            .get(&plan.id.0)
-            .map(|c| (c.result.clone(), c.events.clone()));
-        if let Some((result, events)) = hit {
-            self.meters.hit(Stage::Execute);
-            if !events.is_empty() {
-                // Replay the recorded journal side effect (outside the
-                // cache lock; the extend is one batched acquisition).
-                eopts.journal.extend((*events).clone());
-            }
-            self.note_stage(Stage::Execute, t, true);
-            return Ok(result);
-        }
-        if let Some((result, events)) = self.disk_load(Stage::Execute, |d| d.load_run(plan.id)) {
-            self.meters.hit(Stage::Execute);
-            let result = Arc::new(result);
-            if !events.is_empty() {
-                eopts.journal.extend(events.clone());
-            }
-            self.runs.lock().unwrap().insert(
-                plan.id.0,
-                CachedRun {
-                    result: result.clone(),
+        let disk = DiskHooks {
+            load: &|d| {
+                d.load_run(plan.id).map(|(result, events)| CachedRun {
+                    result: Arc::new(result),
                     events: Arc::new(events),
-                },
-            );
-            self.note_stage(Stage::Execute, t, true);
-            return Ok(result);
-        }
-        self.meters.miss(Stage::Execute);
-        let (result, events) = if plan.journaled {
+                })
+            },
+            store: &|d, run| d.store_run(plan.id, &run.result, &run.events),
+        };
+        let compute = || -> Result<_, PipelineError> {
+            if !plan.journaled {
+                let result = execute(&tr.tr, eopts).map_err(PipelineError::Run)?;
+                return Ok(CachedRun {
+                    result: Arc::new(result),
+                    events: Arc::default(),
+                });
+            }
             // Run against a private capture journal so exactly this run's
             // events are recorded for replay, then forward them to the
             // caller's journal.
@@ -1058,24 +1050,27 @@ impl Session {
                 journal: capture.clone(),
                 ..eopts.clone()
             };
-            let result = Arc::new(execute(&tr.tr, &run_opts).map_err(PipelineError::Run)?);
+            let result = execute(&tr.tr, &run_opts).map_err(PipelineError::Run)?;
             let events = capture.drain();
             eopts.journal.extend(events.clone());
-            (result, Arc::new(events))
-        } else {
-            let result = Arc::new(execute(&tr.tr, eopts).map_err(PipelineError::Run)?);
-            (result, Arc::new(Vec::new()))
+            Ok(CachedRun {
+                result: Arc::new(result),
+                events: Arc::new(events),
+            })
         };
-        self.disk_store(Stage::Execute, |d| d.store_run(plan.id, &result, &events));
-        self.runs.lock().unwrap().insert(
+        let (run, cached) = self.memoized(
+            Stage::Execute,
+            t,
+            &self.runs,
             plan.id.0,
-            CachedRun {
-                result: result.clone(),
-                events,
-            },
-        );
-        self.note_stage(Stage::Execute, t, false);
-        Ok(result)
+            Some(disk),
+            compute,
+        )?;
+        if cached && !run.events.is_empty() {
+            // Replay the recorded journal side effect.
+            eopts.journal.extend((*run.events).clone());
+        }
+        Ok(run.result)
     }
 
     /// Verify stage: §III-A report (CPU baseline + verification run), both
@@ -1094,30 +1089,24 @@ impl Session {
             ..Default::default()
         };
         let key = combine(tr.id.0, fp_exec_options(&vrun_opts));
-        if let Some(rep) = self.verifications.lock().unwrap().get(&key) {
-            self.meters.hit(Stage::Verify);
-            let rep = rep.clone();
-            self.note_stage(Stage::Verify, t, true);
-            return Ok((tr, rep));
-        }
-        self.meters.miss(Stage::Verify);
-        let base = self.execute(
-            &tr,
-            &ExecOptions {
-                mode: ExecMode::CpuOnly,
-                race_detect: false,
-                ..Default::default()
-            },
-        )?;
-        let run = self.execute(&tr, &vrun_opts)?;
-        let rep = Arc::new(VerificationReport {
-            kernels: run.verify.clone(),
-            breakdown: run.machine.clock.breakdown.clone(),
-            cpu_baseline_us: base.sim_time_us(),
-            races: run.races.clone(),
-        });
-        self.verifications.lock().unwrap().insert(key, rep.clone());
-        self.note_stage(Stage::Verify, t, false);
+        let compute = || -> Result<_, PipelineError> {
+            let base = self.execute(
+                &tr,
+                &ExecOptions {
+                    mode: ExecMode::CpuOnly,
+                    race_detect: false,
+                    ..Default::default()
+                },
+            )?;
+            let run = self.execute(&tr, &vrun_opts)?;
+            Ok(Arc::new(VerificationReport {
+                kernels: run.verify.clone(),
+                breakdown: run.machine.clock.breakdown.clone(),
+                cpu_baseline_us: base.sim_time_us(),
+                races: run.races.clone(),
+            }))
+        };
+        let (rep, _) = self.memoized(Stage::Verify, t, &self.verifications, key, None, compute)?;
         Ok((tr, rep))
     }
 
@@ -1177,21 +1166,6 @@ mod tests {
     }
 
     #[test]
-    fn identical_request_hits_the_run_cache() {
-        let s = Session::builder().build();
-        let topts = TranslateOptions::default();
-        let a = s.run_source(SRC, &topts, &ExecOptions::default()).unwrap();
-        let b = s.run_source(SRC, &topts, &ExecOptions::default()).unwrap();
-        assert!(
-            Arc::ptr_eq(&a.result, &b.result),
-            "second run served from cache"
-        );
-        let st = s.stats();
-        assert_eq!(st.get(Stage::Execute), StageCounts { hits: 1, misses: 1 });
-        assert_eq!(st.get(Stage::Plan), StageCounts { hits: 1, misses: 1 });
-    }
-
-    #[test]
     fn journaled_runs_cache_and_replay_events() {
         let s = Session::builder().build();
         let topts = TranslateOptions::default();
@@ -1229,33 +1203,6 @@ mod tests {
         let c = s.run_source(SRC, &topts, &ExecOptions::default()).unwrap();
         assert!(!c.plan.journaled);
         assert!(!Arc::ptr_eq(&a.result, &c.result));
-    }
-
-    #[test]
-    fn stage_times_and_stage_journal_observe_requests() {
-        let j = openarc_trace::Journal::enabled();
-        let s = Session::builder().journal(j.clone()).build();
-        s.run_source(SRC, &TranslateOptions::default(), &ExecOptions::default())
-            .unwrap();
-        s.run_source(SRC, &TranslateOptions::default(), &ExecOptions::default())
-            .unwrap();
-        let times = s.stage_times();
-        let get = |st: Stage| times.iter().find(|(x, _)| *x == st).unwrap().1;
-        assert!(get(Stage::Execute) > 0.0, "execute stage accumulated time");
-        let events = j.snapshot();
-        let stages: Vec<(&str, bool)> = events
-            .iter()
-            .filter_map(|e| match e.kind {
-                openarc_trace::EventKind::Stage { stage, cached } => Some((stage, cached)),
-                _ => None,
-            })
-            .collect();
-        // Both requests emitted Frontend and Execute spans; the second
-        // request's are cache hits.
-        assert!(stages.contains(&("frontend", false)));
-        assert!(stages.contains(&("frontend", true)));
-        assert!(stages.contains(&("execute", false)));
-        assert!(stages.contains(&("execute", true)));
     }
 
     #[test]
@@ -1355,6 +1302,224 @@ mod tests {
         dir
     }
 
+    /// The seven stage entry points (`translate` twice: it meters plain
+    /// and instrumented translations as different stages).
+    #[derive(Debug, Clone, Copy)]
+    enum Entry {
+        Frontend,
+        FrontendProgram,
+        Directives,
+        TranslatePlain,
+        TranslateInstrumented,
+        Plan,
+        Execute,
+        Verify,
+    }
+
+    impl Entry {
+        const ALL: [Entry; 8] = [
+            Entry::Frontend,
+            Entry::FrontendProgram,
+            Entry::Directives,
+            Entry::TranslatePlain,
+            Entry::TranslateInstrumented,
+            Entry::Plan,
+            Entry::Execute,
+            Entry::Verify,
+        ];
+
+        /// The stage the entry point meters, and whether its artifact
+        /// kind is persisted to the disk layer.
+        fn stage(self) -> (Stage, bool) {
+            match self {
+                Entry::Frontend => (Stage::Frontend, true),
+                Entry::FrontendProgram => (Stage::Frontend, false),
+                Entry::Directives => (Stage::Directives, false),
+                Entry::TranslatePlain => (Stage::Analysis, true),
+                Entry::TranslateInstrumented => (Stage::Instrument, true),
+                Entry::Plan => (Stage::Plan, false),
+                Entry::Execute => (Stage::Execute, true),
+                Entry::Verify => (Stage::Verify, false),
+            }
+        }
+    }
+
+    /// What one entry-point call did to its own stage: the `(hits,
+    /// misses)` delta and the stage's journal events in emission order
+    /// (`cache:<op>` / `stage:<cached>`).
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        counts: (u64, u64),
+        events: Vec<String>,
+    }
+
+    /// Run `entry`'s prerequisite stages on `s`, then the entry point
+    /// itself, observing only the latter.
+    fn observe(s: &Session, entry: Entry) -> Observed {
+        let (stage, _) = entry.stage();
+        let plain = TranslateOptions::default();
+        let inst = TranslateOptions {
+            instrument: true,
+            ..Default::default()
+        };
+        let eopts = ExecOptions::default();
+        let call: Box<dyn FnOnce() + '_> = match entry {
+            Entry::Frontend => Box::new(|| drop(s.frontend(SRC).unwrap())),
+            Entry::FrontendProgram => {
+                let (program, sema) = frontend(SRC).unwrap();
+                Box::new(move || drop(s.frontend_program(program, sema)))
+            }
+            Entry::Directives => {
+                let fe = s.frontend(SRC).unwrap();
+                Box::new(move || drop(s.directives(&fe).unwrap()))
+            }
+            Entry::TranslatePlain | Entry::TranslateInstrumented => {
+                let fe = s.frontend(SRC).unwrap();
+                let topts = if matches!(entry, Entry::TranslatePlain) {
+                    plain
+                } else {
+                    inst
+                };
+                Box::new(move || drop(s.translate(&fe, &topts).unwrap()))
+            }
+            Entry::Plan | Entry::Execute => {
+                let fe = s.frontend(SRC).unwrap();
+                let tr = s.translate(&fe, &plain).unwrap();
+                if matches!(entry, Entry::Plan) {
+                    Box::new(move || {
+                        s.plan(&tr, &eopts);
+                    })
+                } else {
+                    Box::new(move || drop(s.execute(&tr, &eopts).unwrap()))
+                }
+            }
+            Entry::Verify => {
+                let fe = s.frontend(SRC).unwrap();
+                Box::new(move || drop(s.verify(&fe, &plain, VerifyOptions::default()).unwrap()))
+            }
+        };
+        let before = s.stats();
+        s.stage_journal().drain();
+        call();
+        let after = s.stats();
+        let events = s
+            .stage_journal()
+            .drain()
+            .into_iter()
+            .filter_map(|e| match e.kind {
+                EventKind::Stage { stage: l, cached } if l == stage.label() => {
+                    Some(format!("stage:{cached}"))
+                }
+                EventKind::Cache { stage: l, op } if l == stage.label() => {
+                    Some(format!("cache:{op}"))
+                }
+                _ => None,
+            })
+            .collect();
+        let (b, a) = (before.get(stage), after.get(stage));
+        Observed {
+            counts: (a.hits - b.hits, a.misses - b.misses),
+            events,
+        }
+    }
+
+    #[test]
+    fn every_stage_entry_point_follows_the_one_memo_protocol() {
+        let observed = |counts, events: &[&str]| Observed {
+            counts,
+            events: events.iter().map(|e| e.to_string()).collect(),
+        };
+        let disk_session = |dir: &std::path::Path| {
+            Session::builder()
+                .journal(Journal::enabled())
+                .disk_cache(dir)
+                .build()
+        };
+        for entry in Entry::ALL {
+            let (stage, persisted) = entry.stage();
+            let dir = disk_scratch("protocol");
+            let s = disk_session(&dir);
+            // Cold: one stage miss; a persisted kind probes the disk once
+            // and publishes what it computed.
+            let cold = if persisted {
+                observed((0, 1), &["cache:miss", "cache:store", "stage:false"])
+            } else {
+                observed((0, 1), &["stage:false"])
+            };
+            assert_eq!(observe(&s, entry), cold, "{entry:?} cold");
+            let times = s.stage_times();
+            let wall = times.iter().find(|(x, _)| *x == stage).unwrap().1;
+            assert!(wall > 0.0, "{entry:?} accumulated no wall-clock time");
+            // Memory hit: no disk traffic at all.
+            let hit = observed((1, 0), &["stage:true"]);
+            assert_eq!(observe(&s, entry), hit, "{entry:?} memory hit");
+            // A fresh session over the same store: persisted kinds load
+            // through from disk (a stage hit); the rest recompute.
+            let fresh = if persisted {
+                observed((1, 0), &["cache:hit", "stage:true"])
+            } else {
+                cold
+            };
+            let s = disk_session(&dir);
+            assert_eq!(observe(&s, entry), fresh, "{entry:?} fresh session");
+            // ... after which the loaded artifact sits in memory.
+            assert_eq!(observe(&s, entry), hit, "{entry:?} hit after load");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        // A failed compute counts a miss and emits no Stage span; nothing
+        // is published.
+        let dir = disk_scratch("protocol-err");
+        let s = disk_session(&dir);
+        assert!(s.frontend("void main() { x = 1; }").is_err());
+        assert_eq!(s.stats().get(Stage::Frontend).misses, 1);
+        assert_eq!(s.stats().disk.stores, 0);
+        let kinds: Vec<_> = s
+            .stage_journal()
+            .drain()
+            .into_iter()
+            .map(|e| e.kind)
+            .collect();
+        assert_eq!(
+            kinds,
+            [EventKind::Cache {
+                stage: "frontend",
+                op: "miss"
+            }]
+        );
+        assert!(!dir.exists(), "nothing was stored");
+    }
+
+    #[test]
+    fn an_absent_key_is_exactly_one_disk_miss_per_persisted_stage() {
+        let dir = disk_scratch("exact-miss");
+        let s = Session::builder()
+            .journal(Journal::enabled())
+            .disk_cache(&dir)
+            .build();
+        let inst = TranslateOptions {
+            instrument: true,
+            ..Default::default()
+        };
+        let fe = s.frontend(SRC).unwrap();
+        assert_eq!(s.stats().disk.misses, 1);
+        let tr = s.translate(&fe, &TranslateOptions::default()).unwrap();
+        assert_eq!(s.stats().disk.misses, 2);
+        s.translate(&fe, &inst).unwrap();
+        assert_eq!(s.stats().disk.misses, 3);
+        s.execute(&tr, &ExecOptions::default()).unwrap();
+        assert_eq!(s.stats().disk.misses, 4);
+        let events = s.stage_journal().drain();
+        for stage in crate::cache::DISK_STAGES {
+            let miss = EventKind::Cache {
+                stage: stage.label(),
+                op: "miss",
+            };
+            let n = events.iter().filter(|e| e.kind == miss).count();
+            assert_eq!(n, 1, "{} miss events", stage.label());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn disk_cache_survives_into_a_new_session() {
         let dir = disk_scratch("warm");
@@ -1405,8 +1570,8 @@ mod tests {
         let a = cold
             .run_source(SRC, &topts, &ExecOptions::default())
             .unwrap();
-        // Trash every persisted entry: truncation, garbage, and a valid
-        // JSON document with the wrong shape.
+        // Trash every persisted entry: an empty file and two shapes of
+        // garbage.
         let mut i = 0;
         for stage in crate::cache::DISK_STAGES {
             let Ok(rd) = std::fs::read_dir(dir.join(stage.label())) else {

@@ -1,12 +1,11 @@
 //! Binary codec for [`Program`] and [`Sema`] — the frontend half of the
 //! cache's binary artifact format (`docs/FORMAT.md` §Program/§Sema).
 //!
-//! Mirrors [`crate::jsonio`] exactly in what it preserves — every
-//! [`NodeId`], span and pragma survives bit-for-bit, float literals are
-//! stored as IEEE-754 bit patterns — but encodes to fixed-width
-//! little-endian primitives with one-byte opcodes for the closed enum
-//! sets (types, operators, expression/statement tags) instead of JSON
-//! text. Map-shaped tables ([`Sema`]) are emitted in sorted order so
+//! Every [`NodeId`], span and pragma survives bit-for-bit and float
+//! literals are stored as IEEE-754 bit patterns; the encoding is
+//! fixed-width little-endian primitives with one-byte opcodes for the
+//! closed enum sets (types, operators, expression/statement tags).
+//! Map-shaped tables ([`Sema`]) are emitted in sorted order so
 //! identical tables serialize to identical bytes; re-encoding a decoded
 //! artifact is byte-identical, which is what the cache's round-trip
 //! gate checks.
@@ -542,8 +541,7 @@ fn read_params(r: &mut Reader<'_>) -> R<Vec<Param>> {
 // ---------------------------------------------------------------------------
 // Program / Sema
 
-/// Encode a whole program, ids and spans included — the binary
-/// counterpart of [`crate::jsonio::program_to_json`].
+/// Encode a whole program, ids and spans included.
 pub fn write_program(w: &mut Writer, p: &Program) {
     w.put_u32(p.next_id);
     w.put_seq_len(p.items.len());

@@ -19,7 +19,6 @@
 pub mod ast;
 pub mod binio;
 pub mod fingerprint;
-pub mod jsonio;
 pub mod lexer;
 pub mod parser;
 pub mod pretty;

@@ -1,17 +1,16 @@
-//! Faithful [`TraceEvent`] ↔ [`Json`] codec for the on-disk artifact cache.
+//! Faithful [`TraceEvent`] ↔ [`Json`] codec for the serve wire protocol.
 //!
-//! The cache stores journal-replay `Run` artifacts, whose recorded event
-//! streams must survive a disk round-trip **byte-identically**: the staged
-//! pipeline replays cached events into fresh journals and the benchmark
-//! determinism gate compares those streams with `==` down to `f64` bits.
-//! Floating-point fields are therefore encoded as their IEEE-754 bit
-//! patterns (`u64`), never as decimal text — `NaN`, infinities and `-0.0`
-//! all round-trip exactly.
+//! A served `profile` reply carries the run's journal, and the served
+//! stream must equal the one-shot CLI's **bit-for-bit**: replies are
+//! compared with `==` down to `f64` bits. Floating-point fields are
+//! therefore encoded as their IEEE-754 bit patterns (`u64`), never as
+//! decimal text — `NaN`, infinities and `-0.0` all round-trip exactly.
 //!
 //! `&'static str` fields ([`EventKind::Coherence`] sides/states/causes,
 //! finding severities, pipeline-stage labels) are interned on decode
 //! against the closed sets the stack actually emits; an unknown label is a
-//! decode error, which the cache treats as corruption and recomputes.
+//! decode error. The label tables are shared with [`crate::bin`], the
+//! journal's binary encoding inside cached run artifacts.
 
 use crate::event::{Category, EventKind, TraceEvent, Track};
 use crate::json::Json;
@@ -335,20 +334,6 @@ pub fn event_from_json(v: &Json) -> Result<TraceEvent, String> {
     })
 }
 
-/// Encode a whole event stream.
-pub fn events_to_json(events: &[TraceEvent]) -> Json {
-    Json::Arr(events.iter().map(event_to_json).collect())
-}
-
-/// Decode a whole event stream.
-pub fn events_from_json(v: &Json) -> Result<Vec<TraceEvent>, String> {
-    v.as_arr()
-        .ok_or_else(|| "event stream is not an array".to_string())?
-        .iter()
-        .map(event_from_json)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -472,10 +457,11 @@ mod tests {
 
     #[test]
     fn every_kind_round_trips_through_text() {
-        let events = sample_events();
-        let text = events_to_json(&events).pretty();
-        let back = events_from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, events);
+        for ev in sample_events() {
+            let text = event_to_json(&ev).pretty();
+            let back = event_from_json(&Json::parse(&text).unwrap()).unwrap();
+            assert_eq!(back, ev);
+        }
     }
 
     #[test]

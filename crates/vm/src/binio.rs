@@ -2,13 +2,13 @@
 //! [`MemSpace`] snapshots — the bytecode half of the cache's binary
 //! artifact format (`docs/FORMAT.md` §Module/§MemSpace).
 //!
-//! Mirrors [`crate::jsonio`] in what it preserves — floats (constants,
-//! buffer contents) are stored as IEEE-754 bit patterns so `NaN`,
-//! infinities and `-0.0` survive exactly, and buffer slot indices are
-//! preserved so outstanding [`Handle`]s in restored globals stay valid —
-//! but encodes to fixed-width little-endian primitives with one-byte
-//! opcodes for instructions, intrinsics and value tags. Decoding never
-//! panics; malformed bytes come back as `Err(String)`.
+//! Floats (constants, buffer contents) are stored as IEEE-754 bit
+//! patterns so `NaN`, infinities and `-0.0` survive exactly, and buffer
+//! slot indices are preserved so outstanding [`Handle`]s in restored
+//! globals stay valid; the encoding is fixed-width little-endian
+//! primitives with one-byte opcodes for instructions, intrinsics and
+//! value tags. Decoding never panics; malformed bytes come back as
+//! `Err(String)`.
 
 use crate::bytecode::{Chunk, GlobalInfo, Instr, Intrinsic, Module};
 use crate::mem::{BufData, Buffer, MemSpace};

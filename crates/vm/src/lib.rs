@@ -21,7 +21,6 @@ pub mod bytecode;
 pub mod compile;
 pub mod error;
 pub mod interp;
-pub mod jsonio;
 pub mod mem;
 pub mod value;
 

@@ -21,8 +21,8 @@
 //! openarc fuzz [--seed N] [flags]      coverage-guided differential fuzzing
 //!                                      of the whole pipeline; writes
 //!                                      BENCH_fuzz.json and minimized repros
-//! openarc cache <stats|gc|export|clear> inspect, prune, or JSON-export
-//!                                      the persistent artifact store
+//! openarc cache <stats|gc|clear>     inspect or prune the persistent
+//!                                      artifact store
 //! ```
 //!
 //! Every pipeline command accepts `--cache-dir DIR` (use the persistent
@@ -143,9 +143,8 @@ fn usage() -> String {
        --replay                 only replay the corpus + baseline (no generation)\n\
        --out <DIR>              write minimized finding-NNN.c repros to DIR\n\
        --report <PATH>          BENCH_fuzz.json path (default BENCH_fuzz.json)\n\
-     cache stats [--json]       per-stage entry counts, format mix, and bytes\n\
+     cache stats [--json]       per-stage entry counts and bytes\n\
      cache gc --max-bytes <N>   evict least-recently-used entries to <= N bytes\n\
-     cache export --out <DIR>   re-encode every entry as a JSON store at DIR\n\
      cache clear                delete every cached artifact\n\
      \n\
      run/cpu/check/profile take --cache-dir <DIR> to persist pipeline\n\
@@ -518,7 +517,7 @@ fn cache_cmd(rest: &[String]) -> Result<i32, CliError> {
     let cache = DiskCache::new(&dir);
     let (sub, rest) = rest
         .split_first()
-        .ok_or_else(|| format!("cache: expected stats, gc, export, or clear\n{}", usage()))?;
+        .ok_or_else(|| format!("cache: expected stats, gc, or clear\n{}", usage()))?;
     match sub.as_str() {
         "stats" => {
             let json = match rest {
@@ -538,8 +537,6 @@ fn cache_cmd(rest: &[String]) -> Result<i32, CliError> {
                                     Json::obj(vec![
                                         ("stage", Json::from(r.stage)),
                                         ("entries", Json::from(r.entries)),
-                                        ("bin", Json::from(r.bin_entries)),
-                                        ("json", Json::from(r.json_entries)),
                                         ("bytes", Json::from(r.bytes)),
                                     ])
                                 })
@@ -550,22 +547,14 @@ fn cache_cmd(rest: &[String]) -> Result<i32, CliError> {
                 println!("{}", out.pretty());
             } else {
                 println!("cache dir: {}", dir.display());
-                println!(
-                    "{:<12} {:>8} {:>8} {:>8} {:>12}",
-                    "stage", "entries", "bin", "json", "bytes"
-                );
+                println!("{:<12} {:>8} {:>12}", "stage", "entries", "bytes");
                 for r in &rows {
-                    println!(
-                        "{:<12} {:>8} {:>8} {:>8} {:>12}",
-                        r.stage, r.entries, r.bin_entries, r.json_entries, r.bytes
-                    );
+                    println!("{:<12} {:>8} {:>12}", r.stage, r.entries, r.bytes);
                 }
                 println!(
-                    "{:<12} {:>8} {:>8} {:>8} {:>12}",
+                    "{:<12} {:>8} {:>12}",
                     "total",
                     rows.iter().map(|r| r.entries).sum::<u64>(),
-                    rows.iter().map(|r| r.bin_entries).sum::<u64>(),
-                    rows.iter().map(|r| r.json_entries).sum::<u64>(),
                     rows.iter().map(|r| r.bytes).sum::<u64>()
                 );
             }
@@ -584,21 +573,6 @@ fn cache_cmd(rest: &[String]) -> Result<i32, CliError> {
                 r.examined, r.evicted, r.bytes_before, r.bytes_after
             );
             Ok(0)
-        }
-        "export" => {
-            let out_dir = match rest {
-                [flag, v] if flag == "--out" => PathBuf::from(v),
-                _ => return Err(format!("cache export: expected --out <DIR>\n{}", usage()).into()),
-            };
-            let dest = DiskCache::new(&out_dir);
-            let r = cache.export_json(&dest);
-            println!(
-                "exported {} entries to {} ({} skipped)",
-                r.exported,
-                out_dir.display(),
-                r.skipped
-            );
-            Ok(if r.skipped == 0 { 0 } else { 1 })
         }
         "clear" => {
             if !rest.is_empty() {

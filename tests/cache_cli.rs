@@ -142,82 +142,19 @@ fn corrupted_store_recomputes_without_failing() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Parse a `cache stats` table row into `(entries, bin, json)`.
-fn stats_row(stdout: &str, label: &str) -> (u64, u64, u64) {
-    let row = stdout
-        .lines()
-        .find(|l| l.split_whitespace().next() == Some(label))
-        .unwrap_or_else(|| panic!("no `{label}` row in:\n{stdout}"));
-    let mut f = row.split_whitespace().skip(1);
-    let mut next = || f.next().unwrap().parse().unwrap();
-    (next(), next(), next())
-}
-
 #[test]
-fn exported_json_store_round_trips_through_a_fresh_process() {
-    let dir = scratch("export-src");
-    let json_dir = scratch("export-dst");
-    let cold = bench(&dir);
-
-    // The populated store is all-binary.
+fn removed_export_subcommand_is_a_usage_error() {
     let out = bin()
-        .args(["cache", "stats", "--cache-dir"])
-        .arg(&dir)
+        .args(["cache", "export", "--out", "x"])
         .output()
         .unwrap();
-    assert!(out.status.success(), "{out:?}");
-    let text = String::from_utf8(out.stdout).unwrap();
-    let (entries, bin_n, json_n) = stats_row(&text, "total");
-    assert!(entries > 0, "{text}");
-    assert_eq!((bin_n, json_n), (entries, 0), "{text}");
-
-    // Export re-encodes every entry as JSON into a second store.
-    let out = bin()
-        .args(["cache", "export", "--out"])
-        .arg(&json_dir)
-        .args(["--cache-dir"])
-        .arg(&dir)
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "{out:?}");
-    let text = String::from_utf8(out.stdout).unwrap();
-    assert!(
-        text.starts_with(&format!("exported {entries} entries")),
-        "{text}"
-    );
-    assert!(text.trim_end().ends_with("(0 skipped)"), "{text}");
-
-    let out = bin()
-        .args(["cache", "stats", "--cache-dir"])
-        .arg(&json_dir)
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "{out:?}");
-    let text = String::from_utf8(out.stdout).unwrap();
-    assert_eq!(stats_row(&text, "total"), (entries, 0, entries), "{text}");
-
-    // A fresh process over the exported store loads every stage from the
-    // JSON entries, prints the same matrix, and upgrades them to binary.
-    let warm = bench(&json_dir);
-    assert_eq!(matrix_rows(&cold), matrix_rows(&warm));
-    let (disk_hits, disk_misses) = stage_counts(&warm, "disk");
-    assert!(disk_hits > 0, "exported store served nothing:\n{warm}");
-    assert_eq!(disk_misses, 0, "exported store missed:\n{warm}");
-
-    let out = bin()
-        .args(["cache", "stats", "--cache-dir"])
-        .arg(&json_dir)
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "{out:?}");
-    let text = String::from_utf8(out.stdout).unwrap();
-    let (entries_after, bin_after, json_after) = stats_row(&text, "total");
-    assert_eq!(entries_after, entries, "{text}");
-    assert_eq!(json_after, 0, "hits did not upgrade JSON entries:\n{text}");
-    assert_eq!(bin_after, entries, "{text}");
-
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&json_dir);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("unknown subcommand `export`"), "{err}");
+    for sub in ["cache stats", "cache gc", "cache clear"] {
+        assert!(err.contains(sub), "usage lists `{sub}`:\n{err}");
+    }
+    assert!(!err.contains("cache export"), "{err}");
 }
 
 #[test]
