@@ -355,15 +355,11 @@ impl ExecEnv<'_> {
         Ok(v.as_i64().max(0) as u64)
     }
 
-    /// Run a host-module function to completion against host memory only.
+    /// Run a host-module function to completion, with `self` as its
+    /// environment (the fallbacks touch only parameters and globals).
     pub(super) fn run_host_fn(&mut self, name: &str, args: &[Value]) -> Result<u64, VmError> {
-        let mut t = openarc_vm::ThreadState::new(&self.tr.host_module, name, args)?;
-        // The fallback touches only parameters, so a plain host env view is
-        // enough; reuse self as the env (globals resolve fine).
-        while !t.is_done() {
-            t.step(&self.tr.host_module, self)?;
-        }
-        Ok(t.steps)
+        let tr = self.tr;
+        super::verified::run_host_fn(self, &tr.host_module, name, args)
     }
 }
 

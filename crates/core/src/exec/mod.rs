@@ -42,7 +42,7 @@ use openarc_gpusim::{CostModel, DeviceId, LaunchConfig, RaceReport};
 use openarc_runtime::Machine;
 use openarc_trace::Journal;
 use openarc_vm::interp::BasicEnv;
-use openarc_vm::{ThreadState, Value, VmError, GLOBALS_INIT};
+use openarc_vm::{Stop, ThreadState, Value, VmError, Yield, GLOBALS_INIT};
 use std::collections::{BTreeSet, HashMap};
 
 /// §III-C application-knowledge assertion kinds.
@@ -376,10 +376,11 @@ pub fn execute(tr: &Translated, opts: &ExecOptions) -> Result<RunResult, VmError
         t0: std::time::Instant::now(),
     };
 
-    let mut t = ThreadState::new(&tr.host_module, GLOBALS_INIT, &[])?;
-    while !t.is_done() {
-        t.step(&tr.host_module, &mut env)?;
-    }
+    ThreadState::new(&tr.host_module, GLOBALS_INIT, &[])?.run_to_end(
+        &tr.host_module,
+        &mut env,
+        u64::MAX,
+    )?;
     // `declare` clauses: program-lifetime device residency.
     if !matches!(opts.mode, ExecMode::CpuOnly | ExecMode::Verify(_)) {
         for a in &tr.declares {
@@ -392,16 +393,25 @@ pub fn execute(tr: &Translated, opts: &ExecOptions) -> Result<RunResult, VmError
             }
         }
     }
+    // Run `main` from one runtime op to the next. A slice's instructions
+    // are owed to the clock (`pending_cpu`) before the op that ends it
+    // executes; the op's own instruction is owed after it.
     let mut t = ThreadState::new(&tr.host_module, "main", &[])?;
-    let mut steps: u64 = 0;
-    while !t.is_done() {
-        t.step(&tr.host_module, &mut env)?;
-        env.pending_cpu += 1;
-        steps += 1;
-        if steps > opts.step_budget {
+    let slice = |t: &mut ThreadState, env: &mut ExecEnv, at_most: u64, stop: Stop| {
+        let before = t.steps;
+        // One instruction past the budget is the error: never run further.
+        let fuel = at_most.min(opts.step_budget.saturating_add(1) - before);
+        let why = t.run(&tr.host_module, env, fuel, stop)?;
+        env.pending_cpu += t.steps - before;
+        if t.steps > opts.step_budget {
             return Err(VmError::StepLimit(opts.step_budget));
         }
+        Ok(why)
+    };
+    while slice(&mut t, &mut env, u64::MAX, Stop::HostOp)? == Yield::Stopped {
+        slice(&mut t, &mut env, 1, Stop::Never)?;
     }
+    let steps = t.steps;
     env.flush_cpu();
     if !matches!(opts.mode, ExecMode::CpuOnly | ExecMode::Verify(_)) {
         for a in &tr.declares {

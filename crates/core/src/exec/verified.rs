@@ -41,8 +41,7 @@ use crate::ir::KernelParam;
 use crate::sched::{chunk_ranges, run_tasks};
 use openarc_gpusim::{launch, DeviceId, KernelOutcome, TimeCategory};
 use openarc_minic::ScalarTy;
-use openarc_vm::interp::BasicEnv;
-use openarc_vm::{Buffer, Handle, MemSpace, Module, ThreadState, Value, VmError};
+use openarc_vm::{Buffer, Env, Handle, MemSpace, Module, ThreadState, Value, VmError};
 use std::collections::VecDeque;
 use std::time::Instant;
 
@@ -74,19 +73,19 @@ pub(super) struct PendingVerify {
     touched: Vec<Handle>,
 }
 
-/// Run the sequential reference function against host memory only. The
-/// `__seq_*` fallbacks touch nothing but their parameters and globals, so
-/// the bare [`BasicEnv`] is a sufficient (and thread-confined) environment.
-fn run_reference(
-    host: &mut BasicEnv,
+/// Run host-module function `name` to completion in `env`; returns the
+/// number of instructions it executed. The verified launch's reference
+/// thread runs the `__seq_*` fallbacks — which touch nothing but their
+/// parameters and globals — against the bare `BasicEnv`, a sufficient and
+/// thread-confined environment.
+pub(super) fn run_host_fn<E: Env>(
+    env: &mut E,
     module: &Module,
     name: &str,
     args: &[Value],
 ) -> Result<u64, VmError> {
     let mut t = ThreadState::new(module, name, args)?;
-    while !t.is_done() {
-        t.step(module, host)?;
-    }
+    t.run_to_end(module, env, u64::MAX)?;
     Ok(t.steps)
 }
 
@@ -294,7 +293,7 @@ impl ExecEnv<'_> {
             let host_module = &self.tr.host_module;
             let (dev_res, host_res) = std::thread::scope(|scope| {
                 let dev = scope.spawn(|| launch(device, kernel_module, &info.name, &args, n, &cfg));
-                let host_res = run_reference(host, host_module, &info.seq_name, &hargs);
+                let host_res = run_host_fn(host, host_module, &info.seq_name, &hargs);
                 (dev.join().expect("device worker panicked"), host_res)
             });
             (dev_res?, host_res?)

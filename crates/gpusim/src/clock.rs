@@ -73,27 +73,26 @@ impl TimeCategory {
 /// Accumulated simulated time per category, µs.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TimeBreakdown {
-    per_cat: HashMap<u8, f64>,
+    /// Indexed by `TimeCategory as usize`, which is [`TimeCategory::ALL`]
+    /// order.
+    per_cat: [f64; TimeCategory::ALL.len()],
 }
 
 impl TimeBreakdown {
-    fn key(cat: TimeCategory) -> u8 {
-        TimeCategory::ALL.iter().position(|c| *c == cat).unwrap() as u8
-    }
-
     /// Add `dt` µs to `cat`.
     pub fn add(&mut self, cat: TimeCategory, dt: f64) {
-        *self.per_cat.entry(Self::key(cat)).or_insert(0.0) += dt;
+        self.per_cat[cat as usize] += dt;
     }
 
     /// Time spent in `cat`.
     pub fn get(&self, cat: TimeCategory) -> f64 {
-        self.per_cat.get(&Self::key(cat)).copied().unwrap_or(0.0)
+        self.per_cat[cat as usize]
     }
 
-    /// Sum of all categories.
+    /// Sum of all categories, added in [`TimeCategory::ALL`] order: the
+    /// same run gives the same bits.
     pub fn total(&self) -> f64 {
-        self.per_cat.values().sum()
+        self.per_cat.iter().sum()
     }
 }
 

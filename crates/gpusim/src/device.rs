@@ -4,7 +4,6 @@
 use crate::race::{AccessKind, RaceDetector};
 use openarc_minic::ScalarTy;
 use openarc_vm::{Env, Handle, MemSpace, Value, VmError};
-use std::collections::HashMap;
 
 /// Identifier of one simulated device within a [`DeviceSet`].
 ///
@@ -117,7 +116,6 @@ impl Default for DeviceSet {
 pub struct DeviceEnv<'a> {
     mem: &'a mut MemSpace,
     races: Option<&'a mut RaceDetector>,
-    labels: HashMap<Handle, String>,
     /// Id of the thread currently being stepped (set by the executor).
     pub current_tid: u64,
 }
@@ -128,27 +126,7 @@ impl<'a> DeviceEnv<'a> {
         DeviceEnv {
             mem,
             races,
-            labels: HashMap::new(),
             current_tid: 0,
-        }
-    }
-
-    fn label_of(&mut self, h: Handle) -> String {
-        if let Some(l) = self.labels.get(&h) {
-            return l.clone();
-        }
-        let l = self.mem.get(h).map(|b| b.label.clone()).unwrap_or_default();
-        self.labels.insert(h, l.clone());
-        l
-    }
-
-    fn note(&mut self, h: Handle, idx: u64, kind: AccessKind) {
-        if self.races.is_some() {
-            let tid = self.current_tid;
-            let label = self.label_of(h);
-            if let Some(r) = self.races.as_deref_mut() {
-                r.record(h, &label, idx, tid, kind);
-            }
         }
     }
 }
@@ -167,13 +145,33 @@ impl Env for DeviceEnv<'_> {
     }
 
     fn load_elem(&mut self, h: Handle, idx: u64) -> Result<Value, VmError> {
-        self.note(h, idx, AccessKind::Read);
-        self.mem.load(h, idx)
+        let buf = self.mem.get(h)?;
+        if let Some(r) = self.races.as_deref_mut() {
+            r.record(
+                h,
+                &buf.label,
+                buf.len(),
+                idx,
+                self.current_tid,
+                AccessKind::Read,
+            );
+        }
+        buf.get(idx)
     }
 
     fn store_elem(&mut self, h: Handle, idx: u64, v: Value) -> Result<(), VmError> {
-        self.note(h, idx, AccessKind::Write);
-        self.mem.store(h, idx, v)
+        let buf = self.mem.get_mut(h)?;
+        if let Some(r) = self.races.as_deref_mut() {
+            r.record(
+                h,
+                &buf.label,
+                buf.len(),
+                idx,
+                self.current_tid,
+                AccessKind::Write,
+            );
+        }
+        buf.set(idx, v)
     }
 
     fn malloc(&mut self, _elem: ScalarTy, _len: u64, _label: &str) -> Result<Handle, VmError> {

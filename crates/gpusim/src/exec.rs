@@ -1,9 +1,18 @@
 //! Lockstep kernel executor.
 //!
 //! Kernels are MiniC functions compiled to bytecode whose first parameter
-//! is the global thread id. The executor instantiates one resumable
-//! [`ThreadState`] per thread and steps them **round-robin, one instruction
-//! at a time**, in waves of bounded width (like resident thread blocks).
+//! is the global thread id. The executor runs one resumable
+//! [`ThreadState`] per thread, in waves of bounded width (like resident
+//! thread blocks), and orders everything one thread can observe of another
+//! as **round-robin, one instruction at a time** would: an access to device
+//! memory or a trap by thread `tid` at its `s`-th instruction happens at
+//! position `(s, tid)`, and positions are served in increasing order.
+//!
+//! Between two such positions a thread touches only its own stack and
+//! locals, so it runs that stretch in one slice ("runs ahead") and parks
+//! at its next position; nobody can tell the difference from stepping it
+//! one instruction per round. DESIGN.md, "The interpreter loop and the
+//! lockstep contract", has the argument in full.
 //!
 //! Lockstep interleaving is what makes the paper's target bugs observable:
 //! when a privatization is missed and a scalar temporary is shared, every
@@ -12,7 +21,7 @@
 
 use crate::device::{Device, DeviceEnv};
 use crate::race::{RaceDetector, RaceReport};
-use openarc_vm::{Module, ThreadState, Value, VmError};
+use openarc_vm::{Module, Stop, ThreadState, Value, VmError, Yield};
 
 /// Execution knobs for one launch.
 #[derive(Debug, Clone)]
@@ -45,8 +54,59 @@ pub struct KernelOutcome {
     pub n_threads: u64,
 }
 
+/// Longest stretch a thread runs ahead before it parks anyway. A kernel
+/// that spins without touching memory then overshoots the step budget by
+/// at most a wave of these instead of by the whole budget per thread.
+const RUN_AHEAD: u64 = 1 << 12;
+
+/// What a parked thread does when the schedule reaches its position.
+#[derive(Debug)]
+enum Parked {
+    /// Keeps running privately (fresh, or its last slice ran out of fuel).
+    Resume,
+    /// Executes the `Env` access it stopped in front of.
+    Access,
+    /// Reports the trap it ran into on its own.
+    Trap(VmError),
+    /// Has returned; its position is one past its last instruction.
+    Done,
+}
+
+/// One resident thread of the current wave.
+#[derive(Debug)]
+struct Lane {
+    thread: ThreadState,
+    /// 1-based index of the instruction this lane is parked at;
+    /// `RETIRED` once it has been accounted for.
+    at: u64,
+    parked: Parked,
+}
+
+const RETIRED: u64 = u64::MAX;
+
+impl Lane {
+    /// Run privately up to the next `Env` access and park there.
+    fn run_ahead(&mut self, module: &Module, env: &mut DeviceEnv<'_>, budget: u64) {
+        // No thread executes more than `budget + 1` instructions before
+        // the launch is over one way or another.
+        let fuel = RUN_AHEAD.min(budget.saturating_sub(self.thread.steps).saturating_add(1));
+        let slice = self.thread.run(module, env, fuel, Stop::EnvAccess);
+        (self.parked, self.at) = match slice {
+            Ok(Yield::Stopped) => (Parked::Access, self.thread.steps + 1),
+            Ok(Yield::Fuel) => (Parked::Resume, self.thread.steps + 1),
+            Ok(Yield::Done) => (Parked::Done, self.thread.steps + 1),
+            // `steps` counts the trapping instruction.
+            Err(e) => (Parked::Trap(e), self.thread.steps),
+        };
+    }
+}
+
 /// Launch `kernel` over `n_threads` threads. Thread `i` receives arguments
 /// `[Int(i), base_args...]`.
+///
+/// `Err` is the first error of one-instruction round-robin: the trap or
+/// failed access at the least position `(s, tid)`, or `StepLimit` if the
+/// launch's `step_budget + 1`-th instruction comes before it.
 pub fn launch(
     device: &mut Device,
     module: &Module,
@@ -59,45 +119,93 @@ pub fn launch(
         n_threads,
         ..Default::default()
     };
+    if n_threads == 0 {
+        return Ok(outcome);
+    }
+    let func = *module
+        .func_index
+        .get(kernel)
+        .ok_or_else(|| VmError::UnknownFunction(kernel.to_string()))?;
     let mut detector = device.race_detect.then(RaceDetector::new);
+    let mut env = DeviceEnv::new(&mut device.mem, detector.as_mut());
     let wave = cfg.wave.max(1) as u64;
-    let mut spent: u64 = 0;
+    let over_budget = || VmError::StepLimit(cfg.step_budget);
+    // Instructions the rest of the launch may still execute.
+    let mut budget = cfg.step_budget;
+    // One wave of threads, re-entered for every wave of the launch.
+    let mut lanes: Vec<Lane> = Vec::new();
+    let mut args: Vec<Value> = Vec::with_capacity(base_args.len() + 1);
+    args.push(Value::Int(0));
+    args.extend_from_slice(base_args);
 
     let mut start = 0u64;
     while start < n_threads {
-        let end = (start + wave).min(n_threads);
-        let mut threads: Vec<ThreadState> = Vec::with_capacity((end - start) as usize);
-        let mut args: Vec<Value> = Vec::with_capacity(base_args.len() + 1);
-        for tid in start..end {
-            args.clear();
-            args.push(Value::Int(tid as i64));
-            args.extend_from_slice(base_args);
-            threads.push(ThreadState::new(module, kernel, &args)?);
+        let width = (n_threads - start).min(wave) as usize;
+        lanes.resize_with(width, || Lane {
+            thread: ThreadState::default(),
+            at: RETIRED,
+            parked: Parked::Done,
+        });
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            args[0] = Value::Int((start + i as u64) as i64);
+            lane.thread.reset(module, func, &args)?;
+            (lane.parked, lane.at) = (Parked::Resume, 1);
         }
-        let mut env = DeviceEnv::new(&mut device.mem, detector.as_mut());
-        // Lockstep: one instruction per live thread per round.
-        let mut live = threads.len();
+
+        // Round-robin executes, before round `s`, every instruction of the
+        // retired lanes plus `s - 1` of each live one; within round `s`,
+        // one more for each live lane of lower tid that has an `s`-th
+        // instruction (`rank`). A lane is never parked behind the round
+        // being served, so both are known without running anything.
+        let (mut retired_instrs, mut live) = (0u64, width as u64);
+        let mut s = 1;
         while live > 0 {
-            for (i, t) in threads.iter_mut().enumerate() {
-                if t.is_done() {
-                    continue;
+            let before_round = retired_instrs.saturating_add(live.saturating_mul(s - 1));
+            if before_round > budget {
+                return Err(over_budget());
+            }
+            let mut rank = 0;
+            let mut next_round = RETIRED;
+            for (i, lane) in lanes.iter_mut().enumerate() {
+                while lane.at == s {
+                    match std::mem::replace(&mut lane.parked, Parked::Resume) {
+                        Parked::Resume => {}
+                        // Its last instruction was `s - 1`: nothing to do in
+                        // this round or any later one.
+                        Parked::Done => {
+                            let steps = lane.thread.steps;
+                            outcome.total_instrs += steps;
+                            outcome.max_thread_instrs = outcome.max_thread_instrs.max(steps);
+                            retired_instrs += steps;
+                            live -= 1;
+                            lane.at = RETIRED;
+                            break;
+                        }
+                        // Round-robin reaches `(s, tid)` only while within
+                        // budget, and checks again right after it.
+                        _ if before_round.saturating_add(rank) > budget => {
+                            return Err(over_budget())
+                        }
+                        Parked::Trap(e) => return Err(e),
+                        Parked::Access => {
+                            env.current_tid = start + i as u64;
+                            lane.thread.run(module, &mut env, 1, Stop::Never)?;
+                        }
+                    }
+                    lane.run_ahead(module, &mut env, budget);
                 }
-                env.current_tid = start + i as u64;
-                t.step(module, &mut env)?;
-                spent += 1;
-                if spent > cfg.step_budget {
-                    return Err(VmError::StepLimit(cfg.step_budget));
-                }
-                if t.is_done() {
-                    live -= 1;
+                if lane.at != RETIRED {
+                    rank += 1;
+                    next_round = next_round.min(lane.at);
                 }
             }
+            s = next_round;
         }
-        for t in &threads {
-            outcome.total_instrs += t.steps;
-            outcome.max_thread_instrs = outcome.max_thread_instrs.max(t.steps);
+        if retired_instrs > budget {
+            return Err(over_budget());
         }
-        start = end;
+        budget -= retired_instrs;
+        start += width as u64;
     }
     if let Some(d) = detector {
         outcome.races = d.reports();

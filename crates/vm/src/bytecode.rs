@@ -59,6 +59,7 @@ impl Intrinsic {
     }
 
     /// Number of arguments.
+    #[inline]
     pub fn arity(self) -> usize {
         match self {
             Intrinsic::Pow

@@ -1,17 +1,22 @@
 //! Resumable bytecode interpreter.
 //!
-//! Execution state lives in a [`ThreadState`] that advances one instruction
-//! per [`ThreadState::step`] call. This resumability is what lets the GPU
-//! simulator run gangs/workers in *lockstep* (round-robin stepping), which
-//! in turn makes data races from missed privatization manifest
-//! deterministically — the behaviour the paper's kernel verification has to
-//! detect.
+//! Execution state lives in a [`ThreadState`] that advances in *slices*:
+//! [`ThreadState::run`] executes instructions until the entry function
+//! returns, the slice's fuel runs out, or the next instruction is one the
+//! caller asked to be handed ([`Stop`]) — and it yields *before* that
+//! instruction. This resumability is what lets the GPU simulator order
+//! every shared access of a wave exactly as one-instruction round-robin
+//! would (lockstep), which in turn makes data races from missed
+//! privatization manifest deterministically — the behaviour the paper's
+//! kernel verification has to detect. See DESIGN.md, "The interpreter
+//! loop and the lockstep contract".
 //!
 //! Memory and globals are accessed through the [`Env`] trait, so the same
 //! bytecode runs against host memory, instrumented host memory, or
-//! simulated device memory.
+//! simulated device memory. `run` is generic over the environment: each
+//! gets its own monomorphised copy of the one dispatch loop.
 
-use crate::bytecode::{Chunk, Instr, Intrinsic, Module};
+use crate::bytecode::{Instr, Intrinsic, Module};
 use crate::error::VmError;
 use crate::mem::MemSpace;
 use crate::value::{Handle, Value};
@@ -42,16 +47,34 @@ pub trait Env {
     }
 }
 
-/// Result of a single step.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Step {
-    /// More instructions remain.
-    Continue,
-    /// The entry function returned.
-    Done(Option<Value>),
+/// Which instructions a slice hands back to its caller instead of
+/// executing them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stop {
+    /// None: run until done or out of fuel.
+    Never,
+    /// `HostOp`: the host executor charges the instructions since the last
+    /// runtime op to the clock before the next one runs.
+    HostOp,
+    /// Every instruction that calls into the [`Env`] (element and global
+    /// loads/stores, `Malloc`, `Free`, `HostOp`): all a GPU thread can do
+    /// that another thread of its wave could observe.
+    EnvAccess,
 }
 
-#[derive(Debug, Clone)]
+/// Why a slice returned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Yield {
+    /// The entry function returned; see [`ThreadState::result`].
+    Done,
+    /// The slice's fuel is spent.
+    Fuel,
+    /// The next instruction matches the slice's [`Stop`]; it has not been
+    /// executed or counted.
+    Stopped,
+}
+
+#[derive(Debug, Clone, Copy)]
 struct Frame {
     chunk: u16,
     pc: usize,
@@ -60,14 +83,20 @@ struct Frame {
 
 /// One executing activation of a function (a host thread or one simulated
 /// GPU thread).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ThreadState {
     stack: Vec<Value>,
     locals: Vec<Value>,
     frames: Vec<Frame>,
-    /// Executed instruction count (feeds the cost model).
+    /// Executed instruction count (feeds the cost model). An instruction
+    /// that traps is counted.
     pub steps: u64,
     done: Option<Option<Value>>,
+}
+
+#[cold]
+fn underflow() -> VmError {
+    VmError::Internal("stack underflow".into())
 }
 
 impl ThreadState {
@@ -77,29 +106,44 @@ impl ThreadState {
             .func_index
             .get(func)
             .ok_or_else(|| VmError::UnknownFunction(func.to_string()))?;
-        let chunk = &module.chunks[idx as usize];
+        let mut t = ThreadState::default();
+        t.reset(module, idx, args)?;
+        Ok(t)
+    }
+
+    /// Re-enter chunk `func` with `args`, keeping this thread's
+    /// allocations: the GPU simulator reuses one pool of threads for every
+    /// wave of a launch.
+    pub fn reset(&mut self, module: &Module, func: u16, args: &[Value]) -> Result<(), VmError> {
+        let chunk = module
+            .chunks
+            .get(func as usize)
+            .ok_or_else(|| VmError::Internal(format!("no chunk {func}")))?;
         if args.len() != chunk.n_params as usize {
             return Err(VmError::Internal(format!(
-                "function `{func}` expects {} args, got {}",
+                "function `{}` expects {} args, got {}",
+                chunk.name,
                 chunk.n_params,
                 args.len()
             )));
         }
-        let mut locals = vec![Value::Int(0); chunk.n_locals as usize];
-        for (i, a) in args.iter().enumerate() {
-            locals[i] = coerce_local(*a, &chunk.local_tys[i]);
-        }
-        Ok(ThreadState {
-            stack: Vec::with_capacity(16),
-            locals,
-            frames: vec![Frame {
-                chunk: idx,
-                pc: 0,
-                base: 0,
-            }],
-            steps: 0,
-            done: None,
-        })
+        self.stack.clear();
+        self.locals.clear();
+        self.locals.extend(
+            args.iter()
+                .zip(&chunk.local_tys)
+                .map(|(a, ty)| coerce_local(*a, ty)),
+        );
+        self.locals.resize(chunk.n_locals as usize, Value::Int(0));
+        self.frames.clear();
+        self.frames.push(Frame {
+            chunk: func,
+            pc: 0,
+            base: 0,
+        });
+        self.steps = 0;
+        self.done = None;
+        Ok(())
     }
 
     /// True once the entry function has returned.
@@ -112,194 +156,241 @@ impl ThreadState {
         self.done
     }
 
-    fn pop(&mut self) -> Result<Value, VmError> {
-        self.stack
-            .pop()
-            .ok_or_else(|| VmError::Internal("stack underflow".into()))
-    }
-
-    /// Execute one instruction.
-    pub fn step(&mut self, module: &Module, env: &mut dyn Env) -> Result<Step, VmError> {
-        if let Some(v) = self.done {
-            return Ok(Step::Done(v));
-        }
-        self.steps += 1;
-        let frame = self.frames.last_mut().expect("active frame");
-        let chunk: &Chunk = &module.chunks[frame.chunk as usize];
-        let Some(instr) = chunk.code.get(frame.pc).copied() else {
-            return Err(VmError::Internal(format!(
-                "pc {} out of range in `{}`",
-                frame.pc, chunk.name
-            )));
-        };
-        frame.pc += 1;
-        let base = frame.base;
-        match instr {
-            Instr::Const(i) => self.stack.push(chunk.consts[i as usize]),
-            Instr::LoadLocal(s) => self.stack.push(self.locals[base + s as usize]),
-            Instr::StoreLocal(s) => {
-                let v = self.pop()?;
-                self.locals[base + s as usize] = v;
-            }
-            Instr::LoadGlobal(s) => {
-                let v = env.load_global(s)?;
-                self.stack.push(v);
-            }
-            Instr::StoreGlobal(s) => {
-                let v = self.pop()?;
-                env.store_global(s, v)?;
-            }
-            Instr::LoadElem => {
-                let idx = self.pop()?;
-                let h = self.pop()?;
-                let h = as_handle(h)?;
-                let v = env.load_elem(h, index_of(idx)?)?;
-                self.stack.push(v);
-            }
-            Instr::StoreElem => {
-                let v = self.pop()?;
-                let idx = self.pop()?;
-                let h = self.pop()?;
-                let h = as_handle(h)?;
-                env.store_elem(h, index_of(idx)?, v)?;
-            }
-            Instr::Bin(op) => {
-                let b = self.pop()?;
-                let a = self.pop()?;
-                self.stack.push(eval_bin(op, a, b)?);
-            }
-            Instr::Un(op) => {
-                let a = self.pop()?;
-                self.stack.push(eval_un(op, a)?);
-            }
-            Instr::Cast(ty) => {
-                let a = self.pop()?;
-                match a {
-                    Value::Ptr(_) => self.stack.push(a),
-                    other => self.stack.push(other.cast(ty)),
-                }
-            }
-            Instr::Jump(t) => {
-                self.frames.last_mut().expect("frame").pc = t as usize;
-            }
-            Instr::JumpIfFalse(t) => {
-                let v = self.pop()?;
-                if !v.truthy() {
-                    self.frames.last_mut().expect("frame").pc = t as usize;
-                }
-            }
-            Instr::JumpIfTrue(t) => {
-                let v = self.pop()?;
-                if v.truthy() {
-                    self.frames.last_mut().expect("frame").pc = t as usize;
-                }
-            }
-            Instr::Call(fidx) => {
-                let callee = &module.chunks[fidx as usize];
-                let n = callee.n_params as usize;
-                if self.stack.len() < n {
-                    return Err(VmError::Internal("stack underflow in call".into()));
-                }
-                let new_base = self.locals.len();
-                self.locals
-                    .resize(new_base + callee.n_locals as usize, Value::Int(0));
-                for i in (0..n).rev() {
-                    let v = self.pop()?;
-                    self.locals[new_base + i] = coerce_local(v, &callee.local_tys[i]);
-                }
-                self.frames.push(Frame {
-                    chunk: fidx,
-                    pc: 0,
-                    base: new_base,
-                });
-            }
-            Instr::CallIntrinsic(intr) => {
-                let v = if intr.arity() == 2 {
-                    let b = self.pop()?;
-                    let a = self.pop()?;
-                    eval_intrinsic2(intr, a, b)?
-                } else {
-                    let a = self.pop()?;
-                    eval_intrinsic1(intr, a)?
-                };
-                self.stack.push(v);
-            }
-            Instr::Malloc(elem, label) => {
-                let len = self.pop()?.as_i64();
-                if len <= 0 {
-                    return Err(VmError::BadAlloc(len));
-                }
-                // Size arrives in *bytes* (C idiom `n * sizeof(double)`).
-                let elems = (len as u64).div_ceil(elem.size_bytes());
-                let name = chunk
-                    .labels
-                    .get(label as usize)
-                    .map(|s| s.as_str())
-                    .unwrap_or("malloc");
-                let h = env.malloc(elem, elems, name)?;
-                self.stack.push(Value::Ptr(h));
-            }
-            Instr::Free => {
-                let h = as_handle(self.pop()?)?;
-                env.free(h)?;
-            }
-            Instr::Return => {
-                let v = self.pop()?;
-                self.ret(Some(v));
-            }
-            Instr::ReturnVoid => {
-                self.ret(None);
-            }
-            Instr::HostOp(id) => {
-                env.host_op(id)?;
-            }
-            Instr::Pop => {
-                self.pop()?;
-            }
-            Instr::Dup => {
-                let v = *self
-                    .stack
-                    .last()
-                    .ok_or_else(|| VmError::Internal("stack underflow".into()))?;
-                self.stack.push(v);
-            }
-        }
-        if let Some(v) = self.done {
-            Ok(Step::Done(v))
-        } else {
-            Ok(Step::Continue)
-        }
-    }
-
-    fn ret(&mut self, v: Option<Value>) {
-        let frame = self.frames.pop().expect("frame");
-        self.locals.truncate(frame.base);
-        if self.frames.is_empty() {
-            self.done = Some(v);
-        } else if let Some(v) = v {
-            self.stack.push(v);
-        }
-    }
-
-    /// Run to completion with a step budget.
-    pub fn run(
+    /// Execute one slice: at most `fuel` instructions, yielding early when
+    /// the entry function returns or *before* an instruction selected by
+    /// `stop`. `steps` grows by the number of instructions executed; on
+    /// `Err` that includes the trapping instruction, and the thread must
+    /// not be resumed.
+    ///
+    /// This is the interpreter's only dispatch loop. The frame cursor lives
+    /// in locals for the duration of the slice and is written back once.
+    pub fn run<E: Env>(
         &mut self,
         module: &Module,
-        env: &mut dyn Env,
+        env: &mut E,
+        fuel: u64,
+        stop: Stop,
+    ) -> Result<Yield, VmError> {
+        if self.done.is_some() {
+            return Ok(Yield::Done);
+        }
+        let ThreadState {
+            stack,
+            locals,
+            frames,
+            steps,
+            done,
+        } = self;
+        let Frame {
+            chunk: top,
+            mut pc,
+            mut base,
+        } = *frames.last().expect("active frame");
+        let mut chunk = &module.chunks[top as usize];
+        let mut left = fuel;
+
+        // `?` would skip the write-back below; every fallible operation in
+        // the loop goes through these instead.
+        macro_rules! tri {
+            ($e:expr) => {
+                match $e {
+                    Ok(v) => v,
+                    Err(e) => break Err(e),
+                }
+            };
+        }
+        macro_rules! pop {
+            () => {
+                match stack.pop() {
+                    Some(v) => v,
+                    None => break Err(underflow()),
+                }
+            };
+        }
+        macro_rules! hand_back {
+            ($kind:pat) => {
+                if matches!(stop, $kind) {
+                    break Ok(Yield::Stopped);
+                }
+            };
+        }
+
+        let outcome = loop {
+            if left == 0 {
+                break Ok(Yield::Fuel);
+            }
+            let Some(&instr) = chunk.code.get(pc) else {
+                break Err(VmError::Internal(format!(
+                    "pc {pc} out of range in `{}`",
+                    chunk.name
+                )));
+            };
+            let mut next = pc + 1;
+            match instr {
+                Instr::Const(i) => stack.push(chunk.consts[i as usize]),
+                Instr::LoadLocal(s) => stack.push(locals[base + s as usize]),
+                Instr::StoreLocal(s) => {
+                    let v = pop!();
+                    locals[base + s as usize] = v;
+                }
+                Instr::LoadGlobal(s) => {
+                    hand_back!(Stop::EnvAccess);
+                    stack.push(tri!(env.load_global(s)));
+                }
+                Instr::StoreGlobal(s) => {
+                    hand_back!(Stop::EnvAccess);
+                    let v = pop!();
+                    tri!(env.store_global(s, v));
+                }
+                Instr::LoadElem => {
+                    hand_back!(Stop::EnvAccess);
+                    let idx = pop!();
+                    let h = tri!(as_handle(pop!()));
+                    stack.push(tri!(env.load_elem(h, tri!(index_of(idx)))));
+                }
+                Instr::StoreElem => {
+                    hand_back!(Stop::EnvAccess);
+                    let v = pop!();
+                    let idx = pop!();
+                    let h = tri!(as_handle(pop!()));
+                    tri!(env.store_elem(h, tri!(index_of(idx)), v));
+                }
+                Instr::Bin(op) => {
+                    let b = pop!();
+                    let a = pop!();
+                    stack.push(tri!(eval_bin(op, a, b)));
+                }
+                Instr::Un(op) => {
+                    let a = pop!();
+                    stack.push(tri!(eval_un(op, a)));
+                }
+                Instr::Cast(ty) => {
+                    let a = pop!();
+                    stack.push(match a {
+                        Value::Ptr(_) => a,
+                        other => other.cast(ty),
+                    });
+                }
+                Instr::Jump(t) => next = t as usize,
+                Instr::JumpIfFalse(t) => {
+                    if !pop!().truthy() {
+                        next = t as usize;
+                    }
+                }
+                Instr::JumpIfTrue(t) => {
+                    if pop!().truthy() {
+                        next = t as usize;
+                    }
+                }
+                Instr::Call(fidx) => {
+                    let callee = &module.chunks[fidx as usize];
+                    let n = callee.n_params as usize;
+                    let Some(args_at) = stack.len().checked_sub(n) else {
+                        break Err(VmError::Internal("stack underflow in call".into()));
+                    };
+                    let new_base = locals.len();
+                    locals.extend(
+                        stack
+                            .drain(args_at..)
+                            .zip(&callee.local_tys)
+                            .map(|(v, ty)| coerce_local(v, ty)),
+                    );
+                    locals.resize(new_base + callee.n_locals as usize, Value::Int(0));
+                    frames.last_mut().expect("active frame").pc = next;
+                    frames.push(Frame {
+                        chunk: fidx,
+                        pc: 0,
+                        base: new_base,
+                    });
+                    (chunk, base, next) = (callee, new_base, 0);
+                }
+                Instr::CallIntrinsic(intr) => {
+                    let v = if intr.arity() == 2 {
+                        let b = pop!();
+                        let a = pop!();
+                        tri!(eval_intrinsic2(intr, a, b))
+                    } else {
+                        let a = pop!();
+                        tri!(eval_intrinsic1(intr, a))
+                    };
+                    stack.push(v);
+                }
+                Instr::Malloc(elem, label) => {
+                    hand_back!(Stop::EnvAccess);
+                    let len = pop!().as_i64();
+                    if len <= 0 {
+                        break Err(VmError::BadAlloc(len));
+                    }
+                    // Size arrives in *bytes* (C idiom `n * sizeof(double)`).
+                    let elems = (len as u64).div_ceil(elem.size_bytes());
+                    let name = chunk.labels.get(label as usize).map_or("malloc", |s| s);
+                    stack.push(Value::Ptr(tri!(env.malloc(elem, elems, name))));
+                }
+                Instr::Free => {
+                    hand_back!(Stop::EnvAccess);
+                    let h = tri!(as_handle(pop!()));
+                    tri!(env.free(h));
+                }
+                Instr::Return | Instr::ReturnVoid => {
+                    let v = if instr == Instr::Return {
+                        Some(pop!())
+                    } else {
+                        None
+                    };
+                    locals.truncate(base);
+                    frames.pop();
+                    let Some(caller) = frames.last() else {
+                        *done = Some(v);
+                        left -= 1;
+                        break Ok(Yield::Done);
+                    };
+                    stack.extend(v);
+                    (chunk, base, next) = (
+                        &module.chunks[caller.chunk as usize],
+                        caller.base,
+                        caller.pc,
+                    );
+                }
+                Instr::HostOp(id) => {
+                    hand_back!(Stop::HostOp | Stop::EnvAccess);
+                    tri!(env.host_op(id));
+                }
+                Instr::Pop => {
+                    pop!();
+                }
+                Instr::Dup => {
+                    let Some(&v) = stack.last() else {
+                        break Err(underflow());
+                    };
+                    stack.push(v);
+                }
+            }
+            pc = next;
+            left -= 1;
+        };
+        *steps += fuel - left + u64::from(outcome.is_err());
+        if let Some(f) = frames.last_mut() {
+            f.pc = pc;
+        }
+        outcome
+    }
+
+    /// Run to completion; `StepLimit` if that takes more than `budget`
+    /// instructions in total.
+    pub fn run_to_end<E: Env>(
+        &mut self,
+        module: &Module,
+        env: &mut E,
         budget: u64,
     ) -> Result<Option<Value>, VmError> {
-        loop {
-            if self.steps >= budget {
-                return Err(VmError::StepLimit(budget));
-            }
-            match self.step(module, env)? {
-                Step::Continue => {}
-                Step::Done(v) => return Ok(v),
-            }
+        match self.run(module, env, budget.saturating_sub(self.steps), Stop::Never)? {
+            Yield::Done => Ok(self.done.expect("done thread has a result")),
+            _ => Err(VmError::StepLimit(budget)),
         }
     }
 }
 
+#[inline]
 fn as_handle(v: Value) -> Result<Handle, VmError> {
     match v {
         Value::Ptr(h) if !h.is_null() => Ok(h),
@@ -310,6 +401,7 @@ fn as_handle(v: Value) -> Result<Handle, VmError> {
     }
 }
 
+#[inline]
 fn index_of(v: Value) -> Result<u64, VmError> {
     let i = v.as_i64();
     if i < 0 {
@@ -319,6 +411,7 @@ fn index_of(v: Value) -> Result<u64, VmError> {
     }
 }
 
+#[inline]
 fn coerce_local(v: Value, ty: &Ty) -> Value {
     match ty {
         Ty::Scalar(s) => match v {
@@ -332,111 +425,107 @@ fn coerce_local(v: Value, ty: &Ty) -> Value {
 /// Evaluate a binary operator with C-style promotion. `float ⊕ float` stays
 /// in `f32` — the single-precision rounding divergence between CPU and GPU
 /// paths that motivates the paper's configurable comparison margins.
+///
+/// The two operand shapes loops are made of (`int ⊕ int`, `double ⊕ double`)
+/// are decided inline in the caller; everything else is one call away.
+#[inline]
 pub fn eval_bin(op: BinOp, a: Value, b: Value) -> Result<Value, VmError> {
-    use BinOp::*;
-    // Pointer comparisons.
-    if let (Value::Ptr(x), Value::Ptr(y)) = (a, b) {
-        return match op {
-            Eq => Ok(Value::Int((x == y) as i64)),
-            Ne => Ok(Value::Int((x != y) as i64)),
-            _ => Err(VmError::TypeError(format!("operator `{op}` on pointers"))),
-        };
-    }
-    if matches!(a, Value::Ptr(_)) || matches!(b, Value::Ptr(_)) {
-        return Err(VmError::TypeError(format!(
-            "operator `{op}` mixes pointer and number"
-        )));
-    }
-    let int_only = matches!(op, Rem | BitAnd | BitOr | BitXor | Shl | Shr);
     match (a, b) {
-        (Value::Int(x), Value::Int(y)) => match op {
-            Add => Ok(Value::Int(x.wrapping_add(y))),
-            Sub => Ok(Value::Int(x.wrapping_sub(y))),
-            Mul => Ok(Value::Int(x.wrapping_mul(y))),
-            Div => {
-                if y == 0 {
-                    Err(VmError::DivByZero)
-                } else {
-                    Ok(Value::Int(x.wrapping_div(y)))
-                }
-            }
-            Rem => {
-                if y == 0 {
-                    Err(VmError::DivByZero)
-                } else {
-                    Ok(Value::Int(x.wrapping_rem(y)))
-                }
-            }
-            Lt => Ok(Value::Int((x < y) as i64)),
-            Gt => Ok(Value::Int((x > y) as i64)),
-            Le => Ok(Value::Int((x <= y) as i64)),
-            Ge => Ok(Value::Int((x >= y) as i64)),
-            Eq => Ok(Value::Int((x == y) as i64)),
-            Ne => Ok(Value::Int((x != y) as i64)),
-            BitAnd => Ok(Value::Int(x & y)),
-            BitOr => Ok(Value::Int(x | y)),
-            BitXor => Ok(Value::Int(x ^ y)),
-            Shl => Ok(Value::Int(x.wrapping_shl(y as u32))),
-            Shr => Ok(Value::Int(x.wrapping_shr(y as u32))),
-            And => Ok(Value::Int(((x != 0) && (y != 0)) as i64)),
-            Or => Ok(Value::Int(((x != 0) || (y != 0)) as i64)),
-        },
-        _ if int_only => Err(VmError::TypeError(format!(
-            "operator `{op}` requires integers"
-        ))),
-        // Single precision when no f64 operand is involved.
-        (x, y) if !matches!(x, Value::F64(_)) && !matches!(y, Value::F64(_)) => {
-            let xf = x.as_f64() as f32;
-            let yf = y.as_f64() as f32;
-            eval_float_op(op, xf as f64, yf as f64, true)
-        }
-        (x, y) => eval_float_op(op, x.as_f64(), y.as_f64(), false),
+        (Value::Int(x), Value::Int(y)) => int_bin(op, x, y),
+        (Value::F64(x), Value::F64(y)) => f64_bin(op, x, y),
+        _ => mixed_bin(op, a, b),
     }
 }
 
-fn eval_float_op(op: BinOp, x: f64, y: f64, single: bool) -> Result<Value, VmError> {
+#[inline]
+fn int_bin(op: BinOp, x: i64, y: i64) -> Result<Value, VmError> {
     use BinOp::*;
-    let num = |v: f64| {
-        if single {
-            Value::F32(v as f32)
-        } else {
-            Value::F64(v)
-        }
-    };
+    Ok(Value::Int(match op {
+        Add => x.wrapping_add(y),
+        Sub => x.wrapping_sub(y),
+        Mul => x.wrapping_mul(y),
+        Div | Rem if y == 0 => return Err(VmError::DivByZero),
+        Div => x.wrapping_div(y),
+        Rem => x.wrapping_rem(y),
+        Lt => (x < y) as i64,
+        Gt => (x > y) as i64,
+        Le => (x <= y) as i64,
+        Ge => (x >= y) as i64,
+        Eq => (x == y) as i64,
+        Ne => (x != y) as i64,
+        BitAnd => x & y,
+        BitOr => x | y,
+        BitXor => x ^ y,
+        Shl => x.wrapping_shl(y as u32),
+        Shr => x.wrapping_shr(y as u32),
+        And => ((x != 0) && (y != 0)) as i64,
+        Or => ((x != 0) || (y != 0)) as i64,
+    }))
+}
+
+#[inline]
+fn f64_bin(op: BinOp, x: f64, y: f64) -> Result<Value, VmError> {
+    use BinOp::*;
     Ok(match op {
-        Add => num(if single {
-            (x as f32 + y as f32) as f64
-        } else {
-            x + y
-        }),
-        Sub => num(if single {
-            (x as f32 - y as f32) as f64
-        } else {
-            x - y
-        }),
-        Mul => num(if single {
-            (x as f32 * y as f32) as f64
-        } else {
-            x * y
-        }),
-        Div => num(if single {
-            (x as f32 / y as f32) as f64
-        } else {
-            x / y
-        }),
-        Lt => Value::Int((x < y) as i64),
-        Gt => Value::Int((x > y) as i64),
-        Le => Value::Int((x <= y) as i64),
-        Ge => Value::Int((x >= y) as i64),
-        Eq => Value::Int((x == y) as i64),
-        Ne => Value::Int((x != y) as i64),
-        And => Value::Int(((x != 0.0) && (y != 0.0)) as i64),
-        Or => Value::Int(((x != 0.0) || (y != 0.0)) as i64),
-        _ => return Err(VmError::TypeError(format!("operator `{op}` on floats"))),
+        Add => Value::F64(x + y),
+        Sub => Value::F64(x - y),
+        Mul => Value::F64(x * y),
+        Div => Value::F64(x / y),
+        _ => Value::Int(float_flag(op, x, y)? as i64),
     })
 }
 
+/// Comparisons and logical connectives on floats (an `f32` widens exactly,
+/// so one `f64` body serves both precisions).
+#[inline]
+fn float_flag(op: BinOp, x: f64, y: f64) -> Result<bool, VmError> {
+    use BinOp::*;
+    Ok(match op {
+        Lt => x < y,
+        Gt => x > y,
+        Le => x <= y,
+        Ge => x >= y,
+        Eq => x == y,
+        Ne => x != y,
+        And => (x != 0.0) && (y != 0.0),
+        Or => (x != 0.0) || (y != 0.0),
+        _ => {
+            return Err(VmError::TypeError(format!(
+                "operator `{op}` requires integers"
+            )))
+        }
+    })
+}
+
+/// Pointers, `float`, and mixed-type operands.
+fn mixed_bin(op: BinOp, a: Value, b: Value) -> Result<Value, VmError> {
+    use BinOp::*;
+    match (a, b) {
+        (Value::Ptr(x), Value::Ptr(y)) => match op {
+            Eq => Ok(Value::Int((x == y) as i64)),
+            Ne => Ok(Value::Int((x != y) as i64)),
+            _ => Err(VmError::TypeError(format!("operator `{op}` on pointers"))),
+        },
+        (Value::Ptr(_), _) | (_, Value::Ptr(_)) => Err(VmError::TypeError(format!(
+            "operator `{op}` mixes pointer and number"
+        ))),
+        (Value::F64(_), _) | (_, Value::F64(_)) => f64_bin(op, a.as_f64(), b.as_f64()),
+        // Single precision when no f64 operand is involved.
+        _ => {
+            let (x, y) = (a.as_f64() as f32, b.as_f64() as f32);
+            Ok(match op {
+                Add => Value::F32(x + y),
+                Sub => Value::F32(x - y),
+                Mul => Value::F32(x * y),
+                Div => Value::F32(x / y),
+                _ => Value::Int(float_flag(op, x as f64, y as f64)? as i64),
+            })
+        }
+    }
+}
+
 /// Evaluate a unary operator.
+#[inline]
 pub fn eval_un(op: UnOp, a: Value) -> Result<Value, VmError> {
     match (op, a) {
         (UnOp::Neg, Value::Int(v)) => Ok(Value::Int(v.wrapping_neg())),
@@ -527,6 +616,7 @@ impl BasicEnv {
 }
 
 impl Env for BasicEnv {
+    #[inline]
     fn load_global(&mut self, slot: u16) -> Result<Value, VmError> {
         self.globals
             .get(slot as usize)
@@ -534,6 +624,7 @@ impl Env for BasicEnv {
             .ok_or_else(|| VmError::Internal(format!("global slot {slot} out of range")))
     }
 
+    #[inline]
     fn store_global(&mut self, slot: u16, v: Value) -> Result<(), VmError> {
         let g = self
             .globals
@@ -543,10 +634,12 @@ impl Env for BasicEnv {
         Ok(())
     }
 
+    #[inline]
     fn load_elem(&mut self, h: Handle, idx: u64) -> Result<Value, VmError> {
         self.mem.load(h, idx)
     }
 
+    #[inline]
     fn store_elem(&mut self, h: Handle, idx: u64, v: Value) -> Result<(), VmError> {
         self.mem.store(h, idx, v)
     }
@@ -561,15 +654,14 @@ impl Env for BasicEnv {
 }
 
 /// Compile-free helper: run `func` of `module` in `env` to completion.
-pub fn call_function(
+pub fn call_function<E: Env>(
     module: &Module,
-    env: &mut dyn Env,
+    env: &mut E,
     func: &str,
     args: &[Value],
     budget: u64,
 ) -> Result<Option<Value>, VmError> {
-    let mut t = ThreadState::new(module, func, args)?;
-    t.run(module, env, budget)
+    ThreadState::new(module, func, args)?.run_to_end(module, env, budget)
 }
 
 #[cfg(test)]
@@ -745,6 +837,11 @@ mod tests {
         assert_eq!(global_val(&m, &env, "d"), Value::F64(2.5));
     }
 
+    /// One instruction: what `step` used to be.
+    fn step(t: &mut ThreadState, m: &Module, env: &mut BasicEnv) -> Result<Yield, VmError> {
+        t.run(m, env, 1, Stop::Never)
+    }
+
     #[test]
     fn thread_state_resumable_stepping() {
         let (p, s) = frontend("int n;\nvoid main() { n = 1; n = n + 1; n = n + 1; }").unwrap();
@@ -753,12 +850,138 @@ mod tests {
         let mut t = ThreadState::new(&m, "main", &[]).unwrap();
         let mut steps = 0;
         while !t.is_done() {
-            t.step(&m, &mut env).unwrap();
+            step(&mut t, &m, &mut env).unwrap();
             steps += 1;
             assert!(steps < 100);
         }
         assert_eq!(env.globals[0], Value::Int(3));
         assert_eq!(t.steps, steps);
+        assert_eq!(step(&mut t, &m, &mut env), Ok(Yield::Done));
+        assert_eq!(t.steps, steps, "a finished thread executes nothing");
+    }
+
+    #[test]
+    fn slices_of_any_length_reach_the_same_state() {
+        let src = "int fib(int n) { if (n < 2) return n; return fib(n-1) + fib(n-2); }\n\
+                   double a[8];\nint k;\n\
+                   void main() { int i; k = fib(9); for (i = 0; i < 8; i++) a[i] = sqrt((double) (i * k)); }";
+        let (p, s) = frontend(src).unwrap();
+        let m = compile(&p, &s).unwrap();
+        let mut whole_env = BasicEnv::for_module(&m);
+        let mut whole = ThreadState::new(&m, "main", &[]).unwrap();
+        assert_eq!(
+            whole.run(&m, &mut whole_env, u64::MAX, Stop::Never),
+            Ok(Yield::Done)
+        );
+        for fuel in [1, 2, 3, 7, 64] {
+            let mut env = BasicEnv::for_module(&m);
+            let mut t = ThreadState::new(&m, "main", &[]).unwrap();
+            while t.run(&m, &mut env, fuel, Stop::Never).unwrap() != Yield::Done {}
+            assert_eq!(t.steps, whole.steps, "fuel {fuel}");
+            assert_eq!(env.globals, whole_env.globals, "fuel {fuel}");
+            assert_eq!(env.mem.slots(), whole_env.mem.slots(), "fuel {fuel}");
+        }
+    }
+
+    #[test]
+    fn stop_yields_before_the_instruction_without_counting_it() {
+        let (p, s) =
+            frontend("double a[4];\nvoid main() { int i; i = 1 + 2; a[i] = 1.0; }").unwrap();
+        let m = compile(&p, &s).unwrap();
+        let mut env = BasicEnv::for_module(&m);
+        let mut t = ThreadState::new(&m, "main", &[]).unwrap();
+        let mut handed = Vec::new();
+        loop {
+            match t.run(&m, &mut env, u64::MAX, Stop::EnvAccess).unwrap() {
+                Yield::Done => break,
+                Yield::Stopped => {
+                    let before = t.steps;
+                    // Asking again changes nothing; one unit of fuel with
+                    // `Stop::Never` executes exactly the handed-back access.
+                    assert_eq!(
+                        t.run(&m, &mut env, u64::MAX, Stop::EnvAccess),
+                        Ok(Yield::Stopped)
+                    );
+                    assert_eq!(t.steps, before);
+                    step(&mut t, &m, &mut env).unwrap();
+                    assert_eq!(t.steps, before + 1);
+                    handed.push(before + 1);
+                }
+                Yield::Fuel => unreachable!(),
+            }
+        }
+        // `a` is a global array: one LoadGlobal for the handle, one StoreElem.
+        assert_eq!(handed.len(), 2, "{handed:?}");
+        assert_eq!(env.mem.load(Handle(1), 3).unwrap(), Value::F64(1.0));
+    }
+
+    #[test]
+    fn a_trapping_instruction_is_counted() {
+        let (p, s) = frontend("int n;\nvoid main() { n = 5; n = n / 0; }").unwrap();
+        let m = compile(&p, &s).unwrap();
+        let mut env = BasicEnv::for_module(&m);
+        let mut by_one = ThreadState::new(&m, "main", &[]).unwrap();
+        while step(&mut by_one, &m, &mut env).is_ok() {}
+        let mut env = BasicEnv::for_module(&m);
+        let mut whole = ThreadState::new(&m, "main", &[]).unwrap();
+        assert_eq!(
+            whole.run(&m, &mut env, u64::MAX, Stop::Never),
+            Err(VmError::DivByZero)
+        );
+        assert_eq!(whole.steps, by_one.steps);
+    }
+
+    #[test]
+    fn step_limit_fires_one_past_the_budget() {
+        let (p, s) = frontend("int n;\nvoid main() { n = 1; n = n + 1; }").unwrap();
+        let m = compile(&p, &s).unwrap();
+        let mut env = BasicEnv::for_module(&m);
+        let mut t = ThreadState::new(&m, "main", &[]).unwrap();
+        t.run(&m, &mut env, u64::MAX, Stop::Never).unwrap();
+        let need = t.steps;
+        let mut env = BasicEnv::for_module(&m);
+        assert_eq!(call_function(&m, &mut env, "main", &[], need), Ok(None));
+        assert_eq!(
+            call_function(&m, &mut env, "main", &[], need - 1),
+            Err(VmError::StepLimit(need - 1))
+        );
+    }
+
+    #[test]
+    fn eval_bin_promotes_like_c_and_names_the_misuse() {
+        use BinOp::*;
+        use Value::{Int, Ptr, F32, F64};
+        let type_error = |m: &str| Err(VmError::TypeError(m.to_string()));
+        assert_eq!(eval_bin(Add, Int(1), F32(0.5)), Ok(F32(1.5)));
+        assert_eq!(eval_bin(Add, F32(0.5), F64(0.25)), Ok(F64(0.75)));
+        assert_eq!(eval_bin(Mul, Int(3), F64(0.5)), Ok(F64(1.5)));
+        assert_eq!(eval_bin(Lt, F32(0.5), Int(1)), Ok(Int(1)));
+        assert_eq!(eval_bin(And, F64(0.5), F64(0.0)), Ok(Int(0)));
+        assert_eq!(eval_bin(Div, Int(i64::MIN), Int(-1)), Ok(Int(i64::MIN)));
+        assert_eq!(eval_bin(Rem, Int(1), Int(0)), Err(VmError::DivByZero));
+        for (a, b) in [
+            (F64(1.0), F64(2.0)),
+            (Int(1), F32(2.0)),
+            (F32(1.0), F64(2.0)),
+        ] {
+            assert_eq!(
+                eval_bin(Rem, a, b),
+                type_error("operator `%` requires integers")
+            );
+        }
+        let h = Ptr(Handle(3));
+        assert_eq!(eval_bin(Eq, h, h), Ok(Int(1)));
+        assert_eq!(eval_bin(Ne, h, Ptr(Handle::NULL)), Ok(Int(1)));
+        assert_eq!(eval_bin(Add, h, h), type_error("operator `+` on pointers"));
+        // The pointer complaint comes before the integer-only one.
+        assert_eq!(
+            eval_bin(Rem, h, Int(1)),
+            type_error("operator `%` mixes pointer and number")
+        );
+        assert_eq!(
+            eval_bin(Add, F64(1.0), h),
+            type_error("operator `+` mixes pointer and number")
+        );
     }
 
     #[test]

@@ -7,12 +7,13 @@
 //! * **Host**: a single [`interp::ThreadState`] running the translated host
 //!   program against host memory (plus runtime hooks, in `openarc-runtime`).
 //! * **Device**: many `ThreadState`s — one per simulated GPU thread —
-//!   stepped in lockstep by `openarc-gpusim` against device memory.
+//!   scheduled in lockstep order by `openarc-gpusim` against device memory.
 //!
-//! Resumable stepping (one instruction per [`interp::ThreadState::step`])
-//! is the key property: it lets the device simulator interleave threads
-//! deterministically, so the data races the paper's kernel-verification
-//! tool must catch actually occur and are reproducible.
+//! Resumable execution ([`interp::ThreadState::run`] yields before any
+//! instruction its caller wants to order itself) is the key property: it
+//! lets the device simulator interleave threads deterministically, so the
+//! data races the paper's kernel-verification tool must catch actually
+//! occur and are reproducible.
 
 #![warn(missing_docs)]
 
@@ -27,6 +28,6 @@ pub mod value;
 pub use bytecode::{Chunk, GlobalInfo, Instr, Intrinsic, Module};
 pub use compile::{compile, GLOBALS_INIT, HOST_OP};
 pub use error::VmError;
-pub use interp::{call_function, BasicEnv, Env, Step, ThreadState};
+pub use interp::{call_function, BasicEnv, Env, Stop, ThreadState, Yield};
 pub use mem::{BufData, Buffer, MemSpace};
 pub use value::{Handle, Value};

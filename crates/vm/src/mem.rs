@@ -31,6 +31,7 @@ impl BufData {
     }
 
     /// Element count.
+    #[inline]
     pub fn len(&self) -> usize {
         match self {
             BufData::I64(v) => v.len(),
@@ -67,6 +68,7 @@ impl Buffer {
     }
 
     /// Element count.
+    #[inline]
     pub fn len(&self) -> usize {
         self.data.len()
     }
@@ -82,6 +84,7 @@ impl Buffer {
     }
 
     /// Read element `idx`.
+    #[inline]
     pub fn get(&self, idx: u64) -> Result<Value, VmError> {
         let i = idx as usize;
         match &self.data {
@@ -89,7 +92,7 @@ impl Buffer {
             BufData::F32(v) => v.get(i).map(|x| Value::F32(*x)),
             BufData::F64(v) => v.get(i).map(|x| Value::F64(*x)),
         }
-        .ok_or(VmError::OutOfBounds {
+        .ok_or_else(|| VmError::OutOfBounds {
             label: self.label.clone(),
             idx,
             len: self.len(),
@@ -97,6 +100,7 @@ impl Buffer {
     }
 
     /// Write element `idx` (value is coerced to the element type).
+    #[inline]
     pub fn set(&mut self, idx: u64, v: Value) -> Result<(), VmError> {
         let i = idx as usize;
         let len = self.len();
@@ -191,6 +195,7 @@ impl MemSpace {
     }
 
     /// Borrow a buffer.
+    #[inline]
     pub fn get(&self, h: Handle) -> Result<&Buffer, VmError> {
         self.bufs
             .get(h.0 as usize)
@@ -199,6 +204,7 @@ impl MemSpace {
     }
 
     /// Mutably borrow a buffer.
+    #[inline]
     pub fn get_mut(&mut self, h: Handle) -> Result<&mut Buffer, VmError> {
         self.bufs
             .get_mut(h.0 as usize)
@@ -207,11 +213,13 @@ impl MemSpace {
     }
 
     /// Read one element.
+    #[inline]
     pub fn load(&self, h: Handle, idx: u64) -> Result<Value, VmError> {
         self.get(h)?.get(idx)
     }
 
     /// Write one element.
+    #[inline]
     pub fn store(&mut self, h: Handle, idx: u64, v: Value) -> Result<(), VmError> {
         self.get_mut(h)?.set(idx, v)
     }

@@ -13,6 +13,7 @@ impl Handle {
     pub const NULL: Handle = Handle(0);
 
     /// True if this is the null handle.
+    #[inline]
     pub fn is_null(self) -> bool {
         self.0 == 0
     }
@@ -53,6 +54,7 @@ impl Value {
     }
 
     /// Interpret as a boolean (C truthiness).
+    #[inline]
     pub fn truthy(self) -> bool {
         match self {
             Value::Int(v) => v != 0,
@@ -63,6 +65,7 @@ impl Value {
     }
 
     /// Widen to f64 (for comparisons and float math).
+    #[inline]
     pub fn as_f64(self) -> f64 {
         match self {
             Value::Int(v) => v as f64,
@@ -73,6 +76,7 @@ impl Value {
     }
 
     /// Truncate to i64 (C cast semantics for float→int).
+    #[inline]
     pub fn as_i64(self) -> i64 {
         match self {
             Value::Int(v) => v,
@@ -83,6 +87,7 @@ impl Value {
     }
 
     /// Convert to the given scalar type (C cast).
+    #[inline]
     pub fn cast(self, ty: ScalarTy) -> Value {
         match ty {
             ScalarTy::Int | ScalarTy::Long => Value::Int(self.as_i64()),
