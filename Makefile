@@ -2,7 +2,7 @@
 
 CARGO ?= cargo
 
-.PHONY: check fmt lint test doc build bench paper
+.PHONY: check fmt lint test doc build paper
 
 check: fmt lint test doc
 
@@ -20,9 +20,6 @@ doc:
 
 build:
 	$(CARGO) build --workspace --release
-
-bench:
-	$(CARGO) bench
 
 # Regenerate every table and figure of the paper's evaluation.
 paper:

@@ -5,9 +5,9 @@
 //! `figure1`/`figure3`/`figure4`/`table2`/`table3`/`paper` binaries for
 //! the renderers. All drivers take a [`sweep::Sweep`] — scale × worker
 //! count × shared pipeline session — so the same code runs sequentially
-//! or fanned across cores (`--jobs N`) with byte-identical output;
-//! `cargo bench` and the `pipeline` bin measure the real (wall-clock)
-//! cost of the same pipelines with the [`timing`] helper.
+//! or fanned across cores (`--jobs N`) with byte-identical output; the
+//! `pipeline` bin measures the real (wall-clock) cost of the same
+//! pipelines with the [`timing`] helper.
 
 #![warn(missing_docs)]
 

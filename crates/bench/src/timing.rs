@@ -1,7 +1,7 @@
-//! Minimal wall-clock measurement for the `benches/` targets and the
-//! `pipeline` batch-mode bin.
+//! Minimal wall-clock measurement for the `pipeline` and `serve_load`
+//! bins.
 //!
-//! The workspace builds offline with no external crates, so the benches
+//! The workspace builds offline with no external crates, so the bins
 //! use this helper instead of Criterion: fixed sample count, p50 / p95 /
 //! min / max over `std::time::Instant`, with a JSON rendering for
 //! machine-readable reports (`BENCH_pipeline.json`).

@@ -721,6 +721,7 @@ mod tests {
 
     #[test]
     fn malformed_requests_are_bad_requests() {
+        let session = Session::builder().build();
         for v in [
             Json::obj(vec![("action", Json::from("frobnicate"))]),
             Json::obj(vec![("action", Json::from("run"))]),
@@ -730,9 +731,17 @@ mod tests {
                 ("journal", Json::from("yes")),
             ]),
             Json::Null,
+            // Well-formed on the wire; the options spec is what is rejected.
+            Json::obj(vec![
+                ("action", Json::from("verify")),
+                ("source", Json::from(SRC)),
+                ("options", Json::from("placement=measured")),
+            ]),
         ] {
-            let err = Request::from_json(&v).unwrap_err();
-            assert_eq!(err.kind, ErrorKind::BadRequest);
+            let err = Request::from_json(&v)
+                .and_then(|req| handle(&session, &req))
+                .unwrap_err();
+            assert_eq!(err.kind, ErrorKind::BadRequest, "{v:?}");
             assert_eq!(err.exit_code(), 2);
         }
     }

@@ -1,7 +1,7 @@
 //! Cost-model-driven device placement for the launch DAG.
 //!
 //! The round-robin plan of [`DepDag::device_plan`] balances *counts*, not
-//! *work*: BENCH_dag showed CFD at 0.84/0.13 device utilization because a
+//! *work*: on CFD it leaves the devices at 0.84/0.13 utilization because a
 //! tiny step-factor kernel shares a level with three heavy ones. This
 //! module estimates what each launch site actually costs on the simulated
 //! machine and list-schedules the DAG by earliest finish time (EFT):
@@ -12,20 +12,13 @@
 //! pass that drains the bottleneck device within round-robin's per-level
 //! makespan budget.
 //!
-//! Costs come from two places:
+//! Costs are static estimates ([`estimate_site_costs`]): kernel time from
+//! [`CostModel::kernel_time`] over a thread-count proxy (the largest
+//! statically-sized aggregate the site writes) and a per-thread
+//! instruction proxy (the kernel chunk's bytecode length); staging cost
+//! as one [`CostModel::transfer_time`] per touched aggregate.
 //!
-//! * **Static estimates** ([`estimate_site_costs`]): kernel time from
-//!   [`CostModel::kernel_time`] over a thread-count proxy (the largest
-//!   statically-sized aggregate the site writes) and a per-thread
-//!   instruction proxy (the kernel chunk's bytecode length); staging cost
-//!   as one [`CostModel::transfer_time`] per touched aggregate.
-//! * **Journal calibration** ([`MeasuredCosts`]): a prior run's journal
-//!   already contains the exact simulated duration of every
-//!   `KernelComplete` span and every `*_verify` staging transfer, so a
-//!   second pass can re-place with observed per-site costs — the paper's
-//!   measure-then-optimize loop closed automatically.
-//!
-//! Either way a site's table entry is its *total* predicted load: the
+//! A site's table entry is its *total* predicted load: the
 //! per-launch cost times the site's estimated launch count
 //! ([`launch_multiplicity`], from the trip counts of the loops enclosing
 //! the launch in the lowered host AST). The placement is per *site*, but
@@ -49,8 +42,6 @@ use crate::ir::RtOp;
 use crate::translate::Translated;
 use openarc_gpusim::{CostModel, DeviceId};
 use openarc_minic::ast::{AssignOp, BinOp, Block, Expr, ExprKind, Item, Stmt, StmtKind, UnOp};
-use openarc_trace::{EventKind, TraceEvent};
-use std::collections::BTreeMap;
 
 /// Fallback bytes for an aggregate whose static size is unknown
 /// (pointer-typed or dynamically sized): one page.
@@ -90,7 +81,7 @@ pub struct CostTable {
     /// One entry per launch site: its total predicted device load.
     pub sites: Vec<SiteCost>,
     /// Estimated launches per site (≥ 1); already folded into `sites`,
-    /// kept so measured per-launch means can be re-scaled the same way.
+    /// kept for display (`openarc dag` labels each site `cost×mult`).
     pub mult: Vec<u64>,
 }
 
@@ -285,78 +276,6 @@ pub fn estimate_site_costs(tr: &Translated, model: &CostModel) -> CostTable {
     CostTable { sites, mult }
 }
 
-/// Per-kernel costs calibrated from a prior run's journal
-/// (`placement=measured`). Keys are kernel names — launch sites have
-/// unique kernel names, so this is per-site resolution.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MeasuredCosts {
-    /// Mean `KernelComplete` span duration per kernel, µs.
-    pub kernel_us: BTreeMap<String, f64>,
-    /// Mean total `*_verify` staging-transfer duration per launch, µs.
-    pub stage_us: BTreeMap<String, f64>,
-}
-
-impl MeasuredCosts {
-    /// No observations at all?
-    pub fn is_empty(&self) -> bool {
-        self.kernel_us.is_empty() && self.stage_us.is_empty()
-    }
-
-    /// Calibrate from a run journal: average every kernel's execution
-    /// span and the staging transfers charged at its `{kernel}_verify`
-    /// site over however many times the site launched.
-    pub fn from_journal(events: &[TraceEvent]) -> MeasuredCosts {
-        let mut exec: BTreeMap<String, (f64, u64)> = BTreeMap::new();
-        let mut stage: BTreeMap<String, f64> = BTreeMap::new();
-        for e in events {
-            match &e.kind {
-                EventKind::KernelComplete { kernel } => {
-                    let s = exec.entry(kernel.clone()).or_insert((0.0, 0));
-                    s.0 += e.dur_us;
-                    s.1 += 1;
-                }
-                EventKind::Transfer { site, .. } => {
-                    if let Some(kernel) = site.strip_suffix("_verify") {
-                        *stage.entry(kernel.to_string()).or_insert(0.0) += e.dur_us;
-                    }
-                }
-                _ => {}
-            }
-        }
-        MeasuredCosts {
-            stage_us: stage
-                .into_iter()
-                .map(|(k, total)| {
-                    let launches = exec.get(&k).map(|s| s.1).unwrap_or(1).max(1);
-                    (k, total / launches as f64)
-                })
-                .collect(),
-            kernel_us: exec
-                .into_iter()
-                .map(|(k, (total, n))| (k, total / n.max(1) as f64))
-                .collect(),
-        }
-    }
-}
-
-impl CostTable {
-    /// Override static estimates with journal observations where present;
-    /// sites the journal never saw keep their static estimate. Observed
-    /// values are per-launch means, so they scale by the same launch
-    /// multiplicity the static estimates already carry.
-    pub fn apply_measured(&mut self, kernels: &[crate::ir::KernelInfo], m: &MeasuredCosts) {
-        for (i, k) in kernels.iter().enumerate() {
-            let scale = self.mult.get(i).copied().unwrap_or(1).max(1) as f64;
-            if let Some(&us) = m.kernel_us.get(&k.name) {
-                self.sites[i].kernel_us = us * scale;
-            }
-            if let Some(&us) = m.stage_us.get(&k.name) {
-                self.sites[i].stage_us = us * scale;
-            }
-        }
-    }
-}
-
 /// A fully-evaluated placement: per-site device, predicted start/finish
 /// times on the model timeline, and the resulting makespan.
 #[derive(Debug, Clone)]
@@ -407,11 +326,9 @@ impl Schedule {
 pub fn evaluate_plan(
     dag: &DepDag,
     costs: &CostTable,
-    model: &CostModel,
     plan: &[DeviceId],
     n_devices: usize,
 ) -> Schedule {
-    let _ = model;
     let n = n_devices.max(1);
     let mut busy_us = vec![0.0f64; n];
     let mut start_us = vec![0.0f64; dag.len()];
@@ -474,7 +391,7 @@ pub fn evaluate_plan(
 /// round-robin on [`Schedule::objective`]; the better plan wins, so the
 /// returned schedule's predicted objective is never worse than
 /// round-robin's. With one device both collapse to the all-primary plan.
-pub fn eft_plan(dag: &DepDag, costs: &CostTable, model: &CostModel, n_devices: usize) -> Schedule {
+pub fn eft_plan(dag: &DepDag, costs: &CostTable, n_devices: usize) -> Schedule {
     const EPS: f64 = 1e-9;
     let n = n_devices.max(1);
     let mut plan = vec![DeviceId::PRIMARY; dag.len()];
@@ -608,8 +525,8 @@ pub fn eft_plan(dag: &DepDag, costs: &CostTable, model: &CostModel, n_devices: u
         }
     }
 
-    let eft = evaluate_plan(dag, costs, model, &plan, n);
-    let rr = evaluate_plan(dag, costs, model, &rr_plan, n);
+    let eft = evaluate_plan(dag, costs, &plan, n);
+    let rr = evaluate_plan(dag, costs, &rr_plan, n);
     if rr.objective() < eft.objective() {
         rr
     } else {
@@ -650,9 +567,8 @@ mod tests {
         ];
         let dag = DepDag::build(&ks);
         let t = table(&dag, &[100.0, 100.0, 100.0, 1.0]);
-        let m = CostModel::default();
-        let s = eft_plan(&dag, &t, &m, 2);
-        let rr = evaluate_plan(&dag, &t, &m, &dag.device_plan(2), 2);
+        let s = eft_plan(&dag, &t, 2);
+        let rr = evaluate_plan(&dag, &t, &dag.device_plan(2), 2);
         assert!(s.makespan_us <= rr.makespan_us);
         assert!(
             s.makespan_us <= 201.0,
@@ -660,7 +576,7 @@ mod tests {
             s.makespan_us
         );
         // Deterministic: same inputs, same plan.
-        assert_eq!(s.plan, eft_plan(&dag, &t, &m, 2).plan);
+        assert_eq!(s.plan, eft_plan(&dag, &t, 2).plan);
     }
 
     #[test]
@@ -668,7 +584,7 @@ mod tests {
         let ks = [kernel("a", &[], &["x"]), kernel("b", &[], &["y"])];
         let dag = DepDag::build(&ks);
         let t = table(&dag, &[10.0, 10.0]);
-        let s = eft_plan(&dag, &t, &CostModel::default(), 1);
+        let s = eft_plan(&dag, &t, 1);
         assert!(s.plan.iter().all(|d| *d == DeviceId::PRIMARY));
     }
 
@@ -684,7 +600,7 @@ mod tests {
         ];
         let dag = DepDag::build(&ks);
         let t = table(&dag, &[50.0, 50.0, 10.0]);
-        let s = eft_plan(&dag, &t, &CostModel::default(), 2);
+        let s = eft_plan(&dag, &t, 2);
         assert_eq!(
             s.plan[2], s.plan[0],
             "consumer should land on its producer's device"
@@ -697,59 +613,10 @@ mod tests {
         let ks = [kernel("a", &[], &["x"]), kernel("b", &["x"], &["y"])];
         let dag = DepDag::build(&ks);
         let t = table(&dag, &[10.0, 10.0]);
-        let m = CostModel::default();
         // Even on different devices, b cannot start before a finishes.
-        let s = evaluate_plan(&dag, &t, &m, &[DeviceId(0), DeviceId(1)], 2);
+        let s = evaluate_plan(&dag, &t, &[DeviceId(0), DeviceId(1)], 2);
         assert!(s.start_us[1] >= s.finish_us[0]);
         assert!(s.makespan_us >= 20.0);
-    }
-
-    #[test]
-    fn measured_costs_average_journal_spans() {
-        use openarc_trace::Track;
-        let ev = |dur: f64, kind: EventKind| TraceEvent {
-            ts_us: 0.0,
-            dur_us: dur,
-            track: Track::Host,
-            kind,
-        };
-        let events = vec![
-            ev(
-                30.0,
-                EventKind::KernelComplete {
-                    kernel: "k0".into(),
-                },
-            ),
-            ev(
-                10.0,
-                EventKind::KernelComplete {
-                    kernel: "k0".into(),
-                },
-            ),
-            ev(
-                7.0,
-                EventKind::Transfer {
-                    var: "a".into(),
-                    site: "k0_verify".into(),
-                    bytes: 64,
-                    to_device: true,
-                },
-            ),
-            ev(
-                5.0,
-                EventKind::Transfer {
-                    var: "a".into(),
-                    site: "update0".into(),
-                    bytes: 64,
-                    to_device: true,
-                },
-            ),
-        ];
-        let m = MeasuredCosts::from_journal(&events);
-        assert_eq!(m.kernel_us.get("k0"), Some(&20.0));
-        // 7 µs of verify staging over 2 launches.
-        assert_eq!(m.stage_us.get("k0"), Some(&3.5));
-        assert!(!m.stage_us.contains_key("update0"));
     }
 
     #[test]
@@ -778,24 +645,5 @@ mod tests {
         let t = estimate_site_costs(&tr, &CostModel::default());
         assert_eq!(t.mult, vec![5, 10]);
         assert!(t.sites[1].total_us() > t.sites[0].total_us());
-    }
-
-    #[test]
-    fn measured_overrides_scale_by_multiplicity() {
-        let ks = [kernel("a", &[], &["x"]), kernel("b", &[], &["y"])];
-        let mut t = CostTable {
-            sites: vec![SiteCost::default(); 2],
-            mult: vec![3, 1],
-        };
-        let m = MeasuredCosts {
-            kernel_us: [("a".to_string(), 10.0), ("b".to_string(), 10.0)]
-                .into_iter()
-                .collect(),
-            stage_us: BTreeMap::new(),
-        };
-        let infos: Vec<_> = ks.to_vec();
-        t.apply_measured(&infos, &m);
-        assert_eq!(t.sites[0].kernel_us, 30.0);
-        assert_eq!(t.sites[1].kernel_us, 10.0);
     }
 }

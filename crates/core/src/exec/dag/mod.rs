@@ -49,11 +49,6 @@ pub enum Placement {
     /// footprint sizes and thread counts, staging transfers, cross-device
     /// d2d penalties).
     Eft,
-    /// The EFT scheduler fed with per-site costs calibrated from observed
-    /// `KernelLaunch`/transfer durations in a prior run's journal
-    /// ([`cost::MeasuredCosts`]); falls back to the static estimates for
-    /// sites the journal never saw.
-    Measured,
 }
 
 impl Placement {
@@ -62,7 +57,6 @@ impl Placement {
         match self {
             Placement::RoundRobin => "roundrobin",
             Placement::Eft => "eft",
-            Placement::Measured => "measured",
         }
     }
 }

@@ -121,21 +121,16 @@ pub struct VerifyOptions {
     pub dag_jobs: usize,
     /// Simulated devices the DAG executor schedules across (clamped to
     /// `1..=`[`openarc_runtime::MAX_DEVICES`]). Independent launches —
-    /// same level of the dependency DAG — round-robin over the devices,
-    /// so with `dag_jobs > 1` their queue spans overlap on the simulated
-    /// timeline. `1` (the default) keeps everything on the primary
-    /// device.
+    /// same level of the dependency DAG — are spread over the devices by
+    /// the `placement` policy, so with `dag_jobs > 1` their queue spans
+    /// overlap on the simulated timeline. `1` (the default) keeps
+    /// everything on the primary device.
     pub devices: usize,
     /// Device-placement policy for launch sites (`placement=` option):
-    /// static round-robin, cost-model EFT, or EFT over journal-calibrated
-    /// costs. With `devices=1` every policy produces the all-primary plan,
-    /// so placement never perturbs the sequential oracle.
+    /// static round-robin or cost-model EFT. With `devices=1` both
+    /// produce the all-primary plan, so placement never perturbs the
+    /// sequential oracle.
     pub placement: dag::Placement,
-    /// Journal-calibrated per-kernel costs feeding the `measured`
-    /// placement (`None` falls back to static estimates). Populated by
-    /// the two-pass measure-then-place flow in
-    /// [`crate::pipeline::Session`].
-    pub measured: Option<dag::cost::MeasuredCosts>,
 }
 
 impl Default for VerifyOptions {
@@ -154,7 +149,6 @@ impl Default for VerifyOptions {
             dag_jobs: 1,
             devices: 1,
             placement: dag::Placement::RoundRobin,
-            measured: None,
         }
     }
 }
@@ -333,15 +327,9 @@ pub fn execute(tr: &Translated, opts: &ExecOptions) -> Result<RunResult, VmError
             let n = v.devices.clamp(1, openarc_runtime::MAX_DEVICES);
             let plan = match v.placement {
                 dag::Placement::RoundRobin => d.device_plan(n),
-                dag::Placement::Eft | dag::Placement::Measured => {
-                    let model = CostModel::default();
-                    let mut table = dag::cost::estimate_site_costs(tr, &model);
-                    if v.placement == dag::Placement::Measured {
-                        if let Some(m) = &v.measured {
-                            table.apply_measured(&tr.kernels, m);
-                        }
-                    }
-                    dag::cost::eft_plan(&d, &table, &model, n).plan
+                dag::Placement::Eft => {
+                    let table = dag::cost::estimate_site_costs(tr, &CostModel::default());
+                    dag::cost::eft_plan(&d, &table, n).plan
                 }
             };
             (n, plan, d.footprints)

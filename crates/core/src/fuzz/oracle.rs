@@ -58,14 +58,12 @@ impl MatrixConfig {
     /// The `verificationOptions` string equivalent of this config, as
     /// accepted by `openarc verify --options`.
     pub fn options_string(&self) -> String {
-        let placement = match self.placement {
-            Placement::RoundRobin => "roundrobin",
-            Placement::Eft => "eft",
-            Placement::Measured => "measured",
-        };
         format!(
-            "placement={placement},dagJobs={},devices={},compareJobs={}",
-            self.dag_jobs, self.devices, self.compare_jobs
+            "placement={},dagJobs={},devices={},compareJobs={}",
+            self.placement.as_str(),
+            self.dag_jobs,
+            self.devices,
+            self.compare_jobs
         )
     }
 

@@ -52,10 +52,8 @@ impl std::error::Error for OptionError {}
 ///   next issues, which is exactly the sequential oracle);
 /// * `devices=<int>` — simulated devices to schedule independent
 ///   launches across (clamped to 1..=8);
-/// * `placement=roundrobin|eft|measured` — device-placement policy:
-///   static per-level round-robin, cost-model earliest-finish-time, or
-///   EFT over journal-calibrated costs (a two-pass measure-then-place
-///   run).
+/// * `placement=roundrobin|eft` — device-placement policy: static
+///   per-level round-robin or cost-model earliest-finish-time.
 ///
 /// ```
 /// use openarc_core::options::parse_verification_options;
@@ -160,10 +158,9 @@ pub fn parse_verification_options(spec: &str) -> Result<VerifyOptions, OptionErr
                 opts.placement = match value.trim() {
                     "roundrobin" => crate::exec::dag::Placement::RoundRobin,
                     "eft" => crate::exec::dag::Placement::Eft,
-                    "measured" => crate::exec::dag::Placement::Measured,
                     other => {
                         return Err(OptionError(format!(
-                            "placement must be roundrobin, eft or measured, got `{other}`"
+                            "placement must be one of roundrobin, eft; got `{other}`"
                         )))
                     }
                 }
@@ -269,13 +266,15 @@ mod tests {
         for (spec, want) in [
             ("placement=roundrobin", Placement::RoundRobin),
             ("placement=eft", Placement::Eft),
-            ("placement=measured", Placement::Measured),
         ] {
             let v = parse_verification_options(spec).unwrap();
             assert_eq!(v.placement, want);
             assert_eq!(v.placement.as_str(), spec.split('=').nth(1).unwrap());
         }
-        assert!(parse_verification_options("placement=greedy").is_err());
+        for spec in ["placement=greedy", "placement=measured"] {
+            let e = parse_verification_options(spec).unwrap_err();
+            assert!(e.0.contains("roundrobin, eft"), "{spec}: {e}");
+        }
     }
 
     #[test]

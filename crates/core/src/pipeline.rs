@@ -210,24 +210,7 @@ fn fp_verify_options(h: &mut Fnv, v: &VerifyOptions) {
     h.write_u64(match v.placement {
         crate::exec::dag::Placement::RoundRobin => 0,
         crate::exec::dag::Placement::Eft => 1,
-        crate::exec::dag::Placement::Measured => 2,
     });
-    match &v.measured {
-        None => {
-            h.write_bool(false);
-        }
-        Some(m) => {
-            h.write_bool(true);
-            h.write_u64(m.kernel_us.len() as u64);
-            for (k, us) in &m.kernel_us {
-                h.write_str(k).write_f64(*us);
-            }
-            h.write_u64(m.stage_us.len() as u64);
-            for (k, us) in &m.stage_us {
-                h.write_str(k).write_f64(*us);
-            }
-        }
-    }
 }
 
 fn fp_exec_options(o: &ExecOptions) -> u64 {
@@ -972,48 +955,8 @@ impl Session {
         tr: &TranslatedArtifact,
         eopts: &ExecOptions,
     ) -> Result<Arc<RunResult>, PipelineError> {
-        if let ExecMode::Verify(v) = &eopts.mode {
-            if v.placement == crate::exec::dag::Placement::Measured && v.measured.is_none() {
-                return self.execute_measured(tr, eopts);
-            }
-        }
         let plan = self.plan(tr, eopts);
         self.execute_plan(tr, eopts, &plan)
-    }
-
-    /// The `placement=measured` two-pass flow: run once under round-robin
-    /// with a capture journal (pass 1, a normal cached Execute, so a warm
-    /// session replays it instead of re-running), calibrate per-site
-    /// costs from the observed kernel and staging spans, then run again
-    /// with the calibrated costs driving EFT placement. The second pass
-    /// carries the calibration in its fingerprint, so both passes cache
-    /// independently and deterministically.
-    fn execute_measured(
-        &self,
-        tr: &TranslatedArtifact,
-        eopts: &ExecOptions,
-    ) -> Result<Arc<RunResult>, PipelineError> {
-        let ExecMode::Verify(v) = &eopts.mode else {
-            unreachable!("execute_measured requires verify mode");
-        };
-        let capture = Journal::enabled();
-        let mut probe = v.clone();
-        probe.placement = crate::exec::dag::Placement::RoundRobin;
-        let probe_opts = ExecOptions {
-            mode: ExecMode::Verify(probe),
-            journal: capture.clone(),
-            ..eopts.clone()
-        };
-        self.execute(tr, &probe_opts)?;
-        let measured = crate::exec::dag::cost::MeasuredCosts::from_journal(&capture.drain());
-        let mut placed = v.clone();
-        placed.measured = Some(measured);
-        let placed_opts = ExecOptions {
-            mode: ExecMode::Verify(placed),
-            ..eopts.clone()
-        };
-        let plan = self.plan(tr, &placed_opts);
-        self.execute_plan(tr, &placed_opts, &plan)
     }
 
     /// Execute stage against an already-materialized plan (avoids metering

@@ -97,10 +97,9 @@ fn usage() -> String {
                                 flight on the dependency DAG and devices=<N>\n\
                                 spreads independent launches over N simulated\n\
                                 devices (dagJobs=1,devices=1 is the oracle);\n\
-                                placement=<roundrobin|eft|measured> picks the\n\
-                                device-placement policy (static round-robin,\n\
-                                cost-model EFT, or EFT over costs calibrated\n\
-                                from a measurement pass)\n\
+                                placement=<roundrobin|eft> picks the\n\
+                                device-placement policy (static round-robin\n\
+                                or cost-model EFT)\n\
      check  <file.c>            memory-transfer verification report\n\
      demote <file.c> <kernel#>  print the memory-transfer-demoted program\n\
      profile <file.c> [flags]   run with the event journal enabled\n\
@@ -590,8 +589,7 @@ fn cache_cmd(rest: &[String]) -> Result<i32, CliError> {
 /// dot. Each node carries the site index, kernel name, DAG level, the
 /// cost model's predicted duration, and the device the selected placement
 /// policy plans for it — the "show the user why" view of a placement
-/// decision. `placement=measured` runs one round-robin measurement pass
-/// (through the session cache) to calibrate costs first.
+/// decision.
 fn dag_cmd(rest: &[String]) -> Result<i32, CliError> {
     use openarc::core::exec::dag::{cost, DepDag, Placement};
     use openarc::gpusim::CostModel;
@@ -609,27 +607,10 @@ fn dag_cmd(rest: &[String]) -> Result<i32, CliError> {
     let tr = &tra.tr;
     let dag = DepDag::build(&tr.kernels);
     let n = vopts.devices.clamp(1, openarc::runtime::MAX_DEVICES);
-    let model = CostModel::default();
-    let mut table = cost::estimate_site_costs(tr, &model);
-    if vopts.placement == Placement::Measured {
-        let capture = Journal::enabled();
-        let mut probe = vopts.clone();
-        probe.placement = Placement::RoundRobin;
-        probe.measured = None;
-        session.execute(
-            &tra,
-            &ExecOptions {
-                mode: ExecMode::Verify(probe),
-                journal: capture.clone(),
-                ..Default::default()
-            },
-        )?;
-        let m = cost::MeasuredCosts::from_journal(&capture.drain());
-        table.apply_measured(&tr.kernels, &m);
-    }
+    let table = cost::estimate_site_costs(tr, &CostModel::default());
     let sched = match vopts.placement {
-        Placement::RoundRobin => cost::evaluate_plan(&dag, &table, &model, &dag.device_plan(n), n),
-        Placement::Eft | Placement::Measured => cost::eft_plan(&dag, &table, &model, n),
+        Placement::RoundRobin => cost::evaluate_plan(&dag, &table, &dag.device_plan(n), n),
+        Placement::Eft => cost::eft_plan(&dag, &table, n),
     };
     println!("digraph launches {{");
     println!("  rankdir=TB;");

@@ -793,10 +793,8 @@ fn gen_site(rng: &mut Rng, idx: usize, n_vars: u64) -> openarc::core::ir::Kernel
 fn drive_eft_invariants(seed: u64, rounds: u64) {
     use openarc::core::exec::dag::cost::{eft_plan, evaluate_plan, CostTable, SiteCost};
     use openarc::core::exec::dag::DepDag;
-    use openarc::gpusim::CostModel;
 
     let mut rng = Rng::new(seed);
-    let model = CostModel::default();
     for _ in 0..rounds {
         let n_sites = 2 + rng.below(11) as usize;
         let n_vars = 3 + rng.below(6);
@@ -815,7 +813,7 @@ fn drive_eft_invariants(seed: u64, rounds: u64) {
         };
         let n_devices = 2 + rng.below(3) as usize;
 
-        let eft = eft_plan(&dag, &costs, &model, n_devices);
+        let eft = eft_plan(&dag, &costs, n_devices);
 
         // Every RAW/WAR/WAW edge is respected: a site never starts before
         // each of its dependencies finishes on the predicted timeline.
@@ -834,7 +832,7 @@ fn drive_eft_invariants(seed: u64, rounds: u64) {
         // (makespan, then bottleneck device load) is never worse than
         // round-robin's under the same evaluator — in particular the
         // predicted makespan itself never exceeds round-robin's.
-        let rr = evaluate_plan(&dag, &costs, &model, &dag.device_plan(n_devices), n_devices);
+        let rr = evaluate_plan(&dag, &costs, &dag.device_plan(n_devices), n_devices);
         assert!(
             eft.objective() <= rr.objective(),
             "seed {seed:#x}: EFT objective {:?} exceeds round-robin {:?}",
@@ -849,12 +847,12 @@ fn drive_eft_invariants(seed: u64, rounds: u64) {
         );
 
         // Deterministic: the same inputs always produce the same plan.
-        let again = eft_plan(&dag, &costs, &model, n_devices);
+        let again = eft_plan(&dag, &costs, n_devices);
         assert_eq!(eft.plan, again.plan);
         assert_eq!(eft.makespan_us, again.makespan_us);
 
         // One device collapses every policy to the all-primary plan.
-        let single = eft_plan(&dag, &costs, &model, 1);
+        let single = eft_plan(&dag, &costs, 1);
         assert!(single.plan.iter().all(|d| *d == DeviceId::PRIMARY));
     }
 }
