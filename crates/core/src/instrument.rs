@@ -16,8 +16,8 @@
 
 use crate::ir::RtOp;
 use openarc_dataflow::{
-    dead_live_compute, first_access, last_write, natural_loops, AccessSel, Cfg, Deadness, NodeKind,
-    Side,
+    dead_live_compute, first_access, has, insert, last_write, natural_loops, ones, AccessSel, Cfg,
+    Deadness, NodeKind, Side, VarId,
 };
 use openarc_minic::span::Diagnostic;
 use openarc_minic::{Func, NodeId, Sema};
@@ -73,12 +73,31 @@ pub fn tracked_vars(func: &Func, sema: &Sema) -> BTreeSet<String> {
             }
         }
     }
-    let _ = func;
     out
+}
+
+/// `reset_status(var, side, ..)` for a copy Algorithm 1 finds dead.
+fn reset_for(deadness: Deadness, var: &str, side: DevSide) -> Option<RtOp> {
+    let st = match deadness {
+        Deadness::MustDead => St::NotStale,
+        Deadness::MayDead => St::MayStale,
+        Deadness::Live => return None,
+    };
+    let var = var.to_string();
+    Some(RtOp::ResetStatus { var, side, st })
+}
+
+/// `a ∩ b`, ascending.
+fn both<'a>(a: &'a [u64], b: &'a [u64]) -> impl Iterator<Item = VarId> + 'a {
+    ones(a.iter().zip(b).map(|(a, b)| a & b))
 }
 
 /// Plan instrumentation for `func`. With `optimize` false, checks go at
 /// every access (the naive placement the paper's optimizations replace).
+///
+/// Variables are [`Cfg`] ids throughout — ascending id order is name order,
+/// which fixes the order of every op list — and become names again only
+/// inside an [`RtOp`].
 pub fn plan(
     func: &Func,
     sema: &Sema,
@@ -87,229 +106,178 @@ pub fn plan(
     ignored_updates: &BTreeSet<NodeId>,
 ) -> Result<Instrumentation, Diagnostic> {
     let cfg = Cfg::build_typed(func, sema)?;
-    let tracked = tracked_vars(func, sema);
     let mut ins = Instrumentation::default();
-    if tracked.is_empty() {
+    let mut tracked = vec![0u64; cfg.words()];
+    for v in tracked_vars(func, sema).iter().filter_map(|n| cfg.var(n)) {
+        insert(&mut tracked, v);
+    }
+    if tracked.iter().all(|w| *w == 0) {
         return Ok(ins);
     }
+    let tracked = &tracked[..];
+    let name = |v: VarId| cfg.vars()[v as usize].as_str();
+    // Kernel and update nodes manage coherence in their handlers.
+    let checked_stmt = |n: usize| {
+        let node = &cfg.nodes[n];
+        let plain = !node.is_kernel() && !matches!(node.kind, NodeKind::Update(_));
+        node.stmt.filter(|_| plain)
+    };
 
     let loops = natural_loops(&cfg);
-    // Map: node → innermost-to-outermost loops containing it.
-    let loops_of = |n: usize| -> Vec<&openarc_dataflow::NaturalLoop> {
-        let mut ls: Vec<_> = loops.iter().filter(|l| l.body.contains(&n)).collect();
-        ls.sort_by_key(|l| std::cmp::Reverse(l.body.len()));
-        ls
-    };
-    let loop_has_kernel = |l: &openarc_dataflow::NaturalLoop| -> bool {
-        l.body.iter().any(|&n| cfg.nodes[n].is_kernel())
-    };
-    // Listing-3 condition (ii): "no memory transfer call for the variable
-    // exists BEFORE the write_check() call within the loop" — only
-    // transfers preceding the kernel in the iteration matter (the paper's
-    // own example keeps the post-kernel memcpyout and still hoists).
-    let loop_has_transfer_of_before =
-        |l: &openarc_dataflow::NaturalLoop, var: &str, kernel_node: usize| -> bool {
-            l.body.iter().any(|&n| match &cfg.nodes[n].kind {
-                NodeKind::Update(u) => {
-                    // User-removed updates no longer transfer anything.
-                    let removed = cfg.nodes[n]
-                        .stmt
-                        .map(|id| ignored_updates.contains(&id))
-                        .unwrap_or(false);
-                    !removed && n < kernel_node && u.host.iter().chain(&u.device).any(|v| v == var)
-                }
-                NodeKind::DataEnter(_) | NodeKind::DataExit(_) => true,
-                _ => false,
-            })
-        };
-    let loop_has_host_access_of = |l: &openarc_dataflow::NaturalLoop, var: &str| -> bool {
-        l.body.iter().any(|&n| {
-            let node = &cfg.nodes[n];
-            !node.is_kernel()
-                && !matches!(node.kind, NodeKind::Update(_))
-                && (node.host.reads.contains(var) || node.host.writes.contains(var))
-        })
+    let has_kernel: Vec<bool> = (loops.iter())
+        .map(|l| l.body.iter().any(|&n| cfg.nodes[n].is_kernel()))
+        .collect();
+    // Node → the loops containing it, outermost first.
+    let mut loops_of: Vec<Vec<usize>> = vec![Vec::new(); cfg.len()];
+    for (i, l) in loops.iter().enumerate() {
+        for &n in &l.body {
+            loops_of[n].push(i);
+        }
+    }
+    for chain in &mut loops_of {
+        chain.sort_by_key(|&i| std::cmp::Reverse(loops[i].body.len()));
+    }
+    // A CPU check (or reset) in a kernel-free loop hoists to the outermost
+    // such loop: only the first (final) iteration's state matters, and
+    // keeping the call out of the hot loop is where the paper's low
+    // Figure 4 overhead comes from.
+    let target = |n: usize, stmt: NodeId| {
+        if !optimize {
+            return stmt;
+        }
+        let mut free = loops_of[n].iter().filter(|&&l| !has_kernel[l]);
+        free.find_map(|&l| cfg.nodes[loops[l].head].stmt)
+            .unwrap_or(stmt)
     };
 
     // ---- CPU-side read/write checks -------------------------------------
-    let (reads_at, writes_at): (Vec<BTreeSet<String>>, Vec<BTreeSet<String>>) = if optimize {
-        (
-            first_access(&cfg, Side::Host, AccessSel::Read),
-            first_access(&cfg, Side::Host, AccessSel::Write),
-        )
-    } else {
-        // Naive: every access is checked.
-        (
-            cfg.nodes.iter().map(|n| n.host.reads.clone()).collect(),
-            cfg.nodes.iter().map(|n| n.host.writes.clone()).collect(),
-        )
-    };
-
-    for (n, node) in cfg.nodes.iter().enumerate() {
-        // Kernel and update nodes manage coherence in their handlers.
-        if node.is_kernel() || matches!(node.kind, NodeKind::Update(_)) {
+    // Naive: every access is checked.
+    let first = optimize.then(|| {
+        let reads = first_access(&cfg, Side::Host, AccessSel::Read);
+        (reads, first_access(&cfg, Side::Host, AccessSel::Write))
+    });
+    for n in 0..cfg.len() {
+        let Some(stmt) = checked_stmt(n) else {
             continue;
-        }
-        let Some(stmt) = node.stmt else { continue };
-        for var in reads_at[n].iter().filter(|v| tracked.contains(*v)) {
-            let site = format!("cpu_read@{stmt}");
+        };
+        let host = cfg.summary(n, Side::Host);
+        let (reads, writes) = match &first {
+            Some((r, w)) => (r.first_at(&cfg, n), w.first_at(&cfg, n)),
+            None => (host.reads.to_vec(), host.writes.to_vec()),
+        };
+        for v in both(&reads, tracked) {
             let op = RtOp::CheckRead {
-                var: var.clone(),
+                var: name(v).to_string(),
                 side: DevSide::Cpu,
-                site,
+                site: format!("cpu_read@{stmt}"),
             };
-            let target = if optimize {
-                hoist_target(&cfg, &loops_of(n), &loop_has_kernel, stmt)
-            } else {
-                stmt
-            };
-            ins.before_push(target, op);
+            ins.before_push(target(n, stmt), op);
         }
-        for var in writes_at[n].iter().filter(|v| tracked.contains(*v)) {
-            let total = node.host.total_writes.contains(var);
-            let site = format!("cpu_write@{stmt}");
+        for v in both(&writes, tracked) {
             let op = RtOp::CheckWrite {
-                var: var.clone(),
+                var: name(v).to_string(),
                 side: DevSide::Cpu,
-                total,
-                site,
+                total: has(host.total_writes, v),
+                site: format!("cpu_write@{stmt}"),
             };
-            let target = if optimize {
-                hoist_target(&cfg, &loops_of(n), &loop_has_kernel, stmt)
-            } else {
-                stmt
-            };
-            ins.before_push(target, op);
+            ins.before_push(target(n, stmt), op);
         }
     }
 
     // ---- reset_status at last CPU writes (remote = GPU deadness) --------
     let dl_gpu = dead_live_compute(&cfg, Side::Gpu);
     let lw_host = last_write(&cfg, Side::Host, true);
-    for (n, node) in cfg.nodes.iter().enumerate() {
-        if node.is_kernel() || matches!(node.kind, NodeKind::Update(_)) {
+    for n in 0..cfg.len() {
+        let Some(stmt) = checked_stmt(n) else {
             continue;
-        }
-        let Some(stmt) = node.stmt else { continue };
-        let candidates: BTreeSet<String> = if optimize {
+        };
+        let candidates = if optimize {
             lw_host.last_written_at(&cfg, Side::Host, n)
         } else {
-            node.host.writes.clone()
+            cfg.summary(n, Side::Host).writes.to_vec()
         };
-        // A reset after a write inside a kernel-free loop hoists to after
-        // the loop (only the final iteration's state matters, and keeping
-        // the call out of the hot loop is where the paper's low Figure 4
-        // overhead comes from).
-        let target = if optimize {
-            hoist_target(&cfg, &loops_of(n), &loop_has_kernel, stmt)
-        } else {
-            stmt
-        };
-        for var in candidates.iter().filter(|v| tracked.contains(*v)) {
-            match dl_gpu.after(n, var) {
-                Deadness::MustDead => ins.after_push(
-                    target,
-                    RtOp::ResetStatus {
-                        var: var.clone(),
-                        side: DevSide::Gpu,
-                        st: St::NotStale,
-                    },
-                ),
-                Deadness::MayDead => ins.after_push(
-                    target,
-                    RtOp::ResetStatus {
-                        var: var.clone(),
-                        side: DevSide::Gpu,
-                        st: St::MayStale,
-                    },
-                ),
-                Deadness::Live => {}
+        for v in both(&candidates, tracked) {
+            if let Some(op) = reset_for(dl_gpu.after(n, v), name(v), DevSide::Gpu) {
+                ins.after_push(target(n, stmt), op);
             }
         }
     }
 
     // ---- reset_status for dead CPU copies at kernel boundaries ----------
     let dl_host = dead_live_compute(&cfg, Side::Host);
-    for &k in &cfg.kernel_nodes() {
-        let stmt = cfg.nodes[k].stmt.expect("kernel stmt");
-        let written: Vec<String> = cfg.nodes[k].gpu.writes.iter().cloned().collect();
-        for var in written.iter().filter(|v| tracked.contains(*v)) {
-            match dl_host.after(k, var) {
-                Deadness::MustDead => ins.after_push(
-                    stmt,
-                    RtOp::ResetStatus {
-                        var: var.clone(),
-                        side: DevSide::Cpu,
-                        st: St::NotStale,
-                    },
-                ),
-                Deadness::MayDead => ins.after_push(
-                    stmt,
-                    RtOp::ResetStatus {
-                        var: var.clone(),
-                        side: DevSide::Cpu,
-                        st: St::MayStale,
-                    },
-                ),
-                Deadness::Live => {}
+    let kernels: Vec<(usize, NodeId)> = (cfg.kernel_nodes())
+        .filter_map(|k| Some((k, cfg.nodes[k].stmt?)))
+        .collect();
+    for &(k, stmt) in &kernels {
+        for v in both(cfg.summary(k, Side::Gpu).writes, tracked) {
+            if let Some(op) = reset_for(dl_host.after(k, v), name(v), DevSide::Cpu) {
+                ins.after_push(stmt, op);
             }
         }
     }
 
     // ---- Listing-3 hoisting of GPU write checks --------------------------
-    if optimize && hoist_gpu {
-        for &k in &cfg.kernel_nodes() {
-            let kstmt = cfg.nodes[k].stmt.expect("kernel stmt");
-            let enclosing = loops_of(k);
-            let Some(outer) = enclosing.first() else {
-                continue;
-            };
-            for var in cfg.nodes[k].gpu.writes.clone() {
-                if !tracked.contains(&var) {
-                    continue;
+    let hoistable = if optimize && hoist_gpu {
+        &kernels[..]
+    } else {
+        &[]
+    };
+    for &(k, kstmt) in hoistable {
+        let Some(outer) = loops_of[k].first().map(|&l| &loops[l]) else {
+            continue;
+        };
+        let Some(head_stmt) = cfg.nodes[outer.head].stmt else {
+            continue;
+        };
+        // Variables the loop pins in place: (i) host code in the loop
+        // touches them, or (ii) "no memory transfer call for the variable
+        // exists BEFORE the write_check() call within the loop" fails — only
+        // transfers preceding the kernel in the iteration matter (the
+        // paper's own example keeps the post-kernel memcpyout and still
+        // hoists).
+        let mut pinned = vec![0u64; cfg.words()];
+        for &n in &outer.body {
+            let node = &cfg.nodes[n];
+            match &node.kind {
+                NodeKind::Kernel(_) => {}
+                NodeKind::Update(u) => {
+                    // User-removed updates no longer transfer anything.
+                    let removed = node.stmt.is_some_and(|id| ignored_updates.contains(&id));
+                    if !removed && n < k {
+                        for v in u.host.iter().chain(&u.device).filter_map(|v| cfg.var(v)) {
+                            insert(&mut pinned, v);
+                        }
+                    }
                 }
-                let ok = !loop_has_host_access_of(outer, &var)
-                    && !loop_has_transfer_of_before(outer, &var, k);
-                if ok {
-                    let head_stmt = cfg.nodes[outer.head].stmt.expect("loop head stmt");
-                    ins.before_push(
-                        head_stmt,
-                        RtOp::CheckWrite {
-                            var: var.clone(),
-                            side: DevSide::Gpu,
-                            total: false,
-                            site: format!("gpu_write_hoisted@{kstmt}"),
-                        },
-                    );
-                    ins.hoisted_kernel_writes
-                        .entry(kstmt)
-                        .or_default()
-                        .push(var);
+                NodeKind::DataEnter(_) | NodeKind::DataExit(_) => pinned.fill(!0),
+                _ => {
+                    let host = cfg.summary(n, Side::Host);
+                    for (p, (r, w)) in pinned.iter_mut().zip(host.reads.iter().zip(host.writes)) {
+                        *p |= r | w;
+                    }
                 }
             }
+        }
+        let written = cfg.summary(k, Side::Gpu).writes;
+        let free: Vec<u64> = written.iter().zip(&pinned).map(|(w, p)| w & !p).collect();
+        for v in both(&free, tracked) {
+            ins.before_push(
+                head_stmt,
+                RtOp::CheckWrite {
+                    var: name(v).to_string(),
+                    side: DevSide::Gpu,
+                    total: false,
+                    site: format!("gpu_write_hoisted@{kstmt}"),
+                },
+            );
+            ins.hoisted_kernel_writes
+                .entry(kstmt)
+                .or_default()
+                .push(name(v).to_string());
         }
     }
 
     Ok(ins)
-}
-
-/// Hoist a CPU check out of kernel-free loops: returns the statement to
-/// insert before (outermost kernel-free enclosing loop, else the access).
-fn hoist_target(
-    cfg: &Cfg,
-    enclosing: &[&openarc_dataflow::NaturalLoop],
-    loop_has_kernel: &dyn Fn(&openarc_dataflow::NaturalLoop) -> bool,
-    stmt: NodeId,
-) -> NodeId {
-    // `enclosing` is sorted outermost-first.
-    for l in enclosing {
-        if !loop_has_kernel(l) {
-            if let Some(s) = cfg.nodes[l.head].stmt {
-                return s;
-            }
-        }
-    }
-    stmt
 }
 
 /// Count ops of each kind (diagnostics and tests).

@@ -1,6 +1,8 @@
-//! The paper's dataflow analyses.
+//! The paper's dataflow analyses, each a `(gen, kill)` mask builder in
+//! front of [`solve`].
 //!
-//! * [`liveness`] — classic backward liveness (used by the translator).
+//! * [`liveness`] — classic backward liveness (a reference point for
+//!   Algorithm 1's `live` plane; nothing outside this crate's tests calls it).
 //! * [`dead_live`] — **Algorithm 1**: may-dead / may-live / must-dead.
 //! * [`last_write`] — **Algorithm 2**: last-write detection, optionally
 //!   restarting at kernel boundaries ("along some path from program exits
@@ -10,81 +12,38 @@
 //! * [`natural_loops`] — loop bodies for the check-hoisting optimization
 //!   of §III-B (Listing 3).
 
-use crate::cfg::{Cfg, Side};
-use crate::solver::{solve, Problem, Solution};
+use crate::cfg::{has, Cfg, NodeKind, Side, VarId};
+use crate::solver::{solve, Direction, Masks, Meet, Solution};
 use std::collections::{BTreeMap, BTreeSet};
 
-type Set = BTreeSet<String>;
-
-/// All variable names mentioned by either side of any node.
-pub fn universe(cfg: &Cfg) -> Set {
-    let mut u = Set::new();
-    for n in &cfg.nodes {
-        for s in [&n.host, &n.gpu] {
-            u.extend(s.reads.iter().cloned());
-            u.extend(s.writes.iter().cloned());
-            u.extend(s.kills.iter().cloned());
-        }
+fn or_into(dst: &mut [u64], src: &[u64]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d |= s;
     }
-    u
+}
+
+fn minus_into(dst: &mut [u64], src: &[u64]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d &= !s;
+    }
 }
 
 // ---------------------------------------------------------------- liveness
 
-struct Liveness {
-    side: Side,
-}
-
-impl Problem for Liveness {
-    type Fact = Set;
-
-    fn backward(&self) -> bool {
-        true
-    }
-
-    fn boundary(&self) -> Set {
-        Set::new()
-    }
-
-    fn init(&self) -> Set {
-        Set::new()
-    }
-
-    fn meet(&self, a: &Set, b: &Set) -> Set {
-        a.union(b).cloned().collect()
-    }
-
-    fn transfer(&self, cfg: &Cfg, n: usize, out: &Set) -> Set {
-        let s = cfg.nodes[n].summary(self.side);
-        let mut live = out.clone();
-        for k in &s.kills {
-            live.remove(k);
-        }
+/// Backward liveness; `before(n)` = live-in at node `n`.
+pub fn liveness(cfg: &Cfg, side: Side) -> Solution {
+    let masks = Masks::build(cfg, |n, gen, kill| {
+        let s = cfg.summary(n, side);
         // Only total writes kill liveness; element writes leave the rest of
         // the array live.
-        for w in &s.total_writes {
-            live.remove(w);
-        }
-        live.extend(s.reads.iter().cloned());
-        live
-    }
-}
-
-/// Backward liveness; `before[n]` = live-in at node `n`.
-pub fn liveness(cfg: &Cfg, side: Side) -> Solution<Set> {
-    solve(cfg, &Liveness { side })
+        or_into(kill, s.kills);
+        or_into(kill, s.total_writes);
+        or_into(gen, s.reads);
+    });
+    solve(cfg, Direction::Backward, Meet::Union, &masks)
 }
 
 // ------------------------------------------------------------ Algorithm 1
-
-/// Joint may-live / may-dead fact.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct DeadLiveFact {
-    /// Variables read-before-written on **some** following path.
-    pub live: Set,
-    /// Variables written-first on **all** following paths.
-    pub dead: Set,
-}
 
 /// Deadness classification of one variable at one program point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,90 +58,29 @@ pub enum Deadness {
     MustDead,
 }
 
-struct DeadLive {
-    side: Side,
-    universe: Set,
-    /// Skip `update` transfer nodes: transfers are the objects being
-    /// diagnosed, so they must not count as genuine DEF/USE (data-region
-    /// transfers are naturally invisible here; this keeps updates
-    /// consistent with them).
-    ignore_updates: bool,
-}
-
-impl Problem for DeadLive {
-    type Fact = DeadLiveFact;
-
-    fn backward(&self) -> bool {
-        true
-    }
-
-    fn boundary(&self) -> DeadLiveFact {
-        // OUTLive(EXIT) = ∅, OUTDead(EXIT) = ∅.
-        DeadLiveFact::default()
-    }
-
-    fn init(&self) -> DeadLiveFact {
-        // Optimistic ⊤: live = ∅ (∪-meet), dead = universe (∩-meet).
-        DeadLiveFact {
-            live: Set::new(),
-            dead: self.universe.clone(),
-        }
-    }
-
-    fn meet(&self, a: &DeadLiveFact, b: &DeadLiveFact) -> DeadLiveFact {
-        DeadLiveFact {
-            live: a.live.union(&b.live).cloned().collect(),
-            dead: a.dead.intersection(&b.dead).cloned().collect(),
-        }
-    }
-
-    fn transfer(&self, cfg: &Cfg, n: usize, out: &DeadLiveFact) -> DeadLiveFact {
-        if self.ignore_updates && matches!(cfg.nodes[n].kind, crate::cfg::NodeKind::Update(_)) {
-            return out.clone();
-        }
-        let s = cfg.nodes[n].summary(self.side);
-        // Algorithm 1:
-        //   INLive(n) = OUTLive(n) − KILL(n) − DEF(n) + USE(n)
-        //   INDead(n) = OUTDead(n) − KILL(n) + DEF(n) − USE(n)
-        let mut live = out.live.clone();
-        let mut dead = out.dead.clone();
-        for k in &s.kills {
-            live.remove(k);
-            dead.remove(k);
-        }
-        for d in &s.writes {
-            live.remove(d);
-            dead.insert(d.clone());
-        }
-        for u in &s.reads {
-            dead.remove(u);
-            live.insert(u.clone());
-        }
-        DeadLiveFact { live, dead }
-    }
-}
-
-/// Result of Algorithm 1 with a convenience classifier.
+/// Result of Algorithm 1: its two facts are independent planes.
 pub struct DeadLiveResult {
-    /// Solver solution (`before[n]` = fact on entry to `n`).
-    pub sol: Solution<DeadLiveFact>,
+    /// Variables read-before-written on **some** following path (∪-meet).
+    pub live: Solution,
+    /// Variables written-first on **all** following paths (∩-meet).
+    pub dead: Solution,
 }
 
 impl DeadLiveResult {
     /// Classify `var` *after* node `n` executes (i.e. on its out-edge).
-    pub fn after(&self, n: usize, var: &str) -> Deadness {
-        Self::classify(&self.sol.after[n], var)
+    pub fn after(&self, n: usize, var: VarId) -> Deadness {
+        Self::classify(self.live.after(n), self.dead.after(n), var)
     }
 
     /// Classify `var` at entry to node `n`.
-    pub fn before(&self, n: usize, var: &str) -> Deadness {
-        Self::classify(&self.sol.before[n], var)
+    pub fn before(&self, n: usize, var: VarId) -> Deadness {
+        Self::classify(self.live.before(n), self.dead.before(n), var)
     }
 
-    fn classify(f: &DeadLiveFact, var: &str) -> Deadness {
-        if f.live.contains(var) {
+    fn classify(live: &[u64], dead: &[u64], var: VarId) -> Deadness {
+        if has(live, var) {
             Deadness::Live
-        } else if f.dead.contains(var) {
+        } else if has(dead, var) {
             Deadness::MayDead
         } else {
             Deadness::MustDead
@@ -190,109 +88,103 @@ impl DeadLiveResult {
     }
 }
 
+/// Algorithm 1, with OUTLive(EXIT) = OUTDead(EXIT) = ∅:
+///   INLive(n) = OUTLive(n) − KILL(n) − DEF(n) + USE(n)
+///   INDead(n) = OUTDead(n) − KILL(n) + DEF(n) − USE(n)
+/// With `ignore_updates`, `update` transfer nodes are transparent:
+/// transfers are the objects being diagnosed, so they must not count as
+/// genuine DEF/USE (data-region transfers are naturally invisible here;
+/// this keeps updates consistent with them).
+fn dead_live_planes(cfg: &Cfg, side: Side, ignore_updates: bool) -> DeadLiveResult {
+    let skip = |n: usize| ignore_updates && matches!(cfg.nodes[n].kind, NodeKind::Update(_));
+    let live = Masks::build(cfg, |n, gen, kill| {
+        if skip(n) {
+            return;
+        }
+        let s = cfg.summary(n, side);
+        or_into(kill, s.kills);
+        or_into(kill, s.writes);
+        or_into(gen, s.reads);
+    });
+    let dead = Masks::build(cfg, |n, gen, kill| {
+        if skip(n) {
+            return;
+        }
+        let s = cfg.summary(n, side);
+        or_into(kill, s.kills);
+        or_into(kill, s.reads);
+        or_into(gen, s.writes);
+        minus_into(gen, s.reads);
+    });
+    DeadLiveResult {
+        live: solve(cfg, Direction::Backward, Meet::Union, &live),
+        dead: solve(cfg, Direction::Backward, Meet::Intersect, &dead),
+    }
+}
+
 /// Run Algorithm 1 for one side (transfers visible as accesses).
 pub fn dead_live(cfg: &Cfg, side: Side) -> DeadLiveResult {
-    let p = DeadLive {
-        side,
-        universe: universe(cfg),
-        ignore_updates: false,
-    };
-    DeadLiveResult {
-        sol: solve(cfg, &p),
-    }
+    dead_live_planes(cfg, side, false)
 }
 
 /// Run Algorithm 1 treating `update` transfer nodes as transparent — the
 /// variant used to place `reset_status` calls, where deadness must be
 /// judged by *compute* accesses only.
 pub fn dead_live_compute(cfg: &Cfg, side: Side) -> DeadLiveResult {
-    let p = DeadLive {
-        side,
-        universe: universe(cfg),
-        ignore_updates: true,
-    };
-    DeadLiveResult {
-        sol: solve(cfg, &p),
-    }
+    dead_live_planes(cfg, side, true)
 }
 
-// ------------------------------------------------------------ Algorithm 2
+// ------------------------------------------------- Algorithm 2, first access
 
-struct LastWrite {
+/// "Accessed on every path up to here" in either direction:
+/// `fact = (incoming ∖ KILL) ∪ (acc ∖ KILL)`, ∩-meet, with `restart` nodes
+/// forgetting everything that flows into them.
+fn accessed_on_all_paths<'a>(
+    cfg: &'a Cfg,
+    dir: Direction,
     side: Side,
-    universe: Set,
-    reset_at_kernels: bool,
-}
-
-impl Problem for LastWrite {
-    type Fact = Set;
-
-    fn backward(&self) -> bool {
-        true
-    }
-
-    fn boundary(&self) -> Set {
-        Set::new()
-    }
-
-    fn init(&self) -> Set {
-        self.universe.clone()
-    }
-
-    fn meet(&self, a: &Set, b: &Set) -> Set {
-        a.intersection(b).cloned().collect()
-    }
-
-    fn transfer(&self, cfg: &Cfg, n: usize, out: &Set) -> Set {
-        // Algorithm 2: INWrite(n) = OUTWrite(n) + DEF(n) − KILL(n), with
-        // kernels acting as analysis restarts when requested.
-        let node = &cfg.nodes[n];
-        let mut fact = if self.reset_at_kernels && node.is_kernel() {
-            Set::new()
+    acc: impl Fn(usize) -> &'a [u64],
+    restart: impl Fn(usize) -> bool,
+) -> Solution {
+    let masks = Masks::build(cfg, |n, gen, kill| {
+        let kills = cfg.summary(n, side).kills;
+        or_into(gen, acc(n));
+        minus_into(gen, kills);
+        if restart(n) {
+            kill.fill(!0);
         } else {
-            out.clone()
-        };
-        let s = node.summary(self.side);
-        fact.extend(s.writes.iter().cloned());
-        for k in &s.kills {
-            fact.remove(k);
+            or_into(kill, kills);
         }
-        fact
-    }
+    });
+    solve(cfg, dir, Meet::Intersect, &masks)
 }
 
 /// Result of Algorithm 2.
 pub struct LastWriteResult {
-    sol: Solution<Set>,
+    /// INWrite at `before(n)`, OUTWrite at `after(n)`.
+    pub sol: Solution,
 }
 
 impl LastWriteResult {
     /// Variables for which node `n` is a *last write* on some path
     /// (`LASTWrite(n) = INWrite(n) − OUTWrite(n)`, restricted to variables
     /// the node actually writes).
-    pub fn last_written_at(&self, cfg: &Cfg, side: Side, n: usize) -> Set {
-        let written = &cfg.nodes[n].summary(side).writes;
-        self.sol.before[n]
-            .iter()
-            .filter(|v| written.contains(*v) && !self.sol.after[n].contains(*v))
-            .cloned()
-            .collect()
+    pub fn last_written_at(&self, cfg: &Cfg, side: Side, n: usize) -> Vec<u64> {
+        let written = cfg.summary(n, side).writes;
+        let facts = self.sol.before(n).iter().zip(self.sol.after(n));
+        (facts.zip(written).map(|((inn, out), w)| inn & w & !out)).collect()
     }
 }
 
-/// Run Algorithm 2 for one side.
+/// Run Algorithm 2 for one side: INWrite(n) = OUTWrite(n) + DEF(n) −
+/// KILL(n), with kernels acting as analysis restarts when requested.
 pub fn last_write(cfg: &Cfg, side: Side, reset_at_kernels: bool) -> LastWriteResult {
-    let p = LastWrite {
-        side,
-        universe: universe(cfg),
-        reset_at_kernels,
-    };
+    let writes = |n: usize| cfg.summary(n, side).writes;
+    let restart = |n: usize| reset_at_kernels && cfg.nodes[n].is_kernel();
     LastWriteResult {
-        sol: solve(cfg, &p),
+        sol: accessed_on_all_paths(cfg, Direction::Backward, side, writes, restart),
     }
 }
-
-// ----------------------------------------------------------- first access
 
 /// Which access kind a first-access query concerns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -303,81 +195,46 @@ pub enum AccessSel {
     Write,
 }
 
-struct AccessedBefore {
+/// Result of [`first_access`].
+pub struct FirstAccessResult {
+    /// Variables definitely accessed on every path so far. A variable NOT
+    /// in `before(n)` may see its first access at `n` on some path.
+    pub sol: Solution,
     side: Side,
     sel: AccessSel,
-    universe: Set,
 }
 
-impl Problem for AccessedBefore {
-    type Fact = Set;
-
-    fn backward(&self) -> bool {
-        false
+impl FirstAccessResult {
+    /// The variables whose access at `n` may be the first.
+    pub fn first_at(&self, cfg: &Cfg, n: usize) -> Vec<u64> {
+        let acc = self.sel.of(cfg, n, self.side);
+        let seen = self.sol.before(n);
+        acc.iter().zip(seen).map(|(a, s)| a & !s).collect()
     }
+}
 
-    fn boundary(&self) -> Set {
-        Set::new()
-    }
-
-    fn init(&self) -> Set {
-        self.universe.clone()
-    }
-
-    fn meet(&self, a: &Set, b: &Set) -> Set {
-        // ∩: "definitely accessed on every path so far". A variable NOT in
-        // the set may see its first access here on some path.
-        a.intersection(b).cloned().collect()
-    }
-
-    fn transfer(&self, cfg: &Cfg, n: usize, inn: &Set) -> Set {
-        let node = &cfg.nodes[n];
-        // Kernel launches restart host-side tracking ("…from each GPU
-        // kernel call"): the device may have changed coherence state.
-        let mut fact = if node.is_kernel() {
-            Set::new()
-        } else {
-            inn.clone()
-        };
-        let s = node.summary(self.side);
-        let acc = match self.sel {
-            AccessSel::Read => &s.reads,
-            AccessSel::Write => &s.writes,
-        };
-        fact.extend(acc.iter().cloned());
-        for k in &s.kills {
-            fact.remove(k);
+impl AccessSel {
+    fn of(self, cfg: &Cfg, n: usize, side: Side) -> &[u64] {
+        match self {
+            AccessSel::Read => cfg.summary(n, side).reads,
+            AccessSel::Write => cfg.summary(n, side).writes,
         }
-        fact
     }
 }
 
 /// For each node, the variables whose read/write at that node may be the
 /// first since program entry or the last kernel call — exactly the points
 /// where §III-B's optimized instrumentation inserts `check_read` /
-/// `check_write` calls.
-pub fn first_access(cfg: &Cfg, side: Side, sel: AccessSel) -> Vec<Set> {
-    let p = AccessedBefore {
+/// `check_write` calls. Kernel launches restart host-side tracking ("…from
+/// each GPU kernel call"): the device may have changed coherence state.
+pub fn first_access(cfg: &Cfg, side: Side, sel: AccessSel) -> FirstAccessResult {
+    let acc = |n: usize| sel.of(cfg, n, side);
+    let restart = |n: usize| cfg.nodes[n].is_kernel();
+    FirstAccessResult {
+        sol: accessed_on_all_paths(cfg, Direction::Forward, side, acc, restart),
         side,
         sel,
-        universe: universe(cfg),
-    };
-    let sol = solve(cfg, &p);
-    cfg.nodes
-        .iter()
-        .enumerate()
-        .map(|(i, node)| {
-            let s = node.summary(side);
-            let acc = match sel {
-                AccessSel::Read => &s.reads,
-                AccessSel::Write => &s.writes,
-            };
-            acc.iter()
-                .filter(|v| !sol.before[i].contains(*v))
-                .cloned()
-                .collect()
-        })
-        .collect()
+    }
 }
 
 // ---------------------------------------------------------- natural loops
@@ -398,7 +255,7 @@ pub fn natural_loops(cfg: &Cfg) -> Vec<NaturalLoop> {
     let mut by_head: BTreeMap<usize, BTreeSet<usize>> = BTreeMap::new();
     for (n, ss) in cfg.succ.iter().enumerate() {
         for &h in ss {
-            if h <= n && matches!(cfg.nodes[h].kind, crate::cfg::NodeKind::Branch) {
+            if h <= n && matches!(cfg.nodes[h].kind, NodeKind::Branch) {
                 // Back edge n → h. Body: h plus everything that reaches n
                 // backwards without passing through h.
                 let body = by_head.entry(h).or_default();
@@ -434,12 +291,18 @@ mod tests {
     }
 
     fn node_writing(cfg: &Cfg, var: &str) -> usize {
-        cfg.nodes
-            .iter()
-            .enumerate()
-            .find(|(_, n)| n.host.writes.contains(var) && !n.is_kernel())
-            .map(|(i, _)| i)
+        (0..cfg.len())
+            .find(|&i| cfg.writes(i, Side::Host, var) && !cfg.nodes[i].is_kernel())
             .expect("writer node")
+    }
+
+    /// By-name classification; a name no node mentions is dead everywhere.
+    fn deadness(cfg: &Cfg, var: &str, at: impl Fn(VarId) -> Deadness) -> Deadness {
+        cfg.var(var).map_or(Deadness::MustDead, at)
+    }
+
+    fn host_nodes(cfg: &Cfg, pred: impl Fn(usize) -> bool) -> Vec<usize> {
+        (0..cfg.len()).filter(|&i| pred(i)).collect()
     }
 
     // -------- liveness --------
@@ -450,9 +313,9 @@ mod tests {
         let live = liveness(&cfg, Side::Host);
         let n_a = node_writing(&cfg, "a");
         // After `a = 1`, `a` is live (read by the next statement).
-        assert!(live.after[n_a].contains("a"));
+        assert!(cfg.named(live.after(n_a), "a"));
         // At exit nothing is live.
-        assert!(live.before[cfg.exit].is_empty());
+        assert!(live.before(cfg.exit).iter().all(|w| *w == 0));
     }
 
     #[test]
@@ -463,7 +326,7 @@ mod tests {
         let live = liveness(&cfg, Side::Host);
         let first = cfg.succ[cfg.entry][0];
         // q stays live through the partial write at the third statement.
-        assert!(live.after[first].contains("q"));
+        assert!(cfg.named(live.after(first), "q"));
     }
 
     // -------- Algorithm 1 --------
@@ -477,7 +340,10 @@ mod tests {
         let n_z = node_writing(&cfg, "z");
         // At entry of the first statement, the next access to `a` is a
         // write → may-dead (partial write, so not provably dead).
-        assert_eq!(dl.before(n_z, "a"), Deadness::MayDead);
+        assert_eq!(
+            deadness(&cfg, "a", |v| dl.before(n_z, v)),
+            Deadness::MayDead
+        );
     }
 
     #[test]
@@ -487,7 +353,10 @@ mod tests {
         );
         let dl = dead_live(&cfg, Side::Host);
         let branch = cfg.succ[cfg.entry][0];
-        assert_eq!(dl.before(branch, "a"), Deadness::Live);
+        assert_eq!(
+            deadness(&cfg, "a", |v| dl.before(branch, v)),
+            Deadness::Live
+        );
     }
 
     #[test]
@@ -495,7 +364,10 @@ mod tests {
         let cfg = cfg_of("double a[4];\nint z;\nvoid main() { z = 1; z = z + 1; }");
         let dl = dead_live(&cfg, Side::Host);
         let first = cfg.succ[cfg.entry][0];
-        assert_eq!(dl.before(first, "a"), Deadness::MustDead);
+        assert_eq!(
+            deadness(&cfg, "a", |v| dl.before(first, v)),
+            Deadness::MustDead
+        );
     }
 
     #[test]
@@ -508,7 +380,10 @@ mod tests {
         let cfg = cfg_of("double q[8];\nint z;\nvoid main() { q[0] = 0.5; z = (int) q[1]; }");
         let dl = dead_live(&cfg, Side::Host);
         let first = cfg.succ[cfg.entry][0];
-        assert_eq!(dl.before(first, "q"), Deadness::MayDead);
+        assert_eq!(
+            deadness(&cfg, "q", |v| dl.before(first, v)),
+            Deadness::MayDead
+        );
     }
 
     #[test]
@@ -517,7 +392,7 @@ mod tests {
         let dl = dead_live(&cfg, Side::Host);
         let n = cfg.succ[cfg.entry][0];
         // After free, p is gone: must-dead at the entry of a following nop.
-        assert_eq!(dl.after(n, "p"), Deadness::MustDead);
+        assert_eq!(deadness(&cfg, "p", |v| dl.after(n, v)), Deadness::MustDead);
     }
 
     // -------- Algorithm 2 --------
@@ -526,20 +401,10 @@ mod tests {
     fn last_write_found_in_sequence() {
         let cfg = cfg_of("int a;\nint z;\nvoid main() { a = 1; a = 2; z = a; }");
         let lw = last_write(&cfg, Side::Host, false);
-        let writers: Vec<usize> = cfg
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.host.writes.contains("a"))
-            .map(|(i, _)| i)
-            .collect();
+        let writers = host_nodes(&cfg, |i| cfg.writes(i, Side::Host, "a"));
         assert_eq!(writers.len(), 2);
-        let first_is_last = lw
-            .last_written_at(&cfg, Side::Host, writers[0])
-            .contains("a");
-        let second_is_last = lw
-            .last_written_at(&cfg, Side::Host, writers[1])
-            .contains("a");
+        let first_is_last = cfg.named(&lw.last_written_at(&cfg, Side::Host, writers[0]), "a");
+        let second_is_last = cfg.named(&lw.last_written_at(&cfg, Side::Host, writers[1]), "a");
         assert!(!first_is_last, "a is rewritten later");
         assert!(second_is_last, "final write should be last");
     }
@@ -550,21 +415,13 @@ mod tests {
             "double a[8];\ndouble b[8];\nvoid main() {\n int j;\n a[0] = 1.0;\n #pragma acc kernels loop gang\n for (j = 0; j < 8; j++) { b[j] = a[j]; }\n a[1] = 2.0;\n}",
         );
         let lw = last_write(&cfg, Side::Host, true);
-        let writers: Vec<usize> = cfg
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.host.writes.contains("a") && !n.is_kernel())
-            .map(|(i, _)| i)
-            .collect();
+        let writers = host_nodes(&cfg, |i| {
+            cfg.writes(i, Side::Host, "a") && !cfg.nodes[i].is_kernel()
+        });
         // With kernel reset, the write BEFORE the kernel is a last write
         // relative to the kernel boundary.
-        assert!(lw
-            .last_written_at(&cfg, Side::Host, writers[0])
-            .contains("a"));
-        assert!(lw
-            .last_written_at(&cfg, Side::Host, writers[1])
-            .contains("a"));
+        assert!(cfg.named(&lw.last_written_at(&cfg, Side::Host, writers[0]), "a"));
+        assert!(cfg.named(&lw.last_written_at(&cfg, Side::Host, writers[1]), "a"));
     }
 
     // -------- first access --------
@@ -573,15 +430,9 @@ mod tests {
     fn first_read_flagged_once_in_straight_line() {
         let cfg = cfg_of("int a;\nint z;\nvoid main() { z = a; z = a + a; }");
         let fr = first_access(&cfg, Side::Host, AccessSel::Read);
-        let readers: Vec<usize> = cfg
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.host.reads.contains("a"))
-            .map(|(i, _)| i)
-            .collect();
-        assert!(fr[readers[0]].contains("a"));
-        assert!(!fr[readers[1]].contains("a"));
+        let readers = host_nodes(&cfg, |i| cfg.reads(i, Side::Host, "a"));
+        assert!(cfg.named(&fr.first_at(&cfg, readers[0]), "a"));
+        assert!(!cfg.named(&fr.first_at(&cfg, readers[1]), "a"));
     }
 
     #[test]
@@ -590,19 +441,16 @@ mod tests {
             "double a[8];\nint z;\nvoid main() {\n int j;\n z = (int) a[0];\n #pragma acc kernels loop gang\n for (j = 0; j < 8; j++) { a[j] = 1.0; }\n z = (int) a[1];\n}",
         );
         let fr = first_access(&cfg, Side::Host, AccessSel::Read);
-        let readers: Vec<usize> = cfg
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| {
-                n.host.reads.contains("a") && matches!(n.kind, crate::cfg::NodeKind::Plain)
-            })
-            .map(|(i, _)| i)
-            .collect();
+        let readers = host_nodes(&cfg, |i| {
+            cfg.reads(i, Side::Host, "a") && matches!(cfg.nodes[i].kind, NodeKind::Plain)
+        });
         assert_eq!(readers.len(), 2);
-        assert!(fr[readers[0]].contains("a"), "read before kernel is first");
         assert!(
-            fr[readers[1]].contains("a"),
+            cfg.named(&fr.first_at(&cfg, readers[0]), "a"),
+            "read before kernel is first"
+        );
+        assert!(
+            cfg.named(&fr.first_at(&cfg, readers[1]), "a"),
             "read after kernel is first again"
         );
     }
@@ -616,11 +464,8 @@ mod tests {
             "double a[8];\nint z;\nvoid main() { int j; for (j = 0; j < 8; j++) { z = z + (int) a[j]; } }",
         );
         let fr = first_access(&cfg, Side::Host, AccessSel::Read);
-        let flagged = cfg
-            .nodes
-            .iter()
-            .enumerate()
-            .any(|(i, n)| n.host.reads.contains("a") && fr[i].contains("a"));
+        let flagged = (0..cfg.len())
+            .any(|i| cfg.reads(i, Side::Host, "a") && cfg.named(&fr.first_at(&cfg, i), "a"));
         assert!(flagged);
     }
 
@@ -633,20 +478,13 @@ mod tests {
         let loops = natural_loops(&cfg);
         assert_eq!(loops.len(), 1);
         let l = &loops[0];
-        let body_writer = cfg
-            .nodes
-            .iter()
-            .enumerate()
-            .find(|(_, n)| n.host.writes.contains("a") && n.loop_depth == 1)
-            .map(|(i, _)| i)
-            .unwrap();
-        let outside_writer = cfg
-            .nodes
-            .iter()
-            .enumerate()
-            .find(|(_, n)| n.host.writes.contains("a") && n.loop_depth == 0)
-            .map(|(i, _)| i)
-            .unwrap();
+        let writer_at_depth = |d: u32| {
+            (0..cfg.len())
+                .find(|&i| cfg.writes(i, Side::Host, "a") && cfg.nodes[i].loop_depth == d)
+                .unwrap()
+        };
+        let body_writer = writer_at_depth(1);
+        let outside_writer = writer_at_depth(0);
         assert!(l.body.contains(&body_writer));
         assert!(!l.body.contains(&outside_writer));
     }

@@ -10,7 +10,7 @@
 use openarc_minic::ast::*;
 use openarc_minic::span::Diagnostic;
 use openarc_openacc::{directives_of, ComputeSpec, DataSpec, Directive, UpdateSpec};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 /// Which device's accesses an analysis should look at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,23 +21,76 @@ pub enum Side {
     Gpu,
 }
 
-/// Variable accesses attributed to one side at one CFG node.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct AccessSummary {
-    /// Variables read.
-    pub reads: BTreeSet<String>,
-    /// Variables written (totally or partially).
-    pub writes: BTreeSet<String>,
-    /// Variables written as a whole (scalar or pointer assignment).
-    pub total_writes: BTreeSet<String>,
-    /// Variables whose allocation dies here (`free`, or pointer overwrite).
-    pub kills: BTreeSet<String>,
+/// Dense variable id: the rank of the name in [`Cfg::vars`].
+pub type VarId = u32;
+
+/// Is `v` a member of the bitset `set`?
+pub fn has(set: &[u64], v: VarId) -> bool {
+    set.get(v as usize / 64)
+        .is_some_and(|w| (w >> (v % 64)) & 1 != 0)
 }
 
-impl AccessSummary {
-    /// True if nothing is accessed.
-    pub fn is_empty(&self) -> bool {
-        self.reads.is_empty() && self.writes.is_empty() && self.kills.is_empty()
+/// Add `v` to the bitset `set`, which must be wide enough for it.
+pub fn insert(set: &mut [u64], v: VarId) {
+    set[v as usize / 64] |= 1 << (v % 64);
+}
+
+/// Members of a bitset given word by word, in ascending id order — which
+/// is lexicographic name order, because ids are ranks in a sorted table.
+pub fn ones(words: impl IntoIterator<Item = u64>) -> impl Iterator<Item = VarId> {
+    words.into_iter().enumerate().flat_map(|(i, word)| {
+        let rest = |x: &u64| Some(x & (x - 1)).filter(|y| *y != 0);
+        std::iter::successors(Some(word).filter(|x| *x != 0), rest)
+            .map(move |x| i as VarId * 64 + x.trailing_zeros())
+    })
+}
+
+/// Variable accesses attributed to one side at one CFG node: four bitsets
+/// over [`Cfg::vars`], [`Cfg::words`] words each.
+#[derive(Debug, Clone, Copy)]
+pub struct AccessSummary<'a> {
+    /// Variables read.
+    pub reads: &'a [u64],
+    /// Variables written (totally or partially).
+    pub writes: &'a [u64],
+    /// Variables written as a whole (scalar or pointer assignment).
+    pub total_writes: &'a [u64],
+    /// Variables whose allocation dies here (`free`, or pointer overwrite).
+    pub kills: &'a [u64],
+}
+
+/// The builder's form of an [`AccessSummary`]: bitsets over first-seen ids
+/// (see [`Names`]), as long as the highest member needs.
+#[derive(Default)]
+struct RawSets {
+    reads: Vec<u64>,
+    writes: Vec<u64>,
+    total_writes: Vec<u64>,
+    kills: Vec<u64>,
+}
+
+/// Interns names in first-seen order while a function is lowered; sorted
+/// ranks exist only once its whole universe is known.
+struct Names<'a> {
+    is_ptr: &'a dyn Fn(&str) -> bool,
+    ids: HashMap<String, VarId>,
+}
+
+impl Names<'_> {
+    fn add(&mut self, set: &mut Vec<u64>, name: &str) {
+        let id = match self.ids.get(name) {
+            Some(&id) => id,
+            None => {
+                let id = self.ids.len() as VarId;
+                self.ids.insert(name.to_string(), id);
+                id
+            }
+        };
+        let words = id as usize / 64 + 1;
+        if set.len() < words {
+            set.resize(words, 0);
+        }
+        insert(set, id);
     }
 }
 
@@ -88,34 +141,31 @@ pub struct DataRegion {
     pub exit_node: usize,
 }
 
-/// One node of the CFG.
+/// One node of the CFG. Its accesses are in [`Cfg::summary`].
 #[derive(Debug, Clone)]
 pub struct CfgNode {
     /// Originating statement, if any.
     pub stmt: Option<NodeId>,
     /// Node kind.
     pub kind: NodeKind,
-    /// Host-side accesses.
-    pub host: AccessSummary,
-    /// Device-side accesses.
-    pub gpu: AccessSummary,
     /// Nesting depth of enclosing loops (0 = top level of the function).
     pub loop_depth: u32,
 }
 
 impl CfgNode {
-    /// The access summary for `side`.
-    pub fn summary(&self, side: Side) -> &AccessSummary {
-        match side {
-            Side::Host => &self.host,
-            Side::Gpu => &self.gpu,
-        }
-    }
-
     /// True for kernel-launch nodes.
     pub fn is_kernel(&self) -> bool {
         matches!(self.kind, NodeKind::Kernel(_))
     }
+}
+
+/// A node while the function is being lowered.
+struct RawNode {
+    stmt: Option<NodeId>,
+    kind: NodeKind,
+    host: RawSets,
+    gpu: RawSets,
+    loop_depth: u32,
 }
 
 /// Control-flow graph of one function.
@@ -137,6 +187,13 @@ pub struct Cfg {
     pub data_regions: Vec<DataRegion>,
     /// Statement id → CFG node that *starts* it.
     pub stmt_node: HashMap<NodeId, usize>,
+    /// Every variable a node of either side mentions, sorted.
+    vars: Vec<String>,
+    /// Words per bitset: `⌈|vars| / 64⌉`.
+    words: usize,
+    /// All access bitsets, flat: node-major, then side, then
+    /// reads/writes/total_writes/kills.
+    sets: Vec<u64>,
 }
 
 impl Cfg {
@@ -148,6 +205,35 @@ impl Cfg {
     /// True if the CFG is trivially empty (never for built CFGs).
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
+    }
+
+    /// The function's variable universe, sorted; a [`VarId`] indexes it.
+    pub fn vars(&self) -> &[String] {
+        &self.vars
+    }
+
+    /// The id of `name`, if any node mentions it.
+    pub fn var(&self, name: &str) -> Option<VarId> {
+        let rank = self.vars.binary_search_by(|v| v.as_str().cmp(name)).ok()?;
+        Some(rank as VarId)
+    }
+
+    /// Words per bitset over [`Cfg::vars`].
+    pub fn words(&self) -> usize {
+        self.words
+    }
+
+    /// The accesses `side` performs at node `n`.
+    pub fn summary(&self, n: usize, side: Side) -> AccessSummary<'_> {
+        let w = self.words;
+        let at = (n * 2 + side as usize) * 4 * w;
+        let set = |k: usize| &self.sets[at + k * w..at + (k + 1) * w];
+        AccessSummary {
+            reads: set(0),
+            writes: set(1),
+            total_writes: set(2),
+            kills: set(3),
+        }
     }
 
     /// Build the CFG of `func` (untyped: pointer rebindings count as data
@@ -168,59 +254,64 @@ impl Cfg {
     }
 
     fn build_inner(func: &Func, is_ptr: &dyn Fn(&str) -> bool) -> Result<Cfg, Diagnostic> {
-        let mut b = Builder {
-            is_ptr,
-            ..Builder::new(is_ptr)
-        };
-        let entry = b.add(CfgNode {
-            stmt: None,
-            kind: NodeKind::Entry,
-            host: AccessSummary::default(),
-            gpu: AccessSummary::default(),
-            loop_depth: 0,
-        });
-        let exit = b.add(CfgNode {
-            stmt: None,
-            kind: NodeKind::Exit,
-            host: AccessSummary::default(),
-            gpu: AccessSummary::default(),
-            loop_depth: 0,
-        });
+        let mut b = Builder::new(is_ptr);
+        let entry = b.plain(None, NodeKind::Entry, RawSets::default());
+        let exit = b.plain(None, NodeKind::Exit, RawSets::default());
         b.exit = exit;
         let last = b.lower_block(&func.body, entry)?;
         b.edge(last, exit);
-        let mut cfg = Cfg {
-            nodes: b.nodes,
+        let mut pred = vec![Vec::new(); b.nodes.len()];
+        for (n, ss) in b.succ.iter().enumerate() {
+            for &s in ss {
+                pred[s].push(n);
+            }
+        }
+        // Re-rank: an id is the rank of its name in the sorted universe, so
+        // ascending-bit iteration of any set is lexicographic name order.
+        let mut by_name: Vec<(String, VarId)> = b.names.ids.into_iter().collect();
+        by_name.sort_unstable();
+        let mut rank = vec![0; by_name.len()];
+        for (r, (_, first_seen)) in by_name.iter().enumerate() {
+            rank[*first_seen as usize] = r as VarId;
+        }
+        let vars: Vec<String> = by_name.into_iter().map(|(name, _)| name).collect();
+        let words = vars.len().div_ceil(64);
+        let mut sets = vec![0u64; b.nodes.len() * 8 * words];
+        let raw = (b.nodes.iter().flat_map(|n| [&n.host, &n.gpu]))
+            .flat_map(|s| [&s.reads, &s.writes, &s.total_writes, &s.kills]);
+        for (k, set) in raw.enumerate() {
+            for id in ones(set.iter().copied()) {
+                insert(&mut sets[k * words..(k + 1) * words], rank[id as usize]);
+            }
+        }
+        let node = |n: RawNode| CfgNode {
+            stmt: n.stmt,
+            kind: n.kind,
+            loop_depth: n.loop_depth,
+        };
+        Ok(Cfg {
+            nodes: b.nodes.into_iter().map(node).collect(),
             succ: b.succ,
-            pred: Vec::new(),
+            pred,
             entry,
             exit,
             regions: b.regions,
             data_regions: b.data_regions,
             stmt_node: b.stmt_node,
-        };
-        cfg.pred = vec![Vec::new(); cfg.nodes.len()];
-        for (n, ss) in cfg.succ.iter().enumerate() {
-            for &s in ss {
-                cfg.pred[s].push(n);
-            }
-        }
-        Ok(cfg)
+            vars,
+            words,
+            sets,
+        })
     }
 
-    /// Node indices of all kernel nodes.
-    pub fn kernel_nodes(&self) -> Vec<usize> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.is_kernel())
-            .map(|(i, _)| i)
-            .collect()
+    /// Node indices of all kernel nodes, ascending.
+    pub fn kernel_nodes(&self) -> impl Iterator<Item = usize> + '_ {
+        self.regions.iter().map(|r| r.node)
     }
 }
 
 struct Builder<'a> {
-    nodes: Vec<CfgNode>,
+    nodes: Vec<RawNode>,
     succ: Vec<Vec<usize>>,
     exit: usize,
     regions: Vec<ComputeRegion>,
@@ -228,7 +319,7 @@ struct Builder<'a> {
     stmt_node: HashMap<NodeId, usize>,
     loop_stack: Vec<(usize, Vec<usize>)>, // (continue target, break sources)
     loop_depth: u32,
-    is_ptr: &'a dyn Fn(&str) -> bool,
+    names: Names<'a>,
 }
 
 impl<'a> Builder<'a> {
@@ -242,24 +333,27 @@ impl<'a> Builder<'a> {
             stmt_node: HashMap::new(),
             loop_stack: Vec::new(),
             loop_depth: 0,
-            is_ptr,
+            names: Names {
+                is_ptr,
+                ids: HashMap::new(),
+            },
         }
     }
 }
 
 impl Builder<'_> {
-    fn add(&mut self, node: CfgNode) -> usize {
+    fn add(&mut self, node: RawNode) -> usize {
         self.nodes.push(node);
         self.succ.push(Vec::new());
         self.nodes.len() - 1
     }
 
-    fn plain(&mut self, stmt: Option<NodeId>, kind: NodeKind, host: AccessSummary) -> usize {
-        self.add(CfgNode {
+    fn plain(&mut self, stmt: Option<NodeId>, kind: NodeKind, host: RawSets) -> usize {
+        self.add(RawNode {
             stmt,
             kind,
             host,
-            gpu: AccessSummary::default(),
+            gpu: RawSets::default(),
             loop_depth: self.loop_depth,
         })
     }
@@ -285,15 +379,15 @@ impl Builder<'_> {
             .iter()
             .find(|(d, _)| matches!(d, Directive::Compute(_)))
         {
-            let mut gpu = AccessSummary::default();
-            summarize_region(s, &mut gpu, self.is_ptr);
+            let mut gpu = RawSets::default();
+            summarize_region(s, &mut gpu, &mut self.names);
             // Launch-time host reads: loop bounds and scalar kernel inputs
             // are read on the host when marshalling arguments.
-            let host = AccessSummary {
+            let host = RawSets {
                 reads: gpu.reads.clone(),
                 ..Default::default()
             };
-            let node = self.add(CfgNode {
+            let node = self.add(RawNode {
                 stmt: Some(s.id),
                 kind: NodeKind::Kernel(self.regions.len()),
                 host,
@@ -317,7 +411,7 @@ impl Builder<'_> {
             let enter = self.plain(
                 Some(s.id),
                 NodeKind::DataEnter(region_idx),
-                AccessSummary::default(),
+                RawSets::default(),
             );
             self.stmt_node.insert(s.id, enter);
             self.edge(cur, enter);
@@ -336,7 +430,7 @@ impl Builder<'_> {
             let exit = self.plain(
                 Some(s.id),
                 NodeKind::DataExit(region_idx),
-                AccessSummary::default(),
+                RawSets::default(),
             );
             self.edge(body_end, exit);
             self.data_regions[region_idx].exit_node = exit;
@@ -346,25 +440,25 @@ impl Builder<'_> {
         if let Some((Directive::Update(u), _)) =
             dirs.iter().find(|(d, _)| matches!(d, Directive::Update(_)))
         {
-            let mut host = AccessSummary::default();
+            let mut host = RawSets::default();
             // update host(v): writes v on the host (totally) from the device
             // copy; update device(v): reads the host copy.
             for v in &u.host {
-                host.writes.insert(v.clone());
-                host.total_writes.insert(v.clone());
+                self.names.add(&mut host.writes, v);
+                self.names.add(&mut host.total_writes, v);
             }
             for v in &u.device {
-                host.reads.insert(v.clone());
+                self.names.add(&mut host.reads, v);
             }
-            let mut gpu = AccessSummary::default();
+            let mut gpu = RawSets::default();
             for v in &u.host {
-                gpu.reads.insert(v.clone());
+                self.names.add(&mut gpu.reads, v);
             }
             for v in &u.device {
-                gpu.writes.insert(v.clone());
-                gpu.total_writes.insert(v.clone());
+                self.names.add(&mut gpu.writes, v);
+                self.names.add(&mut gpu.total_writes, v);
             }
-            let node = self.add(CfgNode {
+            let node = self.add(RawNode {
                 stmt: Some(s.id),
                 kind: NodeKind::Update(u.clone()),
                 host,
@@ -382,8 +476,8 @@ impl Builder<'_> {
     fn lower_plain(&mut self, s: &Stmt, cur: usize) -> Result<usize, Diagnostic> {
         match &s.kind {
             StmtKind::Decl(_) | StmtKind::Expr(_) | StmtKind::Assign { .. } => {
-                let mut host = AccessSummary::default();
-                stmt_accesses(s, &mut host, self.is_ptr);
+                let mut host = RawSets::default();
+                stmt_accesses(s, &mut host, &mut self.names);
                 let node = self.plain(Some(s.id), NodeKind::Plain, host);
                 self.stmt_node.insert(s.id, node);
                 self.edge(cur, node);
@@ -394,13 +488,13 @@ impl Builder<'_> {
                 then_blk,
                 else_blk,
             } => {
-                let mut host = AccessSummary::default();
-                expr_reads_typed(cond, &mut host.reads, self.is_ptr);
+                let mut host = RawSets::default();
+                expr_reads_typed(cond, &mut host.reads, &mut self.names);
                 let cnode = self.plain(Some(s.id), NodeKind::Branch, host);
                 self.stmt_node.insert(s.id, cnode);
                 self.edge(cur, cnode);
                 let then_end = self.lower_block(then_blk, cnode)?;
-                let join = self.plain(None, NodeKind::Nop, AccessSummary::default());
+                let join = self.plain(None, NodeKind::Nop, RawSets::default());
                 self.edge(then_end, join);
                 match else_blk {
                     Some(e) => {
@@ -412,8 +506,8 @@ impl Builder<'_> {
                 Ok(join)
             }
             StmtKind::While { cond, body } => {
-                let mut host = AccessSummary::default();
-                expr_reads_typed(cond, &mut host.reads, self.is_ptr);
+                let mut host = RawSets::default();
+                expr_reads_typed(cond, &mut host.reads, &mut self.names);
                 let cnode = self.plain(Some(s.id), NodeKind::Branch, host);
                 self.stmt_node.insert(s.id, cnode);
                 self.edge(cur, cnode);
@@ -423,7 +517,7 @@ impl Builder<'_> {
                 self.loop_depth -= 1;
                 self.edge(body_end, cnode);
                 let (_, breaks) = self.loop_stack.pop().expect("loop stack");
-                let after = self.plain(None, NodeKind::Nop, AccessSummary::default());
+                let after = self.plain(None, NodeKind::Nop, RawSets::default());
                 self.edge(cnode, after);
                 for b in breaks {
                     self.edge(b, after);
@@ -440,15 +534,15 @@ impl Builder<'_> {
                 if let Some(i) = init {
                     cur2 = self.lower_stmt(i, cur2)?;
                 }
-                let mut host = AccessSummary::default();
+                let mut host = RawSets::default();
                 if let Some(c) = cond {
-                    expr_reads_typed(c, &mut host.reads, self.is_ptr);
+                    expr_reads_typed(c, &mut host.reads, &mut self.names);
                 }
                 let cnode = self.plain(Some(s.id), NodeKind::Branch, host);
                 self.stmt_node.insert(s.id, cnode);
                 self.edge(cur2, cnode);
                 // continue → step node; build step placeholder after body.
-                let step_node = self.plain(None, NodeKind::Nop, AccessSummary::default());
+                let step_node = self.plain(None, NodeKind::Nop, RawSets::default());
                 self.loop_stack.push((step_node, Vec::new()));
                 self.loop_depth += 1;
                 let body_end = self.lower_block(body, cnode)?;
@@ -461,7 +555,7 @@ impl Builder<'_> {
                 };
                 self.edge(after_step, cnode);
                 let (_, breaks) = self.loop_stack.pop().expect("loop stack");
-                let after = self.plain(None, NodeKind::Nop, AccessSummary::default());
+                let after = self.plain(None, NodeKind::Nop, RawSets::default());
                 self.edge(cnode, after);
                 for b in breaks {
                     self.edge(b, after);
@@ -471,7 +565,7 @@ impl Builder<'_> {
             StmtKind::Block(b) => {
                 if b.stmts.is_empty() {
                     // Empty statement (or standalone wait pragma).
-                    let node = self.plain(Some(s.id), NodeKind::Nop, AccessSummary::default());
+                    let node = self.plain(Some(s.id), NodeKind::Nop, RawSets::default());
                     self.stmt_node.insert(s.id, node);
                     self.edge(cur, node);
                     Ok(node)
@@ -480,35 +574,35 @@ impl Builder<'_> {
                 }
             }
             StmtKind::Return(e) => {
-                let mut host = AccessSummary::default();
+                let mut host = RawSets::default();
                 if let Some(e) = e {
-                    expr_reads_typed(e, &mut host.reads, self.is_ptr);
+                    expr_reads_typed(e, &mut host.reads, &mut self.names);
                 }
                 let node = self.plain(Some(s.id), NodeKind::Plain, host);
                 self.stmt_node.insert(s.id, node);
                 self.edge(cur, node);
                 self.edge(node, self.exit);
                 // Unreachable continuation node.
-                let dead = self.plain(None, NodeKind::Nop, AccessSummary::default());
+                let dead = self.plain(None, NodeKind::Nop, RawSets::default());
                 Ok(dead)
             }
             StmtKind::Break => {
-                let node = self.plain(Some(s.id), NodeKind::Nop, AccessSummary::default());
+                let node = self.plain(Some(s.id), NodeKind::Nop, RawSets::default());
                 self.edge(cur, node);
                 if let Some((_, breaks)) = self.loop_stack.last_mut() {
                     breaks.push(node);
                 }
-                let dead = self.plain(None, NodeKind::Nop, AccessSummary::default());
+                let dead = self.plain(None, NodeKind::Nop, RawSets::default());
                 Ok(dead)
             }
             StmtKind::Continue => {
-                let node = self.plain(Some(s.id), NodeKind::Nop, AccessSummary::default());
+                let node = self.plain(Some(s.id), NodeKind::Nop, RawSets::default());
                 self.edge(cur, node);
                 let target = self.loop_stack.last().map(|(t, _)| *t);
                 if let Some(t) = target {
                     self.edge(node, t);
                 }
-                let dead = self.plain(None, NodeKind::Nop, AccessSummary::default());
+                let dead = self.plain(None, NodeKind::Nop, RawSets::default());
                 Ok(dead)
             }
         }
@@ -516,74 +610,68 @@ impl Builder<'_> {
 }
 
 /// Collect variables read by an expression (array bases included).
-pub fn expr_reads(e: &Expr, out: &mut BTreeSet<String>) {
-    for r in e.reads() {
-        out.insert(r);
-    }
-}
-
-/// Typed variant: reading a pointer's *value* (`q` in `p = q`) is not a
-/// data read; element reads through it (`q[i]`) are.
-fn expr_reads_typed(e: &Expr, out: &mut BTreeSet<String>, is_ptr: &dyn Fn(&str) -> bool) {
+/// Reading a pointer's *value* (`q` in `p = q`) is not a data read; element
+/// reads through it (`q[i]`) are.
+fn expr_reads_typed(e: &Expr, out: &mut Vec<u64>, names: &mut Names) {
     e.walk(&mut |x| match &x.kind {
-        ExprKind::Var(n) if !is_ptr(n) => {
-            out.insert(n.clone());
+        ExprKind::Var(n) if !(names.is_ptr)(n) => {
+            names.add(out, n);
         }
         ExprKind::Index { base, .. } => {
-            out.insert(base.clone());
+            names.add(out, base);
         }
         _ => {}
     });
 }
 
 /// Accesses of one simple statement (declaration, assignment, call).
-fn stmt_accesses(s: &Stmt, sum: &mut AccessSummary, is_ptr: &dyn Fn(&str) -> bool) {
+fn stmt_accesses(s: &Stmt, sum: &mut RawSets, names: &mut Names) {
     match &s.kind {
         StmtKind::Decl(d) => {
             if let Some(init) = &d.init {
-                expr_reads_typed(init, &mut sum.reads, is_ptr);
-                if is_ptr(&d.name) {
+                expr_reads_typed(init, &mut sum.reads, names);
+                if (names.is_ptr)(&d.name) {
                     // Pointer initialization is a rebinding, not a data
                     // write.
-                    sum.kills.insert(d.name.clone());
+                    names.add(&mut sum.kills, &d.name);
                 } else {
-                    sum.writes.insert(d.name.clone());
-                    sum.total_writes.insert(d.name.clone());
+                    names.add(&mut sum.writes, &d.name);
+                    names.add(&mut sum.total_writes, &d.name);
                 }
-                note_expr_effects(init, sum);
+                note_expr_effects(init, sum, names);
             }
         }
         StmtKind::Assign { target, op, value } => {
-            expr_reads_typed(value, &mut sum.reads, is_ptr);
-            note_expr_effects(value, sum);
+            expr_reads_typed(value, &mut sum.reads, names);
+            note_expr_effects(value, sum, names);
             match target {
                 LValue::Var(n) => {
-                    if is_ptr(n) {
+                    if (names.is_ptr)(n) {
                         // `p = q` / `p = malloc(...)`: the old binding of p
                         // dies; no buffer data is written.
-                        sum.kills.insert(n.clone());
+                        names.add(&mut sum.kills, n);
                     } else {
                         if op.binop().is_some() {
-                            sum.reads.insert(n.clone());
+                            names.add(&mut sum.reads, n);
                         }
-                        sum.writes.insert(n.clone());
-                        sum.total_writes.insert(n.clone());
+                        names.add(&mut sum.writes, n);
+                        names.add(&mut sum.total_writes, n);
                     }
                 }
                 LValue::Index { base, indices } => {
                     for ix in indices {
-                        expr_reads_typed(ix, &mut sum.reads, is_ptr);
+                        expr_reads_typed(ix, &mut sum.reads, names);
                     }
                     if op.binop().is_some() {
-                        sum.reads.insert(base.clone());
+                        names.add(&mut sum.reads, base);
                     }
-                    sum.writes.insert(base.clone());
+                    names.add(&mut sum.writes, base);
                 }
             }
         }
         StmtKind::Expr(e) => {
-            expr_reads_typed(e, &mut sum.reads, is_ptr);
-            note_expr_effects(e, sum);
+            expr_reads_typed(e, &mut sum.reads, names);
+            note_expr_effects(e, sum, names);
         }
         _ => {}
     }
@@ -591,7 +679,7 @@ fn stmt_accesses(s: &Stmt, sum: &mut AccessSummary, is_ptr: &dyn Fn(&str) -> boo
 
 /// Side effects hidden in expressions: `free(p)` kills `p`; calls to user
 /// functions conservatively read+partially-write their pointer arguments.
-fn note_expr_effects(e: &Expr, sum: &mut AccessSummary) {
+fn note_expr_effects(e: &Expr, sum: &mut RawSets, names: &mut Names) {
     e.walk(&mut |x| {
         if let ExprKind::Call { name, args } = &x.kind {
             if name == "free" {
@@ -600,14 +688,14 @@ fn note_expr_effects(e: &Expr, sum: &mut AccessSummary) {
                     ..
                 }) = args.first()
                 {
-                    sum.kills.insert(p.clone());
+                    names.add(&mut sum.kills, p);
                 }
             } else if !openarc_minic::sema::is_intrinsic(name) {
                 // User call: pointer arguments may be read and written.
                 for a in args {
                     if let ExprKind::Var(n) = &a.kind {
-                        sum.reads.insert(n.clone());
-                        sum.writes.insert(n.clone());
+                        names.add(&mut sum.reads, n);
+                        names.add(&mut sum.writes, n);
                     }
                 }
             }
@@ -617,15 +705,15 @@ fn note_expr_effects(e: &Expr, sum: &mut AccessSummary) {
 
 /// Aggregate all accesses inside a compute region (the GPU side of a kernel
 /// node).
-fn summarize_region(s: &Stmt, sum: &mut AccessSummary, is_ptr: &dyn Fn(&str) -> bool) {
+fn summarize_region(s: &Stmt, sum: &mut RawSets, names: &mut Names) {
     walk_stmt(s, &mut |inner| {
-        stmt_accesses(inner, sum, is_ptr);
+        stmt_accesses(inner, sum, names);
         // Branch/loop conditions inside the region.
         match &inner.kind {
             StmtKind::If { cond, .. } | StmtKind::While { cond, .. } => {
-                expr_reads_typed(cond, &mut sum.reads, is_ptr)
+                expr_reads_typed(cond, &mut sum.reads, names)
             }
-            StmtKind::For { cond: Some(c), .. } => expr_reads_typed(c, &mut sum.reads, is_ptr),
+            StmtKind::For { cond: Some(c), .. } => expr_reads_typed(c, &mut sum.reads, names),
             _ => {}
         }
     });
@@ -641,6 +729,29 @@ mod tests {
         Cfg::build(p.func("main").unwrap()).expect("cfg")
     }
 
+    /// By-name views of the access bitsets, for this crate's unit tests.
+    impl Cfg {
+        pub(crate) fn named(&self, set: &[u64], name: &str) -> bool {
+            self.var(name).is_some_and(|v| has(set, v))
+        }
+
+        pub(crate) fn reads(&self, n: usize, side: Side, name: &str) -> bool {
+            self.named(self.summary(n, side).reads, name)
+        }
+
+        pub(crate) fn writes(&self, n: usize, side: Side, name: &str) -> bool {
+            self.named(self.summary(n, side).writes, name)
+        }
+
+        pub(crate) fn total_writes(&self, n: usize, side: Side, name: &str) -> bool {
+            self.named(self.summary(n, side).total_writes, name)
+        }
+
+        pub(crate) fn kills(&self, n: usize, side: Side, name: &str) -> bool {
+            self.named(self.summary(n, side).kills, name)
+        }
+    }
+
     #[test]
     fn straight_line_cfg() {
         let cfg = cfg_of("int a;\nint b;\nvoid main() { a = 1; b = a; }");
@@ -648,9 +759,9 @@ mod tests {
         assert_eq!(cfg.len(), 4);
         assert_eq!(cfg.succ[cfg.entry].len(), 1);
         let n1 = cfg.succ[cfg.entry][0];
-        assert!(cfg.nodes[n1].host.writes.contains("a"));
+        assert!(cfg.writes(n1, Side::Host, "a"));
         let n2 = cfg.succ[n1][0];
-        assert!(cfg.nodes[n2].host.reads.contains("a"));
+        assert!(cfg.reads(n2, Side::Host, "a"));
         assert_eq!(cfg.succ[n2], vec![cfg.exit]);
     }
 
@@ -688,16 +799,14 @@ mod tests {
             "double q[10];\ndouble w[10];\nvoid main() {\n int j;\n #pragma acc kernels loop gang worker\n for (j = 0; j < 10; j++) { q[j] = w[j]; }\n}",
         );
         assert_eq!(cfg.regions.len(), 1);
-        let k = &cfg.nodes[cfg.regions[0].node];
-        assert!(k.is_kernel());
-        assert!(k.gpu.writes.contains("q"));
-        assert!(k.gpu.reads.contains("w"));
+        let k = cfg.regions[0].node;
+        assert!(cfg.nodes[k].is_kernel());
+        assert!(cfg.writes(k, Side::Gpu, "q"));
+        assert!(cfg.reads(k, Side::Gpu, "w"));
         // Region interior statements are not separate host nodes.
-        assert!(cfg
-            .nodes
-            .iter()
-            .filter(|n| matches!(n.kind, NodeKind::Plain))
-            .all(|n| !n.host.writes.contains("q")));
+        assert!((0..cfg.len())
+            .filter(|&n| matches!(cfg.nodes[n].kind, NodeKind::Plain))
+            .all(|n| !cfg.writes(n, Side::Host, "q")));
     }
 
     #[test]
@@ -722,20 +831,18 @@ mod tests {
     fn update_node_access_direction() {
         let cfg =
             cfg_of("double b[4];\nvoid main() {\n #pragma acc update host(b)\n b[0] = 1.0;\n}");
-        let un = cfg
-            .nodes
-            .iter()
-            .find(|n| matches!(n.kind, NodeKind::Update(_)))
+        let un = (0..cfg.len())
+            .find(|&n| matches!(cfg.nodes[n].kind, NodeKind::Update(_)))
             .expect("update node");
-        assert!(un.host.total_writes.contains("b"));
-        assert!(un.gpu.reads.contains("b"));
+        assert!(cfg.total_writes(un, Side::Host, "b"));
+        assert!(cfg.reads(un, Side::Gpu, "b"));
     }
 
     #[test]
     fn free_kills_pointer() {
         let cfg = cfg_of("double *p;\nvoid main() { free(p); }");
         let n = cfg.succ[cfg.entry][0];
-        assert!(cfg.nodes[n].host.kills.contains("p"));
+        assert!(cfg.kills(n, Side::Host, "p"));
     }
 
     #[test]
@@ -743,10 +850,10 @@ mod tests {
         let cfg =
             cfg_of("double a[4];\ndouble *p;\ndouble *q2;\nvoid main() { a[0] = 1.0; p = q2; }");
         let n1 = cfg.succ[cfg.entry][0];
-        assert!(cfg.nodes[n1].host.writes.contains("a"));
-        assert!(!cfg.nodes[n1].host.total_writes.contains("a"));
+        assert!(cfg.writes(n1, Side::Host, "a"));
+        assert!(!cfg.total_writes(n1, Side::Host, "a"));
         let n2 = cfg.succ[n1][0];
-        assert!(cfg.nodes[n2].host.total_writes.contains("p"));
+        assert!(cfg.total_writes(n2, Side::Host, "p"));
     }
 
     #[test]
@@ -767,12 +874,10 @@ mod tests {
             }
         }
         assert!(reach[cfg.exit]);
-        let wrote99: Vec<usize> = cfg
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.host.writes.contains("n") && matches!(n.kind, NodeKind::Plain))
-            .map(|(i, _)| i)
+        let wrote99: Vec<usize> = (0..cfg.len())
+            .filter(|&i| {
+                cfg.writes(i, Side::Host, "n") && matches!(cfg.nodes[i].kind, NodeKind::Plain)
+            })
             .collect();
         assert!(wrote99.iter().all(|&i| reach[i]));
     }
@@ -782,11 +887,9 @@ mod tests {
         let cfg = cfg_of(
             "int a;\nvoid main() { int i; int j; a = 0; for (i=0;i<2;i++) { for (j=0;j<2;j++) { a = 1; } } }",
         );
-        let depths: Vec<u32> = cfg
-            .nodes
-            .iter()
-            .filter(|n| n.host.writes.contains("a"))
-            .map(|n| n.loop_depth)
+        let depths: Vec<u32> = (0..cfg.len())
+            .filter(|&n| cfg.writes(n, Side::Host, "a"))
+            .map(|n| cfg.nodes[n].loop_depth)
             .collect();
         assert!(depths.contains(&0));
         assert!(depths.contains(&2));

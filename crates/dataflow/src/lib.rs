@@ -4,7 +4,9 @@
 //! memory-transfer verification and optimization (§III-B):
 //!
 //! * [`mod@cfg`] — OpenACC-aware CFG construction: compute regions collapse
-//!   into kernel nodes with device-side access summaries.
+//!   into kernel nodes with device-side access summaries; variables are
+//!   dense ids into a sorted name table, access sets are bitsets.
+//! * [`solver`] — the one gen/kill worklist solver behind every analysis.
 //! * [`analyses::dead_live`] — the paper's **Algorithm 1**
 //!   (may-dead / may-live / must-dead).
 //! * [`analyses::last_write`] — **Algorithm 2** (last-write detection).
@@ -25,7 +27,10 @@ pub mod solver;
 pub use alias::{analyze as alias_analyze, AliasInfo, Loc};
 pub use analyses::{
     dead_live, dead_live_compute, first_access, last_write, liveness, natural_loops, AccessSel,
-    DeadLiveResult, Deadness, LastWriteResult, NaturalLoop,
+    DeadLiveResult, Deadness, FirstAccessResult, LastWriteResult, NaturalLoop,
 };
-pub use cfg::{AccessSummary, Cfg, CfgNode, ComputeRegion, DataRegion, NodeKind, Side};
-pub use solver::{solve, Problem, Solution};
+pub use cfg::{
+    has, insert, ones, AccessSummary, Cfg, CfgNode, ComputeRegion, DataRegion, NodeKind, Side,
+    VarId,
+};
+pub use solver::{solve, Direction, Masks, Meet, Solution};

@@ -5,8 +5,11 @@
 //! small deterministic xorshift PRNG and exhaustive grids — every run
 //! checks the identical case set.
 
+use openarc::core::fuzz::{gen, FuzzRng};
+use openarc::dataflow as df;
 use openarc::gpusim::DeviceId;
-use openarc::minic::{parse, print_program};
+use openarc::minic::ast::Item;
+use openarc::minic::{frontend, parse, print_program};
 use openarc::openacc::{parse_directive, DataClause, DataClauseKind, Directive, LoopSpec};
 use openarc::runtime::{Coherence, DevSide, Loc, PresentTable, ReadDiag, St, XferDiag};
 use openarc::vm::interp::eval_bin;
@@ -871,5 +874,200 @@ fn eft_placement_respects_edges_and_beats_round_robin() {
         .and_then(|s| s.parse::<u64>().ok())
     {
         drive_eft_invariants(extra.wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1), 60);
+    }
+}
+
+// ------------------------------------------------------ dataflow fixpoints
+
+/// One analysis as the paper states it: direction, meet, and per node the
+/// transfer `out = (in ∖ kill) ∪ gen`, written here from `Cfg::summary`
+/// independently of the crate's own mask builders.
+struct Equations {
+    backward: bool,
+    must: bool,
+    gen: Vec<Vec<u64>>,
+    kill: Vec<Vec<u64>>,
+}
+
+fn equations(
+    g: &df::Cfg,
+    backward: bool,
+    must: bool,
+    transfer: impl Fn(usize) -> (Vec<u64>, Vec<u64>),
+) -> Equations {
+    let (gen, kill) = (0..g.len()).map(transfer).unzip();
+    Equations {
+        backward,
+        must,
+        gen,
+        kill,
+    }
+}
+
+/// The solution satisfies its equations at every node, and it is the
+/// extreme one: every variable missing from a must-fact (present in a
+/// may-fact) is forced there along some path from a node that kills
+/// (generates) it or from the boundary, so no fact can be raised without
+/// breaking an equation.
+fn assert_extreme_fixpoint(what: &str, g: &df::Cfg, sol: &df::Solution, eq: &Equations) {
+    let (boundary, flows_in) = match eq.backward {
+        true => (g.exit, &g.succ),
+        false => (g.entry, &g.pred),
+    };
+    let inp = |n: usize| {
+        if eq.backward {
+            sol.after(n)
+        } else {
+            sol.before(n)
+        }
+    };
+    let out = |n: usize| {
+        if eq.backward {
+            sol.before(n)
+        } else {
+            sol.after(n)
+        }
+    };
+    let all = g.vars().len() as df::VarId;
+    for (n, sources) in flows_in.iter().enumerate() {
+        for v in 0..all {
+            let mut sources = sources.iter().map(|&m| df::has(out(m), v));
+            let met = match n == boundary {
+                true => false,
+                false if eq.must => sources.all(|x| x),
+                false => sources.any(|x| x),
+            };
+            assert_eq!(df::has(inp(n), v), met, "{what}: meet at node {n}, {v}");
+            let after = (met && !df::has(&eq.kill[n], v)) || df::has(&eq.gen[n], v);
+            assert_eq!(
+                df::has(out(n), v),
+                after,
+                "{what}: transfer at node {n}, {v}"
+            );
+        }
+    }
+    for v in 0..all {
+        // A must-fact starts with `v` everywhere and loses it; a may-fact
+        // starts without and gains it. `forced` is where that happens.
+        let loses = |n: usize| !df::has(&eq.gen[n], v);
+        let gains = |n: usize| !df::has(&eq.kill[n], v);
+        let mut forced: Vec<bool> = (0..g.len())
+            .map(|n| match eq.must {
+                true => loses(n) && (n == boundary || df::has(&eq.kill[n], v)),
+                false => df::has(&eq.gen[n], v),
+            })
+            .collect();
+        loop {
+            let mut grew = false;
+            for n in (0..g.len()).filter(|&n| n != boundary) {
+                let carries = if eq.must { loses(n) } else { gains(n) };
+                if !forced[n] && carries && flows_in[n].iter().any(|&m| forced[m]) {
+                    forced[n] = true;
+                    grew = true;
+                }
+            }
+            if !grew {
+                break;
+            }
+        }
+        for (n, forced) in forced.iter().enumerate() {
+            assert_eq!(
+                df::has(out(n), v),
+                *forced != eq.must,
+                "{what}: node {n} holds {v} without a path that forces it"
+            );
+        }
+    }
+}
+
+fn or(a: &[u64], b: &[u64]) -> Vec<u64> {
+    a.iter().zip(b).map(|(a, b)| a | b).collect()
+}
+
+fn minus(a: &[u64], b: &[u64]) -> Vec<u64> {
+    a.iter().zip(b).map(|(a, b)| a & !b).collect()
+}
+
+fn assert_all_fixpoints(what: &str, g: &df::Cfg) {
+    let everything = vec![!0u64; g.words()];
+    for side in [df::Side::Host, df::Side::Gpu] {
+        let s = |n: usize| g.summary(n, side);
+        let is_update = |n: usize| matches!(g.nodes[n].kind, df::NodeKind::Update(_));
+        let what = format!("{what} {side:?}");
+        let eq = equations(g, true, false, |n| {
+            (s(n).reads.to_vec(), or(s(n).kills, s(n).total_writes))
+        });
+        assert_extreme_fixpoint(&format!("{what} liveness"), g, &df::liveness(g, side), &eq);
+        for (compute, dl) in [
+            (false, df::dead_live(g, side)),
+            (true, df::dead_live_compute(g, side)),
+        ] {
+            let none = || (vec![0; g.words()], vec![0; g.words()]);
+            let live = equations(g, true, false, |n| match compute && is_update(n) {
+                true => none(),
+                false => (s(n).reads.to_vec(), or(s(n).kills, s(n).writes)),
+            });
+            let dead = equations(g, true, true, |n| match compute && is_update(n) {
+                true => none(),
+                false => (minus(s(n).writes, s(n).reads), or(s(n).kills, s(n).reads)),
+            });
+            let what = format!("{what} dead_live(compute={compute})");
+            assert_extreme_fixpoint(&format!("{what} live"), g, &dl.live, &live);
+            assert_extreme_fixpoint(&format!("{what} dead"), g, &dl.dead, &dead);
+        }
+        let accessed = |backward: bool, acc: &dyn Fn(usize) -> Vec<u64>, restart: bool| {
+            equations(g, backward, true, |n| {
+                let kill = match restart && g.nodes[n].is_kernel() {
+                    true => everything.clone(),
+                    false => s(n).kills.to_vec(),
+                };
+                (minus(&acc(n), s(n).kills), kill)
+            })
+        };
+        for reset in [false, true] {
+            let eq = accessed(true, &|n| s(n).writes.to_vec(), reset);
+            let sol = df::last_write(g, side, reset).sol;
+            assert_extreme_fixpoint(&format!("{what} last_write({reset})"), g, &sol, &eq);
+        }
+        for sel in [df::AccessSel::Read, df::AccessSel::Write] {
+            let acc = |n: usize| match sel {
+                df::AccessSel::Read => s(n).reads.to_vec(),
+                df::AccessSel::Write => s(n).writes.to_vec(),
+            };
+            let sol = df::first_access(g, side, sel).sol;
+            let eq = accessed(false, &acc, true);
+            assert_extreme_fixpoint(&format!("{what} first_access({sel:?})"), g, &sol, &eq);
+        }
+    }
+}
+
+/// DESIGN.md §5's "dataflow lattice monotonicity/fixpoint": over generated
+/// programs and a few shapes the generator avoids, every analysis returns
+/// the extreme fixpoint of its own equations.
+#[test]
+fn dataflow_solutions_are_extreme_fixpoints() {
+    let seed = std::env::var("OPENARC_PROP_SEED")
+        .ok()
+        .and_then(|s| s.parse::<u64>().ok())
+        .unwrap_or(0);
+    let mut rng = FuzzRng::new(0xDF_0001 + seed);
+    let mut sources: Vec<String> = (0..60).map(|_| gen::generate(&mut rng.fork())).collect();
+    sources.extend(
+        [
+            "int a;\nint b;\nvoid main() { a = 1; return; b = a; a = b; }",
+            "int a;\nint b;\nvoid main() { while (1) { a = b; if (a) { break; } b = 2; continue; a = 3; } b = a; }",
+            "double *p;\ndouble a[4];\nvoid main() { p = (double *) malloc(4 * sizeof(double)); p[0] = a[1]; free(p); }",
+        ]
+        .map(String::from),
+    );
+    for src in &sources {
+        let (p, s) = frontend(src).expect("frontend");
+        for f in p.items.iter().filter_map(|it| match it {
+            Item::Func(f) => Some(f),
+            Item::Global(_) => None,
+        }) {
+            let g = df::Cfg::build_typed(f, &s).expect("cfg");
+            assert_all_fixpoints(&format!("{src}\nfn {}", f.name), &g);
+        }
     }
 }
