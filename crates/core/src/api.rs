@@ -737,6 +737,11 @@ mod tests {
                 ("source", Json::from(SRC)),
                 ("options", Json::from("placement=measured")),
             ]),
+            Json::obj(vec![
+                ("action", Json::from("verify")),
+                ("source", Json::from(SRC)),
+                ("options", Json::from("compareJobs=2")),
+            ]),
         ] {
             let err = Request::from_json(&v)
                 .and_then(|req| handle(&session, &req))

@@ -8,45 +8,21 @@ use openarc_gpusim::{launch, DeviceId, TimeCategory};
 use openarc_minic::ScalarTy;
 use openarc_openacc::ReductionOp;
 use openarc_runtime::DevSide;
-use openarc_vm::{Buffer, Handle, Value, VmError};
-use std::collections::{HashMap, VecDeque};
+use openarc_vm::{Handle, Value, VmError};
+use std::collections::HashMap;
 
 impl ExecEnv<'_> {
-    /// Build kernel args. `on_device` selects device or host buffers; the
-    /// returned vec lists `(reduction var, op, partial buffer)` to finalize
-    /// and the set of handles to free afterwards (reduction buffers).
+    /// Build kernel args. `on_device` selects the buffers of device `dev`
+    /// or host buffers; the returned vec lists `(reduction var, op, partial
+    /// buffer)` to finalize and the set of handles to free afterwards
+    /// (reduction buffers).
     #[allow(clippy::type_complexity)]
     pub(super) fn build_args(
         &mut self,
         k: usize,
         n: u64,
         on_device: bool,
-    ) -> Result<
-        (
-            Vec<Value>,
-            Vec<(String, ReductionOp, Handle)>,
-            Vec<Handle>,
-            Vec<(String, Handle)>,
-        ),
-        VmError,
-    > {
-        self.build_args_prepared(k, n, on_device, DeviceId::PRIMARY, &mut VecDeque::new())
-    }
-
-    /// [`ExecEnv::build_args`] with pre-built reduction partial buffers:
-    /// the verified-launch pipeline constructs them (zero-fill is O(n))
-    /// off the arena while staging copies run, then publishes each here
-    /// with a pointer move. `prepared` is consumed front-to-back in kernel
-    /// parameter order; when it runs dry the slot allocates as usual, so
-    /// handle assignment and accounting are identical either way.
-    #[allow(clippy::type_complexity)]
-    pub(super) fn build_args_prepared(
-        &mut self,
-        k: usize,
-        n: u64,
-        on_device: bool,
         dev: DeviceId,
-        prepared: &mut VecDeque<Buffer>,
     ) -> Result<
         (
             Vec<Value>,
@@ -132,13 +108,7 @@ impl ExecEnv<'_> {
                     } else {
                         &mut self.machine.host.mem
                     };
-                    let h = match prepared.pop_front() {
-                        Some(buf) => {
-                            debug_assert_eq!(buf.elem, elem, "prepared buffer type mismatch");
-                            mem.insert(buf)
-                        }
-                        None => mem.alloc(elem, n.max(1) as usize, format!("__red_{var}")),
-                    };
+                    let h = mem.alloc(elem, n.max(1) as usize, format!("__red_{var}"));
                     args.push(Value::Ptr(h));
                     reds.push((var.clone(), *op, h));
                     temps.push(h);
@@ -221,7 +191,7 @@ impl ExecEnv<'_> {
                 self.machine.check_write(h, DevSide::Gpu, false, &info.name);
             }
         }
-        let (args, reds, temps, cells) = self.build_args(k, n, true)?;
+        let (args, reds, temps, cells) = self.build_args(k, n, true, DeviceId::PRIMARY)?;
         let cfg = self.launch_cfg(k);
         let outcome = launch(
             self.machine.devices.primary_mut(),
@@ -279,7 +249,7 @@ impl ExecEnv<'_> {
     pub(super) fn launch_seq(&mut self, k: usize) -> Result<(), VmError> {
         let info = &self.tr.kernels[k];
         let n = self.n_threads(k)?;
-        let (mut args, reds, temps, cells) = self.build_args(k, n, false)?;
+        let (mut args, reds, temps, cells) = self.build_args(k, n, false, DeviceId::PRIMARY)?;
         args.insert(0, Value::Int(n as i64));
         let steps = self.run_host_fn(&info.seq_name, &args)?;
         self.machine.charge_cpu(steps);

@@ -9,9 +9,9 @@
 //!   baseline of Figures 1 and 3).
 //! * **Verify** — the paper's §III-A kernel verification: target kernels
 //!   run on the device *and* sequentially on the host (asynchronously
-//!   overlapped, post-demotion semantics), outputs are compared with a
-//!   configurable error margin, and the host's sequential results remain
-//!   canonical so errors never propagate.
+//!   overlapped on the simulated timeline, post-demotion semantics),
+//!   outputs are compared with a configurable error margin, and the host's
+//!   sequential results remain canonical so errors never propagate.
 //!
 //! The module is split by concern:
 //!
@@ -21,9 +21,8 @@
 //!   dispatches lowered runtime ops (data regions, updates, checks).
 //! * `launch` — argument marshalling plus the Normal and CpuOnly kernel
 //!   launch paths.
-//! * `verified` — the §III-A verified launch, with the CPU reference
-//!   interpreter running on a real worker thread overlapped with the
-//!   simulated device execution.
+//! * `verified` — the §III-A verified launch: staging, device run, CPU
+//!   reference and comparison, in that order on the calling thread.
 //! * `reduce` — reduction operator evaluation and partial-buffer folds.
 
 pub mod dag;
@@ -92,21 +91,6 @@ pub struct VerifyOptions {
     pub assertions: Vec<KernelAssertion>,
     /// Async queue used for the demoted transfers/kernels.
     pub queue: i64,
-    /// Run the CPU reference interpreter on a worker thread overlapped
-    /// with the simulated device execution (§III-A's async overlap as
-    /// actual host parallelism). Clock and journal reconciliation stay
-    /// deterministic either way; disable to force the fully sequential
-    /// oracle path (staging, reference, and comparison all inline on the
-    /// calling thread, `compare_jobs` ignored).
-    pub overlap_reference: bool,
-    /// Worker threads for the element-wise comparison stage (stage 3 of
-    /// the verified-launch pipeline). Each written aggregate is chunked
-    /// into at most this many contiguous ranges fanned over
-    /// [`crate::sched::run_tasks`]; chunk results merge in task order, so
-    /// mismatch counts and `max_abs_err` are bit-identical for every
-    /// value. `1` (the default) compares inline; forced to `1` when
-    /// `overlap_reference` is `false`.
-    pub compare_jobs: usize,
     /// Verified launches allowed in flight concurrently on the simulated
     /// timeline. Each launch *executes* (device run, reference,
     /// comparison, canonical stores) at issue in program order, but its
@@ -144,8 +128,6 @@ impl Default for VerifyOptions {
             bounds: HashMap::new(),
             assertions: Vec::new(),
             queue: 1,
-            overlap_reference: true,
-            compare_jobs: 1,
             dag_jobs: 1,
             devices: 1,
             placement: dag::Placement::RoundRobin,

@@ -169,83 +169,6 @@ fn verify_mode_passes_clean_kernel() {
 }
 
 #[test]
-fn verify_overlap_matches_sequential_reference_path() {
-    // The threaded overlap must be observationally identical to the
-    // single-threaded path: same verdicts, same simulated clock, same
-    // Figure-3 breakdown, bit for bit.
-    let run = |overlap: bool| {
-        let eopts = ExecOptions {
-            mode: ExecMode::Verify(VerifyOptions {
-                overlap_reference: overlap,
-                ..Default::default()
-            }),
-            ..Default::default()
-        };
-        run_copy(&eopts)
-    };
-    let a = run(true);
-    let b = run(false);
-    assert_eq!(a.verify[0].compared_elems, b.verify[0].compared_elems);
-    assert_eq!(a.verify[0].mismatched_elems, b.verify[0].mismatched_elems);
-    assert_eq!(a.sim_time_us().to_bits(), b.sim_time_us().to_bits());
-    for c in TimeCategory::ALL {
-        assert_eq!(
-            a.machine.clock.breakdown.get(c).to_bits(),
-            b.machine.clock.breakdown.get(c).to_bits(),
-            "category {c:?} diverged between overlap and sequential"
-        );
-    }
-}
-
-#[test]
-fn verify_compare_jobs_bit_identical_to_sequential_oracle() {
-    // The chunked comparison fan-out must reproduce the sequential
-    // oracle's verdicts, journal, and clock bit-for-bit at every job
-    // count — including jobs exceeding the buffer length.
-    let run = |overlap: bool, jobs: usize| {
-        let journal = openarc_trace::Journal::enabled();
-        let eopts = ExecOptions {
-            mode: ExecMode::Verify(VerifyOptions {
-                overlap_reference: overlap,
-                compare_jobs: jobs,
-                ..Default::default()
-            }),
-            journal: journal.clone(),
-            ..Default::default()
-        };
-        let r = run_copy(&eopts);
-        (r, journal.drain())
-    };
-    let (oracle, oracle_events) = run(false, 1);
-    for jobs in [1usize, 3, 8, 100] {
-        let (r, events) = run(true, jobs);
-        assert_eq!(r.verify[0].launches, oracle.verify[0].launches);
-        assert_eq!(
-            r.verify[0].compared_elems, oracle.verify[0].compared_elems,
-            "jobs {jobs}"
-        );
-        assert_eq!(
-            r.verify[0].mismatched_elems,
-            oracle.verify[0].mismatched_elems
-        );
-        assert_eq!(
-            r.verify[0].max_abs_err.to_bits(),
-            oracle.verify[0].max_abs_err.to_bits()
-        );
-        assert_eq!(r.verify[0].flagged(), oracle.verify[0].flagged());
-        assert_eq!(r.sim_time_us().to_bits(), oracle.sim_time_us().to_bits());
-        for c in TimeCategory::ALL {
-            assert_eq!(
-                r.machine.clock.breakdown.get(c).to_bits(),
-                oracle.machine.clock.breakdown.get(c).to_bits(),
-                "category {c:?} diverged at jobs {jobs}"
-            );
-        }
-        assert_eq!(events, oracle_events, "journal diverged at jobs {jobs}");
-    }
-}
-
-#[test]
 fn verify_stage_journal_spans_all_three_phases() {
     // With a stage journal attached, one verified launch emits exactly
     // one wall-clock span per pipeline phase; the deterministic run

@@ -1,48 +1,31 @@
-//! Verified launch (§III-A): demoted transfers, GPU execution overlapped
-//! with the sequential CPU reference, comparison, CPU results canonical.
+//! Verified launch (§III-A): demoted transfers, device run, sequential CPU
+//! reference, comparison, CPU results canonical.
 //!
-//! The path is a three-stage pipeline:
+//! One straight-line path on the calling thread, in three phases:
 //!
-//! 1. **Staging** — the demotion copies move every touched aggregate to
-//!    the device. The raw byte copies run on a worker thread while the
-//!    calling thread pre-builds the reduction partial buffers (argument
-//!    marshalling for the host reference); the copies' *accounting* —
-//!    clock charges on the verification async queue, transfer stats,
-//!    journal events, coherence transitions — replays after the join in a
-//!    fixed per-variable order via [`Machine::account_to_device`].
-//! 2. **Overlap** — the simulated device launch runs on a
-//!    `std::thread::scope` worker while the CPU reference interpreter runs
-//!    on the calling thread, exactly the paper's async overlap. The two
-//!    touch disjoint machine state (device memory vs. host memory).
-//! 3. **Comparison** — each written aggregate is chunked into contiguous
-//!    ranges fanned across [`run_tasks`] workers
-//!    ([`VerifyOptions::compare_jobs`]); chunk results merge in task
-//!    order, so counts and `max_abs_err` match the one-loop path
-//!    bit-for-bit.
+//! 1. **Staging** — every aggregate the kernel touches is mapped, then
+//!    copied to the device on the verification async queue, and both
+//!    sides' arguments are marshalled.
+//! 2. **Overlap** — the simulated device launch, then the `__seq_*` CPU
+//!    reference. The paper's asynchronous overlap of the two lives on the
+//!    *simulated* clock: the kernel is charged to the queue at issue and
+//!    the host waits on it at retirement (Fig. 3's Async-Wait).
+//! 3. **Comparison** — one [`compare_aggregate`] per written aggregate, then
+//!    reductions, falsely-shared cells and §III-C assertions.
 //!
-//! Every clock charge and journal emission happens between stages on the
-//! calling thread in a fixed order, so simulated time, the Figure-3
-//! breakdown, and the event journal are bit-identical to the fully
-//! sequential oracle ([`VerifyOptions::overlap_reference`]` = false`,
-//! which also forces `compare_jobs = 1`). Real elapsed time per stage is
-//! journaled as wall-clock [`EventKind::Stage`] spans into
+//! Real elapsed time per phase is journaled as wall-clock
+//! [`EventKind::Stage`] spans into
 //! [`ExecOptions::stage_journal`](super::ExecOptions::stage_journal) when
 //! enabled — a separate stream that never enters the deterministic run
 //! journal.
 //!
-//! [`Machine::account_to_device`]: openarc_runtime::Machine::account_to_device
-//! [`run_tasks`]: crate::sched::run_tasks
 //! [`EventKind::Stage`]: openarc_trace::EventKind::Stage
 
 use super::env::ExecEnv;
 use super::reduce::red_eval;
 use super::{AssertKind, VerifyOptions};
-use crate::ir::KernelParam;
-use crate::sched::{chunk_ranges, run_tasks};
-use openarc_gpusim::{launch, DeviceId, KernelOutcome, TimeCategory};
-use openarc_minic::ScalarTy;
-use openarc_vm::{Buffer, Env, Handle, MemSpace, Module, ThreadState, Value, VmError};
-use std::collections::VecDeque;
+use openarc_gpusim::{launch, DeviceId, TimeCategory};
+use openarc_vm::{Buffer, Handle, Value, VmError};
 use std::time::Instant;
 
 /// One verified launch that has *executed* (issue phase: staging, device
@@ -73,68 +56,28 @@ pub(super) struct PendingVerify {
     touched: Vec<Handle>,
 }
 
-/// Run host-module function `name` to completion in `env`; returns the
-/// number of instructions it executed. The verified launch's reference
-/// thread runs the `__seq_*` fallbacks — which touch nothing but their
-/// parameters and globals — against the bare `BasicEnv`, a sufficient and
-/// thread-confined environment.
-pub(super) fn run_host_fn<E: Env>(
-    env: &mut E,
-    module: &Module,
-    name: &str,
-    args: &[Value],
-) -> Result<u64, VmError> {
-    let mut t = ThreadState::new(module, name, args)?;
-    t.run_to_end(module, env, u64::MAX)?;
-    Ok(t.steps)
-}
-
-/// Raw demotion byte copies, host buffer → device mirror. Pure data
-/// movement between arenas the caller holds exclusively; every observable
-/// effect (clock, stats, journal, coherence) is replayed afterwards on the
-/// calling thread through `Machine::account_to_device`.
-fn stage_copies(
-    dev_mem: &mut MemSpace,
-    host_mem: &MemSpace,
-    pairs: &[(Handle, Handle)],
-) -> Result<(), VmError> {
-    for (src, dst) in pairs {
-        let data = host_mem.get(*src)?;
-        dev_mem.get_mut(*dst)?.copy_from(data)?;
-    }
-    Ok(())
-}
-
-/// Element-wise comparison of one `lo..hi` chunk of a written aggregate.
-/// Exactly the sequential loop body: skip below `min_value`, count a
-/// mismatch when the error exceeds `abs_tol + rel_tol·|cpu|` and the
-/// user's value bound does not absolve it. Returns
-/// `(compared, mismatches, chunk max error)`; because chunks tile the
-/// buffer in order and the caller merges in task order, any chunking
-/// reproduces the one-loop counts bit-for-bit.
-#[allow(clippy::too_many_arguments)]
-fn compare_range(
+/// Element-wise comparison of one written aggregate: skip below
+/// `min_value_to_check`, count a mismatch when the error exceeds
+/// `abs_tol + rel_tol·|cpu|` and the user's value bound does not absolve
+/// it. Returns `(compared, mismatches, max error)`.
+fn compare_aggregate(
     hbuf: &Buffer,
     dbuf: &Buffer,
-    lo: u64,
-    hi: u64,
-    min_value: f64,
-    abs_tol: f64,
-    rel_tol: f64,
+    v: &VerifyOptions,
     bound: Option<(f64, f64)>,
 ) -> Result<(u64, u64, f64), VmError> {
     let mut compared = 0u64;
     let mut mismatches = 0u64;
     let mut max_err = 0f64;
-    for i in lo..hi {
+    for i in 0..hbuf.len() as u64 {
         let c = hbuf.get(i)?.as_f64();
         let g = dbuf.get(i)?.as_f64();
-        if c.abs() < min_value {
+        if c.abs() < v.min_value_to_check {
             continue;
         }
         compared += 1;
         let err = (c - g).abs();
-        if err > abs_tol + rel_tol * c.abs() {
+        if err > v.abs_tol + v.rel_tol * c.abs() {
             // User-specified value bounds can absolve the diff.
             if let Some((blo, bhi)) = bound {
                 if c >= blo && c <= bhi && g >= blo && g <= bhi {
@@ -205,110 +148,41 @@ impl ExecEnv<'_> {
         // One site string for every staging transfer of this launch.
         let verify_site = format!("{}_verify", info.name);
         // Map every touched aggregate first (allocation charges land here,
-        // in variable order), collecting the raw copy pairs. Allocations
-        // are stream-ordered on the launch's queue — like the staging
-        // transfers and the kernel itself — so the host issue loop never
-        // blocks on them and independent launches can overlap on distinct
-        // devices.
-        let mut staged: Vec<(Handle, Handle)> = Vec::with_capacity(touched.len());
-        for var in &touched {
+        // in variable order). Allocations are stream-ordered on the
+        // launch's queue — like the staging transfers and the kernel
+        // itself — so the host issue loop never blocks on them and
+        // independent launches can overlap on distinct devices.
+        let mut staged: Vec<(&str, Handle, Handle)> = Vec::with_capacity(touched.len());
+        for var in touched {
             let h = self.resolve(var)?;
             let (dev_h, _) = self.machine.map_to_device_on_queue(dev, h, Some(q))?;
-            staged.push((h, dev_h));
+            staged.push((var, h, dev_h));
         }
-        // Plan the reduction partial buffers of both sides so their O(n)
-        // zero-fill can run off the arenas.
-        let red_plan: Vec<(ScalarTy, String)> = info
-            .params
-            .iter()
-            .filter_map(|p| match p {
-                KernelParam::ReductionSlot { var, .. } => {
-                    Some((self.scalar_elem_of(var), format!("__red_{var}")))
-                }
-                _ => None,
-            })
-            .collect();
-        let red_len = n.max(1) as usize;
-        let build_bufs = || -> (VecDeque<Buffer>, VecDeque<Buffer>) {
-            let make = || {
-                red_plan
-                    .iter()
-                    .map(|(elem, label)| Buffer::new(*elem, red_len, label.clone()))
-                    .collect()
-            };
-            (make(), make())
-        };
-        // The raw byte copies overlap the partial-buffer construction; the
-        // sequential oracle runs the identical operations inline.
-        let (copied, (mut dprep, mut hprep)) = if v.overlap_reference {
-            let dev_mem = &mut self.machine.devices.get_mut(dev).mem;
-            let host_mem = &self.machine.host.mem;
-            std::thread::scope(|scope| {
-                let worker = scope.spawn(|| stage_copies(dev_mem, host_mem, &staged));
-                let bufs = build_bufs();
-                (worker.join().expect("staging worker panicked"), bufs)
-            })
-        } else {
-            let bufs = build_bufs();
-            (
-                stage_copies(
-                    &mut self.machine.devices.get_mut(dev).mem,
-                    &self.machine.host.mem,
-                    &staged,
-                ),
-                bufs,
-            )
-        };
-        copied?;
-        // Replay the staging accounting in per-variable order. The copies
-        // are charged on the verification async queue: they serialize with
-        // the kernel on queue `q` and overlap the host reference, so their
-        // cost folds into Async-Wait (like the kernel itself) instead of
-        // blocking host time as Mem Transfer.
-        for (host_h, _) in &staged {
+        // The copies are charged on the verification async queue: they
+        // serialize with the kernel on queue `q` and overlap the host
+        // reference, so their cost folds into Async-Wait (like the kernel
+        // itself) instead of blocking host time as Mem Transfer.
+        for &(_, host_h, _) in &staged {
             self.machine
-                .account_to_device_on(dev, *host_h, &verify_site, Some(q), None)?;
+                .copy_to_device_named_on(dev, host_h, &verify_site, Some(q), None)?;
         }
-        // Marshal both sides — argument building mutates host and device
-        // memory, so it stays on this thread; pre-built partial buffers
-        // publish with a pointer move.
-        let (args, dreds, dtemps, dcells) =
-            self.build_args_prepared(k, n, true, dev, &mut dprep)?;
+        let (args, dreds, dtemps, dcells) = self.build_args(k, n, true, dev)?;
         let cfg = self.launch_cfg(k);
-        let (mut hargs, hreds, htemps, hcells) =
-            self.build_args_prepared(k, n, false, dev, &mut hprep)?;
+        let (mut hargs, hreds, htemps, hcells) = self.build_args(k, n, false, dev)?;
         hargs.insert(0, Value::Int(n as i64));
         self.note_stage("verify:staging", t_staging);
 
         // ---------------------------------------------- stage 2: overlap
-        // Device run and CPU reference, overlapped. The worker gets the
-        // device half of the machine; the reference interpreter gets the
-        // host half. Clock charges land after the join, in the same order
-        // as the sequential path.
         let t_overlap = timed.then(Instant::now);
-        let (outcome, steps): (KernelOutcome, u64) = if v.overlap_reference {
-            let device = self.machine.devices.get_mut(dev);
-            let host = &mut self.machine.host;
-            let kernel_module = &self.tr.kernel_module;
-            let host_module = &self.tr.host_module;
-            let (dev_res, host_res) = std::thread::scope(|scope| {
-                let dev = scope.spawn(|| launch(device, kernel_module, &info.name, &args, n, &cfg));
-                let host_res = run_host_fn(host, host_module, &info.seq_name, &hargs);
-                (dev.join().expect("device worker panicked"), host_res)
-            });
-            (dev_res?, host_res?)
-        } else {
-            let outcome = launch(
-                self.machine.devices.get_mut(dev),
-                &self.tr.kernel_module,
-                &info.name,
-                &args,
-                n,
-                &cfg,
-            )?;
-            let steps = self.run_host_fn(&info.seq_name, &hargs)?;
-            (outcome, steps)
-        };
+        let outcome = launch(
+            self.machine.devices.get_mut(dev),
+            &tr.kernel_module,
+            &info.name,
+            &args,
+            n,
+            &cfg,
+        )?;
+        let steps = self.run_host_fn(&info.seq_name, &hargs)?;
         for r in &outcome.races {
             self.races.push((info.name.clone(), r.clone()));
         }
@@ -321,51 +195,29 @@ impl ExecEnv<'_> {
 
         // ------------------------------------------- stage 3: comparison
         let t_compare = timed.then(Instant::now);
-        // Compare written aggregates element-wise, chunked per variable
-        // across the comparison workers. The sequential oracle keeps one
-        // inline loop (`run_tasks` with jobs = 1 degenerates to it).
-        let cmp_jobs = if v.overlap_reference {
-            v.compare_jobs.max(1)
-        } else {
-            1
-        };
+        // Compare written aggregates element-wise, through the handle
+        // pairs staging collected (every written aggregate was staged).
+        // Counts sum and the max only moves on strict increase, so the
+        // order of aggregates cannot show in the result.
         let mut mismatches = 0u64;
         let mut compared = 0u64;
         let mut max_err = 0f64;
-        {
-            type ChunkTask<'t> = Box<dyn FnOnce() -> Result<(u64, u64, f64), VmError> + Send + 't>;
-            let mut tasks: Vec<ChunkTask<'_>> = Vec::new();
-            for var in &info.gpu_writes {
-                let host_h = self.machine.host.globals
-                    [self.tr.host_module.global_slot(var).unwrap() as usize];
-                let Value::Ptr(host_h) = host_h else { continue };
-                let dev_h = self.machine.device_of_on(dev, host_h)?;
-                let hbuf = self.machine.host.mem.get(host_h)?;
-                let dbuf = self.machine.devices.get(dev).mem.get(dev_h)?;
-                let bound = v.bounds.get(var).copied().or_else(|| {
-                    info.knowledge
-                        .bounds
-                        .iter()
-                        .find(|b| b.var == *var)
-                        .map(|b| (b.lo, b.hi))
-                });
-                let (minv, atol, rtol) = (v.min_value_to_check, v.abs_tol, v.rel_tol);
-                for (lo, hi) in chunk_ranges(hbuf.len() as u64, cmp_jobs) {
-                    tasks.push(Box::new(move || {
-                        compare_range(hbuf, dbuf, lo, hi, minv, atol, rtol, bound)
-                    }));
-                }
-            }
-            // Merge chunk results in task order: counts sum, the running
-            // max only moves on strict increase — associative, so every
-            // job count reproduces the sequential fold bit-for-bit.
-            for res in run_tasks(cmp_jobs, tasks) {
-                let (c, m, e) = res?;
-                compared += c;
-                mismatches += m;
-                if e > max_err {
-                    max_err = e;
-                }
+        let written = |name: &str| info.gpu_writes.iter().any(|w| w == name);
+        for &(var, host_h, dev_h) in staged.iter().filter(|(name, ..)| written(name)) {
+            let hbuf = self.machine.host.mem.get(host_h)?;
+            let dbuf = self.machine.devices.get(dev).mem.get(dev_h)?;
+            let bound = v.bounds.get(var).copied().or_else(|| {
+                info.knowledge
+                    .bounds
+                    .iter()
+                    .find(|b| b.var == var)
+                    .map(|b| (b.lo, b.hi))
+            });
+            let (c, m, e) = compare_aggregate(hbuf, dbuf, v, bound)?;
+            compared += c;
+            mismatches += m;
+            if e > max_err {
+                max_err = e;
             }
         }
         // Reductions: compare scalar results; CPU value stays canonical.
@@ -464,10 +316,6 @@ impl ExecEnv<'_> {
         for t in htemps {
             self.machine.host.mem.free(t)?;
         }
-        let touched_handles = touched
-            .iter()
-            .map(|var| self.resolve(var))
-            .collect::<Result<Vec<_>, _>>()?;
         self.pending.push_back(PendingVerify {
             k,
             dev,
@@ -477,7 +325,7 @@ impl ExecEnv<'_> {
             mismatches,
             max_err,
             assertion_failures,
-            touched: touched_handles,
+            touched: staged.iter().map(|&(_, host_h, _)| host_h).collect(),
         });
         // Capacity: keep at most `dag_jobs` launches in flight. At the
         // default of 1 this retires the launch immediately, reproducing

@@ -11,12 +11,12 @@
 //!    ([`validate_coherence`]); when the tracker reports *no* transfer
 //!    errors, the leg's observable outputs must match the CPU reference.
 //! 3. **Verification matrix** — verify-mode runs under a small matrix of
-//!    `verificationOptions` (placement × dagJobs × devices ×
-//!    compareJobs). Per-launch verdicts compare simulated-GPU kernel
-//!    outputs against the runtime's own sequential reference, so a failed
-//!    verdict on a race-free input is a pipeline bug regardless of the
-//!    program's clause hygiene; and every config's observables must agree
-//!    bit for bit with the `dagJobs = 1, devices = 1` oracle config.
+//!    `verificationOptions` (placement × dagJobs × devices). Per-launch
+//!    verdicts compare simulated-GPU kernel outputs against the runtime's
+//!    own sequential reference, so a failed verdict on a race-free input
+//!    is a pipeline bug regardless of the program's clause hygiene; and
+//!    every config's observables must agree bit for bit with the
+//!    `dagJobs = 1, devices = 1` oracle config.
 //!
 //! Everything the legs journal is folded into one coverage [`Signature`].
 
@@ -50,8 +50,6 @@ pub struct MatrixConfig {
     pub dag_jobs: usize,
     /// Simulated device count.
     pub devices: usize,
-    /// Comparison worker count.
-    pub compare_jobs: usize,
 }
 
 impl MatrixConfig {
@@ -59,11 +57,10 @@ impl MatrixConfig {
     /// accepted by `openarc verify --options`.
     pub fn options_string(&self) -> String {
         format!(
-            "placement={},dagJobs={},devices={},compareJobs={}",
+            "placement={},dagJobs={},devices={}",
             self.placement.as_str(),
             self.dag_jobs,
-            self.devices,
-            self.compare_jobs
+            self.devices
         )
     }
 
@@ -72,7 +69,6 @@ impl MatrixConfig {
             placement: self.placement,
             dag_jobs: self.dag_jobs,
             devices: self.devices,
-            compare_jobs: self.compare_jobs,
             ..VerifyOptions::default()
         }
     }
@@ -87,21 +83,18 @@ pub fn default_matrix() -> Vec<MatrixConfig> {
             placement: Placement::RoundRobin,
             dag_jobs: 1,
             devices: 1,
-            compare_jobs: 1,
         },
         MatrixConfig {
             label: "eft-d2",
             placement: Placement::Eft,
             dag_jobs: 4,
             devices: 2,
-            compare_jobs: 2,
         },
         MatrixConfig {
             label: "rr-d3",
             placement: Placement::RoundRobin,
             dag_jobs: 2,
             devices: 3,
-            compare_jobs: 1,
         },
     ]
 }
@@ -768,7 +761,7 @@ mod tests {
         let m = default_matrix();
         assert_eq!(
             m[0].options_string(),
-            "placement=roundrobin,dagJobs=1,devices=1,compareJobs=1"
+            "placement=roundrobin,dagJobs=1,devices=1"
         );
         assert!(m
             .iter()

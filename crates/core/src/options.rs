@@ -10,9 +10,8 @@ use std::collections::BTreeSet;
 
 /// Every key `parse_verification_options` accepts, sorted — quoted in
 /// the unknown-key diagnostic so a typo'd spec names its own fix.
-pub const ACCEPTED_KEYS: [&str; 10] = [
+pub const ACCEPTED_KEYS: [&str; 9] = [
     "absTol",
-    "compareJobs",
     "complement",
     "dagJobs",
     "devices",
@@ -45,8 +44,6 @@ impl std::error::Error for OptionError {}
 /// * `minValueToCheck=<float>`;
 /// * `relTol=<float>` / `absTol=<float>` — comparison margins;
 /// * `queue=<int>` — async queue used for demoted transfers;
-/// * `compareJobs=<int>` — worker threads for the element-wise comparison
-///   stage (≥ 1; results are bit-identical at any value);
 /// * `dagJobs=<int>` — maximum verified launches in flight in the
 ///   dependency-DAG executor (≥ 1; `1` retires each launch before the
 ///   next issues, which is exactly the sequential oracle);
@@ -123,16 +120,6 @@ pub fn parse_verification_options(spec: &str) -> Result<VerifyOptions, OptionErr
                     .trim()
                     .parse()
                     .map_err(|_| OptionError(format!("bad integer `{value}`")))?;
-            }
-            "compareJobs" => {
-                let jobs: usize = value
-                    .trim()
-                    .parse()
-                    .map_err(|_| OptionError(format!("bad integer `{value}`")))?;
-                if jobs == 0 {
-                    return Err(OptionError("compareJobs must be >= 1".into()));
-                }
-                opts.compare_jobs = jobs;
             }
             "dagJobs" => {
                 let jobs: usize = value
@@ -231,15 +218,19 @@ mod tests {
         let v = parse_verification_options("").unwrap();
         assert!(v.targets.is_none());
         assert!(!v.complement);
-        assert_eq!(v.compare_jobs, 1);
     }
 
     #[test]
-    fn parses_compare_jobs() {
-        let v = parse_verification_options("compareJobs=8").unwrap();
-        assert_eq!(v.compare_jobs, 8);
-        assert!(parse_verification_options("compareJobs=0").is_err());
-        assert!(parse_verification_options("compareJobs=x").is_err());
+    fn rejects_the_removed_comparejobs_key() {
+        // The comparison fan-out is gone; its key is rejected like any
+        // other unknown key, whatever the value.
+        for spec in ["compareJobs=2", "dagJobs=2,compareJobs=1"] {
+            let e = parse_verification_options(spec).unwrap_err();
+            assert!(
+                e.0.starts_with("unknown key `compareJobs` (accepted: "),
+                "{spec}: {e}"
+            );
+        }
     }
 
     #[test]
@@ -336,7 +327,7 @@ mod tests {
             ("relTol=", "bad float"),
             ("absTol=1e", "bad float"),
             ("queue=1.5", "bad integer"),
-            ("compareJobs=0", "compareJobs must be >= 1"),
+            ("compareJobs=2", "unknown key `compareJobs`"),
             ("dagJobs=-1", "bad integer"),
             ("devices=0", "devices must be >= 1"),
             ("placement=greedy", "placement must be"),

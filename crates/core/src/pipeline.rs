@@ -203,8 +203,6 @@ fn fp_verify_options(h: &mut Fnv, v: &VerifyOptions) {
         }
     }
     h.write_u64(v.queue as u64)
-        .write_bool(v.overlap_reference)
-        .write_u64(v.compare_jobs as u64)
         .write_u64(v.dag_jobs as u64)
         .write_u64(v.devices as u64);
     h.write_u64(match v.placement {

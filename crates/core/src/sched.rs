@@ -9,8 +9,7 @@
 //! identical to a sequential loop regardless of worker interleaving.
 //!
 //! Used by `openarc-suite`'s cached variant runners and `openarc-bench`'s
-//! figure/table drivers (`--jobs N`), and mirrored in miniature inside the
-//! verified launch path where the CPU reference overlaps the device run.
+//! figure/table drivers (`--jobs N`).
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -289,51 +288,10 @@ impl Drop for WorkQueue {
     }
 }
 
-/// Split `0..total` into at most `parts` contiguous, near-equal ranges
-/// (`lo..hi` half-open), in order. Used by the verified-launch comparison
-/// stage to chunk one written aggregate across [`run_tasks`] workers:
-/// because the ranges tile `0..total` in order and the caller merges chunk
-/// results in task order, any `parts` value reproduces the sequential
-/// loop's counts bit-for-bit.
-pub fn chunk_ranges(total: u64, parts: usize) -> Vec<(u64, u64)> {
-    if total == 0 {
-        return Vec::new();
-    }
-    let parts = (parts.max(1) as u64).min(total);
-    let chunk = total.div_ceil(parts);
-    let mut out = Vec::with_capacity(parts as usize);
-    let mut lo = 0;
-    while lo < total {
-        let hi = (lo + chunk).min(total);
-        out.push((lo, hi));
-        lo = hi;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::Ordering;
-
-    #[test]
-    fn chunk_ranges_tile_without_gaps() {
-        for total in [0u64, 1, 7, 64, 1000] {
-            for parts in [1usize, 3, 8, 2000] {
-                let ranges = chunk_ranges(total, parts);
-                let mut expect = 0;
-                for (lo, hi) in &ranges {
-                    assert_eq!(*lo, expect, "total {total} parts {parts}");
-                    assert!(hi > lo);
-                    expect = *hi;
-                }
-                assert_eq!(expect, total);
-                assert!(ranges.len() <= parts.max(1));
-            }
-        }
-        assert!(chunk_ranges(0, 4).is_empty());
-        assert_eq!(chunk_ranges(10, 1), vec![(0, 10)]);
-    }
 
     #[test]
     fn results_come_back_in_task_order() {

@@ -12,12 +12,10 @@
 //! * [`verify_kernels`] — one-call driver: translate, run verification,
 //!   return per-kernel verdicts plus the Figure-3 time breakdown.
 //!
-//! The executor runs each verified launch as a three-stage pipeline
-//! (staged demotion copies, device/reference overlap, fanned-out
-//! comparison — see `DESIGN.md` §12). [`VerifyOptions::compare_jobs`]
-//! plumbs straight through to the comparison stage's worker count; every
-//! value produces bit-identical verdicts, so drivers may pick any fan-out
-//! without re-validating results.
+//! The executor runs each verified launch in three phases on the calling
+//! thread (staged demotion copies, device run then CPU reference,
+//! comparison — see `DESIGN.md` §12); the overlap of device and reference
+//! is an effect on the simulated clock only.
 
 use crate::exec::{execute, ExecMode, ExecOptions, KernelVerification, VerifyOptions};
 use crate::translate::{translate, TranslateOptions, Translated};

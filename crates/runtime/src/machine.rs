@@ -404,45 +404,14 @@ impl Machine {
         queue: Option<i64>,
         name: Option<&str>,
     ) -> Result<(), VmError> {
+        self.track_handle(host_h);
         let dev_h = self.presents[dev.0 as usize]
             .device_of(host_h)
             .ok_or_else(|| VmError::Internal(format!("{host_h} not present for copyin")))?;
         let (host_mem, dev_mem) = (&self.host.mem, &mut self.devices.get_mut(dev).mem);
-        dev_mem.get_mut(dev_h)?.copy_from(host_mem.get(host_h)?)?;
-        self.account_to_device_on(dev, host_h, site, queue, name)
-    }
-
-    /// The accounting half of a host→device copy — clock charge, transfer
-    /// stats, journal events, coherence transition — with no bytes moved.
-    /// The verified-launch pipeline performs the raw byte copies on a
-    /// worker thread (they have no observable effect on the simulated
-    /// machine) and then replays the accounting here on the main thread in
-    /// a fixed order, so the pair is indistinguishable from a plain
-    /// [`Machine::copy_to_device`] call.
-    pub fn account_to_device(
-        &mut self,
-        host_h: Handle,
-        site: &str,
-        queue: Option<i64>,
-        name: Option<&str>,
-    ) -> Result<(), VmError> {
-        self.account_to_device_on(DeviceId::PRIMARY, host_h, site, queue, name)
-    }
-
-    /// [`Machine::account_to_device`] targeting device `dev`.
-    pub fn account_to_device_on(
-        &mut self,
-        dev: DeviceId,
-        host_h: Handle,
-        site: &str,
-        queue: Option<i64>,
-        name: Option<&str>,
-    ) -> Result<(), VmError> {
-        self.track_handle(host_h);
-        self.presents[dev.0 as usize]
-            .device_of(host_h)
-            .ok_or_else(|| VmError::Internal(format!("{host_h} not present for copyin")))?;
-        let bytes = self.host.mem.get(host_h)?.size_bytes();
+        let src = host_mem.get(host_h)?;
+        dev_mem.get_mut(dev_h)?.copy_from(src)?;
+        let bytes = src.size_bytes();
         let (ts, dt, track) = self.charge_transfer(bytes, dev, queue);
         self.stats.h2d_bytes += bytes;
         self.stats.h2d_count += 1;

@@ -159,9 +159,8 @@ impl MemSpace {
     }
 
     /// Insert a pre-built buffer; returns its handle. Identical to
-    /// [`MemSpace::alloc`] followed by filling, except the (possibly large)
-    /// buffer construction happened outside the arena — callers that build
-    /// buffers on a worker thread while this arena is busy publish them here
+    /// [`MemSpace::alloc`] followed by filling: a caller that already holds
+    /// the contents (a clone of another space's buffer, say) publishes them
     /// with a pointer move.
     pub fn insert(&mut self, buf: Buffer) -> Handle {
         self.allocated_bytes += buf.size_bytes();

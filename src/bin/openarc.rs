@@ -91,8 +91,6 @@ fn usage() -> String {
      cpu    <file.c>            execute the sequential reference\n\
      verify <file.c> [options]  kernel verification; options use the paper's\n\
                                 syntax, e.g. complement=0,kernels=main_kernel0;\n\
-                                compareJobs=<N> fans the comparison stage out\n\
-                                across N workers (bit-identical results);\n\
                                 dagJobs=<N> keeps up to N verified launches in\n\
                                 flight on the dependency DAG and devices=<N>\n\
                                 spreads independent launches over N simulated\n\
