@@ -4,7 +4,7 @@
 use super::{ExecMode, ExecOptions, KernelVerification, TransferKey};
 use crate::ir::RtOp;
 use crate::translate::Translated;
-use openarc_gpusim::{RaceReport, TimeCategory};
+use openarc_gpusim::{LaunchMemo, ModuleFp, RaceReport, TimeCategory};
 use openarc_minic::ScalarTy;
 use openarc_runtime::Machine;
 use openarc_vm::{Env, Handle, ThreadState, Value, VmError};
@@ -41,6 +41,11 @@ pub(super) struct ExecEnv<'a> {
     /// Wall-clock origin of the run; verified-launch stage spans are
     /// journaled relative to this instant.
     pub(super) t0: std::time::Instant,
+    /// Every device launch of the run goes through this memo.
+    pub(super) memo: &'a LaunchMemo,
+    /// Fingerprint of `tr.kernel_module`, taken at the run's first device
+    /// launch.
+    pub(super) module_fp: Option<ModuleFp>,
 }
 
 impl ExecEnv<'_> {

@@ -4,7 +4,7 @@
 use super::env::ExecEnv;
 use super::reduce::red_eval;
 use crate::ir::KernelParam;
-use openarc_gpusim::{launch, DeviceId, TimeCategory};
+use openarc_gpusim::{DeviceId, KernelOutcome, ModuleFp, TimeCategory};
 use openarc_minic::ScalarTy;
 use openarc_openacc::ReductionOp;
 use openarc_runtime::DevSide;
@@ -12,6 +12,31 @@ use openarc_vm::{Handle, Value, VmError};
 use std::collections::HashMap;
 
 impl ExecEnv<'_> {
+    /// Run kernel `k` on device `dev` through the launch memo: the one
+    /// device-launch path of both launch sites.
+    pub(super) fn launch_kernel(
+        &mut self,
+        k: usize,
+        dev: DeviceId,
+        args: &[Value],
+        n: u64,
+    ) -> Result<KernelOutcome, VmError> {
+        let tr = self.tr;
+        let fp = *self
+            .module_fp
+            .get_or_insert_with(|| ModuleFp::of(&tr.kernel_module));
+        let cfg = self.launch_cfg(k);
+        self.memo.launch(
+            self.machine.devices.get_mut(dev),
+            &tr.kernel_module,
+            fp,
+            &tr.kernels[k].name,
+            args,
+            n,
+            &cfg,
+        )
+    }
+
     /// Build kernel args. `on_device` selects the buffers of device `dev`
     /// or host buffers; the returned vec lists `(reduction var, op, partial
     /// buffer)` to finalize and the set of handles to free afterwards
@@ -192,15 +217,7 @@ impl ExecEnv<'_> {
             }
         }
         let (args, reds, temps, cells) = self.build_args(k, n, true, DeviceId::PRIMARY)?;
-        let cfg = self.launch_cfg(k);
-        let outcome = launch(
-            self.machine.devices.primary_mut(),
-            &tr.kernel_module,
-            &info.name,
-            &args,
-            n,
-            &cfg,
-        )?;
+        let outcome = self.launch_kernel(k, DeviceId::PRIMARY, &args, n)?;
         for r in &outcome.races {
             self.races.push((info.name.clone(), r.clone()));
         }

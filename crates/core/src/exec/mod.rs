@@ -19,8 +19,9 @@
 //!   the [`RunResult`].
 //! * `env` — the `Env`-implementing execution environment that
 //!   dispatches lowered runtime ops (data regions, updates, checks).
-//! * `launch` — argument marshalling plus the Normal and CpuOnly kernel
-//!   launch paths.
+//! * `launch` — argument marshalling, the Normal and CpuOnly kernel
+//!   launch paths, and `launch_kernel`, through which every device launch
+//!   of both modes goes to the launch memo.
 //! * `verified` — the §III-A verified launch: staging, device run, CPU
 //!   reference and comparison, in that order on the calling thread.
 //! * `reduce` — reduction operator evaluation and partial-buffer folds.
@@ -37,7 +38,7 @@ use crate::translate::Translated;
 use env::ExecEnv;
 pub use reduce::red_eval;
 
-use openarc_gpusim::{CostModel, DeviceId, LaunchConfig, RaceReport};
+use openarc_gpusim::{CostModel, DeviceId, LaunchConfig, LaunchMemo, RaceReport};
 use openarc_runtime::Machine;
 use openarc_trace::Journal;
 use openarc_vm::interp::BasicEnv;
@@ -298,8 +299,19 @@ impl RunResult {
     }
 }
 
-/// Execute a translated program.
+/// Execute a translated program. Device launches repeated within the run
+/// are served from a launch memo local to it.
 pub fn execute(tr: &Translated, opts: &ExecOptions) -> Result<RunResult, VmError> {
+    execute_in(tr, opts, &LaunchMemo::default())
+}
+
+/// [`execute`] with every device launch going through `memo`, which may
+/// hold launches of earlier runs.
+pub(crate) fn execute_in(
+    tr: &Translated,
+    opts: &ExecOptions,
+    memo: &LaunchMemo,
+) -> Result<RunResult, VmError> {
     let host = BasicEnv::for_module(&tr.host_module);
     // The device dimension exists only in verify mode — the sequential
     // and Normal paths always simulate exactly one device.
@@ -344,6 +356,8 @@ pub fn execute(tr: &Translated, opts: &ExecOptions) -> Result<RunResult, VmError
         device_plan,
         footprints,
         t0: std::time::Instant::now(),
+        memo,
+        module_fp: None,
     };
 
     ThreadState::new(&tr.host_module, GLOBALS_INIT, &[])?.run_to_end(

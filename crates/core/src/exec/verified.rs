@@ -24,7 +24,7 @@
 use super::env::ExecEnv;
 use super::reduce::red_eval;
 use super::{AssertKind, VerifyOptions};
-use openarc_gpusim::{launch, DeviceId, TimeCategory};
+use openarc_gpusim::{DeviceId, TimeCategory};
 use openarc_vm::{Buffer, Handle, Value, VmError};
 use std::time::Instant;
 
@@ -167,21 +167,13 @@ impl ExecEnv<'_> {
                 .copy_to_device_named_on(dev, host_h, &verify_site, Some(q), None)?;
         }
         let (args, dreds, dtemps, dcells) = self.build_args(k, n, true, dev)?;
-        let cfg = self.launch_cfg(k);
         let (mut hargs, hreds, htemps, hcells) = self.build_args(k, n, false, dev)?;
         hargs.insert(0, Value::Int(n as i64));
         self.note_stage("verify:staging", t_staging);
 
         // ---------------------------------------------- stage 2: overlap
         let t_overlap = timed.then(Instant::now);
-        let outcome = launch(
-            self.machine.devices.get_mut(dev),
-            &tr.kernel_module,
-            &info.name,
-            &args,
-            n,
-            &cfg,
-        )?;
+        let outcome = self.launch_kernel(k, dev, &args, n)?;
         let steps = self.run_host_fn(&info.seq_name, &hargs)?;
         for r in &outcome.races {
             self.races.push((info.name.clone(), r.clone()));

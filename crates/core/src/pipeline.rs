@@ -31,7 +31,10 @@
 //! * **Execute** — the simulated run ([`RunResult`]). Journaled runs are
 //!   cached too: the miss records the exact event stream the run emitted,
 //!   and a hit **replays** it into the caller's journal, so the journal
-//!   side effect of a cache hit is byte-identical to a real run.
+//!   side effect of a cache hit is byte-identical to a real run. Below the
+//!   whole-run memo, every device launch goes through the session's
+//!   [`LaunchMemo`]: a run that misses still skips simulating any kernel
+//!   whose inputs an earlier run already had ([`PipelineStats::launches`]).
 //! * **Verify** — the §III-A report: CPU baseline + verification run, both
 //!   routed through the Execute stage so they cache independently.
 //!
@@ -61,9 +64,10 @@
 //! the deterministic per-run journals compared across worker counts.
 
 use crate::cache::{DiskCache, DiskStats, Lookup};
-use crate::exec::{execute, ExecMode, ExecOptions, RunResult, VerifyOptions};
+use crate::exec::{execute_in, ExecMode, ExecOptions, RunResult, VerifyOptions};
 use crate::translate::{translate, TranslateOptions, Translated};
 use crate::verify::{VerificationReport, VerifyError};
+use openarc_gpusim::{LaunchMemo, LaunchStats};
 use openarc_minic::ast::{walk_stmts, Item};
 use openarc_minic::span::Diagnostic;
 use openarc_minic::{frontend, print_program, Program, Sema};
@@ -396,6 +400,8 @@ pub struct PipelineStats {
     /// Disk-layer traffic (all zero when the session has no disk cache).
     /// A disk hit is *also* a stage hit — the stage work was skipped.
     pub disk: DiskStats,
+    /// Device launches the session's launch memo served or simulated.
+    pub launches: LaunchStats,
 }
 
 impl PipelineStats {
@@ -412,6 +418,12 @@ impl std::fmt::Display for PipelineStats {
             let c = self.get(s);
             writeln!(f, "{:<12} {:>6} {:>6}", s.label(), c.hits, c.misses)?;
         }
+        let l = &self.launches;
+        writeln!(
+            f,
+            "{:<12} {:>6} {:>6}   evicted {}, replayed steps {}",
+            "launches", l.hits, l.misses, l.evictions, l.replayed_thread_steps
+        )?;
         if !self.disk.is_empty() {
             writeln!(
                 f,
@@ -556,6 +568,10 @@ pub struct Session {
     plans: Memo<ExecPlan>,
     runs: Memo<CachedRun>,
     verifications: Memo<Arc<VerificationReport>>,
+    /// Every device launch of every run the session executes goes through
+    /// this memo, so a kernel that meets inputs it already saw in an
+    /// earlier run is not simulated again.
+    launches: LaunchMemo,
     /// Accumulated wall-clock nanoseconds per stage ([`Stage::ALL`] order).
     stage_wall: [AtomicU64; 7],
     /// Optional session-level stream of [`EventKind::Stage`] spans.
@@ -576,6 +592,7 @@ impl Default for Session {
             plans: Memo::default(),
             runs: Memo::default(),
             verifications: Memo::default(),
+            launches: LaunchMemo::default(),
             stage_wall: Default::default(),
             stage_journal: Journal::disabled(),
             t0: Instant::now(),
@@ -977,7 +994,8 @@ impl Session {
         };
         let compute = || -> Result<_, PipelineError> {
             if !plan.journaled {
-                let result = execute(&tr.tr, eopts).map_err(PipelineError::Run)?;
+                let result =
+                    execute_in(&tr.tr, eopts, &self.launches).map_err(PipelineError::Run)?;
                 return Ok(CachedRun {
                     result: Arc::new(result),
                     events: Arc::default(),
@@ -991,7 +1009,8 @@ impl Session {
                 journal: capture.clone(),
                 ..eopts.clone()
             };
-            let result = execute(&tr.tr, &run_opts).map_err(PipelineError::Run)?;
+            let result =
+                execute_in(&tr.tr, &run_opts, &self.launches).map_err(PipelineError::Run)?;
             let events = capture.drain();
             eopts.journal.extend(events.clone());
             Ok(CachedRun {
@@ -1070,10 +1089,11 @@ impl Session {
         })
     }
 
-    /// Per-stage hit/miss counters accumulated so far, plus disk-layer
-    /// traffic when a disk cache is attached.
+    /// Per-stage hit/miss counters accumulated so far, the launch memo's
+    /// counters, plus disk-layer traffic when a disk cache is attached.
     pub fn stats(&self) -> PipelineStats {
         let mut out = self.meters.snapshot();
+        out.launches = self.launches.stats();
         if let Some(disk) = &self.disk {
             out.disk = disk.stats();
         }
@@ -1082,475 +1102,4 @@ impl Session {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::exec::TransferOverlay;
-
-    const SRC: &str = "double q[32];\ndouble w[32];\nvoid main() {\n int j;\n for (j = 0; j < 32; j++) { w[j] = (double) j; }\n #pragma acc data copyin(w) copyout(q)\n {\n  #pragma acc kernels loop gang\n  for (j = 0; j < 32; j++) { q[j] = w[j] * 3.0; }\n }\n}";
-
-    #[test]
-    fn same_source_different_options_reuses_translation() {
-        let s = Session::builder().build();
-        let topts = TranslateOptions::default();
-        s.run_source(SRC, &topts, &ExecOptions::default()).unwrap();
-        let cpu = ExecOptions {
-            mode: ExecMode::CpuOnly,
-            ..Default::default()
-        };
-        s.run_source(SRC, &topts, &cpu).unwrap();
-        let st = s.stats();
-        assert_eq!(st.get(Stage::Frontend), StageCounts { hits: 1, misses: 1 });
-        assert_eq!(st.get(Stage::Analysis), StageCounts { hits: 1, misses: 1 });
-        // Different exec fingerprints: two plans, two real runs.
-        assert_eq!(st.get(Stage::Plan).misses, 2);
-        assert_eq!(st.get(Stage::Execute), StageCounts { hits: 0, misses: 2 });
-    }
-
-    #[test]
-    fn journaled_runs_cache_and_replay_events() {
-        let s = Session::builder().build();
-        let topts = TranslateOptions::default();
-        let first = openarc_trace::Journal::enabled();
-        let a = s
-            .run_source(
-                SRC,
-                &topts,
-                &ExecOptions {
-                    journal: first.clone(),
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-        assert!(a.plan.journaled);
-        let recorded = first.snapshot();
-        assert!(!recorded.is_empty(), "miss journaled real events");
-        // Identical request with a fresh journal: served from cache, with
-        // the recorded event stream replayed byte-for-byte.
-        let second = openarc_trace::Journal::enabled();
-        let b = s
-            .run_source(
-                SRC,
-                &topts,
-                &ExecOptions {
-                    journal: second.clone(),
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-        assert!(Arc::ptr_eq(&a.result, &b.result), "hit reuses the run");
-        assert_eq!(s.stats().get(Stage::Execute).hits, 1);
-        assert_eq!(second.snapshot(), recorded, "replay is byte-identical");
-        // Journaled and unjournaled requests stay separate plans.
-        let c = s.run_source(SRC, &topts, &ExecOptions::default()).unwrap();
-        assert!(!c.plan.journaled);
-        assert!(!Arc::ptr_eq(&a.result, &c.result));
-    }
-
-    #[test]
-    fn instrumented_translation_meters_separately() {
-        let s = Session::builder().build();
-        let fe = s.frontend(SRC).unwrap();
-        let plain = TranslateOptions::default();
-        let inst = TranslateOptions {
-            instrument: true,
-            ..Default::default()
-        };
-        let a = s.translate(&fe, &plain).unwrap();
-        let b = s.translate(&fe, &inst).unwrap();
-        let c = s.translate(&fe, &inst).unwrap();
-        assert_ne!(a.id, b.id);
-        assert!(Arc::ptr_eq(&b, &c));
-        let st = s.stats();
-        assert_eq!(st.get(Stage::Analysis), StageCounts { hits: 0, misses: 1 });
-        assert_eq!(
-            st.get(Stage::Instrument),
-            StageCounts { hits: 1, misses: 1 }
-        );
-    }
-
-    #[test]
-    fn directive_census_counts_pragmas() {
-        let s = Session::builder().build();
-        let fe = s.frontend(SRC).unwrap();
-        let d = s.directives(&fe).unwrap();
-        assert_eq!(d.compute, 1);
-        assert_eq!(d.data, 1);
-        assert_eq!(d.total(), 2);
-        s.directives(&fe).unwrap();
-        assert_eq!(s.stats().get(Stage::Directives).hits, 1);
-    }
-
-    #[test]
-    fn overlay_edits_change_the_plan_fingerprint() {
-        let s = Session::builder().build();
-        let fe = s.frontend(SRC).unwrap();
-        let tr = s.translate(&fe, &TranslateOptions::default()).unwrap();
-        let base = s.plan(&tr, &ExecOptions::default());
-        let mut overlay = TransferOverlay::default();
-        overlay.disable.insert(crate::exec::TransferKey {
-            site: "data_enter0".into(),
-            var: "w".into(),
-            to_device: true,
-        });
-        let edited = s.plan(
-            &tr,
-            &ExecOptions {
-                overlay,
-                ..Default::default()
-            },
-        );
-        assert_ne!(base.id, edited.id);
-        assert_eq!(base.translated, edited.translated);
-    }
-
-    #[test]
-    fn sessions_are_shareable_across_scheduler_workers() {
-        let s = Session::builder().build();
-        let topts = TranslateOptions::default();
-        let tasks: Vec<_> = (0..8)
-            .map(|_| {
-                let s = &s;
-                let topts = topts.clone();
-                move || {
-                    s.run_source(SRC, &topts, &ExecOptions::default())
-                        .unwrap()
-                        .result
-                        .sim_time_us()
-                }
-            })
-            .collect();
-        let times = crate::sched::run_tasks(4, tasks);
-        assert!(times.windows(2).all(|w| w[0] == w[1]));
-        let st = s.stats();
-        assert_eq!(
-            st.get(Stage::Frontend).hits + st.get(Stage::Frontend).misses,
-            8
-        );
-        // At least one of the eight requests computed each stage; the rest
-        // hit (or raced the first miss, which is also a miss).
-        assert!(st.get(Stage::Execute).hits >= 1);
-    }
-
-    fn disk_scratch(tag: &str) -> std::path::PathBuf {
-        use std::sync::atomic::AtomicU32;
-        static N: AtomicU32 = AtomicU32::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "openarc-pipe-{tag}-{}-{}",
-            std::process::id(),
-            N.fetch_add(1, Ordering::Relaxed)
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
-    /// The seven stage entry points (`translate` twice: it meters plain
-    /// and instrumented translations as different stages).
-    #[derive(Debug, Clone, Copy)]
-    enum Entry {
-        Frontend,
-        FrontendProgram,
-        Directives,
-        TranslatePlain,
-        TranslateInstrumented,
-        Plan,
-        Execute,
-        Verify,
-    }
-
-    impl Entry {
-        const ALL: [Entry; 8] = [
-            Entry::Frontend,
-            Entry::FrontendProgram,
-            Entry::Directives,
-            Entry::TranslatePlain,
-            Entry::TranslateInstrumented,
-            Entry::Plan,
-            Entry::Execute,
-            Entry::Verify,
-        ];
-
-        /// The stage the entry point meters, and whether its artifact
-        /// kind is persisted to the disk layer.
-        fn stage(self) -> (Stage, bool) {
-            match self {
-                Entry::Frontend => (Stage::Frontend, true),
-                Entry::FrontendProgram => (Stage::Frontend, false),
-                Entry::Directives => (Stage::Directives, false),
-                Entry::TranslatePlain => (Stage::Analysis, true),
-                Entry::TranslateInstrumented => (Stage::Instrument, true),
-                Entry::Plan => (Stage::Plan, false),
-                Entry::Execute => (Stage::Execute, true),
-                Entry::Verify => (Stage::Verify, false),
-            }
-        }
-    }
-
-    /// What one entry-point call did to its own stage: the `(hits,
-    /// misses)` delta and the stage's journal events in emission order
-    /// (`cache:<op>` / `stage:<cached>`).
-    #[derive(Debug, PartialEq)]
-    struct Observed {
-        counts: (u64, u64),
-        events: Vec<String>,
-    }
-
-    /// Run `entry`'s prerequisite stages on `s`, then the entry point
-    /// itself, observing only the latter.
-    fn observe(s: &Session, entry: Entry) -> Observed {
-        let (stage, _) = entry.stage();
-        let plain = TranslateOptions::default();
-        let inst = TranslateOptions {
-            instrument: true,
-            ..Default::default()
-        };
-        let eopts = ExecOptions::default();
-        let call: Box<dyn FnOnce() + '_> = match entry {
-            Entry::Frontend => Box::new(|| drop(s.frontend(SRC).unwrap())),
-            Entry::FrontendProgram => {
-                let (program, sema) = frontend(SRC).unwrap();
-                Box::new(move || drop(s.frontend_program(program, sema)))
-            }
-            Entry::Directives => {
-                let fe = s.frontend(SRC).unwrap();
-                Box::new(move || drop(s.directives(&fe).unwrap()))
-            }
-            Entry::TranslatePlain | Entry::TranslateInstrumented => {
-                let fe = s.frontend(SRC).unwrap();
-                let topts = if matches!(entry, Entry::TranslatePlain) {
-                    plain
-                } else {
-                    inst
-                };
-                Box::new(move || drop(s.translate(&fe, &topts).unwrap()))
-            }
-            Entry::Plan | Entry::Execute => {
-                let fe = s.frontend(SRC).unwrap();
-                let tr = s.translate(&fe, &plain).unwrap();
-                if matches!(entry, Entry::Plan) {
-                    Box::new(move || {
-                        s.plan(&tr, &eopts);
-                    })
-                } else {
-                    Box::new(move || drop(s.execute(&tr, &eopts).unwrap()))
-                }
-            }
-            Entry::Verify => {
-                let fe = s.frontend(SRC).unwrap();
-                Box::new(move || drop(s.verify(&fe, &plain, VerifyOptions::default()).unwrap()))
-            }
-        };
-        let before = s.stats();
-        s.stage_journal().drain();
-        call();
-        let after = s.stats();
-        let events = s
-            .stage_journal()
-            .drain()
-            .into_iter()
-            .filter_map(|e| match e.kind {
-                EventKind::Stage { stage: l, cached } if l == stage.label() => {
-                    Some(format!("stage:{cached}"))
-                }
-                EventKind::Cache { stage: l, op } if l == stage.label() => {
-                    Some(format!("cache:{op}"))
-                }
-                _ => None,
-            })
-            .collect();
-        let (b, a) = (before.get(stage), after.get(stage));
-        Observed {
-            counts: (a.hits - b.hits, a.misses - b.misses),
-            events,
-        }
-    }
-
-    #[test]
-    fn every_stage_entry_point_follows_the_one_memo_protocol() {
-        let observed = |counts, events: &[&str]| Observed {
-            counts,
-            events: events.iter().map(|e| e.to_string()).collect(),
-        };
-        let disk_session = |dir: &std::path::Path| {
-            Session::builder()
-                .journal(Journal::enabled())
-                .disk_cache(dir)
-                .build()
-        };
-        for entry in Entry::ALL {
-            let (stage, persisted) = entry.stage();
-            let dir = disk_scratch("protocol");
-            let s = disk_session(&dir);
-            // Cold: one stage miss; a persisted kind probes the disk once
-            // and publishes what it computed.
-            let cold = if persisted {
-                observed((0, 1), &["cache:miss", "cache:store", "stage:false"])
-            } else {
-                observed((0, 1), &["stage:false"])
-            };
-            assert_eq!(observe(&s, entry), cold, "{entry:?} cold");
-            let times = s.stage_times();
-            let wall = times.iter().find(|(x, _)| *x == stage).unwrap().1;
-            assert!(wall > 0.0, "{entry:?} accumulated no wall-clock time");
-            // Memory hit: no disk traffic at all.
-            let hit = observed((1, 0), &["stage:true"]);
-            assert_eq!(observe(&s, entry), hit, "{entry:?} memory hit");
-            // A fresh session over the same store: persisted kinds load
-            // through from disk (a stage hit); the rest recompute.
-            let fresh = if persisted {
-                observed((1, 0), &["cache:hit", "stage:true"])
-            } else {
-                cold
-            };
-            let s = disk_session(&dir);
-            assert_eq!(observe(&s, entry), fresh, "{entry:?} fresh session");
-            // ... after which the loaded artifact sits in memory.
-            assert_eq!(observe(&s, entry), hit, "{entry:?} hit after load");
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-        // A failed compute counts a miss and emits no Stage span; nothing
-        // is published.
-        let dir = disk_scratch("protocol-err");
-        let s = disk_session(&dir);
-        assert!(s.frontend("void main() { x = 1; }").is_err());
-        assert_eq!(s.stats().get(Stage::Frontend).misses, 1);
-        assert_eq!(s.stats().disk.stores, 0);
-        let kinds: Vec<_> = s
-            .stage_journal()
-            .drain()
-            .into_iter()
-            .map(|e| e.kind)
-            .collect();
-        assert_eq!(
-            kinds,
-            [EventKind::Cache {
-                stage: "frontend",
-                op: "miss"
-            }]
-        );
-        assert!(!dir.exists(), "nothing was stored");
-    }
-
-    #[test]
-    fn an_absent_key_is_exactly_one_disk_miss_per_persisted_stage() {
-        let dir = disk_scratch("exact-miss");
-        let s = Session::builder()
-            .journal(Journal::enabled())
-            .disk_cache(&dir)
-            .build();
-        let inst = TranslateOptions {
-            instrument: true,
-            ..Default::default()
-        };
-        let fe = s.frontend(SRC).unwrap();
-        assert_eq!(s.stats().disk.misses, 1);
-        let tr = s.translate(&fe, &TranslateOptions::default()).unwrap();
-        assert_eq!(s.stats().disk.misses, 2);
-        s.translate(&fe, &inst).unwrap();
-        assert_eq!(s.stats().disk.misses, 3);
-        s.execute(&tr, &ExecOptions::default()).unwrap();
-        assert_eq!(s.stats().disk.misses, 4);
-        let events = s.stage_journal().drain();
-        for stage in crate::cache::DISK_STAGES {
-            let miss = EventKind::Cache {
-                stage: stage.label(),
-                op: "miss",
-            };
-            let n = events.iter().filter(|e| e.kind == miss).count();
-            assert_eq!(n, 1, "{} miss events", stage.label());
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn disk_cache_survives_into_a_new_session() {
-        let dir = disk_scratch("warm");
-        let topts = TranslateOptions::default();
-        let journal = openarc_trace::Journal::enabled();
-        let eopts = ExecOptions {
-            journal: journal.clone(),
-            ..Default::default()
-        };
-        let cold = Session::builder().disk_cache(&dir).build();
-        let a = cold.run_source(SRC, &topts, &eopts).unwrap();
-        let recorded = journal.drain();
-        let st = cold.stats();
-        assert_eq!(st.disk.hits, 0);
-        assert!(st.disk.stores >= 3, "frontend + analysis + run persisted");
-
-        // A brand-new session over the same directory models a second
-        // process: every persisted stage loads from disk — zero misses.
-        let replay = openarc_trace::Journal::enabled();
-        let warm = Session::builder().disk_cache(&dir).build();
-        let b = warm
-            .run_source(
-                SRC,
-                &topts,
-                &ExecOptions {
-                    journal: replay.clone(),
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-        let st = warm.stats();
-        assert_eq!(st.get(Stage::Frontend), StageCounts { hits: 1, misses: 0 });
-        assert_eq!(st.get(Stage::Analysis), StageCounts { hits: 1, misses: 0 });
-        assert_eq!(st.get(Stage::Execute), StageCounts { hits: 1, misses: 0 });
-        assert_eq!(st.disk.misses, 0);
-        assert!(st.disk.hits >= 3);
-        assert_eq!(a.result.sim_time_us(), b.result.sim_time_us());
-        assert_eq!(a.result.kernel_launches, b.result.kernel_launches);
-        assert_eq!(replay.drain(), recorded, "disk replay is byte-identical");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn corrupt_disk_entries_recompute_cleanly() {
-        let dir = disk_scratch("corrupt");
-        let topts = TranslateOptions::default();
-        let cold = Session::builder().disk_cache(&dir).build();
-        let a = cold
-            .run_source(SRC, &topts, &ExecOptions::default())
-            .unwrap();
-        // Trash every persisted entry: an empty file and two shapes of
-        // garbage.
-        let mut i = 0;
-        for stage in crate::cache::DISK_STAGES {
-            let Ok(rd) = std::fs::read_dir(dir.join(stage.label())) else {
-                continue;
-            };
-            for entry in rd.flatten() {
-                let junk = ["", "{not json", "{\"schema\": 999}"][i % 3];
-                std::fs::write(entry.path(), junk).unwrap();
-                i += 1;
-            }
-        }
-        assert!(i >= 3, "expected persisted entries to corrupt");
-        let warm = Session::builder().disk_cache(&dir).build();
-        let b = warm
-            .run_source(SRC, &topts, &ExecOptions::default())
-            .unwrap();
-        assert_eq!(a.result.sim_time_us(), b.result.sim_time_us());
-        let st = warm.stats();
-        assert_eq!(st.disk.hits, 0);
-        assert!(
-            st.disk.corrupt + st.disk.misses >= 3,
-            "every load either missed or detected corruption: {:?}",
-            st.disk
-        );
-        assert!(st.disk.corrupt >= 1, "at least one corruption detected");
-        // The recompute re-published fresh entries over the carnage.
-        assert!(st.disk.stores >= 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn no_cache_clears_a_configured_disk_layer() {
-        let dir = disk_scratch("nocache");
-        let s = Session::builder().disk_cache(&dir).no_cache().build();
-        assert!(s.disk_cache().is_none());
-        s.run_source(SRC, &TranslateOptions::default(), &ExecOptions::default())
-            .unwrap();
-        assert!(s.stats().disk.is_empty());
-        assert!(!dir.exists(), "no directory created when the cache is off");
-    }
-}
+mod tests;

@@ -44,6 +44,7 @@
 use crate::api::{self, ApiError, ErrorKind, Request, Response};
 use crate::pipeline::{Session, Stage};
 use crate::sched::WorkQueue;
+use openarc_gpusim::LaunchStats;
 use openarc_trace::json::Json;
 use openarc_trace::{EventKind, Journal, TraceEvent, Track};
 use std::collections::HashMap;
@@ -129,6 +130,9 @@ impl ServerStats {
     }
 }
 
+/// `(stage label, hits, misses)` per stage, [`Stage::ALL`] order.
+type StageTotals = Vec<(&'static str, u64, u64)>;
+
 struct ServerInner {
     cfg: ServerConfig,
     /// One warm session per tenant id (`""` = the default tenant).
@@ -161,13 +165,13 @@ impl ServerInner {
         s
     }
 
-    /// Aggregate per-stage and disk cache counters over every tenant
-    /// session.
-    fn cache_totals(&self) -> (Vec<(&'static str, u64, u64)>, [u64; 3]) {
+    /// Aggregate per-stage, disk and launch-memo counters over every
+    /// tenant session.
+    fn cache_totals(&self) -> (StageTotals, [u64; 3], LaunchStats) {
         let map = self.tenants.lock().expect("tenant map poisoned");
-        let mut stages: Vec<(&'static str, u64, u64)> =
-            Stage::ALL.iter().map(|s| (s.label(), 0, 0)).collect();
+        let mut stages: StageTotals = Stage::ALL.iter().map(|s| (s.label(), 0, 0)).collect();
         let mut disk = [0u64; 3];
+        let mut launches = LaunchStats::default();
         for session in map.values() {
             let st = session.stats();
             for (i, s) in Stage::ALL.iter().enumerate() {
@@ -178,14 +182,18 @@ impl ServerInner {
             disk[0] += st.disk.hits;
             disk[1] += st.disk.misses;
             disk[2] += st.disk.stores;
+            launches.hits += st.launches.hits;
+            launches.misses += st.launches.misses;
+            launches.evictions += st.launches.evictions;
+            launches.replayed_thread_steps += st.launches.replayed_thread_steps;
         }
-        (stages, disk)
+        (stages, disk, launches)
     }
 
     /// The gauge set shared by the `stats` action and the heartbeat.
     fn gauges(&self) -> Vec<(&'static str, f64)> {
         let (p50, p95) = self.stats.percentiles();
-        let (stages, disk) = self.cache_totals();
+        let (stages, disk, launches) = self.cache_totals();
         let (hits, misses) = stages
             .iter()
             .fold((0, 0), |(h, m), (_, sh, sm)| (h + sh, m + sm));
@@ -221,13 +229,15 @@ impl ServerInner {
             ("cache_misses", misses as f64),
             ("disk_hits", disk[0] as f64),
             ("disk_misses", disk[1] as f64),
+            ("launch_hits", launches.hits as f64),
+            ("launch_misses", launches.misses as f64),
         ]
     }
 
     /// The `stats` action's payload.
     fn stats_json(&self) -> Json {
         let (p50, p95) = self.stats.percentiles();
-        let (stages, disk) = self.cache_totals();
+        let (stages, disk, launches) = self.cache_totals();
         Json::obj(vec![
             (
                 "uptime_us",
@@ -286,6 +296,18 @@ impl ServerInner {
                     ("hits", Json::from(disk[0])),
                     ("misses", Json::from(disk[1])),
                     ("stores", Json::from(disk[2])),
+                ]),
+            ),
+            (
+                "launches",
+                Json::obj(vec![
+                    ("hits", Json::from(launches.hits)),
+                    ("misses", Json::from(launches.misses)),
+                    ("evictions", Json::from(launches.evictions)),
+                    (
+                        "replayed_thread_steps",
+                        Json::from(launches.replayed_thread_steps),
+                    ),
                 ]),
             ),
         ])
@@ -796,6 +818,11 @@ mod tests {
         assert_eq!(disk.get("hits").and_then(Json::as_u64), Some(0));
         let stores = disk.get("stores").and_then(Json::as_u64).unwrap();
         assert!(stores >= 2, "two tenants stored disjoint entries");
+        // Launch memos are per tenant session as well: each tenant
+        // simulated its own kernel launch.
+        let launches = stats.get("launches").unwrap();
+        assert_eq!(launches.get("hits").and_then(Json::as_u64), Some(0));
+        assert_eq!(launches.get("misses").and_then(Json::as_u64), Some(2));
         shutdown(addr, handle);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -835,7 +862,15 @@ mod tests {
                 other => panic!("unexpected event {other:?}"),
             })
             .collect();
-        for want in ["in_flight", "queue_depth", "p50_us", "p95_us", "cache_hits"] {
+        for want in [
+            "in_flight",
+            "queue_depth",
+            "p50_us",
+            "p95_us",
+            "cache_hits",
+            "launch_hits",
+            "launch_misses",
+        ] {
             assert!(gauges.contains(&want), "missing gauge {want}");
         }
     }

@@ -42,7 +42,7 @@ impl Default for LaunchConfig {
 }
 
 /// Instruction counts and race reports from one kernel launch.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct KernelOutcome {
     /// Instructions executed over all threads.
     pub total_instrs: u64,

@@ -20,7 +20,9 @@
 //!
 //! Beyond the paper's hardware, the simulator adds a race **oracle**
 //! ([`race::RaceDetector`]) used to count latent errors in the Table 2
-//! reproduction.
+//! reproduction, and a **launch memo** ([`memo::LaunchMemo`]) that
+//! serves a launch whose inputs an earlier one already had instead of
+//! simulating it again.
 //!
 //! ## Event journal
 //!
@@ -40,10 +42,12 @@ pub mod clock;
 pub mod cost;
 pub mod device;
 pub mod exec;
+pub mod memo;
 pub mod race;
 
 pub use clock::{SimClock, TimeBreakdown, TimeCategory};
 pub use cost::CostModel;
 pub use device::{Device, DeviceEnv, DeviceId, DeviceSet};
 pub use exec::{launch, tree_combine, KernelOutcome, LaunchConfig};
+pub use memo::{LaunchMemo, LaunchStats, ModuleFp};
 pub use race::{AccessKind, RaceDetector, RaceReport};
