@@ -21,6 +21,8 @@ doc:
 build:
 	$(CARGO) build --workspace --release
 
-# Regenerate every table and figure of the paper's evaluation.
+# Regenerate every table and figure of the paper's evaluation, then the
+# ablations (JSON copies land in results/). Performance is measured by
+# the separate benchmark/ package, not here.
 paper:
 	$(CARGO) run --release -p openarc-bench --bin paper

@@ -1,11 +1,10 @@
-//! Shared command-line argument parsing for the bench binaries and the
+//! Shared command-line argument parsing for the `paper` binary and the
 //! `openarc bench` subcommand.
 //!
-//! Every driver takes the same flags — `--scale small|bench`, `--jobs
-//! N|auto`, `--n SIZE`, `--iters COUNT` — plus the disk-cache pair
-//! `--cache-dir DIR` / `--no-cache` added with the persistent artifact
-//! store. Parsing them once here keeps the eight binaries' usage strings
-//! and error behaviour identical.
+//! Both take the same flags — `--scale small|bench`, `--n SIZE`,
+//! `--iters COUNT` — plus the disk-cache pair `--cache-dir DIR` /
+//! `--no-cache`. Parsing them once here keeps their usage strings and
+//! error behaviour identical.
 
 use crate::sweep::Sweep;
 use openarc_core::pipeline::Session;
@@ -14,15 +13,13 @@ use std::path::PathBuf;
 
 /// The flag summary shared by every usage message.
 pub const FLAGS_HELP: &str =
-    "[--scale small|bench] [--jobs N|auto] [--n SIZE] [--iters COUNT] [--cache-dir DIR] [--no-cache]";
+    "[--scale small|bench] [--n SIZE] [--iters COUNT] [--cache-dir DIR] [--no-cache]";
 
 /// Parsed bench-driver arguments.
 #[derive(Debug, Clone)]
 pub struct BenchArgs {
     /// Problem scale every cell runs at.
     pub scale: Scale,
-    /// Worker threads (`1` = sequential).
-    pub jobs: usize,
     /// Resolved disk-cache root: the `--cache-dir` value, else the
     /// caller's default, and `None` when `--no-cache` was given (it wins
     /// over both).
@@ -35,7 +32,6 @@ impl BenchArgs {
     /// off by default). The error string is ready for stderr.
     pub fn parse(args: &[String], default_cache: Option<&str>) -> Result<BenchArgs, String> {
         let mut scale = Scale::bench();
-        let mut jobs = 1usize;
         let mut cache_dir: Option<PathBuf> = None;
         let mut no_cache = false;
         let mut it = args.iter();
@@ -57,7 +53,6 @@ impl BenchArgs {
                         }
                     }
                 }
-                "--jobs" => jobs = openarc_core::sched::parse_jobs(&value("--jobs")?)?,
                 "--n" => {
                     scale.n = value("--n")?
                         .parse()
@@ -85,11 +80,7 @@ impl BenchArgs {
         } else {
             cache_dir.or_else(|| default_cache.map(PathBuf::from))
         };
-        Ok(BenchArgs {
-            scale,
-            jobs,
-            cache_dir,
-        })
+        Ok(BenchArgs { scale, cache_dir })
     }
 
     /// Parse a bin's process arguments (no default cache directory),
@@ -116,17 +107,13 @@ impl BenchArgs {
         }
     }
 
-    /// Fresh [`Sweep`] at this scale and worker count, backed by
-    /// [`BenchArgs::session`].
+    /// Fresh [`Sweep`] at this scale, backed by [`BenchArgs::session`].
     pub fn sweep(&self) -> Sweep {
-        Sweep::with_session(self.scale, self.jobs, self.session())
+        Sweep {
+            scale: self.scale,
+            session: self.session(),
+        }
     }
-}
-
-/// Parse a bin's arguments and build its sweep in one call (the common
-/// figure/table driver prologue).
-pub fn sweep_from_env(bin: &str) -> Sweep {
-    BenchArgs::from_env(bin).sweep()
 }
 
 #[cfg(test)]
@@ -141,12 +128,14 @@ mod tests {
     fn defaults_and_flags() {
         let a = BenchArgs::parse(&[], None).unwrap();
         assert_eq!(
-            (a.scale.n, a.scale.iters, a.jobs, a.cache_dir),
-            (Scale::bench().n, Scale::bench().iters, 1, None)
+            (a.scale.n, a.scale.iters, a.cache_dir),
+            (Scale::bench().n, Scale::bench().iters, None)
         );
-        let a = BenchArgs::parse(&strs(&["--scale", "small", "--jobs", "4"]), None).unwrap();
-        assert_eq!((a.scale.n, a.jobs), (Scale::default().n, 4));
-        assert!(BenchArgs::parse(&strs(&["--jobs", "zero"]), None).is_err());
+        let a = BenchArgs::parse(&strs(&["--scale", "small"]), None).unwrap();
+        assert_eq!(a.scale.n, Scale::default().n);
+        // The sweep is sequential: `--jobs` is an unknown argument.
+        let e = BenchArgs::parse(&strs(&["--scale", "small", "--jobs", "4"]), None).unwrap_err();
+        assert!(e.contains("'--jobs'") && e.contains(FLAGS_HELP), "{e}");
         assert!(BenchArgs::parse(&strs(&["--frobnicate"]), None).is_err());
         assert!(BenchArgs::parse(&strs(&["--n", "0"]), None).is_err());
     }

@@ -1,10 +1,9 @@
 //! Experiment drivers — one function per table/figure of the paper's
-//! evaluation (§IV). Each takes a [`Sweep`] (scale × worker count × shared
-//! pipeline session), fans the 12-benchmark matrix across the sweep's
-//! workers, and returns structured rows in deterministic order; the
-//! `figure*`/`table*` binaries render them, and EXPERIMENTS.md records
-//! paper-vs-measured. Errors propagate as `Result` so the bins can exit
-//! nonzero instead of panicking.
+//! evaluation (§IV). Each takes a [`Sweep`] (scale × shared pipeline
+//! session), walks the 12-benchmark matrix, and returns structured rows in
+//! deterministic order; the `paper` binary renders them, and
+//! EXPERIMENTS.md records paper-vs-measured. Errors propagate as `Result`
+//! so the binary can exit nonzero instead of panicking.
 
 use crate::sweep::Sweep;
 use openarc_core::exec::{ExecMode, ExecOptions, VerifyOptions};
@@ -338,7 +337,7 @@ fn eopts_plain() -> ExecOptions {
     }
 }
 
-/// Sanity driver used by the bins: confirms every benchmark variant still
+/// Sanity driver used by `paper`: confirms every benchmark variant still
 /// matches its sequential reference at the sweep's scale. Returns the list
 /// of divergences (empty = healthy); infrastructure failures propagate.
 pub fn validate_suite(sw: &Sweep) -> Result<Vec<String>, String> {
@@ -483,9 +482,6 @@ impl Fig4Row {
     }
 }
 
-// Re-exported so the bins can translate without re-stating imports.
-pub use openarc_suite::Scale as BenchScale;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -495,7 +491,7 @@ mod tests {
     fn figure1_shape_holds() {
         // The paper's headline: the default scheme moves orders of
         // magnitude more data and runs much slower than the optimized one.
-        let sw = Sweep::sequential(Scale::default());
+        let sw = Sweep::new(Scale::default());
         let rows = figure1(&sw).unwrap();
         assert_eq!(rows.len(), 12);
         for r in &rows {
@@ -519,7 +515,7 @@ mod tests {
 
     #[test]
     fn table2_all_active_detected_none_latent() {
-        let sw = Sweep::sequential(Scale::default());
+        let sw = Sweep::new(Scale::default());
         let t = table2(&sw).unwrap();
         assert_eq!(t.rows.len(), 12);
         assert_eq!(
@@ -539,7 +535,7 @@ mod tests {
 
     #[test]
     fn figure3_verification_costs_more_than_cpu() {
-        let sw = Sweep::sequential(Scale::default());
+        let sw = Sweep::new(Scale::default());
         let rows = figure3(&sw).unwrap();
         for r in &rows {
             assert!(r.total > 0.5, "{}: {}", r.name, r.total);
@@ -555,7 +551,7 @@ mod tests {
 
     #[test]
     fn table3_converges_within_paper_range() {
-        let sw = Sweep::sequential(Scale::default());
+        let sw = Sweep::new(Scale::default());
         let rows = table3(&sw).unwrap();
         for r in &rows {
             assert!(r.converged, "{} did not converge", r.name);
@@ -578,7 +574,7 @@ mod tests {
 
     #[test]
     fn figure4_overhead_is_small() {
-        let sw = Sweep::sequential(Scale::default());
+        let sw = Sweep::new(Scale::default());
         let rows = figure4(&sw).unwrap();
         for r in &rows {
             assert!(

@@ -1,24 +1,16 @@
 //! Render a fuzz [`CampaignReport`] as the `BENCH_fuzz.json` document.
 //!
-//! The shape follows the other BENCH reports: top-level campaign counters,
-//! a latency [`Stats`] block over the per-program oracle times, the
-//! coverage-growth evidence (baseline atom count, campaign atom count, the
-//! sorted list of new atoms) and one entry per deduplicated finding. The
-//! CI `fuzz-smoke` job gates on `programs`, `new_atoms` and `unminimized`
-//! from this file.
+//! The shape: top-level campaign counters, a latency block over the
+//! per-program oracle times, the coverage-growth evidence (baseline atom
+//! count, campaign atom count, the sorted list of new atoms) and one entry
+//! per deduplicated finding. The CI `fuzz-smoke` job gates on `programs`,
+//! `new_atoms` and `unminimized` from this file.
 
-use crate::timing::Stats;
 use openarc_core::fuzz::CampaignReport;
 use openarc_trace::json::Json;
 
 /// `BENCH_fuzz.json` for one campaign.
 pub fn campaign_json(r: &CampaignReport) -> Json {
-    let exec = if r.exec_us.is_empty() {
-        Json::Null
-    } else {
-        let ns: Vec<u128> = r.exec_us.iter().map(|us| (us * 1e3) as u128).collect();
-        Stats::from_samples(ns).to_json()
-    };
     let new_atoms: Vec<Json> = r
         .new_atoms()
         .into_iter()
@@ -52,7 +44,27 @@ pub fn campaign_json(r: &CampaignReport) -> Json {
         ("new_atoms", Json::Arr(new_atoms)),
         ("findings", Json::Arr(findings)),
         ("unminimized", Json::from(r.unminimized())),
-        ("exec_per_program", exec),
+        ("exec_per_program", latency_json(&r.exec_us)),
+    ])
+}
+
+/// p50 / p95 / min / max in milliseconds plus the sample count over
+/// per-program times in µs (nearest-rank percentiles on the samples
+/// truncated to whole nanoseconds); `null` for an empty campaign.
+fn latency_json(exec_us: &[f64]) -> Json {
+    let mut ns: Vec<u128> = exec_us.iter().map(|us| (us * 1e3) as u128).collect();
+    if ns.is_empty() {
+        return Json::Null;
+    }
+    ns.sort_unstable();
+    let ms = |i: usize| ns[i] as f64 / 1e6;
+    let rank = |p: usize| ms((p * (ns.len() - 1) + 50) / 100);
+    Json::obj(vec![
+        ("p50_ms", Json::from(rank(50))),
+        ("p95_ms", Json::from(rank(95))),
+        ("min_ms", Json::from(ms(0))),
+        ("max_ms", Json::from(ms(ns.len() - 1))),
+        ("samples", Json::from(ns.len())),
     ])
 }
 
@@ -95,5 +107,24 @@ mod tests {
         let j = campaign_json(&r);
         assert_eq!(j.get("exec_per_program"), Some(&Json::Null));
         assert_eq!(j.get("programs").and_then(Json::as_u64), Some(0));
+    }
+
+    #[test]
+    fn latency_takes_nearest_rank_percentiles() {
+        let j = latency_json(&[5.0, 1.0, 3.0, 2.0, 4.0]);
+        let ms = |k: &str| j.get(k).and_then(Json::as_f64).unwrap();
+        assert_eq!(ms("min_ms"), 1e3 / 1e6);
+        assert_eq!(ms("p50_ms"), 3e3 / 1e6);
+        assert_eq!(ms("p95_ms"), 5e3 / 1e6);
+        assert_eq!(ms("max_ms"), 5e3 / 1e6);
+        assert_eq!(j.get("samples").and_then(Json::as_u64), Some(5));
+    }
+
+    #[test]
+    fn latency_renders_to_json() {
+        let j = latency_json(&[2.0, 1.0, 3.0]).pretty();
+        assert!(j.contains("\"p50_ms\""));
+        assert!(j.contains("\"p95_ms\""));
+        assert!(j.contains("\"samples\": 3"));
     }
 }

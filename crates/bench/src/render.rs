@@ -1,5 +1,5 @@
-//! Plain-text renderers for the experiment rows (the bins print these and
-//! also dump JSON next to them).
+//! Plain-text renderers for the experiment rows (`paper` prints these and
+//! also dumps JSON next to them).
 
 use crate::experiments::*;
 

@@ -11,7 +11,7 @@
 //! exact bytes the one-shot CLI prints — plus the structured surface
 //! (exit code, simulated time, per-stage cache stats, optional journal
 //! events). Served reports are therefore byte-identical to the CLI by
-//! construction, which is the gate `BENCH_serve.json` enforces.
+//! construction, which is the gate `tests/serve_cli.rs` enforces.
 //!
 //! Both types (de)serialize with the hand-rolled [`Json`] from the trace
 //! crate — the wire format of the serve protocol — with floats carried

@@ -1,15 +1,13 @@
-//! Std-only parallel task scheduler for batch drivers.
+//! Std-only worker pools for the fuzzer and the serve daemon.
 //!
-//! The simulator is deterministic and single-threaded per run, so batch
-//! workloads — the 12-benchmark × variant matrix behind every figure and
-//! table, CI smoke sweeps, parameter studies — parallelize perfectly at the
-//! granularity of whole runs. [`run_tasks`] fans a vector of closures over a
-//! fixed worker pool built on [`std::thread::scope`] (no dependencies, no
-//! unsafe) and returns results **in task order**, so callers observe output
-//! identical to a sequential loop regardless of worker interleaving.
-//!
-//! Used by `openarc-suite`'s cached variant runners and `openarc-bench`'s
-//! figure/table drivers (`--jobs N`).
+//! The simulator is deterministic and single-threaded per run, so a batch
+//! of whole runs parallelizes at run granularity. [`run_tasks`] fans a
+//! vector of closures over a fixed worker pool built on
+//! [`std::thread::scope`] (no dependencies, no unsafe) and returns results
+//! **in task order**, so callers observe output identical to a sequential
+//! loop regardless of worker interleaving; `openarc fuzz --jobs N` runs its
+//! campaign rounds on it. [`WorkQueue`] is the bounded admission pool
+//! behind `openarc serve --jobs N`.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -24,8 +22,8 @@ pub fn auto_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Upper bound accepted for `--jobs` (beyond this the fixed-size matrix
-/// gains nothing and thread overhead dominates).
+/// Upper bound accepted for `--jobs` (beyond this more workers gain
+/// nothing and thread overhead dominates).
 pub const MAX_JOBS: usize = 512;
 
 /// Parse a `--jobs` argument: a positive integer, `0`, or `auto` (both

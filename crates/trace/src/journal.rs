@@ -167,8 +167,7 @@ impl Journal {
 /// batch to [`Journal::extend`] — one lock acquisition per run instead of
 /// one per event. The machine's layers (clock, runtime, executor) all emit
 /// from the single driving thread, so a part is single-writer by
-/// construction; parallel sweep workers each own their part, and the
-/// deterministic global order is restored by [`merge_parts`].
+/// construction.
 ///
 /// The capacity bound and drop accounting of the shared journal are
 /// applied at flush time by [`Journal::extend`]. Unflushed events are
@@ -245,20 +244,6 @@ impl Drop for JournalPart {
     fn drop(&mut self) {
         self.flush();
     }
-}
-
-/// Merge per-task event buffers deterministically: parts are concatenated
-/// in **task order** (the order of `parts`), never in completion order, so
-/// the merged stream is byte-identical no matter how scheduler workers
-/// interleaved. Each part is already internally ordered (each task owns a
-/// private journal), which makes concatenation the correct merge.
-pub fn merge_parts(parts: Vec<Vec<TraceEvent>>) -> Vec<TraceEvent> {
-    let total = parts.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(total);
-    for p in parts {
-        out.extend(p);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -403,20 +388,5 @@ mod tests {
         p.flush();
         let p2 = JournalPart::new(j.clone());
         assert!(p2.buf.capacity() >= 64, "later parts pre-reserve");
-    }
-
-    #[test]
-    fn merge_parts_preserves_part_order() {
-        let a = vec![slice(5.0, 1.0, Category::CpuTime)];
-        let b = vec![
-            slice(0.0, 1.0, Category::MemTransfer),
-            slice(1.0, 1.0, Category::CpuTime),
-        ];
-        // Part order wins, even though b's timestamps precede a's.
-        let merged = merge_parts(vec![a.clone(), b.clone()]);
-        assert_eq!(merged.len(), 3);
-        assert_eq!(merged[0], a[0]);
-        assert_eq!(merged[1], b[0]);
-        assert_eq!(merged[2], b[1]);
     }
 }

@@ -52,5 +52,5 @@ pub use chrome::chrome_trace;
 pub use coverage::{signature_of, Signature};
 pub use event::{Category, EventKind, TraceEvent, Track};
 pub use explain::explain_var;
-pub use journal::{merge_parts, Journal, JournalPart};
+pub use journal::{Journal, JournalPart};
 pub use summary::{category_totals, summarize, KernelRow, Summary};

@@ -15,9 +15,9 @@
 //!                                      Graphviz dot, annotated with each
 //!                                      site's level, predicted cost, and
 //!                                      planned device
-//! openarc bench [--jobs N] [flags]     batch mode: run the 12-benchmark ×
-//!                                      3-variant matrix, optionally fanned
-//!                                      across worker threads
+//! openarc bench [flags]                batch mode: run the 12-benchmark ×
+//!                                      3-variant matrix through one
+//!                                      pipeline session
 //! openarc fuzz [--seed N] [flags]      coverage-guided differential fuzzing
 //!                                      of the whole pipeline; writes
 //!                                      BENCH_fuzz.json and minimized repros
@@ -124,7 +124,6 @@ fn usage() -> String {
                                 dot; spec is the verificationOptions syntax\n\
                                 (devices/placement drive the annotations)\n\
      bench [flags]              run the benchmark suite's 12×3 matrix\n\
-       --jobs <N|auto>          fan the matrix across N worker threads\n\
        --scale <small|bench>    problem scale (default: bench)\n\
        --n <SIZE> --iters <N>   override the scale's size/iterations\n\
      fuzz [flags]               coverage-guided differential fuzzing: generated\n\
@@ -325,8 +324,7 @@ fn serve(rest: &[String]) -> Result<i32, CliError> {
 }
 
 /// `openarc bench`: batch mode. Runs the full 12-benchmark × 3-variant
-/// matrix through one pipeline session, fanned across `--jobs` worker
-/// threads; output is byte-identical for any worker count. The persistent
+/// matrix in order through one pipeline session. The persistent
 /// artifact store defaults **on** at `target/openarc-cache`, so a second
 /// `openarc bench` invocation reloads every compiled stage from disk.
 fn bench(rest: &[String]) -> Result<i32, CliError> {
@@ -346,11 +344,10 @@ fn bench(rest: &[String]) -> Result<i32, CliError> {
     }
     println!("--");
     println!(
-        "{} cells (n={}, iters={}, jobs={}), {} journal events",
+        "{} cells (n={}, iters={}), {} journal events",
         rows.len(),
         sw.scale.n,
         sw.scale.iters,
-        sw.jobs,
         events.len()
     );
     println!("pipeline cache:\n{}", sw.session.stats());

@@ -123,6 +123,19 @@ fn unknown_command_shows_usage() {
 }
 
 #[test]
+fn bench_rejects_the_removed_jobs_flag() {
+    // Rejected, not silently ignored: the matrix runs in order on one thread.
+    let out = bin()
+        .args(["bench", "--scale", "small", "--no-cache", "--jobs", "4"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let text = String::from_utf8(out.stderr).unwrap();
+    assert!(text.contains("unknown argument '--jobs'"), "{text}");
+    assert!(text.contains(openarc::bench::args::FLAGS_HELP), "{text}");
+}
+
+#[test]
 fn missing_file_is_a_clean_error() {
     let out = bin()
         .arg("run")

@@ -1,8 +1,9 @@
-//! Full-process gate for `openarc serve`: start the real daemon binary,
-//! drive it over TCP with the 12-benchmark corpus, and require that
-//! every served report is **byte-identical** to the one-shot CLI's
-//! stdout for the same program and command — plus exit-code agreement
-//! and warm-session hits on a repeat pass.
+//! Full-process gate for `openarc serve`: start the real daemon binary
+//! on a disk store, drive it over TCP with the 12-benchmark corpus, and
+//! require that every served report is **byte-identical** to the one-shot
+//! CLI's stdout for the same program and command — plus exit-code
+//! agreement, and on a repeat pass from concurrent clients the same bytes
+//! again, warm-session hits and no refused or lost request.
 
 use openarc::core::api::{Action, Request, Response};
 use openarc::suite::{all, Scale, Variant};
@@ -20,7 +21,6 @@ fn bin() -> Command {
 fn spawn_daemon(extra: &[&str]) -> (Child, String) {
     let mut child = bin()
         .arg("serve")
-        .arg("--no-cache")
         .arg("--stats-interval-ms")
         .arg("0")
         .args(extra)
@@ -77,10 +77,14 @@ fn corpus_action(i: usize) -> (Action, Option<String>, &'static str) {
 fn served_reports_are_byte_identical_to_the_one_shot_cli() {
     let dir = std::env::temp_dir().join("openarc-serve-cli-tests");
     std::fs::create_dir_all(&dir).unwrap();
-    let (mut child, addr) = spawn_daemon(&["--jobs", "2"]);
+    let store = dir.join(format!("store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store);
+    let (mut child, addr) = spawn_daemon(&["--jobs", "2", "--cache-dir", store.to_str().unwrap()]);
     let mut client = Client::connect(&addr);
+    let corpus = all(Scale::default());
+    let mut first_pass = Vec::new();
 
-    for (i, b) in all(Scale::default()).iter().enumerate() {
+    for (i, b) in corpus.iter().enumerate() {
         let (action, options, cmd) = corpus_action(i);
         let source = b.source(Variant::Naive);
 
@@ -113,17 +117,47 @@ fn served_reports_are_byte_identical_to_the_one_shot_cli() {
             b.name
         );
         assert_eq!(resp.exit_code, expected_code, "{} {cmd}", b.name);
+        first_pass.push(resp);
     }
 
-    // Second pass over the corpus: the daemon's warm sessions must show
-    // stage-cache hits (the one-shot CLI pays the full pipeline each
-    // time; the daemon must not).
-    for (i, b) in all(Scale::default()).iter().enumerate() {
-        let (action, options, _) = corpus_action(i);
-        let mut req = Request::new(action, b.source(Variant::Naive));
-        req.options = options;
-        let reply = client.round_trip(&req.to_json().to_string());
-        assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true));
+    // Second pass over the corpus from two concurrent connections: every
+    // reply must repeat the first pass byte for byte, and the daemon's
+    // warm sessions must show stage-cache hits (the one-shot CLI pays the
+    // full pipeline each time; the daemon must not).
+    const CLIENTS: usize = 2;
+    let connected = std::sync::Barrier::new(CLIENTS);
+    let second_pass: Vec<Vec<Response>> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..CLIENTS)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut client = Client::connect(&addr);
+                    connected.wait();
+                    corpus
+                        .iter()
+                        .enumerate()
+                        .map(|(i, b)| {
+                            let (action, options, _) = corpus_action(i);
+                            let mut req = Request::new(action, b.source(Variant::Naive));
+                            req.options = options;
+                            let reply = client.round_trip(&req.to_json().to_string());
+                            assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true));
+                            Response::from_json(reply.get("response").unwrap()).unwrap()
+                        })
+                        .collect()
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    });
+    for replies in &second_pass {
+        for ((b, first), again) in corpus.iter().zip(&first_pass).zip(replies) {
+            assert_eq!(
+                again.report, first.report,
+                "{}: repeat report differs",
+                b.name
+            );
+            assert_eq!(again.exit_code, first.exit_code, "{}", b.name);
+        }
     }
     let stats = client.round_trip(r#"{"action":"stats"}"#);
     let stats = stats.get("stats").unwrap();
@@ -136,11 +170,18 @@ fn served_reports_are_byte_identical_to_the_one_shot_cli() {
         .sum();
     assert!(hits > 0, "second pass never hit the warm sessions: {stats}");
     assert_eq!(stats.get("rejected").and_then(Json::as_u64), Some(0));
+    let sent = corpus.len() * (1 + CLIENTS);
+    assert_eq!(
+        stats.get("completed").and_then(Json::as_u64),
+        Some(sent as u64),
+        "{stats}"
+    );
 
     let ack = client.round_trip(r#"{"action":"shutdown"}"#);
     assert_eq!(ack.get("shutdown").and_then(Json::as_bool), Some(true));
     let status = child.wait().unwrap();
     assert!(status.success(), "daemon exit: {status:?}");
+    let _ = std::fs::remove_dir_all(&store);
 }
 
 #[test]

@@ -20,6 +20,23 @@ void main() {
 }
 "#;
 
+/// SAXPY relaunched 64 times over 4096 elements: long enough (tens of ms
+/// in release, hundreds in debug) that one worker is still busy with it
+/// when the other clients' requests arrive, even on a loaded machine.
+const SAXPY_64X: &str = r#"
+double x[4096];
+double y[4096];
+void main() {
+    int i;
+    int j;
+    for (j = 0; j < 4096; j++) { x[j] = 1.0; y[j] = (double) j; }
+    for (i = 0; i < 64; i++) {
+        #pragma acc kernels loop gang worker
+        for (j = 0; j < 4096; j++) { y[j] = 2.0 * x[j] + y[j]; }
+    }
+}
+"#;
+
 fn start(cfg: ServerConfig) -> (SocketAddr, std::thread::JoinHandle<()>) {
     let server = Server::bind_tcp(cfg, "127.0.0.1:0").unwrap();
     let addr = server.local_addr().unwrap();
@@ -134,18 +151,24 @@ fn framing_abuse_gets_structured_errors_never_a_hang() {
 fn overload_refusals_carry_a_retry_hint() {
     // 1 worker and a queue of 1: firing several concurrent requests must
     // refuse at least one with `overloaded` + retry_after_ms, and every
-    // accepted one still renders the exact report.
+    // accepted one still renders the exact report. The clients connect
+    // first and send together, and each request keeps the worker busy
+    // well past that burst, so the queue bound engages however the
+    // threads are scheduled.
     let (addr, handle) = start(ServerConfig {
         workers: 1,
         queue_capacity: 1,
         ..quiet()
     });
-    let line = Request::new(Action::Run, SAXPY).to_json().to_string();
+    let line = Request::new(Action::Run, SAXPY_64X).to_json().to_string();
+    let clients = 6;
+    let ready = std::sync::Barrier::new(clients);
     let replies: Vec<Json> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..6)
+        let handles: Vec<_> = (0..clients)
             .map(|_| {
                 scope.spawn(|| {
                     let mut c = Client::connect(addr);
+                    ready.wait();
                     c.round_trip(&line)
                 })
             })
