@@ -15,6 +15,8 @@
 //! One JSON object per line, both directions (`\n`-terminated, no
 //! pretty-printing on the wire; a line longer than
 //! [`ServerConfig::max_frame`] is refused and the connection closed).
+//! Each server→client line is rendered whole and leaves in one write on
+//! a `TCP_NODELAY` socket, so no reply waits on the peer's delayed ACK.
 //! Client→server lines are [`Request`]s (`action` = `run`/`cpu`/`check`/
 //! `verify`/`profile`) plus two control actions: `{"action":"stats"}`
 //! returns the daemon's counters and `{"action":"shutdown"}` stops the
@@ -47,13 +49,13 @@ use crate::sched::WorkQueue;
 use openarc_gpusim::LaunchStats;
 use openarc_trace::json::Json;
 use openarc_trace::{EventKind, Journal, TraceEvent, Track};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Largest accepted request/response line, bytes (8 MiB — a full
@@ -102,16 +104,16 @@ struct ServerStats {
     in_flight: AtomicU64,
     protocol_errors: AtomicU64,
     /// Ring of the last [`SERVICE_WINDOW`] request service times, µs.
-    service_us: Mutex<Vec<u64>>,
+    service_us: Mutex<VecDeque<u64>>,
 }
 
 impl ServerStats {
     fn record_service(&self, us: u64) {
         let mut ring = self.service_us.lock().expect("stats poisoned");
         if ring.len() == SERVICE_WINDOW {
-            ring.remove(0);
+            ring.pop_front();
         }
-        ring.push(us);
+        ring.push_back(us);
     }
 
     /// Nearest-rank p50/p95 over the recent-service window, µs.
@@ -120,7 +122,7 @@ impl ServerStats {
         if ring.is_empty() {
             return (0, 0);
         }
-        let mut sorted = ring.clone();
+        let mut sorted: Vec<u64> = ring.iter().copied().collect();
         sorted.sort_unstable();
         let rank = |p: f64| {
             let idx = (p * sorted.len() as f64).ceil() as usize;
@@ -361,7 +363,11 @@ impl ServerInner {
         let (tx, rx) = mpsc::channel();
         let inner = Arc::clone(self);
         let submitted = self.pool.try_submit(move || {
-            let _ = tx.send(inner.execute(req, admitted_at));
+            let out = inner.execute(req, admitted_at);
+            // Let go of the daemon before replying: once the last reply
+            // is out, only the `Server` keeps it (and its sessions) alive.
+            drop(inner);
+            let _ = tx.send(out);
         });
         if let Err(full) = submitted {
             self.stats.rejected.fetch_add(1, Ordering::Relaxed);
@@ -376,6 +382,34 @@ impl ServerInner {
         self.stats.admitted.fetch_add(1, Ordering::Relaxed);
         rx.recv()
             .unwrap_or_else(|_| Err(ApiError::internal("worker dropped the request")))
+    }
+}
+
+impl Drop for ServerInner {
+    /// Free every tenant session, then hand the freed heap back to the
+    /// OS. The sessions were built on pool workers and freed pages stay
+    /// in those threads' allocator arenas; the next daemon's threads get
+    /// other arenas, so without the trim every stopped daemon would stay
+    /// resident. Not done in [`Server::run`]: the CLI reads
+    /// [`Server::stats_json`] after `run` returns.
+    fn drop(&mut self) {
+        let tenants = self
+            .tenants
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
+        drop(std::mem::take(tenants));
+        #[cfg(all(target_os = "linux", target_env = "gnu"))]
+        {
+            extern "C" {
+                fn malloc_trim(pad: usize) -> std::ffi::c_int;
+            }
+            // SAFETY: glibc's `malloc_trim` takes no pointer, only releases
+            // pages no allocation uses, and is thread-safe; its result
+            // (whether anything was released) carries no obligation.
+            unsafe {
+                malloc_trim(0);
+            }
+        }
     }
 }
 
@@ -470,6 +504,16 @@ fn read_frame<R: BufRead>(reader: &mut R, max_frame: usize) -> io::Result<Frame>
     }
 }
 
+/// Send one wire line in a single write. Formatting a [`Json`] straight
+/// into the socket issues one `write(2)` per token, and Nagle then holds
+/// the tail of that burst until the peer's delayed ACK (~40 ms).
+fn send_line<W: Write>(w: &mut W, json: &Json) -> io::Result<()> {
+    let mut line = json.to_string();
+    line.push('\n');
+    w.write_all(line.as_bytes())?;
+    w.flush()
+}
+
 /// Serve one connection: frames in, responses out, until EOF, a broken
 /// frame, or a `shutdown` action. Returns `true` if the daemon should
 /// stop.
@@ -485,17 +529,16 @@ fn handle_conn<R: Read, W: Write>(inner: &Arc<ServerInner>, reader: R, mut write
             Frame::Broken(why) => {
                 // Framing is lost; report once and close.
                 inner.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                let _ = writeln!(writer, "{}", error_line(&ApiError::bad_request(why)));
+                let _ = send_line(&mut writer, &error_line(&ApiError::bad_request(why)));
                 return false;
             }
             Frame::Line(bytes) => match String::from_utf8(bytes) {
                 Ok(s) => s,
                 Err(_) => {
                     inner.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                    let _ = writeln!(
-                        writer,
-                        "{}",
-                        error_line(&ApiError::bad_request("request is not UTF-8"))
+                    let _ = send_line(
+                        &mut writer,
+                        &error_line(&ApiError::bad_request("request is not UTF-8")),
                     );
                     continue;
                 }
@@ -506,15 +549,12 @@ fn handle_conn<R: Read, W: Write>(inner: &Arc<ServerInner>, reader: R, mut write
         }
         match dispatch(inner, &line) {
             Outcome::Reply(json) => {
-                if writeln!(writer, "{json}")
-                    .and_then(|()| writer.flush())
-                    .is_err()
-                {
+                if send_line(&mut writer, &json).is_err() {
                     return false;
                 }
             }
             Outcome::Shutdown(json) => {
-                let _ = writeln!(writer, "{json}").and_then(|()| writer.flush());
+                let _ = send_line(&mut writer, &json);
                 return true;
             }
         }
@@ -598,6 +638,9 @@ impl Server {
                 Ok(s) => s,
                 Err(_) => continue,
             };
+            // A reply longer than one segment ends in a short one, which
+            // Nagle would hold until the client ACKs the rest.
+            let _ = stream.set_nodelay(true);
             let inner = Arc::clone(&self.inner);
             let addr = self.listener.local_addr();
             conns.push(std::thread::spawn(move || {
@@ -647,10 +690,11 @@ mod tests {
 
     fn send_lines(addr: SocketAddr, lines: &[String]) -> Vec<String> {
         let mut stream = TcpStream::connect(addr).unwrap();
+        stream.set_nodelay(true).unwrap();
         let mut out = Vec::new();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         for line in lines {
-            writeln!(stream, "{line}").unwrap();
+            stream.write_all(format!("{line}\n").as_bytes()).unwrap();
             let mut resp = String::new();
             reader.read_line(&mut resp).unwrap();
             out.push(resp);
@@ -840,6 +884,147 @@ mod tests {
         let e = ApiError::from_json(v.get("error").unwrap()).unwrap();
         assert_eq!(e.kind, ErrorKind::DeadlineExceeded);
         shutdown(addr, handle);
+    }
+
+    /// A writer that keeps every `write` call apart.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn quiet_server(max_frame: usize) -> Server {
+        let cfg = ServerConfig {
+            stats_interval: None,
+            max_frame,
+            ..ServerConfig::default()
+        };
+        Server::bind_tcp(cfg, "127.0.0.1:0").unwrap()
+    }
+
+    #[test]
+    fn every_reply_is_one_write_of_its_rendered_line() {
+        let server = quiet_server(DEFAULT_MAX_FRAME);
+        let req = Request::new(crate::api::Action::Run, SRC)
+            .to_json()
+            .to_string();
+        let garbage = "this is not json";
+        let mut input = Vec::new();
+        for line in [&req, &req, r#"{"action":"stats"}"#, garbage] {
+            input.extend_from_slice(line.as_bytes());
+            input.push(b'\n');
+        }
+        input.extend_from_slice(b"\xff\xfe\n{\"action\":\"shutdown\"}\n");
+        let mut out = Writes::default();
+        assert!(handle_conn(&server.inner, &input[..], &mut out));
+        assert_eq!(out.0.len(), 6, "one write per reply");
+        for write in &out.0 {
+            assert_eq!(write.iter().filter(|b| **b == b'\n').count(), 1);
+            assert_eq!(write.last(), Some(&b'\n'));
+        }
+
+        // The same replies rendered here: a bare session answers the run
+        // twice; `stats` carries the uptime, so its own bytes stand in.
+        let bare = Session::builder().build();
+        let request = Request::from_json(&Json::parse(&req).unwrap()).unwrap();
+        let answer = || {
+            let resp = api::handle(&bare, &request).unwrap();
+            Json::obj(vec![("ok", Json::from(true)), ("response", resp.to_json())])
+        };
+        let stats = Json::parse(std::str::from_utf8(&out.0[2]).unwrap().trim_end()).unwrap();
+        assert_eq!(
+            stats
+                .get("stats")
+                .and_then(|s| s.get("completed"))
+                .and_then(Json::as_u64),
+            Some(2)
+        );
+        let not_json = Json::parse(garbage).unwrap_err();
+        let expected = [
+            answer(),
+            answer(),
+            stats,
+            error_line(&ApiError::bad_request(format!(
+                "request is not valid JSON: {not_json}"
+            ))),
+            error_line(&ApiError::bad_request("request is not UTF-8")),
+            Json::obj(vec![
+                ("ok", Json::from(true)),
+                ("shutdown", Json::from(true)),
+            ]),
+        ];
+        let want: String = expected.iter().map(|j| format!("{j}\n")).collect();
+        assert_eq!(String::from_utf8(out.0.concat()).unwrap(), want);
+    }
+
+    #[test]
+    fn an_oversized_frame_is_refused_in_one_write() {
+        let server = quiet_server(64);
+        let mut input = vec![b'x'; 4096];
+        input.push(b'\n');
+        let mut out = Writes::default();
+        assert!(!handle_conn(&server.inner, &input[..], &mut out));
+        let refusal = error_line(&ApiError::bad_request("frame exceeds the size limit"));
+        assert_eq!(out.0, vec![format!("{refusal}\n").into_bytes()]);
+    }
+
+    #[test]
+    fn a_dropped_server_frees_its_sessions_after_stats_outlive_run() {
+        let server = quiet_server(DEFAULT_MAX_FRAME);
+        let addr = server.local_addr().unwrap();
+        let daemon = Arc::downgrade(&server.inner);
+        let handle = std::thread::spawn(move || {
+            server.run().unwrap();
+            server
+        });
+        let req = Request::new(crate::api::Action::Run, SRC);
+        send_lines(addr, &[req.to_json().to_string()]);
+        let session = {
+            let inner = daemon.upgrade().unwrap();
+            let tenants = inner.tenants.lock().unwrap();
+            Arc::downgrade(&tenants[""])
+        };
+        send_lines(addr, &[r#"{"action":"shutdown"}"#.to_string()]);
+        let server = handle.join().unwrap();
+        // `run` has returned; the tenant totals are still there to print.
+        let stats = server.stats_json();
+        assert_eq!(stats.get("tenants").and_then(Json::as_u64), Some(1));
+        let frontend = stats
+            .get("stages")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .find(|s| s.get("stage").and_then(Json::as_str) == Some("frontend"))
+            .unwrap();
+        assert_eq!(frontend.get("misses").and_then(Json::as_u64), Some(1));
+        drop(server);
+        assert!(
+            session.upgrade().is_none(),
+            "a tenant session outlived its daemon"
+        );
+        assert!(daemon.upgrade().is_none());
+    }
+
+    #[test]
+    fn service_percentiles_are_nearest_rank_over_the_last_window() {
+        let stats = ServerStats::default();
+        // 300 distinct values in no order: the first 44 must drop out.
+        let samples: Vec<u64> = (0..300u64).map(|i| i * 7919 % 1000).collect();
+        for &us in &samples {
+            stats.record_service(us);
+        }
+        let mut window = samples[samples.len() - SERVICE_WINDOW..].to_vec();
+        window.sort_unstable();
+        // Nearest rank over 256: the 128th and the 244th smallest.
+        assert_eq!(stats.percentiles(), (window[127], window[243]));
     }
 
     #[test]

@@ -58,12 +58,15 @@ struct Client {
 impl Client {
     fn connect(addr: SocketAddr) -> Client {
         let stream = TcpStream::connect(addr).unwrap();
+        stream.set_nodelay(true).unwrap();
         let reader = BufReader::new(stream.try_clone().unwrap());
         Client { stream, reader }
     }
 
     fn round_trip(&mut self, line: &str) -> Json {
-        writeln!(self.stream, "{line}").unwrap();
+        self.stream
+            .write_all(format!("{line}\n").as_bytes())
+            .unwrap();
         let mut reply = String::new();
         self.reader.read_line(&mut reply).unwrap();
         assert!(!reply.is_empty(), "server closed unexpectedly");
