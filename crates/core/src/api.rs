@@ -624,7 +624,7 @@ fn handle_verify(session: &Session, req: &Request) -> Result<Response, ApiError>
         None => VerifyOptions::default(),
     };
     let fe = session.frontend(&req.source)?;
-    let (tra, rep) = session.verify(&fe, &TranslateOptions::default(), vopts)?;
+    let (_, rep) = session.verify(&fe, &TranslateOptions::default(), vopts)?;
     let mut report = String::new();
     for k in &rep.kernels {
         let verdict = if k.flagged() {
@@ -646,7 +646,6 @@ fn handle_verify(session: &Session, req: &Request) -> Result<Response, ApiError>
         rep.normalized_time()
     );
     let launches: u64 = rep.kernels.iter().map(|k| k.launches).sum();
-    let _ = &tra;
     Ok(Response {
         report,
         exit_code: i32::from(!rep.flagged().is_empty()),

@@ -4,7 +4,7 @@
 use super::{ExecMode, ExecOptions, KernelVerification, TransferKey};
 use crate::ir::RtOp;
 use crate::translate::Translated;
-use openarc_gpusim::{LaunchMemo, ModuleFp, RaceReport, TimeCategory};
+use openarc_gpusim::{DeviceId, LaunchMemo, ModuleFp, RaceReport, TimeCategory};
 use openarc_minic::ScalarTy;
 use openarc_runtime::Machine;
 use openarc_vm::{Env, Handle, ThreadState, Value, VmError};
@@ -136,20 +136,23 @@ impl ExecEnv<'_> {
             }
         }
         let h = self.resolve(var)?;
+        let dev = DeviceId::PRIMARY;
         // An `update` of data with no live mapping is a *user* error per
         // OpenACC, not a runtime invariant break — the region paths
         // (`data_enter`/`data_exit` sites) keep the internal-error
         // classification because their entry action always maps first.
-        if site.starts_with("update") && !self.machine.is_present(h) {
+        if site.starts_with("update") && !self.machine.present_on(dev).contains(h) {
             return Err(VmError::NotPresent {
                 var: var.to_string(),
                 to_device,
             });
         }
         if to_device {
-            self.machine.copy_to_device_named(h, site, queue, Some(var))
+            self.machine
+                .copy_to_device_named_on(dev, h, site, queue, Some(var))
         } else {
-            self.machine.copy_to_host_named(h, site, queue, Some(var))
+            self.machine
+                .copy_to_host_named_on(dev, h, site, queue, Some(var))
         }
     }
 
@@ -157,12 +160,13 @@ impl ExecEnv<'_> {
         if let Some(frame) = self.deferred.pop() {
             for (var, site, to_device, queue) in frame {
                 let h = self.resolve(&var)?;
+                let dev = DeviceId::PRIMARY;
                 if to_device {
                     self.machine
-                        .copy_to_device_named(h, &site, queue, Some(&var))?;
+                        .copy_to_device_named_on(dev, h, &site, queue, Some(&var))?;
                 } else {
                     self.machine
-                        .copy_to_host_named(h, &site, queue, Some(&var))?;
+                        .copy_to_host_named_on(dev, h, &site, queue, Some(&var))?;
                 }
             }
         }
@@ -204,7 +208,7 @@ impl ExecEnv<'_> {
             RtOp::Wait(q) => {
                 if !verify_mode && !cpu_only {
                     match q {
-                        Some(q) => self.machine.clock.wait(*q),
+                        Some(q) => self.machine.clock.wait_on(DeviceId::PRIMARY, *q),
                         None => self.machine.clock.wait_all(),
                     }
                 }
@@ -224,7 +228,8 @@ impl ExecEnv<'_> {
                 for a in &tr.data_regions[r].actions {
                     if a.map {
                         let h = self.resolve(&a.var)?;
-                        self.machine.map_to_device(h)?;
+                        self.machine
+                            .map_to_device_on_queue(DeviceId::PRIMARY, h, None)?;
                         if a.copyin {
                             self.do_copy(&a.var, &site, true, None)?;
                         }
@@ -248,7 +253,7 @@ impl ExecEnv<'_> {
                             self.do_copy(&a.var, &site, false, None)?;
                         }
                         let h = self.resolve(&a.var)?;
-                        self.machine.unmap_from_device(h)?;
+                        self.machine.unmap_from_device_on(DeviceId::PRIMARY, h)?;
                     }
                 }
             }
@@ -281,7 +286,7 @@ impl ExecEnv<'_> {
                 let dt = self.machine.cost.check_us;
                 self.machine.clock.advance(TimeCategory::CpuTime, dt);
                 if let Ok(h) = self.resolve(var) {
-                    self.machine.check_read(h, *side, site);
+                    self.machine.check_read_at(h, side.loc(), site);
                 }
             }
             RtOp::CheckWrite {
@@ -296,7 +301,7 @@ impl ExecEnv<'_> {
                 let dt = self.machine.cost.check_us;
                 self.machine.clock.advance(TimeCategory::CpuTime, dt);
                 if let Ok(h) = self.resolve(var) {
-                    self.machine.check_write(h, *side, *total, site);
+                    self.machine.check_write_at(h, side.loc(), *total, site);
                 }
             }
             RtOp::ResetStatus { var, side, st } => {
@@ -306,7 +311,7 @@ impl ExecEnv<'_> {
                 let dt = self.machine.cost.check_us;
                 self.machine.clock.advance(TimeCategory::CpuTime, dt);
                 if let Ok(h) = self.resolve(var) {
-                    self.machine.reset_status(h, *side, *st);
+                    self.machine.reset_status_at(h, side.loc(), *st);
                 }
             }
             RtOp::Launch(k) => {

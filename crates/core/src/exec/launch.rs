@@ -7,7 +7,7 @@ use crate::ir::KernelParam;
 use openarc_gpusim::{DeviceId, KernelOutcome, ModuleFp, TimeCategory};
 use openarc_minic::ScalarTy;
 use openarc_openacc::ReductionOp;
-use openarc_runtime::DevSide;
+use openarc_runtime::Loc;
 use openarc_vm::{Handle, Value, VmError};
 use std::collections::HashMap;
 
@@ -170,6 +170,7 @@ impl ExecEnv<'_> {
         let info = &tr.kernels[k];
         let n = self.n_threads(k)?;
         let queue = info.queue;
+        let dev = DeviceId::PRIMARY;
         // Data-region-at-kernel semantics: map + copyin. OpenACC `copy`
         // semantics are present_or_copy: data already mapped by an
         // enclosing region (possibly under an aliasing name) moves nothing.
@@ -193,7 +194,7 @@ impl ExecEnv<'_> {
         for (a, copyin, _) in &plans {
             if a.map {
                 let h = self.resolve(&a.var)?;
-                let (_, newly) = self.machine.map_to_device(h)?;
+                let (_, newly) = self.machine.map_to_device_on_queue(dev, h, None)?;
                 if newly {
                     fresh.insert(a.var.clone());
                 }
@@ -205,7 +206,7 @@ impl ExecEnv<'_> {
         // GPU-side coherence checks at the kernel boundary.
         for v in &info.gpu_reads {
             if let Ok(h) = self.resolve(v) {
-                self.machine.check_read(h, DevSide::Gpu, &info.name);
+                self.machine.check_read_at(h, Loc::Dev(dev), &info.name);
             }
         }
         for v in &info.gpu_writes {
@@ -213,23 +214,24 @@ impl ExecEnv<'_> {
                 continue;
             }
             if let Ok(h) = self.resolve(v) {
-                self.machine.check_write(h, DevSide::Gpu, false, &info.name);
+                self.machine
+                    .check_write_at(h, Loc::Dev(dev), false, &info.name);
             }
         }
-        let (args, reds, temps, cells) = self.build_args(k, n, true, DeviceId::PRIMARY)?;
-        let outcome = self.launch_kernel(k, DeviceId::PRIMARY, &args, n)?;
+        let (args, reds, temps, cells) = self.build_args(k, n, true, dev)?;
+        let outcome = self.launch_kernel(k, dev, &args, n)?;
         for r in &outcome.races {
             self.races.push((info.name.clone(), r.clone()));
         }
         self.machine
-            .charge_kernel_named(&info.name, &outcome, queue);
-        self.writeback_cells(&cells, true, DeviceId::PRIMARY)?;
+            .charge_kernel_named_on(&info.name, &outcome, dev, queue);
+        self.writeback_cells(&cells, true, dev)?;
         // Reductions finalize on the CPU (device partials → host scalar).
         for (var, op, buf) in &reds {
             if let Some(q) = queue {
-                self.machine.clock.wait(q);
+                self.machine.clock.wait_on(dev, q);
             }
-            let gpu_val = self.fold_device(*buf, *op, n)?;
+            let gpu_val = self.fold_device_on(*buf, *op, n, dev)?;
             let init = self.scalar_value(var)?;
             let final_v = red_eval(*op, init, gpu_val)?;
             let elem = self.scalar_elem_of(var);
@@ -239,7 +241,7 @@ impl ExecEnv<'_> {
             self.machine.clock.advance(TimeCategory::MemTransfer, dt);
         }
         for t in temps {
-            self.machine.devices.primary_mut().mem.free(t)?;
+            self.machine.devices.get_mut(dev).mem.free(t)?;
         }
         // Copyout + unmap (copyout only for mappings this launch created —
         // region-managed data stays resident).
@@ -253,9 +255,9 @@ impl ExecEnv<'_> {
                 let h = self.resolve(&a.var)?;
                 if let Some(q) = queue {
                     // Don't free under in-flight async work.
-                    self.machine.clock.wait(q);
+                    self.machine.clock.wait_on(dev, q);
                 }
-                self.machine.unmap_from_device(h)?;
+                self.machine.unmap_from_device_on(dev, h)?;
             }
         }
         Ok(())

@@ -45,33 +45,6 @@ use openarc_vm::interp::BasicEnv;
 use openarc_vm::{Stop, ThreadState, Value, VmError, Yield, GLOBALS_INIT};
 use std::collections::{BTreeSet, HashMap};
 
-/// §III-C application-knowledge assertion kinds.
-#[derive(Debug, Clone)]
-pub enum AssertKind {
-    /// Sum of all elements must be within `tol` of `expected`.
-    ChecksumWithin {
-        /// Expected checksum.
-        expected: f64,
-        /// Allowed absolute deviation.
-        tol: f64,
-    },
-    /// Every element must be finite.
-    AllFinite,
-    /// Every element must be `>= 0`.
-    NonNegative,
-}
-
-/// A user-provided kernel assertion (§III-C debug-assertion API).
-#[derive(Debug, Clone)]
-pub struct KernelAssertion {
-    /// Kernel name it applies to.
-    pub kernel: String,
-    /// Variable whose device result is checked.
-    pub var: String,
-    /// The predicate.
-    pub kind: AssertKind,
-}
-
 /// Kernel-verification configuration (§III-A).
 #[derive(Debug, Clone)]
 pub struct VerifyOptions {
@@ -85,11 +58,6 @@ pub struct VerifyOptions {
     pub abs_tol: f64,
     /// `minValueToCheck`: compare only when `|cpu| >=` this threshold.
     pub min_value_to_check: f64,
-    /// §III-C user value bounds per variable: differences where both values
-    /// fall inside the bound are accepted.
-    pub bounds: HashMap<String, (f64, f64)>,
-    /// §III-C assertions evaluated on device results.
-    pub assertions: Vec<KernelAssertion>,
     /// Async queue used for the demoted transfers/kernels.
     pub queue: i64,
     /// Verified launches allowed in flight concurrently on the simulated
@@ -126,8 +94,6 @@ impl Default for VerifyOptions {
             rel_tol: 1e-6,
             abs_tol: 1e-9,
             min_value_to_check: 0.0,
-            bounds: HashMap::new(),
-            assertions: Vec::new(),
             queue: 1,
             dag_jobs: 1,
             devices: 1,
@@ -370,7 +336,8 @@ pub(crate) fn execute_in(
         for a in &tr.declares {
             if a.map {
                 let h = env.resolve(&a.var)?;
-                env.machine.map_to_device(h)?;
+                env.machine
+                    .map_to_device_on_queue(DeviceId::PRIMARY, h, None)?;
                 if a.copyin {
                     env.do_copy(&a.var, "declare", true, None)?;
                 }
@@ -404,7 +371,7 @@ pub(crate) fn execute_in(
                     env.do_copy(&a.var, "declare", false, None)?;
                 }
                 let h = env.resolve(&a.var)?;
-                env.machine.unmap_from_device(h)?;
+                env.machine.unmap_from_device_on(DeviceId::PRIMARY, h)?;
             }
         }
     }

@@ -8,19 +8,8 @@ use openarc_vm::interp::eval_bin;
 use openarc_vm::{Handle, Value, VmError};
 
 impl ExecEnv<'_> {
-    /// Fold a device partial buffer the way a GPU reduction would
-    /// (tournament tree — different rounding than the host loop).
-    pub(super) fn fold_device(
-        &mut self,
-        buf: Handle,
-        op: ReductionOp,
-        n: u64,
-    ) -> Result<Value, VmError> {
-        self.fold_device_on(buf, op, n, DeviceId::PRIMARY)
-    }
-
-    /// [`ExecEnv::fold_device`] reading the partial buffer on device
-    /// `dev`.
+    /// Fold the partial buffer on device `dev` the way a GPU reduction
+    /// would (tournament tree — different rounding than the host loop).
     pub(super) fn fold_device_on(
         &mut self,
         buf: Handle,

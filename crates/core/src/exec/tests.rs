@@ -305,36 +305,22 @@ fn min_value_to_check_skips_tiny_values() {
 
 #[test]
 fn assertion_api_flags_bad_checksum() {
-    let vopts = VerifyOptions {
-        assertions: vec![KernelAssertion {
-            kernel: "main_kernel0".into(),
-            var: "q".into(),
-            kind: AssertKind::ChecksumWithin {
-                expected: -1.0,
-                tol: 0.5,
-            },
-        }],
-        ..Default::default()
+    // `COPY_SRC` with §III-C assertion pragmas on its one kernel.
+    let with_assert = |pragma: &str| {
+        COPY_SRC.replace(
+            " #pragma acc kernels",
+            &format!(" #pragma openarc verify {pragma}\n #pragma acc kernels"),
+        )
     };
     let eopts = ExecOptions {
-        mode: ExecMode::Verify(vopts),
+        mode: ExecMode::Verify(VerifyOptions::default()),
         ..Default::default()
     };
-    let r = run_copy(&eopts);
+    let src = with_assert("assert_checksum(q, -1.0, 0.5)");
+    let (_, r) = run_src(&src, &TranslateOptions::default(), &eopts);
     assert_eq!(r.verify[0].assertion_failures, 1);
-    let vopts_ok = VerifyOptions {
-        assertions: vec![KernelAssertion {
-            kernel: "main_kernel0".into(),
-            var: "q".into(),
-            kind: AssertKind::NonNegative,
-        }],
-        ..Default::default()
-    };
-    let eopts = ExecOptions {
-        mode: ExecMode::Verify(vopts_ok),
-        ..Default::default()
-    };
-    let r = run_copy(&eopts);
+    let src = with_assert("assert_nonnegative(q)");
+    let (_, r) = run_src(&src, &TranslateOptions::default(), &eopts);
     assert_eq!(r.verify[0].assertion_failures, 0);
 }
 

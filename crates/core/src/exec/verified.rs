@@ -23,7 +23,8 @@
 
 use super::env::ExecEnv;
 use super::reduce::red_eval;
-use super::{AssertKind, VerifyOptions};
+use super::VerifyOptions;
+use crate::knowledge::KernelAssert;
 use openarc_gpusim::{DeviceId, TimeCategory};
 use openarc_vm::{Buffer, Handle, Value, VmError};
 use std::time::Instant;
@@ -58,8 +59,8 @@ pub(super) struct PendingVerify {
 
 /// Element-wise comparison of one written aggregate: skip below
 /// `min_value_to_check`, count a mismatch when the error exceeds
-/// `abs_tol + rel_tol·|cpu|` and the user's value bound does not absolve
-/// it. Returns `(compared, mismatches, max error)`.
+/// `abs_tol + rel_tol·|cpu|` and the kernel's `bounds` knowledge does
+/// not absolve it. Returns `(compared, mismatches, max error)`.
 fn compare_aggregate(
     hbuf: &Buffer,
     dbuf: &Buffer,
@@ -198,13 +199,12 @@ impl ExecEnv<'_> {
         for &(var, host_h, dev_h) in staged.iter().filter(|(name, ..)| written(name)) {
             let hbuf = self.machine.host.mem.get(host_h)?;
             let dbuf = self.machine.devices.get(dev).mem.get(dev_h)?;
-            let bound = v.bounds.get(var).copied().or_else(|| {
-                info.knowledge
-                    .bounds
-                    .iter()
-                    .find(|b| b.var == var)
-                    .map(|b| (b.lo, b.hi))
-            });
+            let bound = info
+                .knowledge
+                .bounds
+                .iter()
+                .find(|b| b.var == var)
+                .map(|b| (b.lo, b.hi));
             let (c, m, e) = compare_aggregate(hbuf, dbuf, v, bound)?;
             compared += c;
             mismatches += m;
@@ -251,42 +251,23 @@ impl ExecEnv<'_> {
             let elem = self.scalar_elem_of(var);
             self.store_scalar(var, Value::F64(c).cast(elem))?;
         }
-        // §III-C assertions on the device results: API-supplied ones plus
-        // any `openarc verify assert_*` pragmas attached to the kernel.
-        let mut checks: Vec<(String, AssertKind)> = v
-            .assertions
-            .iter()
-            .filter(|a| a.kernel == info.name)
-            .map(|a| (a.var.clone(), a.kind.clone()))
-            .collect();
-        for ka in &info.knowledge.asserts {
-            let kind = match ka {
-                crate::knowledge::KernelAssert::ChecksumWithin { expected, tol, .. } => {
-                    AssertKind::ChecksumWithin {
-                        expected: *expected,
-                        tol: *tol,
-                    }
-                }
-                crate::knowledge::KernelAssert::AllFinite { .. } => AssertKind::AllFinite,
-                crate::knowledge::KernelAssert::NonNegative { .. } => AssertKind::NonNegative,
-            };
-            checks.push((ka.var().to_string(), kind));
-        }
+        // §III-C assertions on the device results: the `openarc verify
+        // assert_*` pragmas attached to the kernel.
         let mut assertion_failures = 0u64;
-        for (var, kind) in &checks {
-            if let Ok(host_h) = self.resolve(var) {
+        for ka in &info.knowledge.asserts {
+            if let Ok(host_h) = self.resolve(ka.var()) {
                 if let Ok(dev_h) = self.machine.device_of_on(dev, host_h) {
                     let dbuf = self.machine.devices.get(dev).mem.get(dev_h)?;
-                    let ok = match kind {
-                        AssertKind::ChecksumWithin { expected, tol } => {
+                    let ok = match ka {
+                        KernelAssert::ChecksumWithin { expected, tol, .. } => {
                             let sum: f64 = (0..dbuf.len() as u64)
                                 .map(|i| dbuf.get(i).unwrap().as_f64())
                                 .sum();
                             (sum - expected).abs() <= *tol
                         }
-                        AssertKind::AllFinite => (0..dbuf.len() as u64)
+                        KernelAssert::AllFinite { .. } => (0..dbuf.len() as u64)
                             .all(|i| dbuf.get(i).unwrap().as_f64().is_finite()),
-                        AssertKind::NonNegative => {
+                        KernelAssert::NonNegative { .. } => {
                             (0..dbuf.len() as u64).all(|i| dbuf.get(i).unwrap().as_f64() >= 0.0)
                         }
                     };

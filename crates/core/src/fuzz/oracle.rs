@@ -373,11 +373,8 @@ fn run_oracle_inner(session: &Session, src: &str, matrix: &[MatrixConfig]) -> Or
     };
     let plain = match session.translate(&fe, &TranslateOptions::default()) {
         Ok(tr) => tr,
-        Err(e) => {
+        Err(_) => {
             sig.insert("reject:translate");
-            if let PipelineError::Directives(_) = e {
-                sig.insert("reject:directives");
-            }
             return OracleOutcome {
                 verdict: Verdict::Rejected("translate".into()),
                 signature: sig,

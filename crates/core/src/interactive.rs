@@ -132,17 +132,20 @@ pub struct InteractiveOutcome {
     pub log: Vec<IterationLog>,
 }
 
-/// Drive the interactive loop to a fixpoint.
+/// Drive the interactive loop to a fixpoint against a pipeline
+/// [`Session`].
 ///
 /// ```
 /// use openarc_core::exec::ExecOptions;
-/// use openarc_core::interactive::{optimize_transfers, OutputSpec};
+/// use openarc_core::interactive::{optimize_transfers_in_session, OutputSpec};
+/// use openarc_core::pipeline::Session;
 /// use openarc_core::translate::TranslateOptions;
 /// // A per-iteration copyout that only matters after the loop (Listing 4).
 /// let src = "double a[16];\ndouble b[16];\ndouble out;\nvoid main() {\n int k; int j;\n for (j = 0; j < 16; j++) { a[j] = 1.0; }\n #pragma acc data copyin(a) create(b)\n {\n  for (k = 0; k < 3; k++) {\n   #pragma acc kernels loop gang\n   for (j = 0; j < 16; j++) { b[j] = a[j] + (double) k; }\n   #pragma acc update host(b)\n  }\n }\n out = b[0];\n}";
 /// let (program, sema) = openarc_minic::frontend(src).unwrap();
 /// let topts = TranslateOptions { instrument: true, ..Default::default() };
-/// let out = optimize_transfers(
+/// let out = optimize_transfers_in_session(
+///     &Session::builder().build(),
 ///     &program, &sema, &topts,
 ///     &OutputSpec::arrays(&["b"]).with_scalars(&["out"]),
 ///     &ExecOptions { race_detect: false, ..Default::default() },
@@ -157,33 +160,14 @@ pub struct InteractiveOutcome {
 /// the modified directive program on every iteration, which is what lets
 /// a removal in round N expose a hoisting (and therefore a new suggestion)
 /// in round N+1.
-pub fn optimize_transfers(
-    program: &openarc_minic::Program,
-    sema: &openarc_minic::Sema,
-    topts: &crate::translate::TranslateOptions,
-    spec: &OutputSpec,
-    base_opts: &ExecOptions,
-    max_iterations: usize,
-) -> Result<InteractiveOutcome, String> {
-    optimize_transfers_in_session(
-        &Session::builder().build(),
-        program,
-        sema,
-        topts,
-        spec,
-        base_opts,
-        max_iterations,
-    )
-}
-
-/// [`optimize_transfers`] against a shared pipeline [`Session`]: every
-/// round's recompilation and run goes through the session's staged caches,
-/// so rounds that revisit an earlier edit set (reverts) — and repeats of
-/// the whole loop inside a batch driver — are served from the cache. Both
-/// the translate-options fingerprint (which covers `ignored_update_stmts`)
-/// and the exec-options fingerprint (which covers the overlay) distinguish
-/// rounds, so a hit is always semantically identical to a fresh
-/// compile-and-run.
+///
+/// Every round's recompilation and run goes through the session's staged
+/// caches, so rounds that revisit an earlier edit set (reverts) — and
+/// repeats of the whole loop inside a batch driver — are served from the
+/// cache. Both the translate-options fingerprint (which covers
+/// `ignored_update_stmts`) and the exec-options fingerprint (which covers
+/// the overlay) distinguish rounds, so a hit is always semantically
+/// identical to a fresh compile-and-run.
 pub fn optimize_transfers_in_session(
     session: &Session,
     program: &openarc_minic::Program,
@@ -447,7 +431,9 @@ mod tests {
             instrument: true,
             ..Default::default()
         };
-        optimize_transfers(&p, &s, &topts, spec, &ExecOptions::default(), 10).unwrap()
+        let session = Session::builder().build();
+        optimize_transfers_in_session(&session, &p, &s, &topts, spec, &ExecOptions::default(), 10)
+            .unwrap()
     }
 
     #[test]

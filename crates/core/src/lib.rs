@@ -12,7 +12,8 @@
 //! * [`exec`] — the executor over the simulated machine, with Normal /
 //!   CpuOnly / Verify modes and the interactive [`exec::TransferOverlay`].
 //! * [`verify`] — §III-A kernel verification: memory-transfer demotion
-//!   (Listing 2) and the one-call [`verify::verify_kernels`] driver.
+//!   (Listing 2) and the [`VerificationReport`] that
+//!   [`pipeline::Session::verify`], the one verification driver, returns.
 //! * [`interactive`] — the §III-B/Figure-2 iterative optimization loop
 //!   (Table 3's mechanics: suggestions, false-suggestion recovery).
 //! * [`faults`] — clause stripping for the Table 2 experiment.
@@ -43,7 +44,7 @@ pub use exec::{
 };
 pub use faults::strip_privatization;
 pub use fuzz::{run_campaign, CampaignConfig, CampaignReport};
-pub use interactive::{optimize_transfers, InteractiveOutcome, OutputSpec};
+pub use interactive::{optimize_transfers_in_session, InteractiveOutcome, OutputSpec};
 pub use ir::{DataAction, KernelInfo, KernelParam, RtOp};
 pub use knowledge::{KernelAssert, KernelBound, KernelKnowledge};
 pub use options::{parse_verification_options, verification_options_from_env};
@@ -51,4 +52,4 @@ pub use pipeline::{PipelineRun, PipelineStats, Session, Stage};
 pub use sched::{parse_jobs, run_tasks, WorkQueue};
 pub use serve::{Server, ServerConfig};
 pub use translate::{translate, TranslateOptions, Translated};
-pub use verify::{demote_source, verify_kernels, VerificationReport};
+pub use verify::{demote_source, VerificationReport};

@@ -20,7 +20,9 @@
 //! Stage meanings:
 //!
 //! * **Frontend** — parse + semantic check ([`openarc_minic::frontend`]).
-//! * **Directives** — OpenACC pragma collection/census over the AST.
+//! * **Directives** — no entry point of its own: directives are parsed
+//!   and validated inside translation. The stage keeps its row in
+//!   [`Stage::ALL`] (and reads 0/0) so per-stage tables keep their layout.
 //! * **Analysis** — translation *without* instrumentation: dataflow,
 //!   privatization/reduction recognition, kernel extraction.
 //! * **Instrument** — translation *with* §III-B instrumentation; consulted
@@ -66,12 +68,10 @@
 use crate::cache::{DiskCache, DiskStats, Lookup};
 use crate::exec::{execute_in, ExecMode, ExecOptions, RunResult, VerifyOptions};
 use crate::translate::{translate, TranslateOptions, Translated};
-use crate::verify::{VerificationReport, VerifyError};
+use crate::verify::VerificationReport;
 use openarc_gpusim::{LaunchMemo, LaunchStats};
-use openarc_minic::ast::{walk_stmts, Item};
 use openarc_minic::span::Diagnostic;
 use openarc_minic::{frontend, print_program, Program, Sema};
-use openarc_openacc::{directives_of, Directive};
 use openarc_trace::{EventKind, Journal, TraceEvent, Track};
 use openarc_vm::VmError;
 use std::collections::HashMap;
@@ -161,8 +161,7 @@ fn fp_translate_options(o: &TranslateOptions) -> u64 {
         .write_bool(o.optimize_checks)
         .write_bool(o.hoist_gpu_checks)
         .write_bool(o.auto_privatize)
-        .write_bool(o.auto_reduction)
-        .write_bool(o.validate);
+        .write_bool(o.auto_reduction);
     h.write_u64(o.ignored_update_stmts.len() as u64);
     for id in &o.ignored_update_stmts {
         h.write_u64(*id as u64);
@@ -186,26 +185,6 @@ fn fp_verify_options(h: &mut Fnv, v: &VerifyOptions) {
         .write_f64(v.rel_tol)
         .write_f64(v.abs_tol)
         .write_f64(v.min_value_to_check);
-    let bounds: std::collections::BTreeMap<_, _> = v.bounds.iter().collect();
-    h.write_u64(bounds.len() as u64);
-    for (var, (lo, hi)) in bounds {
-        h.write_str(var).write_f64(*lo).write_f64(*hi);
-    }
-    h.write_u64(v.assertions.len() as u64);
-    for a in &v.assertions {
-        h.write_str(&a.kernel).write_str(&a.var);
-        match &a.kind {
-            crate::exec::AssertKind::ChecksumWithin { expected, tol } => {
-                h.write_u64(0).write_f64(*expected).write_f64(*tol);
-            }
-            crate::exec::AssertKind::AllFinite => {
-                h.write_u64(1);
-            }
-            crate::exec::AssertKind::NonNegative => {
-                h.write_u64(2);
-            }
-        }
-    }
     h.write_u64(v.queue as u64)
         .write_u64(v.dag_jobs as u64)
         .write_u64(v.devices as u64);
@@ -270,43 +249,6 @@ pub struct FrontendArtifact {
     pub sema: Sema,
 }
 
-/// Directive census over one program (the Directives stage artifact).
-#[derive(Debug, Clone, Default)]
-pub struct DirectiveSummary {
-    /// Artifact id (derived from the frontend artifact).
-    pub id: ArtifactId,
-    /// Compute constructs (`kernels` / `parallel`).
-    pub compute: usize,
-    /// Structured `data` regions.
-    pub data: usize,
-    /// Orphaned `loop` directives.
-    pub loops: usize,
-    /// `host_data` constructs.
-    pub host_data: usize,
-    /// Executable `update` directives.
-    pub updates: usize,
-    /// `wait` directives.
-    pub waits: usize,
-    /// `declare` directives.
-    pub declares: usize,
-    /// `cache` hints.
-    pub caches: usize,
-}
-
-impl DirectiveSummary {
-    /// Total directives counted.
-    pub fn total(&self) -> usize {
-        self.compute
-            + self.data
-            + self.loops
-            + self.host_data
-            + self.updates
-            + self.waits
-            + self.declares
-            + self.caches
-    }
-}
-
 /// Translation artifact (Analysis or Instrument stage).
 #[derive(Debug)]
 pub struct TranslatedArtifact {
@@ -343,7 +285,7 @@ pub struct ExecPlan {
 pub enum Stage {
     /// Parse + semantic check.
     Frontend,
-    /// OpenACC directive census.
+    /// Directive parsing; no entry point meters it (see the module docs).
     Directives,
     /// Uninstrumented translation (dataflow, kernel extraction).
     Analysis,
@@ -482,8 +424,6 @@ impl StageMeters {
 pub enum PipelineError {
     /// Parse or semantic-check failure.
     Frontend(Vec<Diagnostic>),
-    /// Directive parse failure in the census stage.
-    Directives(Diagnostic),
     /// Translation failure.
     Translate(Vec<Diagnostic>),
     /// Execution failure.
@@ -496,9 +436,7 @@ impl PipelineError {
     /// translation), 3 for a failure while *running* it.
     pub fn exit_code(&self) -> i32 {
         match self {
-            PipelineError::Frontend(_)
-            | PipelineError::Directives(_)
-            | PipelineError::Translate(_) => 2,
+            PipelineError::Frontend(_) | PipelineError::Translate(_) => 2,
             PipelineError::Run(_) => 3,
         }
     }
@@ -514,7 +452,6 @@ impl std::fmt::Display for PipelineError {
                 }
                 Ok(())
             }
-            PipelineError::Directives(d) => write!(f, "directive error: {d}"),
             PipelineError::Translate(ds) => {
                 write!(f, "translation failed:")?;
                 for d in ds {
@@ -528,15 +465,6 @@ impl std::fmt::Display for PipelineError {
 }
 
 impl std::error::Error for PipelineError {}
-
-impl From<VerifyError> for PipelineError {
-    fn from(e: VerifyError) -> PipelineError {
-        match e {
-            VerifyError::Translate(ds) => PipelineError::Translate(ds),
-            VerifyError::Run(e) => PipelineError::Run(e),
-        }
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Session
@@ -563,7 +491,6 @@ impl From<VerifyError> for PipelineError {
 pub struct Session {
     meters: StageMeters,
     frontends: Memo<Arc<FrontendArtifact>>,
-    directives: Memo<Arc<DirectiveSummary>>,
     translations: Memo<Arc<TranslatedArtifact>>,
     plans: Memo<ExecPlan>,
     runs: Memo<CachedRun>,
@@ -587,7 +514,6 @@ impl Default for Session {
         Session {
             meters: StageMeters::default(),
             frontends: Memo::default(),
-            directives: Memo::default(),
             translations: Memo::default(),
             plans: Memo::default(),
             runs: Memo::default(),
@@ -863,53 +789,6 @@ impl Session {
         fe
     }
 
-    /// Directives stage: census of the OpenACC pragmas in the program.
-    pub fn directives(
-        &self,
-        fe: &FrontendArtifact,
-    ) -> Result<Arc<DirectiveSummary>, PipelineError> {
-        let t = Instant::now();
-        let key = combine(fe.id.0, 0xd1ec);
-        let compute = || {
-            let mut sum = DirectiveSummary {
-                id: ArtifactId(key),
-                ..Default::default()
-            };
-            let mut err = None;
-            for item in &fe.program.items {
-                if let Item::Func(f) = item {
-                    walk_stmts(&f.body, &mut |s| match directives_of(s) {
-                        Ok(ds) => {
-                            for (d, _) in ds {
-                                match d {
-                                    Directive::Compute(_) => sum.compute += 1,
-                                    Directive::Data(_) => sum.data += 1,
-                                    Directive::Loop(_) => sum.loops += 1,
-                                    Directive::HostData { .. } => sum.host_data += 1,
-                                    Directive::Update(_) => sum.updates += 1,
-                                    Directive::Wait(_) => sum.waits += 1,
-                                    Directive::Declare(_) => sum.declares += 1,
-                                    Directive::Cache(_) => sum.caches += 1,
-                                }
-                            }
-                        }
-                        Err(d) => {
-                            if err.is_none() {
-                                err = Some(d);
-                            }
-                        }
-                    });
-                }
-            }
-            match err {
-                Some(d) => Err(PipelineError::Directives(d)),
-                None => Ok(Arc::new(sum)),
-            }
-        };
-        self.memoized(Stage::Directives, t, &self.directives, key, None, compute)
-            .map(|(sum, _)| sum)
-    }
-
     /// Analysis/Instrument stage: translate under `topts`, cached by
     /// frontend id × options fingerprint (memory first, then the disk
     /// layer). Instrumented translations are metered as the Instrument
@@ -1035,7 +914,22 @@ impl Session {
 
     /// Verify stage: §III-A report (CPU baseline + verification run), both
     /// legs routed through the Execute stage so they cache independently.
-    /// Mirrors [`crate::verify::verify_kernels`].
+    /// This is the one verification driver; a program that is already
+    /// parsed (or transformed) enters through [`Session::frontend_program`].
+    ///
+    /// ```
+    /// use openarc_core::exec::VerifyOptions;
+    /// use openarc_core::pipeline::Session;
+    /// use openarc_core::translate::TranslateOptions;
+    /// let src = "double a[16];\nvoid main() {\n int j;\n #pragma acc kernels loop gang\n for (j = 0; j < 16; j++) { a[j] = (double) j; }\n}";
+    /// let session = Session::builder().build();
+    /// let fe = session.frontend(src).unwrap();
+    /// let (_, report) = session
+    ///     .verify(&fe, &TranslateOptions::default(), VerifyOptions::default())
+    ///     .unwrap();
+    /// assert!(report.flagged().is_empty());
+    /// assert_eq!(report.kernels[0].launches, 1);
+    /// ```
     pub fn verify(
         &self,
         fe: &FrontendArtifact,

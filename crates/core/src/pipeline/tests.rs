@@ -84,18 +84,6 @@ fn instrumented_translation_meters_separately() {
 }
 
 #[test]
-fn directive_census_counts_pragmas() {
-    let s = Session::builder().build();
-    let fe = s.frontend(SRC).unwrap();
-    let d = s.directives(&fe).unwrap();
-    assert_eq!(d.compute, 1);
-    assert_eq!(d.data, 1);
-    assert_eq!(d.total(), 2);
-    s.directives(&fe).unwrap();
-    assert_eq!(s.stats().get(Stage::Directives).hits, 1);
-}
-
-#[test]
 fn overlay_edits_change_the_plan_fingerprint() {
     let s = Session::builder().build();
     let fe = s.frontend(SRC).unwrap();
@@ -158,13 +146,12 @@ fn disk_scratch(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// The seven stage entry points (`translate` twice: it meters plain
+/// The six stage entry points (`translate` twice: it meters plain
 /// and instrumented translations as different stages).
 #[derive(Debug, Clone, Copy)]
 enum Entry {
     Frontend,
     FrontendProgram,
-    Directives,
     TranslatePlain,
     TranslateInstrumented,
     Plan,
@@ -173,10 +160,9 @@ enum Entry {
 }
 
 impl Entry {
-    const ALL: [Entry; 8] = [
+    const ALL: [Entry; 7] = [
         Entry::Frontend,
         Entry::FrontendProgram,
-        Entry::Directives,
         Entry::TranslatePlain,
         Entry::TranslateInstrumented,
         Entry::Plan,
@@ -190,7 +176,6 @@ impl Entry {
         match self {
             Entry::Frontend => (Stage::Frontend, true),
             Entry::FrontendProgram => (Stage::Frontend, false),
-            Entry::Directives => (Stage::Directives, false),
             Entry::TranslatePlain => (Stage::Analysis, true),
             Entry::TranslateInstrumented => (Stage::Instrument, true),
             Entry::Plan => (Stage::Plan, false),
@@ -224,10 +209,6 @@ fn observe(s: &Session, entry: Entry) -> Observed {
         Entry::FrontendProgram => {
             let (program, sema) = frontend(SRC).unwrap();
             Box::new(move || drop(s.frontend_program(program, sema)))
-        }
-        Entry::Directives => {
-            let fe = s.frontend(SRC).unwrap();
-            Box::new(move || drop(s.directives(&fe).unwrap()))
         }
         Entry::TranslatePlain | Entry::TranslateInstrumented => {
             let fe = s.frontend(SRC).unwrap();

@@ -41,10 +41,6 @@ pub struct TranslateOptions {
     pub auto_privatize: bool,
     /// Automatic reduction recognition.
     pub auto_reduction: bool,
-    /// Validate directives against the program (§II-B notes real compilers
-    /// sometimes silently accept conflicting directives; turning this off
-    /// reproduces that).
-    pub validate: bool,
     /// Update statements whose transfers the interactive user has removed:
     /// re-instrumentation treats them as absent (the paper's workflow
     /// recompiles the edited program every iteration).
@@ -59,7 +55,6 @@ impl Default for TranslateOptions {
             hoist_gpu_checks: true,
             auto_privatize: true,
             auto_reduction: true,
-            validate: true,
             ignored_update_stmts: std::collections::BTreeSet::new(),
         }
     }
@@ -364,14 +359,9 @@ impl Tx<'_> {
                 return;
             }
         };
-        if self.opts.validate {
-            for (d, pr) in &dirs {
-                for diag in
-                    openarc_openacc::validate_directive(d, self.sema, &self.cur_func, pr.span)
-                {
-                    self.errors.push(diag);
-                }
-            }
+        for (d, pr) in &dirs {
+            let diags = openarc_openacc::validate_directive(d, self.sema, &self.cur_func, pr.span);
+            self.errors.extend(diags);
         }
         // Compute construct.
         if let Some((Directive::Compute(spec), _)) = dirs

@@ -9,22 +9,19 @@
 //!   transfer types (`copyin` for read-only data, `copy` otherwise), the
 //!   construct becomes `async`, a matching `wait` is inserted, and all
 //!   directives unrelated to the target kernel are removed.
-//! * [`verify_kernels`] — one-call driver: translate, run verification,
-//!   return per-kernel verdicts plus the Figure-3 time breakdown.
+//! * [`VerificationReport`] — per-kernel verdicts plus the Figure-3 time
+//!   breakdown, as produced by [`crate::pipeline::Session::verify`].
 //!
 //! The executor runs each verified launch in three phases on the calling
 //! thread (staged demotion copies, device run then CPU reference,
 //! comparison — see `DESIGN.md` §12); the overlap of device and reference
 //! is an effect on the simulated clock only.
 
-use crate::exec::{execute, ExecMode, ExecOptions, KernelVerification, VerifyOptions};
-use crate::translate::{translate, TranslateOptions, Translated};
+use crate::exec::KernelVerification;
 use openarc_gpusim::{RaceReport, TimeBreakdown};
 use openarc_minic::ast::*;
 use openarc_minic::span::Diagnostic;
-use openarc_minic::Sema;
 use openarc_openacc::{directives_of, DataClause, DataClauseKind, DataItem, Directive};
-use openarc_vm::VmError;
 use std::collections::BTreeSet;
 
 /// Identify compute-region statements in document order (kernel index i
@@ -353,79 +350,12 @@ impl VerificationReport {
     }
 }
 
-/// Translate and verify all (or selected) kernels of a program.
-///
-/// ```
-/// use openarc_core::exec::VerifyOptions;
-/// use openarc_core::translate::TranslateOptions;
-/// use openarc_core::verify::verify_kernels;
-/// let src = "double a[16];\nvoid main() {\n int j;\n #pragma acc kernels loop gang\n for (j = 0; j < 16; j++) { a[j] = (double) j; }\n}";
-/// let (program, sema) = openarc_minic::frontend(src).unwrap();
-/// let (_, report) = verify_kernels(
-///     &program, &sema, &TranslateOptions::default(), VerifyOptions::default(),
-/// ).unwrap();
-/// assert!(report.flagged().is_empty());
-/// assert_eq!(report.kernels[0].launches, 1);
-/// ```
-pub fn verify_kernels(
-    program: &Program,
-    sema: &Sema,
-    topts: &TranslateOptions,
-    vopts: VerifyOptions,
-) -> Result<(Translated, VerificationReport), VerifyError> {
-    let tr = translate(program, sema, topts).map_err(VerifyError::Translate)?;
-    // Baseline: sequential CPU run.
-    let base = execute(
-        &tr,
-        &ExecOptions {
-            mode: ExecMode::CpuOnly,
-            race_detect: false,
-            ..Default::default()
-        },
-    )
-    .map_err(VerifyError::Run)?;
-    let cpu_baseline_us = base.sim_time_us();
-    // Verification run.
-    let r = execute(
-        &tr,
-        &ExecOptions {
-            mode: ExecMode::Verify(vopts),
-            ..Default::default()
-        },
-    )
-    .map_err(VerifyError::Run)?;
-    let report = VerificationReport {
-        kernels: r.verify.clone(),
-        breakdown: r.machine.clock.breakdown.clone(),
-        cpu_baseline_us,
-        races: r.races.clone(),
-    };
-    Ok((tr, report))
-}
-
-/// Errors from [`verify_kernels`].
-#[derive(Debug)]
-pub enum VerifyError {
-    /// Translation failed.
-    Translate(Vec<Diagnostic>),
-    /// Execution failed.
-    Run(VmError),
-}
-
-impl std::fmt::Display for VerifyError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            VerifyError::Translate(ds) => write!(f, "translation failed: {ds:?}"),
-            VerifyError::Run(e) => write!(f, "execution failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for VerifyError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::VerifyOptions;
+    use crate::pipeline::Session;
+    use crate::translate::TranslateOptions;
     use openarc_minic::{frontend, print_program};
 
     /// The paper's Listing 1 (CG excerpt), reduced.
@@ -469,14 +399,11 @@ mod tests {
 
     #[test]
     fn verify_kernels_end_to_end_clean() {
-        let (p, s) = frontend(LISTING1).unwrap();
-        let (_, report) = verify_kernels(
-            &p,
-            &s,
-            &TranslateOptions::default(),
-            VerifyOptions::default(),
-        )
-        .unwrap();
+        let session = Session::builder().build();
+        let fe = session.frontend(LISTING1).unwrap();
+        let (_, report) = session
+            .verify(&fe, &TranslateOptions::default(), VerifyOptions::default())
+            .unwrap();
         assert_eq!(report.kernels.len(), 1);
         assert!(report.flagged().is_empty());
         assert_eq!(report.kernels[0].launches, 3, "verified on every iteration");
@@ -500,7 +427,11 @@ mod tests {
             auto_reduction: false,
             ..Default::default()
         };
-        let (_, report) = verify_kernels(&stripped, &s, &topts, VerifyOptions::default()).unwrap();
+        let session = Session::builder().build();
+        let fe = session.frontend_program(stripped, s);
+        let (_, report) = session
+            .verify(&fe, &topts, VerifyOptions::default())
+            .unwrap();
         assert_eq!(report.flagged().len(), 1);
         assert!(!report.races.is_empty());
     }

@@ -98,8 +98,8 @@ impl TimeBreakdown {
 
 /// The machine clock: a host timeline plus one timeline per async queue,
 /// where queues are namespaced per simulated device (`(device, queue)`
-/// keys). Single-device callers use the [`SimClock::enqueue_async`] /
-/// [`SimClock::wait`] shorthands, which address [`DeviceId::PRIMARY`].
+/// keys). Every queue operation names its device; single-device callers
+/// pass [`DeviceId::PRIMARY`].
 #[derive(Debug, Clone, Default)]
 pub struct SimClock {
     host_now: f64,
@@ -174,12 +174,6 @@ impl SimClock {
         self.breakdown.add(cat, dt);
     }
 
-    /// Enqueue `dt` µs of asynchronous work on the primary device's
-    /// `queue`. See [`SimClock::enqueue_async_on`].
-    pub fn enqueue_async(&mut self, queue: i64, dt: f64) -> f64 {
-        self.enqueue_async_on(DeviceId::PRIMARY, queue, dt)
-    }
-
     /// Enqueue `dt` µs of asynchronous work on device `dev`'s `queue`.
     /// The work starts no earlier than the host's current time and the
     /// queue's previous end; the host does not block. Returns the
@@ -191,12 +185,6 @@ impl SimClock {
         let start = end.max(self.host_now);
         *end = start + dt;
         start
-    }
-
-    /// Block the host until the primary device's `queue` drains. See
-    /// [`SimClock::wait_on`].
-    pub fn wait(&mut self, queue: i64) {
-        self.wait_on(DeviceId::PRIMARY, queue);
     }
 
     /// Block the host until device `dev`'s `queue` drains, charging the
@@ -251,6 +239,8 @@ impl SimClock {
 mod tests {
     use super::*;
 
+    const P: DeviceId = DeviceId::PRIMARY;
+
     #[test]
     fn advance_accumulates_by_category() {
         let mut c = SimClock::new();
@@ -266,9 +256,9 @@ mod tests {
     #[test]
     fn async_overlap_hides_gpu_time() {
         let mut c = SimClock::new();
-        c.enqueue_async(1, 100.0); // kernel on queue 1
+        c.enqueue_async_on(P, 1, 100.0); // kernel on queue 1
         c.advance(TimeCategory::CpuTime, 60.0); // CPU overlaps
-        c.wait(1);
+        c.wait_on(P, 1);
         // Only the remaining 40 µs stall the host.
         assert_eq!(c.breakdown.get(TimeCategory::AsyncWait), 40.0);
         assert_eq!(c.now(), 100.0);
@@ -277,9 +267,9 @@ mod tests {
     #[test]
     fn async_fully_hidden_when_cpu_longer() {
         let mut c = SimClock::new();
-        c.enqueue_async(1, 30.0);
+        c.enqueue_async_on(P, 1, 30.0);
         c.advance(TimeCategory::CpuTime, 50.0);
-        c.wait(1);
+        c.wait_on(P, 1);
         assert_eq!(c.breakdown.get(TimeCategory::AsyncWait), 0.0);
         assert_eq!(c.now(), 50.0);
     }
@@ -287,17 +277,17 @@ mod tests {
     #[test]
     fn queue_serializes_its_own_work() {
         let mut c = SimClock::new();
-        c.enqueue_async(1, 10.0);
-        c.enqueue_async(1, 10.0); // starts after the first
-        c.wait(1);
+        c.enqueue_async_on(P, 1, 10.0);
+        c.enqueue_async_on(P, 1, 10.0); // starts after the first
+        c.wait_on(P, 1);
         assert_eq!(c.now(), 20.0);
     }
 
     #[test]
     fn separate_queues_overlap() {
         let mut c = SimClock::new();
-        c.enqueue_async(1, 10.0);
-        c.enqueue_async(2, 10.0);
+        c.enqueue_async_on(P, 1, 10.0);
+        c.enqueue_async_on(P, 2, 10.0);
         c.wait_all();
         assert_eq!(c.now(), 10.0);
     }
@@ -305,7 +295,7 @@ mod tests {
     #[test]
     fn wait_on_idle_queue_is_free() {
         let mut c = SimClock::new();
-        c.wait(7);
+        c.wait_on(P, 7);
         assert_eq!(c.now(), 0.0);
     }
 
@@ -313,9 +303,9 @@ mod tests {
     fn async_after_host_progress_starts_at_host_now() {
         let mut c = SimClock::new();
         c.advance(TimeCategory::CpuTime, 100.0);
-        let start = c.enqueue_async(1, 5.0);
+        let start = c.enqueue_async_on(P, 1, 5.0);
         assert_eq!(start, 100.0);
-        c.wait(1);
+        c.wait_on(P, 1);
         assert_eq!(c.now(), 105.0);
     }
 
@@ -329,12 +319,12 @@ mod tests {
         let shared = openarc_trace::Journal::enabled();
         let mut c = SimClock::new();
         c.journal = JournalPart::new(shared.clone());
-        let t0 = c.enqueue_async(3, 4.0); // staged copy 1
-        let t1 = c.enqueue_async(3, 4.0); // staged copy 2, queued behind it
-        let t2 = c.enqueue_async(3, 20.0); // async kernel behind the copies
+        let t0 = c.enqueue_async_on(P, 3, 4.0); // staged copy 1
+        let t1 = c.enqueue_async_on(P, 3, 4.0); // staged copy 2, queued behind it
+        let t2 = c.enqueue_async_on(P, 3, 20.0); // async kernel behind the copies
         assert_eq!((t0, t1, t2), (0.0, 4.0, 8.0), "queue serializes the chain");
         c.advance(TimeCategory::CpuTime, 10.0); // CPU reference overlaps
-        c.wait(3);
+        c.wait_on(P, 3);
         c.journal.flush();
         // The transfers and kernel never touch their synchronous
         // categories — everything async folds into the wait's stall.
@@ -427,7 +417,7 @@ mod tests {
         c.journal = JournalPart::new(shared.clone());
         c.advance(TimeCategory::CpuTime, 1.25);
         c.advance(TimeCategory::MemTransfer, 0.5);
-        c.enqueue_async(1, 10.0);
+        c.enqueue_async_on(P, 1, 10.0);
         c.advance(TimeCategory::CpuTime, 3.0);
         c.wait_all();
         c.journal.flush();

@@ -75,16 +75,6 @@ impl DeviceSet {
         (0..self.devices.len() as u32).map(DeviceId)
     }
 
-    /// The primary device (id 0).
-    pub fn primary(&self) -> &Device {
-        &self.devices[0]
-    }
-
-    /// The primary device (id 0), mutably.
-    pub fn primary_mut(&mut self) -> &mut Device {
-        &mut self.devices[0]
-    }
-
     /// Device `id`. Panics on an out-of-range id: the runtime assigns ids
     /// from a plan bounded by `len()`, so a bad id is a scheduler bug.
     pub fn get(&self, id: DeviceId) -> &Device {

@@ -34,10 +34,11 @@ pub enum St {
     Stale,
 }
 
-/// Which copy of the data, in the paper's two-sided vocabulary (the form
-/// the instrumented `check_read`/`check_write` calls are lowered with).
-/// `Gpu` always means the primary device; multi-device code paths use
-/// [`Loc`] instead.
+/// Which copy of the data, in the paper's two-sided vocabulary: the form
+/// the instrumented `check_read`/`check_write` calls are lowered with
+/// (and the one the artifact cache encodes). The tracker itself speaks
+/// [`Loc`]; [`DevSide::loc`] maps a side onto it, `Gpu` being the primary
+/// device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DevSide {
     /// Host CPU copy.
@@ -120,11 +121,6 @@ impl Default for VarState {
 }
 
 impl VarState {
-    /// The primary device's state.
-    pub fn gpu(&self) -> St {
-        self.gpus[0]
-    }
-
     /// Device `d`'s state.
     pub fn gpu_on(&self, d: DeviceId) -> St {
         self.gpus[d.0 as usize]
@@ -133,11 +129,6 @@ impl VarState {
     /// All device states, indexed by [`DeviceId`].
     pub fn gpus(&self) -> &[St] {
         &self.gpus
-    }
-
-    /// State of `side` (two-sided view: `Gpu` is the primary device).
-    pub fn get(&self, side: DevSide) -> St {
-        self.at(side.loc())
     }
 
     /// State at `loc`.
@@ -164,18 +155,20 @@ impl VarState {
 /// The coherence tracker, keyed by host allocation handle.
 ///
 /// ```
-/// use openarc_runtime::{Coherence, DevSide, ReadDiag};
+/// use openarc_gpusim::DeviceId;
+/// use openarc_runtime::{Coherence, Loc, ReadDiag};
 /// use openarc_vm::Handle;
+/// let gpu = Loc::Dev(DeviceId::PRIMARY);
 /// let mut c = Coherence::new(true);
 /// let h = Handle(1);
 /// c.track(h, "a");
-/// c.on_write(h, DevSide::Gpu, false);           // kernel writes a
-/// assert_eq!(c.check_read(h, DevSide::Cpu), ReadDiag::Missing);
-/// let diag = c.on_transfer(h, DevSide::Cpu);    // copy it back
-/// assert_eq!(diag.redundant, None);             // the copy was needed
-/// assert_eq!(c.check_read(h, DevSide::Cpu), ReadDiag::Ok);
-/// let diag = c.on_transfer(h, DevSide::Cpu);    // copy it again
-/// assert_eq!(diag.redundant, Some(true));       // now it's redundant
+/// c.on_write_at(h, gpu, false);                            // kernel writes a
+/// assert_eq!(c.check_read_at(h, Loc::Cpu), ReadDiag::Missing);
+/// let diag = c.on_transfer_between(h, gpu, Loc::Cpu);      // copy it back
+/// assert_eq!(diag.redundant, None);                        // the copy was needed
+/// assert_eq!(c.check_read_at(h, Loc::Cpu), ReadDiag::Ok);
+/// let diag = c.on_transfer_between(h, gpu, Loc::Cpu);      // copy it again
+/// assert_eq!(diag.redundant, Some(true));                  // now it's redundant
 /// ```
 #[derive(Debug, Clone)]
 pub struct Coherence {
@@ -236,13 +229,7 @@ impl Coherence {
         self.vars.get(&h)
     }
 
-    /// `check_read(h, side)`: diagnose a read on `side` (two-sided view;
-    /// `Gpu` is the primary device).
-    pub fn check_read(&self, h: Handle, side: DevSide) -> ReadDiag {
-        self.check_read_at(h, side.loc())
-    }
-
-    /// Diagnose a read of the copy at `loc`.
+    /// `check_read`: diagnose a read of the copy at `loc`.
     pub fn check_read_at(&self, h: Handle, loc: Loc) -> ReadDiag {
         if !self.enabled {
             return ReadDiag::Ok;
@@ -254,15 +241,9 @@ impl Coherence {
         }
     }
 
-    /// `check_write(h, side, total)`: diagnose and apply a write on `side`
-    /// (two-sided view; `Gpu` is the primary device).
-    pub fn on_write(&mut self, h: Handle, side: DevSide, total: bool) -> ReadDiag {
-        self.on_write_at(h, side.loc(), total)
-    }
-
-    /// Diagnose and apply a write at `loc`. Returns the diagnosis of the
-    /// *local* copy before the write (a stale copy being partially
-    /// overwritten is the paper's may-missing case). Every *other*
+    /// `check_write`: diagnose and apply a write at `loc`. Returns the
+    /// diagnosis of the *local* copy before the write (a stale copy being
+    /// partially overwritten is the paper's may-missing case). Every *other*
     /// location's copy goes stale — with one device this is exactly the
     /// paper's two-sided rule; with N devices a write anywhere stales the
     /// N remaining copies.
@@ -297,12 +278,6 @@ impl Coherence {
         }
         v.set_at(loc, local_after);
         diag
-    }
-
-    /// Diagnose and apply a transfer into `dst` side (two-sided view: the
-    /// source is the opposite side, with `Gpu` the primary device).
-    pub fn on_transfer(&mut self, h: Handle, dst: DevSide) -> XferDiag {
-        self.on_transfer_between(h, dst.other().loc(), dst.loc())
     }
 
     /// Diagnose and apply a transfer from the copy at `src` into the copy
@@ -341,13 +316,8 @@ impl Coherence {
         }
     }
 
-    /// `reset_status(h, side, st)`: compiler-directed state override (dead
-    /// variables, deallocation, CPU-final reductions). Two-sided view.
-    pub fn reset_status(&mut self, h: Handle, side: DevSide, st: St) {
-        self.reset_status_at(h, side.loc(), st);
-    }
-
-    /// State override for the copy at `loc`.
+    /// `reset_status`: compiler-directed state override of the copy at
+    /// `loc` (dead variables, deallocation, CPU-final reductions).
     pub fn reset_status_at(&mut self, h: Handle, loc: Loc, st: St) {
         if !self.enabled {
             return;
@@ -363,6 +333,8 @@ mod tests {
     use super::*;
 
     const H: Handle = Handle(5);
+    const CPU: Loc = Loc::Cpu;
+    const GPU: Loc = Loc::Dev(DeviceId::PRIMARY);
 
     fn tracked() -> Coherence {
         let mut c = Coherence::new(true);
@@ -375,82 +347,82 @@ mod tests {
         let c = tracked();
         let v = c.state(H).unwrap();
         assert_eq!(v.cpu, St::NotStale);
-        assert_eq!(v.gpu(), St::NotStale);
-        assert_eq!(c.check_read(H, DevSide::Cpu), ReadDiag::Ok);
+        assert_eq!(v.gpu_on(DeviceId::PRIMARY), St::NotStale);
+        assert_eq!(c.check_read_at(H, CPU), ReadDiag::Ok);
     }
 
     #[test]
     fn write_stales_remote() {
         let mut c = tracked();
-        c.on_write(H, DevSide::Gpu, false);
+        c.on_write_at(H, GPU, false);
         assert_eq!(c.state(H).unwrap().cpu, St::Stale);
-        assert_eq!(c.check_read(H, DevSide::Cpu), ReadDiag::Missing);
-        assert_eq!(c.check_read(H, DevSide::Gpu), ReadDiag::Ok);
+        assert_eq!(c.check_read_at(H, CPU), ReadDiag::Missing);
+        assert_eq!(c.check_read_at(H, GPU), ReadDiag::Ok);
     }
 
     #[test]
     fn transfer_clears_staleness() {
         let mut c = tracked();
-        c.on_write(H, DevSide::Gpu, false);
-        let d = c.on_transfer(H, DevSide::Cpu);
+        c.on_write_at(H, GPU, false);
+        let d = c.on_transfer_between(H, GPU, CPU);
         assert_eq!(d.redundant, None, "transfer was needed");
         assert_eq!(d.incorrect, None, "source was fresh");
-        assert_eq!(c.check_read(H, DevSide::Cpu), ReadDiag::Ok);
+        assert_eq!(c.check_read_at(H, CPU), ReadDiag::Ok);
     }
 
     #[test]
     fn transfer_to_fresh_copy_is_redundant() {
         let mut c = tracked();
-        let d = c.on_transfer(H, DevSide::Gpu);
+        let d = c.on_transfer_between(H, CPU, GPU);
         assert_eq!(d.redundant, Some(true));
     }
 
     #[test]
     fn transfer_from_stale_source_is_incorrect() {
         let mut c = tracked();
-        c.on_write(H, DevSide::Gpu, false); // CPU copy stale now
-        let d = c.on_transfer(H, DevSide::Gpu); // CPU → GPU copies stale data
+        c.on_write_at(H, GPU, false); // CPU copy stale now
+        let d = c.on_transfer_between(H, CPU, GPU); // CPU → GPU copies stale data
         assert_eq!(d.incorrect, Some(true));
     }
 
     #[test]
     fn partial_overwrite_of_stale_copy_is_may_missing() {
         let mut c = tracked();
-        c.on_write(H, DevSide::Gpu, false); // CPU stale
-        let diag = c.on_write(H, DevSide::Cpu, false); // partial CPU write
+        c.on_write_at(H, GPU, false); // CPU stale
+        let diag = c.on_write_at(H, CPU, false); // partial CPU write
         assert_eq!(diag, ReadDiag::MayMissing);
         assert_eq!(c.state(H).unwrap().cpu, St::MayStale);
-        assert_eq!(c.check_read(H, DevSide::Cpu), ReadDiag::MayMissing);
+        assert_eq!(c.check_read_at(H, CPU), ReadDiag::MayMissing);
     }
 
     #[test]
     fn total_overwrite_refreshes_local() {
         let mut c = tracked();
-        c.on_write(H, DevSide::Gpu, false); // CPU stale
-        let diag = c.on_write(H, DevSide::Cpu, true);
+        c.on_write_at(H, GPU, false); // CPU stale
+        let diag = c.on_write_at(H, CPU, true);
         assert_eq!(diag, ReadDiag::Ok);
         assert_eq!(c.state(H).unwrap().cpu, St::NotStale);
         // And the GPU copy went stale in turn.
-        assert_eq!(c.state(H).unwrap().gpu(), St::Stale);
+        assert_eq!(c.state(H).unwrap().gpu_on(DeviceId::PRIMARY), St::Stale);
     }
 
     #[test]
     fn reset_status_overrides() {
         let mut c = tracked();
-        c.on_write(H, DevSide::Cpu, true); // GPU stale
-                                           // Compiler proved GPU copy must-dead → mark not-stale so the next
-                                           // transfer to it is flagged redundant.
-        c.reset_status(H, DevSide::Gpu, St::NotStale);
-        let d = c.on_transfer(H, DevSide::Gpu);
+        c.on_write_at(H, CPU, true); // GPU stale
+                                     // Compiler proved GPU copy must-dead → mark not-stale so the next
+                                     // transfer to it is flagged redundant.
+        c.reset_status_at(H, GPU, St::NotStale);
+        let d = c.on_transfer_between(H, CPU, GPU);
         assert_eq!(d.redundant, Some(true));
     }
 
     #[test]
     fn may_dead_gives_may_redundant() {
         let mut c = tracked();
-        c.on_write(H, DevSide::Cpu, true); // GPU stale
-        c.reset_status(H, DevSide::Gpu, St::MayStale);
-        let d = c.on_transfer(H, DevSide::Gpu);
+        c.on_write_at(H, CPU, true); // GPU stale
+        c.reset_status_at(H, GPU, St::MayStale);
+        let d = c.on_transfer_between(H, CPU, GPU);
         assert_eq!(d.redundant, Some(false), "may-redundant");
     }
 
@@ -458,8 +430,8 @@ mod tests {
     fn disabled_tracker_is_silent() {
         let mut c = Coherence::new(false);
         c.track(H, "a");
-        c.on_write(H, DevSide::Gpu, false);
-        assert_eq!(c.check_read(H, DevSide::Cpu), ReadDiag::Ok);
+        c.on_write_at(H, GPU, false);
+        assert_eq!(c.check_read_at(H, CPU), ReadDiag::Ok);
         assert!(c.state(H).is_none());
     }
 

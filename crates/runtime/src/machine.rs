@@ -4,12 +4,12 @@
 //! `openarc-core`'s executor drives a [`Machine`] while running translated
 //! host bytecode; every directive-lowered runtime operation lands here.
 //! The machine simulates `N ≥ 1` devices: each device has its own memory
-//! space, race detector and present table, and every runtime operation has
-//! an `_on(DeviceId)` form. The plain forms target the primary device, so
-//! single-device callers read exactly as before the device dimension
-//! existed.
+//! space, race detector and present table. Every runtime operation has one
+//! form, which names its target explicitly: a [`DeviceId`] for mappings,
+//! transfers and kernel charges, a [`Loc`] for coherence checks. Callers
+//! that only ever use one device pass [`DeviceId::PRIMARY`].
 
-use crate::coherence::{Coherence, DevSide, Loc, ReadDiag, St};
+use crate::coherence::{Coherence, Loc, ReadDiag, St};
 use crate::present::PresentTable;
 use crate::report::{Direction, Issue, IssueKind, Report};
 use openarc_gpusim::{CostModel, DeviceId, DeviceSet, KernelOutcome, SimClock, TimeCategory};
@@ -116,11 +116,6 @@ impl Machine {
             stats: TransferStats::default(),
             loop_context: Vec::new(),
         }
-    }
-
-    /// The primary device's present table.
-    pub fn present(&self) -> &PresentTable {
-        &self.presents[0]
     }
 
     /// Device `d`'s present table.
@@ -261,27 +256,12 @@ impl Machine {
         });
     }
 
-    /// Ensure `host_h` is mapped on the primary device; allocates (and
-    /// charges the clock) when absent. Returns (device handle,
-    /// newly_mapped).
-    pub fn map_to_device(&mut self, host_h: Handle) -> Result<(Handle, bool), VmError> {
-        self.map_to_device_on(DeviceId::PRIMARY, host_h)
-    }
-
-    /// [`Machine::map_to_device`] targeting device `dev`.
-    pub fn map_to_device_on(
-        &mut self,
-        dev: DeviceId,
-        host_h: Handle,
-    ) -> Result<(Handle, bool), VmError> {
-        self.map_to_device_on_queue(dev, host_h, None)
-    }
-
-    /// [`Machine::map_to_device_on`] with the allocation charged as
-    /// stream-ordered work on `queue` (the `cudaMallocAsync` model: the
-    /// device runtime services the allocation on the stream, the host
-    /// does not block). `None` keeps the synchronous host-blocking charge
-    /// of the plain mapping path.
+    /// Ensure `host_h` is mapped on device `dev`; allocates when absent.
+    /// Returns (device handle, newly_mapped). With `queue`, the allocation
+    /// is charged as stream-ordered work on that queue (the
+    /// `cudaMallocAsync` model: the device runtime services the
+    /// allocation on the stream, the host does not block); `None` charges
+    /// it to the host synchronously.
     pub fn map_to_device_on_queue(
         &mut self,
         dev: DeviceId,
@@ -336,21 +316,7 @@ impl Machine {
         Ok((dev_h, true))
     }
 
-    /// True when `host_h` currently has a live mirror on the primary
-    /// device.
-    pub fn is_present(&self, host_h: Handle) -> bool {
-        self.presents[DeviceId::PRIMARY.0 as usize]
-            .device_of(host_h)
-            .is_some()
-    }
-
-    /// Release one region reference; frees the primary-device mirror at
-    /// zero.
-    pub fn unmap_from_device(&mut self, host_h: Handle) -> Result<(), VmError> {
-        self.unmap_from_device_on(DeviceId::PRIMARY, host_h)
-    }
-
-    /// [`Machine::unmap_from_device`] targeting device `dev`.
+    /// Release one region reference; frees device `dev`'s mirror at zero.
     pub fn unmap_from_device_on(&mut self, dev: DeviceId, host_h: Handle) -> Result<(), VmError> {
         if let Some(dev_h) = self.presents[dev.0 as usize].release(host_h)? {
             self.devices.get_mut(dev).mem.free(dev_h)?;
@@ -371,31 +337,10 @@ impl Machine {
         Ok(())
     }
 
-    /// Copy host → primary device. `site` names the transfer for reports;
-    /// `queue` makes it asynchronous.
-    pub fn copy_to_device(
-        &mut self,
-        host_h: Handle,
-        site: &str,
-        queue: Option<i64>,
-    ) -> Result<(), VmError> {
-        self.copy_to_device_named(host_h, site, queue, None)
-    }
-
-    /// [`Machine::copy_to_device`] with an explicit variable name for
-    /// reports (aliased pointers share one buffer label; suggestions must
-    /// name the variable the directive used).
-    pub fn copy_to_device_named(
-        &mut self,
-        host_h: Handle,
-        site: &str,
-        queue: Option<i64>,
-        name: Option<&str>,
-    ) -> Result<(), VmError> {
-        self.copy_to_device_named_on(DeviceId::PRIMARY, host_h, site, queue, name)
-    }
-
-    /// [`Machine::copy_to_device_named`] targeting device `dev`.
+    /// Copy host → device `dev`. `site` names the transfer for reports;
+    /// `queue` makes it asynchronous; `name`, when given, is the variable
+    /// reports use (aliased pointers share one buffer label; suggestions
+    /// must name the variable the directive used).
     pub fn copy_to_device_named_on(
         &mut self,
         dev: DeviceId,
@@ -425,28 +370,8 @@ impl Machine {
         Ok(())
     }
 
-    /// Copy primary device → host.
-    pub fn copy_to_host(
-        &mut self,
-        host_h: Handle,
-        site: &str,
-        queue: Option<i64>,
-    ) -> Result<(), VmError> {
-        self.copy_to_host_named(host_h, site, queue, None)
-    }
-
-    /// [`Machine::copy_to_host`] with an explicit report variable name.
-    pub fn copy_to_host_named(
-        &mut self,
-        host_h: Handle,
-        site: &str,
-        queue: Option<i64>,
-        name: Option<&str>,
-    ) -> Result<(), VmError> {
-        self.copy_to_host_named_on(DeviceId::PRIMARY, host_h, site, queue, name)
-    }
-
-    /// [`Machine::copy_to_host_named`] reading back from device `dev`.
+    /// Copy device `dev` → host; the arguments are those of
+    /// [`Machine::copy_to_device_named_on`].
     pub fn copy_to_host_named_on(
         &mut self,
         dev: DeviceId,
@@ -601,13 +526,7 @@ impl Machine {
         }
     }
 
-    /// `check_read` runtime call (two-sided form; `Gpu` is the primary
-    /// device).
-    pub fn check_read(&mut self, h: Handle, side: DevSide, site: &str) {
-        self.check_read_at(h, side.loc(), site);
-    }
-
-    /// [`Machine::check_read`] at an explicit location.
+    /// `check_read` runtime call for the copy at `loc`.
     pub fn check_read_at(&mut self, h: Handle, loc: Loc, site: &str) {
         self.track_handle(h);
         match self.coherence.check_read_at(h, loc) {
@@ -621,19 +540,15 @@ impl Machine {
     /// journaled as a `"reset"` transition like every other state change —
     /// a silent override would break the journal's per-(var, side)
     /// transition chain, which the fuzzer's reference-model replay checks.
-    pub fn reset_status(&mut self, h: Handle, side: DevSide, st: St) {
+    pub fn reset_status_at(&mut self, h: Handle, loc: Loc, st: St) {
         self.track_handle(h);
         let before = self.coh_snapshot(h);
-        self.coherence.reset_status(h, side, st);
+        self.coherence.reset_status_at(h, loc, st);
         self.emit_coherence_diff(h, before, "reset");
     }
 
-    /// `check_write` runtime call (also applies the write's state change).
-    pub fn check_write(&mut self, h: Handle, side: DevSide, total: bool, site: &str) {
-        self.check_write_at(h, side.loc(), total, site);
-    }
-
-    /// [`Machine::check_write`] at an explicit location.
+    /// `check_write` runtime call for the copy at `loc` (also applies the
+    /// write's state change).
     pub fn check_write_at(&mut self, h: Handle, loc: Loc, total: bool, site: &str) {
         self.track_handle(h);
         let before = self.coh_snapshot(h);
@@ -646,18 +561,9 @@ impl Machine {
         }
     }
 
-    /// Charge a kernel execution to the clock (primary device).
-    pub fn charge_kernel(&mut self, outcome: &KernelOutcome, queue: Option<i64>) {
-        self.charge_kernel_named("kernel", outcome, queue);
-    }
-
-    /// [`Machine::charge_kernel`] journaling the launch and execution span
-    /// under the kernel's name.
-    pub fn charge_kernel_named(&mut self, name: &str, outcome: &KernelOutcome, queue: Option<i64>) {
-        self.charge_kernel_named_on(name, outcome, DeviceId::PRIMARY, queue);
-    }
-
-    /// [`Machine::charge_kernel_named`] on device `dev`'s queue.
+    /// Charge a kernel execution on device `dev` to the clock (to its
+    /// `queue` when given), journaling the launch and execution span under
+    /// the kernel's name.
     pub fn charge_kernel_named_on(
         &mut self,
         name: &str,
@@ -705,11 +611,6 @@ impl Machine {
         self.clock.advance(TimeCategory::CpuTime, dt);
     }
 
-    /// Resolve the primary-device handle for a mapped host buffer.
-    pub fn device_of(&self, host_h: Handle) -> Result<Handle, VmError> {
-        self.device_of_on(DeviceId::PRIMARY, host_h)
-    }
-
     /// Resolve the device handle for a host buffer mapped on `dev`.
     pub fn device_of_on(&self, dev: DeviceId, host_h: Handle) -> Result<Handle, VmError> {
         self.presents[dev.0 as usize]
@@ -723,6 +624,9 @@ mod tests {
     use super::*;
     use openarc_minic::ScalarTy;
     use openarc_vm::Value;
+
+    const P: DeviceId = DeviceId::PRIMARY;
+    const GPU: Loc = Loc::Dev(DeviceId::PRIMARY);
 
     fn machine_with_buffer(len: usize) -> (Machine, Handle) {
         let mut host = BasicEnv {
@@ -748,21 +652,19 @@ mod tests {
         for i in 0..8 {
             m.host.mem.store(h, i, Value::F64(i as f64)).unwrap();
         }
-        let (dev, new) = m.map_to_device(h).unwrap();
+        let (dev, new) = m.map_to_device_on_queue(P, h, None).unwrap();
         assert!(new);
-        m.copy_to_device(h, "enter", None).unwrap();
-        assert_eq!(
-            m.devices.primary().mem.load(dev, 3).unwrap(),
-            Value::F64(3.0)
-        );
+        m.copy_to_device_named_on(P, h, "enter", None, None)
+            .unwrap();
+        assert_eq!(m.devices.get(P).mem.load(dev, 3).unwrap(), Value::F64(3.0));
         // Mutate on device, copy back.
         m.devices
-            .primary_mut()
+            .get_mut(P)
             .mem
             .store(dev, 3, Value::F64(99.0))
             .unwrap();
-        m.coherence.on_write(h, DevSide::Gpu, false);
-        m.copy_to_host(h, "exit", None).unwrap();
+        m.coherence.on_write_at(h, GPU, false);
+        m.copy_to_host_named_on(P, h, "exit", None, None).unwrap();
         assert_eq!(m.host.mem.load(h, 3).unwrap(), Value::F64(99.0));
         assert_eq!(m.stats.h2d_count, 1);
         assert_eq!(m.stats.d2h_count, 1);
@@ -772,8 +674,9 @@ mod tests {
     #[test]
     fn clock_charged_for_alloc_and_transfer() {
         let (mut m, h) = machine_with_buffer(1024);
-        m.map_to_device(h).unwrap();
-        m.copy_to_device(h, "enter", None).unwrap();
+        m.map_to_device_on_queue(P, h, None).unwrap();
+        m.copy_to_device_named_on(P, h, "enter", None, None)
+            .unwrap();
         assert!(m.clock.breakdown.get(TimeCategory::GpuMemAlloc) > 0.0);
         assert!(m.clock.breakdown.get(TimeCategory::MemTransfer) > 0.0);
     }
@@ -781,14 +684,14 @@ mod tests {
     #[test]
     fn nested_mapping_refcounts() {
         let (mut m, h) = machine_with_buffer(4);
-        let (_, new1) = m.map_to_device(h).unwrap();
-        let (_, new2) = m.map_to_device(h).unwrap();
+        let (_, new1) = m.map_to_device_on_queue(P, h, None).unwrap();
+        let (_, new2) = m.map_to_device_on_queue(P, h, None).unwrap();
         assert!(new1);
         assert!(!new2);
-        m.unmap_from_device(h).unwrap();
-        assert!(m.present().contains(h));
-        m.unmap_from_device(h).unwrap();
-        assert!(!m.present().contains(h));
+        m.unmap_from_device_on(P, h).unwrap();
+        assert!(m.present_on(P).contains(h));
+        m.unmap_from_device_on(P, h).unwrap();
+        assert!(!m.present_on(P).contains(h));
         assert_eq!(m.stats.dev_allocs, 1);
         assert_eq!(m.stats.dev_frees, 1);
     }
@@ -796,11 +699,13 @@ mod tests {
     #[test]
     fn redundant_transfer_reported_with_context() {
         let (mut m, h) = machine_with_buffer(4);
-        m.map_to_device(h).unwrap();
+        m.map_to_device_on_queue(P, h, None).unwrap();
         m.loop_context.push(("k-loop".into(), 2));
         // Fresh on both sides → the second copyin is redundant.
-        m.copy_to_device(h, "enter0", None).unwrap();
-        m.copy_to_device(h, "enter0", None).unwrap();
+        m.copy_to_device_named_on(P, h, "enter0", None, None)
+            .unwrap();
+        m.copy_to_device_named_on(P, h, "enter0", None, None)
+            .unwrap();
         let msgs: Vec<String> = m.report.issues.iter().map(|i| i.to_string()).collect();
         assert!(
             msgs.iter()
@@ -812,39 +717,40 @@ mod tests {
     #[test]
     fn missing_transfer_reported_on_stale_read() {
         let (mut m, h) = machine_with_buffer(4);
-        m.map_to_device(h).unwrap();
-        m.check_write(h, DevSide::Gpu, false, "kernel0"); // host goes stale
-        m.check_read(h, DevSide::Cpu, "host_read0");
+        m.map_to_device_on_queue(P, h, None).unwrap();
+        m.check_write_at(h, GPU, false, "kernel0"); // host goes stale
+        m.check_read_at(h, Loc::Cpu, "host_read0");
         assert_eq!(m.report.count(IssueKind::Missing), 1);
     }
 
     #[test]
     fn async_transfer_charges_queue_not_host() {
         let (mut m, h) = machine_with_buffer(1 << 20);
-        m.map_to_device(h).unwrap();
+        m.map_to_device_on_queue(P, h, None).unwrap();
         let before = m.clock.breakdown.get(TimeCategory::MemTransfer);
-        m.copy_to_device(h, "enter", Some(1)).unwrap();
+        m.copy_to_device_named_on(P, h, "enter", Some(1), None)
+            .unwrap();
         assert_eq!(m.clock.breakdown.get(TimeCategory::MemTransfer), before);
-        m.clock.wait(1);
+        m.clock.wait_on(P, 1);
         assert!(m.clock.breakdown.get(TimeCategory::AsyncWait) > 0.0);
     }
 
     #[test]
     fn unmap_stales_device_copy() {
         let (mut m, h) = machine_with_buffer(4);
-        m.map_to_device(h).unwrap();
-        m.unmap_from_device(h).unwrap();
+        m.map_to_device_on_queue(P, h, None).unwrap();
+        m.unmap_from_device_on(P, h).unwrap();
         // Re-map: coherence remembers the device copy is stale.
-        m.map_to_device(h).unwrap();
-        assert_eq!(m.coherence.state(h).unwrap().gpu(), St::Stale);
+        m.map_to_device_on_queue(P, h, None).unwrap();
+        assert_eq!(m.coherence.state(h).unwrap().gpu_on(P), St::Stale);
     }
 
     #[test]
     fn per_device_mappings_are_independent() {
         let d1 = DeviceId(1);
         let (mut m, h) = machine_with_buffer_on(8, 2);
-        let (_, new0) = m.map_to_device_on(DeviceId::PRIMARY, h).unwrap();
-        let (_, new1) = m.map_to_device_on(d1, h).unwrap();
+        let (_, new0) = m.map_to_device_on_queue(P, h, None).unwrap();
+        let (_, new1) = m.map_to_device_on_queue(d1, h, None).unwrap();
         assert!(new0 && new1, "each device allocates its own mirror");
         assert_eq!(m.stats.dev_allocs, 2);
         assert!(m.present_on(DeviceId::PRIMARY).contains(h));
@@ -860,12 +766,12 @@ mod tests {
         let d1 = DeviceId(1);
         let (mut m, h) = machine_with_buffer_on(4, 2);
         m.host.mem.store(h, 2, Value::F64(7.0)).unwrap();
-        let (dev0, _) = m.map_to_device_on(DeviceId::PRIMARY, h).unwrap();
-        let (dev1, _) = m.map_to_device_on(d1, h).unwrap();
+        let (dev0, _) = m.map_to_device_on_queue(P, h, None).unwrap();
+        let (dev1, _) = m.map_to_device_on_queue(d1, h, None).unwrap();
         m.copy_to_device_named_on(DeviceId::PRIMARY, h, "enter", None, None)
             .unwrap();
         m.devices
-            .primary_mut()
+            .get_mut(P)
             .mem
             .store(dev0, 2, Value::F64(42.0))
             .unwrap();
@@ -887,8 +793,8 @@ mod tests {
     fn write_on_one_device_stales_all_other_locations() {
         let d1 = DeviceId(1);
         let (mut m, h) = machine_with_buffer_on(4, 2);
-        m.map_to_device_on(DeviceId::PRIMARY, h).unwrap();
-        m.map_to_device_on(d1, h).unwrap();
+        m.map_to_device_on_queue(P, h, None).unwrap();
+        m.map_to_device_on_queue(d1, h, None).unwrap();
         m.check_write_at(h, Loc::Dev(d1), false, "k0");
         let v = m.coherence.state(h).unwrap();
         assert_eq!(v.cpu, St::Stale);
@@ -904,13 +810,14 @@ mod tests {
         use openarc_trace::EventKind as Ev;
         let (mut m, h) = machine_with_buffer(8);
         m.set_journal(Journal::enabled());
-        m.map_to_device(h).unwrap(); // miss + alloc
-        m.map_to_device(h).unwrap(); // hit
-        m.copy_to_device(h, "enter0", None).unwrap(); // redundant → finding
-        m.check_write(h, DevSide::Gpu, false, "k0"); // cpu → stale
-        m.copy_to_host(h, "exit0", None).unwrap();
-        m.unmap_from_device(h).unwrap();
-        m.unmap_from_device(h).unwrap(); // refcount 0 → free
+        m.map_to_device_on_queue(P, h, None).unwrap(); // miss + alloc
+        m.map_to_device_on_queue(P, h, None).unwrap(); // hit
+        m.copy_to_device_named_on(P, h, "enter0", None, None)
+            .unwrap(); // redundant → finding
+        m.check_write_at(h, GPU, false, "k0"); // cpu → stale
+        m.copy_to_host_named_on(P, h, "exit0", None, None).unwrap();
+        m.unmap_from_device_on(P, h).unwrap();
+        m.unmap_from_device_on(P, h).unwrap(); // refcount 0 → free
         m.flush_journal();
         let events = m.journal().snapshot();
         let has = |pred: &dyn Fn(&Ev) -> bool| events.iter().any(|e| pred(&e.kind));
@@ -963,8 +870,8 @@ mod tests {
         let d1 = DeviceId(1);
         let (mut m, h) = machine_with_buffer_on(4, 2);
         m.set_journal(Journal::enabled());
-        m.map_to_device_on(DeviceId::PRIMARY, h).unwrap();
-        m.map_to_device_on(d1, h).unwrap();
+        m.map_to_device_on_queue(P, h, None).unwrap();
+        m.map_to_device_on_queue(d1, h, None).unwrap();
         m.check_write_at(h, Loc::Dev(DeviceId::PRIMARY), false, "k0");
         m.flush_journal();
         let events = m.journal().snapshot();
@@ -983,8 +890,9 @@ mod tests {
     #[test]
     fn disabled_journal_changes_nothing() {
         let (mut m, h) = machine_with_buffer(8);
-        m.map_to_device(h).unwrap();
-        m.copy_to_device(h, "enter0", None).unwrap();
+        m.map_to_device_on_queue(P, h, None).unwrap();
+        m.copy_to_device_named_on(P, h, "enter0", None, None)
+            .unwrap();
         assert!(!m.journal().is_enabled());
         assert!(m.journal().snapshot().is_empty());
         assert_eq!(m.report.issues.len(), 1, "report still works untraced");
@@ -999,10 +907,10 @@ mod tests {
             races: vec![],
             n_threads: 1000,
         };
-        m.charge_kernel(&out, None);
+        m.charge_kernel_named_on("kernel", &out, P, None);
         assert!(m.clock.breakdown.get(TimeCategory::KernelExec) > 0.0);
         let before = m.clock.now();
-        m.charge_kernel(&out, Some(2));
+        m.charge_kernel_named_on("kernel", &out, P, Some(2));
         assert_eq!(m.clock.now(), before, "async kernel does not advance host");
     }
 

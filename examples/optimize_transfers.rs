@@ -30,7 +30,8 @@ fn main() {
     print!("{}", run.machine.report);
 
     // Drive the loop to a fixpoint.
-    let out = optimize_transfers(
+    let out = optimize_transfers_in_session(
+        &Session::builder().build(),
         &program,
         &sema,
         &topts,

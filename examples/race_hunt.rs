@@ -9,6 +9,7 @@ use openarc::core::faults::strip_privatization;
 use openarc::prelude::*;
 
 fn main() {
+    let session = Session::builder().build();
     for b in openarc::suite::all(Scale::default()) {
         let (program, sema) = frontend(b.source(Variant::Optimized)).unwrap();
         let (faulty, stats) = strip_privatization(&program).unwrap();
@@ -21,7 +22,10 @@ fn main() {
             auto_reduction: false,
             ..Default::default()
         };
-        let (_, report) = verify_kernels(&faulty, &sema, &topts, VerifyOptions::default()).unwrap();
+        let fe = session.frontend_program(faulty, sema);
+        let (_, report) = session
+            .verify(&fe, &topts, VerifyOptions::default())
+            .unwrap();
         let active: Vec<&str> = report
             .kernels
             .iter()

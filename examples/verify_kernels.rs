@@ -35,13 +35,11 @@ void main() {
     println!("{}", openarc::minic::print_program(&demoted));
 
     // 2. Verify the healthy program: clean.
-    let (_, ok) = verify_kernels(
-        &program,
-        &sema,
-        &TranslateOptions::default(),
-        VerifyOptions::default(),
-    )
-    .unwrap();
+    let session = Session::builder().build();
+    let fe = session.frontend_program(program.clone(), sema.clone());
+    let (_, ok) = session
+        .verify(&fe, &TranslateOptions::default(), VerifyOptions::default())
+        .unwrap();
     println!("healthy program: {} kernel(s) flagged", ok.flagged().len());
     assert!(ok.flagged().is_empty());
 
@@ -53,7 +51,10 @@ void main() {
         auto_reduction: false,
         ..Default::default()
     };
-    let (_, bad) = verify_kernels(&faulty, &sema, &topts, VerifyOptions::default()).unwrap();
+    let fe = session.frontend_program(faulty, sema);
+    let (_, bad) = session
+        .verify(&fe, &topts, VerifyOptions::default())
+        .unwrap();
     for k in &bad.kernels {
         println!(
             "kernel {}: launches={} failed={} max |err| = {:.3}",

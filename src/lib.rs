@@ -51,9 +51,10 @@ pub mod prelude {
     pub use openarc_core::exec::{
         execute, ExecMode, ExecOptions, RunResult, TransferOverlay, VerifyOptions,
     };
-    pub use openarc_core::interactive::{optimize_transfers, OutputSpec};
+    pub use openarc_core::interactive::{optimize_transfers_in_session, OutputSpec};
+    pub use openarc_core::pipeline::Session;
     pub use openarc_core::translate::{translate, TranslateOptions, Translated};
-    pub use openarc_core::verify::{demote_source, verify_kernels};
+    pub use openarc_core::verify::demote_source;
     pub use openarc_minic::frontend;
     pub use openarc_suite::{Benchmark, Scale, Variant};
     pub use openarc_trace::{chrome_trace, explain_var, summarize, Journal};

@@ -18,6 +18,18 @@ fn run(src: &str) -> (Translated, openarc::core::exec::RunResult) {
     (tr, r)
 }
 
+/// §III-A verification of an already-parsed program on a fresh session.
+fn verify_parsed(
+    p: &openarc::minic::Program,
+    s: &openarc::minic::Sema,
+    topts: &TranslateOptions,
+    vopts: VerifyOptions,
+) -> std::sync::Arc<openarc::core::VerificationReport> {
+    let session = Session::builder().build();
+    let fe = session.frontend_program(p.clone(), s.clone());
+    session.verify(&fe, topts, vopts).unwrap().1
+}
+
 // ------------------------------------------------------------- if clause
 
 #[test]
@@ -163,14 +175,14 @@ void main() {
                 st.pragmas.retain(|pr| !pr.text.starts_with("openarc"));
             }
         }
-        let (_, rep) = verify_kernels(&p2, &s, &topts, VerifyOptions::default()).unwrap();
+        let rep = verify_parsed(&p2, &s, &topts, VerifyOptions::default());
         rep.flagged().len()
     };
     assert_eq!(no_bounds, 1, "race must be flagged without bounds");
     // ...with bounds(0..200) every diverging value is inside the band, so
     // the tool suppresses the report (the paper's false-positive-avoidance
     // use case).
-    let (_, rep) = verify_kernels(&stripped, &s, &topts, VerifyOptions::default()).unwrap();
+    let rep = verify_parsed(&stripped, &s, &topts, VerifyOptions::default());
     assert_eq!(rep.flagged().len(), 0, "{:?}", rep.kernels);
     // The race itself is still real (oracle sees it).
     assert!(!rep.races.is_empty());
@@ -190,13 +202,12 @@ void main() {
 "#;
     let (p, s) = frontend(src).unwrap();
     // Healthy: checksum Σ(j+1) = 2080 holds.
-    let (_, ok) = verify_kernels(
+    let ok = verify_parsed(
         &p,
         &s,
         &TranslateOptions::default(),
         VerifyOptions::default(),
-    )
-    .unwrap();
+    );
     assert_eq!(ok.kernels[0].assertion_failures, 0);
     // Injected race: checksum breaks; the assertion catches it even with a
     // sky-high comparison tolerance (the §III-C "automatic bug detection"
@@ -212,7 +223,7 @@ void main() {
         abs_tol: 1e9,
         ..Default::default()
     };
-    let (_, bad) = verify_kernels(&stripped, &s, &topts, vopts).unwrap();
+    let bad = verify_parsed(&stripped, &s, &topts, vopts);
     assert!(bad.kernels[0].assertion_failures > 0);
     assert!(bad.kernels[0].flagged());
 }
@@ -230,13 +241,12 @@ void main() {
 }
 "#;
     let (p, s) = frontend(src).unwrap();
-    let (_, rep) = verify_kernels(
+    let rep = verify_parsed(
         &p,
         &s,
         &TranslateOptions::default(),
         VerifyOptions::default(),
-    )
-    .unwrap();
+    );
     assert_eq!(rep.kernels[0].assertion_failures, 0);
 }
 
@@ -272,12 +282,12 @@ void main() {
 "#;
     let (p, s) = frontend(src).unwrap();
     let vopts = parse_verification_options("complement=0,kernels=main_kernel1").unwrap();
-    let (_, rep) = verify_kernels(&p, &s, &TranslateOptions::default(), vopts).unwrap();
+    let rep = verify_parsed(&p, &s, &TranslateOptions::default(), vopts);
     assert_eq!(rep.kernels[0].launches, 0, "kernel0 not selected");
     assert_eq!(rep.kernels[1].launches, 1, "kernel1 selected");
     // Paper's complement=1 inverts.
     let vopts = parse_verification_options("complement=1,kernels=main_kernel1").unwrap();
-    let (_, rep) = verify_kernels(&p, &s, &TranslateOptions::default(), vopts).unwrap();
+    let rep = verify_parsed(&p, &s, &TranslateOptions::default(), vopts);
     assert_eq!(rep.kernels[0].launches, 1);
     assert_eq!(rep.kernels[1].launches, 0);
 }

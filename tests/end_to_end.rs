@@ -54,13 +54,11 @@ fn listing2_demotion_then_verification_passes() {
     assert!(text.contains("copy(q)"), "{text}");
     assert!(text.contains("copyin(w)"), "{text}");
     // Full verification of the original program: clean, runs per launch.
-    let (_, report) = verify_kernels(
-        &p,
-        &s,
-        &TranslateOptions::default(),
-        VerifyOptions::default(),
-    )
-    .unwrap();
+    let session = Session::builder().build();
+    let fe = session.frontend_program(p, s);
+    let (_, report) = session
+        .verify(&fe, &TranslateOptions::default(), VerifyOptions::default())
+        .unwrap();
     assert!(report.flagged().is_empty());
     assert_eq!(report.kernels[0].launches, 6);
 }
@@ -78,14 +76,12 @@ void main() {
 }
 "#;
     let (p, s) = frontend(src).unwrap();
+    let session = Session::builder().build();
     // Healthy: clause present → clean.
-    let (_, ok) = verify_kernels(
-        &p,
-        &s,
-        &TranslateOptions::default(),
-        VerifyOptions::default(),
-    )
-    .unwrap();
+    let fe = session.frontend_program(p.clone(), s.clone());
+    let (_, ok) = session
+        .verify(&fe, &TranslateOptions::default(), VerifyOptions::default())
+        .unwrap();
     assert!(ok.flagged().is_empty());
     // Fault-injected: stripped + recognition off → detected.
     let (bad, _) = strip_privatization(&p).unwrap();
@@ -94,17 +90,16 @@ void main() {
         auto_reduction: false,
         ..Default::default()
     };
-    let (_, flagged) = verify_kernels(&bad, &s, &topts, VerifyOptions::default()).unwrap();
+    let fe = session.frontend_program(bad, s);
+    let (_, flagged) = session
+        .verify(&fe, &topts, VerifyOptions::default())
+        .unwrap();
     assert_eq!(flagged.flagged().len(), 1);
     // Recognition ON rescues the stripped program (OpenARC's automatic
     // reduction recognition).
-    let (_, rescued) = verify_kernels(
-        &bad,
-        &s,
-        &TranslateOptions::default(),
-        VerifyOptions::default(),
-    )
-    .unwrap();
+    let (_, rescued) = session
+        .verify(&fe, &TranslateOptions::default(), VerifyOptions::default())
+        .unwrap();
     assert!(rescued.flagged().is_empty());
 }
 
@@ -120,7 +115,9 @@ fn jacobi_interactive_reaches_hand_optimized_transfer_count() {
         race_detect: false,
         ..Default::default()
     };
-    let out = optimize_transfers(&p, &s, &topts, &b.outputs, &eopts, 10).unwrap();
+    let session = Session::builder().build();
+    let out =
+        optimize_transfers_in_session(&session, &p, &s, &topts, &b.outputs, &eopts, 10).unwrap();
     assert!(out.converged);
     assert_eq!(out.incorrect_iterations, 0);
     // Hand-optimized reference.

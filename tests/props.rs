@@ -235,37 +235,37 @@ fn coherence_transfer_always_cleans() {
         for _ in 0..n_ops {
             match rng.below(6) {
                 0 => {
-                    c.on_write(h, DevSide::Cpu, false);
+                    c.on_write_at(h, DevSide::Cpu.loc(), false);
                 }
                 1 => {
-                    c.on_write(h, DevSide::Gpu, false);
+                    c.on_write_at(h, DevSide::Gpu.loc(), false);
                 }
                 2 => {
-                    c.on_write(h, DevSide::Cpu, true);
+                    c.on_write_at(h, DevSide::Cpu.loc(), true);
                 }
                 3 => {
-                    c.on_write(h, DevSide::Gpu, true);
+                    c.on_write_at(h, DevSide::Gpu.loc(), true);
                 }
                 4 => {
-                    c.on_transfer(h, DevSide::Cpu);
+                    c.on_transfer_between(h, DevSide::Gpu.loc(), DevSide::Cpu.loc());
                 }
                 _ => {
-                    c.on_transfer(h, DevSide::Gpu);
+                    c.on_transfer_between(h, DevSide::Cpu.loc(), DevSide::Gpu.loc());
                 }
             }
             // Invariant: the two copies are never both stale — someone
             // holds the latest data.
             let v = c.state(h).unwrap();
             assert!(
-                !(v.cpu == St::Stale && v.gpu() == St::Stale),
+                !(v.cpu == St::Stale && v.gpu_on(DeviceId::PRIMARY) == St::Stale),
                 "both sides stale: {v:?}"
             );
         }
         // A transfer in always cleans the destination.
-        c.on_transfer(h, DevSide::Cpu);
-        assert_eq!(c.check_read(h, DevSide::Cpu), ReadDiag::Ok);
-        c.on_write(h, DevSide::Cpu, false);
-        assert_eq!(c.check_read(h, DevSide::Gpu), ReadDiag::Missing);
+        c.on_transfer_between(h, DevSide::Gpu.loc(), DevSide::Cpu.loc());
+        assert_eq!(c.check_read_at(h, DevSide::Cpu.loc()), ReadDiag::Ok);
+        c.on_write_at(h, DevSide::Cpu.loc(), false);
+        assert_eq!(c.check_read_at(h, DevSide::Gpu.loc()), ReadDiag::Missing);
     }
 }
 
@@ -391,7 +391,7 @@ fn drive_coherence_vs_model(seed: u64, ops: usize) {
             2 => {
                 let side = rand_side(&mut rng);
                 let want = model[i].map_or(ReadDiag::Ok, |m| m.check_read(side));
-                assert_eq!(c.check_read(h, side), want, "check_read {ctx}");
+                assert_eq!(c.check_read_at(h, side.loc()), want, "check_read {ctx}");
             }
             3 => {
                 let side = rand_side(&mut rng);
@@ -399,7 +399,7 @@ fn drive_coherence_vs_model(seed: u64, ops: usize) {
                 let want = model[i]
                     .as_mut()
                     .map_or(ReadDiag::Ok, |m| m.on_write(side, total));
-                assert_eq!(c.on_write(h, side, total), want, "on_write {ctx}");
+                assert_eq!(c.on_write_at(h, side.loc(), total), want, "on_write {ctx}");
             }
             4 => {
                 let dst = rand_side(&mut rng);
@@ -410,12 +410,16 @@ fn drive_coherence_vs_model(seed: u64, ops: usize) {
                     },
                     |m| m.on_transfer(dst),
                 );
-                assert_eq!(c.on_transfer(h, dst), want, "on_transfer {ctx}");
+                assert_eq!(
+                    c.on_transfer_between(h, dst.other().loc(), dst.loc()),
+                    want,
+                    "on_transfer {ctx}"
+                );
             }
             5 => {
                 let side = rand_side(&mut rng);
                 let st = rand_st(&mut rng);
-                c.reset_status(h, side, st);
+                c.reset_status_at(h, side.loc(), st);
                 if let Some(m) = model[i].as_mut() {
                     m.set(side, st);
                 }
@@ -425,7 +429,7 @@ fn drive_coherence_vs_model(seed: u64, ops: usize) {
                 match (c.state(h), model[i]) {
                     (Some(v), Some(m)) => {
                         assert_eq!(v.cpu, m.cpu, "cpu state {ctx}");
-                        assert_eq!(v.gpu(), m.gpu, "gpu state {ctx}");
+                        assert_eq!(v.gpu_on(DeviceId::PRIMARY), m.gpu, "gpu state {ctx}");
                     }
                     (None, None) => {}
                     (got, want) => panic!("tracked-ness mismatch {ctx}: {got:?} vs {want:?}"),
@@ -438,7 +442,7 @@ fn drive_coherence_vs_model(seed: u64, ops: usize) {
         match (c.state(*h), model[i]) {
             (Some(v), Some(m)) => {
                 assert_eq!(
-                    (v.cpu, v.gpu()),
+                    (v.cpu, v.gpu_on(DeviceId::PRIMARY)),
                     (m.cpu, m.gpu),
                     "final state seed={seed} h={h:?}"
                 );
@@ -687,22 +691,25 @@ fn coherence_disabled_tracker_stays_silent() {
             0 => c.track(h, "v"),
             1 => {
                 let side = rand_side(&mut rng);
-                assert_eq!(c.check_read(h, side), ReadDiag::Ok);
+                assert_eq!(c.check_read_at(h, side.loc()), ReadDiag::Ok);
             }
             2 => {
                 let side = rand_side(&mut rng);
-                assert_eq!(c.on_write(h, side, rng.below(2) == 0), ReadDiag::Ok);
+                assert_eq!(
+                    c.on_write_at(h, side.loc(), rng.below(2) == 0),
+                    ReadDiag::Ok
+                );
             }
             3 => {
                 let dst = rand_side(&mut rng);
-                let d = c.on_transfer(h, dst);
+                let d = c.on_transfer_between(h, dst.other().loc(), dst.loc());
                 assert_eq!(d.incorrect, None);
                 assert_eq!(d.redundant, None);
             }
             4 => {
                 let side = rand_side(&mut rng);
                 let st = rand_st(&mut rng);
-                c.reset_status(h, side, st);
+                c.reset_status_at(h, side.loc(), st);
             }
             _ => assert!(c.state(h).is_none()),
         }

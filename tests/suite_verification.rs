@@ -6,15 +6,12 @@ use openarc::prelude::*;
 
 #[test]
 fn every_benchmark_verifies_clean_when_healthy() {
+    let session = Session::builder().build();
     for b in openarc::suite::all(Scale::default()) {
-        let (p, s) = frontend(b.source(Variant::Optimized)).unwrap();
-        let (tr, report) = verify_kernels(
-            &p,
-            &s,
-            &TranslateOptions::default(),
-            VerifyOptions::default(),
-        )
-        .unwrap_or_else(|e| panic!("{}: {e}", b.name));
+        let fe = session.frontend(b.source(Variant::Optimized)).unwrap();
+        let (tr, report) = session
+            .verify(&fe, &TranslateOptions::default(), VerifyOptions::default())
+            .unwrap_or_else(|e| panic!("{}: {e}", b.name));
         assert!(
             report.flagged().is_empty(),
             "{}: healthy program flagged: {:?}",
@@ -26,7 +23,7 @@ fn every_benchmark_verifies_clean_when_healthy() {
             assert!(k.launches > 0, "{}: {} never verified", b.name, k.kernel);
             assert!(k.compared_elems > 0 || k.kernel.is_empty() || k.launches > 0);
         }
-        assert_eq!(tr.kernels.len(), b.n_kernels, "{}", b.name);
+        assert_eq!(tr.tr.kernels.len(), b.n_kernels, "{}", b.name);
     }
 }
 
@@ -35,6 +32,7 @@ fn fault_injection_never_escapes_detection_when_output_corrupting() {
     // For each benchmark: if the stripped program's normal run corrupts
     // outputs relative to its sequential reference, verification must flag
     // at least one kernel (the paper's central Table 2 claim).
+    let session = Session::builder().build();
     for b in openarc::suite::all(Scale::default()) {
         let (p, s) = frontend(b.source(Variant::Optimized)).unwrap();
         let (stripped, st) = strip_privatization(&p).unwrap();
@@ -69,7 +67,9 @@ fn fault_injection_never_escapes_detection_when_output_corrupting() {
             b.outputs.tol.max(1e-9),
         );
         // Verification verdict.
-        let (_, report) = verify_kernels(&stripped, &s, &topts, VerifyOptions::default())
+        let fe = session.frontend_program(stripped, s);
+        let (_, report) = session
+            .verify(&fe, &topts, VerifyOptions::default())
             .unwrap_or_else(|e| panic!("{}: {e}", b.name));
         if corrupted {
             assert!(
