@@ -4,11 +4,20 @@
 //! The campaign loop is the classic scheduled-mutator / in-memory-executor
 //! shape: a corpus of interesting inputs, a grammar-aware
 //! generator/mutator ([`gen`], [`mutate`]), per-worker executors fanned
-//! over [`crate::sched::run_tasks`] running each input through warm
-//! [`Session`]s under a matrix of `verificationOptions` ([`oracle`]), and
-//! coverage feedback from journal-derived signatures
+//! over [`crate::sched::run_tasks`] running each input through its own
+//! fresh [`Session`] under a matrix of `verificationOptions` ([`oracle`]),
+//! and coverage feedback from journal-derived signatures
 //! ([`openarc_trace::coverage`]). Findings are auto-minimized
 //! ([`minimize()`]) into self-contained repros.
+//!
+//! ## Memory
+//!
+//! A session's artifacts only ever hit within one input's oracle legs, so
+//! each input (baseline, seed, generated program, minimization candidate)
+//! gets one session, dropped when its oracle returns. The artifacts a
+//! campaign holds at once are one program's per worker, however long it
+//! runs. Memo hits are exact, so a fresh session gives the same outcome a
+//! warm one would.
 //!
 //! ## Determinism contract
 //!
@@ -175,9 +184,13 @@ fn next_input(rng: &mut FuzzRng, corpus: &[String]) -> String {
     cur
 }
 
+/// [`run_oracle`] on a session of its own, dropped before returning.
+fn run_oracle_fresh(src: &str, matrix: &[MatrixConfig]) -> OracleOutcome {
+    run_oracle(&Session::builder().build(), src, matrix)
+}
+
 /// Run a fuzzing campaign.
 pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
-    let session = Session::builder().build();
     let start = Instant::now();
     let mut rng = FuzzRng::new(cfg.seed);
     let mut fp = Fnv::new();
@@ -190,10 +203,9 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
         cfg.baseline
             .iter()
             .map(|src| {
-                let session = &session;
                 let matrix = &cfg.matrix;
                 let src = src.clone();
-                move || run_oracle(session, &src, matrix)
+                move || run_oracle_fresh(&src, matrix)
             })
             .collect(),
     );
@@ -213,10 +225,9 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
         cfg.seeds
             .iter()
             .map(|src| {
-                let session = &session;
                 let matrix = &cfg.matrix;
                 let src = src.clone();
-                move || run_oracle(session, &src, matrix)
+                move || run_oracle_fresh(&src, matrix)
             })
             .collect(),
     );
@@ -248,13 +259,17 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
             batch
                 .iter()
                 .map(|src| {
-                    let session = &session;
                     let matrix = &cfg.matrix;
                     let src = src.clone();
                     move || {
+                        // Built before and dropped after the timed span,
+                        // so `exec_us` measures the oracle alone.
+                        let session = Session::builder().build();
                         let t = Instant::now();
-                        let out = run_oracle(session, &src, matrix);
-                        (out, t.elapsed().as_secs_f64() * 1e6)
+                        let out = run_oracle(&session, &src, matrix);
+                        let us = t.elapsed().as_secs_f64() * 1e6;
+                        drop(session);
+                        (out, us)
                     }
                 })
                 .collect(),
@@ -287,7 +302,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
             continue;
         }
         let kind = f.kind;
-        let mut fails = |s: &str| matches!(run_oracle(&session, s, &cfg.matrix).verdict, Verdict::Finding(g) if g.kind == kind);
+        let mut fails = |s: &str| matches!(run_oracle_fresh(s, &cfg.matrix).verdict, Verdict::Finding(g) if g.kind == kind);
         let m = minimize::minimize(&src, cfg.minimize_budget, &mut fails);
         let options = cfg
             .matrix

@@ -1,6 +1,6 @@
 //! The threefold differential oracle.
 //!
-//! Each input runs through a warm [`Session`] under several legs:
+//! Each input runs through one [`Session`] under several legs:
 //!
 //! 1. **CPU reference** (`ExecMode::CpuOnly`) — the canonical sequential
 //!    semantics of the program, directives ignored.

@@ -39,12 +39,16 @@
 //! Each tenant id is routed to its own warm [`Session`] whose disk cache
 //! lives in a per-tenant namespace of one shared store (the tenant id is
 //! folded into every cache key), so tenants never observe each other's
-//! artifacts. A heartbeat thread samples the same gauges the `stats`
-//! action reports and emits them as [`EventKind::Serve`] events on the
-//! server journal (real wall-clock offsets since daemon start).
+//! artifacts. At most [`MAX_TENANTS`] sessions stay warm: past the cap
+//! the least recently used idle tenant is evicted, its counters fold into
+//! a retired total (so `stats` never goes backwards), and its disk
+//! namespace survives, so it comes back warm from disk. A heartbeat
+//! thread samples the same gauges the `stats` action reports and emits
+//! them as [`EventKind::Serve`] events on the server journal (real
+//! wall-clock offsets since daemon start).
 
 use crate::api::{self, ApiError, ErrorKind, Request, Response};
-use crate::pipeline::{Session, Stage};
+use crate::pipeline::{PipelineStats, Session, Stage, StageCounts};
 use crate::sched::WorkQueue;
 use openarc_gpusim::LaunchStats;
 use openarc_trace::json::Json;
@@ -55,7 +59,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Largest accepted request/response line, bytes (8 MiB — a full
@@ -64,6 +68,11 @@ pub const DEFAULT_MAX_FRAME: usize = 8 << 20;
 
 /// How many recent per-request service times feed the p50/p95 gauges.
 const SERVICE_WINDOW: usize = 256;
+
+/// Most tenant sessions a daemon keeps warm. Creating one more evicts the
+/// least recently used idle tenant; only tenants with requests in flight
+/// can hold the map above the cap.
+pub const MAX_TENANTS: usize = 64;
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -132,13 +141,78 @@ impl ServerStats {
     }
 }
 
-/// `(stage label, hits, misses)` per stage, [`Stage::ALL`] order.
-type StageTotals = Vec<(&'static str, u64, u64)>;
+/// Per-stage, disk and launch-memo counters summed over sessions.
+#[derive(Clone, Copy, Default)]
+struct CacheTotals {
+    /// Indexed like [`Stage::ALL`].
+    stages: [StageCounts; 7],
+    /// Disk hits, misses, stores.
+    disk: [u64; 3],
+    launches: LaunchStats,
+}
+
+impl CacheTotals {
+    fn add(&mut self, st: &PipelineStats) {
+        for (t, c) in self.stages.iter_mut().zip(&st.stages) {
+            t.hits += c.hits;
+            t.misses += c.misses;
+        }
+        self.disk[0] += st.disk.hits;
+        self.disk[1] += st.disk.misses;
+        self.disk[2] += st.disk.stores;
+        self.launches.hits += st.launches.hits;
+        self.launches.misses += st.launches.misses;
+        self.launches.evictions += st.launches.evictions;
+        self.launches.replayed_thread_steps += st.launches.replayed_thread_steps;
+    }
+}
+
+/// A warm tenant session and the tick of its last request.
+struct Tenant {
+    session: Arc<Session>,
+    last_used: u64,
+}
+
+/// The tenant sessions, capped at [`MAX_TENANTS`] by idle-LRU eviction.
+#[derive(Default)]
+struct TenantMap {
+    /// One warm session per tenant id (`""` = the default tenant).
+    live: HashMap<String, Tenant>,
+    /// Bumped on every lookup; orders tenants by recency.
+    tick: u64,
+    /// Counters of the evicted sessions.
+    retired: CacheTotals,
+}
+
+impl TenantMap {
+    /// Evict least recently used idle tenants until one more fits under
+    /// the cap. Returns the evicted sessions, to be dropped after the
+    /// lock is released.
+    fn make_room(&mut self) -> Vec<Arc<Session>> {
+        let mut evicted = Vec::new();
+        while self.live.len() >= MAX_TENANTS {
+            // Under the map lock a count of 1 means no request holds the
+            // session and none can fetch it, so its counters are final.
+            let Some(victim) = self
+                .live
+                .iter()
+                .filter(|(_, t)| Arc::strong_count(&t.session) == 1)
+                .min_by_key(|(_, t)| t.last_used)
+                .map(|(name, _)| name.clone())
+            else {
+                break;
+            };
+            let t = self.live.remove(&victim).expect("victim is live");
+            self.retired.add(&t.session.stats());
+            evicted.push(t.session);
+        }
+        evicted
+    }
+}
 
 struct ServerInner {
     cfg: ServerConfig,
-    /// One warm session per tenant id (`""` = the default tenant).
-    tenants: Mutex<HashMap<String, Arc<Session>>>,
+    tenants: Mutex<TenantMap>,
     pool: WorkQueue,
     stats: ServerStats,
     /// Server-level journal carrying [`EventKind::Serve`] heartbeats.
@@ -152,53 +226,59 @@ struct ServerInner {
 }
 
 impl ServerInner {
+    /// The tenant map. It holds only `Arc`s, ticks and counters, so a
+    /// panic elsewhere cannot leave it inconsistent: a poisoned lock is
+    /// taken as is.
+    fn tenant_map(&self) -> MutexGuard<'_, TenantMap> {
+        self.tenants.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The warm session serving `tenant`, created on first use.
     fn session_for(&self, tenant: &str) -> Arc<Session> {
-        let mut map = self.tenants.lock().expect("tenant map poisoned");
-        if let Some(s) = map.get(tenant) {
-            return Arc::clone(s);
+        let mut map = self.tenant_map();
+        map.tick += 1;
+        let tick = map.tick;
+        if let Some(t) = map.live.get_mut(tenant) {
+            t.last_used = tick;
+            return Arc::clone(&t.session);
         }
+        let evicted = map.make_room();
         let mut b = Session::builder();
         if let Some(dir) = &self.cfg.cache_dir {
             b = b.disk_cache(dir).cache_namespace(tenant);
         }
-        let s = Arc::new(b.build());
-        map.insert(tenant.to_string(), Arc::clone(&s));
-        s
+        let session = Arc::new(b.build());
+        map.live.insert(
+            tenant.to_string(),
+            Tenant {
+                session: Arc::clone(&session),
+                last_used: tick,
+            },
+        );
+        drop(map);
+        drop(evicted);
+        session
     }
 
-    /// Aggregate per-stage, disk and launch-memo counters over every
-    /// tenant session.
-    fn cache_totals(&self) -> (StageTotals, [u64; 3], LaunchStats) {
-        let map = self.tenants.lock().expect("tenant map poisoned");
-        let mut stages: StageTotals = Stage::ALL.iter().map(|s| (s.label(), 0, 0)).collect();
-        let mut disk = [0u64; 3];
-        let mut launches = LaunchStats::default();
-        for session in map.values() {
-            let st = session.stats();
-            for (i, s) in Stage::ALL.iter().enumerate() {
-                let c = st.get(*s);
-                stages[i].1 += c.hits;
-                stages[i].2 += c.misses;
-            }
-            disk[0] += st.disk.hits;
-            disk[1] += st.disk.misses;
-            disk[2] += st.disk.stores;
-            launches.hits += st.launches.hits;
-            launches.misses += st.launches.misses;
-            launches.evictions += st.launches.evictions;
-            launches.replayed_thread_steps += st.launches.replayed_thread_steps;
+    /// Per-stage, disk and launch-memo counters over every tenant session,
+    /// evicted ones included, and the live tenant count.
+    fn cache_totals(&self) -> (CacheTotals, usize) {
+        let map = self.tenant_map();
+        let mut totals = map.retired;
+        for t in map.live.values() {
+            totals.add(&t.session.stats());
         }
-        (stages, disk, launches)
+        (totals, map.live.len())
     }
 
     /// The gauge set shared by the `stats` action and the heartbeat.
     fn gauges(&self) -> Vec<(&'static str, f64)> {
         let (p50, p95) = self.stats.percentiles();
-        let (stages, disk, launches) = self.cache_totals();
-        let (hits, misses) = stages
+        let (totals, tenants) = self.cache_totals();
+        let (hits, misses) = totals
+            .stages
             .iter()
-            .fold((0, 0), |(h, m), (_, sh, sm)| (h + sh, m + sm));
+            .fold((0, 0), |(h, m), c| (h + c.hits, m + c.misses));
         vec![
             (
                 "in_flight",
@@ -221,25 +301,23 @@ impl ServerInner {
                 "deadline_missed",
                 self.stats.deadline_missed.load(Ordering::Relaxed) as f64,
             ),
-            (
-                "tenants",
-                self.tenants.lock().expect("tenant map poisoned").len() as f64,
-            ),
+            ("tenants", tenants as f64),
             ("p50_us", p50 as f64),
             ("p95_us", p95 as f64),
             ("cache_hits", hits as f64),
             ("cache_misses", misses as f64),
-            ("disk_hits", disk[0] as f64),
-            ("disk_misses", disk[1] as f64),
-            ("launch_hits", launches.hits as f64),
-            ("launch_misses", launches.misses as f64),
+            ("disk_hits", totals.disk[0] as f64),
+            ("disk_misses", totals.disk[1] as f64),
+            ("launch_hits", totals.launches.hits as f64),
+            ("launch_misses", totals.launches.misses as f64),
         ]
     }
 
     /// The `stats` action's payload.
     fn stats_json(&self) -> Json {
         let (p50, p95) = self.stats.percentiles();
-        let (stages, disk, launches) = self.cache_totals();
+        let (totals, tenants) = self.cache_totals();
+        let (disk, launches) = (totals.disk, totals.launches);
         Json::obj(vec![
             (
                 "uptime_us",
@@ -271,22 +349,20 @@ impl ServerInner {
                 "protocol_errors",
                 Json::from(self.stats.protocol_errors.load(Ordering::Relaxed)),
             ),
-            (
-                "tenants",
-                Json::from(self.tenants.lock().expect("tenant map poisoned").len() as u64),
-            ),
+            ("tenants", Json::from(tenants as u64)),
             ("p50_us", Json::from(p50)),
             ("p95_us", Json::from(p95)),
             (
                 "stages",
                 Json::Arr(
-                    stages
+                    Stage::ALL
                         .iter()
-                        .map(|(label, hits, misses)| {
+                        .zip(&totals.stages)
+                        .map(|(stage, c)| {
                             Json::obj(vec![
-                                ("stage", Json::from(*label)),
-                                ("hits", Json::from(*hits)),
-                                ("misses", Json::from(*misses)),
+                                ("stage", Json::from(stage.label())),
+                                ("hits", Json::from(c.hits)),
+                                ("misses", Json::from(c.misses)),
                             ])
                         })
                         .collect(),
@@ -578,7 +654,7 @@ impl Server {
             inner: Arc::new(ServerInner {
                 pool: WorkQueue::new(cfg.workers, cfg.queue_capacity),
                 cfg,
-                tenants: Mutex::new(HashMap::new()),
+                tenants: Mutex::default(),
                 stats: ServerStats::default(),
                 journal: Journal::enabled(),
                 start: Instant::now(),
@@ -990,7 +1066,7 @@ mod tests {
         let session = {
             let inner = daemon.upgrade().unwrap();
             let tenants = inner.tenants.lock().unwrap();
-            Arc::downgrade(&tenants[""])
+            Arc::downgrade(&tenants.live[""].session)
         };
         send_lines(addr, &[r#"{"action":"shutdown"}"#.to_string()]);
         let server = handle.join().unwrap();
@@ -1011,6 +1087,32 @@ mod tests {
             "a tenant session outlived its daemon"
         );
         assert!(daemon.upgrade().is_none());
+    }
+
+    #[test]
+    fn the_cap_evicts_the_least_recently_used_idle_tenant() {
+        let server = quiet_server(DEFAULT_MAX_FRAME);
+        let inner = &server.inner;
+        // t0 is the oldest but has a request in flight; t1 is the oldest
+        // idle tenant and has counters to retire.
+        let busy = inner.session_for("t0");
+        for i in 1..MAX_TENANTS {
+            let session = inner.session_for(&format!("t{i}"));
+            if i == 1 {
+                api::handle(&session, &Request::new(crate::api::Action::Run, SRC)).unwrap();
+            }
+        }
+        let (before, tenants) = inner.cache_totals();
+        assert_eq!(tenants, MAX_TENANTS);
+        drop(inner.session_for("new"));
+        let (after, tenants) = inner.cache_totals();
+        assert_eq!(tenants, MAX_TENANTS);
+        assert_eq!(after.stages, before.stages, "totals moved on eviction");
+        let map = inner.tenant_map();
+        assert!(map.live.contains_key("t0"), "a busy tenant was evicted");
+        assert!(!map.live.contains_key("t1"));
+        assert_eq!(map.retired.stages[0].misses, 1);
+        drop(busy);
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! Campaign-level integration properties: journal-derived coverage
 //! signatures are a pure function of the input program (stable across
-//! `--jobs`), and whole campaigns are bit-reproducible from the seed.
+//! `--jobs`), an oracle outcome does not depend on what its session ran
+//! before, and whole campaigns are bit-reproducible from the seed.
 
-use openarc::core::fuzz::{run_campaign, CampaignConfig};
+use openarc::core::fuzz::{default_matrix, gen, run_campaign, run_oracle, CampaignConfig, FuzzRng};
+use openarc::core::pipeline::Session;
 use openarc::suite::{jacobi, Scale};
+use std::path::Path;
 
 fn scale() -> Scale {
     Scale { n: 8, iters: 2 }
@@ -92,5 +95,58 @@ fn campaign_expands_coverage_beyond_the_benchmark_baseline() {
     assert!(
         !r.new_atoms().is_empty(),
         "64 generated programs must reach atoms the 12 benchmarks do not"
+    );
+}
+
+/// A campaign runs every input on a fresh session, trusting that memo
+/// hits are exact. Pin it: each input's outcome on a fresh session equals
+/// its outcome on a shared session that has already run every input.
+#[test]
+fn a_fresh_session_answers_like_a_warm_one() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus");
+    let mut corpus: Vec<_> = std::fs::read_dir(dir)
+        .expect("tests/corpus exists")
+        .map(|e| e.expect("readable dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "c"))
+        .collect();
+    corpus.sort();
+    let mut inputs: Vec<String> = corpus
+        .iter()
+        .map(|p| std::fs::read_to_string(p).expect("readable corpus file"))
+        .collect();
+    inputs.extend(
+        openarc::suite::reduced_corpus(scale())
+            .into_iter()
+            .map(|(_, src)| src),
+    );
+    let mut rng = FuzzRng::new(34);
+    inputs.extend((0..50).map(|_| gen::generate(&mut rng)));
+
+    let matrix = default_matrix();
+    let fresh: Vec<_> = inputs
+        .iter()
+        .map(|src| run_oracle(&Session::builder().build(), src, &matrix))
+        .collect();
+    let warm = Session::builder().build();
+    for src in &inputs {
+        run_oracle(&warm, src, &matrix);
+    }
+    let before = warm.stats();
+    for (i, (src, fresh)) in inputs.iter().zip(&fresh).enumerate() {
+        let out = run_oracle(&warm, src, &matrix);
+        assert_eq!(
+            format!("{:?}", out.verdict),
+            format!("{:?}", fresh.verdict),
+            "input {i}: verdict differs on a warm session:\n{src}"
+        );
+        assert!(
+            out.signature == fresh.signature,
+            "input {i}: signature differs on a warm session:\n{src}"
+        );
+    }
+    let after = warm.stats();
+    assert!(
+        after.launches.hits > before.launches.hits,
+        "the warm pass never replayed a launch"
     );
 }

@@ -1,10 +1,10 @@
 //! Wire-protocol tests of the `openarc serve` daemon through its public
 //! API: framing edge cases (garbage, truncated, oversized — error lines,
-//! never panics), typed round-trips, admission backpressure, and tenant
-//! cache isolation on disk.
+//! never panics), typed round-trips, admission backpressure, tenant
+//! cache isolation on disk, and the tenant cap.
 
 use openarc::core::api::{Action, ApiError, ErrorKind, Request, Response};
-use openarc::core::serve::{Server, ServerConfig};
+use openarc::core::serve::{Server, ServerConfig, MAX_TENANTS};
 use openarc::trace::json::Json;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -249,6 +249,94 @@ fn tenant_namespaces_are_isolated_on_disk_but_share_nothing_warm() {
         .filter_map(|r| r.get("hits").and_then(Json::as_u64))
         .sum();
     assert!(hits > 0, "alice's repeat must hit her warm session");
+    c.shutdown(handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `(tenants, completed, Σ stage hits + misses, disk hits)` from a
+/// `stats` reply.
+fn counters(c: &mut Client) -> (u64, u64, u64, u64) {
+    let v = c.round_trip(r#"{"action":"stats"}"#);
+    let stats = v.get("stats").unwrap();
+    let field = |v: &Json, k: &str| v.get(k).and_then(Json::as_u64).unwrap();
+    let stage_requests = stats
+        .get("stages")
+        .and_then(Json::as_arr)
+        .unwrap()
+        .iter()
+        .map(|r| field(r, "hits") + field(r, "misses"))
+        .sum();
+    (
+        field(stats, "tenants"),
+        field(stats, "completed"),
+        stage_requests,
+        field(stats.get("disk").unwrap(), "hits"),
+    )
+}
+
+#[test]
+fn a_thousand_tenants_stay_under_the_cap_and_come_back_warm_from_disk() {
+    let dir = std::env::temp_dir().join(format!("openarc-serve-cap-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (addr, handle) = start(ServerConfig {
+        cache_dir: Some(dir.join("store")),
+        ..quiet()
+    });
+    let mut c = Client::connect(addr);
+    let line = |tenant: &str| {
+        let mut req = Request::new(Action::Run, SAXPY);
+        req.tenant = tenant.into();
+        req.to_json().to_string()
+    };
+
+    let mut last = counters(&mut c);
+    for i in 0..1000 {
+        let v = c.round_trip(&line(&format!("tenant-{i}")));
+        assert_eq!(
+            v.get("ok").and_then(Json::as_bool),
+            Some(true),
+            "tenant {i}"
+        );
+        if i % 50 == 49 {
+            let now = counters(&mut c);
+            assert!(now.0 as usize <= MAX_TENANTS, "{} tenants warm", now.0);
+            assert!(
+                now.1 > last.1,
+                "`completed` went backwards: {last:?} -> {now:?}"
+            );
+            assert!(
+                now.2 > last.2,
+                "stage counters went backwards: {last:?} -> {now:?}"
+            );
+            last = now;
+        }
+    }
+    assert_eq!(last.1, 1000);
+
+    // tenant-0 was evicted long ago: its repeat builds a new session that
+    // finds the first one's entries in its disk namespace, and answers
+    // with the one-shot CLI's bytes.
+    let v = c.round_trip(&line("tenant-0"));
+    let resp = Response::from_json(v.get("response").unwrap()).unwrap();
+    let path = dir.join("saxpy.c");
+    std::fs::write(&path, SAXPY).unwrap();
+    let cli = std::process::Command::new(env!("CARGO_BIN_EXE_openarc"))
+        .arg("run")
+        .arg(&path)
+        .output()
+        .unwrap();
+    assert_eq!(resp.report, String::from_utf8(cli.stdout).unwrap());
+    assert_eq!(Some(resp.exit_code), cli.status.code());
+    let now = counters(&mut c);
+    assert!(now.0 as usize <= MAX_TENANTS);
+    assert_eq!(now.1, last.1 + 1);
+    assert!(now.2 > last.2);
+    assert!(
+        now.3 > last.3,
+        "the evicted tenant's repeat missed its disk namespace"
+    );
+
     c.shutdown(handle);
     let _ = std::fs::remove_dir_all(&dir);
 }
