@@ -49,7 +49,7 @@ pub use ir::{DataAction, KernelInfo, KernelParam, RtOp};
 pub use knowledge::{KernelAssert, KernelBound, KernelKnowledge};
 pub use options::{parse_verification_options, verification_options_from_env};
 pub use pipeline::{PipelineRun, PipelineStats, Session, Stage};
-pub use sched::{parse_jobs, run_tasks, WorkQueue};
+pub use sched::{parse_jobs, run_tasks};
 pub use serve::{Server, ServerConfig};
 pub use translate::{translate, TranslateOptions, Translated};
 pub use verify::{demote_source, VerificationReport};

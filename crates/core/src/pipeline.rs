@@ -44,9 +44,10 @@
 //! table type): memory lookup, disk load-through for the persisted kinds,
 //! else compute and publish — metered and spanned identically whichever
 //! stage asked. The tables sit behind [`Mutex`]es and artifacts are
-//! shared via [`Arc`], so one `Session` can be driven from many scheduler
-//! workers ([`crate::sched`]) at once; locks are never held across stage
-//! work, so concurrent misses compute in parallel (last insert wins).
+//! shared via [`Arc`], so one `Session` can be driven from many threads at
+//! once (a served tenant's concurrent requests, [`crate::serve`]); locks
+//! are never held across stage work, so concurrent misses compute in
+//! parallel (last insert wins).
 //!
 //! Sessions are constructed with [`Session::builder`]. A builder given a
 //! [`SessionBuilder::disk_cache`] directory adds the persistent layer

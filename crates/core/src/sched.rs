@@ -1,18 +1,20 @@
-//! Std-only worker pools for the fuzzer and the serve daemon.
+//! Std-only concurrency for the fuzzer and the serve daemon.
 //!
 //! The simulator is deterministic and single-threaded per run, so a batch
 //! of whole runs parallelizes at run granularity. [`run_tasks`] fans a
-//! vector of closures over a fixed worker pool built on
-//! [`std::thread::scope`] (no dependencies, no unsafe) and returns results
-//! **in task order**, so callers observe output identical to a sequential
-//! loop regardless of worker interleaving; `openarc fuzz --jobs N` runs its
-//! campaign rounds on it. [`WorkQueue`] is the bounded admission pool
-//! behind `openarc serve --jobs N`.
+//! vector of closures over scoped worker threads ([`std::thread::scope`];
+//! no dependencies, no unsafe) and returns results **in task order**, so
+//! callers observe output identical to a sequential loop regardless of
+//! worker interleaving; `openarc fuzz --jobs N` runs its campaign rounds
+//! on it. [`Gate`] is the admission bound behind `openarc serve --jobs N`:
+//! each request runs on its own connection thread once the gate lets it
+//! in.
+//!
+//! Every lock here guards only counters or an iterator, which no panic can
+//! leave half-updated, so a poisoned lock is taken as is.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Number of workers the host can usefully run (`available_parallelism`,
 /// falling back to 1 when the platform cannot say).
@@ -48,17 +50,11 @@ pub fn parse_jobs(s: &str) -> Result<usize, String> {
 /// `jobs <= 1` (or a single task) degenerates to an inline sequential loop
 /// on the calling thread — byte-identical behaviour, zero thread overhead.
 ///
-/// Workers self-schedule in **guided chunks**: each claims
-/// `max(1, remaining / (2 × workers))` consecutive task indices under one
-/// lock acquisition, so a matrix of fine-grained cells does not pay one
-/// mutex round-trip per task — early chunks are large (low overhead), the
-/// final chunks shrink to single tasks (good load balance, so an expensive
-/// task never strands cheap ones behind it). Each worker buffers its
-/// `(index, result)` pairs locally and publishes them with one lock at
-/// exit, so result collection adds one acquisition per worker, not per
-/// task. A panicking task does not poison the pool: remaining tasks still
-/// run, and the first panic (in task order) is re-raised on the caller
-/// after all workers join.
+/// Workers claim one task at a time from a shared iterator and keep their
+/// `(index, result)` pairs until they run out; the caller sorts the pairs
+/// back into task order. A panicking task does not poison the pool:
+/// remaining tasks still run, and the first panic (in task order) is
+/// re-raised on the caller after all workers join.
 ///
 /// ```
 /// use openarc_core::sched::run_tasks;
@@ -74,64 +70,41 @@ where
     if jobs <= 1 || n <= 1 {
         return tasks.into_iter().map(|f| f()).collect();
     }
-    let workers = jobs.min(n);
-    struct Queue<F> {
-        tasks: Vec<Option<F>>,
-        next: usize,
-    }
-    let queue = Mutex::new(Queue {
-        tasks: tasks.into_iter().map(Some).collect(),
-        next: 0,
-    });
-    let results: Mutex<Vec<Option<std::thread::Result<T>>>> =
-        Mutex::new((0..n).map(|_| None).collect());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut chunk: Vec<(usize, F)> = Vec::new();
-                let mut done: Vec<(usize, std::thread::Result<T>)> = Vec::new();
-                loop {
-                    {
-                        let mut q = queue.lock().expect("sched queue poisoned");
-                        let remaining = n - q.next;
-                        if remaining == 0 {
-                            break;
-                        }
-                        let take = (remaining / (2 * workers)).max(1);
-                        let start = q.next;
-                        q.next += take;
-                        for i in start..start + take {
-                            chunk.push((i, q.tasks[i].take().expect("task claimed twice")));
-                        }
-                    }
-                    for (i, task) in chunk.drain(..) {
+    let queue = Mutex::new(tasks.into_iter().enumerate());
+    let mut done: Vec<(usize, std::thread::Result<T>)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..jobs.min(n))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        // Its own statement, so the lock is released
+                        // before the task runs.
+                        let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+                        let Some((i, task)) = next else {
+                            return done;
+                        };
                         done.push((i, catch_unwind(AssertUnwindSafe(task))));
                     }
-                }
-                let mut slots = results.lock().expect("sched results poisoned");
-                for (i, r) in done {
-                    slots[i] = Some(r);
-                }
-            });
-        }
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|panic| resume_unwind(panic)))
+            .collect()
     });
-    results
-        .into_inner()
-        .expect("sched results poisoned")
-        .into_iter()
-        .map(|slot| match slot.expect("task never ran") {
-            Ok(v) => v,
-            Err(panic) => resume_unwind(panic),
-        })
+    done.sort_unstable_by_key(|(i, _)| *i);
+    done.into_iter()
+        .map(|(_, r)| r.unwrap_or_else(|panic| resume_unwind(panic)))
         .collect()
 }
 
-/// Admission refusal from [`WorkQueue::try_submit`]: the bounded queue
-/// is at capacity. Carries the depth observed at refusal so the caller
-/// can size a retry-after hint (depth × recent service time).
+/// Admission refusal from [`Gate::enter`]: `capacity` callers are already
+/// waiting. Carries the depth observed at refusal so the caller can size
+/// a retry-after hint (depth × recent service time).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueueFull {
-    /// Jobs waiting (excluding those already running) when refused.
+    /// Callers waiting (excluding those already running) when refused.
     pub depth: usize,
 }
 
@@ -143,146 +116,108 @@ impl std::fmt::Display for QueueFull {
 
 impl std::error::Error for QueueFull {}
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-struct QueueState {
-    jobs: VecDeque<Job>,
-    shutdown: bool,
+#[derive(Default)]
+struct GateState {
+    /// Tickets handed out so far; a caller's ticket is its arrival order.
+    issued: u64,
+    /// Tickets that have started; the next to start is ticket `started`.
+    started: u64,
+    /// Permits alive.
+    running: usize,
 }
 
-struct QueueInner {
-    state: Mutex<QueueState>,
-    /// Signalled when a job is enqueued or shutdown begins.
-    available: Condvar,
+impl GateState {
+    fn waiting(&self) -> usize {
+        (self.issued - self.started) as usize
+    }
+}
+
+/// The admission bound of the `openarc serve` daemon: at most `workers`
+/// callers run at once, at most `capacity` more wait, and waiters start
+/// in arrival order.
+///
+/// The work runs on the caller's own thread; the gate only counts.
+/// [`Gate::enter`] refuses at once with [`QueueFull`] when `capacity`
+/// callers are already waiting, and otherwise blocks until its turn,
+/// returning a [`Permit`] whose drop (unwinding included) frees the slot.
+///
+/// ```
+/// use openarc_core::sched::Gate;
+/// let gate = Gate::new(1, 16);
+/// let permit = gate.enter().unwrap();
+/// assert_eq!(gate.running(), 1);
+/// drop(permit); // the slot is free again
+/// assert_eq!(gate.running(), 0);
+/// ```
+pub struct Gate {
+    state: Mutex<GateState>,
+    /// Signalled whenever a slot frees or a waiter starts.
+    turn: Condvar,
+    workers: usize,
     capacity: usize,
-    /// Jobs whose closure panicked (the worker survives and keeps
-    /// serving; the panic is contained, not resurfaced).
-    panicked: AtomicUsize,
 }
 
-/// A persistent worker pool with a **bounded** submission queue — the
-/// admission-control half of the `openarc serve` daemon.
-///
-/// Where [`run_tasks`] fans a known batch over short-lived scoped
-/// threads, `WorkQueue` keeps `workers` threads alive for the life of
-/// the pool and accepts jobs one at a time, refusing (never blocking)
-/// when more than `capacity` jobs are already waiting: callers get a
-/// [`QueueFull`] carrying the observed depth and decide whether to shed
-/// load or retry later. A panicking job is contained to its worker
-/// ([`WorkQueue::panicked`] counts them); dropping the pool finishes
-/// every admitted job before the workers exit.
-///
-/// ```
-/// use openarc_core::sched::WorkQueue;
-/// use std::sync::atomic::{AtomicUsize, Ordering};
-/// use std::sync::Arc;
-/// let pool = WorkQueue::new(2, 16);
-/// let hits = Arc::new(AtomicUsize::new(0));
-/// for _ in 0..8 {
-///     let hits = hits.clone();
-///     pool.try_submit(move || {
-///         hits.fetch_add(1, Ordering::SeqCst);
-///     })
-///     .unwrap();
-/// }
-/// drop(pool); // joins the workers; every admitted job has run
-/// assert_eq!(hits.load(Ordering::SeqCst), 8);
-/// ```
-pub struct WorkQueue {
-    inner: Arc<QueueInner>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-}
+/// A running slot of a [`Gate`], freed on drop.
+pub struct Permit<'a>(&'a Gate);
 
-impl WorkQueue {
-    /// Start a pool of `workers` threads (min 1) admitting at most
-    /// `capacity` waiting jobs (min 1; running jobs don't count against
-    /// the bound).
-    pub fn new(workers: usize, capacity: usize) -> WorkQueue {
-        let inner = Arc::new(QueueInner {
-            state: Mutex::new(QueueState {
-                jobs: VecDeque::new(),
-                shutdown: false,
-            }),
-            available: Condvar::new(),
+impl Gate {
+    /// A gate letting `workers` callers (min 1) run at once and `capacity`
+    /// more (min 1) wait.
+    pub fn new(workers: usize, capacity: usize) -> Gate {
+        Gate {
+            state: Mutex::default(),
+            turn: Condvar::new(),
+            workers: workers.max(1),
             capacity: capacity.max(1),
-            panicked: AtomicUsize::new(0),
-        });
-        let workers = (0..workers.max(1))
-            .map(|_| {
-                let inner = Arc::clone(&inner);
-                std::thread::spawn(move || loop {
-                    let job = {
-                        let mut st = inner.state.lock().expect("work queue poisoned");
-                        loop {
-                            if let Some(job) = st.jobs.pop_front() {
-                                break job;
-                            }
-                            if st.shutdown {
-                                return;
-                            }
-                            st = inner.available.wait(st).expect("work queue poisoned");
-                        }
-                    };
-                    if catch_unwind(AssertUnwindSafe(job)).is_err() {
-                        inner.panicked.fetch_add(1, Ordering::Relaxed);
-                    }
-                })
-            })
-            .collect();
-        WorkQueue { inner, workers }
-    }
-
-    /// Enqueue `job`, or refuse with [`QueueFull`] if `capacity` jobs
-    /// are already waiting. Never blocks the caller.
-    pub fn try_submit<F>(&self, job: F) -> Result<(), QueueFull>
-    where
-        F: FnOnce() + Send + 'static,
-    {
-        let mut st = self.inner.state.lock().expect("work queue poisoned");
-        if st.jobs.len() >= self.inner.capacity {
-            return Err(QueueFull {
-                depth: st.jobs.len(),
-            });
         }
-        st.jobs.push_back(Box::new(job));
+    }
+
+    fn state(&self) -> MutexGuard<'_, GateState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Wait for a running slot, in arrival order, or refuse with
+    /// [`QueueFull`] if `capacity` callers are already waiting.
+    pub fn enter(&self) -> Result<Permit<'_>, QueueFull> {
+        let mut st = self.state();
+        let depth = st.waiting();
+        if depth >= self.capacity {
+            return Err(QueueFull { depth });
+        }
+        let ticket = st.issued;
+        st.issued += 1;
+        // A waiter never gives its ticket up, so every ticket starts.
+        while st.started != ticket || st.running >= self.workers {
+            st = self.turn.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
+        st.started += 1;
+        st.running += 1;
         drop(st);
-        self.inner.available.notify_one();
-        Ok(())
+        // The next ticket may fit in another free slot.
+        self.turn.notify_all();
+        Ok(Permit(self))
     }
 
-    /// Jobs admitted but not yet started.
+    /// Callers holding a permit.
+    pub fn running(&self) -> usize {
+        self.state().running
+    }
+
+    /// Callers waiting for a permit.
     pub fn depth(&self) -> usize {
-        self.inner
-            .state
-            .lock()
-            .expect("work queue poisoned")
-            .jobs
-            .len()
+        self.state().waiting()
     }
 
-    /// The queue bound this pool was built with.
+    /// The waiting bound this gate was built with.
     pub fn capacity(&self) -> usize {
-        self.inner.capacity
-    }
-
-    /// Jobs whose closure panicked (contained; the pool kept serving).
-    pub fn panicked(&self) -> usize {
-        self.inner.panicked.load(Ordering::Relaxed)
+        self.capacity
     }
 }
 
-impl Drop for WorkQueue {
-    /// Graceful shutdown: admitted jobs all run, then workers exit.
+impl Drop for Permit<'_> {
     fn drop(&mut self) {
-        self.inner
-            .state
-            .lock()
-            .expect("work queue poisoned")
-            .shutdown = true;
-        self.inner.available.notify_all();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
+        self.0.state().running -= 1;
+        self.0.turn.notify_all();
     }
 }
 
@@ -336,83 +271,90 @@ mod tests {
     }
 
     #[test]
-    fn work_queue_runs_every_admitted_job() {
-        use std::sync::atomic::AtomicUsize;
-        let pool = WorkQueue::new(3, 64);
-        let done = Arc::new(AtomicUsize::new(0));
-        for _ in 0..40 {
-            let done = done.clone();
-            pool.try_submit(move || {
-                done.fetch_add(1, Ordering::SeqCst);
-            })
-            .unwrap();
-        }
-        drop(pool);
-        assert_eq!(done.load(Ordering::SeqCst), 40);
-    }
-
-    #[test]
-    fn work_queue_refuses_when_full_and_recovers() {
-        // One worker pinned on a gate; capacity 2 means the third
-        // *waiting* job is refused with the observed depth.
-        let pool = WorkQueue::new(1, 2);
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let g = gate.clone();
-        pool.try_submit(move || {
-            let (lock, cv) = &*g;
-            let mut open = lock.lock().unwrap();
-            while !*open {
-                open = cv.wait(open).unwrap();
+    fn gate_refuses_when_full_and_recovers() {
+        // One slot held here; capacity 2 means the third *waiting* caller
+        // is refused with the observed depth.
+        let gate = Gate::new(1, 2);
+        let held = gate.enter().unwrap();
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| drop(gate.enter().unwrap()));
             }
-        })
-        .unwrap();
-        // Wait until the worker has picked the gate job up, so the
-        // queue depth is deterministic.
-        while pool.depth() > 0 {
-            std::thread::yield_now();
-        }
-        pool.try_submit(|| {}).unwrap();
-        pool.try_submit(|| {}).unwrap();
-        let err = pool.try_submit(|| {}).unwrap_err();
-        assert_eq!(err, QueueFull { depth: 2 });
-        assert!(err.to_string().contains("2 jobs waiting"));
-        // Opening the gate drains the queue and admission resumes.
-        let (lock, cv) = &*gate;
-        *lock.lock().unwrap() = true;
-        cv.notify_all();
-        while pool.depth() >= pool.capacity() {
-            std::thread::yield_now();
-        }
-        assert!(pool.try_submit(|| {}).is_ok());
+            while gate.depth() < 2 {
+                std::thread::yield_now();
+            }
+            let err = gate.enter().err().unwrap();
+            assert_eq!(err, QueueFull { depth: 2 });
+            assert!(err.to_string().contains("2 jobs waiting"));
+            // Freeing the slot drains the waiters.
+            drop(held);
+        });
+        assert_eq!((gate.depth(), gate.running()), (0, 0));
+        assert!(gate.enter().is_ok());
     }
 
     #[test]
-    fn work_queue_contains_job_panics() {
+    fn gate_clamps_degenerate_sizes() {
+        let gate = Gate::new(0, 0);
+        assert_eq!(gate.capacity(), 1);
+        drop(gate.enter().unwrap());
+        assert!(gate.enter().is_ok());
+    }
+
+    #[test]
+    fn gate_starts_waiters_in_arrival_order() {
+        let gate = Gate::new(1, 8);
+        let order = Mutex::new(Vec::new());
+        let held = gate.enter().unwrap();
+        std::thread::scope(|s| {
+            for id in 0..6 {
+                let (gate, order) = (&gate, &order);
+                s.spawn(move || {
+                    let _permit = gate.enter().unwrap();
+                    order.lock().unwrap().push(id);
+                });
+                // Let waiter `id` take its ticket before the next arrives.
+                while gate.depth() <= id {
+                    std::thread::yield_now();
+                }
+            }
+            drop(held);
+        });
+        assert_eq!(order.into_inner().unwrap(), (0..6).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn gate_frees_a_slot_when_a_permit_unwinds() {
+        let gate = Gate::new(1, 1);
+        let r = catch_unwind(AssertUnwindSafe(|| {
+            let _permit = gate.enter().unwrap();
+            panic!("request exploded");
+        }));
+        assert!(r.is_err());
+        assert_eq!(gate.running(), 0);
+        assert!(gate.enter().is_ok(), "the next caller enters");
+    }
+
+    #[test]
+    fn gate_bounds_concurrent_callers() {
         use std::sync::atomic::AtomicUsize;
-        let pool = WorkQueue::new(1, 8);
-        let done = Arc::new(AtomicUsize::new(0));
-        pool.try_submit(|| panic!("job exploded")).unwrap();
-        let d = done.clone();
-        pool.try_submit(move || {
-            d.fetch_add(1, Ordering::SeqCst);
-        })
-        .unwrap();
-        // Single worker, FIFO: once the second job has run, the first
-        // has already panicked and been counted.
-        while done.load(Ordering::SeqCst) == 0 {
-            std::thread::yield_now();
-        }
-        assert_eq!(pool.panicked(), 1);
-        drop(pool);
-        assert_eq!(done.load(Ordering::SeqCst), 1, "worker survived the panic");
-    }
-
-    #[test]
-    fn work_queue_clamps_degenerate_sizes() {
-        let pool = WorkQueue::new(0, 0);
-        assert_eq!(pool.capacity(), 1);
-        pool.try_submit(|| {}).unwrap();
-        drop(pool);
+        let gate = Gate::new(3, 64);
+        let now = AtomicUsize::new(0);
+        let peak = AtomicUsize::new(0);
+        let done = AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            for _ in 0..24 {
+                s.spawn(|| {
+                    let _permit = gate.enter().unwrap();
+                    peak.fetch_max(now.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                    now.fetch_sub(1, Ordering::SeqCst);
+                    done.fetch_add(1, Ordering::SeqCst);
+                });
+            }
+        });
+        assert_eq!(done.load(Ordering::SeqCst), 24, "every caller ran");
+        assert!(peak.load(Ordering::SeqCst) <= 3, "over `workers` at once");
     }
 
     #[test]

@@ -29,13 +29,15 @@
 //!
 //! ## Admission, tenancy, observability
 //!
-//! Requests are admitted to a bounded [`WorkQueue`]: when
-//! [`ServerConfig::queue_capacity`] jobs are already waiting the daemon
-//! refuses with [`ErrorKind::Overloaded`] and a `retry_after_ms` hint
-//! sized from the observed queue depth × recent median service time —
-//! load is shed at the door, not by timing out deep in the pipeline. A
-//! request carrying `deadline_ms` that cannot *start* within its
-//! deadline is dropped at dequeue with [`ErrorKind::DeadlineExceeded`].
+//! Each request runs on its own connection thread once a [`Gate`] lets
+//! it in: at most [`ServerConfig::workers`] run at once and the rest wait
+//! in arrival order. When [`ServerConfig::queue_capacity`] requests are
+//! already waiting the daemon refuses with [`ErrorKind::Overloaded`] and
+//! a `retry_after_ms` hint sized from the observed queue depth × recent
+//! median service time — load is shed at the door, not by timing out
+//! deep in the pipeline. A request carrying `deadline_ms` that cannot
+//! *start* within its deadline is dropped once it gets its turn, with
+//! [`ErrorKind::DeadlineExceeded`].
 //! Each tenant id is routed to its own warm [`Session`] whose disk cache
 //! lives in a per-tenant namespace of one shared store (the tenant id is
 //! folded into every cache key), so tenants never observe each other's
@@ -49,16 +51,16 @@
 
 use crate::api::{self, ApiError, ErrorKind, Request, Response};
 use crate::pipeline::{PipelineStats, Session, Stage, StageCounts};
-use crate::sched::WorkQueue;
+use crate::sched::Gate;
 use openarc_gpusim::LaunchStats;
 use openarc_trace::json::Json;
 use openarc_trace::{EventKind, Journal, TraceEvent, Track};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -77,9 +79,9 @@ pub const MAX_TENANTS: usize = 64;
 /// Daemon configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Pipeline worker threads (requests executing concurrently).
+    /// Requests run at once.
     pub workers: usize,
-    /// Bounded admission queue: jobs *waiting* beyond the workers.
+    /// Bounded admission queue: requests *waiting* beyond the running ones.
     pub queue_capacity: usize,
     /// Root of the shared content-addressed store; tenants get disjoint
     /// key namespaces inside it. `None` serves from memory only.
@@ -110,15 +112,22 @@ struct ServerStats {
     completed: AtomicU64,
     rejected: AtomicU64,
     deadline_missed: AtomicU64,
-    in_flight: AtomicU64,
     protocol_errors: AtomicU64,
     /// Ring of the last [`SERVICE_WINDOW`] request service times, µs.
     service_us: Mutex<VecDeque<u64>>,
 }
 
 impl ServerStats {
+    /// The service ring. A push or pop cannot be left half done, so a
+    /// poisoned lock is taken as is.
+    fn service_ring(&self) -> MutexGuard<'_, VecDeque<u64>> {
+        self.service_us
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn record_service(&self, us: u64) {
-        let mut ring = self.service_us.lock().expect("stats poisoned");
+        let mut ring = self.service_ring();
         if ring.len() == SERVICE_WINDOW {
             ring.pop_front();
         }
@@ -127,7 +136,7 @@ impl ServerStats {
 
     /// Nearest-rank p50/p95 over the recent-service window, µs.
     fn percentiles(&self) -> (u64, u64) {
-        let ring = self.service_us.lock().expect("stats poisoned");
+        let ring = self.service_ring();
         if ring.is_empty() {
             return (0, 0);
         }
@@ -213,7 +222,7 @@ impl TenantMap {
 struct ServerInner {
     cfg: ServerConfig,
     tenants: Mutex<TenantMap>,
-    pool: WorkQueue,
+    gate: Gate,
     stats: ServerStats,
     /// Server-level journal carrying [`EventKind::Serve`] heartbeats.
     journal: Journal,
@@ -280,11 +289,8 @@ impl ServerInner {
             .iter()
             .fold((0, 0), |(h, m), c| (h + c.hits, m + c.misses));
         vec![
-            (
-                "in_flight",
-                self.stats.in_flight.load(Ordering::Relaxed) as f64,
-            ),
-            ("queue_depth", self.pool.depth() as f64),
+            ("in_flight", self.gate.running() as f64),
+            ("queue_depth", self.gate.depth() as f64),
             (
                 "admitted",
                 self.stats.admitted.load(Ordering::Relaxed) as f64,
@@ -323,12 +329,9 @@ impl ServerInner {
                 "uptime_us",
                 Json::from(self.start.elapsed().as_micros() as u64),
             ),
-            (
-                "in_flight",
-                Json::from(self.stats.in_flight.load(Ordering::Relaxed)),
-            ),
-            ("queue_depth", Json::from(self.pool.depth() as u64)),
-            ("queue_capacity", Json::from(self.pool.capacity() as u64)),
+            ("in_flight", Json::from(self.gate.running() as u64)),
+            ("queue_depth", Json::from(self.gate.depth() as u64)),
+            ("queue_capacity", Json::from(self.gate.capacity() as u64)),
             (
                 "admitted",
                 Json::from(self.stats.admitted.load(Ordering::Relaxed)),
@@ -409,7 +412,7 @@ impl ServerInner {
         }
     }
 
-    /// Run one admitted request on a worker thread.
+    /// Run one admitted request; the caller holds its permit.
     fn execute(&self, req: Request, admitted_at: Instant) -> Result<Response, ApiError> {
         if let Some(ms) = req.deadline_ms {
             if admitted_at.elapsed() >= Duration::from_millis(ms) {
@@ -421,52 +424,46 @@ impl ServerInner {
                 });
             }
         }
-        self.stats.in_flight.fetch_add(1, Ordering::Relaxed);
         let t0 = Instant::now();
         let session = self.session_for(&req.tenant);
         let out = api::handle(&session, &req);
         self.stats.record_service(t0.elapsed().as_micros() as u64);
-        self.stats.in_flight.fetch_sub(1, Ordering::Relaxed);
         self.stats.completed.fetch_add(1, Ordering::Relaxed);
         out
     }
 
-    /// Admission: hand the request to the bounded pool and wait for its
-    /// result. Refused submissions become [`ErrorKind::Overloaded`] with
-    /// a backoff hint of queue-depth × recent median service time.
-    fn admit(self: &Arc<Self>, req: Request) -> Result<Response, ApiError> {
+    /// Admission: wait at the gate, then run the request on this
+    /// connection thread. Refused entries become [`ErrorKind::Overloaded`]
+    /// with a backoff hint of queue-depth × recent median service time; a
+    /// panic in the pipeline answers [`ErrorKind::Internal`].
+    fn admit(&self, req: Request) -> Result<Response, ApiError> {
+        // Taken before waiting, so the deadline covers the wait.
         let admitted_at = Instant::now();
-        let (tx, rx) = mpsc::channel();
-        let inner = Arc::clone(self);
-        let submitted = self.pool.try_submit(move || {
-            let out = inner.execute(req, admitted_at);
-            // Let go of the daemon before replying: once the last reply
-            // is out, only the `Server` keeps it (and its sessions) alive.
-            drop(inner);
-            let _ = tx.send(out);
-        });
-        if let Err(full) = submitted {
-            self.stats.rejected.fetch_add(1, Ordering::Relaxed);
-            let (p50_us, _) = self.stats.percentiles();
-            let per_job_ms = (p50_us / 1000).max(1);
-            return Err(ApiError {
-                kind: ErrorKind::Overloaded,
-                message: full.to_string(),
-                retry_after_ms: Some((full.depth as u64 + 1) * per_job_ms),
-            });
-        }
+        let _permit = match self.gate.enter() {
+            Ok(permit) => permit,
+            Err(full) => {
+                self.stats.rejected.fetch_add(1, Ordering::Relaxed);
+                let (p50_us, _) = self.stats.percentiles();
+                let per_job_ms = (p50_us / 1000).max(1);
+                return Err(ApiError {
+                    kind: ErrorKind::Overloaded,
+                    message: full.to_string(),
+                    retry_after_ms: Some((full.depth as u64 + 1) * per_job_ms),
+                });
+            }
+        };
         self.stats.admitted.fetch_add(1, Ordering::Relaxed);
-        rx.recv()
-            .unwrap_or_else(|_| Err(ApiError::internal("worker dropped the request")))
+        catch_unwind(AssertUnwindSafe(|| self.execute(req, admitted_at)))
+            .unwrap_or_else(|_| Err(ApiError::internal("the request panicked")))
     }
 }
 
 impl Drop for ServerInner {
     /// Free every tenant session, then hand the freed heap back to the
-    /// OS. The sessions were built on pool workers and freed pages stay
-    /// in those threads' allocator arenas; the next daemon's threads get
-    /// other arenas, so without the trim every stopped daemon would stay
-    /// resident. Not done in [`Server::run`]: the CLI reads
+    /// OS. The sessions were built on connection threads and freed pages
+    /// stay in those threads' allocator arenas; the next daemon's threads
+    /// get other arenas, so without the trim every stopped daemon would
+    /// stay resident. Not done in [`Server::run`]: the CLI reads
     /// [`Server::stats_json`] after `run` returns.
     fn drop(&mut self) {
         let tenants = self
@@ -500,7 +497,7 @@ fn error_line(e: &ApiError) -> Json {
 }
 
 /// Dispatch one parsed request line.
-fn dispatch(inner: &Arc<ServerInner>, line: &str) -> Outcome {
+fn dispatch(inner: &ServerInner, line: &str) -> Outcome {
     let parsed = match Json::parse(line) {
         Ok(v) => v,
         Err(e) => {
@@ -593,7 +590,7 @@ fn send_line<W: Write>(w: &mut W, json: &Json) -> io::Result<()> {
 /// Serve one connection: frames in, responses out, until EOF, a broken
 /// frame, or a `shutdown` action. Returns `true` if the daemon should
 /// stop.
-fn handle_conn<R: Read, W: Write>(inner: &Arc<ServerInner>, reader: R, mut writer: W) -> bool {
+fn handle_conn<R: Read, W: Write>(inner: &ServerInner, reader: R, mut writer: W) -> bool {
     let mut reader = BufReader::new(reader);
     loop {
         let frame = match read_frame(&mut reader, inner.cfg.max_frame) {
@@ -652,7 +649,7 @@ impl Server {
         Ok(Server {
             listener,
             inner: Arc::new(ServerInner {
-                pool: WorkQueue::new(cfg.workers, cfg.queue_capacity),
+                gate: Gate::new(cfg.workers, cfg.queue_capacity),
                 cfg,
                 tenants: Mutex::default(),
                 stats: ServerStats::default(),
@@ -682,19 +679,19 @@ impl Server {
 
     /// Accept connections until a client sends `{"action":"shutdown"}`.
     ///
-    /// Each connection gets its own thread; requests funnel through the
-    /// bounded worker pool. The final heartbeat is emitted on exit, so
+    /// Each connection gets its own thread, which runs its requests once
+    /// the admission gate lets them in. The final heartbeat is emitted on exit, so
     /// the journal always carries at least one full gauge set.
     pub fn run(&self) -> io::Result<()> {
         let heartbeat = self.inner.cfg.stats_interval.map(|period| {
             let inner = Arc::clone(&self.inner);
             std::thread::spawn(move || {
                 let (lock, cv) = &inner.stop_signal;
-                let mut stopped = lock.lock().expect("stop signal poisoned");
+                let mut stopped = lock.lock().unwrap_or_else(PoisonError::into_inner);
                 loop {
                     let (guard, timeout) = cv
                         .wait_timeout(stopped, period)
-                        .expect("stop signal poisoned");
+                        .unwrap_or_else(PoisonError::into_inner);
                     stopped = guard;
                     if *stopped {
                         return;
@@ -737,7 +734,7 @@ impl Server {
         // before reporting the final gauge set.
         {
             let (lock, cv) = &self.inner.stop_signal;
-            *lock.lock().expect("stop signal poisoned") = true;
+            *lock.lock().unwrap_or_else(PoisonError::into_inner) = true;
             cv.notify_all();
         }
         if let Some(h) = heartbeat {

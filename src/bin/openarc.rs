@@ -113,7 +113,7 @@ fn usage() -> String {
                                 README's wire-protocol table)\n\
        --tcp <ADDR>             listen address (default 127.0.0.1:0; the\n\
                                 chosen port is printed as `listening on ...`)\n\
-       --jobs <N|auto>          pipeline worker threads (default 2)\n\
+       --jobs <N|auto>          requests run at once (default 2)\n\
        --queue <N>              admission queue bound (default 64); beyond\n\
                                 it requests are refused with retry_after_ms\n\
        --stats-interval-ms <N>  heartbeat period for serve gauge events\n\
