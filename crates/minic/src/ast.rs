@@ -543,14 +543,6 @@ impl Program {
         })
     }
 
-    /// Mutable lookup of a function by name.
-    pub fn func_mut(&mut self, name: &str) -> Option<&mut Func> {
-        self.items.iter_mut().find_map(|it| match it {
-            Item::Func(f) if f.name == name => Some(f),
-            _ => None,
-        })
-    }
-
     /// Iterate over all global variable declarations.
     pub fn globals(&self) -> impl Iterator<Item = &VarDecl> {
         self.items.iter().filter_map(|it| match it {

@@ -37,11 +37,6 @@ impl PresentTable {
         self.map.get(&host).map(|m| m.dev)
     }
 
-    /// Host handle for a device buffer (reverse lookup).
-    pub fn host_of(&self, dev: Handle) -> Option<Handle> {
-        self.map.iter().find(|(_, m)| m.dev == dev).map(|(h, _)| *h)
-    }
-
     /// Record a new mapping with refcount 1. Errors if already present
     /// (callers must check [`PresentTable::contains`] first and bump).
     pub fn insert(
@@ -125,7 +120,6 @@ mod tests {
         t.insert(H, D, "a").unwrap();
         assert!(t.contains(H));
         assert_eq!(t.device_of(H), Some(D));
-        assert_eq!(t.host_of(D), Some(H));
         assert_eq!(t.release(H).unwrap(), Some(D));
         assert!(t.is_empty());
     }

@@ -95,16 +95,6 @@ impl Value {
             ScalarTy::Double => Value::F64(self.as_f64()),
         }
     }
-
-    /// The scalar type tag of this value, if numeric.
-    pub fn scalar_ty(self) -> Option<ScalarTy> {
-        match self {
-            Value::Int(_) => Some(ScalarTy::Int),
-            Value::F32(_) => Some(ScalarTy::Float),
-            Value::F64(_) => Some(ScalarTy::Double),
-            Value::Ptr(_) => None,
-        }
-    }
 }
 
 impl fmt::Display for Value {
