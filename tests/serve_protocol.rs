@@ -1,11 +1,16 @@
 //! Wire-protocol tests of the `openarc serve` daemon through its public
 //! API: framing edge cases (garbage, truncated, oversized — error lines,
-//! never panics), typed round-trips, admission backpressure, tenant
-//! cache isolation on disk, and the tenant cap.
+//! never panics), typed round-trips, journaled replies equal to the
+//! in-process answer, admission backpressure, tenant cache isolation on
+//! disk, and the tenant cap.
 
-use openarc::core::api::{Action, ApiError, ErrorKind, Request, Response};
+use openarc::core::api::{self, Action, ApiError, ErrorKind, Request, Response};
+use openarc::core::pipeline::Session;
 use openarc::core::serve::{Server, ServerConfig, MAX_TENANTS};
+use openarc::suite::{all, Scale, Variant};
+use openarc::trace::bin::{write_events, Writer};
 use openarc::trace::json::Json;
+use openarc::trace::TraceEvent;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 
@@ -94,6 +99,42 @@ fn typed_request_round_trips_over_the_wire() {
         let resp = Response::from_json(v.get("response").unwrap()).unwrap();
         assert_eq!(resp.exit_code, 0, "{action:?}");
         assert!(resp.report.ends_with('\n'), "{action:?}");
+    }
+    c.shutdown(handle);
+}
+
+fn journal_bytes(events: &[TraceEvent]) -> Vec<u8> {
+    let mut w = Writer::new();
+    write_events(&mut w, events);
+    w.into_bytes()
+}
+
+#[test]
+fn served_journals_equal_the_in_process_answer() {
+    let (addr, handle) = start(quiet());
+    let mut c = Client::connect(addr);
+    for b in all(Scale::default()) {
+        for action in [Action::Profile, Action::Run] {
+            let mut req = Request::new(action, b.source(Variant::Optimized));
+            req.journal = true;
+            let v = c.round_trip(&req.to_json().to_string());
+            let what = format!("{} {}", b.name, action.as_str());
+            assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true), "{what}");
+            let served = Response::from_json(v.get("response").unwrap()).unwrap();
+            let fresh = api::handle(&Session::builder().build(), &req).unwrap();
+            assert!(!fresh.events.is_empty(), "{what}: no journal");
+            assert!(
+                journal_bytes(&served.events) == journal_bytes(&fresh.events),
+                "{what}: served journal differs"
+            );
+            assert_eq!(served.report, fresh.report, "{what}");
+            assert_eq!(served.exit_code, fresh.exit_code, "{what}");
+            assert_eq!(
+                served.sim_time_us.to_bits(),
+                fresh.sim_time_us.to_bits(),
+                "{what}"
+            );
+        }
     }
     c.shutdown(handle);
 }
