@@ -14,15 +14,16 @@
 //! construction, which is the gate `tests/serve_cli.rs` enforces.
 //!
 //! Both types (de)serialize with the hand-rolled [`Json`] from the trace
-//! crate — the wire format of the serve protocol — with floats carried
-//! as IEEE-754 bit patterns so simulated times survive the round trip
-//! exactly.
+//! crate — the wire format of the serve protocol. Simulated time travels
+//! as its IEEE-754 bit pattern, and the journal as one base64 string of
+//! its OARCBIN event encoding ([`openarc_trace::bin::write_events`], the
+//! bytes the disk cache stores), so both survive the round trip exactly.
 
 use crate::exec::{ExecMode, ExecOptions, RunResult, VerifyOptions};
 use crate::options::parse_verification_options;
 use crate::pipeline::{PipelineError, Session, Stage, TranslatedArtifact};
 use crate::translate::{TranslateOptions, Translated};
-use openarc_trace::codec::{event_from_json, event_to_json, f64_field, f64_to_json};
+use openarc_trace::bin::{read_events, write_events, Reader, Writer};
 use openarc_trace::json::Json;
 use openarc_trace::{Journal, TraceEvent};
 use std::fmt::Write as _;
@@ -226,7 +227,7 @@ impl Response {
         let mut pairs = vec![
             ("report", Json::from(self.report.as_str())),
             ("exit_code", Json::I64(self.exit_code.into())),
-            ("sim_time_us", f64_to_json(self.sim_time_us)),
+            ("sim_time_us", Json::U64(self.sim_time_us.to_bits())),
             ("kernel_launches", Json::from(self.kernel_launches)),
             (
                 "stages",
@@ -245,10 +246,9 @@ impl Response {
             ),
         ];
         if !self.events.is_empty() {
-            pairs.push((
-                "events",
-                Json::Arr(self.events.iter().map(event_to_json).collect()),
-            ));
+            let mut w = Writer::new();
+            write_events(&mut w, &self.events);
+            pairs.push(("events", Json::from(base64_encode(&w.into_bytes()))));
         }
         Json::obj(pairs)
     }
@@ -264,7 +264,11 @@ impl Response {
             .get("exit_code")
             .and_then(Json::as_i64)
             .ok_or("missing integer field `exit_code`")? as i32;
-        let sim_time_us = f64_field(v, "sim_time_us")?;
+        let sim_time_us = v
+            .get("sim_time_us")
+            .and_then(Json::as_u64)
+            .map(f64::from_bits)
+            .ok_or("missing u64 field `sim_time_us`")?;
         let kernel_launches = v
             .get("kernel_launches")
             .and_then(Json::as_u64)
@@ -296,12 +300,14 @@ impl Response {
         }
         let events = match v.get("events") {
             None | Some(Json::Null) => Vec::new(),
-            Some(arr) => arr
-                .as_arr()
-                .ok_or("`events` must be an array")?
-                .iter()
-                .map(event_from_json)
-                .collect::<Result<_, _>>()?,
+            Some(text) => {
+                let text = text.as_str().ok_or("`events` must be a base64 string")?;
+                let bytes = base64_decode(text)?;
+                let mut r = Reader::new(&bytes);
+                read_events(&mut r)
+                    .and_then(|events| r.expect_end().map(|()| events))
+                    .map_err(|e| format!("`events`: {e}"))?
+            }
         };
         Ok(Response {
             report,
@@ -312,6 +318,64 @@ impl Response {
             events,
         })
     }
+}
+
+/// The base64 alphabet of RFC 4648 §4 (standard, padded).
+const BASE64: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+
+/// Encode `bytes` as padded standard base64.
+fn base64_encode(bytes: &[u8]) -> String {
+    let mut out = String::with_capacity(bytes.len().div_ceil(3) * 4);
+    for chunk in bytes.chunks(3) {
+        let n = chunk
+            .iter()
+            .enumerate()
+            .fold(0u32, |n, (i, &b)| n | u32::from(b) << (16 - 8 * i));
+        for i in 0..4 {
+            out.push(if i <= chunk.len() {
+                BASE64[(n >> (18 - 6 * i)) as usize & 63] as char
+            } else {
+                '='
+            });
+        }
+    }
+    out
+}
+
+/// Decode padded standard base64. A character outside the alphabet, a
+/// length that is not a multiple of four, padding anywhere but the end
+/// of the last quartet, or nonzero bits under the padding are errors.
+fn base64_decode(text: &str) -> Result<Vec<u8>, String> {
+    let text = text.as_bytes();
+    if !text.len().is_multiple_of(4) {
+        return Err(format!(
+            "base64 length {} is not a multiple of 4",
+            text.len()
+        ));
+    }
+    let quads = text.len() / 4;
+    let mut out = Vec::with_capacity(quads * 3);
+    for (q, quad) in text.chunks(4).enumerate() {
+        let pad = quad.iter().rev().take_while(|&&c| c == b'=').count();
+        if pad > 2 || (pad > 0 && q + 1 < quads) {
+            return Err(format!("bad base64 padding in quartet {q}"));
+        }
+        let mut n = 0u32;
+        for &c in &quad[..4 - pad] {
+            let v = BASE64
+                .iter()
+                .position(|&a| a == c)
+                .ok_or_else(|| format!("invalid base64 character {:?}", c as char))?;
+            n = n << 6 | v as u32;
+        }
+        let [_, b0, b1, b2] = (n << (6 * pad)).to_be_bytes();
+        let bytes = [b0, b1, b2];
+        if bytes[3 - pad..].iter().any(|&b| b != 0) {
+            return Err(format!("nonzero bits under base64 padding in quartet {q}"));
+        }
+        out.extend_from_slice(&bytes[..3 - pad]);
+    }
+    Ok(out)
 }
 
 /// Classified API failure.
@@ -778,6 +842,73 @@ mod tests {
         let text = resp.to_json().pretty();
         let back = Response::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, resp);
+    }
+
+    #[test]
+    fn base64_matches_the_rfc_4648_vectors() {
+        for (raw, text) in [
+            ("", ""),
+            ("f", "Zg=="),
+            ("fo", "Zm8="),
+            ("foo", "Zm9v"),
+            ("foob", "Zm9vYg=="),
+            ("fooba", "Zm9vYmE="),
+            ("foobar", "Zm9vYmFy"),
+        ] {
+            assert_eq!(base64_encode(raw.as_bytes()), text);
+            assert_eq!(base64_decode(text).unwrap(), raw.as_bytes());
+        }
+        let all: Vec<u8> = (0..=255).collect();
+        assert_eq!(base64_decode(&base64_encode(&all)).unwrap(), all);
+    }
+
+    #[test]
+    fn hostile_event_payloads_are_errors() {
+        let session = Session::builder().build();
+        let mut req = Request::new(Action::Run, SRC);
+        req.journal = true;
+        let wire = handle(&session, &req).unwrap().to_json();
+        let mut w = Writer::new();
+        write_events(&mut w, &Response::from_json(&wire).unwrap().events);
+        let bytes = w.into_bytes();
+        let valid = base64_encode(&bytes);
+        let with_events = |events: Json| {
+            let Json::Obj(mut pairs) = wire.clone() else {
+                unreachable!()
+            };
+            pairs.retain(|(k, _)| k != "events");
+            pairs.push(("events".to_string(), events));
+            Response::from_json(&Json::Obj(pairs))
+        };
+        assert!(with_events(Json::from(valid.as_str())).is_ok());
+
+        let mut oversized = bytes.clone();
+        oversized[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let mut trailing = bytes.clone();
+        trailing.push(0);
+        for (what, events) in [
+            (
+                "non-alphabet character",
+                Json::from(format!("!{}", &valid[1..])),
+            ),
+            ("padding mid-quartet", Json::from("QQ=A")),
+            ("padding before the end", Json::from(format!("QQ=={valid}"))),
+            ("three pad characters", Json::from("Q===")),
+            ("length not a multiple of 4", Json::from(&valid[1..])),
+            ("nonzero bits under padding", Json::from("QR==")),
+            (
+                "truncated events",
+                Json::from(base64_encode(&bytes[..bytes.len() - 1])),
+            ),
+            ("one trailing byte", Json::from(base64_encode(&trailing))),
+            ("oversized seq count", Json::from(base64_encode(&oversized))),
+            (
+                "JSON array",
+                Json::Arr(vec![Json::obj(vec![("k", Json::from("slice"))])]),
+            ),
+        ] {
+            assert!(with_events(events).is_err(), "{what} decoded");
+        }
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub const MAGIC: [u8; 8] = *b"OARCBIN\0";
 /// Version of the container layout and every section schema. Bumped on any
 /// incompatible change; a reader rejects other versions and the disk layer
 /// recomputes the artifact.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Total size of the fixed entry header in bytes.
 pub const HEADER_LEN: usize = 40;
@@ -864,10 +864,8 @@ pub fn encode_run(id: ArtifactId, r: &RunResult, events: &[TraceEvent]) -> Vec<u
     put_section(&mut w, section::STATS, |w| {
         w.put_u64(m.stats.h2d_bytes);
         w.put_u64(m.stats.d2h_bytes);
-        w.put_u64(m.stats.d2d_bytes);
         w.put_u64(m.stats.h2d_count);
         w.put_u64(m.stats.d2h_count);
-        w.put_u64(m.stats.d2d_count);
         w.put_u64(m.stats.dev_allocs);
         w.put_u64(m.stats.dev_frees);
     });
@@ -982,10 +980,8 @@ pub fn decode_run(id: ArtifactId, bytes: &[u8]) -> R<(RunResult, Vec<TraceEvent>
         Ok(TransferStats {
             h2d_bytes: b.u64()?,
             d2h_bytes: b.u64()?,
-            d2d_bytes: b.u64()?,
             h2d_count: b.u64()?,
             d2h_count: b.u64()?,
-            d2d_count: b.u64()?,
             dev_allocs: b.u64()?,
             dev_frees: b.u64()?,
         })

@@ -44,7 +44,7 @@ use std::time::{Duration, SystemTime};
 
 /// On-disk layout version; folded into every entry key. Bump when any
 /// [`bin`] encoding changes shape.
-pub const SCHEMA_VERSION: u64 = 1;
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// Default cache directory used by the CLI and bench drivers.
 pub const DEFAULT_DIR: &str = "target/openarc-cache";

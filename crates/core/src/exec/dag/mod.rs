@@ -46,8 +46,8 @@ pub enum Placement {
     /// Cost-model-driven earliest-finish-time list scheduling: each site
     /// goes to the device minimizing its predicted finish time, using
     /// [`cost::estimate_site_costs`] static estimates (kernel time over
-    /// footprint sizes and thread counts, staging transfers, cross-device
-    /// d2d penalties).
+    /// footprint sizes and thread counts, staging transfers), with
+    /// cross-device input hops as a tie-break.
     Eft,
 }
 

@@ -38,14 +38,10 @@ pub struct TransferStats {
     pub h2d_bytes: u64,
     /// Bytes moved device→host.
     pub d2h_bytes: u64,
-    /// Bytes moved device→device.
-    pub d2d_bytes: u64,
     /// Number of host→device transfers.
     pub h2d_count: u64,
     /// Number of device→host transfers.
     pub d2h_count: u64,
-    /// Number of device→device transfers.
-    pub d2d_count: u64,
     /// Device allocations.
     pub dev_allocs: u64,
     /// Device frees.
@@ -55,12 +51,12 @@ pub struct TransferStats {
 impl TransferStats {
     /// Total bytes moved in any direction.
     pub fn total_bytes(&self) -> u64 {
-        self.h2d_bytes + self.d2h_bytes + self.d2d_bytes
+        self.h2d_bytes + self.d2h_bytes
     }
 
     /// Total number of transfers.
     pub fn total_count(&self) -> u64 {
-        self.h2d_count + self.d2h_count + self.d2d_count
+        self.h2d_count + self.d2h_count
     }
 }
 
@@ -401,44 +397,6 @@ impl Machine {
         Ok(())
     }
 
-    /// Copy a mapped buffer from device `src` to device `dst` (both must
-    /// hold a mirror of `host_h`). Charged like any other transfer; the
-    /// span lands on `dst`'s queue when `queue` is given.
-    pub fn copy_device_to_device(
-        &mut self,
-        host_h: Handle,
-        src: DeviceId,
-        dst: DeviceId,
-        site: &str,
-        queue: Option<i64>,
-    ) -> Result<(), VmError> {
-        self.track_handle(host_h);
-        let src_h = self.presents[src.0 as usize]
-            .device_of(host_h)
-            .ok_or_else(|| VmError::Internal(format!("{host_h} not present on {src} for d2d")))?;
-        let dst_h = self.presents[dst.0 as usize]
-            .device_of(host_h)
-            .ok_or_else(|| VmError::Internal(format!("{host_h} not present on {dst} for d2d")))?;
-        let buf = self.devices.get(src).mem.get(src_h)?.clone();
-        let bytes = buf.size_bytes();
-        self.devices
-            .get_mut(dst)
-            .mem
-            .get_mut(dst_h)?
-            .copy_from(&buf)?;
-        let (ts, dt, track) = self.charge_transfer(bytes, dst, queue);
-        self.stats.d2d_bytes += bytes;
-        self.stats.d2d_count += 1;
-        self.emit_transfer(host_h, None, site, ts, dt, track, bytes, true);
-        let before = self.coh_snapshot(host_h);
-        let diag = self
-            .coherence
-            .on_transfer_between(host_h, Loc::Dev(src), Loc::Dev(dst));
-        self.emit_coherence_diff(host_h, before, "transfer");
-        self.transfer_issues(diag, host_h, site, Direction::ToDevice, None);
-        Ok(())
-    }
-
     /// Charge a transfer to the clock. Returns the span's simulated start
     /// time, duration and track for journaling.
     fn charge_transfer(
@@ -759,34 +717,6 @@ mod tests {
         assert!(m.present_on(DeviceId::PRIMARY).contains(h));
         assert!(!m.present_on(d1).contains(h));
         assert_eq!(m.present_anywhere(h), Some(DeviceId::PRIMARY));
-    }
-
-    #[test]
-    fn d2d_copy_moves_bytes_and_accounts() {
-        let d1 = DeviceId(1);
-        let (mut m, h) = machine_with_buffer_on(4, 2);
-        m.host.mem.store(h, 2, Value::F64(7.0)).unwrap();
-        let (dev0, _) = m.map_to_device_on_queue(P, h, None).unwrap();
-        let (dev1, _) = m.map_to_device_on_queue(d1, h, None).unwrap();
-        m.copy_to_device_named_on(DeviceId::PRIMARY, h, "enter", None, None)
-            .unwrap();
-        m.devices
-            .get_mut(P)
-            .mem
-            .store(dev0, 2, Value::F64(42.0))
-            .unwrap();
-        m.check_write_at(h, Loc::Dev(DeviceId::PRIMARY), false, "k0");
-        m.copy_device_to_device(h, DeviceId::PRIMARY, d1, "d2d0", None)
-            .unwrap();
-        assert_eq!(
-            m.devices.get(d1).mem.load(dev1, 2).unwrap(),
-            Value::F64(42.0)
-        );
-        assert_eq!(m.stats.d2d_count, 1);
-        assert_eq!(m.stats.d2d_bytes, 32);
-        // Destination device copy is fresh now; host still stale.
-        assert_eq!(m.coherence.state(h).unwrap().gpu_on(d1), St::NotStale);
-        assert_eq!(m.coherence.state(h).unwrap().cpu, St::Stale);
     }
 
     #[test]

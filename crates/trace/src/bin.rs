@@ -10,13 +10,16 @@
 //! end up in long-lived artifacts, which is what makes warm cache loads
 //! near-zero-allocation per node compared to the JSON path.
 //!
+//! [`write_events`]/[`read_events`] are the one encoding of a journal:
+//! cached run artifacts embed it, and a served reply carries it (base64
+//! inside the JSON line, `core::api`).
+//!
 //! ## Representation contract
 //!
 //! * All multi-byte integers are **little-endian**, fixed width.
 //! * `f64`/`f32` are stored as their IEEE-754 bit patterns
 //!   ([`f64::to_bits`]) — `NaN`, infinities and `-0.0` round-trip
-//!   exactly, the same guarantee the JSON codec ([`crate::codec`])
-//!   provides via `u64` bit fields.
+//!   exactly.
 //! * `bool` is one byte, `0` or `1`; any other value is a decode error.
 //! * Strings are a `u32` byte length followed by that many bytes of
 //!   UTF-8; invalid UTF-8 is a decode error.
@@ -28,14 +31,46 @@
 //!   so an oversized length prefix cannot drive an OOM.
 //! * Closed label sets (coherence sides/states/causes, severities, stage
 //!   labels, cache ops) are one-byte codes indexing the normative tables
-//!   in [`crate::codec`]; an out-of-range code is a decode error.
+//!   below; an out-of-range code is a decode error.
 //!
 //! Every decode error is a `Result::Err(String)` carrying the byte
 //! offset where decoding failed — the disk cache maps any such error to
 //! "corrupt entry: delete and recompute", never a panic.
 
-use crate::codec::{CACHE_OPS, CAUSES, SEVERITIES, SIDES, STAGES, STATES};
 use crate::event::{Category, EventKind, TraceEvent, Track};
+
+/// Coherence sides emitted by the runtime; u8 side codes index into this
+/// table (normative order — see `docs/FORMAT.md`). `"gpu"` is the
+/// primary device; `"gpuN"` names device N of a multi-device run (the
+/// simulator caps device counts at 8, so the table is closed).
+const SIDES: &[&str] = &[
+    "cpu", "gpu", "gpu1", "gpu2", "gpu3", "gpu4", "gpu5", "gpu6", "gpu7",
+];
+/// Coherence states (the paper's three-state protocol). Binary codes
+/// index into this table.
+const STATES: &[&str] = &["notstale", "maystale", "stale"];
+/// Coherence transition causes. Binary codes index into this table.
+const CAUSES: &[&str] = &["write", "transfer", "reset", "dealloc"];
+/// Finding severities (`IssueKind::severity`). Binary codes index into
+/// this table.
+const SEVERITIES: &[&str] = &["info", "warning", "error"];
+/// Pipeline stage labels (`pipeline::Stage::label`). Binary codes index
+/// into this table.
+const STAGES: &[&str] = &[
+    "frontend",
+    "directives",
+    "analysis",
+    "instrument",
+    "plan",
+    "execute",
+    "verify",
+    // Verified-launch pipeline phases (core::exec stage journal).
+    "verify:staging",
+    "verify:overlap",
+    "verify:compare",
+];
+/// Disk-cache operations. Binary codes index into this table.
+const CACHE_OPS: &[&str] = &["hit", "miss", "store", "evict", "corrupt"];
 
 /// Appends fixed-width little-endian primitives to a byte buffer.
 ///
@@ -285,8 +320,7 @@ impl<'a> Reader<'a> {
 
 /// Encode a label from a closed set as its one-byte table index.
 ///
-/// The tables (and their normative orders) live in [`crate::codec`];
-/// encode-side labels are produced by the stack itself, so a miss here
+/// Encode-side labels are produced by the stack itself, so a miss here
 /// is a programming error, not an input error.
 pub fn label_code(label: &str, table: &'static [&'static str]) -> u8 {
     table

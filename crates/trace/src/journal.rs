@@ -9,15 +9,11 @@
 //! executor (inside `core`) all write one interleaved timeline.
 
 use crate::event::TraceEvent;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 #[derive(Debug)]
 struct Inner {
-    /// Maximum retained events; `0` = unbounded.
-    cap: usize,
-    /// Events discarded once `cap` was reached.
-    dropped: AtomicU64,
     /// Largest batch a [`JournalPart`] has flushed into this journal —
     /// used to pre-reserve part buffers so later runs against the same
     /// journal never reallocate on the emission path.
@@ -37,19 +33,10 @@ impl Journal {
         Journal { inner: None }
     }
 
-    /// An enabled, unbounded journal.
+    /// An enabled journal.
     pub fn enabled() -> Journal {
-        Journal::with_capacity(0)
-    }
-
-    /// An enabled journal retaining at most `cap` events (`0` =
-    /// unbounded). Events past the cap are counted in [`Journal::dropped`]
-    /// instead of stored, bounding memory on very long runs.
-    pub fn with_capacity(cap: usize) -> Journal {
         Journal {
             inner: Some(Arc::new(Inner {
-                cap,
-                dropped: AtomicU64::new(0),
                 hint: AtomicUsize::new(0),
                 events: Mutex::new(Vec::new()),
             })),
@@ -64,15 +51,10 @@ impl Journal {
     /// Record one event. No-op (one branch) when disabled.
     pub fn emit(&self, ev: TraceEvent) {
         let Some(inner) = &self.inner else { return };
-        let mut events = inner.events.lock().expect("journal poisoned");
-        if inner.cap != 0 && events.len() >= inner.cap {
-            inner.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        events.push(ev);
+        inner.events.lock().expect("journal poisoned").push(ev);
     }
 
-    /// Number of retained events.
+    /// Number of events collected.
     pub fn len(&self) -> usize {
         match &self.inner {
             Some(inner) => inner.events.lock().expect("journal poisoned").len(),
@@ -80,23 +62,14 @@ impl Journal {
         }
     }
 
-    /// True when no events are retained.
+    /// True when no events were collected.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Events discarded because the capacity bound was hit.
-    pub fn dropped(&self) -> u64 {
-        match &self.inner {
-            Some(inner) => inner.dropped.load(Ordering::Relaxed),
-            None => 0,
-        }
-    }
-
-    /// Copy of every retained event, in emission order. Clones the whole
-    /// buffer — when the caller owns the journal and is done with it,
-    /// prefer [`Journal::drain`]; for displays that only need the end of
-    /// the stream, prefer [`Journal::tail`].
+    /// Copy of every event, in emission order. Clones the whole buffer —
+    /// when the caller owns the journal and is done with it, prefer
+    /// [`Journal::drain`].
     pub fn snapshot(&self) -> Vec<TraceEvent> {
         match &self.inner {
             Some(inner) => inner.events.lock().expect("journal poisoned").clone(),
@@ -104,25 +77,12 @@ impl Journal {
         }
     }
 
-    /// Take every retained event out of the journal, leaving it empty (the
-    /// dropped count is kept). This moves the buffer instead of cloning it,
-    /// which is the right call for per-cell capture journals that are read
-    /// exactly once.
+    /// Take every event out of the journal, leaving it empty. This moves
+    /// the buffer instead of cloning it, which is the right call for
+    /// per-cell capture journals that are read exactly once.
     pub fn drain(&self) -> Vec<TraceEvent> {
         match &self.inner {
             Some(inner) => std::mem::take(&mut *inner.events.lock().expect("journal poisoned")),
-            None => Vec::new(),
-        }
-    }
-
-    /// Clone of only the last `n` events, in emission order — for tail
-    /// displays that should not pay for a full-stream copy.
-    pub fn tail(&self, n: usize) -> Vec<TraceEvent> {
-        match &self.inner {
-            Some(inner) => {
-                let events = inner.events.lock().expect("journal poisoned");
-                events[events.len().saturating_sub(n)..].to_vec()
-            }
             None => Vec::new(),
         }
     }
@@ -142,19 +102,12 @@ impl Journal {
         }
     }
 
-    /// Append a batch of events preserving their order, respecting the
-    /// capacity bound. Used by parallel drivers folding per-worker journals
-    /// into one stream. No-op when disabled.
+    /// Append a batch of events preserving their order: a
+    /// [`JournalPart`]'s flush, or a cached run's journal replayed on an
+    /// Execute hit. No-op when disabled.
     pub fn extend(&self, evs: Vec<TraceEvent>) {
         let Some(inner) = &self.inner else { return };
-        let mut events = inner.events.lock().expect("journal poisoned");
-        for ev in evs {
-            if inner.cap != 0 && events.len() >= inner.cap {
-                inner.dropped.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            events.push(ev);
-        }
+        inner.events.lock().expect("journal poisoned").extend(evs);
     }
 }
 
@@ -169,12 +122,11 @@ impl Journal {
 /// from the single driving thread, so a part is single-writer by
 /// construction.
 ///
-/// The capacity bound and drop accounting of the shared journal are
-/// applied at flush time by [`Journal::extend`]. Unflushed events are
-/// flushed on drop, so nothing is lost if a caller forgets; an explicit
-/// flush after the run keeps the shared journal's contents deterministic.
-/// Part buffers pre-reserve to the largest batch previously flushed into
-/// the same journal, so repeat runs never reallocate on the emission path.
+/// Unflushed events are flushed on drop, so nothing is lost if a caller
+/// forgets; an explicit flush after the run keeps the shared journal's
+/// contents deterministic. Part buffers pre-reserve to the largest batch
+/// previously flushed into the same journal, so repeat runs never
+/// reallocate on the emission path.
 #[derive(Debug, Default)]
 pub struct JournalPart {
     shared: Journal,
@@ -281,31 +233,8 @@ mod tests {
     }
 
     #[test]
-    fn capacity_bound_drops_and_counts() {
-        let j = Journal::with_capacity(2);
-        for i in 0..5 {
-            j.emit(slice(i as f64, 1.0, Category::CpuTime));
-        }
-        assert_eq!(j.len(), 2);
-        assert_eq!(j.dropped(), 3);
-    }
-
-    #[test]
     fn default_is_disabled() {
         assert!(!Journal::default().is_enabled());
-    }
-
-    #[test]
-    fn extend_respects_capacity() {
-        let j = Journal::with_capacity(3);
-        j.emit(slice(0.0, 1.0, Category::CpuTime));
-        j.extend(vec![
-            slice(1.0, 1.0, Category::MemTransfer),
-            slice(2.0, 1.0, Category::MemTransfer),
-            slice(3.0, 1.0, Category::MemTransfer),
-        ]);
-        assert_eq!(j.len(), 3);
-        assert_eq!(j.dropped(), 1);
     }
 
     #[test]
@@ -317,19 +246,6 @@ mod tests {
         assert_eq!(evs.len(), 2);
         assert!(j.is_empty(), "drain leaves the journal empty");
         assert_eq!(Journal::disabled().drain(), vec![]);
-    }
-
-    #[test]
-    fn tail_returns_only_the_end() {
-        let j = Journal::enabled();
-        for i in 0..5 {
-            j.emit(slice(i as f64, 1.0, Category::CpuTime));
-        }
-        let t = j.tail(2);
-        assert_eq!(t.len(), 2);
-        assert_eq!(t[0].ts_us, 3.0);
-        assert_eq!(j.tail(100).len(), 5, "oversized tail clamps");
-        assert_eq!(j.len(), 5, "tail does not consume");
     }
 
     #[test]
@@ -364,18 +280,6 @@ mod tests {
         p.emit(slice(0.0, 1.0, Category::CpuTime));
         assert!(!p.is_enabled());
         assert_eq!(p.buffered(), 0);
-    }
-
-    #[test]
-    fn part_flush_respects_shared_capacity() {
-        let j = Journal::with_capacity(2);
-        let mut p = JournalPart::new(j.clone());
-        for i in 0..5 {
-            p.emit(slice(i as f64, 1.0, Category::CpuTime));
-        }
-        p.flush();
-        assert_eq!(j.len(), 2);
-        assert_eq!(j.dropped(), 3);
     }
 
     #[test]

@@ -40,7 +40,6 @@
 
 pub mod bin;
 pub mod chrome;
-pub mod codec;
 pub mod coverage;
 pub mod event;
 pub mod explain;
