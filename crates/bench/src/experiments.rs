@@ -10,8 +10,8 @@ use openarc_core::exec::{ExecMode, ExecOptions, VerifyOptions};
 use openarc_core::faults::strip_privatization;
 use openarc_core::interactive::{capture_outputs, optimize_transfers_in_session, outputs_match};
 use openarc_core::translate::TranslateOptions;
-use openarc_gpusim::TimeCategory;
 use openarc_suite::{run_variant_cached, Benchmark, Variant};
+use openarc_trace::Category;
 use std::collections::BTreeSet;
 
 // ------------------------------------------------------------- Figure 1
@@ -193,7 +193,7 @@ pub fn figure3(sw: &Sweep) -> Result<Vec<Fig3Row>, String> {
             .verify(&fe, &topts_plain(), VerifyOptions::default())
             .map_err(|e| format!("{}: {e}", b.name))?;
         let base = report.cpu_baseline_us.max(1e-9);
-        let categories = TimeCategory::ALL
+        let categories = Category::ALL
             .iter()
             .map(|c| (c.label().to_string(), report.breakdown.get(*c) / base))
             .collect();

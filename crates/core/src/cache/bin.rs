@@ -27,14 +27,14 @@ use crate::ir::{DataAction, DataRegionInfo, KernelInfo, KernelParam, RtOp};
 use crate::knowledge::{KernelAssert, KernelBound, KernelKnowledge};
 use crate::pipeline::{ArtifactId, Fnv, FrontendArtifact, Stage, TranslatedArtifact};
 use crate::translate::Translated;
-use openarc_gpusim::{RaceReport, SimClock, TimeBreakdown, TimeCategory};
+use openarc_gpusim::{RaceReport, SimClock, TimeBreakdown};
 use openarc_minic::binio as mb;
 use openarc_minic::NodeId;
 use openarc_openacc::{DataClauseKind, ReductionOp};
 use openarc_runtime::coherence::DevSide;
 use openarc_runtime::{Direction, Issue, IssueKind, Machine, Report, St, TransferStats};
 use openarc_trace::bin::{read_events, write_events, Reader, Writer};
-use openarc_trace::TraceEvent;
+use openarc_trace::{Category, TraceEvent};
 use openarc_vm::binio as vb;
 use openarc_vm::{BasicEnv, Handle};
 
@@ -219,24 +219,6 @@ fn get_section<'a, T>(
 // Small field helpers
 // ---------------------------------------------------------------------------
 
-/// Write the one-byte code of `v`: its position in the closed `table`.
-fn put_code<T: PartialEq + Copy>(w: &mut Writer, table: &[T], v: T, what: &str) {
-    let i = table
-        .iter()
-        .position(|t| *t == v)
-        .unwrap_or_else(|| panic!("{what}: value not in closed table"));
-    w.put_u8(i as u8);
-}
-
-/// Read a one-byte code and resolve it against the closed `table`.
-fn get_code<T: Copy>(r: &mut Reader<'_>, table: &[T], what: &str) -> R<T> {
-    let c = r.u8()?;
-    table
-        .get(c as usize)
-        .copied()
-        .ok_or_else(|| r.err(&format!("unknown {what} code {c}")))
-}
-
 fn put_opt_str(w: &mut Writer, v: &Option<String>) {
     match v {
         Some(s) => {
@@ -293,47 +275,9 @@ fn read_vec<'a, T>(r: &mut Reader<'a>, mut f: impl FnMut(&mut Reader<'a>) -> R<T
     Ok(out)
 }
 
-// ---------------------------------------------------------------------------
-// Closed label tables (codes are positions; normative order in FORMAT.md)
-// ---------------------------------------------------------------------------
-
-const CLAUSES: [DataClauseKind; 10] = [
-    DataClauseKind::Copy,
-    DataClauseKind::CopyIn,
-    DataClauseKind::CopyOut,
-    DataClauseKind::Create,
-    DataClauseKind::Present,
-    DataClauseKind::PresentOrCopy,
-    DataClauseKind::PresentOrCopyIn,
-    DataClauseKind::PresentOrCopyOut,
-    DataClauseKind::PresentOrCreate,
-    DataClauseKind::DevicePtr,
-];
-
-const REDUCTIONS: [ReductionOp; 9] = [
-    ReductionOp::Add,
-    ReductionOp::Mul,
-    ReductionOp::Max,
-    ReductionOp::Min,
-    ReductionOp::BitAnd,
-    ReductionOp::BitOr,
-    ReductionOp::BitXor,
-    ReductionOp::LogAnd,
-    ReductionOp::LogOr,
-];
-
-const SIDES: [DevSide; 2] = [DevSide::Cpu, DevSide::Gpu];
-
-const STATES: [St; 3] = [St::NotStale, St::MayStale, St::Stale];
-
-const ISSUE_KINDS: [IssueKind; 6] = [
-    IssueKind::Redundant,
-    IssueKind::MayRedundant,
-    IssueKind::Incorrect,
-    IssueKind::MayIncorrect,
-    IssueKind::Missing,
-    IssueKind::MayMissing,
-];
+/// Codes of an issue's optional transfer direction.
+const DIRECTIONS: [Option<Direction>; 3] =
+    [None, Some(Direction::ToDevice), Some(Direction::ToHost)];
 
 // ---------------------------------------------------------------------------
 // IR table codecs
@@ -347,7 +291,7 @@ fn put_action(w: &mut Writer, a: &DataAction) {
     match a.from_clause {
         Some(c) => {
             w.put_u8(1);
-            put_code(w, &CLAUSES, c, "data clause");
+            w.put_code(&DataClauseKind::ALL, c);
         }
         None => w.put_u8(0),
     }
@@ -363,7 +307,7 @@ fn get_action(r: &mut Reader<'_>) -> R<DataAction> {
         copyout: r.bool()?,
         from_clause: match r.u8()? {
             0 => None,
-            1 => Some(get_code(r, &CLAUSES, "data clause")?),
+            1 => Some(r.code(&DataClauseKind::ALL, "data clause")?),
             t => return Err(r.err(&format!("invalid option tag {t}"))),
         },
         covering_region: get_opt_u64(r)?.map(|x| x as usize),
@@ -407,7 +351,7 @@ fn put_param(w: &mut Writer, p: &KernelParam) {
         KernelParam::ReductionSlot { var, op } => {
             w.put_u8(param_tag::REDUCTION_SLOT);
             w.put_str(var);
-            put_code(w, &REDUCTIONS, *op, "reduction op");
+            w.put_code(&ReductionOp::ALL, *op);
         }
     }
 }
@@ -423,7 +367,7 @@ fn get_param(r: &mut Reader<'_>) -> R<KernelParam> {
         },
         param_tag::REDUCTION_SLOT => KernelParam::ReductionSlot {
             var: r.string()?,
-            op: get_code(r, &REDUCTIONS, "reduction op")?,
+            op: r.code(&ReductionOp::ALL, "reduction op")?,
         },
         other => return Err(r.err(&format!("unknown kernel param tag {other}"))),
     })
@@ -502,7 +446,7 @@ fn put_kernel(w: &mut Writer, k: &KernelInfo) {
     w.put_seq_len(k.reductions.len());
     for (var, op) in &k.reductions {
         w.put_str(var);
-        put_code(w, &REDUCTIONS, *op, "reduction op");
+        w.put_code(&ReductionOp::ALL, *op);
     }
     put_knowledge(w, &k.knowledge);
     put_opt_u64(w, k.wave_override.map(u64::from));
@@ -523,7 +467,7 @@ fn get_kernel(r: &mut Reader<'_>) -> R<KernelInfo> {
         gpu_writes: get_strings(r)?,
         hoisted_writes: get_strings(r)?,
         reductions: read_vec(r, |r| {
-            Ok((r.string()?, get_code(r, &REDUCTIONS, "reduction op")?))
+            Ok((r.string()?, r.code(&ReductionOp::ALL, "reduction op")?))
         })?,
         knowledge: get_knowledge(r)?,
         wave_override: get_opt_u64(r)?.map(|x| x as u32),
@@ -597,7 +541,7 @@ fn put_op(w: &mut Writer, op: &RtOp) {
         RtOp::CheckRead { var, side, site } => {
             w.put_u8(op_tag::CHECK_READ);
             w.put_str(var);
-            put_code(w, &SIDES, *side, "side");
+            w.put_code(&DevSide::ALL, *side);
             w.put_str(site);
         }
         RtOp::CheckWrite {
@@ -608,15 +552,15 @@ fn put_op(w: &mut Writer, op: &RtOp) {
         } => {
             w.put_u8(op_tag::CHECK_WRITE);
             w.put_str(var);
-            put_code(w, &SIDES, *side, "side");
+            w.put_code(&DevSide::ALL, *side);
             w.put_bool(*total);
             w.put_str(site);
         }
         RtOp::ResetStatus { var, side, st } => {
             w.put_u8(op_tag::RESET);
             w.put_str(var);
-            put_code(w, &SIDES, *side, "side");
-            put_code(w, &STATES, *st, "coherence state");
+            w.put_code(&DevSide::ALL, *side);
+            w.put_code(&St::ALL, *st);
         }
         RtOp::LoopEnter { label } => {
             w.put_u8(op_tag::LOOP_ENTER);
@@ -643,19 +587,19 @@ fn get_op(r: &mut Reader<'_>) -> R<RtOp> {
         op_tag::WAIT => RtOp::Wait(r.opt_i64()?),
         op_tag::CHECK_READ => RtOp::CheckRead {
             var: r.string()?,
-            side: get_code(r, &SIDES, "side")?,
+            side: r.code(&DevSide::ALL, "side")?,
             site: r.string()?,
         },
         op_tag::CHECK_WRITE => RtOp::CheckWrite {
             var: r.string()?,
-            side: get_code(r, &SIDES, "side")?,
+            side: r.code(&DevSide::ALL, "side")?,
             total: r.bool()?,
             site: r.string()?,
         },
         op_tag::RESET => RtOp::ResetStatus {
             var: r.string()?,
-            side: get_code(r, &SIDES, "side")?,
-            st: get_code(r, &STATES, "coherence state")?,
+            side: r.code(&DevSide::ALL, "side")?,
+            st: r.code(&St::ALL, "coherence state")?,
         },
         op_tag::LOOP_ENTER => RtOp::LoopEnter { label: r.string()? },
         op_tag::LOOP_TICK => RtOp::LoopTick,
@@ -681,28 +625,19 @@ fn get_loops(r: &mut Reader<'_>) -> R<Vec<(String, i64)>> {
 }
 
 fn put_issue(w: &mut Writer, i: &Issue) {
-    put_code(w, &ISSUE_KINDS, i.kind, "issue kind");
+    w.put_code(&IssueKind::ALL, i.kind);
     w.put_str(&i.var);
     w.put_str(&i.site);
-    w.put_u8(match i.direction {
-        None => 0,
-        Some(Direction::ToDevice) => 1,
-        Some(Direction::ToHost) => 2,
-    });
+    w.put_code(&DIRECTIONS, i.direction);
     put_loops(w, &i.loop_context);
 }
 
 fn get_issue(r: &mut Reader<'_>) -> R<Issue> {
     Ok(Issue {
-        kind: get_code(r, &ISSUE_KINDS, "issue kind")?,
+        kind: r.code(&IssueKind::ALL, "issue kind")?,
         var: r.string()?,
         site: r.string()?,
-        direction: match r.u8()? {
-            0 => None,
-            1 => Some(Direction::ToDevice),
-            2 => Some(Direction::ToHost),
-            other => return Err(r.err(&format!("unknown direction code {other}"))),
-        },
+        direction: r.code(&DIRECTIONS, "direction")?,
         loop_context: get_loops(r)?,
     })
 }
@@ -842,8 +777,8 @@ pub fn encode_run(id: ArtifactId, r: &RunResult, events: &[TraceEvent]) -> Vec<u
     );
     put_section(&mut w, section::CLOCK, |w| {
         w.put_f64(m.clock.now());
-        w.put_seq_len(TimeCategory::ALL.len());
-        for c in TimeCategory::ALL.iter() {
+        w.put_seq_len(Category::ALL.len());
+        for c in Category::ALL.iter() {
             w.put_f64(m.clock.breakdown.get(*c));
         }
         let queues = m.clock.queue_snapshot();
@@ -954,14 +889,14 @@ pub fn decode_run(id: ArtifactId, bytes: &[u8]) -> R<(RunResult, Vec<TraceEvent>
     let (now, breakdown, queues) = get_section(&mut r, section::CLOCK, |b| {
         let now = b.f64()?;
         let n = b.seq_len()?;
-        if n != TimeCategory::ALL.len() {
+        if n != Category::ALL.len() {
             return Err(b.err(&format!(
                 "expected {} time categories, got {n}",
-                TimeCategory::ALL.len()
+                Category::ALL.len()
             )));
         }
         let mut breakdown = TimeBreakdown::default();
-        for cat in TimeCategory::ALL.iter() {
+        for cat in Category::ALL.iter() {
             breakdown.add(*cat, b.f64()?);
         }
         let nq = b.seq_len()?;

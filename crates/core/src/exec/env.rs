@@ -4,9 +4,10 @@
 use super::{ExecMode, ExecOptions, KernelVerification, TransferKey};
 use crate::ir::RtOp;
 use crate::translate::Translated;
-use openarc_gpusim::{DeviceId, LaunchMemo, ModuleFp, RaceReport, TimeCategory};
+use openarc_gpusim::{DeviceId, LaunchMemo, ModuleFp, RaceReport};
 use openarc_minic::ScalarTy;
 use openarc_runtime::Machine;
+use openarc_trace::Category;
 use openarc_vm::{Env, Handle, ThreadState, Value, VmError};
 use std::collections::HashMap;
 
@@ -284,7 +285,7 @@ impl ExecEnv<'_> {
                     return Ok(());
                 }
                 let dt = self.machine.cost.check_us;
-                self.machine.clock.advance(TimeCategory::CpuTime, dt);
+                self.machine.clock.advance(Category::CpuTime, dt);
                 if let Ok(h) = self.resolve(var) {
                     self.machine.check_read_at(h, side.loc(), site);
                 }
@@ -299,7 +300,7 @@ impl ExecEnv<'_> {
                     return Ok(());
                 }
                 let dt = self.machine.cost.check_us;
-                self.machine.clock.advance(TimeCategory::CpuTime, dt);
+                self.machine.clock.advance(Category::CpuTime, dt);
                 if let Ok(h) = self.resolve(var) {
                     self.machine.check_write_at(h, side.loc(), *total, site);
                 }
@@ -309,7 +310,7 @@ impl ExecEnv<'_> {
                     return Ok(());
                 }
                 let dt = self.machine.cost.check_us;
-                self.machine.clock.advance(TimeCategory::CpuTime, dt);
+                self.machine.clock.advance(Category::CpuTime, dt);
                 if let Ok(h) = self.resolve(var) {
                     self.machine.reset_status_at(h, side.loc(), *st);
                 }

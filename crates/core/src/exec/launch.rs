@@ -4,10 +4,11 @@
 use super::env::ExecEnv;
 use super::reduce::red_eval;
 use crate::ir::KernelParam;
-use openarc_gpusim::{DeviceId, KernelOutcome, ModuleFp, TimeCategory};
+use openarc_gpusim::{DeviceId, KernelOutcome, ModuleFp};
 use openarc_minic::ScalarTy;
 use openarc_openacc::ReductionOp;
 use openarc_runtime::Loc;
+use openarc_trace::Category;
 use openarc_vm::{Handle, Value, VmError};
 use std::collections::HashMap;
 
@@ -238,7 +239,7 @@ impl ExecEnv<'_> {
             self.store_scalar(var, final_v.cast(elem))?;
             // One scalar-sized transfer for the result.
             let dt = self.machine.cost.transfer_time(elem.size_bytes());
-            self.machine.clock.advance(TimeCategory::MemTransfer, dt);
+            self.machine.clock.advance(Category::MemTransfer, dt);
         }
         for t in temps {
             self.machine.devices.get_mut(dev).mem.free(t)?;

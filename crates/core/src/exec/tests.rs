@@ -1,8 +1,8 @@
 use super::*;
 use crate::translate::{translate, TranslateOptions};
-use openarc_gpusim::TimeCategory;
 use openarc_minic::frontend;
 use openarc_runtime::IssueKind;
+use openarc_trace::Category;
 use std::sync::OnceLock;
 
 fn run_src(src: &str, topts: &TranslateOptions, eopts: &ExecOptions) -> (Translated, RunResult) {
@@ -164,8 +164,8 @@ fn verify_mode_passes_clean_kernel() {
     assert!(!r.verify[0].flagged(), "{:?}", r.verify[0]);
     assert!(r.verify[0].compared_elems > 0);
     // Verification moves data: breakdown has transfer + result comp.
-    assert!(r.machine.clock.breakdown.get(TimeCategory::ResultComp) > 0.0);
-    assert!(r.machine.clock.breakdown.get(TimeCategory::GpuMemFree) > 0.0);
+    assert!(r.machine.clock.breakdown.get(Category::ResultComp) > 0.0);
+    assert!(r.machine.clock.breakdown.get(Category::GpuMemFree) > 0.0);
 }
 
 #[test]

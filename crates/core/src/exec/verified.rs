@@ -25,8 +25,9 @@ use super::env::ExecEnv;
 use super::reduce::red_eval;
 use super::VerifyOptions;
 use crate::knowledge::KernelAssert;
-use openarc_gpusim::{DeviceId, TimeCategory};
-use openarc_vm::{Buffer, Handle, Value, VmError};
+use openarc_gpusim::DeviceId;
+use openarc_trace::Category;
+use openarc_vm::{Handle, Value, VmError};
 use std::time::Instant;
 
 /// One verified launch that has *executed* (issue phase: staging, device
@@ -45,53 +46,46 @@ pub(super) struct PendingVerify {
     queue: i64,
     /// Interpreted instruction count of the CPU reference run.
     ref_steps: u64,
-    /// Elements compared.
-    compared: u64,
-    /// Elements that diverged beyond the margin.
-    mismatches: u64,
-    /// Largest absolute divergence.
-    max_err: f64,
+    /// The launch's output comparison.
+    cmp: Comparison,
     /// §III-C assertion failures.
     assertion_failures: u64,
     /// Host handles of staged aggregates, to unmap from `dev`.
     touched: Vec<Handle>,
 }
 
-/// Element-wise comparison of one written aggregate: skip below
-/// `min_value_to_check`, count a mismatch when the error exceeds
-/// `abs_tol + rel_tol·|cpu|` and the kernel's `bounds` knowledge does
-/// not absolve it. Returns `(compared, mismatches, max error)`.
-fn compare_aggregate(
-    hbuf: &Buffer,
-    dbuf: &Buffer,
-    v: &VerifyOptions,
-    bound: Option<(f64, f64)>,
-) -> Result<(u64, u64, f64), VmError> {
-    let mut compared = 0u64;
-    let mut mismatches = 0u64;
-    let mut max_err = 0f64;
-    for i in 0..hbuf.len() as u64 {
-        let c = hbuf.get(i)?.as_f64();
-        let g = dbuf.get(i)?.as_f64();
+/// Running totals of one verified launch's output comparison. Counts sum
+/// and the maximum only moves on strict increase, so the order values are
+/// compared in cannot show in the result.
+#[derive(Debug, Default)]
+struct Comparison {
+    /// Values compared.
+    compared: u64,
+    /// Values that diverged beyond the margin.
+    mismatches: u64,
+    /// Largest absolute divergence of a mismatch.
+    max_err: f64,
+}
+
+impl Comparison {
+    /// Compare the CPU value `c` with the device value `g` under the one
+    /// §III-A tolerance rule: skip `c` below `min_value_to_check`, and count
+    /// a mismatch when the error exceeds `abs_tol + rel_tol·|c|` unless
+    /// both values lie inside the kernel's `bounds` knowledge `(lo, hi)`.
+    fn add(&mut self, v: &VerifyOptions, bound: Option<(f64, f64)>, c: f64, g: f64) {
         if c.abs() < v.min_value_to_check {
-            continue;
+            return;
         }
-        compared += 1;
+        self.compared += 1;
         let err = (c - g).abs();
-        if err > v.abs_tol + v.rel_tol * c.abs() {
-            // User-specified value bounds can absolve the diff.
-            if let Some((blo, bhi)) = bound {
-                if c >= blo && c <= bhi && g >= blo && g <= bhi {
-                    continue;
-                }
-            }
-            mismatches += 1;
-            if err > max_err {
-                max_err = err;
+        let within = |(lo, hi): (f64, f64)| (lo..=hi).contains(&c) && (lo..=hi).contains(&g);
+        if err > v.abs_tol + v.rel_tol * c.abs() && !bound.is_some_and(within) {
+            self.mismatches += 1;
+            if err > self.max_err {
+                self.max_err = err;
             }
         }
     }
-    Ok((compared, mismatches, max_err))
 }
 
 impl ExecEnv<'_> {
@@ -190,11 +184,7 @@ impl ExecEnv<'_> {
         let t_compare = timed.then(Instant::now);
         // Compare written aggregates element-wise, through the handle
         // pairs staging collected (every written aggregate was staged).
-        // Counts sum and the max only moves on strict increase, so the
-        // order of aggregates cannot show in the result.
-        let mut mismatches = 0u64;
-        let mut compared = 0u64;
-        let mut max_err = 0f64;
+        let mut cmp = Comparison::default();
         let written = |name: &str| info.gpu_writes.iter().any(|w| w == name);
         for &(var, host_h, dev_h) in staged.iter().filter(|(name, ..)| written(name)) {
             let hbuf = self.machine.host.mem.get(host_h)?;
@@ -205,11 +195,8 @@ impl ExecEnv<'_> {
                 .iter()
                 .find(|b| b.var == var)
                 .map(|b| (b.lo, b.hi));
-            let (c, m, e) = compare_aggregate(hbuf, dbuf, v, bound)?;
-            compared += c;
-            mismatches += m;
-            if e > max_err {
-                max_err = e;
+            for i in 0..hbuf.len() as u64 {
+                cmp.add(v, bound, hbuf.get(i)?.as_f64(), dbuf.get(i)?.as_f64());
             }
         }
         // Reductions: compare scalar results; CPU value stays canonical.
@@ -219,17 +206,7 @@ impl ExecEnv<'_> {
             let init = self.scalar_value(var)?;
             let cpu_final = red_eval(*op, init, cpu_val)?;
             let gpu_final = red_eval(*op, init, gpu_val)?;
-            let (c, g) = (cpu_final.as_f64(), gpu_final.as_f64());
-            if c.abs() >= v.min_value_to_check {
-                compared += 1;
-                let err = (c - g).abs();
-                if err > v.abs_tol + v.rel_tol * c.abs() {
-                    mismatches += 1;
-                    if err > max_err {
-                        max_err = err;
-                    }
-                }
-            }
+            cmp.add(v, None, cpu_final.as_f64(), gpu_final.as_f64());
             let elem = self.scalar_elem_of(var);
             self.store_scalar(var, cpu_final.cast(elem))?;
         }
@@ -238,16 +215,7 @@ impl ExecEnv<'_> {
         for ((var, dh), (_, hh)) in dcells.iter().zip(&hcells) {
             let g = self.machine.devices.get(dev).mem.load(*dh, 0)?.as_f64();
             let c = self.machine.host.mem.load(*hh, 0)?.as_f64();
-            if c.abs() >= v.min_value_to_check {
-                compared += 1;
-                let err = (c - g).abs();
-                if err > v.abs_tol + v.rel_tol * c.abs() {
-                    mismatches += 1;
-                    if err > max_err {
-                        max_err = err;
-                    }
-                }
-            }
+            cmp.add(v, None, c, g);
             let elem = self.scalar_elem_of(var);
             self.store_scalar(var, Value::F64(c).cast(elem))?;
         }
@@ -294,9 +262,7 @@ impl ExecEnv<'_> {
             dev,
             queue: q,
             ref_steps: steps,
-            compared,
-            mismatches,
-            max_err,
+            cmp,
             assertion_failures,
             touched: staged.iter().map(|&(_, host_h, _)| host_h).collect(),
         });
@@ -321,16 +287,16 @@ impl ExecEnv<'_> {
         self.machine.charge_cpu(p.ref_steps);
         self.machine.clock.wait_on(p.dev, p.queue);
         // Charge the result comparison (~2 interpreted instrs per element).
-        let dt = self.machine.cost.cpu_time(p.compared * 2);
-        self.machine.clock.advance(TimeCategory::ResultComp, dt);
+        let dt = self.machine.cost.cpu_time(p.cmp.compared * 2);
+        self.machine.clock.advance(Category::ResultComp, dt);
 
         let rec = &mut self.verify[p.k];
         rec.launches += 1;
-        rec.compared_elems += p.compared;
-        rec.mismatched_elems += p.mismatches;
-        rec.max_abs_err = rec.max_abs_err.max(p.max_err);
+        rec.compared_elems += p.cmp.compared;
+        rec.mismatched_elems += p.cmp.mismatches;
+        rec.max_abs_err = rec.max_abs_err.max(p.cmp.max_err);
         rec.assertion_failures += p.assertion_failures;
-        if p.mismatches > 0 {
+        if p.cmp.mismatches > 0 {
             rec.failed_launches += 1;
         }
         if self.machine.journal().is_enabled() {
@@ -340,10 +306,10 @@ impl ExecEnv<'_> {
                 track: openarc_trace::Track::Host,
                 kind: openarc_trace::EventKind::Verification {
                     kernel: name.clone(),
-                    passed: p.mismatches == 0 && p.assertion_failures == 0,
-                    compared_elems: p.compared,
-                    mismatched_elems: p.mismatches,
-                    max_abs_err: p.max_err,
+                    passed: p.cmp.mismatches == 0 && p.assertion_failures == 0,
+                    compared_elems: p.cmp.compared,
+                    mismatched_elems: p.cmp.mismatches,
+                    max_abs_err: p.cmp.max_err,
                 },
             });
         }

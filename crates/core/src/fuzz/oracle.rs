@@ -27,9 +27,9 @@ use crate::pipeline::{Fnv, PipelineError, Session, TranslatedArtifact};
 use crate::translate::TranslateOptions;
 use openarc_minic::ast::Ty;
 use openarc_trace::coverage::{event_atoms, Signature};
-use openarc_trace::{EventKind, Journal, TraceEvent};
+use openarc_trace::{Cause, EventKind, Journal, Side, St, TraceEvent};
 use openarc_vm::VmError;
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -180,11 +180,11 @@ impl OracleOutcome {
 /// state machine. Checks, independently of the tracker's implementation:
 /// per-`(var, side)` transition *chaining* (each event's `from` state must
 /// equal the state the previous event left), and per-cause legality — a
-/// `transfer` must land the side in `notstale`, and a `write` may only
-/// produce `notstale`/`maystale` on the written side or `stale` on the
-/// others. `reset`/`dealloc` transitions may move anywhere.
+/// `transfer` must land the side in `notstale`. A `write` (`notstale` or
+/// `maystale` on the written side, `stale` on the others), a `reset` and a
+/// `dealloc` may each produce any state.
 pub fn validate_coherence(events: &[TraceEvent]) -> Result<(), String> {
-    let mut st: BTreeMap<(String, String), &str> = BTreeMap::new();
+    let mut st: HashMap<(&str, Side), St> = HashMap::new();
     for ev in events {
         let EventKind::Coherence {
             var,
@@ -196,7 +196,7 @@ pub fn validate_coherence(events: &[TraceEvent]) -> Result<(), String> {
         else {
             continue;
         };
-        let key = (var.clone(), side.to_string());
+        let key = (var.as_str(), *side);
         if let Some(cur) = st.get(&key) {
             if cur != from {
                 return Err(format!(
@@ -204,18 +204,12 @@ pub fn validate_coherence(events: &[TraceEvent]) -> Result<(), String> {
                 ));
             }
         }
-        let legal = match *cause {
-            "transfer" => *to == "notstale",
-            "write" => matches!(*to, "notstale" | "maystale" | "stale"),
-            "reset" | "dealloc" => true,
-            _ => false,
-        };
-        if !legal {
+        if *cause == Cause::Transfer && *to != St::NotStale {
             return Err(format!(
                 "illegal transition on {var}.{side}: {from} -> {to} caused by {cause}"
             ));
         }
-        st.insert(key, to);
+        st.insert(key, *to);
     }
     Ok(())
 }
@@ -668,13 +662,7 @@ mod tests {
     use super::*;
     use openarc_trace::Track;
 
-    fn coh(
-        var: &str,
-        side: &'static str,
-        from: &'static str,
-        to: &'static str,
-        cause: &'static str,
-    ) -> TraceEvent {
+    fn coh(var: &str, side: Side, from: St, to: St, cause: Cause) -> TraceEvent {
         TraceEvent {
             ts_us: 0.0,
             dur_us: 0.0,
@@ -692,10 +680,10 @@ mod tests {
     #[test]
     fn coherence_accepts_legal_chain() {
         let evs = vec![
-            coh("a", "gpu", "notstale", "stale", "write"),
-            coh("a", "gpu", "stale", "notstale", "transfer"),
-            coh("a", "cpu", "notstale", "stale", "write"),
-            coh("a", "cpu", "stale", "notstale", "transfer"),
+            coh("a", Side::Gpu, St::NotStale, St::Stale, Cause::Write),
+            coh("a", Side::Gpu, St::Stale, St::NotStale, Cause::Transfer),
+            coh("a", Side::Cpu, St::NotStale, St::Stale, Cause::Write),
+            coh("a", Side::Cpu, St::Stale, St::NotStale, Cause::Transfer),
         ];
         assert!(validate_coherence(&evs).is_ok());
     }
@@ -703,9 +691,9 @@ mod tests {
     #[test]
     fn coherence_rejects_broken_chain() {
         let evs = vec![
-            coh("a", "gpu", "notstale", "stale", "write"),
+            coh("a", Side::Gpu, St::NotStale, St::Stale, Cause::Write),
             // The tracker claims gpu was notstale, but we left it stale.
-            coh("a", "gpu", "notstale", "maystale", "write"),
+            coh("a", Side::Gpu, St::NotStale, St::MayStale, Cause::Write),
         ];
         let err = validate_coherence(&evs).unwrap_err();
         assert!(err.contains("broken chain"), "{err}");
@@ -713,7 +701,13 @@ mod tests {
 
     #[test]
     fn coherence_rejects_illegal_transfer_target() {
-        let evs = vec![coh("a", "gpu", "stale", "maystale", "transfer")];
+        let evs = vec![coh(
+            "a",
+            Side::Gpu,
+            St::Stale,
+            St::MayStale,
+            Cause::Transfer,
+        )];
         let err = validate_coherence(&evs).unwrap_err();
         assert!(err.contains("illegal transition"), "{err}");
     }

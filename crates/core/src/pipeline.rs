@@ -564,14 +564,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Drop any configured disk layer: the session caches in memory only.
-    /// Lets a driver thread `--no-cache` through unconditionally after a
-    /// defaulted [`SessionBuilder::disk_cache`].
-    pub fn no_cache(mut self) -> SessionBuilder {
-        self.disk = None;
-        self
-    }
-
     /// Fold a tenant namespace into the disk layer's entry keys (see
     /// [`DiskCache::with_namespace`]): sessions with different namespaces
     /// over the same [`SessionBuilder::disk_cache`] root never observe

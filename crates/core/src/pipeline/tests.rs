@@ -438,17 +438,6 @@ fn corrupt_disk_entries_recompute_cleanly() {
 }
 
 #[test]
-fn no_cache_clears_a_configured_disk_layer() {
-    let dir = disk_scratch("nocache");
-    let s = Session::builder().disk_cache(&dir).no_cache().build();
-    assert!(s.disk_cache().is_none());
-    s.run_source(SRC, &TranslateOptions::default(), &ExecOptions::default())
-        .unwrap();
-    assert!(s.stats().disk.is_empty());
-    assert!(!dir.exists(), "no directory created when the cache is off");
-}
-
-#[test]
 fn an_interactive_loop_replays_launches_and_counts_their_steps() {
     use crate::interactive::{optimize_transfers_in_session, OutputSpec};
     use crate::ir::KernelParam;

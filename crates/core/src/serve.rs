@@ -4,7 +4,7 @@
 //! interactive debugging session (the paper's whole premise) re-verifies
 //! the same program dozens of times with small edits. This module keeps
 //! the pipeline **warm** in a long-running process: clients connect over
-//! TCP (or a Unix socket), send newline-framed JSON [`Request`]s, and
+//! TCP, send newline-framed JSON [`Request`]s, and
 //! get back [`Response`]s rendered by the same [`crate::api::handle`]
 //! entry point the CLI uses — so a served report is byte-identical to
 //! `openarc <action>` on the same program, while repeat requests hit the

@@ -10,86 +10,25 @@ use crate::device::DeviceId;
 use openarc_trace::{Category, EventKind, JournalPart, TraceEvent, Track};
 use std::collections::HashMap;
 
-/// Where simulated time was spent. Matches Figure 3's legend plus kernel
-/// execution (which the figure folds into Async-Wait because verification
-/// kernels run asynchronously).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TimeCategory {
-    /// Device memory frees.
-    GpuMemFree,
-    /// Device memory allocations.
-    GpuMemAlloc,
-    /// Host↔device transfers (synchronous part).
-    MemTransfer,
-    /// Host blocked in `wait` for async work.
-    AsyncWait,
-    /// Output comparison against the CPU reference (kernel verification).
-    ResultComp,
-    /// Host CPU computation.
-    CpuTime,
-    /// Synchronous kernel execution.
-    KernelExec,
-}
-
-impl TimeCategory {
-    /// All categories, in Figure 3 order.
-    pub const ALL: [TimeCategory; 7] = [
-        TimeCategory::GpuMemFree,
-        TimeCategory::GpuMemAlloc,
-        TimeCategory::MemTransfer,
-        TimeCategory::AsyncWait,
-        TimeCategory::ResultComp,
-        TimeCategory::CpuTime,
-        TimeCategory::KernelExec,
-    ];
-
-    /// Display label (Figure 3 legend).
-    pub fn label(self) -> &'static str {
-        match self {
-            TimeCategory::GpuMemFree => "GPU Mem Free",
-            TimeCategory::GpuMemAlloc => "GPU Mem Alloc",
-            TimeCategory::MemTransfer => "Mem Transfer",
-            TimeCategory::AsyncWait => "Async-Wait",
-            TimeCategory::ResultComp => "Result-Comp",
-            TimeCategory::CpuTime => "CPU Time",
-            TimeCategory::KernelExec => "Kernel Exec",
-        }
-    }
-
-    /// The journal-schema category this clock category maps onto.
-    pub fn trace_category(self) -> Category {
-        match self {
-            TimeCategory::GpuMemFree => Category::GpuMemFree,
-            TimeCategory::GpuMemAlloc => Category::GpuMemAlloc,
-            TimeCategory::MemTransfer => Category::MemTransfer,
-            TimeCategory::AsyncWait => Category::AsyncWait,
-            TimeCategory::ResultComp => Category::ResultComp,
-            TimeCategory::CpuTime => Category::CpuTime,
-            TimeCategory::KernelExec => Category::KernelExec,
-        }
-    }
-}
-
 /// Accumulated simulated time per category, µs.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TimeBreakdown {
-    /// Indexed by `TimeCategory as usize`, which is [`TimeCategory::ALL`]
-    /// order.
-    per_cat: [f64; TimeCategory::ALL.len()],
+    /// Indexed by `Category as usize`, which is [`Category::ALL`] order.
+    per_cat: [f64; Category::ALL.len()],
 }
 
 impl TimeBreakdown {
     /// Add `dt` µs to `cat`.
-    pub fn add(&mut self, cat: TimeCategory, dt: f64) {
+    pub fn add(&mut self, cat: Category, dt: f64) {
         self.per_cat[cat as usize] += dt;
     }
 
     /// Time spent in `cat`.
-    pub fn get(&self, cat: TimeCategory) -> f64 {
+    pub fn get(&self, cat: Category) -> f64 {
         self.per_cat[cat as usize]
     }
 
-    /// Sum of all categories, added in [`TimeCategory::ALL`] order: the
+    /// Sum of all categories, added in [`Category::ALL`] order: the
     /// same run gives the same bits.
     pub fn total(&self) -> f64 {
         self.per_cat.iter().sum()
@@ -160,15 +99,13 @@ impl SimClock {
     }
 
     /// Advance the host timeline by `dt` µs, charging `cat`.
-    pub fn advance(&mut self, cat: TimeCategory, dt: f64) {
+    pub fn advance(&mut self, cat: Category, dt: f64) {
         debug_assert!(dt >= 0.0, "negative time {dt}");
         self.journal.emit(TraceEvent {
             ts_us: self.host_now,
             dur_us: dt,
             track: Track::Host,
-            kind: EventKind::Slice {
-                cat: cat.trace_category(),
-            },
+            kind: EventKind::Slice { cat },
         });
         self.host_now += dt;
         self.breakdown.add(cat, dt);
@@ -188,7 +125,7 @@ impl SimClock {
     }
 
     /// Block the host until device `dev`'s `queue` drains, charging the
-    /// stall to [`TimeCategory::AsyncWait`].
+    /// stall to [`Category::AsyncWait`].
     pub fn wait_on(&mut self, dev: DeviceId, queue: i64) {
         if let Some(end) = self.queues.get(&(dev, queue)).copied() {
             if end > self.host_now {
@@ -202,7 +139,7 @@ impl SimClock {
                     },
                 });
                 self.host_now = end;
-                self.breakdown.add(TimeCategory::AsyncWait, stall);
+                self.breakdown.add(Category::AsyncWait, stall);
             }
         }
     }
@@ -244,12 +181,12 @@ mod tests {
     #[test]
     fn advance_accumulates_by_category() {
         let mut c = SimClock::new();
-        c.advance(TimeCategory::CpuTime, 5.0);
-        c.advance(TimeCategory::MemTransfer, 3.0);
-        c.advance(TimeCategory::CpuTime, 2.0);
+        c.advance(Category::CpuTime, 5.0);
+        c.advance(Category::MemTransfer, 3.0);
+        c.advance(Category::CpuTime, 2.0);
         assert_eq!(c.now(), 10.0);
-        assert_eq!(c.breakdown.get(TimeCategory::CpuTime), 7.0);
-        assert_eq!(c.breakdown.get(TimeCategory::MemTransfer), 3.0);
+        assert_eq!(c.breakdown.get(Category::CpuTime), 7.0);
+        assert_eq!(c.breakdown.get(Category::MemTransfer), 3.0);
         assert_eq!(c.breakdown.total(), 10.0);
     }
 
@@ -257,10 +194,10 @@ mod tests {
     fn async_overlap_hides_gpu_time() {
         let mut c = SimClock::new();
         c.enqueue_async_on(P, 1, 100.0); // kernel on queue 1
-        c.advance(TimeCategory::CpuTime, 60.0); // CPU overlaps
+        c.advance(Category::CpuTime, 60.0); // CPU overlaps
         c.wait_on(P, 1);
         // Only the remaining 40 µs stall the host.
-        assert_eq!(c.breakdown.get(TimeCategory::AsyncWait), 40.0);
+        assert_eq!(c.breakdown.get(Category::AsyncWait), 40.0);
         assert_eq!(c.now(), 100.0);
     }
 
@@ -268,9 +205,9 @@ mod tests {
     fn async_fully_hidden_when_cpu_longer() {
         let mut c = SimClock::new();
         c.enqueue_async_on(P, 1, 30.0);
-        c.advance(TimeCategory::CpuTime, 50.0);
+        c.advance(Category::CpuTime, 50.0);
         c.wait_on(P, 1);
-        assert_eq!(c.breakdown.get(TimeCategory::AsyncWait), 0.0);
+        assert_eq!(c.breakdown.get(Category::AsyncWait), 0.0);
         assert_eq!(c.now(), 50.0);
     }
 
@@ -302,7 +239,7 @@ mod tests {
     #[test]
     fn async_after_host_progress_starts_at_host_now() {
         let mut c = SimClock::new();
-        c.advance(TimeCategory::CpuTime, 100.0);
+        c.advance(Category::CpuTime, 100.0);
         let start = c.enqueue_async_on(P, 1, 5.0);
         assert_eq!(start, 100.0);
         c.wait_on(P, 1);
@@ -323,25 +260,20 @@ mod tests {
         let t1 = c.enqueue_async_on(P, 3, 4.0); // staged copy 2, queued behind it
         let t2 = c.enqueue_async_on(P, 3, 20.0); // async kernel behind the copies
         assert_eq!((t0, t1, t2), (0.0, 4.0, 8.0), "queue serializes the chain");
-        c.advance(TimeCategory::CpuTime, 10.0); // CPU reference overlaps
+        c.advance(Category::CpuTime, 10.0); // CPU reference overlaps
         c.wait_on(P, 3);
         c.journal.flush();
         // The transfers and kernel never touch their synchronous
         // categories — everything async folds into the wait's stall.
-        assert_eq!(c.breakdown.get(TimeCategory::MemTransfer), 0.0);
-        assert_eq!(c.breakdown.get(TimeCategory::KernelExec), 0.0);
-        assert_eq!(c.breakdown.get(TimeCategory::AsyncWait), 28.0 - 10.0);
+        assert_eq!(c.breakdown.get(Category::MemTransfer), 0.0);
+        assert_eq!(c.breakdown.get(Category::KernelExec), 0.0);
+        assert_eq!(c.breakdown.get(Category::AsyncWait), 28.0 - 10.0);
         assert_eq!(c.now(), 28.0);
         // Event-for-event reconciliation: per-category slice sums equal
         // the breakdown, and slices tile the host timeline end to end.
         let events = shared.snapshot();
         for (cat, total) in openarc_trace::category_totals(&events) {
-            let clock_cat = TimeCategory::ALL
-                .iter()
-                .copied()
-                .find(|t| t.trace_category() == cat)
-                .unwrap();
-            assert_eq!(total, c.breakdown.get(clock_cat), "{cat}");
+            assert_eq!(total, c.breakdown.get(cat), "{cat}");
         }
         let mut cursor = 0.0;
         for e in &events {
@@ -386,7 +318,7 @@ mod tests {
         let mut c = SimClock::new();
         c.enqueue_async_on(DeviceId(0), 1, 40.0);
         c.enqueue_async_on(DeviceId(1), 2, 70.0);
-        c.advance(TimeCategory::CpuTime, 10.0);
+        c.advance(Category::CpuTime, 10.0);
 
         let snap = c.queue_snapshot();
         assert_eq!(
@@ -405,8 +337,8 @@ mod tests {
         assert_eq!(r.now(), c.now());
         assert_eq!(r.now(), 70.0);
         assert_eq!(
-            r.breakdown.get(TimeCategory::AsyncWait).to_bits(),
-            c.breakdown.get(TimeCategory::AsyncWait).to_bits()
+            r.breakdown.get(Category::AsyncWait).to_bits(),
+            c.breakdown.get(Category::AsyncWait).to_bits()
         );
     }
 
@@ -415,20 +347,15 @@ mod tests {
         let shared = openarc_trace::Journal::enabled();
         let mut c = SimClock::new();
         c.journal = JournalPart::new(shared.clone());
-        c.advance(TimeCategory::CpuTime, 1.25);
-        c.advance(TimeCategory::MemTransfer, 0.5);
+        c.advance(Category::CpuTime, 1.25);
+        c.advance(Category::MemTransfer, 0.5);
         c.enqueue_async_on(P, 1, 10.0);
-        c.advance(TimeCategory::CpuTime, 3.0);
+        c.advance(Category::CpuTime, 3.0);
         c.wait_all();
         c.journal.flush();
         let events = shared.snapshot();
         for (cat, total) in openarc_trace::category_totals(&events) {
-            let clock_cat = TimeCategory::ALL
-                .iter()
-                .copied()
-                .find(|t| t.trace_category() == cat)
-                .unwrap();
-            assert_eq!(total, c.breakdown.get(clock_cat), "{cat}");
+            assert_eq!(total, c.breakdown.get(cat), "{cat}");
         }
     }
 }

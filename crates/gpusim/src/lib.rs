@@ -29,10 +29,11 @@
 //! The simulated clock ([`clock::SimClock`]) owns the run's
 //! [`openarc_trace::Journal`]. Every time charge
 //! ([`SimClock::advance`], and the stall portion of [`SimClock::wait_on`])
-//! emits a `Slice` event tagged with its [`TimeCategory`] at the moment
-//! the charge lands — so the journal's per-category totals are the same
-//! f64 additions, in the same order, as [`TimeBreakdown`], and reconcile
-//! with it exactly. Async work enqueued via [`SimClock::enqueue_async_on`]
+//! emits a `Slice` event tagged with its [`openarc_trace::Category`] —
+//! the one type both the journal and [`TimeBreakdown`] count by — at the
+//! moment the charge lands, so the journal's per-category totals are the
+//! same f64 additions, in the same order, as the breakdown, and
+//! reconcile with it exactly. Async work enqueued via [`SimClock::enqueue_async_on`]
 //! reports its true simulated start time so kernel/transfer spans land
 //! on the right queue track of the trace.
 
@@ -45,7 +46,7 @@ pub mod exec;
 pub mod memo;
 pub mod race;
 
-pub use clock::{SimClock, TimeBreakdown, TimeCategory};
+pub use clock::{SimClock, TimeBreakdown};
 pub use cost::CostModel;
 pub use device::{Device, DeviceEnv, DeviceId, DeviceSet};
 pub use exec::{launch, tree_combine, KernelOutcome, LaunchConfig};

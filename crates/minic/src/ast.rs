@@ -31,6 +31,14 @@ pub enum ScalarTy {
 }
 
 impl ScalarTy {
+    /// All scalar types, in code order.
+    pub const ALL: [ScalarTy; 4] = [
+        ScalarTy::Int,
+        ScalarTy::Long,
+        ScalarTy::Float,
+        ScalarTy::Double,
+    ];
+
     /// Size in bytes of one element, used by the transfer cost model.
     pub fn size_bytes(self) -> u64 {
         match self {
@@ -147,6 +155,28 @@ pub enum BinOp {
 }
 
 impl BinOp {
+    /// All binary operators, in code order.
+    pub const ALL: [BinOp; 18] = [
+        BinOp::Add,
+        BinOp::Sub,
+        BinOp::Mul,
+        BinOp::Div,
+        BinOp::Rem,
+        BinOp::Lt,
+        BinOp::Gt,
+        BinOp::Le,
+        BinOp::Ge,
+        BinOp::Eq,
+        BinOp::Ne,
+        BinOp::And,
+        BinOp::Or,
+        BinOp::BitAnd,
+        BinOp::BitOr,
+        BinOp::BitXor,
+        BinOp::Shl,
+        BinOp::Shr,
+    ];
+
     /// True for `&&`/`||` (short-circuit evaluation).
     pub fn is_logical(self) -> bool {
         matches!(self, BinOp::And | BinOp::Or)
@@ -198,6 +228,11 @@ pub enum UnOp {
     BitNot,
 }
 
+impl UnOp {
+    /// All unary operators, in code order.
+    pub const ALL: [UnOp; 3] = [UnOp::Neg, UnOp::Not, UnOp::BitNot];
+}
+
 impl fmt::Display for UnOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -220,6 +255,15 @@ pub enum AssignOp {
 }
 
 impl AssignOp {
+    /// All assignment operators, in code order.
+    pub const ALL: [AssignOp; 5] = [
+        AssignOp::Set,
+        AssignOp::Add,
+        AssignOp::Sub,
+        AssignOp::Mul,
+        AssignOp::Div,
+    ];
+
     /// The binary operator a compound assignment expands to, if any.
     pub fn binop(self) -> Option<BinOp> {
         match self {
@@ -384,13 +428,6 @@ impl LValue {
             LValue::Var(n) => n,
             LValue::Index { base, .. } => base,
         }
-    }
-
-    /// True if the write covers the whole variable (a scalar/pointer
-    /// assignment), false for element writes (partial writes — the paper's
-    /// CG `q` example).
-    pub fn is_total(&self) -> bool {
-        matches!(self, LValue::Var(_))
     }
 }
 
@@ -643,14 +680,75 @@ mod tests {
         assert_eq!(reads, vec!["a", "i", "x"]);
     }
 
+    // Each `ALL` is a code table: an entry's code is its position. The
+    // matches are exhaustive, so a new variant does not compile here until
+    // it is given a code, and each loop checks that `ALL` holds every entry
+    // at its code.
+
     #[test]
-    fn lvalue_totality() {
-        assert!(LValue::Var("p".into()).is_total());
-        assert!(!LValue::Index {
-            base: "a".into(),
-            indices: vec![]
+    fn scalar_all_is_its_code_table() {
+        let code = |s| match s {
+            ScalarTy::Int => 0,
+            ScalarTy::Long => 1,
+            ScalarTy::Float => 2,
+            ScalarTy::Double => 3,
+        };
+        for (i, s) in ScalarTy::ALL.into_iter().enumerate() {
+            assert_eq!(code(s), i, "{s:?}");
         }
-        .is_total());
+    }
+
+    #[test]
+    fn unop_all_is_its_code_table() {
+        let code = |op| match op {
+            UnOp::Neg => 0,
+            UnOp::Not => 1,
+            UnOp::BitNot => 2,
+        };
+        for (i, op) in UnOp::ALL.into_iter().enumerate() {
+            assert_eq!(code(op), i, "{op:?}");
+        }
+    }
+
+    #[test]
+    fn binop_all_is_its_code_table() {
+        let code = |op| match op {
+            BinOp::Add => 0,
+            BinOp::Sub => 1,
+            BinOp::Mul => 2,
+            BinOp::Div => 3,
+            BinOp::Rem => 4,
+            BinOp::Lt => 5,
+            BinOp::Gt => 6,
+            BinOp::Le => 7,
+            BinOp::Ge => 8,
+            BinOp::Eq => 9,
+            BinOp::Ne => 10,
+            BinOp::And => 11,
+            BinOp::Or => 12,
+            BinOp::BitAnd => 13,
+            BinOp::BitOr => 14,
+            BinOp::BitXor => 15,
+            BinOp::Shl => 16,
+            BinOp::Shr => 17,
+        };
+        for (i, op) in BinOp::ALL.into_iter().enumerate() {
+            assert_eq!(code(op), i, "{op:?}");
+        }
+    }
+
+    #[test]
+    fn assign_op_all_is_its_code_table() {
+        let code = |op| match op {
+            AssignOp::Set => 0,
+            AssignOp::Add => 1,
+            AssignOp::Sub => 2,
+            AssignOp::Mul => 3,
+            AssignOp::Div => 4,
+        };
+        for (i, op) in AssignOp::ALL.into_iter().enumerate() {
+            assert_eq!(code(op), i, "{op:?}");
+        }
     }
 
     #[test]

@@ -3,8 +3,10 @@
 //!
 //! Every [`NodeId`], span and pragma survives bit-for-bit and float
 //! literals are stored as IEEE-754 bit patterns; the encoding is
-//! fixed-width little-endian primitives with one-byte opcodes for the
-//! closed enum sets (types, operators, expression/statement tags).
+//! fixed-width little-endian primitives, one-byte codes for the closed
+//! enum sets (scalar types and operators: positions in each enum's `ALL`,
+//! through `Writer::put_code`/`Reader::code`) and one-byte tags for the
+//! type, expression and statement shapes.
 //! Map-shaped tables ([`Sema`]) are emitted in sorted order so
 //! identical tables serialize to identical bytes; re-encoding a decoded
 //! artifact is byte-identical, which is what the cache's round-trip
@@ -22,29 +24,7 @@ use openarc_trace::bin::{Reader, Writer};
 type R<T> = Result<T, String>;
 
 // ---------------------------------------------------------------------------
-// Closed-set opcodes (normative orders — see docs/FORMAT.md)
-
-/// Encode a scalar type as its one-byte code
-/// (`int`=0, `long`=1, `float`=2, `double`=3).
-pub fn write_scalar(w: &mut Writer, s: ScalarTy) {
-    w.put_u8(match s {
-        ScalarTy::Int => 0,
-        ScalarTy::Long => 1,
-        ScalarTy::Float => 2,
-        ScalarTy::Double => 3,
-    });
-}
-
-/// Decode a scalar type written by [`write_scalar`].
-pub fn read_scalar(r: &mut Reader<'_>) -> R<ScalarTy> {
-    match r.u8()? {
-        0 => Ok(ScalarTy::Int),
-        1 => Ok(ScalarTy::Long),
-        2 => Ok(ScalarTy::Float),
-        3 => Ok(ScalarTy::Double),
-        c => Err(r.err(&format!("unknown scalar type code {c}"))),
-    }
-}
+// Types
 
 /// Encode a MiniC type: a one-byte tag (`void`=0, `scalar`=1, `ptr`=2,
 /// `array`=3) followed by the scalar code and, for arrays, a dimension
@@ -54,15 +34,15 @@ pub fn write_ty(w: &mut Writer, ty: &Ty) {
         Ty::Void => w.put_u8(0),
         Ty::Scalar(s) => {
             w.put_u8(1);
-            write_scalar(w, *s);
+            w.put_code(&ScalarTy::ALL, *s);
         }
         Ty::Ptr(s) => {
             w.put_u8(2);
-            write_scalar(w, *s);
+            w.put_code(&ScalarTy::ALL, *s);
         }
         Ty::Array(s, dims) => {
             w.put_u8(3);
-            write_scalar(w, *s);
+            w.put_code(&ScalarTy::ALL, *s);
             w.put_seq_len(dims.len());
             for d in dims {
                 w.put_u64(*d);
@@ -75,10 +55,10 @@ pub fn write_ty(w: &mut Writer, ty: &Ty) {
 pub fn read_ty(r: &mut Reader<'_>) -> R<Ty> {
     match r.u8()? {
         0 => Ok(Ty::Void),
-        1 => Ok(Ty::Scalar(read_scalar(r)?)),
-        2 => Ok(Ty::Ptr(read_scalar(r)?)),
+        1 => Ok(Ty::Scalar(r.code(&ScalarTy::ALL, "scalar type")?)),
+        2 => Ok(Ty::Ptr(r.code(&ScalarTy::ALL, "scalar type")?)),
         3 => {
-            let s = read_scalar(r)?;
+            let s = r.code(&ScalarTy::ALL, "scalar type")?;
             let n = r.seq_len()?;
             let mut dims = Vec::with_capacity(n);
             for _ in 0..n {
@@ -87,84 +67,6 @@ pub fn read_ty(r: &mut Reader<'_>) -> R<Ty> {
             Ok(Ty::Array(s, dims))
         }
         c => Err(r.err(&format!("unknown type tag {c}"))),
-    }
-}
-
-/// Encode a unary operator (`-`=0, `!`=1, `~`=2).
-pub fn write_unop(w: &mut Writer, op: UnOp) {
-    w.put_u8(match op {
-        UnOp::Neg => 0,
-        UnOp::Not => 1,
-        UnOp::BitNot => 2,
-    });
-}
-
-/// Decode a unary operator written by [`write_unop`].
-pub fn read_unop(r: &mut Reader<'_>) -> R<UnOp> {
-    match r.u8()? {
-        0 => Ok(UnOp::Neg),
-        1 => Ok(UnOp::Not),
-        2 => Ok(UnOp::BitNot),
-        c => Err(r.err(&format!("unknown unary op code {c}"))),
-    }
-}
-
-/// The 18 binary operators in normative code order (codes 0–17).
-const BINOPS: [BinOp; 18] = [
-    BinOp::Add,
-    BinOp::Sub,
-    BinOp::Mul,
-    BinOp::Div,
-    BinOp::Rem,
-    BinOp::Lt,
-    BinOp::Gt,
-    BinOp::Le,
-    BinOp::Ge,
-    BinOp::Eq,
-    BinOp::Ne,
-    BinOp::And,
-    BinOp::Or,
-    BinOp::BitAnd,
-    BinOp::BitOr,
-    BinOp::BitXor,
-    BinOp::Shl,
-    BinOp::Shr,
-];
-
-/// Encode a binary operator as its code (index into the normative
-/// 18-entry operator table).
-pub fn write_binop(w: &mut Writer, op: BinOp) {
-    let code = BINOPS.iter().position(|b| *b == op).unwrap() as u8;
-    w.put_u8(code);
-}
-
-/// Decode a binary operator written by [`write_binop`].
-pub fn read_binop(r: &mut Reader<'_>) -> R<BinOp> {
-    let c = r.u8()?;
-    BINOPS
-        .get(c as usize)
-        .copied()
-        .ok_or_else(|| r.err(&format!("unknown binary op code {c}")))
-}
-
-fn write_assignop(w: &mut Writer, op: AssignOp) {
-    w.put_u8(match op {
-        AssignOp::Set => 0,
-        AssignOp::Add => 1,
-        AssignOp::Sub => 2,
-        AssignOp::Mul => 3,
-        AssignOp::Div => 4,
-    });
-}
-
-fn read_assignop(r: &mut Reader<'_>) -> R<AssignOp> {
-    match r.u8()? {
-        0 => Ok(AssignOp::Set),
-        1 => Ok(AssignOp::Add),
-        2 => Ok(AssignOp::Sub),
-        3 => Ok(AssignOp::Mul),
-        4 => Ok(AssignOp::Div),
-        c => Err(r.err(&format!("unknown assign op code {c}"))),
     }
 }
 
@@ -225,12 +127,12 @@ fn write_expr(w: &mut Writer, e: &Expr) {
         }
         ExprKind::Unary { op, expr } => {
             w.put_u8(4);
-            write_unop(w, *op);
+            w.put_code(&UnOp::ALL, *op);
             write_expr(w, expr);
         }
         ExprKind::Binary { op, lhs, rhs } => {
             w.put_u8(5);
-            write_binop(w, *op);
+            w.put_code(&BinOp::ALL, *op);
             write_expr(w, lhs);
             write_expr(w, rhs);
         }
@@ -256,7 +158,7 @@ fn write_expr(w: &mut Writer, e: &Expr) {
         }
         ExprKind::SizeOf(s) => {
             w.put_u8(9);
-            write_scalar(w, *s);
+            w.put_code(&ScalarTy::ALL, *s);
         }
     }
 }
@@ -273,11 +175,11 @@ fn read_expr(r: &mut Reader<'_>) -> R<Expr> {
             indices: read_exprs(r)?,
         },
         4 => ExprKind::Unary {
-            op: read_unop(r)?,
+            op: r.code(&UnOp::ALL, "unary op")?,
             expr: Box::new(read_expr(r)?),
         },
         5 => ExprKind::Binary {
-            op: read_binop(r)?,
+            op: r.code(&BinOp::ALL, "binary op")?,
             lhs: Box::new(read_expr(r)?),
             rhs: Box::new(read_expr(r)?),
         },
@@ -294,7 +196,7 @@ fn read_expr(r: &mut Reader<'_>) -> R<Expr> {
             ty: read_ty(r)?,
             expr: Box::new(read_expr(r)?),
         },
-        9 => ExprKind::SizeOf(read_scalar(r)?),
+        9 => ExprKind::SizeOf(r.code(&ScalarTy::ALL, "scalar type")?),
         c => return Err(r.err(&format!("unknown expr tag {c}"))),
     };
     Ok(Expr { id, span, kind })
@@ -397,7 +299,7 @@ fn write_stmt(w: &mut Writer, s: &Stmt) {
         StmtKind::Assign { target, op, value } => {
             w.put_u8(2);
             write_lvalue(w, target);
-            write_assignop(w, *op);
+            w.put_code(&AssignOp::ALL, *op);
             write_expr(w, value);
         }
         StmtKind::If {
@@ -482,7 +384,7 @@ fn read_stmt(r: &mut Reader<'_>) -> R<Stmt> {
         1 => StmtKind::Expr(read_expr(r)?),
         2 => StmtKind::Assign {
             target: read_lvalue(r)?,
-            op: read_assignop(r)?,
+            op: r.code(&AssignOp::ALL, "assign op")?,
             value: read_expr(r)?,
         },
         3 => StmtKind::If {

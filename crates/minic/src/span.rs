@@ -42,11 +42,6 @@ impl Span {
                 .max(self.line.min(other.line)),
         }
     }
-
-    /// True if this is a synthesized (dummy) span.
-    pub fn is_dummy(&self) -> bool {
-        *self == Span::default()
-    }
 }
 
 impl fmt::Display for Span {
@@ -136,12 +131,6 @@ mod tests {
         assert_eq!(c.start, 3);
         assert_eq!(c.end, 20);
         assert_eq!(c.line, 1);
-    }
-
-    #[test]
-    fn dummy_span_detected() {
-        assert!(Span::dummy().is_dummy());
-        assert!(!Span::new(0, 1, 1).is_dummy());
     }
 
     #[test]

@@ -28,6 +28,20 @@ pub enum DataClauseKind {
 }
 
 impl DataClauseKind {
+    /// All clause kinds, in code order.
+    pub const ALL: [DataClauseKind; 10] = [
+        DataClauseKind::Copy,
+        DataClauseKind::CopyIn,
+        DataClauseKind::CopyOut,
+        DataClauseKind::Create,
+        DataClauseKind::Present,
+        DataClauseKind::PresentOrCopy,
+        DataClauseKind::PresentOrCopyIn,
+        DataClauseKind::PresentOrCopyOut,
+        DataClauseKind::PresentOrCreate,
+        DataClauseKind::DevicePtr,
+    ];
+
     /// Does region entry trigger a host→device transfer?
     pub fn transfers_in(self) -> bool {
         matches!(
@@ -183,6 +197,19 @@ pub enum ReductionOp {
 }
 
 impl ReductionOp {
+    /// All operators, in code order.
+    pub const ALL: [ReductionOp; 9] = [
+        ReductionOp::Add,
+        ReductionOp::Mul,
+        ReductionOp::Max,
+        ReductionOp::Min,
+        ReductionOp::BitAnd,
+        ReductionOp::BitOr,
+        ReductionOp::BitXor,
+        ReductionOp::LogAnd,
+        ReductionOp::LogOr,
+    ];
+
     /// Identity element as f64 (integer reductions convert).
     pub fn identity(self) -> f64 {
         match self {
@@ -250,6 +277,48 @@ impl fmt::Display for Reduction {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // Each `ALL` is a code table: an entry's code is its position. The
+    // matches are exhaustive, so a new variant does not compile here until
+    // it is given a code, and each loop checks that `ALL` holds every entry
+    // at its code.
+
+    #[test]
+    fn data_clause_all_is_its_code_table() {
+        let code = |c| match c {
+            DataClauseKind::Copy => 0,
+            DataClauseKind::CopyIn => 1,
+            DataClauseKind::CopyOut => 2,
+            DataClauseKind::Create => 3,
+            DataClauseKind::Present => 4,
+            DataClauseKind::PresentOrCopy => 5,
+            DataClauseKind::PresentOrCopyIn => 6,
+            DataClauseKind::PresentOrCopyOut => 7,
+            DataClauseKind::PresentOrCreate => 8,
+            DataClauseKind::DevicePtr => 9,
+        };
+        for (i, c) in DataClauseKind::ALL.into_iter().enumerate() {
+            assert_eq!(code(c), i, "{c:?}");
+        }
+    }
+
+    #[test]
+    fn reduction_all_is_its_code_table() {
+        let code = |op| match op {
+            ReductionOp::Add => 0,
+            ReductionOp::Mul => 1,
+            ReductionOp::Max => 2,
+            ReductionOp::Min => 3,
+            ReductionOp::BitAnd => 4,
+            ReductionOp::BitOr => 5,
+            ReductionOp::BitXor => 6,
+            ReductionOp::LogAnd => 7,
+            ReductionOp::LogOr => 8,
+        };
+        for (i, op) in ReductionOp::ALL.into_iter().enumerate() {
+            assert_eq!(code(op), i, "{op:?}");
+        }
+    }
 
     #[test]
     fn transfer_direction_table() {

@@ -28,13 +28,6 @@ pub struct LoopSpec {
     pub reductions: Vec<Reduction>,
 }
 
-impl LoopSpec {
-    /// True if any scheduling level was requested.
-    pub fn has_schedule(&self) -> bool {
-        self.gang || self.worker || self.vector || self.seq
-    }
-}
-
 impl fmt::Display for LoopSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut parts: Vec<String> = Vec::new();
@@ -299,15 +292,5 @@ mod tests {
         assert_eq!(Directive::Update(u).to_string(), "acc update host(b)");
         assert_eq!(Directive::Wait(Some(2)).to_string(), "acc wait(2)");
         assert_eq!(Directive::Wait(None).to_string(), "acc wait");
-    }
-
-    #[test]
-    fn loop_spec_schedule_detection() {
-        assert!(!LoopSpec::default().has_schedule());
-        assert!(LoopSpec {
-            seq: true,
-            ..Default::default()
-        }
-        .has_schedule());
     }
 }

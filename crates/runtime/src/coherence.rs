@@ -18,21 +18,9 @@
 //!   value lands on the CPU leaves the GPU copy **stale**.
 
 use openarc_gpusim::DeviceId;
+use openarc_trace::St;
 use openarc_vm::Handle;
 use std::collections::HashMap;
-
-/// Coherence state of one copy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum St {
-    /// Up to date.
-    #[default]
-    NotStale,
-    /// Possibly outdated (compiler said may-dead, or partial overwrite of a
-    /// stale copy).
-    MayStale,
-    /// Outdated: the other device modified the data.
-    Stale,
-}
 
 /// Which copy of the data, in the paper's two-sided vocabulary: the form
 /// the instrumented `check_read`/`check_write` calls are lowered with
@@ -48,6 +36,9 @@ pub enum DevSide {
 }
 
 impl DevSide {
+    /// Both sides, in code order.
+    pub const ALL: [DevSide; 2] = [DevSide::Cpu, DevSide::Gpu];
+
     /// The opposite side.
     pub fn other(self) -> DevSide {
         match self {
@@ -333,6 +324,19 @@ mod tests {
     use super::*;
 
     const H: Handle = Handle(5);
+
+    /// `ALL` is the side's code table: the match is exhaustive, so a new
+    /// side does not compile here until it is given a code.
+    #[test]
+    fn dev_side_all_is_its_code_table() {
+        let code = |s| match s {
+            DevSide::Cpu => 0,
+            DevSide::Gpu => 1,
+        };
+        for (i, s) in DevSide::ALL.into_iter().enumerate() {
+            assert_eq!(code(s), i, "{s:?}");
+        }
+    }
     const CPU: Loc = Loc::Cpu;
     const GPU: Loc = Loc::Dev(DeviceId::PRIMARY);
 

@@ -41,7 +41,8 @@ pub mod machine;
 pub mod present;
 pub mod report;
 
-pub use coherence::{Coherence, DevSide, Loc, ReadDiag, St, VarState, XferDiag};
+pub use coherence::{Coherence, DevSide, Loc, ReadDiag, VarState, XferDiag};
 pub use machine::{Machine, TransferStats, MAX_DEVICES};
+pub use openarc_trace::St;
 pub use present::{Mapping, PresentTable};
 pub use report::{Direction, Issue, IssueKind, Report};

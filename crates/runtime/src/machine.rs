@@ -9,26 +9,19 @@
 //! transfers and kernel charges, a [`Loc`] for coherence checks. Callers
 //! that only ever use one device pass [`DeviceId::PRIMARY`].
 
-use crate::coherence::{Coherence, Loc, ReadDiag, St};
+use crate::coherence::{Coherence, Loc, ReadDiag};
 use crate::present::PresentTable;
 use crate::report::{Direction, Issue, IssueKind, Report};
-use openarc_gpusim::{CostModel, DeviceId, DeviceSet, KernelOutcome, SimClock, TimeCategory};
-use openarc_trace::{EventKind, Journal, JournalPart, TraceEvent, Track};
+use openarc_gpusim::{CostModel, DeviceId, DeviceSet, KernelOutcome, SimClock};
+use openarc_trace::{
+    Category, Cause, EventKind, Journal, JournalPart, Side, St, TraceEvent, Track,
+};
 use openarc_vm::interp::BasicEnv;
 use openarc_vm::{Handle, VmError};
 
-/// Coherence-journal side labels per device: the primary device keeps the
-/// historical `"gpu"` label; device `d ≥ 1` is `"gpuD"`. A closed table
-/// (rather than `format!`) because journal events carry `&'static str`
-/// sides for the binary codec's interned label table — which also caps the
-/// simulation at [`MAX_DEVICES`] devices.
-const GPU_SIDES: [&str; 8] = [
-    "gpu", "gpu1", "gpu2", "gpu3", "gpu4", "gpu5", "gpu6", "gpu7",
-];
-
-/// Largest simulated device count (the closed `gpuN` side-label table
-/// caps it).
-pub const MAX_DEVICES: usize = GPU_SIDES.len();
+/// Largest simulated device count: one per device side of the journal's
+/// closed [`Side`] table.
+pub const MAX_DEVICES: usize = Side::ALL.len() - 1;
 
 /// Transfer and allocation statistics (Figure 1's "total transferred data
 /// size" series).
@@ -165,26 +158,19 @@ impl Machine {
             .unwrap_or_else(|_| format!("{h}"))
     }
 
-    fn st_name(st: St) -> &'static str {
-        match st {
-            St::NotStale => "notstale",
-            St::MayStale => "maystale",
-            St::Stale => "stale",
-        }
-    }
-
-    fn coh_snapshot(&self, h: Handle) -> Option<(St, Vec<St>)> {
-        self.coherence.state(h).map(|v| (v.cpu, v.gpus().to_vec()))
+    /// The states of `h`'s copies, host first, then device 0, 1, …: the
+    /// order of [`Side::ALL`].
+    fn coh_snapshot(&self, h: Handle) -> Option<Vec<St>> {
+        self.coherence.state(h).map(|v| {
+            std::iter::once(v.cpu)
+                .chain(v.gpus().iter().copied())
+                .collect()
+        })
     }
 
     /// Journal the coherence transitions between `before` (a
     /// [`Machine::coh_snapshot`] taken before the state change) and now.
-    fn emit_coherence_diff(
-        &mut self,
-        h: Handle,
-        before: Option<(St, Vec<St>)>,
-        cause: &'static str,
-    ) {
+    fn emit_coherence_diff(&mut self, h: Handle, before: Option<Vec<St>>, cause: Cause) {
         if !self.clock.journal.is_enabled() {
             return;
         }
@@ -192,23 +178,16 @@ impl Machine {
             return;
         };
         let var = self.var_label(h);
-        let mut changed: Vec<(&'static str, St, St)> = Vec::new();
-        if before.0 != after.0 {
-            changed.push(("cpu", before.0, after.0));
-        }
-        for (i, (b, a)) in before.1.iter().zip(after.1.iter()).enumerate() {
-            if b != a {
-                changed.push((GPU_SIDES[i], *b, *a));
+        for ((from, to), side) in before.into_iter().zip(after).zip(Side::ALL) {
+            if from != to {
+                self.emit(EventKind::Coherence {
+                    var: var.clone(),
+                    side,
+                    from,
+                    to,
+                    cause,
+                });
             }
-        }
-        for (side, b, a) in changed {
-            self.emit(EventKind::Coherence {
-                var: var.clone(),
-                side,
-                from: Self::st_name(b),
-                to: Self::st_name(a),
-                cause,
-            });
         }
     }
 
@@ -303,7 +282,7 @@ impl Machine {
             }
             None => {
                 self.clock
-                    .advance(TimeCategory::GpuMemAlloc, self.cost.alloc_us);
+                    .advance(Category::GpuMemAlloc, self.cost.alloc_us);
                 if self.clock.journal.is_enabled() {
                     self.emit(EventKind::DevAlloc { var: label, bytes });
                 }
@@ -316,8 +295,7 @@ impl Machine {
     pub fn unmap_from_device_on(&mut self, dev: DeviceId, host_h: Handle) -> Result<(), VmError> {
         if let Some(dev_h) = self.presents[dev.0 as usize].release(host_h)? {
             self.devices.get_mut(dev).mem.free(dev_h)?;
-            self.clock
-                .advance(TimeCategory::GpuMemFree, self.cost.free_us);
+            self.clock.advance(Category::GpuMemFree, self.cost.free_us);
             self.stats.dev_frees += 1;
             if self.clock.journal.is_enabled() {
                 self.emit(EventKind::DevFree {
@@ -328,7 +306,7 @@ impl Machine {
             let before = self.coh_snapshot(host_h);
             self.coherence
                 .reset_status_at(host_h, Loc::Dev(dev), St::Stale);
-            self.emit_coherence_diff(host_h, before, "dealloc");
+            self.emit_coherence_diff(host_h, before, Cause::Dealloc);
         }
         Ok(())
     }
@@ -361,7 +339,7 @@ impl Machine {
         let diag = self
             .coherence
             .on_transfer_between(host_h, Loc::Cpu, Loc::Dev(dev));
-        self.emit_coherence_diff(host_h, before, "transfer");
+        self.emit_coherence_diff(host_h, before, Cause::Transfer);
         self.transfer_issues(diag, host_h, site, Direction::ToDevice, name);
         Ok(())
     }
@@ -392,7 +370,7 @@ impl Machine {
         let diag = self
             .coherence
             .on_transfer_between(host_h, Loc::Dev(dev), Loc::Cpu);
-        self.emit_coherence_diff(host_h, before, "transfer");
+        self.emit_coherence_diff(host_h, before, Cause::Transfer);
         self.transfer_issues(diag, host_h, site, Direction::ToHost, name);
         Ok(())
     }
@@ -414,7 +392,7 @@ impl Machine {
             ),
             None => {
                 let ts = self.clock.now();
-                self.clock.advance(TimeCategory::MemTransfer, dt);
+                self.clock.advance(Category::MemTransfer, dt);
                 (ts, dt, Track::Host)
             }
         }
@@ -495,14 +473,14 @@ impl Machine {
     }
 
     /// Compiler-directed coherence override (`resetstatus` runtime call),
-    /// journaled as a `"reset"` transition like every other state change —
+    /// journaled as a [`Cause::Reset`] transition like every other state change —
     /// a silent override would break the journal's per-(var, side)
     /// transition chain, which the fuzzer's reference-model replay checks.
     pub fn reset_status_at(&mut self, h: Handle, loc: Loc, st: St) {
         self.track_handle(h);
         let before = self.coh_snapshot(h);
         self.coherence.reset_status_at(h, loc, st);
-        self.emit_coherence_diff(h, before, "reset");
+        self.emit_coherence_diff(h, before, Cause::Reset);
     }
 
     /// `check_write` runtime call for the copy at `loc` (also applies the
@@ -511,7 +489,7 @@ impl Machine {
         self.track_handle(h);
         let before = self.coh_snapshot(h);
         let diag = self.coherence.on_write_at(h, loc, total);
-        self.emit_coherence_diff(h, before, "write");
+        self.emit_coherence_diff(h, before, Cause::Write);
         match diag {
             ReadDiag::Ok => {}
             ReadDiag::Missing => self.issue(IssueKind::Missing, h, site, None),
@@ -547,7 +525,7 @@ impl Machine {
             ),
             None => {
                 let ts = self.clock.now();
-                self.clock.advance(TimeCategory::KernelExec, dt);
+                self.clock.advance(Category::KernelExec, dt);
                 (ts, Track::Host)
             }
         };
@@ -566,7 +544,7 @@ impl Machine {
     /// Charge host CPU work (interpreted instructions).
     pub fn charge_cpu(&mut self, instrs: u64) {
         let dt = self.cost.cpu_time(instrs);
-        self.clock.advance(TimeCategory::CpuTime, dt);
+        self.clock.advance(Category::CpuTime, dt);
     }
 
     /// Resolve the device handle for a host buffer mapped on `dev`.
@@ -635,8 +613,8 @@ mod tests {
         m.map_to_device_on_queue(P, h, None).unwrap();
         m.copy_to_device_named_on(P, h, "enter", None, None)
             .unwrap();
-        assert!(m.clock.breakdown.get(TimeCategory::GpuMemAlloc) > 0.0);
-        assert!(m.clock.breakdown.get(TimeCategory::MemTransfer) > 0.0);
+        assert!(m.clock.breakdown.get(Category::GpuMemAlloc) > 0.0);
+        assert!(m.clock.breakdown.get(Category::MemTransfer) > 0.0);
     }
 
     #[test]
@@ -685,12 +663,12 @@ mod tests {
     fn async_transfer_charges_queue_not_host() {
         let (mut m, h) = machine_with_buffer(1 << 20);
         m.map_to_device_on_queue(P, h, None).unwrap();
-        let before = m.clock.breakdown.get(TimeCategory::MemTransfer);
+        let before = m.clock.breakdown.get(Category::MemTransfer);
         m.copy_to_device_named_on(P, h, "enter", Some(1), None)
             .unwrap();
-        assert_eq!(m.clock.breakdown.get(TimeCategory::MemTransfer), before);
+        assert_eq!(m.clock.breakdown.get(Category::MemTransfer), before);
         m.clock.wait_on(P, 1);
-        assert!(m.clock.breakdown.get(TimeCategory::AsyncWait) > 0.0);
+        assert!(m.clock.breakdown.get(Category::AsyncWait) > 0.0);
     }
 
     #[test]
@@ -774,9 +752,9 @@ mod tests {
         assert!(has(&|k| matches!(
             k,
             Ev::Coherence {
-                side: "cpu",
-                to: "stale",
-                cause: "write",
+                side: Side::Cpu,
+                to: St::Stale,
+                cause: Cause::Write,
                 ..
             }
         )));
@@ -785,12 +763,7 @@ mod tests {
         ));
         // Slices reconcile with the clock breakdown.
         for (cat, total) in openarc_trace::category_totals(&events) {
-            let clock_cat = TimeCategory::ALL
-                .iter()
-                .copied()
-                .find(|t| t.trace_category() == cat)
-                .unwrap();
-            assert_eq!(total, m.clock.breakdown.get(clock_cat), "{cat}");
+            assert_eq!(total, m.clock.breakdown.get(cat), "{cat}");
         }
     }
 
@@ -805,16 +778,18 @@ mod tests {
         m.check_write_at(h, Loc::Dev(DeviceId::PRIMARY), false, "k0");
         m.flush_journal();
         let events = m.journal().snapshot();
-        let sides: Vec<&str> = events
+        let sides: Vec<Side> = events
             .iter()
             .filter_map(|e| match &e.kind {
                 Ev::Coherence {
-                    side, to: "stale", ..
+                    side,
+                    to: St::Stale,
+                    ..
                 } => Some(*side),
                 _ => None,
             })
             .collect();
-        assert_eq!(sides, vec!["cpu", "gpu1"], "{events:?}");
+        assert_eq!(sides, vec![Side::Cpu, Side::Gpu1], "{events:?}");
     }
 
     #[test]
@@ -838,7 +813,7 @@ mod tests {
             n_threads: 1000,
         };
         m.charge_kernel_named_on("kernel", &out, P, None);
-        assert!(m.clock.breakdown.get(TimeCategory::KernelExec) > 0.0);
+        assert!(m.clock.breakdown.get(Category::KernelExec) > 0.0);
         let before = m.clock.now();
         m.charge_kernel_named_on("kernel", &out, P, Some(2));
         assert_eq!(m.clock.now(), before, "async kernel does not advance host");

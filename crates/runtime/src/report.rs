@@ -1,6 +1,7 @@
 //! The report engine: structured findings the interactive tool shows the
 //! programmer, with Listing-4-style loop-iteration context.
 
+use openarc_trace::Severity;
 use std::fmt;
 
 /// Transfer direction.
@@ -41,22 +42,26 @@ pub enum IssueKind {
 }
 
 impl IssueKind {
-    /// Errors must be fixed; warnings need user judgement; info is an
-    /// optimization opportunity.
-    pub fn severity(self) -> &'static str {
-        match self {
-            IssueKind::Redundant => "info",
-            IssueKind::MayRedundant | IssueKind::MayMissing | IssueKind::MayIncorrect => "warning",
-            IssueKind::Incorrect | IssueKind::Missing => "error",
-        }
-    }
+    /// All kinds, in code order.
+    pub const ALL: [IssueKind; 6] = [
+        IssueKind::Redundant,
+        IssueKind::MayRedundant,
+        IssueKind::Incorrect,
+        IssueKind::MayIncorrect,
+        IssueKind::Missing,
+        IssueKind::MayMissing,
+    ];
 
-    /// True for the `may-*` kinds that require user verification.
-    pub fn needs_user(self) -> bool {
-        matches!(
-            self,
-            IssueKind::MayRedundant | IssueKind::MayMissing | IssueKind::MayIncorrect
-        )
+    /// Errors must be fixed; warnings (the `may-*` kinds) need user
+    /// judgement; info is an optimization opportunity.
+    pub fn severity(self) -> Severity {
+        match self {
+            IssueKind::Redundant => Severity::Info,
+            IssueKind::MayRedundant | IssueKind::MayMissing | IssueKind::MayIncorrect => {
+                Severity::Warning
+            }
+            IssueKind::Incorrect | IssueKind::Missing => Severity::Error,
+        }
     }
 }
 
@@ -170,7 +175,7 @@ impl Report {
     pub fn has_errors(&self) -> bool {
         self.issues
             .iter()
-            .any(|i| matches!(i.kind, IssueKind::Missing | IssueKind::Incorrect))
+            .any(|i| i.kind.severity() == Severity::Error)
     }
 }
 
@@ -208,11 +213,26 @@ mod tests {
 
     #[test]
     fn severities() {
-        assert_eq!(IssueKind::Redundant.severity(), "info");
-        assert_eq!(IssueKind::Missing.severity(), "error");
-        assert_eq!(IssueKind::MayRedundant.severity(), "warning");
-        assert!(IssueKind::MayMissing.needs_user());
-        assert!(!IssueKind::Incorrect.needs_user());
+        assert_eq!(IssueKind::Redundant.severity(), Severity::Info);
+        assert_eq!(IssueKind::Missing.severity(), Severity::Error);
+        assert_eq!(IssueKind::MayRedundant.severity(), Severity::Warning);
+    }
+
+    /// `ALL` is the kind's code table: the match is exhaustive, so a new
+    /// kind does not compile here until it is given a code.
+    #[test]
+    fn issue_kind_all_is_its_code_table() {
+        let code = |k| match k {
+            IssueKind::Redundant => 0,
+            IssueKind::MayRedundant => 1,
+            IssueKind::Incorrect => 2,
+            IssueKind::MayIncorrect => 3,
+            IssueKind::Missing => 4,
+            IssueKind::MayMissing => 5,
+        };
+        for (i, k) in IssueKind::ALL.into_iter().enumerate() {
+            assert_eq!(code(k), i, "{k:?}");
+        }
     }
 
     #[test]

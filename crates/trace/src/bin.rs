@@ -29,31 +29,19 @@
 //!   count larger than the bytes remaining in the buffer is rejected
 //!   before any allocation (every element encodes to at least one byte),
 //!   so an oversized length prefix cannot drive an OOM.
-//! * Closed label sets (coherence sides/states/causes, severities, stage
-//!   labels, cache ops) are one-byte codes indexing the normative tables
-//!   below; an out-of-range code is a decode error.
+//! * A value from a closed set (a time category, coherence side, state or
+//!   cause, a severity, stage label or cache op here; types, operators,
+//!   clauses and the like in the artifact codecs) is a one-byte code: its
+//!   position in the set's table, normatively ordered in `docs/FORMAT.md`
+//!   §10. [`Writer::put_code`] and [`Reader::code`] are the one pair every
+//!   codec uses; an out-of-range code is a decode error.
 //!
 //! Every decode error is a `Result::Err(String)` carrying the byte
 //! offset where decoding failed — the disk cache maps any such error to
 //! "corrupt entry: delete and recompute", never a panic.
 
-use crate::event::{Category, EventKind, TraceEvent, Track};
+use crate::event::{Category, Cause, EventKind, Severity, Side, St, TraceEvent, Track};
 
-/// Coherence sides emitted by the runtime; u8 side codes index into this
-/// table (normative order — see `docs/FORMAT.md`). `"gpu"` is the
-/// primary device; `"gpuN"` names device N of a multi-device run (the
-/// simulator caps device counts at 8, so the table is closed).
-const SIDES: &[&str] = &[
-    "cpu", "gpu", "gpu1", "gpu2", "gpu3", "gpu4", "gpu5", "gpu6", "gpu7",
-];
-/// Coherence states (the paper's three-state protocol). Binary codes
-/// index into this table.
-const STATES: &[&str] = &["notstale", "maystale", "stale"];
-/// Coherence transition causes. Binary codes index into this table.
-const CAUSES: &[&str] = &["write", "transfer", "reset", "dealloc"];
-/// Finding severities (`IssueKind::severity`). Binary codes index into
-/// this table.
-const SEVERITIES: &[&str] = &["info", "warning", "error"];
 /// Pipeline stage labels (`pipeline::Stage::label`). Binary codes index
 /// into this table.
 const STAGES: &[&str] = &[
@@ -158,6 +146,19 @@ impl Writer {
     /// Append a sequence count (`u32`). Panics if `n` exceeds `u32::MAX`.
     pub fn put_seq_len(&mut self, n: usize) {
         self.put_u32(u32::try_from(n).expect("sequence exceeds u32::MAX elements"));
+    }
+
+    /// Append `v`'s one-byte code: its position in the closed `table`.
+    ///
+    /// Encoded values come from the stack itself, and an enum's table is
+    /// its `ALL`, which a unit test beside the enum matches exhaustively,
+    /// so a value missing from its table is a programming error: it panics.
+    pub fn put_code<T: PartialEq>(&mut self, table: &[T], v: T) {
+        let code = table
+            .iter()
+            .position(|t| *t == v)
+            .expect("value missing from its closed code table");
+        self.put_u8(code as u8);
     }
 
     /// Append an `Option<i64>` (`u8` tag + payload when `Some`).
@@ -308,6 +309,16 @@ impl<'a> Reader<'a> {
         Ok(n)
     }
 
+    /// Read a one-byte code written by [`Writer::put_code`] and return its
+    /// `table` entry; a code past the table's end is an error naming `what`.
+    pub fn code<T: Copy>(&mut self, table: &[T], what: &str) -> Result<T, String> {
+        let c = self.u8()?;
+        table
+            .get(c as usize)
+            .copied()
+            .ok_or_else(|| self.err(&format!("unknown {what} code {c}")))
+    }
+
     /// Read an `Option<i64>` written by [`Writer::put_opt_i64`].
     pub fn opt_i64(&mut self) -> Result<Option<i64>, String> {
         match self.u8()? {
@@ -316,29 +327,6 @@ impl<'a> Reader<'a> {
             b => Err(self.err(&format!("invalid Option tag {b:#04x}"))),
         }
     }
-}
-
-/// Encode a label from a closed set as its one-byte table index.
-///
-/// Encode-side labels are produced by the stack itself, so a miss here
-/// is a programming error, not an input error.
-pub fn label_code(label: &str, table: &'static [&'static str]) -> u8 {
-    table
-        .iter()
-        .position(|k| *k == label)
-        .unwrap_or_else(|| panic!("label {label:?} not in closed set {table:?}")) as u8
-}
-
-/// Decode a one-byte label code back to its interned `&'static str`.
-pub fn code_label(
-    code: u8,
-    table: &'static [&'static str],
-    what: &str,
-) -> Result<&'static str, String> {
-    table
-        .get(code as usize)
-        .copied()
-        .ok_or_else(|| format!("invalid {what} code {code}"))
 }
 
 /// One-byte event-kind tags, in the normative order of `docs/FORMAT.md`.
@@ -388,9 +376,7 @@ pub fn write_event(w: &mut Writer, ev: &TraceEvent) {
         w.put_u32(dev);
     }
     match &ev.kind {
-        EventKind::Slice { cat } => {
-            w.put_u8(Category::ALL.iter().position(|c| c == cat).unwrap() as u8);
-        }
+        EventKind::Slice { cat } => w.put_code(&Category::ALL, *cat),
         EventKind::KernelLaunch {
             kernel,
             n_threads,
@@ -428,10 +414,10 @@ pub fn write_event(w: &mut Writer, ev: &TraceEvent) {
             cause,
         } => {
             w.put_str(var);
-            w.put_u8(label_code(side, SIDES));
-            w.put_u8(label_code(from, STATES));
-            w.put_u8(label_code(to, STATES));
-            w.put_u8(label_code(cause, CAUSES));
+            w.put_code(&Side::ALL, *side);
+            w.put_code(&St::ALL, *from);
+            w.put_code(&St::ALL, *to);
+            w.put_code(&Cause::ALL, *cause);
         }
         EventKind::Finding {
             severity,
@@ -440,7 +426,7 @@ pub fn write_event(w: &mut Writer, ev: &TraceEvent) {
             site,
             message,
         } => {
-            w.put_u8(label_code(severity, SEVERITIES));
+            w.put_code(&Severity::ALL, *severity);
             w.put_str(kind);
             w.put_str(var);
             w.put_str(site);
@@ -460,12 +446,12 @@ pub fn write_event(w: &mut Writer, ev: &TraceEvent) {
             w.put_f64(*max_abs_err);
         }
         EventKind::Stage { stage, cached } => {
-            w.put_u8(label_code(stage, STAGES));
+            w.put_code(STAGES, *stage);
             w.put_bool(*cached);
         }
         EventKind::Cache { stage, op } => {
-            w.put_u8(label_code(stage, STAGES));
-            w.put_u8(label_code(op, CACHE_OPS));
+            w.put_code(STAGES, *stage);
+            w.put_code(CACHE_OPS, *op);
         }
         EventKind::Serve { gauge, value } => {
             w.put_str(gauge);
@@ -487,14 +473,9 @@ pub fn read_event(r: &mut Reader<'_>) -> Result<TraceEvent, String> {
         },
     };
     let kind = match t {
-        tag::SLICE => {
-            let c = r.u8()?;
-            let cat = Category::ALL
-                .get(c as usize)
-                .copied()
-                .ok_or_else(|| format!("invalid category code {c}"))?;
-            EventKind::Slice { cat }
-        }
+        tag::SLICE => EventKind::Slice {
+            cat: r.code(&Category::ALL, "category")?,
+        },
         tag::LAUNCH => EventKind::KernelLaunch {
             kernel: r.string()?,
             n_threads: r.u64()?,
@@ -519,13 +500,13 @@ pub fn read_event(r: &mut Reader<'_>) -> Result<TraceEvent, String> {
         tag::PRESENT_MISS => EventKind::PresentMiss { var: r.string()? },
         tag::COHERENCE => EventKind::Coherence {
             var: r.string()?,
-            side: code_label(r.u8()?, SIDES, "side")?,
-            from: code_label(r.u8()?, STATES, "state")?,
-            to: code_label(r.u8()?, STATES, "state")?,
-            cause: code_label(r.u8()?, CAUSES, "cause")?,
+            side: r.code(&Side::ALL, "side")?,
+            from: r.code(&St::ALL, "state")?,
+            to: r.code(&St::ALL, "state")?,
+            cause: r.code(&Cause::ALL, "cause")?,
         },
         tag::FINDING => EventKind::Finding {
-            severity: code_label(r.u8()?, SEVERITIES, "severity")?,
+            severity: r.code(&Severity::ALL, "severity")?,
             kind: r.string()?,
             var: r.string()?,
             site: r.string()?,
@@ -539,12 +520,12 @@ pub fn read_event(r: &mut Reader<'_>) -> Result<TraceEvent, String> {
             max_abs_err: r.f64()?,
         },
         tag::STAGE => EventKind::Stage {
-            stage: code_label(r.u8()?, STAGES, "stage")?,
+            stage: r.code(STAGES, "stage")?,
             cached: r.bool()?,
         },
         tag::CACHE => EventKind::Cache {
-            stage: code_label(r.u8()?, STAGES, "stage")?,
-            op: code_label(r.u8()?, CACHE_OPS, "cache op")?,
+            stage: r.code(STAGES, "stage")?,
+            op: r.code(CACHE_OPS, "cache op")?,
         },
         tag::SERVE => EventKind::Serve {
             gauge: r.string()?,
@@ -640,16 +621,16 @@ mod tests {
                 Track::Host,
                 EventKind::Coherence {
                     var: "a".into(),
-                    side: "gpu",
-                    from: "maystale",
-                    to: "notstale",
-                    cause: "transfer",
+                    side: Side::Gpu,
+                    from: St::MayStale,
+                    to: St::NotStale,
+                    cause: Cause::Transfer,
                 },
             ),
             mk(
                 Track::Host,
                 EventKind::Finding {
-                    severity: "warning",
+                    severity: Severity::Warning,
                     kind: "Redundant".into(),
                     var: "a".into(),
                     site: "k0_in".into(),
@@ -765,10 +746,10 @@ mod tests {
             track: Track::Host,
             kind: EventKind::Coherence {
                 var: "a".into(),
-                side: "cpu",
-                from: "stale",
-                to: "stale",
-                cause: "write",
+                side: Side::Cpu,
+                from: St::Stale,
+                to: St::Stale,
+                cause: Cause::Write,
             },
         };
         let mut bytes = encode(std::slice::from_ref(&ev));

@@ -84,10 +84,10 @@ fn args_of(ev: &TraceEvent) -> Json {
             cause,
         } => Json::obj(vec![
             ("var", Json::from(var.as_str())),
-            ("side", Json::from(*side)),
-            ("from", Json::from(*from)),
-            ("to", Json::from(*to)),
-            ("cause", Json::from(*cause)),
+            ("side", Json::from(side.label())),
+            ("from", Json::from(from.label())),
+            ("to", Json::from(to.label())),
+            ("cause", Json::from(cause.label())),
         ]),
         EventKind::Finding {
             severity,
@@ -96,7 +96,7 @@ fn args_of(ev: &TraceEvent) -> Json {
             site,
             message,
         } => Json::obj(vec![
-            ("severity", Json::from(*severity)),
+            ("severity", Json::from(severity.label())),
             ("kind", Json::from(kind.as_str())),
             ("var", Json::from(var.as_str())),
             ("site", Json::from(site.as_str())),

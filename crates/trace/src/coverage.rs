@@ -18,7 +18,7 @@
 //! an atom. What remains is the shape of the behaviour, which is what
 //! coverage-guided scheduling needs.
 
-use crate::event::{EventKind, TraceEvent, Track};
+use crate::event::{EventKind, Side, TraceEvent, Track};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -123,11 +123,10 @@ fn site_class(site: &str) -> &str {
 /// Collapse secondary-device side labels: `cpu`/`gpu` pass through, any
 /// `gpuN` (N > 0) becomes `gpux` so signatures do not scale with the
 /// device count.
-fn side_class(side: &str) -> &str {
-    if side != "gpu" && side.starts_with("gpu") {
-        "gpux"
-    } else {
-        side
+fn side_class(side: Side) -> &'static str {
+    match side {
+        Side::Cpu | Side::Gpu => side.label(),
+        _ => "gpux",
     }
 }
 
@@ -166,7 +165,7 @@ pub fn event_atoms(ev: &TraceEvent, sig: &mut Signature) {
             cause,
             ..
         } => {
-            sig.insert(format!("coh:{}:{from}>{to}:{cause}", side_class(side)));
+            sig.insert(format!("coh:{}:{from}>{to}:{cause}", side_class(*side)));
         }
         EventKind::Finding { severity, kind, .. } => {
             sig.insert(format!("finding:{severity}:{kind}"));
@@ -211,7 +210,7 @@ pub fn signature_of(events: &[TraceEvent]) -> Signature {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Category;
+    use crate::event::{Category, Cause, St};
 
     fn ev(kind: EventKind) -> TraceEvent {
         TraceEvent {
@@ -230,10 +229,10 @@ mod tests {
         });
         let c = ev(EventKind::Coherence {
             var: "a".into(),
-            side: "gpu",
-            from: "stale",
-            to: "notstale",
-            cause: "transfer",
+            side: Side::Gpu,
+            from: St::Stale,
+            to: St::NotStale,
+            cause: Cause::Transfer,
         });
         let fwd = signature_of(&[a.clone(), b.clone(), c.clone()]);
         let rev = signature_of(&[c, b, a]);
@@ -267,9 +266,10 @@ mod tests {
         let s = signature_of(&[t3, t9]);
         assert_eq!(s.len(), 1);
         assert!(s.contains("transfer:h2d:update"));
-        assert_eq!(side_class("gpu7"), "gpux");
-        assert_eq!(side_class("gpu"), "gpu");
-        assert_eq!(side_class("cpu"), "cpu");
+        assert_eq!(side_class(Side::Gpu7), "gpux");
+        assert_eq!(side_class(Side::Gpu1), "gpux");
+        assert_eq!(side_class(Side::Gpu), "gpu");
+        assert_eq!(side_class(Side::Cpu), "cpu");
     }
 
     #[test]

@@ -16,9 +16,11 @@
 
 use std::fmt;
 
-/// Where simulated host time was spent. Mirrors the simulator clock's
-/// `TimeCategory` (Figure 3's legend) so journal totals and clock totals
-/// are the same vocabulary.
+/// Where simulated host time was spent: Figure 3's legend plus kernel
+/// execution (which the figure folds into Async-Wait because verification
+/// kernels run asynchronously). The simulator clock's `TimeBreakdown` and
+/// the journal's slices share this one type, so journal totals and clock
+/// totals are the same vocabulary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Category {
     /// Device memory frees.
@@ -27,9 +29,9 @@ pub enum Category {
     GpuMemAlloc,
     /// Host↔device transfers (synchronous part).
     MemTransfer,
-    /// Host blocked waiting for async work.
+    /// Host blocked in `wait` for async work.
     AsyncWait,
-    /// Output comparison against the CPU reference.
+    /// Output comparison against the CPU reference (kernel verification).
     ResultComp,
     /// Host CPU computation.
     CpuTime,
@@ -38,7 +40,7 @@ pub enum Category {
 }
 
 impl Category {
-    /// All categories, in Figure 3 order.
+    /// All categories, in Figure 3 order (also their code order).
     pub const ALL: [Category; 7] = [
         Category::GpuMemFree,
         Category::GpuMemAlloc,
@@ -49,7 +51,7 @@ impl Category {
         Category::KernelExec,
     ];
 
-    /// Display label (matches the clock's `TimeCategory::label`).
+    /// Display label.
     pub fn label(self) -> &'static str {
         match self {
             Category::GpuMemFree => "GPU Mem Free",
@@ -64,6 +66,160 @@ impl Category {
 }
 
 impl fmt::Display for Category {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.label())
+    }
+}
+
+/// Coherence state of one copy of a tracked variable: the paper's three
+/// §III-B states.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum St {
+    /// Up to date.
+    #[default]
+    NotStale,
+    /// Possibly outdated (compiler said may-dead, or partial overwrite of a
+    /// stale copy).
+    MayStale,
+    /// Outdated: the other device modified the data.
+    Stale,
+}
+
+impl St {
+    /// All states, in code order.
+    pub const ALL: [St; 3] = [St::NotStale, St::MayStale, St::Stale];
+
+    /// Journal spelling.
+    pub fn label(self) -> &'static str {
+        match self {
+            St::NotStale => "notstale",
+            St::MayStale => "maystale",
+            St::Stale => "stale",
+        }
+    }
+}
+
+impl fmt::Display for St {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.label())
+    }
+}
+
+/// Which copy a coherence transition changed: the host's (`Cpu`), the
+/// primary device's (`Gpu`), or device N's (`GpuN`). The set is closed,
+/// which caps a simulation at eight devices.
+#[allow(missing_docs)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Side {
+    Cpu,
+    Gpu,
+    Gpu1,
+    Gpu2,
+    Gpu3,
+    Gpu4,
+    Gpu5,
+    Gpu6,
+    Gpu7,
+}
+
+impl Side {
+    /// All sides, in code order: the host, then device 0, 1, ….
+    pub const ALL: [Side; 9] = [
+        Side::Cpu,
+        Side::Gpu,
+        Side::Gpu1,
+        Side::Gpu2,
+        Side::Gpu3,
+        Side::Gpu4,
+        Side::Gpu5,
+        Side::Gpu6,
+        Side::Gpu7,
+    ];
+
+    /// Journal spelling: `cpu`, `gpu` for the primary device, `gpuN` for
+    /// device N > 0.
+    pub fn label(self) -> &'static str {
+        match self {
+            Side::Cpu => "cpu",
+            Side::Gpu => "gpu",
+            Side::Gpu1 => "gpu1",
+            Side::Gpu2 => "gpu2",
+            Side::Gpu3 => "gpu3",
+            Side::Gpu4 => "gpu4",
+            Side::Gpu5 => "gpu5",
+            Side::Gpu6 => "gpu6",
+            Side::Gpu7 => "gpu7",
+        }
+    }
+}
+
+impl fmt::Display for Side {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.label())
+    }
+}
+
+/// What moved a copy between coherence states.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Cause {
+    /// A write on some side.
+    Write,
+    /// A transfer into the copy.
+    Transfer,
+    /// A compiler-inserted status reset (may-dead / must-dead copy).
+    Reset,
+    /// Deallocation of the device copy.
+    Dealloc,
+}
+
+impl Cause {
+    /// All causes, in code order.
+    pub const ALL: [Cause; 4] = [Cause::Write, Cause::Transfer, Cause::Reset, Cause::Dealloc];
+
+    /// Journal spelling.
+    pub fn label(self) -> &'static str {
+        match self {
+            Cause::Write => "write",
+            Cause::Transfer => "transfer",
+            Cause::Reset => "reset",
+            Cause::Dealloc => "dealloc",
+        }
+    }
+}
+
+impl fmt::Display for Cause {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.label())
+    }
+}
+
+/// How urgent a transfer-report finding is: errors must be fixed, warnings
+/// need user judgement, info is an optimization opportunity.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Severity {
+    /// An optimization opportunity.
+    Info,
+    /// Needs user judgement.
+    Warning,
+    /// Must be fixed.
+    Error,
+}
+
+impl Severity {
+    /// All severities, in code order.
+    pub const ALL: [Severity; 3] = [Severity::Info, Severity::Warning, Severity::Error];
+
+    /// Journal spelling.
+    pub fn label(self) -> &'static str {
+        match self {
+            Severity::Info => "info",
+            Severity::Warning => "warning",
+            Severity::Error => "error",
+        }
+    }
+}
+
+impl fmt::Display for Severity {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.label())
     }
@@ -189,26 +345,24 @@ pub enum EventKind {
         var: String,
     },
     /// A coherence state transition on one side of a tracked variable
-    /// (instant). States are the paper's `notstale` / `maystale` / `stale`.
+    /// (instant).
     Coherence {
         /// Variable whose state changed.
         var: String,
-        /// Side that changed: `"cpu"`, `"gpu"` (primary device), or
-        /// `"gpuN"` for device N > 0.
-        side: &'static str,
+        /// Side that changed.
+        side: Side,
         /// Previous state.
-        from: &'static str,
+        from: St,
         /// New state.
-        to: &'static str,
-        /// What caused the transition: `"write"`, `"transfer"`, `"reset"`
-        /// or `"dealloc"`.
-        cause: &'static str,
+        to: St,
+        /// What caused the transition.
+        cause: Cause,
     },
     /// A transfer-report finding (instant) — the journal's copy of one
     /// Listing-4-style suggestion.
     Finding {
-        /// Severity: `"info"`, `"warning"` or `"error"`.
-        severity: &'static str,
+        /// Severity of the finding.
+        severity: Severity,
         /// Finding kind, e.g. `"Redundant"`, `"Missing"`.
         kind: String,
         /// Variable involved.
@@ -345,6 +499,87 @@ impl TraceEvent {
             | EventKind::Coherence { var, .. }
             | EventKind::Finding { var, .. } => var == name,
             _ => false,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    // Each `ALL` is a code table: an entry's code is its position. The
+    // matches are exhaustive, so a new variant does not compile here until
+    // it is given a code, and each loop checks that `ALL` holds every entry
+    // at its code.
+
+    #[test]
+    fn category_all_is_its_code_table() {
+        let code = |c| match c {
+            Category::GpuMemFree => 0,
+            Category::GpuMemAlloc => 1,
+            Category::MemTransfer => 2,
+            Category::AsyncWait => 3,
+            Category::ResultComp => 4,
+            Category::CpuTime => 5,
+            Category::KernelExec => 6,
+        };
+        for (i, c) in Category::ALL.into_iter().enumerate() {
+            assert_eq!(code(c), i, "{c:?}");
+        }
+    }
+
+    #[test]
+    fn state_all_is_its_code_table() {
+        let code = |s| match s {
+            St::NotStale => 0,
+            St::MayStale => 1,
+            St::Stale => 2,
+        };
+        for (i, s) in St::ALL.into_iter().enumerate() {
+            assert_eq!(code(s), i, "{s:?}");
+        }
+    }
+
+    #[test]
+    fn side_all_is_its_code_table() {
+        let code = |s| match s {
+            Side::Cpu => 0,
+            Side::Gpu => 1,
+            Side::Gpu1 => 2,
+            Side::Gpu2 => 3,
+            Side::Gpu3 => 4,
+            Side::Gpu4 => 5,
+            Side::Gpu5 => 6,
+            Side::Gpu6 => 7,
+            Side::Gpu7 => 8,
+        };
+        for (i, s) in Side::ALL.into_iter().enumerate() {
+            assert_eq!(code(s), i, "{s:?}");
+        }
+    }
+
+    #[test]
+    fn cause_all_is_its_code_table() {
+        let code = |c| match c {
+            Cause::Write => 0,
+            Cause::Transfer => 1,
+            Cause::Reset => 2,
+            Cause::Dealloc => 3,
+        };
+        for (i, c) in Cause::ALL.into_iter().enumerate() {
+            assert_eq!(code(c), i, "{c:?}");
+        }
+    }
+
+    #[test]
+    fn severity_all_is_its_code_table() {
+        let code = |s| match s {
+            Severity::Info => 0,
+            Severity::Warning => 1,
+            Severity::Error => 2,
+        };
+        for (i, s) in Severity::ALL.into_iter().enumerate() {
+            assert_eq!(code(s), i, "{s:?}");
         }
     }
 }

@@ -74,7 +74,7 @@ pub fn explain_var(events: &[TraceEvent], var: &str) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Track;
+    use crate::event::{Severity, Track};
 
     fn at(ts: f64, kind: EventKind) -> TraceEvent {
         TraceEvent {
@@ -114,7 +114,7 @@ mod tests {
             at(
                 6.0,
                 EventKind::Finding {
-                    severity: "warning",
+                    severity: Severity::Warning,
                     kind: "Redundant".into(),
                     var: "a".into(),
                     site: "u1".into(),

@@ -49,7 +49,7 @@ pub mod summary;
 
 pub use chrome::chrome_trace;
 pub use coverage::{signature_of, Signature};
-pub use event::{Category, EventKind, TraceEvent, Track};
+pub use event::{Category, Cause, EventKind, Severity, Side, St, TraceEvent, Track};
 pub use explain::explain_var;
 pub use journal::{Journal, JournalPart};
 pub use summary::{category_totals, summarize, KernelRow, Summary};

@@ -351,7 +351,7 @@ impl fmt::Display for Summary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Track;
+    use crate::event::{Severity, Track};
 
     fn slice(ts: f64, dt: f64, cat: Category) -> TraceEvent {
         TraceEvent {
@@ -496,7 +496,7 @@ mod tests {
                 to_device: true,
             }),
             mk(EventKind::Finding {
-                severity: "warning",
+                severity: Severity::Warning,
                 kind: "Redundant".into(),
                 var: "a".into(),
                 site: "k0_in".into(),

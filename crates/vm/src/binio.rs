@@ -6,16 +6,17 @@
 //! patterns so `NaN`, infinities and `-0.0` survive exactly, and buffer
 //! slot indices are preserved so outstanding [`Handle`]s in restored
 //! globals stay valid; the encoding is fixed-width little-endian
-//! primitives with one-byte opcodes for instructions, intrinsics and
-//! value tags. Decoding never panics; malformed bytes come back as
+//! primitives with one-byte opcodes for instructions and value tags, and
+//! one-byte codes (positions in each enum's `ALL`) for intrinsics, scalar
+//! types and operators. Decoding never panics; malformed bytes come back as
 //! `Err(String)`.
 
 use crate::bytecode::{Chunk, GlobalInfo, Instr, Intrinsic, Module};
 use crate::mem::{BufData, Buffer, MemSpace};
 use crate::value::{Handle, Value};
-use openarc_minic::binio::{
-    read_binop, read_scalar, read_ty, read_unop, write_binop, write_scalar, write_ty, write_unop,
-};
+use openarc_minic::ast::{BinOp, UnOp};
+use openarc_minic::binio::{read_ty, write_ty};
+use openarc_minic::ScalarTy;
 use openarc_trace::bin::{Reader, Writer};
 
 type R<T> = Result<T, String>;
@@ -61,7 +62,7 @@ pub fn read_value(r: &mut Reader<'_>) -> R<Value> {
 // Memory
 
 fn write_buffer(w: &mut Writer, b: &Buffer) {
-    write_scalar(w, b.elem);
+    w.put_code(&ScalarTy::ALL, b.elem);
     w.put_str(&b.label);
     match &b.data {
         BufData::I64(v) => {
@@ -89,7 +90,7 @@ fn write_buffer(w: &mut Writer, b: &Buffer) {
 }
 
 fn read_buffer(r: &mut Reader<'_>) -> R<Buffer> {
-    let elem = read_scalar(r)?;
+    let elem = r.code(&ScalarTy::ALL, "scalar type")?;
     let label = r.string()?;
     let data = match r.u8()? {
         0 => {
@@ -155,29 +156,6 @@ pub fn read_memspace(r: &mut Reader<'_>) -> R<MemSpace> {
 // ---------------------------------------------------------------------------
 // Bytecode
 
-/// The 19 intrinsics in normative code order (codes 0–18).
-const INTRINSICS: [Intrinsic; 19] = [
-    Intrinsic::Sqrt,
-    Intrinsic::Fabs,
-    Intrinsic::Exp,
-    Intrinsic::Log,
-    Intrinsic::Pow,
-    Intrinsic::Sin,
-    Intrinsic::Cos,
-    Intrinsic::Floor,
-    Intrinsic::Ceil,
-    Intrinsic::Fmin,
-    Intrinsic::Fmax,
-    Intrinsic::Abs,
-    Intrinsic::Min,
-    Intrinsic::Max,
-    Intrinsic::SqrtF,
-    Intrinsic::ExpF,
-    Intrinsic::FabsF,
-    Intrinsic::LogF,
-    Intrinsic::PowF,
-];
-
 fn write_instr(w: &mut Writer, i: &Instr) {
     match i {
         Instr::Const(x) => {
@@ -204,15 +182,15 @@ fn write_instr(w: &mut Writer, i: &Instr) {
         Instr::StoreElem => w.put_u8(6),
         Instr::Bin(op) => {
             w.put_u8(7);
-            write_binop(w, *op);
+            w.put_code(&BinOp::ALL, *op);
         }
         Instr::Un(op) => {
             w.put_u8(8);
-            write_unop(w, *op);
+            w.put_code(&UnOp::ALL, *op);
         }
         Instr::Cast(s) => {
             w.put_u8(9);
-            write_scalar(w, *s);
+            w.put_code(&ScalarTy::ALL, *s);
         }
         Instr::Jump(x) => {
             w.put_u8(10);
@@ -232,12 +210,11 @@ fn write_instr(w: &mut Writer, i: &Instr) {
         }
         Instr::CallIntrinsic(i) => {
             w.put_u8(14);
-            let code = INTRINSICS.iter().position(|k| k == i).unwrap() as u8;
-            w.put_u8(code);
+            w.put_code(&Intrinsic::ALL, *i);
         }
         Instr::Malloc(s, l) => {
             w.put_u8(15);
-            write_scalar(w, *s);
+            w.put_code(&ScalarTy::ALL, *s);
             w.put_u16(*l);
         }
         Instr::Free => w.put_u8(16),
@@ -261,23 +238,15 @@ fn read_instr(r: &mut Reader<'_>) -> R<Instr> {
         4 => Instr::StoreGlobal(r.u16()?),
         5 => Instr::LoadElem,
         6 => Instr::StoreElem,
-        7 => Instr::Bin(read_binop(r)?),
-        8 => Instr::Un(read_unop(r)?),
-        9 => Instr::Cast(read_scalar(r)?),
+        7 => Instr::Bin(r.code(&BinOp::ALL, "binary op")?),
+        8 => Instr::Un(r.code(&UnOp::ALL, "unary op")?),
+        9 => Instr::Cast(r.code(&ScalarTy::ALL, "scalar type")?),
         10 => Instr::Jump(r.u32()?),
         11 => Instr::JumpIfFalse(r.u32()?),
         12 => Instr::JumpIfTrue(r.u32()?),
         13 => Instr::Call(r.u16()?),
-        14 => {
-            let c = r.u8()?;
-            Instr::CallIntrinsic(
-                INTRINSICS
-                    .get(c as usize)
-                    .copied()
-                    .ok_or_else(|| r.err(&format!("unknown intrinsic code {c}")))?,
-            )
-        }
-        15 => Instr::Malloc(read_scalar(r)?, r.u16()?),
+        14 => Instr::CallIntrinsic(r.code(&Intrinsic::ALL, "intrinsic")?),
+        15 => Instr::Malloc(r.code(&ScalarTy::ALL, "scalar type")?, r.u16()?),
         16 => Instr::Free,
         17 => Instr::Return,
         18 => Instr::ReturnVoid,

@@ -31,6 +31,29 @@ pub enum Intrinsic {
 }
 
 impl Intrinsic {
+    /// All intrinsics, in code order.
+    pub const ALL: [Intrinsic; 19] = [
+        Intrinsic::Sqrt,
+        Intrinsic::Fabs,
+        Intrinsic::Exp,
+        Intrinsic::Log,
+        Intrinsic::Pow,
+        Intrinsic::Sin,
+        Intrinsic::Cos,
+        Intrinsic::Floor,
+        Intrinsic::Ceil,
+        Intrinsic::Fmin,
+        Intrinsic::Fmax,
+        Intrinsic::Abs,
+        Intrinsic::Min,
+        Intrinsic::Max,
+        Intrinsic::SqrtF,
+        Intrinsic::ExpF,
+        Intrinsic::FabsF,
+        Intrinsic::LogF,
+        Intrinsic::PowF,
+    ];
+
     /// Map a source-level intrinsic name (excluding malloc/free, which have
     /// dedicated instructions).
     pub fn from_name(name: &str) -> Option<Intrinsic> {
@@ -205,6 +228,36 @@ impl Module {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `ALL` is the intrinsic's code table: the match is exhaustive, so a
+    /// new intrinsic does not compile here until it is given a code.
+    #[test]
+    fn intrinsic_all_is_its_code_table() {
+        let code = |i| match i {
+            Intrinsic::Sqrt => 0,
+            Intrinsic::Fabs => 1,
+            Intrinsic::Exp => 2,
+            Intrinsic::Log => 3,
+            Intrinsic::Pow => 4,
+            Intrinsic::Sin => 5,
+            Intrinsic::Cos => 6,
+            Intrinsic::Floor => 7,
+            Intrinsic::Ceil => 8,
+            Intrinsic::Fmin => 9,
+            Intrinsic::Fmax => 10,
+            Intrinsic::Abs => 11,
+            Intrinsic::Min => 12,
+            Intrinsic::Max => 13,
+            Intrinsic::SqrtF => 14,
+            Intrinsic::ExpF => 15,
+            Intrinsic::FabsF => 16,
+            Intrinsic::LogF => 17,
+            Intrinsic::PowF => 18,
+        };
+        for (i, k) in Intrinsic::ALL.into_iter().enumerate() {
+            assert_eq!(code(k), i, "{k:?}");
+        }
+    }
 
     #[test]
     fn intrinsic_names_round_trip() {

@@ -1,7 +1,7 @@
 //! Programmatic use of the execution event journal (what `openarc
 //! profile` does under the hood): run the unoptimized JACOBI with a
 //! journal attached, reconcile the journal against the simulator's
-//! `TimeCategory` accounting, export a Chrome trace, and replay the
+//! `TimeBreakdown` accounting, export a Chrome trace, and replay the
 //! event timeline that explains why the per-sweep `update` transfers
 //! are flagged redundant.
 //!
@@ -38,11 +38,7 @@ fn main() {
     // The journal's per-category slice totals reconcile *exactly* with
     // the simulated clock's breakdown — same additions, same order.
     for (cat, total) in category_totals(&events) {
-        let clock_cat = openarc::gpusim::clock::TimeCategory::ALL
-            .into_iter()
-            .find(|t| t.trace_category() == cat)
-            .unwrap();
-        assert_eq!(total, run.machine.clock.breakdown.get(clock_cat), "{cat}");
+        assert_eq!(total, run.machine.clock.breakdown.get(cat), "{cat}");
     }
 
     print!("{}", summarize(&events));

@@ -13,9 +13,8 @@
 //! devices matrix.
 
 use openarc::core::exec::dag::Placement;
-use openarc::gpusim::clock::TimeCategory;
 use openarc::prelude::*;
-use openarc::trace::{EventKind, TraceEvent, Track};
+use openarc::trace::{Category, EventKind, TraceEvent, Track};
 
 /// Run one benchmark's naive variant under kernel verification with the
 /// given DAG window, device count, and placement policy, capturing the
@@ -113,7 +112,7 @@ fn unit_dag_config_is_bit_identical_to_oracle() {
                 "{}: clock now ({ctx})",
                 b.name
             );
-            for cat in TimeCategory::ALL.iter() {
+            for cat in Category::ALL.iter() {
                 assert_eq!(
                     oracle.machine.clock.breakdown.get(*cat).to_bits(),
                     dag.machine.clock.breakdown.get(*cat).to_bits(),

@@ -1,9 +1,8 @@
 //! Integration tests of the execution event journal: exact reconciliation
-//! of journal slice totals against the simulator's `TimeCategory`
+//! of journal slice totals against the simulator's `TimeBreakdown`
 //! accounting on real benchmarks, a golden-file check of the Chrome
 //! `trace_event` export, and verification events in verify mode.
 
-use openarc::gpusim::clock::TimeCategory;
 use openarc::prelude::*;
 use openarc::trace::{category_totals, EventKind};
 
@@ -30,13 +29,9 @@ fn assert_reconciles(b: &openarc::suite::Benchmark, v: Variant) {
         v.name()
     );
     for (cat, total) in category_totals(&events) {
-        let clock_cat = TimeCategory::ALL
-            .into_iter()
-            .find(|t| t.trace_category() == cat)
-            .unwrap();
         assert_eq!(
             total,
-            r.machine.clock.breakdown.get(clock_cat),
+            r.machine.clock.breakdown.get(cat),
             "{} [{}] {cat} drifted from the clock",
             b.name,
             v.name()
