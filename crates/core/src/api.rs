@@ -767,7 +767,7 @@ mod tests {
     #[test]
     fn request_round_trips_through_json() {
         let mut req = Request::new(Action::Verify, SRC);
-        req.options = Some("devices=2,dagJobs=4".into());
+        req.options = Some("devices=2,relTol=1e-4".into());
         req.tenant = "team-a".into();
         req.journal = true;
         req.deadline_ms = Some(250);
@@ -798,12 +798,23 @@ mod tests {
             Json::obj(vec![
                 ("action", Json::from("verify")),
                 ("source", Json::from(SRC)),
-                ("options", Json::from("placement=measured")),
+                ("options", Json::from("devices=0")),
             ]),
+            // Removed keys are unknown keys.
             Json::obj(vec![
                 ("action", Json::from("verify")),
                 ("source", Json::from(SRC)),
                 ("options", Json::from("compareJobs=2")),
+            ]),
+            Json::obj(vec![
+                ("action", Json::from("verify")),
+                ("source", Json::from(SRC)),
+                ("options", Json::from("dagJobs=4")),
+            ]),
+            Json::obj(vec![
+                ("action", Json::from("verify")),
+                ("source", Json::from(SRC)),
+                ("options", Json::from("placement=eft")),
             ]),
         ] {
             let err = Request::from_json(&v)

@@ -31,14 +31,9 @@ pub(super) struct ExecEnv<'a> {
     pub(super) deferred: Vec<Vec<DeferredCopy>>,
     /// Data regions currently active (if-clause decisions at enter time).
     pub(super) region_active: HashMap<usize, bool>,
-    /// Verified launches issued but not yet retired (FIFO; see
-    /// [`VerifyOptions::dag_jobs`](super::VerifyOptions::dag_jobs)).
-    pub(super) pending: std::collections::VecDeque<super::verified::PendingVerify>,
-    /// Static device assignment per launch site (verify mode; from
-    /// [`super::dag::DepDag::device_plan`]).
-    pub(super) device_plan: Vec<openarc_gpusim::DeviceId>,
-    /// Per-site memory footprints (verify mode; empty otherwise).
-    pub(super) footprints: Vec<super::dag::Footprint>,
+    /// Device of each launch site (verify mode with more than one device:
+    /// [`super::dag::DepDag::device_plan`]; all-primary otherwise).
+    pub(super) device_plan: Vec<DeviceId>,
     /// Wall-clock origin of the run; verified-launch stage spans are
     /// journaled relative to this instant.
     pub(super) t0: std::time::Instant,
@@ -399,11 +394,6 @@ impl Env for ExecEnv<'_> {
     }
 
     fn free(&mut self, h: Handle) -> Result<(), VmError> {
-        // In-flight verified launches unmap their staging at retirement;
-        // retire them first so this free sees settled present tables.
-        if !self.pending.is_empty() {
-            self.retire_all()?;
-        }
         // Freeing a host allocation invalidates any device mapping and its
         // coherence record.
         while let Some(d) = self.machine.present_anywhere(h) {

@@ -23,10 +23,13 @@
 //!   launch paths, and `launch_kernel`, through which every device launch
 //!   of both modes goes to the launch memo.
 //! * `verified` — the §III-A verified launch: staging, device run, CPU
-//!   reference and comparison, in that order on the calling thread.
+//!   reference, comparison and completion, in that order on the calling
+//!   thread.
+//! * `dag` — launch dependency levels, which place verified launches on
+//!   devices round-robin when a run has more than one.
 //! * `reduce` — reduction operator evaluation and partial-buffer folds.
 
-pub mod dag;
+mod dag;
 mod env;
 mod launch;
 mod reduce;
@@ -38,7 +41,7 @@ use crate::translate::Translated;
 use env::ExecEnv;
 pub use reduce::red_eval;
 
-use openarc_gpusim::{CostModel, DeviceId, LaunchConfig, LaunchMemo, RaceReport};
+use openarc_gpusim::{DeviceId, LaunchConfig, LaunchMemo, RaceReport};
 use openarc_runtime::Machine;
 use openarc_trace::Journal;
 use openarc_vm::interp::BasicEnv;
@@ -60,30 +63,13 @@ pub struct VerifyOptions {
     pub min_value_to_check: f64,
     /// Async queue used for the demoted transfers/kernels.
     pub queue: i64,
-    /// Verified launches allowed in flight concurrently on the simulated
-    /// timeline. Each launch *executes* (device run, reference,
-    /// comparison, canonical stores) at issue in program order, but its
-    /// completion accounting — the reference CPU charge, the queue wait,
-    /// the result-comparison charge, the verification event and the
-    /// unmaps — defers until the launch *retires*: when a later launch's
-    /// footprint conflicts with it (RAW/WAR/WAW, see [`dag`]), when the
-    /// in-flight window exceeds this bound, or at a flush point (host
-    /// free of a touched buffer, end of run). `1` (the default) retires
-    /// every launch immediately, reproducing the sequential oracle
-    /// bit-for-bit.
-    pub dag_jobs: usize,
-    /// Simulated devices the DAG executor schedules across (clamped to
-    /// `1..=`[`openarc_runtime::MAX_DEVICES`]). Independent launches —
-    /// same level of the dependency DAG — are spread over the devices by
-    /// the `placement` policy, so with `dag_jobs > 1` their queue spans
-    /// overlap on the simulated timeline. `1` (the default) keeps
-    /// everything on the primary device.
+    /// Simulated devices the verified launches run on (clamped to
+    /// `1..=`[`openarc_runtime::MAX_DEVICES`]). Launch sites that share a
+    /// level of the launch dependency DAG are spread round-robin over the
+    /// devices. Each launch retires before the next one issues, so
+    /// the device count moves where work lands, never what verification
+    /// observes. `1` (the default) keeps everything on the primary device.
     pub devices: usize,
-    /// Device-placement policy for launch sites (`placement=` option):
-    /// static round-robin or cost-model EFT. With `devices=1` both
-    /// produce the all-primary plan, so placement never perturbs the
-    /// sequential oracle.
-    pub placement: dag::Placement,
 }
 
 impl Default for VerifyOptions {
@@ -95,9 +81,7 @@ impl Default for VerifyOptions {
             abs_tol: 1e-9,
             min_value_to_check: 0.0,
             queue: 1,
-            dag_jobs: 1,
             devices: 1,
-            placement: dag::Placement::RoundRobin,
         }
     }
 }
@@ -281,20 +265,14 @@ pub(crate) fn execute_in(
     let host = BasicEnv::for_module(&tr.host_module);
     // The device dimension exists only in verify mode — the sequential
     // and Normal paths always simulate exactly one device.
-    let (n_devices, device_plan, footprints) = match &opts.mode {
-        ExecMode::Verify(v) => {
-            let d = dag::DepDag::build(&tr.kernels);
-            let n = v.devices.clamp(1, openarc_runtime::MAX_DEVICES);
-            let plan = match v.placement {
-                dag::Placement::RoundRobin => d.device_plan(n),
-                dag::Placement::Eft => {
-                    let table = dag::cost::estimate_site_costs(tr, &CostModel::default());
-                    dag::cost::eft_plan(&d, &table, n).plan
-                }
-            };
-            (n, plan, d.footprints)
-        }
-        _ => (1, vec![DeviceId::PRIMARY; tr.kernels.len()], Vec::new()),
+    let n_devices = match &opts.mode {
+        ExecMode::Verify(v) => v.devices.clamp(1, openarc_runtime::MAX_DEVICES),
+        _ => 1,
+    };
+    let device_plan = if n_devices > 1 {
+        dag::DepDag::build(&tr.kernels).device_plan(n_devices)
+    } else {
+        vec![DeviceId::PRIMARY; tr.kernels.len()]
     };
     let mut machine = Machine::with_devices(host, opts.check_transfers, n_devices);
     machine.devices.set_race_detect(opts.race_detect);
@@ -318,9 +296,7 @@ pub(crate) fn execute_in(
         kernel_launches: 0,
         deferred: Vec::new(),
         region_active: HashMap::new(),
-        pending: std::collections::VecDeque::new(),
         device_plan,
-        footprints,
         t0: std::time::Instant::now(),
         memo,
         module_fp: None,
@@ -375,9 +351,6 @@ pub(crate) fn execute_in(
             }
         }
     }
-    // Retire any still-in-flight verified launches (dag_jobs > 1) before
-    // the final barrier, so their completion accounting precedes it.
-    env.retire_all()?;
     env.machine.clock.wait_all();
     // Publish the run's buffered events in one batch — the only journal
     // lock acquisition of the whole run.

@@ -1,7 +1,7 @@
 //! Verified launch (§III-A): demoted transfers, device run, sequential CPU
 //! reference, comparison, CPU results canonical.
 //!
-//! One straight-line path on the calling thread, in three phases:
+//! One straight-line path on the calling thread, in four phases:
 //!
 //! 1. **Staging** — every aggregate the kernel touches is mapped, then
 //!    copied to the device on the verification async queue, and both
@@ -9,9 +9,12 @@
 //! 2. **Overlap** — the simulated device launch, then the `__seq_*` CPU
 //!    reference. The paper's asynchronous overlap of the two lives on the
 //!    *simulated* clock: the kernel is charged to the queue at issue and
-//!    the host waits on it at retirement (Fig. 3's Async-Wait).
-//! 3. **Comparison** — one [`compare_aggregate`] per written aggregate, then
+//!    the host waits on it when the launch completes (Fig. 3's Async-Wait).
+//! 3. **Comparison** — the written aggregates element by element, then
 //!    reductions, falsely-shared cells and §III-C assertions.
+//! 4. **Completion** — the reference CPU charge, the queue wait, the
+//!    comparison charge, the `Verification` event and the staging
+//!    unmaps, before the host runs on.
 //!
 //! Real elapsed time per phase is journaled as wall-clock
 //! [`EventKind::Stage`] spans into
@@ -25,34 +28,9 @@ use super::env::ExecEnv;
 use super::reduce::red_eval;
 use super::VerifyOptions;
 use crate::knowledge::KernelAssert;
-use openarc_gpusim::DeviceId;
 use openarc_trace::Category;
 use openarc_vm::{Handle, Value, VmError};
 use std::time::Instant;
-
-/// One verified launch that has *executed* (issue phase: staging, device
-/// run, CPU reference, comparison, canonical stores — all in program
-/// order) but whose completion accounting has not yet landed on the
-/// simulated timeline. Retirement performs, in oracle order: the CPU
-/// reference charge, the device-queue wait, the result-comparison charge,
-/// the verification record/event, and the staging unmaps.
-#[derive(Debug)]
-pub(super) struct PendingVerify {
-    /// Launch-site index into `tr.kernels` / `self.verify`.
-    pub(super) k: usize,
-    /// Device the launch was scheduled on.
-    dev: DeviceId,
-    /// Async queue (on `dev`) carrying the staging copies and the kernel.
-    queue: i64,
-    /// Interpreted instruction count of the CPU reference run.
-    ref_steps: u64,
-    /// The launch's output comparison.
-    cmp: Comparison,
-    /// §III-C assertion failures.
-    assertion_failures: u64,
-    /// Host handles of staged aggregates, to unmap from `dev`.
-    touched: Vec<Handle>,
-}
 
 /// Running totals of one verified launch's output comparison. Counts sum
 /// and the maximum only moves on strict increase, so the order values are
@@ -107,22 +85,7 @@ impl ExecEnv<'_> {
     /// Verified launch (§III-A): demoted transfers, async GPU + sequential
     /// CPU reference, comparison, CPU results stay canonical.
     pub(super) fn launch_verified(&mut self, k: usize, v: &VerifyOptions) -> Result<(), VmError> {
-        // DAG ordering: any in-flight launch whose footprint conflicts
-        // with this site (RAW/WAR/WAW — including an earlier launch of
-        // the same site) must complete on the simulated timeline before
-        // this one issues.
-        while self
-            .pending
-            .iter()
-            .any(|p| self.footprints[p.k].conflicts_with(&self.footprints[k]))
-        {
-            self.retire_oldest()?;
-        }
-        let dev = self
-            .device_plan
-            .get(k)
-            .copied()
-            .unwrap_or(DeviceId::PRIMARY);
+        let dev = self.device_plan[k];
         // `self.tr` outlives `self`: borrow the kernel record (and its
         // variable names) for the whole launch instead of deep-cloning it.
         let tr = self.tr;
@@ -144,9 +107,7 @@ impl ExecEnv<'_> {
         let verify_site = format!("{}_verify", info.name);
         // Map every touched aggregate first (allocation charges land here,
         // in variable order). Allocations are stream-ordered on the
-        // launch's queue — like the staging transfers and the kernel
-        // itself — so the host issue loop never blocks on them and
-        // independent launches can overlap on distinct devices.
+        // launch's queue, like the staging transfers and the kernel itself.
         let mut staged: Vec<(&str, Handle, Handle)> = Vec::with_capacity(touched.len());
         for var in touched {
             let h = self.resolve(var)?;
@@ -175,9 +136,6 @@ impl ExecEnv<'_> {
         }
         self.machine
             .charge_kernel_named_on(&info.name, &outcome, dev, Some(q));
-        // The reference CPU charge and the queue wait defer to this
-        // launch's *retirement*, so independent launches issued while
-        // this one is pending overlap it on the simulated timeline.
         self.note_stage("verify:overlap", t_overlap);
 
         // ------------------------------------------- stage 3: comparison
@@ -247,56 +205,28 @@ impl ExecEnv<'_> {
         }
         self.note_stage("verify:compare", t_compare);
 
-        // Discard device temporaries now (pure memory operations with no
-        // clock or journal effect); the staging *unmaps* defer to
-        // retirement because their free charges belong after the queue
-        // wait on the simulated timeline.
         for t in dtemps {
             self.machine.devices.get_mut(dev).mem.free(t)?;
         }
         for t in htemps {
             self.machine.host.mem.free(t)?;
         }
-        self.pending.push_back(PendingVerify {
-            k,
-            dev,
-            queue: q,
-            ref_steps: steps,
-            cmp,
-            assertion_failures,
-            touched: staged.iter().map(|&(_, host_h, _)| host_h).collect(),
-        });
-        // Capacity: keep at most `dag_jobs` launches in flight. At the
-        // default of 1 this retires the launch immediately, reproducing
-        // the sequential oracle's clock and journal bit-for-bit.
-        while self.pending.len() >= v.dag_jobs.max(1) {
-            self.retire_oldest()?;
-        }
-        Ok(())
-    }
 
-    /// Retire the oldest in-flight verified launch: replay its completion
-    /// accounting in oracle order — reference CPU charge, device-queue
-    /// wait, result-comparison charge, verification record and event,
-    /// staging unmaps.
-    pub(super) fn retire_oldest(&mut self) -> Result<(), VmError> {
-        let Some(p) = self.pending.pop_front() else {
-            return Ok(());
-        };
-        let name = &self.tr.kernels[p.k].name;
-        self.machine.charge_cpu(p.ref_steps);
-        self.machine.clock.wait_on(p.dev, p.queue);
-        // Charge the result comparison (~2 interpreted instrs per element).
-        let dt = self.machine.cost.cpu_time(p.cmp.compared * 2);
+        // --------------------------------------------------- completion
+        // The reference CPU charge, then the host waits on the kernel's
+        // queue (Fig. 3's Async-Wait), then the comparison charge (~2
+        // interpreted instrs per element), the verdict and the unmaps.
+        self.machine.charge_cpu(steps);
+        self.machine.clock.wait_on(dev, q);
+        let dt = self.machine.cost.cpu_time(cmp.compared * 2);
         self.machine.clock.advance(Category::ResultComp, dt);
-
-        let rec = &mut self.verify[p.k];
+        let rec = &mut self.verify[k];
         rec.launches += 1;
-        rec.compared_elems += p.cmp.compared;
-        rec.mismatched_elems += p.cmp.mismatches;
-        rec.max_abs_err = rec.max_abs_err.max(p.cmp.max_err);
-        rec.assertion_failures += p.assertion_failures;
-        if p.cmp.mismatches > 0 {
+        rec.compared_elems += cmp.compared;
+        rec.mismatched_elems += cmp.mismatches;
+        rec.max_abs_err = rec.max_abs_err.max(cmp.max_err);
+        rec.assertion_failures += assertion_failures;
+        if cmp.mismatches > 0 {
             rec.failed_launches += 1;
         }
         if self.machine.journal().is_enabled() {
@@ -305,24 +235,16 @@ impl ExecEnv<'_> {
                 dur_us: 0.0,
                 track: openarc_trace::Track::Host,
                 kind: openarc_trace::EventKind::Verification {
-                    kernel: name.clone(),
-                    passed: p.cmp.mismatches == 0 && p.assertion_failures == 0,
-                    compared_elems: p.cmp.compared,
-                    mismatched_elems: p.cmp.mismatches,
-                    max_abs_err: p.cmp.max_err,
+                    kernel: info.name.clone(),
+                    passed: cmp.mismatches == 0 && assertion_failures == 0,
+                    compared_elems: cmp.compared,
+                    mismatched_elems: cmp.mismatches,
+                    max_abs_err: cmp.max_err,
                 },
             });
         }
-        for h in &p.touched {
-            self.machine.unmap_from_device_on(p.dev, *h)?;
-        }
-        Ok(())
-    }
-
-    /// Retire every in-flight verified launch, oldest first.
-    pub(super) fn retire_all(&mut self) -> Result<(), VmError> {
-        while !self.pending.is_empty() {
-            self.retire_oldest()?;
+        for &(_, host_h, _) in &staged {
+            self.machine.unmap_from_device_on(dev, host_h)?;
         }
         Ok(())
     }

@@ -10,17 +10,15 @@
 //!    replay of the PR-5 reference state machine
 //!    ([`validate_coherence`]); when the tracker reports *no* transfer
 //!    errors, the leg's observable outputs must match the CPU reference.
-//! 3. **Verification matrix** — verify-mode runs under a small matrix of
-//!    `verificationOptions` (placement × dagJobs × devices). Per-launch
-//!    verdicts compare simulated-GPU kernel outputs against the runtime's
-//!    own sequential reference, so a failed verdict on a race-free input
-//!    is a pipeline bug regardless of the program's clause hygiene; and
-//!    every config's observables must agree bit for bit with the
-//!    `dagJobs = 1, devices = 1` oracle config.
+//! 3. **Verification matrix** — verify-mode runs on 1, 2 and 3 simulated
+//!    devices. Per-launch verdicts compare simulated-GPU kernel outputs
+//!    against the runtime's own sequential reference, so a failed verdict
+//!    on a race-free input is a pipeline bug regardless of the program's
+//!    clause hygiene; and every config's observables must agree bit for
+//!    bit with the one-device oracle config.
 //!
 //! Everything the legs journal is folded into one coverage [`Signature`].
 
-use crate::exec::dag::Placement;
 use crate::exec::{ExecMode, ExecOptions, RunResult, VerifyOptions};
 use crate::interactive::{capture_outputs, outputs_match, OutputSpec};
 use crate::pipeline::{Fnv, PipelineError, Session, TranslatedArtifact};
@@ -42,12 +40,9 @@ const FUZZ_STEP_BUDGET: u64 = 2_000_000;
 /// One cell of the verification-options matrix.
 #[derive(Debug, Clone)]
 pub struct MatrixConfig {
-    /// Short label used in findings and repro files.
+    /// Short label used in findings, repro files and the `cfg:` coverage
+    /// atom.
     pub label: &'static str,
-    /// Device placement policy.
-    pub placement: Placement,
-    /// DAG scheduler worker count.
-    pub dag_jobs: usize,
     /// Simulated device count.
     pub devices: usize,
 }
@@ -56,44 +51,33 @@ impl MatrixConfig {
     /// The `verificationOptions` string equivalent of this config, as
     /// accepted by `openarc verify --options`.
     pub fn options_string(&self) -> String {
-        format!(
-            "placement={},dagJobs={},devices={}",
-            self.placement.as_str(),
-            self.dag_jobs,
-            self.devices
-        )
+        format!("devices={}", self.devices)
     }
 
     fn verify_options(&self) -> VerifyOptions {
         VerifyOptions {
-            placement: self.placement,
-            dag_jobs: self.dag_jobs,
             devices: self.devices,
             ..VerifyOptions::default()
         }
     }
 }
 
-/// The default matrix: the sequential oracle cell first, then two
-/// scheduled/multi-device cells that must agree with it.
+/// The default matrix: the one-device oracle cell first, then two
+/// multi-device cells that must agree with it. Every campaign fingerprint
+/// hashes the labels as `cfg:` coverage atoms, so renaming a cell moves
+/// every pinned fingerprint.
 pub fn default_matrix() -> Vec<MatrixConfig> {
     vec![
         MatrixConfig {
             label: "oracle",
-            placement: Placement::RoundRobin,
-            dag_jobs: 1,
             devices: 1,
         },
         MatrixConfig {
             label: "eft-d2",
-            placement: Placement::Eft,
-            dag_jobs: 4,
             devices: 2,
         },
         MatrixConfig {
             label: "rr-d3",
-            placement: Placement::RoundRobin,
-            dag_jobs: 2,
             devices: 3,
         },
     ]
@@ -112,7 +96,7 @@ pub enum FindingKind {
     VerifyDivergence,
     /// Clean check report but GPU observables differ from CPU reference.
     OutputDivergence,
-    /// A matrix config disagrees with the `dagJobs=1, devices=1` oracle.
+    /// A matrix config disagrees with the one-device oracle config.
     CrossConfig,
 }
 
@@ -750,12 +734,11 @@ mod tests {
     #[test]
     fn matrix_options_strings() {
         let m = default_matrix();
-        assert_eq!(
-            m[0].options_string(),
-            "placement=roundrobin,dagJobs=1,devices=1"
-        );
-        assert!(m
-            .iter()
-            .any(|c| c.options_string().contains("placement=eft")));
+        let specs: Vec<String> = m.iter().map(MatrixConfig::options_string).collect();
+        assert_eq!(specs, ["devices=1", "devices=2", "devices=3"]);
+        // Every spec is one `openarc verify` accepts.
+        for spec in &specs {
+            crate::options::parse_verification_options(spec).unwrap();
+        }
     }
 }

@@ -10,14 +10,12 @@ use std::collections::BTreeSet;
 
 /// Every key `parse_verification_options` accepts, sorted — quoted in
 /// the unknown-key diagnostic so a typo'd spec names its own fix.
-pub const ACCEPTED_KEYS: [&str; 9] = [
+pub const ACCEPTED_KEYS: [&str; 7] = [
     "absTol",
     "complement",
-    "dagJobs",
     "devices",
     "kernels",
     "minValueToCheck",
-    "placement",
     "queue",
     "relTol",
 ];
@@ -44,13 +42,8 @@ impl std::error::Error for OptionError {}
 /// * `minValueToCheck=<float>`;
 /// * `relTol=<float>` / `absTol=<float>` — comparison margins;
 /// * `queue=<int>` — async queue used for demoted transfers;
-/// * `dagJobs=<int>` — maximum verified launches in flight in the
-///   dependency-DAG executor (≥ 1; `1` retires each launch before the
-///   next issues, which is exactly the sequential oracle);
-/// * `devices=<int>` — simulated devices to schedule independent
-///   launches across (clamped to 1..=8);
-/// * `placement=roundrobin|eft` — device-placement policy: static
-///   per-level round-robin or cost-model earliest-finish-time.
+/// * `devices=<int>` — simulated devices that independent launches are
+///   spread across, round-robin per dependency level (clamped to 1..=8).
 ///
 /// ```
 /// use openarc_core::options::parse_verification_options;
@@ -121,16 +114,6 @@ pub fn parse_verification_options(spec: &str) -> Result<VerifyOptions, OptionErr
                     .parse()
                     .map_err(|_| OptionError(format!("bad integer `{value}`")))?;
             }
-            "dagJobs" => {
-                let jobs: usize = value
-                    .trim()
-                    .parse()
-                    .map_err(|_| OptionError(format!("bad integer `{value}`")))?;
-                if jobs == 0 {
-                    return Err(OptionError("dagJobs must be >= 1".into()));
-                }
-                opts.dag_jobs = jobs;
-            }
             "devices" => {
                 let n: usize = value
                     .trim()
@@ -140,17 +123,6 @@ pub fn parse_verification_options(spec: &str) -> Result<VerifyOptions, OptionErr
                     return Err(OptionError("devices must be >= 1".into()));
                 }
                 opts.devices = n.min(openarc_runtime::MAX_DEVICES);
-            }
-            "placement" => {
-                opts.placement = match value.trim() {
-                    "roundrobin" => crate::exec::dag::Placement::RoundRobin,
-                    "eft" => crate::exec::dag::Placement::Eft,
-                    other => {
-                        return Err(OptionError(format!(
-                            "placement must be one of roundrobin, eft; got `{other}`"
-                        )))
-                    }
-                }
             }
             other => {
                 return Err(OptionError(format!(
@@ -224,7 +196,7 @@ mod tests {
     fn rejects_the_removed_comparejobs_key() {
         // The comparison fan-out is gone; its key is rejected like any
         // other unknown key, whatever the value.
-        for spec in ["compareJobs=2", "dagJobs=2,compareJobs=1"] {
+        for spec in ["compareJobs=2", "devices=2,compareJobs=1"] {
             let e = parse_verification_options(spec).unwrap_err();
             assert!(
                 e.0.starts_with("unknown key `compareJobs` (accepted: "),
@@ -234,38 +206,33 @@ mod tests {
     }
 
     #[test]
-    fn parses_dag_jobs_and_devices() {
-        let v = parse_verification_options("dagJobs=4,devices=2").unwrap();
-        assert_eq!(v.dag_jobs, 4);
-        assert_eq!(v.devices, 2);
-        // Defaults keep the sequential oracle.
-        let d = parse_verification_options("").unwrap();
-        assert_eq!(d.dag_jobs, 1);
-        assert_eq!(d.devices, 1);
-        // Device count clamps to the journal's side-name table.
-        let big = parse_verification_options("devices=99").unwrap();
-        assert_eq!(big.devices, openarc_runtime::MAX_DEVICES);
-        assert!(parse_verification_options("dagJobs=0").is_err());
-        assert!(parse_verification_options("devices=0").is_err());
+    fn rejects_the_removed_dagjobs_and_placement_keys() {
+        // The in-flight window and EFT placement are gone; their keys are
+        // rejected like any other unknown key, whatever the value.
+        for (spec, key) in [
+            ("dagJobs=4", "dagJobs"),
+            ("dagJobs=1", "dagJobs"),
+            ("placement=eft", "placement"),
+            ("devices=2,placement=roundrobin", "placement"),
+        ] {
+            let e = parse_verification_options(spec).unwrap_err();
+            assert!(
+                e.0.starts_with(&format!("unknown key `{key}` (accepted: ")),
+                "{spec}: {e}"
+            );
+        }
     }
 
     #[test]
-    fn parses_placement() {
-        use crate::exec::dag::Placement;
-        let d = parse_verification_options("").unwrap();
-        assert_eq!(d.placement, Placement::RoundRobin);
-        for (spec, want) in [
-            ("placement=roundrobin", Placement::RoundRobin),
-            ("placement=eft", Placement::Eft),
-        ] {
-            let v = parse_verification_options(spec).unwrap();
-            assert_eq!(v.placement, want);
-            assert_eq!(v.placement.as_str(), spec.split('=').nth(1).unwrap());
-        }
-        for spec in ["placement=greedy", "placement=measured"] {
-            let e = parse_verification_options(spec).unwrap_err();
-            assert!(e.0.contains("roundrobin, eft"), "{spec}: {e}");
-        }
+    fn parses_devices() {
+        let v = parse_verification_options("devices=2").unwrap();
+        assert_eq!(v.devices, 2);
+        // The default is one device.
+        assert_eq!(parse_verification_options("").unwrap().devices, 1);
+        // Device count clamps to the journal's side-name table.
+        let big = parse_verification_options("devices=99").unwrap();
+        assert_eq!(big.devices, openarc_runtime::MAX_DEVICES);
+        assert!(parse_verification_options("devices=0").is_err());
     }
 
     #[test]
@@ -297,8 +264,8 @@ mod tests {
             assert!(err.0.contains("duplicate key"), "{spec}: {err}");
         }
         // The message names the offending key, not just "a duplicate".
-        let err = parse_verification_options("dagJobs=2,dagJobs=4").unwrap_err();
-        assert!(err.0.contains("`dagJobs`"), "{err}");
+        let err = parse_verification_options("devices=2,devices=3").unwrap_err();
+        assert!(err.0.contains("`devices`"), "{err}");
         // Distinct keys never trip the check.
         assert!(parse_verification_options("relTol=1e-4,absTol=1e-8").is_ok());
     }
@@ -328,9 +295,10 @@ mod tests {
             ("absTol=1e", "bad float"),
             ("queue=1.5", "bad integer"),
             ("compareJobs=2", "unknown key `compareJobs`"),
-            ("dagJobs=-1", "bad integer"),
+            ("devices=-1", "bad integer"),
             ("devices=0", "devices must be >= 1"),
-            ("placement=greedy", "placement must be"),
+            ("dagJobs=4", "unknown key `dagJobs`"),
+            ("placement=eft", "unknown key `placement`"),
             ("queue=1,queue=2", "duplicate key"),
             ("frobnicate=1", "unknown key"),
         ] {

@@ -186,13 +186,12 @@ fn fp_verify_options(h: &mut Fnv, v: &VerifyOptions) {
         .write_f64(v.rel_tol)
         .write_f64(v.abs_tol)
         .write_f64(v.min_value_to_check);
+    // `1` and `0` are the retired `dagJobs` and `placement` defaults,
+    // hashed in place so every plan id and cache key keeps its value.
     h.write_u64(v.queue as u64)
-        .write_u64(v.dag_jobs as u64)
-        .write_u64(v.devices as u64);
-    h.write_u64(match v.placement {
-        crate::exec::dag::Placement::RoundRobin => 0,
-        crate::exec::dag::Placement::Eft => 1,
-    });
+        .write_u64(1)
+        .write_u64(v.devices as u64)
+        .write_u64(0);
 }
 
 fn fp_exec_options(o: &ExecOptions) -> u64 {

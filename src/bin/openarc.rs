@@ -11,10 +11,6 @@
 //! openarc demote <file.c> <kernel#>    print the Listing-2 demotion
 //! openarc profile <file.c> [flags]     event-journal profiling: Chrome
 //!                                      trace export + per-kernel summary
-//! openarc dag <file.c> [spec]          dump the launch dependency DAG as
-//!                                      Graphviz dot, annotated with each
-//!                                      site's level, predicted cost, and
-//!                                      planned device
 //! openarc bench [flags]                batch mode: run the 12-benchmark ×
 //!                                      3-variant matrix through one
 //!                                      pipeline session
@@ -34,7 +30,6 @@
 use openarc::bench::args::BenchArgs;
 use openarc::core::api::{self, Action, ApiError, Request};
 use openarc::core::cache::{DiskCache, DEFAULT_DIR};
-use openarc::core::options::parse_verification_options;
 use openarc::core::pipeline::{PipelineError, Session};
 use openarc::prelude::*;
 use openarc::trace::json::Json;
@@ -85,19 +80,14 @@ impl From<ApiError> for CliError {
 }
 
 fn usage() -> String {
-    "usage: openarc <run|cpu|verify|check|demote|profile|dag|bench|fuzz|cache> [args]\n\
+    "usage: openarc <run|cpu|verify|check|demote|profile|serve|bench|fuzz|cache> [args]\n\
      \n\
      run    <file.c>            translate and execute on the simulated device\n\
      cpu    <file.c>            execute the sequential reference\n\
      verify <file.c> [options]  kernel verification; options use the paper's\n\
                                 syntax, e.g. complement=0,kernels=main_kernel0;\n\
-                                dagJobs=<N> keeps up to N verified launches in\n\
-                                flight on the dependency DAG and devices=<N>\n\
-                                spreads independent launches over N simulated\n\
-                                devices (dagJobs=1,devices=1 is the oracle);\n\
-                                placement=<roundrobin|eft> picks the\n\
-                                device-placement policy (static round-robin\n\
-                                or cost-model EFT)\n\
+                                devices=<N> spreads independent launches\n\
+                                round-robin over N simulated devices\n\
      check  <file.c>            memory-transfer verification report\n\
      demote <file.c> <kernel#>  print the memory-transfer-demoted program\n\
      profile <file.c> [flags]   run with the event journal enabled\n\
@@ -107,7 +97,7 @@ fn usage() -> String {
        --explain <var>          print the event timeline for one variable\n\
        --verify                 profile a kernel-verification run instead\n\
        --verify-opts <spec>     like --verify with verificationOptions, e.g.\n\
-                                devices=2,dagJobs=4,placement=eft\n\
+                                devices=2\n\
      serve [flags]              start the compile-and-verify daemon; clients\n\
                                 send newline-framed JSON requests (see the\n\
                                 README's wire-protocol table)\n\
@@ -120,9 +110,6 @@ fn usage() -> String {
                                 (default 1000, 0 disables)\n\
        --journal-out <path>     write the heartbeat journal as a Chrome\n\
                                 trace on shutdown\n\
-     dag <file.c> [spec]        print the launch dependency DAG as Graphviz\n\
-                                dot; spec is the verificationOptions syntax\n\
-                                (devices/placement drive the annotations)\n\
      bench [flags]              run the benchmark suite's 12×3 matrix\n\
        --scale <small|bench>    problem scale (default: bench)\n\
        --n <SIZE> --iters <N>   override the scale's size/iterations\n\
@@ -253,7 +240,6 @@ fn run(args: &[String]) -> Result<i32, CliError> {
         }
         "profile" => profile(rest),
         "serve" => serve(rest),
-        "dag" => dag_cmd(rest),
         "bench" => bench(rest),
         "fuzz" => fuzz_cmd(rest),
         "cache" => cache_cmd(rest),
@@ -578,64 +564,6 @@ fn cache_cmd(rest: &[String]) -> Result<i32, CliError> {
         }
         other => Err(format!("cache: unknown subcommand `{other}`\n{}", usage()).into()),
     }
-}
-
-/// `openarc dag`: print the program's launch dependency DAG as Graphviz
-/// dot. Each node carries the site index, kernel name, DAG level, the
-/// cost model's predicted duration, and the device the selected placement
-/// policy plans for it — the "show the user why" view of a placement
-/// decision.
-fn dag_cmd(rest: &[String]) -> Result<i32, CliError> {
-    use openarc::core::exec::dag::{cost, DepDag, Placement};
-    use openarc::gpusim::CostModel;
-
-    let (rest, cache) = cache_flags(rest, None)?;
-    let path = rest.first().ok_or_else(usage)?;
-    let vopts = match rest.get(1) {
-        Some(spec) => parse_verification_options(spec).map_err(|e| e.to_string())?,
-        None => VerifyOptions::default(),
-    };
-    let src = read_source(path)?;
-    let session = session_with(cache.as_ref());
-    let fe = session.frontend(&src)?;
-    let tra = session.translate(&fe, &TranslateOptions::default())?;
-    let tr = &tra.tr;
-    let dag = DepDag::build(&tr.kernels);
-    let n = vopts.devices.clamp(1, openarc::runtime::MAX_DEVICES);
-    let table = cost::estimate_site_costs(tr, &CostModel::default());
-    let sched = match vopts.placement {
-        Placement::RoundRobin => cost::evaluate_plan(&dag, &table, &dag.device_plan(n), n),
-        Placement::Eft => cost::eft_plan(&dag, &table, n),
-    };
-    println!("digraph launches {{");
-    println!("  rankdir=TB;");
-    println!("  node [shape=box, fontname=\"monospace\"];");
-    println!(
-        "  label=\"{} · placement={} · devices={} · predicted makespan {:.1} us\";",
-        path,
-        vopts.placement.as_str(),
-        n,
-        sched.makespan_us
-    );
-    for i in 0..dag.len() {
-        println!(
-            "  s{} [label=\"{}: {}\\nlevel {} · dev {}\\nest {:.1} us x{}\"];",
-            i,
-            i,
-            tr.kernels[i].name,
-            dag.levels[i],
-            sched.plan[i].0,
-            table.sites[i].total_us(),
-            table.mult.get(i).copied().unwrap_or(1),
-        );
-    }
-    for (j, deps) in dag.deps.iter().enumerate() {
-        for &i in deps {
-            println!("  s{i} -> s{j};");
-        }
-    }
-    println!("}}");
-    Ok(0)
 }
 
 /// `openarc profile`: run the program with the event journal enabled, then

@@ -123,6 +123,38 @@ fn unknown_command_shows_usage() {
 }
 
 #[test]
+fn verify_rejects_the_removed_dagjobs_and_placement_keys() {
+    let path = write_temp("saxpy_removed_keys.c", SAXPY);
+    for (spec, key) in [
+        ("dagJobs=4", "dagJobs"),
+        ("devices=2,placement=eft", "placement"),
+    ] {
+        let out = bin().arg("verify").arg(&path).arg(spec).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{spec}: {out:?}");
+        let text = String::from_utf8(out.stderr).unwrap();
+        assert!(text.contains(&format!("unknown key `{key}`")), "{text}");
+    }
+    // Two devices alone is still a verify spec.
+    let out = bin()
+        .arg("verify")
+        .arg(&path)
+        .arg("devices=2")
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+}
+
+#[test]
+fn dag_is_an_unknown_command() {
+    let path = write_temp("saxpy_dag.c", SAXPY);
+    let out = bin().arg("dag").arg(&path).output().unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let text = String::from_utf8(out.stderr).unwrap();
+    assert!(text.contains("unknown command `dag`"), "{text}");
+    assert!(!text.contains("dag <file.c>"), "{text}");
+}
+
+#[test]
 fn bench_rejects_the_removed_jobs_flag() {
     // Rejected, not silently ignored: the matrix runs in order on one thread.
     let out = bin()

@@ -760,130 +760,6 @@ fn directive_display_round_trip() {
     }
 }
 
-// --------------------------------------- cost-aware device placement
-
-/// Build one random launch site over a small shared variable pool.
-fn gen_site(rng: &mut Rng, idx: usize, n_vars: u64) -> openarc::core::ir::KernelInfo {
-    let var = |i: u64| format!("v{i}");
-    let mut reads = Vec::new();
-    for _ in 0..rng.below(3) {
-        let v = var(rng.below(n_vars));
-        if !reads.contains(&v) {
-            reads.push(v);
-        }
-    }
-    let mut writes = vec![var(rng.below(n_vars))];
-    if rng.below(2) == 0 {
-        let v = var(rng.below(n_vars));
-        if !writes.contains(&v) {
-            writes.push(v);
-        }
-    }
-    openarc::core::ir::KernelInfo {
-        name: format!("k{idx}"),
-        seq_name: format!("__seq_k{idx}"),
-        n_threads_global: format!("__n_k{idx}"),
-        params: Vec::new(),
-        actions: Vec::new(),
-        gpu_reads: reads,
-        gpu_writes: writes,
-        hoisted_writes: Vec::new(),
-        reductions: Vec::new(),
-        knowledge: Default::default(),
-        wave_override: None,
-        queue: None,
-        if_global: None,
-        stmt: Default::default(),
-        line: 0,
-    }
-}
-
-/// One random DAG + cost table + device count, checked against the EFT
-/// planner's invariants.
-fn drive_eft_invariants(seed: u64, rounds: u64) {
-    use openarc::core::exec::dag::cost::{eft_plan, evaluate_plan, CostTable, SiteCost};
-    use openarc::core::exec::dag::DepDag;
-
-    let mut rng = Rng::new(seed);
-    for _ in 0..rounds {
-        let n_sites = 2 + rng.below(11) as usize;
-        let n_vars = 3 + rng.below(6);
-        let kernels: Vec<_> = (0..n_sites)
-            .map(|i| gen_site(&mut rng, i, n_vars))
-            .collect();
-        let dag = DepDag::build(&kernels);
-        let costs = CostTable {
-            sites: (0..n_sites)
-                .map(|_| SiteCost {
-                    kernel_us: 1.0 + rng.f64(0.0, 500.0),
-                    stage_us: rng.f64(0.0, 100.0),
-                })
-                .collect(),
-            mult: (0..n_sites).map(|_| 1 + rng.below(8)).collect(),
-        };
-        let n_devices = 2 + rng.below(3) as usize;
-
-        let eft = eft_plan(&dag, &costs, n_devices);
-
-        // Every RAW/WAR/WAW edge is respected: a site never starts before
-        // each of its dependencies finishes on the predicted timeline.
-        for (j, deps) in dag.deps.iter().enumerate() {
-            for &i in deps {
-                assert!(
-                    eft.start_us[j] >= eft.finish_us[i],
-                    "seed {seed:#x}: site {j} starts {:.3} before dep {i} finishes {:.3}",
-                    eft.start_us[j],
-                    eft.finish_us[i]
-                );
-            }
-        }
-
-        // The portfolio guarantee: EFT's model-predicted objective
-        // (makespan, then bottleneck device load) is never worse than
-        // round-robin's under the same evaluator — in particular the
-        // predicted makespan itself never exceeds round-robin's.
-        let rr = evaluate_plan(&dag, &costs, &dag.device_plan(n_devices), n_devices);
-        assert!(
-            eft.objective() <= rr.objective(),
-            "seed {seed:#x}: EFT objective {:?} exceeds round-robin {:?}",
-            eft.objective(),
-            rr.objective()
-        );
-        assert!(
-            eft.makespan_us <= rr.makespan_us,
-            "seed {seed:#x}: EFT makespan {:.3} exceeds round-robin {:.3}",
-            eft.makespan_us,
-            rr.makespan_us
-        );
-
-        // Deterministic: the same inputs always produce the same plan.
-        let again = eft_plan(&dag, &costs, n_devices);
-        assert_eq!(eft.plan, again.plan);
-        assert_eq!(eft.makespan_us, again.makespan_us);
-
-        // One device collapses every policy to the all-primary plan.
-        let single = eft_plan(&dag, &costs, 1);
-        assert!(single.plan.iter().all(|d| *d == DeviceId::PRIMARY));
-    }
-}
-
-/// The EFT placement respects every dependency edge and never predicts a
-/// longer makespan than round-robin, over random footprint DAGs and cost
-/// tables. Fixed seeds keep runs deterministic; CI adds an extra sequence
-/// per matrix seed through `OPENARC_PROP_SEED`.
-#[test]
-fn eft_placement_respects_edges_and_beats_round_robin() {
-    for seed in [0xDA6_0001u64, 0xDA6_0002, 0xDA6_0003] {
-        drive_eft_invariants(seed, 60);
-    }
-    if let Some(extra) = std::env::var("OPENARC_PROP_SEED")
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-    {
-        drive_eft_invariants(extra.wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1), 60);
-    }
-}
-
 // ------------------------------------------------------ dataflow fixpoints
 
 /// One analysis as the paper states it: direction, meet, and per node the

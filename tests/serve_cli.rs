@@ -64,9 +64,9 @@ impl Client {
     }
 }
 
-/// `verify` exercises multi-device DAG scheduling on part of the corpus
+/// `verify` runs on two simulated devices on part of the corpus
 /// so the daemon path covers it too.
-const VERIFY_SPEC: &str = "devices=2,dagJobs=2";
+const VERIFY_SPEC: &str = "devices=2";
 
 fn corpus_action(i: usize) -> (Action, Option<String>, &'static str) {
     match i % 3 {
