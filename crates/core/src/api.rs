@@ -48,6 +48,15 @@ pub enum Action {
 }
 
 impl Action {
+    /// All actions.
+    pub const ALL: [Action; 5] = [
+        Action::Run,
+        Action::Cpu,
+        Action::Check,
+        Action::Verify,
+        Action::Profile,
+    ];
+
     /// Wire name (also the CLI command name).
     pub fn as_str(self) -> &'static str {
         match self {
@@ -61,14 +70,7 @@ impl Action {
 
     /// Parse a wire name.
     pub fn from_wire(s: &str) -> Option<Action> {
-        Some(match s {
-            "run" => Action::Run,
-            "cpu" => Action::Cpu,
-            "check" => Action::Check,
-            "verify" => Action::Verify,
-            "profile" => Action::Profile,
-            _ => return None,
-        })
+        Action::ALL.into_iter().find(|a| a.as_str() == s)
     }
 }
 
@@ -401,6 +403,16 @@ pub enum ErrorKind {
 }
 
 impl ErrorKind {
+    /// All error kinds.
+    pub const ALL: [ErrorKind; 6] = [
+        ErrorKind::BadRequest,
+        ErrorKind::Program,
+        ErrorKind::Execution,
+        ErrorKind::Overloaded,
+        ErrorKind::DeadlineExceeded,
+        ErrorKind::Internal,
+    ];
+
     /// Wire name.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -415,15 +427,7 @@ impl ErrorKind {
 
     /// Parse a wire name.
     pub fn from_wire(s: &str) -> Option<ErrorKind> {
-        Some(match s {
-            "bad_request" => ErrorKind::BadRequest,
-            "program" => ErrorKind::Program,
-            "execution" => ErrorKind::Execution,
-            "overloaded" => ErrorKind::Overloaded,
-            "deadline_exceeded" => ErrorKind::DeadlineExceeded,
-            "internal" => ErrorKind::Internal,
-            _ => return None,
-        })
+        ErrorKind::ALL.into_iter().find(|k| k.as_str() == s)
     }
 }
 
@@ -763,6 +767,42 @@ mod tests {
     use super::*;
 
     const SRC: &str = "double a[16];\nvoid main() {\n int j;\n #pragma acc kernels loop gang\n for (j = 0; j < 16; j++) { a[j] = (double) j; }\n}";
+
+    // The matches are exhaustive, so a new action or error kind does not
+    // compile here until it is in `ALL` with its wire name.
+
+    #[test]
+    fn action_all_is_its_wire_table() {
+        let wire = |a| match a {
+            Action::Run => (0, "run"),
+            Action::Cpu => (1, "cpu"),
+            Action::Check => (2, "check"),
+            Action::Verify => (3, "verify"),
+            Action::Profile => (4, "profile"),
+        };
+        for (i, a) in Action::ALL.into_iter().enumerate() {
+            assert_eq!(wire(a), (i, a.as_str()), "{a:?}");
+            assert_eq!(Action::from_wire(a.as_str()), Some(a));
+        }
+        assert_eq!(Action::from_wire("Run"), None);
+    }
+
+    #[test]
+    fn error_kind_all_is_its_wire_table() {
+        let wire = |k| match k {
+            ErrorKind::BadRequest => (0, "bad_request"),
+            ErrorKind::Program => (1, "program"),
+            ErrorKind::Execution => (2, "execution"),
+            ErrorKind::Overloaded => (3, "overloaded"),
+            ErrorKind::DeadlineExceeded => (4, "deadline_exceeded"),
+            ErrorKind::Internal => (5, "internal"),
+        };
+        for (i, k) in ErrorKind::ALL.into_iter().enumerate() {
+            assert_eq!(wire(k), (i, k.as_str()), "{k:?}");
+            assert_eq!(ErrorKind::from_wire(k.as_str()), Some(k));
+        }
+        assert_eq!(ErrorKind::from_wire("Program"), None);
+    }
 
     #[test]
     fn request_round_trips_through_json() {

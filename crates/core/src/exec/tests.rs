@@ -185,7 +185,7 @@ fn verify_stage_journal_spans_all_three_phases() {
     let labels: Vec<&str> = spans
         .iter()
         .map(|e| match &e.kind {
-            openarc_trace::EventKind::Stage { stage, .. } => *stage,
+            openarc_trace::EventKind::Stage { stage, .. } => stage.label(),
             other => panic!("unexpected event in stage journal: {other:?}"),
         })
         .collect();

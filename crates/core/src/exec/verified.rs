@@ -28,7 +28,7 @@ use super::env::ExecEnv;
 use super::reduce::red_eval;
 use super::VerifyOptions;
 use crate::knowledge::KernelAssert;
-use openarc_trace::Category;
+use openarc_trace::{Category, Phase};
 use openarc_vm::{Handle, Value, VmError};
 use std::time::Instant;
 
@@ -69,14 +69,14 @@ impl Comparison {
 impl ExecEnv<'_> {
     /// Emit one wall-clock pipeline-phase span into the stage journal
     /// (no-op when disabled; `started` is `None` exactly then).
-    fn note_stage(&self, label: &'static str, started: Option<Instant>) {
+    fn note_stage(&self, phase: Phase, started: Option<Instant>) {
         let Some(started) = started else { return };
         self.opts.stage_journal.emit(openarc_trace::TraceEvent {
             ts_us: started.duration_since(self.t0).as_secs_f64() * 1e6,
             dur_us: started.elapsed().as_secs_f64() * 1e6,
             track: openarc_trace::Track::Host,
             kind: openarc_trace::EventKind::Stage {
-                stage: label,
+                stage: phase,
                 cached: false,
             },
         });
@@ -125,7 +125,7 @@ impl ExecEnv<'_> {
         let (args, dreds, dtemps, dcells) = self.build_args(k, n, true, dev)?;
         let (mut hargs, hreds, htemps, hcells) = self.build_args(k, n, false, dev)?;
         hargs.insert(0, Value::Int(n as i64));
-        self.note_stage("verify:staging", t_staging);
+        self.note_stage(Phase::VerifyStaging, t_staging);
 
         // ---------------------------------------------- stage 2: overlap
         let t_overlap = timed.then(Instant::now);
@@ -136,7 +136,7 @@ impl ExecEnv<'_> {
         }
         self.machine
             .charge_kernel_named_on(&info.name, &outcome, dev, Some(q));
-        self.note_stage("verify:overlap", t_overlap);
+        self.note_stage(Phase::VerifyOverlap, t_overlap);
 
         // ------------------------------------------- stage 3: comparison
         let t_compare = timed.then(Instant::now);
@@ -203,7 +203,7 @@ impl ExecEnv<'_> {
                 }
             }
         }
-        self.note_stage("verify:compare", t_compare);
+        self.note_stage(Phase::VerifyCompare, t_compare);
 
         for t in dtemps {
             self.machine.devices.get_mut(dev).mem.free(t)?;

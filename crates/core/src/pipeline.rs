@@ -73,7 +73,8 @@ use crate::verify::VerificationReport;
 use openarc_gpusim::{LaunchMemo, LaunchStats};
 use openarc_minic::span::Diagnostic;
 use openarc_minic::{frontend, print_program, Program, Sema};
-use openarc_trace::{EventKind, Journal, TraceEvent, Track};
+pub use openarc_trace::Fnv;
+use openarc_trace::{CacheOp, EventKind, Journal, Phase, TraceEvent, Track};
 use openarc_vm::VmError;
 use std::collections::HashMap;
 use std::convert::Infallible;
@@ -93,62 +94,6 @@ pub struct ArtifactId(pub u64);
 impl std::fmt::Display for ArtifactId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{:016x}", self.0)
-    }
-}
-
-/// Incremental FNV-1a hasher (std-only; `DefaultHasher` is not stable
-/// across releases, and artifact ids appear in reports).
-#[derive(Debug, Clone)]
-pub struct Fnv(u64);
-
-impl Fnv {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x1000_0000_01b3;
-
-    /// Fresh hasher at the FNV offset basis.
-    pub fn new() -> Fnv {
-        Fnv(Self::OFFSET)
-    }
-
-    /// Absorb raw bytes.
-    pub fn write(&mut self, bytes: &[u8]) -> &mut Fnv {
-        for b in bytes {
-            self.0 ^= *b as u64;
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
-        self
-    }
-
-    /// Absorb a `u64`.
-    pub fn write_u64(&mut self, v: u64) -> &mut Fnv {
-        self.write(&v.to_le_bytes())
-    }
-
-    /// Absorb an `f64` by bit pattern (exact, `-0.0 != 0.0`).
-    pub fn write_f64(&mut self, v: f64) -> &mut Fnv {
-        self.write_u64(v.to_bits())
-    }
-
-    /// Absorb a bool.
-    pub fn write_bool(&mut self, v: bool) -> &mut Fnv {
-        self.write(&[v as u8])
-    }
-
-    /// Absorb a length-prefixed string (prefix prevents concatenation
-    /// collisions between adjacent fields).
-    pub fn write_str(&mut self, s: &str) -> &mut Fnv {
-        self.write_u64(s.len() as u64).write(s.as_bytes())
-    }
-
-    /// Final digest.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for Fnv {
-    fn default() -> Self {
-        Fnv::new()
     }
 }
 
@@ -267,8 +212,6 @@ pub struct ExecPlan {
     pub id: ArtifactId,
     /// Translation this plan executes.
     pub translated: ArtifactId,
-    /// Human-readable mode label (`normal` / `cpu` / `verify`).
-    pub mode: &'static str,
     /// Whether this plan journals events. Journaled plans are still
     /// cacheable: the Execute stage records the event stream on a miss and
     /// replays it into the caller's journal on a hit, so the side effect
@@ -280,7 +223,8 @@ pub struct ExecPlan {
 // Stage bookkeeping
 // ---------------------------------------------------------------------------
 
-/// Pipeline stages, in order.
+/// Pipeline stages, in order. A stage's discriminant is its index in
+/// [`Stage::ALL`] and in every per-stage array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Stage {
     /// Parse + semantic check.
@@ -311,17 +255,15 @@ impl Stage {
         Stage::Verify,
     ];
 
-    /// Display label.
+    /// The journal phase this stage's spans and cache events carry: a
+    /// stage's discriminant is its phase's code.
+    pub fn phase(self) -> Phase {
+        Phase::ALL[self as usize]
+    }
+
+    /// Display label: the phase's journal spelling.
     pub fn label(self) -> &'static str {
-        match self {
-            Stage::Frontend => "frontend",
-            Stage::Directives => "directives",
-            Stage::Analysis => "analysis",
-            Stage::Instrument => "instrument",
-            Stage::Plan => "plan",
-            Stage::Execute => "execute",
-            Stage::Verify => "verify",
-        }
+        self.phase().label()
     }
 }
 
@@ -349,7 +291,7 @@ pub struct PipelineStats {
 impl PipelineStats {
     /// Counters for one stage.
     pub fn get(&self, s: Stage) -> StageCounts {
-        self.stages[Stage::ALL.iter().position(|x| *x == s).unwrap()]
+        self.stages[s as usize]
     }
 }
 
@@ -389,16 +331,12 @@ struct StageMeters {
 }
 
 impl StageMeters {
-    fn idx(s: Stage) -> usize {
-        Stage::ALL.iter().position(|x| *x == s).unwrap()
-    }
-
     fn hit(&self, s: Stage) {
-        self.hits[Self::idx(s)].fetch_add(1, Ordering::Relaxed);
+        self.hits[s as usize].fetch_add(1, Ordering::Relaxed);
     }
 
     fn miss(&self, s: Stage) {
-        self.misses[Self::idx(s)].fetch_add(1, Ordering::Relaxed);
+        self.misses[s as usize].fetch_add(1, Ordering::Relaxed);
     }
 
     fn snapshot(&self) -> PipelineStats {
@@ -655,14 +593,14 @@ impl Session {
     }
 
     /// Journal one disk-cache operation (zero-duration marker event).
-    fn disk_event(&self, stage: Stage, op: &'static str) {
+    fn disk_event(&self, stage: Stage, op: CacheOp) {
         if self.stage_journal.is_enabled() {
             self.stage_journal.emit(TraceEvent {
                 ts_us: self.t0.elapsed().as_secs_f64() * 1e6,
                 dur_us: 0.0,
                 track: Track::Host,
                 kind: EventKind::Cache {
-                    stage: stage.label(),
+                    stage: stage.phase(),
                     op,
                 },
             });
@@ -688,9 +626,9 @@ impl Session {
     ) -> Result<(V, bool), E> {
         let cached = memo.get(key).or_else(|| {
             let (found, op) = match (disk.as_ref()?.load)(self.disk.as_ref()?) {
-                Lookup::Hit(v) => (Some(v), "hit"),
-                Lookup::Miss => (None, "miss"),
-                Lookup::Corrupt => (None, "corrupt"),
+                Lookup::Hit(v) => (Some(v), CacheOp::Hit),
+                Lookup::Miss => (None, CacheOp::Miss),
+                Lookup::Corrupt => (None, CacheOp::Corrupt),
             };
             self.disk_event(stage, op);
             let v = found?;
@@ -707,7 +645,7 @@ impl Session {
         memo.insert(key, v.clone());
         if let (Some(hooks), Some(cache)) = (&disk, &self.disk) {
             if (hooks.store)(cache, &v) {
-                self.disk_event(stage, "store");
+                self.disk_event(stage, CacheOp::Store);
             }
         }
         self.note_stage(stage, started, false);
@@ -717,8 +655,7 @@ impl Session {
     /// Record one stage request's wall-clock cost; `cached` marks hits.
     fn note_stage(&self, stage: Stage, started: Instant, cached: bool) {
         let dur = started.elapsed();
-        self.stage_wall[StageMeters::idx(stage)]
-            .fetch_add(dur.as_nanos() as u64, Ordering::Relaxed);
+        self.stage_wall[stage as usize].fetch_add(dur.as_nanos() as u64, Ordering::Relaxed);
         if self.stage_journal.is_enabled() {
             let dur_us = dur.as_secs_f64() * 1e6;
             let end_us = started.duration_since(self.t0).as_secs_f64() * 1e6 + dur_us;
@@ -727,7 +664,7 @@ impl Session {
                 dur_us,
                 track: Track::Host,
                 kind: EventKind::Stage {
-                    stage: stage.label(),
+                    stage: stage.phase(),
                     cached,
                 },
             });
@@ -821,11 +758,6 @@ impl Session {
             Ok::<_, Infallible>(ExecPlan {
                 id: ArtifactId(key),
                 translated: tr.id,
-                mode: match eopts.mode {
-                    ExecMode::Normal => "normal",
-                    ExecMode::CpuOnly => "cpu",
-                    ExecMode::Verify(_) => "verify",
-                },
                 journaled: eopts.journal.is_enabled(),
             })
         };

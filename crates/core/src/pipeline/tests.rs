@@ -3,6 +3,29 @@ use crate::exec::TransferOverlay;
 
 const SRC: &str = "double q[32];\ndouble w[32];\nvoid main() {\n int j;\n for (j = 0; j < 32; j++) { w[j] = (double) j; }\n #pragma acc data copyin(w) copyout(q)\n {\n  #pragma acc kernels loop gang\n  for (j = 0; j < 32; j++) { q[j] = w[j] * 3.0; }\n }\n}";
 
+/// Stage labels name the disk store's directories and the benchmark's
+/// per-stage metrics; each stage is also its own index into the
+/// per-stage arrays.
+#[test]
+fn stage_labels_and_indices_are_unchanged() {
+    let labels = Stage::ALL.map(Stage::label);
+    assert_eq!(
+        labels,
+        [
+            "frontend",
+            "directives",
+            "analysis",
+            "instrument",
+            "plan",
+            "execute",
+            "verify"
+        ]
+    );
+    for (i, s) in Stage::ALL.into_iter().enumerate() {
+        assert_eq!(s as usize, i, "{s:?}");
+    }
+}
+
 #[test]
 fn same_source_different_options_reuses_translation() {
     let s = Session::builder().build();
@@ -244,10 +267,12 @@ fn observe(s: &Session, entry: Entry) -> Observed {
         .drain()
         .into_iter()
         .filter_map(|e| match e.kind {
-            EventKind::Stage { stage: l, cached } if l == stage.label() => {
+            EventKind::Stage { stage: p, cached } if p == stage.phase() => {
                 Some(format!("stage:{cached}"))
             }
-            EventKind::Cache { stage: l, op } if l == stage.label() => Some(format!("cache:{op}")),
+            EventKind::Cache { stage: p, op } if p == stage.phase() => {
+                Some(format!("cache:{}", op.label()))
+            }
             _ => None,
         })
         .collect();
@@ -317,8 +342,8 @@ fn every_stage_entry_point_follows_the_one_memo_protocol() {
     assert_eq!(
         kinds,
         [EventKind::Cache {
-            stage: "frontend",
-            op: "miss"
+            stage: Phase::Frontend,
+            op: CacheOp::Miss
         }]
     );
     assert!(!dir.exists(), "nothing was stored");
@@ -346,8 +371,8 @@ fn an_absent_key_is_exactly_one_disk_miss_per_persisted_stage() {
     let events = s.stage_journal().drain();
     for stage in crate::cache::DISK_STAGES {
         let miss = EventKind::Cache {
-            stage: stage.label(),
-            op: "miss",
+            stage: stage.phase(),
+            op: CacheOp::Miss,
         };
         let n = events.iter().filter(|e| e.kind == miss).count();
         assert_eq!(n, 1, "{} miss events", stage.label());

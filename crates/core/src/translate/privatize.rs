@@ -361,9 +361,9 @@ fn reduction_shape(target: &str, op: AssignOp, value: &Expr) -> Option<Reduction
             lhs,
             rhs,
         } => (ReductionOp::Mul, &**lhs, &**rhs),
-        ExprKind::Call { name, args } if args.len() == 2 => match name.as_str() {
-            "max" | "fmax" => (ReductionOp::Max, &args[0], &args[1]),
-            "min" | "fmin" => (ReductionOp::Min, &args[0], &args[1]),
+        ExprKind::Call { name, args } if args.len() == 2 => match Intrinsic::from_name(name) {
+            Some(Intrinsic::Max | Intrinsic::Fmax) => (ReductionOp::Max, &args[0], &args[1]),
+            Some(Intrinsic::Min | Intrinsic::Fmin) => (ReductionOp::Min, &args[0], &args[1]),
             _ => return None,
         },
         _ => return None,

@@ -288,6 +288,101 @@ impl fmt::Display for AssignOp {
     }
 }
 
+/// Math intrinsics: the built-in calls besides `malloc`/`free`, which
+/// have their own checks and instructions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[allow(missing_docs)]
+pub enum Intrinsic {
+    Sqrt,
+    Fabs,
+    Exp,
+    Log,
+    Pow,
+    Sin,
+    Cos,
+    Floor,
+    Ceil,
+    Fmin,
+    Fmax,
+    Abs,
+    Min,
+    Max,
+    SqrtF,
+    ExpF,
+    FabsF,
+    LogF,
+    PowF,
+}
+
+impl Intrinsic {
+    /// All intrinsics, in code order.
+    pub const ALL: [Intrinsic; 19] = [
+        Intrinsic::Sqrt,
+        Intrinsic::Fabs,
+        Intrinsic::Exp,
+        Intrinsic::Log,
+        Intrinsic::Pow,
+        Intrinsic::Sin,
+        Intrinsic::Cos,
+        Intrinsic::Floor,
+        Intrinsic::Ceil,
+        Intrinsic::Fmin,
+        Intrinsic::Fmax,
+        Intrinsic::Abs,
+        Intrinsic::Min,
+        Intrinsic::Max,
+        Intrinsic::SqrtF,
+        Intrinsic::ExpF,
+        Intrinsic::FabsF,
+        Intrinsic::LogF,
+        Intrinsic::PowF,
+    ];
+
+    /// Source spelling of the call.
+    pub fn name(self) -> &'static str {
+        match self {
+            Intrinsic::Sqrt => "sqrt",
+            Intrinsic::Fabs => "fabs",
+            Intrinsic::Exp => "exp",
+            Intrinsic::Log => "log",
+            Intrinsic::Pow => "pow",
+            Intrinsic::Sin => "sin",
+            Intrinsic::Cos => "cos",
+            Intrinsic::Floor => "floor",
+            Intrinsic::Ceil => "ceil",
+            Intrinsic::Fmin => "fmin",
+            Intrinsic::Fmax => "fmax",
+            Intrinsic::Abs => "abs",
+            Intrinsic::Min => "min",
+            Intrinsic::Max => "max",
+            Intrinsic::SqrtF => "sqrtf",
+            Intrinsic::ExpF => "expf",
+            Intrinsic::FabsF => "fabsf",
+            Intrinsic::LogF => "logf",
+            Intrinsic::PowF => "powf",
+        }
+    }
+
+    /// The intrinsic a call name spells, if any.
+    pub fn from_name(name: &str) -> Option<Intrinsic> {
+        Intrinsic::ALL.into_iter().find(|i| i.name() == name)
+    }
+
+    /// Number of arguments.
+    #[inline]
+    pub fn arity(self) -> usize {
+        match self {
+            Intrinsic::Pow
+            | Intrinsic::Fmin
+            | Intrinsic::Fmax
+            | Intrinsic::Min
+            | Intrinsic::Max
+            | Intrinsic::PowF => 2,
+            _ => 1,
+        }
+    }
+}
+
 /// An expression node.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Expr {
@@ -695,6 +790,8 @@ mod tests {
         };
         for (i, s) in ScalarTy::ALL.into_iter().enumerate() {
             assert_eq!(code(s), i, "{s:?}");
+            // `fingerprint` hashes the discriminant as this code.
+            assert_eq!(s as usize, i, "{s:?}");
         }
     }
 
@@ -749,6 +846,45 @@ mod tests {
         for (i, op) in AssignOp::ALL.into_iter().enumerate() {
             assert_eq!(code(op), i, "{op:?}");
         }
+    }
+
+    #[test]
+    fn intrinsic_all_is_its_code_table() {
+        let code = |i| match i {
+            Intrinsic::Sqrt => (0, "sqrt"),
+            Intrinsic::Fabs => (1, "fabs"),
+            Intrinsic::Exp => (2, "exp"),
+            Intrinsic::Log => (3, "log"),
+            Intrinsic::Pow => (4, "pow"),
+            Intrinsic::Sin => (5, "sin"),
+            Intrinsic::Cos => (6, "cos"),
+            Intrinsic::Floor => (7, "floor"),
+            Intrinsic::Ceil => (8, "ceil"),
+            Intrinsic::Fmin => (9, "fmin"),
+            Intrinsic::Fmax => (10, "fmax"),
+            Intrinsic::Abs => (11, "abs"),
+            Intrinsic::Min => (12, "min"),
+            Intrinsic::Max => (13, "max"),
+            Intrinsic::SqrtF => (14, "sqrtf"),
+            Intrinsic::ExpF => (15, "expf"),
+            Intrinsic::FabsF => (16, "fabsf"),
+            Intrinsic::LogF => (17, "logf"),
+            Intrinsic::PowF => (18, "powf"),
+        };
+        for (i, k) in Intrinsic::ALL.into_iter().enumerate() {
+            assert_eq!(code(k), (i, k.name()), "{k:?}");
+        }
+    }
+
+    #[test]
+    fn intrinsic_names_round_trip() {
+        for i in Intrinsic::ALL {
+            assert_eq!(Intrinsic::from_name(i.name()), Some(i));
+        }
+        assert_eq!(Intrinsic::from_name("malloc"), None);
+        assert_eq!(Intrinsic::from_name("Sqrt"), None);
+        assert_eq!(Intrinsic::Pow.arity(), 2);
+        assert_eq!(Intrinsic::Sin.arity(), 1);
     }
 
     #[test]

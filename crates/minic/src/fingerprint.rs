@@ -14,62 +14,32 @@
 //! renumbers every node.
 
 use crate::ast::*;
-
-/// FNV-1a, kept local so the crate stays dependency-free.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn bytes(&mut self, b: &[u8]) {
-        for x in b {
-            self.0 ^= u64::from(*x);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn u8(&mut self, v: u8) {
-        self.bytes(&[v]);
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-
-    fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        self.bytes(s.as_bytes());
-    }
-}
+use openarc_trace::Fnv;
 
 fn hash_scalar(h: &mut Fnv, s: ScalarTy) {
-    h.u8(match s {
-        ScalarTy::Int => 0,
-        ScalarTy::Long => 1,
-        ScalarTy::Float => 2,
-        ScalarTy::Double => 3,
-    });
+    // The discriminant is the type's code, its position in `ScalarTy::ALL`.
+    h.write(&[s as u8]);
 }
 
 fn hash_ty(h: &mut Fnv, ty: &Ty) {
     match ty {
-        Ty::Void => h.u8(10),
+        Ty::Void => {
+            h.write(&[10]);
+        }
         Ty::Scalar(s) => {
-            h.u8(11);
+            h.write(&[11]);
             hash_scalar(h, *s);
         }
         Ty::Ptr(s) => {
-            h.u8(12);
+            h.write(&[12]);
             hash_scalar(h, *s);
         }
         Ty::Array(s, dims) => {
-            h.u8(13);
+            h.write(&[13]);
             hash_scalar(h, *s);
-            h.u64(dims.len() as u64);
+            h.write_u64(dims.len() as u64);
             for d in dims {
-                h.u64(*d);
+                h.write_u64(*d);
             }
         }
     }
@@ -78,34 +48,34 @@ fn hash_ty(h: &mut Fnv, ty: &Ty) {
 fn hash_expr(h: &mut Fnv, e: &Expr) {
     match &e.kind {
         ExprKind::IntLit(v) => {
-            h.u8(20);
-            h.u64(*v as u64);
+            h.write(&[20]);
+            h.write_u64(*v as u64);
         }
         ExprKind::FloatLit(v, suf) => {
-            h.u8(21);
-            h.u64(v.to_bits());
-            h.u8(u8::from(*suf));
+            h.write(&[21]);
+            h.write_u64(v.to_bits());
+            h.write(&[u8::from(*suf)]);
         }
         ExprKind::Var(n) => {
-            h.u8(22);
-            h.str(n);
+            h.write(&[22]);
+            h.write_str(n);
         }
         ExprKind::Index { base, indices } => {
-            h.u8(23);
-            h.str(base);
-            h.u64(indices.len() as u64);
+            h.write(&[23]);
+            h.write_str(base);
+            h.write_u64(indices.len() as u64);
             for i in indices {
                 hash_expr(h, i);
             }
         }
         ExprKind::Unary { op, expr } => {
-            h.u8(24);
-            h.str(&op.to_string());
+            h.write(&[24]);
+            h.write_str(&op.to_string());
             hash_expr(h, expr);
         }
         ExprKind::Binary { op, lhs, rhs } => {
-            h.u8(25);
-            h.str(&op.to_string());
+            h.write(&[25]);
+            h.write_str(&op.to_string());
             hash_expr(h, lhs);
             hash_expr(h, rhs);
         }
@@ -114,26 +84,26 @@ fn hash_expr(h: &mut Fnv, e: &Expr) {
             then_e,
             else_e,
         } => {
-            h.u8(26);
+            h.write(&[26]);
             hash_expr(h, cond);
             hash_expr(h, then_e);
             hash_expr(h, else_e);
         }
         ExprKind::Call { name, args } => {
-            h.u8(27);
-            h.str(name);
-            h.u64(args.len() as u64);
+            h.write(&[27]);
+            h.write_str(name);
+            h.write_u64(args.len() as u64);
             for a in args {
                 hash_expr(h, a);
             }
         }
         ExprKind::Cast { ty, expr } => {
-            h.u8(28);
+            h.write(&[28]);
             hash_ty(h, ty);
             hash_expr(h, expr);
         }
         ExprKind::SizeOf(s) => {
-            h.u8(29);
+            h.write(&[29]);
             hash_scalar(h, *s);
         }
     }
@@ -142,13 +112,13 @@ fn hash_expr(h: &mut Fnv, e: &Expr) {
 fn hash_lvalue(h: &mut Fnv, lv: &LValue) {
     match lv {
         LValue::Var(n) => {
-            h.u8(30);
-            h.str(n);
+            h.write(&[30]);
+            h.write_str(n);
         }
         LValue::Index { base, indices } => {
-            h.u8(31);
-            h.str(base);
-            h.u64(indices.len() as u64);
+            h.write(&[31]);
+            h.write_str(base);
+            h.write_u64(indices.len() as u64);
             for i in indices {
                 hash_expr(h, i);
             }
@@ -157,19 +127,16 @@ fn hash_lvalue(h: &mut Fnv, lv: &LValue) {
 }
 
 fn hash_decl(h: &mut Fnv, d: &VarDecl) {
-    h.str(&d.name);
+    h.write_str(&d.name);
     hash_ty(h, &d.ty);
-    match &d.init {
-        None => h.u8(0),
-        Some(e) => {
-            h.u8(1);
-            hash_expr(h, e);
-        }
+    h.write_bool(d.init.is_some());
+    if let Some(e) = &d.init {
+        hash_expr(h, e);
     }
 }
 
 fn hash_block(h: &mut Fnv, b: &Block) {
-    h.u64(b.stmts.len() as u64);
+    h.write_u64(b.stmts.len() as u64);
     for s in &b.stmts {
         hash_stmt(h, s);
     }
@@ -178,23 +145,23 @@ fn hash_block(h: &mut Fnv, b: &Block) {
 fn hash_stmt(h: &mut Fnv, s: &Stmt) {
     // Pragma text is whitespace-normalized by the lexer, so it is stable
     // across print → parse round trips and carries the directive meaning.
-    h.u64(s.pragmas.len() as u64);
+    h.write_u64(s.pragmas.len() as u64);
     for p in &s.pragmas {
-        h.str(&p.text);
+        h.write_str(&p.text);
     }
     match &s.kind {
         StmtKind::Decl(d) => {
-            h.u8(40);
+            h.write(&[40]);
             hash_decl(h, d);
         }
         StmtKind::Expr(e) => {
-            h.u8(41);
+            h.write(&[41]);
             hash_expr(h, e);
         }
         StmtKind::Assign { target, op, value } => {
-            h.u8(42);
+            h.write(&[42]);
             hash_lvalue(h, target);
-            h.str(&op.to_string());
+            h.write_str(&op.to_string());
             hash_expr(h, value);
         }
         StmtKind::If {
@@ -202,15 +169,12 @@ fn hash_stmt(h: &mut Fnv, s: &Stmt) {
             then_blk,
             else_blk,
         } => {
-            h.u8(43);
+            h.write(&[43]);
             hash_expr(h, cond);
             hash_block(h, then_blk);
-            match else_blk {
-                None => h.u8(0),
-                Some(b) => {
-                    h.u8(1);
-                    hash_block(h, b);
-                }
+            h.write_bool(else_blk.is_some());
+            if let Some(b) = else_blk {
+                hash_block(h, b);
             }
         }
         StmtKind::For {
@@ -219,79 +183,71 @@ fn hash_stmt(h: &mut Fnv, s: &Stmt) {
             step,
             body,
         } => {
-            h.u8(44);
-            match init {
-                None => h.u8(0),
-                Some(s) => {
-                    h.u8(1);
-                    hash_stmt(h, s);
-                }
+            h.write(&[44]);
+            h.write_bool(init.is_some());
+            if let Some(s) = init {
+                hash_stmt(h, s);
             }
-            match cond {
-                None => h.u8(0),
-                Some(e) => {
-                    h.u8(1);
-                    hash_expr(h, e);
-                }
+            h.write_bool(cond.is_some());
+            if let Some(e) = cond {
+                hash_expr(h, e);
             }
-            match step {
-                None => h.u8(0),
-                Some(s) => {
-                    h.u8(1);
-                    hash_stmt(h, s);
-                }
+            h.write_bool(step.is_some());
+            if let Some(s) = step {
+                hash_stmt(h, s);
             }
             hash_block(h, body);
         }
         StmtKind::While { cond, body } => {
-            h.u8(45);
+            h.write(&[45]);
             hash_expr(h, cond);
             hash_block(h, body);
         }
         StmtKind::Block(b) => {
-            h.u8(46);
+            h.write(&[46]);
             hash_block(h, b);
         }
         StmtKind::Return(e) => {
-            h.u8(47);
-            match e {
-                None => h.u8(0),
-                Some(e) => {
-                    h.u8(1);
-                    hash_expr(h, e);
-                }
+            h.write(&[47]);
+            h.write_bool(e.is_some());
+            if let Some(e) = e {
+                hash_expr(h, e);
             }
         }
-        StmtKind::Break => h.u8(48),
-        StmtKind::Continue => h.u8(49),
+        StmtKind::Break => {
+            h.write(&[48]);
+        }
+        StmtKind::Continue => {
+            h.write(&[49]);
+        }
     }
 }
 
 /// Semantics fingerprint of a whole program. Ignores node ids and spans;
 /// covers everything else, in source order.
 pub fn fingerprint_program(p: &Program) -> u64 {
-    let mut h = Fnv::new();
-    h.u64(p.items.len() as u64);
+    let mut h = Fnv::standard();
+    h.write_u64(p.items.len() as u64);
     for it in &p.items {
         match it {
             Item::Global(g) => {
-                h.u8(1);
+                h.write(&[1]);
                 hash_decl(&mut h, g);
             }
             Item::Func(f) => {
-                h.u8(2);
-                h.str(&f.name);
+                h.write(&[2]);
+                h.write_str(&f.name);
                 hash_ty(&mut h, &f.ret);
-                h.u64(f.params.len() as u64);
+                h.write_u64(f.params.len() as u64);
                 for pr in &f.params {
-                    h.str(&pr.name);
+                    h.write_str(&pr.name);
                     hash_ty(&mut h, &pr.ty);
                 }
                 hash_block(&mut h, &f.body);
             }
         }
     }
-    h.0
+    h.finish()
 }
 
 #[cfg(test)]

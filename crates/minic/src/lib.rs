@@ -27,8 +27,8 @@ pub mod span;
 pub mod token;
 
 pub use ast::{
-    Block, Expr, ExprKind, Func, Item, LValue, NodeId, Pragma, Program, ScalarTy, Stmt, StmtKind,
-    Ty, VarDecl,
+    Block, Expr, ExprKind, Func, Intrinsic, Item, LValue, NodeId, Pragma, Program, ScalarTy, Stmt,
+    StmtKind, Ty, VarDecl,
 };
 pub use fingerprint::fingerprint_program;
 pub use parser::{parse, parse_expression};

@@ -57,15 +57,10 @@ impl Sema {
     }
 }
 
-/// Math/memory intrinsics known to the checker, the VM, and the translator.
-pub const INTRINSICS: &[&str] = &[
-    "sqrt", "fabs", "exp", "log", "pow", "sin", "cos", "floor", "ceil", "fmin", "fmax", "abs",
-    "min", "max", "malloc", "free", "sqrtf", "expf", "fabsf", "logf", "powf",
-];
-
-/// True if `name` is a built-in rather than a user function.
+/// True if `name` is a built-in rather than a user function: `malloc`,
+/// `free` or an [`Intrinsic`].
 pub fn is_intrinsic(name: &str) -> bool {
-    INTRINSICS.contains(&name)
+    matches!(name, "malloc" | "free") || Intrinsic::from_name(name).is_some()
 }
 
 /// Run semantic analysis over a parsed program.
@@ -553,67 +548,23 @@ impl Checker {
 
     fn type_intrinsic(&mut self, f: &Func, e: &Expr, name: &str, args: &[Expr]) -> Option<Ty> {
         let arg_tys: Vec<Option<Ty>> = args.iter().map(|a| self.type_expr(f, a)).collect();
-        match name {
-            "malloc" => {
+        let Some(intr) = Intrinsic::from_name(name) else {
+            if name == "malloc" {
                 self.errs.push(Diagnostic::error(
                     "malloc must be wrapped in a pointer cast, e.g. `(double *) malloc(...)`",
                     e.span,
                 ));
-                None
+                return None;
             }
-            "free" => {
-                if args.len() != 1 || !matches!(arg_tys.first(), Some(Some(Ty::Ptr(_)))) {
-                    self.errs.push(Diagnostic::error(
-                        "free takes exactly one pointer argument",
-                        e.span,
-                    ));
-                }
-                Some(Ty::Void)
+            if args.len() != 1 || !matches!(arg_tys.first(), Some(Some(Ty::Ptr(_)))) {
+                self.errs.push(Diagnostic::error(
+                    "free takes exactly one pointer argument",
+                    e.span,
+                ));
             }
-            "pow" | "fmin" | "fmax" | "powf" => {
-                self.expect_n_scalars(e, name, args, &arg_tys, 2);
-                Some(Ty::Scalar(if name.ends_with('f') {
-                    ScalarTy::Float
-                } else {
-                    ScalarTy::Double
-                }))
-            }
-            "min" | "max" => {
-                self.expect_n_scalars(e, name, args, &arg_tys, 2);
-                // Integer min/max when both args are integers, else double.
-                let both_int = arg_tys
-                    .iter()
-                    .all(|t| matches!(t, Some(Ty::Scalar(s)) if !s.is_float()));
-                Some(Ty::Scalar(if both_int {
-                    ScalarTy::Int
-                } else {
-                    ScalarTy::Double
-                }))
-            }
-            "abs" => {
-                self.expect_n_scalars(e, name, args, &arg_tys, 1);
-                Some(Ty::Scalar(ScalarTy::Int))
-            }
-            "sqrtf" | "expf" | "fabsf" | "logf" => {
-                self.expect_n_scalars(e, name, args, &arg_tys, 1);
-                Some(Ty::Scalar(ScalarTy::Float))
-            }
-            _ => {
-                // Unary double math.
-                self.expect_n_scalars(e, name, args, &arg_tys, 1);
-                Some(Ty::Scalar(ScalarTy::Double))
-            }
-        }
-    }
-
-    fn expect_n_scalars(
-        &mut self,
-        e: &Expr,
-        name: &str,
-        args: &[Expr],
-        arg_tys: &[Option<Ty>],
-        n: usize,
-    ) {
+            return Some(Ty::Void);
+        };
+        let n = intr.arity();
         if args.len() != n {
             self.errs.push(Diagnostic::error(
                 format!(
@@ -623,7 +574,7 @@ impl Checker {
                 e.span,
             ));
         }
-        for (a, t) in args.iter().zip(arg_tys) {
+        for (a, t) in args.iter().zip(&arg_tys) {
             if let Some(t) = t {
                 if !matches!(t, Ty::Scalar(_)) {
                     self.errs.push(Diagnostic::error(
@@ -633,6 +584,23 @@ impl Checker {
                 }
             }
         }
+        Some(Ty::Scalar(match intr {
+            Intrinsic::SqrtF
+            | Intrinsic::ExpF
+            | Intrinsic::FabsF
+            | Intrinsic::LogF
+            | Intrinsic::PowF => ScalarTy::Float,
+            Intrinsic::Abs => ScalarTy::Int,
+            // Integer min/max when both args are integers, else double.
+            Intrinsic::Min | Intrinsic::Max
+                if arg_tys
+                    .iter()
+                    .all(|t| matches!(t, Some(Ty::Scalar(s)) if !s.is_float())) =>
+            {
+                ScalarTy::Int
+            }
+            _ => ScalarTy::Double,
+        }))
     }
 }
 

@@ -42,6 +42,14 @@ impl DataClauseKind {
         DataClauseKind::DevicePtr,
     ];
 
+    /// Short forms the parser accepts beside each kind's [`name`](Self::name).
+    pub(crate) const ALIASES: [(&'static str, DataClauseKind); 4] = [
+        ("pcopy", DataClauseKind::PresentOrCopy),
+        ("pcopyin", DataClauseKind::PresentOrCopyIn),
+        ("pcopyout", DataClauseKind::PresentOrCopyOut),
+        ("pcreate", DataClauseKind::PresentOrCreate),
+    ];
+
     /// Does region entry trigger a host→device transfer?
     pub fn transfers_in(self) -> bool {
         matches!(
@@ -238,18 +246,7 @@ impl ReductionOp {
 
     /// Parse the spelling used inside `reduction(...)`.
     pub fn from_symbol(s: &str) -> Option<Self> {
-        Some(match s {
-            "+" => ReductionOp::Add,
-            "*" => ReductionOp::Mul,
-            "max" => ReductionOp::Max,
-            "min" => ReductionOp::Min,
-            "&" => ReductionOp::BitAnd,
-            "|" => ReductionOp::BitOr,
-            "^" => ReductionOp::BitXor,
-            "&&" => ReductionOp::LogAnd,
-            "||" => ReductionOp::LogOr,
-            _ => return None,
-        })
+        ReductionOp::ALL.into_iter().find(|op| op.symbol() == s)
     }
 }
 

@@ -301,18 +301,11 @@ impl DirParser {
     }
 
     fn try_data_clause(&mut self) -> Result<Option<DataClause>, Diagnostic> {
-        let kind = match self.peek_ident() {
-            Some("copy") => DataClauseKind::Copy,
-            Some("copyin") => DataClauseKind::CopyIn,
-            Some("copyout") => DataClauseKind::CopyOut,
-            Some("create") => DataClauseKind::Create,
-            Some("present") => DataClauseKind::Present,
-            Some("present_or_copy") | Some("pcopy") => DataClauseKind::PresentOrCopy,
-            Some("present_or_copyin") | Some("pcopyin") => DataClauseKind::PresentOrCopyIn,
-            Some("present_or_copyout") | Some("pcopyout") => DataClauseKind::PresentOrCopyOut,
-            Some("present_or_create") | Some("pcreate") => DataClauseKind::PresentOrCreate,
-            Some("deviceptr") => DataClauseKind::DevicePtr,
-            _ => return Ok(None),
+        let name = self.peek_ident();
+        let names = DataClauseKind::ALL.map(|k| (k.name(), k));
+        let mut spellings = names.iter().chain(&DataClauseKind::ALIASES);
+        let Some(&(_, kind)) = spellings.find(|(s, _)| Some(*s) == name) else {
+            return Ok(None);
         };
         self.pos += 1;
         let items = self.paren_item_list()?;
@@ -577,6 +570,14 @@ mod tests {
         let data = d.as_data().unwrap();
         assert_eq!(data.clauses[0].kind, DataClauseKind::PresentOrCopyIn);
         assert_eq!(data.clauses[1].kind, DataClauseKind::PresentOrCreate);
+        let spellings = DataClauseKind::ALL
+            .into_iter()
+            .map(|k| (k.name(), k))
+            .chain(DataClauseKind::ALIASES);
+        for (name, kind) in spellings {
+            let d = parse_ok(&format!("acc data {name}(x)"));
+            assert_eq!(d.as_data().unwrap().clauses[0].kind, kind, "{name}");
+        }
     }
 
     #[test]

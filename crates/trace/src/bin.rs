@@ -40,25 +40,9 @@
 //! offset where decoding failed — the disk cache maps any such error to
 //! "corrupt entry: delete and recompute", never a panic.
 
-use crate::event::{Category, Cause, EventKind, Severity, Side, St, TraceEvent, Track};
-
-/// Pipeline stage labels (`pipeline::Stage::label`). Binary codes index
-/// into this table.
-const STAGES: &[&str] = &[
-    "frontend",
-    "directives",
-    "analysis",
-    "instrument",
-    "plan",
-    "execute",
-    "verify",
-    // Verified-launch pipeline phases (core::exec stage journal).
-    "verify:staging",
-    "verify:overlap",
-    "verify:compare",
-];
-/// Disk-cache operations. Binary codes index into this table.
-const CACHE_OPS: &[&str] = &["hit", "miss", "store", "evict", "corrupt"];
+use crate::event::{
+    CacheOp, Category, Cause, EventKind, Phase, Severity, Side, St, TraceEvent, Track,
+};
 
 /// Appends fixed-width little-endian primitives to a byte buffer.
 ///
@@ -446,12 +430,12 @@ pub fn write_event(w: &mut Writer, ev: &TraceEvent) {
             w.put_f64(*max_abs_err);
         }
         EventKind::Stage { stage, cached } => {
-            w.put_code(STAGES, *stage);
+            w.put_code(&Phase::ALL, *stage);
             w.put_bool(*cached);
         }
         EventKind::Cache { stage, op } => {
-            w.put_code(STAGES, *stage);
-            w.put_code(CACHE_OPS, *op);
+            w.put_code(&Phase::ALL, *stage);
+            w.put_code(&CacheOp::ALL, *op);
         }
         EventKind::Serve { gauge, value } => {
             w.put_str(gauge);
@@ -520,12 +504,12 @@ pub fn read_event(r: &mut Reader<'_>) -> Result<TraceEvent, String> {
             max_abs_err: r.f64()?,
         },
         tag::STAGE => EventKind::Stage {
-            stage: r.code(STAGES, "stage")?,
+            stage: r.code(&Phase::ALL, "stage")?,
             cached: r.bool()?,
         },
         tag::CACHE => EventKind::Cache {
-            stage: r.code(STAGES, "stage")?,
-            op: r.code(CACHE_OPS, "cache op")?,
+            stage: r.code(&Phase::ALL, "stage")?,
+            op: r.code(&CacheOp::ALL, "cache op")?,
         },
         tag::SERVE => EventKind::Serve {
             gauge: r.string()?,
@@ -650,15 +634,15 @@ mod tests {
             mk(
                 Track::Host,
                 EventKind::Stage {
-                    stage: "verify:compare",
+                    stage: Phase::VerifyCompare,
                     cached: true,
                 },
             ),
             mk(
                 Track::Host,
                 EventKind::Cache {
-                    stage: "execute",
-                    op: "hit",
+                    stage: Phase::Execute,
+                    op: CacheOp::Hit,
                 },
             ),
         ]

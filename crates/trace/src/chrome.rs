@@ -116,12 +116,13 @@ fn args_of(ev: &TraceEvent) -> Json {
             ("max_abs_err", Json::from(*max_abs_err)),
         ]),
         EventKind::Stage { stage, cached } => Json::obj(vec![
-            ("stage", Json::from(*stage)),
+            ("stage", Json::from(stage.label())),
             ("cached", Json::from(*cached)),
         ]),
-        EventKind::Cache { stage, op } => {
-            Json::obj(vec![("stage", Json::from(*stage)), ("op", Json::from(*op))])
-        }
+        EventKind::Cache { stage, op } => Json::obj(vec![
+            ("stage", Json::from(stage.label())),
+            ("op", Json::from(op.label())),
+        ]),
         EventKind::Serve { gauge, value } => Json::obj(vec![
             ("gauge", Json::from(gauge.as_str())),
             ("value", Json::from(*value)),

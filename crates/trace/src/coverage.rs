@@ -19,6 +19,7 @@
 //! coverage-guided scheduling needs.
 
 use crate::event::{EventKind, Side, TraceEvent, Track};
+use crate::Fnv;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -87,17 +88,12 @@ impl Signature {
     /// FNV-1a hash over the sorted atom list. Two signatures with the
     /// same atom set hash identically regardless of insertion order.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut h = Fnv::standard();
         for a in &self.atoms {
-            for b in a.as_bytes() {
-                h ^= u64::from(*b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
             // Atom separator so {"ab","c"} and {"a","bc"} differ.
-            h ^= 0x1f;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            h.write(a.as_bytes()).write(&[0x1f]);
         }
-        h
+        h.finish()
     }
 }
 
@@ -186,10 +182,10 @@ pub fn event_atoms(ev: &TraceEvent, sig: &mut Signature) {
         }
         EventKind::Stage { stage, cached } => {
             let path = if *cached { "hit" } else { "miss" };
-            sig.insert(format!("stage:{stage}:{path}"));
+            sig.insert(format!("stage:{}:{path}", stage.label()));
         }
         EventKind::Cache { stage, op } => {
-            sig.insert(format!("cache:{stage}:{op}"));
+            sig.insert(format!("cache:{}:{}", stage.label(), op.label()));
         }
         EventKind::Serve { gauge, .. } => {
             sig.insert(format!("serve:{gauge}"));

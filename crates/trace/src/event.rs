@@ -225,6 +225,91 @@ impl fmt::Display for Severity {
     }
 }
 
+/// What a session-level [`EventKind::Stage`] span timed, or whose
+/// artifact an [`EventKind::Cache`] operation concerned: the seven
+/// staged-pipeline stages (`core::pipeline::Stage` is their first seven
+/// codes), then the three phases of a verified launch.
+#[allow(missing_docs)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Phase {
+    Frontend,
+    Directives,
+    Analysis,
+    Instrument,
+    Plan,
+    Execute,
+    Verify,
+    VerifyStaging,
+    VerifyOverlap,
+    VerifyCompare,
+}
+
+impl Phase {
+    /// All phases, in code order.
+    pub const ALL: [Phase; 10] = [
+        Phase::Frontend,
+        Phase::Directives,
+        Phase::Analysis,
+        Phase::Instrument,
+        Phase::Plan,
+        Phase::Execute,
+        Phase::Verify,
+        Phase::VerifyStaging,
+        Phase::VerifyOverlap,
+        Phase::VerifyCompare,
+    ];
+
+    /// Journal spelling.
+    pub fn label(self) -> &'static str {
+        match self {
+            Phase::Frontend => "frontend",
+            Phase::Directives => "directives",
+            Phase::Analysis => "analysis",
+            Phase::Instrument => "instrument",
+            Phase::Plan => "plan",
+            Phase::Execute => "execute",
+            Phase::Verify => "verify",
+            Phase::VerifyStaging => "verify:staging",
+            Phase::VerifyOverlap => "verify:overlap",
+            Phase::VerifyCompare => "verify:compare",
+        }
+    }
+}
+
+/// A disk-cache operation on one stage artifact. No session emits
+/// `Evict`; it keeps its code so that `Corrupt` keeps its own.
+#[allow(missing_docs)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum CacheOp {
+    Hit,
+    Miss,
+    Store,
+    Evict,
+    Corrupt,
+}
+
+impl CacheOp {
+    /// All operations, in code order.
+    pub const ALL: [CacheOp; 5] = [
+        CacheOp::Hit,
+        CacheOp::Miss,
+        CacheOp::Store,
+        CacheOp::Evict,
+        CacheOp::Corrupt,
+    ];
+
+    /// Journal spelling.
+    pub fn label(self) -> &'static str {
+        match self {
+            CacheOp::Hit => "hit",
+            CacheOp::Miss => "miss",
+            CacheOp::Store => "store",
+            CacheOp::Evict => "evict",
+            CacheOp::Corrupt => "corrupt",
+        }
+    }
+}
+
 /// Which simulated timeline an event belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Track {
@@ -393,8 +478,8 @@ pub enum EventKind {
     /// journals compared byte-for-byte across worker counts — they live in
     /// a separate session-level stream.
     Stage {
-        /// Stage label, e.g. `"Frontend"`, `"Translate"`, `"Execute"`.
-        stage: &'static str,
+        /// What was timed.
+        stage: Phase,
         /// Whether the stage result came from the artifact cache.
         cached: bool,
     },
@@ -403,11 +488,10 @@ pub enum EventKind {
     /// same rules as [`EventKind::Stage`]: real wall-clock offsets, never
     /// part of the deterministic per-run journals).
     Cache {
-        /// Stage label of the artifact involved, e.g. `"Frontend"`.
-        stage: &'static str,
-        /// Operation: `"hit"`, `"miss"`, `"store"`, `"evict"` or
-        /// `"corrupt"`.
-        op: &'static str,
+        /// Stage of the artifact involved.
+        stage: Phase,
+        /// What the store did.
+        op: CacheOp,
     },
     /// One gauge sample from the `openarc serve` daemon's periodic stats
     /// heartbeat (instant, server-level stream — real wall-clock offsets
@@ -446,9 +530,10 @@ impl TraceEvent {
                 format!("verify {kernel}: {}", if *passed { "ok" } else { "FAIL" })
             }
             EventKind::Stage { stage, cached } => {
-                format!("stage {stage}{}", if *cached { " (cached)" } else { "" })
+                let cached = if *cached { " (cached)" } else { "" };
+                format!("stage {}{cached}", stage.label())
             }
-            EventKind::Cache { stage, op } => format!("cache {op} {stage}"),
+            EventKind::Cache { stage, op } => format!("cache {} {}", op.label(), stage.label()),
             EventKind::Serve { gauge, value } => format!("serve {gauge}={value}"),
         }
     }
@@ -580,6 +665,39 @@ mod tests {
         };
         for (i, s) in Severity::ALL.into_iter().enumerate() {
             assert_eq!(code(s), i, "{s:?}");
+        }
+    }
+
+    #[test]
+    fn phase_all_is_its_code_table() {
+        let code = |p| match p {
+            Phase::Frontend => (0, "frontend"),
+            Phase::Directives => (1, "directives"),
+            Phase::Analysis => (2, "analysis"),
+            Phase::Instrument => (3, "instrument"),
+            Phase::Plan => (4, "plan"),
+            Phase::Execute => (5, "execute"),
+            Phase::Verify => (6, "verify"),
+            Phase::VerifyStaging => (7, "verify:staging"),
+            Phase::VerifyOverlap => (8, "verify:overlap"),
+            Phase::VerifyCompare => (9, "verify:compare"),
+        };
+        for (i, p) in Phase::ALL.into_iter().enumerate() {
+            assert_eq!(code(p), (i, p.label()), "{p:?}");
+        }
+    }
+
+    #[test]
+    fn cache_op_all_is_its_code_table() {
+        let code = |o| match o {
+            CacheOp::Hit => (0, "hit"),
+            CacheOp::Miss => (1, "miss"),
+            CacheOp::Store => (2, "store"),
+            CacheOp::Evict => (3, "evict"),
+            CacheOp::Corrupt => (4, "corrupt"),
+        };
+        for (i, o) in CacheOp::ALL.into_iter().enumerate() {
+            assert_eq!(code(o), (i, o.label()), "{o:?}");
         }
     }
 }

@@ -43,13 +43,17 @@ pub mod chrome;
 pub mod coverage;
 pub mod event;
 pub mod explain;
+mod fnv;
 pub mod journal;
 pub mod json;
 pub mod summary;
 
 pub use chrome::chrome_trace;
 pub use coverage::{signature_of, Signature};
-pub use event::{Category, Cause, EventKind, Severity, Side, St, TraceEvent, Track};
+pub use event::{
+    CacheOp, Category, Cause, EventKind, Phase, Severity, Side, St, TraceEvent, Track,
+};
 pub use explain::explain_var;
+pub use fnv::Fnv;
 pub use journal::{Journal, JournalPart};
 pub use summary::{category_totals, summarize, KernelRow, Summary};

@@ -5,7 +5,7 @@
 //! *same* order as the simulator clock's `TimeBreakdown` — so the two
 //! reconcile exactly, not approximately.
 
-use crate::event::{Category, EventKind, TraceEvent};
+use crate::event::{CacheOp, Category, EventKind, Phase, TraceEvent};
 use std::fmt;
 
 /// Per-category host-time totals, in [`Category::ALL`] order.
@@ -17,15 +17,10 @@ pub fn category_totals(events: &[TraceEvent]) -> [(Category, f64); 7] {
     let mut acc = [0.0f64; 7];
     for ev in events {
         if let EventKind::Slice { cat } = ev.kind {
-            let idx = Category::ALL.iter().position(|c| *c == cat).unwrap();
-            acc[idx] += ev.dur_us;
+            acc[cat as usize] += ev.dur_us;
         }
     }
-    let mut out = [(Category::GpuMemFree, 0.0); 7];
-    for (i, cat) in Category::ALL.iter().enumerate() {
-        out[i] = (*cat, acc[i]);
-    }
-    out
+    Category::ALL.map(|c| (c, acc[c as usize]))
 }
 
 /// Aggregated activity for one kernel.
@@ -69,11 +64,11 @@ pub struct Summary {
     /// [`EventKind::Stage`] events from a staged pipeline session. These
     /// are *real* µs, so they are reported separately and never summed
     /// into [`Summary::total_us`] (which is simulated time).
-    pub stages: Vec<(&'static str, f64, u64)>,
+    pub stages: Vec<(Phase, f64, u64)>,
     /// Disk-cache operation counts `(stage, op, count)` in first-seen
     /// order. Empty unless the journal carries [`EventKind::Cache`] events
     /// from a session with a disk-backed artifact store.
-    pub cache: Vec<(&'static str, &'static str, u64)>,
+    pub cache: Vec<(Phase, CacheOp, u64)>,
     /// Per-device activity rows `(device, busy µs, spans, queues)`, sorted
     /// by device id. Busy time sums the durations of every span journaled
     /// on one of the device's queue tracks (kernel executions and async
@@ -112,8 +107,8 @@ pub fn summarize(events: &[TraceEvent]) -> Summary {
     let total_us = categories.iter().map(|(_, t)| t).sum();
 
     let mut kernels: Vec<KernelRow> = Vec::new();
-    let mut stages: Vec<(&'static str, f64, u64)> = Vec::new();
-    let mut cache: Vec<(&'static str, &'static str, u64)> = Vec::new();
+    let mut stages: Vec<(Phase, f64, u64)> = Vec::new();
+    let mut cache: Vec<(Phase, CacheOp, u64)> = Vec::new();
     let row = |kernels: &mut Vec<KernelRow>, name: &str| -> usize {
         if let Some(i) = kernels.iter().position(|r| r.name == name) {
             return i;
@@ -285,14 +280,14 @@ impl fmt::Display for Summary {
                 } else {
                     String::new()
                 };
-                writeln!(f, "  {:<20} {:>14.3} us{}", stage, us, hits)?;
+                writeln!(f, "  {:<20} {:>14.3} us{}", stage.label(), us, hits)?;
             }
         }
         if !self.cache.is_empty() {
             writeln!(f)?;
             writeln!(f, "disk cache")?;
             for (stage, op, count) in &self.cache {
-                writeln!(f, "  {:<20} {:<8} {:>6}", stage, op, count)?;
+                writeln!(f, "  {:<20} {:<8} {:>6}", stage.label(), op.label(), count)?;
             }
         }
         if !self.devices.is_empty() {
@@ -382,7 +377,7 @@ mod tests {
         // `openarc profile --summary` through `Summary::stages`: one row
         // per label, durations summed across launches, in first-seen
         // order, never counted as cache hits.
-        let span = |stage: &'static str, dur: f64| TraceEvent {
+        let span = |stage: Phase, dur: f64| TraceEvent {
             ts_us: 0.0,
             dur_us: dur,
             track: Track::Host,
@@ -392,20 +387,20 @@ mod tests {
             },
         };
         let events = vec![
-            span("verify:staging", 2.0),
-            span("verify:overlap", 10.0),
-            span("verify:compare", 3.0),
-            span("verify:staging", 1.0),
-            span("verify:overlap", 5.0),
-            span("verify:compare", 4.0),
+            span(Phase::VerifyStaging, 2.0),
+            span(Phase::VerifyOverlap, 10.0),
+            span(Phase::VerifyCompare, 3.0),
+            span(Phase::VerifyStaging, 1.0),
+            span(Phase::VerifyOverlap, 5.0),
+            span(Phase::VerifyCompare, 4.0),
         ];
         let s = summarize(&events);
         assert_eq!(
             s.stages,
             vec![
-                ("verify:staging", 3.0, 0),
-                ("verify:overlap", 15.0, 0),
-                ("verify:compare", 7.0, 0),
+                (Phase::VerifyStaging, 3.0, 0),
+                (Phase::VerifyOverlap, 15.0, 0),
+                (Phase::VerifyCompare, 7.0, 0),
             ]
         );
         // Wall-clock spans never leak into the simulated-time totals.

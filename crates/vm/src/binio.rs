@@ -11,12 +11,12 @@
 //! types and operators. Decoding never panics; malformed bytes come back as
 //! `Err(String)`.
 
-use crate::bytecode::{Chunk, GlobalInfo, Instr, Intrinsic, Module};
+use crate::bytecode::{Chunk, GlobalInfo, Instr, Module};
 use crate::mem::{BufData, Buffer, MemSpace};
 use crate::value::{Handle, Value};
 use openarc_minic::ast::{BinOp, UnOp};
 use openarc_minic::binio::{read_ty, write_ty};
-use openarc_minic::ScalarTy;
+use openarc_minic::{Intrinsic, ScalarTy};
 use openarc_trace::bin::{Reader, Writer};
 
 type R<T> = Result<T, String>;

@@ -2,99 +2,8 @@
 
 use crate::value::Value;
 use openarc_minic::ast::{BinOp, UnOp};
-use openarc_minic::{ScalarTy, Ty};
+use openarc_minic::{Intrinsic, ScalarTy, Ty};
 use std::collections::HashMap;
-
-/// Math intrinsics executable without the environment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[allow(missing_docs)]
-pub enum Intrinsic {
-    Sqrt,
-    Fabs,
-    Exp,
-    Log,
-    Pow,
-    Sin,
-    Cos,
-    Floor,
-    Ceil,
-    Fmin,
-    Fmax,
-    Abs,
-    Min,
-    Max,
-    SqrtF,
-    ExpF,
-    FabsF,
-    LogF,
-    PowF,
-}
-
-impl Intrinsic {
-    /// All intrinsics, in code order.
-    pub const ALL: [Intrinsic; 19] = [
-        Intrinsic::Sqrt,
-        Intrinsic::Fabs,
-        Intrinsic::Exp,
-        Intrinsic::Log,
-        Intrinsic::Pow,
-        Intrinsic::Sin,
-        Intrinsic::Cos,
-        Intrinsic::Floor,
-        Intrinsic::Ceil,
-        Intrinsic::Fmin,
-        Intrinsic::Fmax,
-        Intrinsic::Abs,
-        Intrinsic::Min,
-        Intrinsic::Max,
-        Intrinsic::SqrtF,
-        Intrinsic::ExpF,
-        Intrinsic::FabsF,
-        Intrinsic::LogF,
-        Intrinsic::PowF,
-    ];
-
-    /// Map a source-level intrinsic name (excluding malloc/free, which have
-    /// dedicated instructions).
-    pub fn from_name(name: &str) -> Option<Intrinsic> {
-        Some(match name {
-            "sqrt" => Intrinsic::Sqrt,
-            "fabs" => Intrinsic::Fabs,
-            "exp" => Intrinsic::Exp,
-            "log" => Intrinsic::Log,
-            "pow" => Intrinsic::Pow,
-            "sin" => Intrinsic::Sin,
-            "cos" => Intrinsic::Cos,
-            "floor" => Intrinsic::Floor,
-            "ceil" => Intrinsic::Ceil,
-            "fmin" => Intrinsic::Fmin,
-            "fmax" => Intrinsic::Fmax,
-            "abs" => Intrinsic::Abs,
-            "min" => Intrinsic::Min,
-            "max" => Intrinsic::Max,
-            "sqrtf" => Intrinsic::SqrtF,
-            "expf" => Intrinsic::ExpF,
-            "fabsf" => Intrinsic::FabsF,
-            "logf" => Intrinsic::LogF,
-            "powf" => Intrinsic::PowF,
-            _ => return None,
-        })
-    }
-
-    /// Number of arguments.
-    #[inline]
-    pub fn arity(self) -> usize {
-        match self {
-            Intrinsic::Pow
-            | Intrinsic::Fmin
-            | Intrinsic::Fmax
-            | Intrinsic::Min
-            | Intrinsic::Max
-            | Intrinsic::PowF => 2,
-            _ => 1,
-        }
-    }
-}
 
 /// One bytecode instruction of the stack machine.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -228,45 +137,6 @@ impl Module {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// `ALL` is the intrinsic's code table: the match is exhaustive, so a
-    /// new intrinsic does not compile here until it is given a code.
-    #[test]
-    fn intrinsic_all_is_its_code_table() {
-        let code = |i| match i {
-            Intrinsic::Sqrt => 0,
-            Intrinsic::Fabs => 1,
-            Intrinsic::Exp => 2,
-            Intrinsic::Log => 3,
-            Intrinsic::Pow => 4,
-            Intrinsic::Sin => 5,
-            Intrinsic::Cos => 6,
-            Intrinsic::Floor => 7,
-            Intrinsic::Ceil => 8,
-            Intrinsic::Fmin => 9,
-            Intrinsic::Fmax => 10,
-            Intrinsic::Abs => 11,
-            Intrinsic::Min => 12,
-            Intrinsic::Max => 13,
-            Intrinsic::SqrtF => 14,
-            Intrinsic::ExpF => 15,
-            Intrinsic::FabsF => 16,
-            Intrinsic::LogF => 17,
-            Intrinsic::PowF => 18,
-        };
-        for (i, k) in Intrinsic::ALL.into_iter().enumerate() {
-            assert_eq!(code(k), i, "{k:?}");
-        }
-    }
-
-    #[test]
-    fn intrinsic_names_round_trip() {
-        assert_eq!(Intrinsic::from_name("sqrt"), Some(Intrinsic::Sqrt));
-        assert_eq!(Intrinsic::from_name("powf"), Some(Intrinsic::PowF));
-        assert_eq!(Intrinsic::from_name("malloc"), None);
-        assert_eq!(Intrinsic::Pow.arity(), 2);
-        assert_eq!(Intrinsic::Sin.arity(), 1);
-    }
 
     #[test]
     fn const_dedup() {

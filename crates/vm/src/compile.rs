@@ -5,12 +5,11 @@
 //! static dimensions (the same flattening a directive compiler performs
 //! when it lowers C arrays to CUDA device pointers).
 
-use crate::bytecode::{Chunk, GlobalInfo, Instr, Intrinsic, Module};
+use crate::bytecode::{Chunk, GlobalInfo, Instr, Module};
 use crate::value::Value;
 use openarc_minic::ast::*;
-use openarc_minic::sema::is_intrinsic;
 use openarc_minic::span::Diagnostic;
-use openarc_minic::{Sema, Span};
+use openarc_minic::{Intrinsic, Sema, Span};
 use std::collections::HashMap;
 
 /// Name of the synthesized chunk that evaluates global initializers.
@@ -619,9 +618,7 @@ impl<'a> FnCompiler<'a> {
         if name == "malloc" {
             return Err(self.err("malloc must be wrapped in a pointer cast", e.span));
         }
-        if is_intrinsic(name) {
-            let intr = Intrinsic::from_name(name)
-                .ok_or_else(|| self.err(format!("unsupported intrinsic `{name}`"), e.span))?;
+        if let Some(intr) = Intrinsic::from_name(name) {
             if args.len() != intr.arity() {
                 return Err(self.err(
                     format!("intrinsic `{name}` expects {} argument(s)", intr.arity()),

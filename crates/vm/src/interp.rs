@@ -16,12 +16,12 @@
 //! simulated device memory. `run` is generic over the environment: each
 //! gets its own monomorphised copy of the one dispatch loop.
 
-use crate::bytecode::{Instr, Intrinsic, Module};
+use crate::bytecode::{Instr, Module};
 use crate::error::VmError;
 use crate::mem::MemSpace;
 use crate::value::{Handle, Value};
 use openarc_minic::ast::{BinOp, UnOp};
-use openarc_minic::{ScalarTy, Ty};
+use openarc_minic::{Intrinsic, ScalarTy, Ty};
 
 /// Environment a thread executes against: global slots + buffer memory.
 pub trait Env {

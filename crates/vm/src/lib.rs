@@ -25,9 +25,10 @@ pub mod interp;
 pub mod mem;
 pub mod value;
 
-pub use bytecode::{Chunk, GlobalInfo, Instr, Intrinsic, Module};
+pub use bytecode::{Chunk, GlobalInfo, Instr, Module};
 pub use compile::{compile, GLOBALS_INIT, HOST_OP};
 pub use error::VmError;
 pub use interp::{call_function, BasicEnv, Env, Stop, ThreadState, Yield};
 pub use mem::{BufData, Buffer, MemSpace};
+pub use openarc_minic::Intrinsic;
 pub use value::{Handle, Value};

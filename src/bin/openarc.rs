@@ -211,11 +211,11 @@ fn one_shot(action: Action, rest: &[String]) -> Result<i32, CliError> {
 
 fn run(args: &[String]) -> Result<i32, CliError> {
     let (cmd, rest) = args.split_first().ok_or_else(usage)?;
+    // Every action but `profile` is a one-shot command of the same name.
+    if let Some(action) = Action::from_wire(cmd).filter(|a| *a != Action::Profile) {
+        return one_shot(action, rest);
+    }
     match cmd.as_str() {
-        "run" => one_shot(Action::Run, rest),
-        "cpu" => one_shot(Action::Cpu, rest),
-        "verify" => one_shot(Action::Verify, rest),
-        "check" => one_shot(Action::Check, rest),
         "demote" => {
             let path = rest.first().ok_or_else(usage)?;
             let idx: usize = rest

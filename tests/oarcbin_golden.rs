@@ -20,7 +20,9 @@ use openarc::core::pipeline::{Session, Stage, TranslatedArtifact};
 use openarc::core::translate::TranslateOptions;
 use openarc::suite::{all, Scale, Variant};
 use openarc::trace::bin::{write_events, Writer};
-use openarc::trace::{Category, Cause, EventKind, Journal, Severity, Side, St, TraceEvent, Track};
+use openarc::trace::{
+    CacheOp, Category, Cause, EventKind, Journal, Phase, Severity, Side, St, TraceEvent, Track,
+};
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -162,7 +164,7 @@ fn entries(src: &str) -> Vec<(&'static str, Vec<u8>)> {
 }
 
 /// One event per entry of every event code table: each time category,
-/// every side, state, cause and severity, every stage label and cache op.
+/// every side, state, cause and severity, every stage phase and cache op.
 fn every_event_code() -> Vec<TraceEvent> {
     // Each table is named variant by variant: iterating an enum's `ALL`
     // would move the events together with their codes.
@@ -180,19 +182,25 @@ fn every_event_code() -> Vec<TraceEvent> {
     const STATES: [St; 3] = [St::NotStale, St::MayStale, St::Stale];
     const CAUSES: [Cause; 4] = [Cause::Write, Cause::Transfer, Cause::Reset, Cause::Dealloc];
     const SEVERITIES: [Severity; 3] = [Severity::Info, Severity::Warning, Severity::Error];
-    const STAGES: [&str; 10] = [
-        "frontend",
-        "directives",
-        "analysis",
-        "instrument",
-        "plan",
-        "execute",
-        "verify",
-        "verify:staging",
-        "verify:overlap",
-        "verify:compare",
+    const PHASES: [Phase; 10] = [
+        Phase::Frontend,
+        Phase::Directives,
+        Phase::Analysis,
+        Phase::Instrument,
+        Phase::Plan,
+        Phase::Execute,
+        Phase::Verify,
+        Phase::VerifyStaging,
+        Phase::VerifyOverlap,
+        Phase::VerifyCompare,
     ];
-    const CACHE_OPS: [&str; 5] = ["hit", "miss", "store", "evict", "corrupt"];
+    const CACHE_OPS: [CacheOp; 5] = [
+        CacheOp::Hit,
+        CacheOp::Miss,
+        CacheOp::Store,
+        CacheOp::Evict,
+        CacheOp::Corrupt,
+    ];
     let mut kinds: Vec<EventKind> = [
         Category::GpuMemFree,
         Category::GpuMemAlloc,
@@ -225,7 +233,7 @@ fn every_event_code() -> Vec<TraceEvent> {
             message: format!("{severity} finding"),
         });
     }
-    for (i, stage) in STAGES.into_iter().enumerate() {
+    for (i, stage) in PHASES.into_iter().enumerate() {
         kinds.push(EventKind::Stage {
             stage,
             cached: i % 2 == 0,
