@@ -1,49 +1,151 @@
-//! Shared command-line argument parsing for the `paper` binary and the
-//! `openarc bench` subcommand.
+//! The command-line front end shared by the `openarc` binary and the
+//! `paper` bin: one argument reader, one cache rule and one session
+//! constructor.
 //!
-//! Both take the same flags — `--scale small|bench`, `--n SIZE`,
-//! `--iters COUNT` — plus the disk-cache pair `--cache-dir DIR` /
-//! `--no-cache`. Parsing them once here keeps their usage strings and
-//! error behaviour identical.
+//! Every command reads its arguments left to right through [`Args`]:
+//! [`Args::next_arg`] yields the next argument, [`Args::value`] the value
+//! after a flag and [`Args::parse`] that value parsed, and
+//! [`Args::positional`] files a positional argument or rejects what the
+//! command does not take — an unknown flag or one positional too many —
+//! the same way for every command. A command that takes the disk cache
+//! opens its reader [`Args::with_cache`]: the reader then consumes
+//! `--cache-dir DIR` and `--no-cache` wherever they appear, and
+//! [`Args::cache_dir`] resolves them. Any other command rejects both
+//! flags as unknown. [`session`] is the one place a front end builds its
+//! [`Session`].
 
 use crate::sweep::Sweep;
 use openarc_core::pipeline::Session;
 use openarc_suite::Scale;
-use std::path::PathBuf;
+use openarc_trace::Journal;
+use std::path::{Path, PathBuf};
+use std::str::FromStr;
 
-/// The flag summary shared by every usage message.
+/// The flag summary of `paper` and `openarc bench`.
 pub const FLAGS_HELP: &str =
     "[--scale small|bench] [--n SIZE] [--iters COUNT] [--cache-dir DIR] [--no-cache]";
+
+/// A cursor over one command's arguments.
+///
+/// Errors are ready for stderr. Usage errors (a flag without its value,
+/// an unknown flag, a missing or extra positional argument) end with the
+/// caller's usage text; a value that does not parse does not.
+#[derive(Debug)]
+pub struct Args<'a> {
+    cmd: &'a str,
+    rest: std::slice::Iter<'a, String>,
+    usage: &'a str,
+    /// `Some(default root)` when the command takes the cache flags.
+    cache: Option<Option<&'a str>>,
+    cache_flag: Option<&'a str>,
+    no_cache: bool,
+}
+
+impl<'a> Args<'a> {
+    /// A reader over `args`, the arguments after the command name `cmd`.
+    /// `usage` ends every usage error.
+    pub fn new(cmd: &'a str, args: &'a [String], usage: &'a str) -> Args<'a> {
+        Args {
+            cmd,
+            rest: args.iter(),
+            usage,
+            cache: None,
+            cache_flag: None,
+            no_cache: false,
+        }
+    }
+
+    /// Let the command take `--cache-dir DIR` and `--no-cache`; `default`
+    /// is the cache root when neither appears (`None`: cache off).
+    pub fn with_cache(mut self, default: Option<&'a str>) -> Args<'a> {
+        self.cache = Some(default);
+        self
+    }
+
+    /// The next argument, after consuming any cache flags before it.
+    pub fn next_arg(&mut self) -> Result<Option<&'a str>, String> {
+        while let Some(arg) = self.rest.next() {
+            match arg.as_str() {
+                "--cache-dir" if self.cache.is_some() => self.cache_flag = Some(self.value(arg)?),
+                "--no-cache" if self.cache.is_some() => self.no_cache = true,
+                arg => return Ok(Some(arg)),
+            }
+        }
+        Ok(None)
+    }
+
+    /// The value after `flag`.
+    pub fn value(&mut self, flag: &str) -> Result<&'a str, String> {
+        self.rest
+            .next()
+            .map(String::as_str)
+            .ok_or_else(|| self.error(format!("{flag} needs a value")))
+    }
+
+    /// The value after `flag`, parsed; `expects` names what it must be.
+    pub fn parse<T: FromStr>(&mut self, flag: &str, expects: &str) -> Result<T, String> {
+        self.value(flag)?
+            .parse()
+            .map_err(|_| format!("{flag} expects {expects}"))
+    }
+
+    /// File `arg` into the first empty slot of `slots`. A flag no match
+    /// arm took, or a positional argument with no slot left, is an error.
+    pub fn positional(&self, arg: &'a str, slots: &mut [Option<&'a str>]) -> Result<(), String> {
+        if arg.starts_with("--") {
+            return Err(self.error(format!("unknown {} flag `{arg}`", self.cmd)));
+        }
+        let slot = slots
+            .iter_mut()
+            .find(|s| s.is_none())
+            .ok_or_else(|| self.error(format!("unexpected argument `{arg}`")))?;
+        *slot = Some(arg);
+        Ok(())
+    }
+
+    /// A usage error: `msg`, then the usage text.
+    pub fn error(&self, msg: impl std::fmt::Display) -> String {
+        format!("{msg}\n{}", self.usage)
+    }
+
+    /// The resolved cache root: the last `--cache-dir`, else the default;
+    /// `None` when `--no-cache` appeared anywhere.
+    pub fn cache_dir(&self) -> Option<PathBuf> {
+        if self.no_cache {
+            return None;
+        }
+        self.cache_flag.or(self.cache.flatten()).map(PathBuf::from)
+    }
+}
+
+/// A fresh [`Session`] on the disk store at `cache_dir` (none: memory
+/// only), with `journal` as its stage journal.
+pub fn session(cache_dir: Option<&Path>, journal: Journal) -> Session {
+    let builder = Session::builder().journal(journal);
+    match cache_dir {
+        Some(dir) => builder.disk_cache(dir).build(),
+        None => builder.build(),
+    }
+}
 
 /// Parsed bench-driver arguments.
 #[derive(Debug, Clone)]
 pub struct BenchArgs {
     /// Problem scale every cell runs at.
     pub scale: Scale,
-    /// Resolved disk-cache root: the `--cache-dir` value, else the
-    /// caller's default, and `None` when `--no-cache` was given (it wins
-    /// over both).
+    /// Resolved disk-cache root ([`Args::cache_dir`]).
     pub cache_dir: Option<PathBuf>,
 }
 
 impl BenchArgs {
-    /// Parse `args`. `default_cache` is the cache directory used when
-    /// neither `--cache-dir` nor `--no-cache` appears (`None`: disk cache
-    /// off by default). The error string is ready for stderr.
-    pub fn parse(args: &[String], default_cache: Option<&str>) -> Result<BenchArgs, String> {
+    /// Read `--scale small|bench`, `--n SIZE` and `--iters COUNT` (plus
+    /// the cache flags, when `args` takes them) to the end of `args`.
+    pub fn parse(mut args: Args<'_>) -> Result<BenchArgs, String> {
         let mut scale = Scale::bench();
-        let mut cache_dir: Option<PathBuf> = None;
-        let mut no_cache = false;
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            let mut value = |flag: &str| {
-                it.next()
-                    .cloned()
-                    .ok_or_else(|| format!("{flag} expects a value"))
-            };
-            match a.as_str() {
+        while let Some(a) = args.next_arg()? {
+            match a {
                 "--scale" => {
-                    scale = match value("--scale")?.as_str() {
+                    scale = match args.value(a)? {
                         "small" => Scale::default(),
                         "bench" => Scale::bench(),
                         other => {
@@ -53,65 +155,37 @@ impl BenchArgs {
                         }
                     }
                 }
-                "--n" => {
-                    scale.n = value("--n")?
-                        .parse()
-                        .map_err(|_| "--n expects a positive integer".to_string())?
-                }
-                "--iters" => {
-                    scale.iters = value("--iters")?
-                        .parse()
-                        .map_err(|_| "--iters expects a positive integer".to_string())?
-                }
-                "--cache-dir" => cache_dir = Some(PathBuf::from(value("--cache-dir")?)),
-                "--no-cache" => no_cache = true,
-                other => {
-                    return Err(format!(
-                        "unknown argument '{other}' (expected {FLAGS_HELP})"
-                    ))
-                }
+                "--n" => scale.n = args.parse(a, "a positive integer")?,
+                "--iters" => scale.iters = args.parse(a, "a positive integer")?,
+                other => args.positional(other, &mut [])?,
             }
         }
         if scale.n == 0 || scale.iters == 0 {
             return Err("--n and --iters must be positive".to_string());
         }
-        let cache_dir = if no_cache {
-            None
-        } else {
-            cache_dir.or_else(|| default_cache.map(PathBuf::from))
-        };
-        Ok(BenchArgs { scale, cache_dir })
+        Ok(BenchArgs {
+            scale,
+            cache_dir: args.cache_dir(),
+        })
     }
 
-    /// Parse a bin's process arguments (no default cache directory),
-    /// printing a usage message to stderr and exiting with status `2`
-    /// when they don't parse.
+    /// Parse a bin's process arguments (cache off by default), printing
+    /// the error to stderr and exiting with status `2` when they don't
+    /// parse.
     pub fn from_env(bin: &str) -> BenchArgs {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        match Self::parse(&args, None) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("{bin}: {e}");
-                eprintln!("usage: {bin} {FLAGS_HELP}");
-                std::process::exit(2);
-            }
-        }
+        let usage = format!("usage: {bin} {FLAGS_HELP}");
+        Self::parse(Args::new(bin, &args, &usage).with_cache(None)).unwrap_or_else(|e| {
+            eprintln!("{bin}: {e}");
+            std::process::exit(2);
+        })
     }
 
-    /// Fresh [`Session`] honouring the resolved cache directory.
-    pub fn session(&self) -> Session {
-        let builder = Session::builder();
-        match &self.cache_dir {
-            Some(dir) => builder.disk_cache(dir).build(),
-            None => builder.build(),
-        }
-    }
-
-    /// Fresh [`Sweep`] at this scale, backed by [`BenchArgs::session`].
+    /// Fresh [`Sweep`] at this scale on a fresh [`session`].
     pub fn sweep(&self) -> Sweep {
         Sweep {
             scale: self.scale,
-            session: self.session(),
+            session: session(self.cache_dir.as_deref(), Journal::disabled()),
         }
     }
 }
@@ -124,50 +198,95 @@ mod tests {
         args.iter().map(|s| s.to_string()).collect()
     }
 
+    fn bench(args: &[&str], default_cache: Option<&str>) -> Result<BenchArgs, String> {
+        let args = strs(args);
+        BenchArgs::parse(Args::new("bench", &args, "USAGE").with_cache(default_cache))
+    }
+
     #[test]
     fn defaults_and_flags() {
-        let a = BenchArgs::parse(&[], None).unwrap();
+        let a = bench(&[], None).unwrap();
         assert_eq!(
             (a.scale.n, a.scale.iters, a.cache_dir),
             (Scale::bench().n, Scale::bench().iters, None)
         );
-        let a = BenchArgs::parse(&strs(&["--scale", "small"]), None).unwrap();
+        let a = bench(&["--scale", "small"], None).unwrap();
         assert_eq!(a.scale.n, Scale::default().n);
-        // The sweep is sequential: `--jobs` is an unknown argument.
-        let e = BenchArgs::parse(&strs(&["--scale", "small", "--jobs", "4"]), None).unwrap_err();
-        assert!(e.contains("'--jobs'") && e.contains(FLAGS_HELP), "{e}");
-        assert!(BenchArgs::parse(&strs(&["--frobnicate"]), None).is_err());
-        assert!(BenchArgs::parse(&strs(&["--n", "0"]), None).is_err());
+        // The sweep is sequential: `--jobs` is an unknown flag.
+        let e = bench(&["--scale", "small", "--jobs", "4"], None).unwrap_err();
+        assert_eq!(e, "unknown bench flag `--jobs`\nUSAGE");
+        assert!(bench(&["--frobnicate"], None).is_err());
+        assert!(bench(&["--n", "0"], None).is_err());
+        assert_eq!(
+            bench(&["--n", "x"], None).unwrap_err(),
+            "--n expects a positive integer"
+        );
+        assert_eq!(
+            bench(&["--iters"], None).unwrap_err(),
+            "--iters needs a value\nUSAGE"
+        );
     }
 
     #[test]
     fn cache_flags_resolve_with_default() {
         // No flags: the caller's default wins.
-        let a = BenchArgs::parse(&[], Some("target/openarc-cache")).unwrap();
+        let a = bench(&[], Some("target/openarc-cache")).unwrap();
         assert_eq!(a.cache_dir, Some(PathBuf::from("target/openarc-cache")));
         // Explicit dir overrides the default.
-        let a = BenchArgs::parse(&strs(&["--cache-dir", "/tmp/c"]), Some("x")).unwrap();
+        let a = bench(&["--cache-dir", "/tmp/c"], Some("x")).unwrap();
         assert_eq!(a.cache_dir, Some(PathBuf::from("/tmp/c")));
         // --no-cache beats both, in either flag order.
-        let a =
-            BenchArgs::parse(&strs(&["--no-cache", "--cache-dir", "/tmp/c"]), Some("x")).unwrap();
+        let a = bench(&["--no-cache", "--cache-dir", "/tmp/c"], Some("x")).unwrap();
         assert_eq!(a.cache_dir, None);
-        let a = BenchArgs::parse(&strs(&["--no-cache"]), Some("x")).unwrap();
+        let a = bench(&["--no-cache"], Some("x")).unwrap();
         assert_eq!(a.cache_dir, None);
+    }
+
+    #[test]
+    fn one_rule_for_positionals_and_cache_flags() {
+        let args = strs(&["--no-cache", "f.c", "spec", "--cache-dir", "d", "extra"]);
+        let mut r = Args::new("verify", &args, "USAGE").with_cache(None);
+        let mut slots = [None, None];
+        let mut err = None;
+        while let Some(a) = r.next_arg().unwrap() {
+            if let Err(e) = r.positional(a, &mut slots) {
+                err = Some(e);
+            }
+        }
+        assert_eq!(slots, [Some("f.c"), Some("spec")]);
+        assert_eq!(err.unwrap(), "unexpected argument `extra`\nUSAGE");
+        assert_eq!(r.cache_dir(), None);
+        // A command without the cache flags rejects them as unknown.
+        let args = strs(&["--no-cache"]);
+        let mut r = Args::new("demote", &args, "USAGE");
+        let a = r.next_arg().unwrap().unwrap();
+        assert_eq!(
+            r.positional(a, &mut [None]).unwrap_err(),
+            "unknown demote flag `--no-cache`\nUSAGE"
+        );
+        // A trailing `--cache-dir` needs its value.
+        let args = strs(&["--cache-dir"]);
+        let mut r = Args::new("run", &args, "USAGE").with_cache(None);
+        assert_eq!(
+            r.next_arg().unwrap_err(),
+            "--cache-dir needs a value\nUSAGE"
+        );
     }
 
     #[test]
     fn session_and_sweep_honour_the_cache_dir() {
         let dir = std::env::temp_dir().join("openarc-args-test");
-        let a = BenchArgs::parse(
-            &strs(&["--cache-dir", dir.to_str().unwrap(), "--scale", "small"]),
+        let a = bench(
+            &["--cache-dir", dir.to_str().unwrap(), "--scale", "small"],
             None,
         )
         .unwrap();
-        assert!(a.session().disk_cache().is_some());
         assert!(a.sweep().session.disk_cache().is_some());
-        let plain = BenchArgs::parse(&strs(&["--scale", "small"]), None).unwrap();
-        assert!(plain.session().disk_cache().is_none());
+        assert!(session(Some(&dir), Journal::disabled())
+            .disk_cache()
+            .is_some());
+        let plain = bench(&["--scale", "small"], None).unwrap();
+        assert!(plain.sweep().session.disk_cache().is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

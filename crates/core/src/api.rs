@@ -512,6 +512,13 @@ impl std::fmt::Display for ApiError {
 
 impl std::error::Error for ApiError {}
 
+/// A front end's usage or input error (bad flag, unreadable file).
+impl From<String> for ApiError {
+    fn from(message: String) -> ApiError {
+        ApiError::bad_request(message)
+    }
+}
+
 impl From<PipelineError> for ApiError {
     fn from(e: PipelineError) -> ApiError {
         ApiError {

@@ -143,13 +143,8 @@ impl ExecEnv<'_> {
                 to_device,
             });
         }
-        if to_device {
-            self.machine
-                .copy_to_device_named_on(dev, h, site, queue, Some(var))
-        } else {
-            self.machine
-                .copy_to_host_named_on(dev, h, site, queue, Some(var))
-        }
+        self.machine
+            .copy_named_on(dev, h, to_device, site, queue, Some(var))
     }
 
     pub(super) fn flush_deferred(&mut self) -> Result<(), VmError> {
@@ -157,13 +152,8 @@ impl ExecEnv<'_> {
             for (var, site, to_device, queue) in frame {
                 let h = self.resolve(&var)?;
                 let dev = DeviceId::PRIMARY;
-                if to_device {
-                    self.machine
-                        .copy_to_device_named_on(dev, h, &site, queue, Some(&var))?;
-                } else {
-                    self.machine
-                        .copy_to_host_named_on(dev, h, &site, queue, Some(&var))?;
-                }
+                self.machine
+                    .copy_named_on(dev, h, to_device, &site, queue, Some(&var))?;
             }
         }
         Ok(())

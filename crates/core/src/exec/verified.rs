@@ -120,7 +120,7 @@ impl ExecEnv<'_> {
         // itself) instead of blocking host time as Mem Transfer.
         for &(_, host_h, _) in &staged {
             self.machine
-                .copy_to_device_named_on(dev, host_h, &verify_site, Some(q), None)?;
+                .copy_named_on(dev, host_h, true, &verify_site, Some(q), None)?;
         }
         let (args, dreds, dtemps, dcells) = self.build_args(k, n, true, dev)?;
         let (mut hargs, hreds, htemps, hcells) = self.build_args(k, n, false, dev)?;

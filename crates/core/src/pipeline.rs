@@ -280,7 +280,7 @@ pub struct StageCounts {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PipelineStats {
     /// Counters indexed like [`Stage::ALL`].
-    pub stages: [StageCounts; 7],
+    pub stages: [StageCounts; Stage::ALL.len()],
     /// Disk-layer traffic (all zero when the session has no disk cache).
     /// A disk hit is *also* a stage hit — the stage work was skipped.
     pub disk: DiskStats,
@@ -292,6 +292,25 @@ impl PipelineStats {
     /// Counters for one stage.
     pub fn get(&self, s: Stage) -> StageCounts {
         self.stages[s as usize]
+    }
+
+    /// Add every counter of `other` into `self` (totals over sessions).
+    pub fn add(&mut self, other: &PipelineStats) {
+        for (t, c) in self.stages.iter_mut().zip(&other.stages) {
+            t.hits += c.hits;
+            t.misses += c.misses;
+        }
+        let (d, o) = (&mut self.disk, &other.disk);
+        d.hits += o.hits;
+        d.misses += o.misses;
+        d.stores += o.stores;
+        d.evictions += o.evictions;
+        d.corrupt += o.corrupt;
+        let (l, o) = (&mut self.launches, &other.launches);
+        l.hits += o.hits;
+        l.misses += o.misses;
+        l.evictions += o.evictions;
+        l.replayed_thread_steps += o.replayed_thread_steps;
     }
 }
 
@@ -324,31 +343,13 @@ impl std::fmt::Display for PipelineStats {
     }
 }
 
+/// One stage's live counters.
 #[derive(Default)]
-struct StageMeters {
-    hits: [AtomicU64; 7],
-    misses: [AtomicU64; 7],
-}
-
-impl StageMeters {
-    fn hit(&self, s: Stage) {
-        self.hits[s as usize].fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn miss(&self, s: Stage) {
-        self.misses[s as usize].fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> PipelineStats {
-        let mut out = PipelineStats::default();
-        for i in 0..7 {
-            out.stages[i] = StageCounts {
-                hits: self.hits[i].load(Ordering::Relaxed),
-                misses: self.misses[i].load(Ordering::Relaxed),
-            };
-        }
-        out
-    }
+struct StageMeter {
+    hits: AtomicU64,
+    misses: AtomicU64,
+    /// Accumulated wall-clock nanoseconds, hits included.
+    wall_ns: AtomicU64,
 }
 
 // ---------------------------------------------------------------------------
@@ -427,7 +428,8 @@ impl std::error::Error for PipelineError {}
 /// assert!(run1.result.sim_time_us() > run2.result.sim_time_us());
 /// ```
 pub struct Session {
-    meters: StageMeters,
+    /// Indexed like [`Stage::ALL`].
+    meters: [StageMeter; Stage::ALL.len()],
     frontends: Memo<Arc<FrontendArtifact>>,
     translations: Memo<Arc<TranslatedArtifact>>,
     plans: Memo<ExecPlan>,
@@ -437,8 +439,6 @@ pub struct Session {
     /// this memo, so a kernel that meets inputs it already saw in an
     /// earlier run is not simulated again.
     launches: LaunchMemo,
-    /// Accumulated wall-clock nanoseconds per stage ([`Stage::ALL`] order).
-    stage_wall: [AtomicU64; 7],
     /// Optional session-level stream of [`EventKind::Stage`] spans.
     stage_journal: Journal,
     /// Session epoch: stage-span timestamps are offsets from here.
@@ -450,14 +450,13 @@ pub struct Session {
 impl Default for Session {
     fn default() -> Session {
         Session {
-            meters: StageMeters::default(),
+            meters: Default::default(),
             frontends: Memo::default(),
             translations: Memo::default(),
             plans: Memo::default(),
             runs: Memo::default(),
             verifications: Memo::default(),
             launches: LaunchMemo::default(),
-            stage_wall: Default::default(),
             stage_journal: Journal::disabled(),
             t0: Instant::now(),
             disk: None,
@@ -635,12 +634,13 @@ impl Session {
             memo.insert(key, v.clone());
             Some(v)
         });
+        let meter = &self.meters[stage as usize];
         if let Some(v) = cached {
-            self.meters.hit(stage);
+            meter.hits.fetch_add(1, Ordering::Relaxed);
             self.note_stage(stage, started, true);
             return Ok((v, true));
         }
-        self.meters.miss(stage);
+        meter.misses.fetch_add(1, Ordering::Relaxed);
         let v = compute()?;
         memo.insert(key, v.clone());
         if let (Some(hooks), Some(cache)) = (&disk, &self.disk) {
@@ -655,7 +655,9 @@ impl Session {
     /// Record one stage request's wall-clock cost; `cached` marks hits.
     fn note_stage(&self, stage: Stage, started: Instant, cached: bool) {
         let dur = started.elapsed();
-        self.stage_wall[stage as usize].fetch_add(dur.as_nanos() as u64, Ordering::Relaxed);
+        self.meters[stage as usize]
+            .wall_ns
+            .fetch_add(dur.as_nanos() as u64, Ordering::Relaxed);
         if self.stage_journal.is_enabled() {
             let dur_us = dur.as_secs_f64() * 1e6;
             let end_us = started.duration_since(self.t0).as_secs_f64() * 1e6 + dur_us;
@@ -674,12 +676,11 @@ impl Session {
     /// Accumulated wall-clock µs spent in each stage (cache hits included,
     /// so artifact reuse shows up as near-zero stage time), in
     /// [`Stage::ALL`] order.
-    pub fn stage_times(&self) -> [(Stage, f64); 7] {
-        let mut out = [(Stage::Frontend, 0.0); 7];
-        for (i, s) in Stage::ALL.iter().enumerate() {
-            out[i] = (*s, self.stage_wall[i].load(Ordering::Relaxed) as f64 / 1e3);
-        }
-        out
+    pub fn stage_times(&self) -> [(Stage, f64); Stage::ALL.len()] {
+        Stage::ALL.map(|s| {
+            let ns = self.meters[s as usize].wall_ns.load(Ordering::Relaxed);
+            (s, ns as f64 / 1e3)
+        })
     }
 
     /// Frontend stage: parse + check `src`, cached by source hash (memory
@@ -910,7 +911,11 @@ impl Session {
     /// Per-stage hit/miss counters accumulated so far, the launch memo's
     /// counters, plus disk-layer traffic when a disk cache is attached.
     pub fn stats(&self) -> PipelineStats {
-        let mut out = self.meters.snapshot();
+        let mut out = PipelineStats::default();
+        for (c, m) in out.stages.iter_mut().zip(&self.meters) {
+            c.hits = m.hits.load(Ordering::Relaxed);
+            c.misses = m.misses.load(Ordering::Relaxed);
+        }
         out.launches = self.launches.stats();
         if let Some(disk) = &self.disk {
             out.disk = disk.stats();

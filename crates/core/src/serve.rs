@@ -50,9 +50,8 @@
 //! wall-clock offsets since daemon start).
 
 use crate::api::{self, ApiError, ErrorKind, Request, Response};
-use crate::pipeline::{PipelineStats, Session, Stage, StageCounts};
+use crate::pipeline::{PipelineStats, Session, Stage};
 use crate::sched::Gate;
-use openarc_gpusim::LaunchStats;
 use openarc_trace::json::Json;
 use openarc_trace::{EventKind, Journal, TraceEvent, Track};
 use std::collections::{HashMap, VecDeque};
@@ -150,32 +149,6 @@ impl ServerStats {
     }
 }
 
-/// Per-stage, disk and launch-memo counters summed over sessions.
-#[derive(Clone, Copy, Default)]
-struct CacheTotals {
-    /// Indexed like [`Stage::ALL`].
-    stages: [StageCounts; 7],
-    /// Disk hits, misses, stores.
-    disk: [u64; 3],
-    launches: LaunchStats,
-}
-
-impl CacheTotals {
-    fn add(&mut self, st: &PipelineStats) {
-        for (t, c) in self.stages.iter_mut().zip(&st.stages) {
-            t.hits += c.hits;
-            t.misses += c.misses;
-        }
-        self.disk[0] += st.disk.hits;
-        self.disk[1] += st.disk.misses;
-        self.disk[2] += st.disk.stores;
-        self.launches.hits += st.launches.hits;
-        self.launches.misses += st.launches.misses;
-        self.launches.evictions += st.launches.evictions;
-        self.launches.replayed_thread_steps += st.launches.replayed_thread_steps;
-    }
-}
-
 /// A warm tenant session and the tick of its last request.
 struct Tenant {
     session: Arc<Session>,
@@ -190,7 +163,7 @@ struct TenantMap {
     /// Bumped on every lookup; orders tenants by recency.
     tick: u64,
     /// Counters of the evicted sessions.
-    retired: CacheTotals,
+    retired: PipelineStats,
 }
 
 impl TenantMap {
@@ -271,7 +244,7 @@ impl ServerInner {
 
     /// Per-stage, disk and launch-memo counters over every tenant session,
     /// evicted ones included, and the live tenant count.
-    fn cache_totals(&self) -> (CacheTotals, usize) {
+    fn cache_totals(&self) -> (PipelineStats, usize) {
         let map = self.tenant_map();
         let mut totals = map.retired;
         for t in map.live.values() {
@@ -312,8 +285,8 @@ impl ServerInner {
             ("p95_us", p95 as f64),
             ("cache_hits", hits as f64),
             ("cache_misses", misses as f64),
-            ("disk_hits", totals.disk[0] as f64),
-            ("disk_misses", totals.disk[1] as f64),
+            ("disk_hits", totals.disk.hits as f64),
+            ("disk_misses", totals.disk.misses as f64),
             ("launch_hits", totals.launches.hits as f64),
             ("launch_misses", totals.launches.misses as f64),
         ]
@@ -374,9 +347,9 @@ impl ServerInner {
             (
                 "disk",
                 Json::obj(vec![
-                    ("hits", Json::from(disk[0])),
-                    ("misses", Json::from(disk[1])),
-                    ("stores", Json::from(disk[2])),
+                    ("hits", Json::from(disk.hits)),
+                    ("misses", Json::from(disk.misses)),
+                    ("stores", Json::from(disk.stores)),
                 ]),
             ),
             (

@@ -311,14 +311,16 @@ impl Machine {
         Ok(())
     }
 
-    /// Copy host → device `dev`. `site` names the transfer for reports;
-    /// `queue` makes it asynchronous; `name`, when given, is the variable
-    /// reports use (aliased pointers share one buffer label; suggestions
-    /// must name the variable the directive used).
-    pub fn copy_to_device_named_on(
+    /// Copy host → device `dev` (`to_device`) or device `dev` → host.
+    /// `site` names the transfer for reports; `queue` makes it
+    /// asynchronous; `name`, when given, is the variable reports use
+    /// (aliased pointers share one buffer label; suggestions must name the
+    /// variable the directive used).
+    pub fn copy_named_on(
         &mut self,
         dev: DeviceId,
         host_h: Handle,
+        to_device: bool,
         site: &str,
         queue: Option<i64>,
         name: Option<&str>,
@@ -326,52 +328,33 @@ impl Machine {
         self.track_handle(host_h);
         let dev_h = self.presents[dev.0 as usize]
             .device_of(host_h)
-            .ok_or_else(|| VmError::Internal(format!("{host_h} not present for copyin")))?;
-        let (host_mem, dev_mem) = (&self.host.mem, &mut self.devices.get_mut(dev).mem);
-        let src = host_mem.get(host_h)?;
-        dev_mem.get_mut(dev_h)?.copy_from(src)?;
+            .ok_or_else(|| {
+                let op = if to_device { "copyin" } else { "copyout" };
+                VmError::Internal(format!("{host_h} not present for {op}"))
+            })?;
+        let (host, device) = (&mut self.host.mem, &mut self.devices.get_mut(dev).mem);
+        let (src, dst) = if to_device {
+            (host.get(host_h)?, device.get_mut(dev_h)?)
+        } else {
+            (device.get(dev_h)?, host.get_mut(host_h)?)
+        };
+        dst.copy_from(src)?;
         let bytes = src.size_bytes();
         let (ts, dt, track) = self.charge_transfer(bytes, dev, queue);
-        self.stats.h2d_bytes += bytes;
-        self.stats.h2d_count += 1;
-        self.emit_transfer(host_h, name, site, ts, dt, track, bytes, true);
+        let (from, to, dir) = if to_device {
+            self.stats.h2d_bytes += bytes;
+            self.stats.h2d_count += 1;
+            (Loc::Cpu, Loc::Dev(dev), Direction::ToDevice)
+        } else {
+            self.stats.d2h_bytes += bytes;
+            self.stats.d2h_count += 1;
+            (Loc::Dev(dev), Loc::Cpu, Direction::ToHost)
+        };
+        self.emit_transfer(host_h, name, site, ts, dt, track, bytes, to_device);
         let before = self.coh_snapshot(host_h);
-        let diag = self
-            .coherence
-            .on_transfer_between(host_h, Loc::Cpu, Loc::Dev(dev));
+        let diag = self.coherence.on_transfer_between(host_h, from, to);
         self.emit_coherence_diff(host_h, before, Cause::Transfer);
-        self.transfer_issues(diag, host_h, site, Direction::ToDevice, name);
-        Ok(())
-    }
-
-    /// Copy device `dev` → host; the arguments are those of
-    /// [`Machine::copy_to_device_named_on`].
-    pub fn copy_to_host_named_on(
-        &mut self,
-        dev: DeviceId,
-        host_h: Handle,
-        site: &str,
-        queue: Option<i64>,
-        name: Option<&str>,
-    ) -> Result<(), VmError> {
-        self.track_handle(host_h);
-        let dev_h = self.presents[dev.0 as usize]
-            .device_of(host_h)
-            .ok_or_else(|| VmError::Internal(format!("{host_h} not present for copyout")))?;
-        let (dev_mem, host_mem) = (&self.devices.get(dev).mem, &mut self.host.mem);
-        let src = dev_mem.get(dev_h)?;
-        host_mem.get_mut(host_h)?.copy_from(src)?;
-        let bytes = src.size_bytes();
-        let (ts, dt, track) = self.charge_transfer(bytes, dev, queue);
-        self.stats.d2h_bytes += bytes;
-        self.stats.d2h_count += 1;
-        self.emit_transfer(host_h, name, site, ts, dt, track, bytes, false);
-        let before = self.coh_snapshot(host_h);
-        let diag = self
-            .coherence
-            .on_transfer_between(host_h, Loc::Dev(dev), Loc::Cpu);
-        self.emit_coherence_diff(host_h, before, Cause::Transfer);
-        self.transfer_issues(diag, host_h, site, Direction::ToHost, name);
+        self.transfer_issues(diag, host_h, site, dir, name);
         Ok(())
     }
 
@@ -590,8 +573,7 @@ mod tests {
         }
         let (dev, new) = m.map_to_device_on_queue(P, h, None).unwrap();
         assert!(new);
-        m.copy_to_device_named_on(P, h, "enter", None, None)
-            .unwrap();
+        m.copy_named_on(P, h, true, "enter", None, None).unwrap();
         assert_eq!(m.devices.get(P).mem.load(dev, 3).unwrap(), Value::F64(3.0));
         // Mutate on device, copy back.
         m.devices
@@ -600,7 +582,7 @@ mod tests {
             .store(dev, 3, Value::F64(99.0))
             .unwrap();
         m.coherence.on_write_at(h, GPU, false);
-        m.copy_to_host_named_on(P, h, "exit", None, None).unwrap();
+        m.copy_named_on(P, h, false, "exit", None, None).unwrap();
         assert_eq!(m.host.mem.load(h, 3).unwrap(), Value::F64(99.0));
         assert_eq!(m.stats.h2d_count, 1);
         assert_eq!(m.stats.d2h_count, 1);
@@ -611,8 +593,7 @@ mod tests {
     fn clock_charged_for_alloc_and_transfer() {
         let (mut m, h) = machine_with_buffer(1024);
         m.map_to_device_on_queue(P, h, None).unwrap();
-        m.copy_to_device_named_on(P, h, "enter", None, None)
-            .unwrap();
+        m.copy_named_on(P, h, true, "enter", None, None).unwrap();
         assert!(m.clock.breakdown.get(Category::GpuMemAlloc) > 0.0);
         assert!(m.clock.breakdown.get(Category::MemTransfer) > 0.0);
     }
@@ -638,10 +619,8 @@ mod tests {
         m.map_to_device_on_queue(P, h, None).unwrap();
         m.loop_context.push(("k-loop".into(), 2));
         // Fresh on both sides → the second copyin is redundant.
-        m.copy_to_device_named_on(P, h, "enter0", None, None)
-            .unwrap();
-        m.copy_to_device_named_on(P, h, "enter0", None, None)
-            .unwrap();
+        m.copy_named_on(P, h, true, "enter0", None, None).unwrap();
+        m.copy_named_on(P, h, true, "enter0", None, None).unwrap();
         let msgs: Vec<String> = m.report.issues.iter().map(|i| i.to_string()).collect();
         assert!(
             msgs.iter()
@@ -664,8 +643,7 @@ mod tests {
         let (mut m, h) = machine_with_buffer(1 << 20);
         m.map_to_device_on_queue(P, h, None).unwrap();
         let before = m.clock.breakdown.get(Category::MemTransfer);
-        m.copy_to_device_named_on(P, h, "enter", Some(1), None)
-            .unwrap();
+        m.copy_named_on(P, h, true, "enter", Some(1), None).unwrap();
         assert_eq!(m.clock.breakdown.get(Category::MemTransfer), before);
         m.clock.wait_on(P, 1);
         assert!(m.clock.breakdown.get(Category::AsyncWait) > 0.0);
@@ -720,10 +698,9 @@ mod tests {
         m.set_journal(Journal::enabled());
         m.map_to_device_on_queue(P, h, None).unwrap(); // miss + alloc
         m.map_to_device_on_queue(P, h, None).unwrap(); // hit
-        m.copy_to_device_named_on(P, h, "enter0", None, None)
-            .unwrap(); // redundant → finding
+        m.copy_named_on(P, h, true, "enter0", None, None).unwrap(); // redundant → finding
         m.check_write_at(h, GPU, false, "k0"); // cpu → stale
-        m.copy_to_host_named_on(P, h, "exit0", None, None).unwrap();
+        m.copy_named_on(P, h, false, "exit0", None, None).unwrap();
         m.unmap_from_device_on(P, h).unwrap();
         m.unmap_from_device_on(P, h).unwrap(); // refcount 0 → free
         m.flush_journal();
@@ -796,8 +773,7 @@ mod tests {
     fn disabled_journal_changes_nothing() {
         let (mut m, h) = machine_with_buffer(8);
         m.map_to_device_on_queue(P, h, None).unwrap();
-        m.copy_to_device_named_on(P, h, "enter0", None, None)
-            .unwrap();
+        m.copy_named_on(P, h, true, "enter0", None, None).unwrap();
         assert!(!m.journal().is_enabled());
         assert!(m.journal().snapshot().is_empty());
         assert_eq!(m.report.issues.len(), 1, "report still works untraced");

@@ -98,12 +98,7 @@ fn const_eval(e: &Expr) -> Option<Value> {
         ExprKind::Unary {
             op: UnOp::Neg,
             expr,
-        } => match const_eval(expr)? {
-            Value::Int(v) => Some(Value::Int(-v)),
-            Value::F32(v) => Some(Value::F32(-v)),
-            Value::F64(v) => Some(Value::F64(-v)),
-            Value::Ptr(_) => None,
-        },
+        } => crate::interp::eval_un(UnOp::Neg, const_eval(expr)?).ok(),
         ExprKind::Binary { op, lhs, rhs } => {
             let a = const_eval(lhs)?;
             let b = const_eval(rhs)?;
@@ -735,5 +730,13 @@ mod tests {
         let e = openarc_minic::parse("int x = 6;\nvoid main() { }").unwrap();
         let g = e.globals().next().unwrap();
         assert_eq!(const_eval(g.init.as_ref().unwrap()), Some(Value::Int(6)));
+        // `-(i64::MIN)` wraps, as `interp::eval_un` does at run time.
+        let e =
+            openarc_minic::parse("int x = -(-9223372036854775807 - 1);\nvoid main() { }").unwrap();
+        let g = e.globals().next().unwrap();
+        assert_eq!(
+            const_eval(g.init.as_ref().unwrap()),
+            Some(Value::Int(i64::MIN))
+        );
     }
 }

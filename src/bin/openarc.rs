@@ -21,16 +21,18 @@
 //!                                      artifact store
 //! ```
 //!
-//! Every pipeline command accepts `--cache-dir DIR` (use the persistent
-//! artifact store at DIR) and `--no-cache`; `bench` defaults the store
-//! **on** at `target/openarc-cache`, the single-program commands default
-//! it off. Exit codes: `0` ok, `1` verification/check findings, `2` bad
-//! input or usage, `3` execution failure.
+//! Every command reads its arguments through [`Args`], so an unknown
+//! flag, a flag without its value or an extra argument is the same usage
+//! error everywhere. `run`, `cpu`, `check`, `verify` and `profile` accept
+//! `--cache-dir DIR` (use the persistent artifact store at DIR) and
+//! `--no-cache` and default the store off; `bench`, `serve` and `cache`
+//! default it **on** at `target/openarc-cache`. Exit codes: `0` ok, `1`
+//! verification/check findings, `2` bad input or usage, `3` execution
+//! failure.
 
-use openarc::bench::args::BenchArgs;
+use openarc::bench::args::{session, Args, BenchArgs};
 use openarc::core::api::{self, Action, ApiError, Request};
 use openarc::core::cache::{DiskCache, DEFAULT_DIR};
-use openarc::core::pipeline::{PipelineError, Session};
 use openarc::prelude::*;
 use openarc::trace::json::Json;
 use openarc::trace::{chrome_trace, explain_var, summarize};
@@ -38,216 +40,156 @@ use std::path::PathBuf;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
-        Ok(code) => std::process::exit(code),
-        Err(e) => {
-            eprintln!("openarc: {}", e.msg);
-            std::process::exit(e.code);
-        }
-    }
+    let code = run(&args).unwrap_or_else(|e| {
+        eprintln!("openarc: {}", e.message);
+        e.exit_code()
+    });
+    std::process::exit(code);
 }
 
-/// A CLI failure: the message for stderr plus the process exit code.
-/// Usage/input-file problems exit `2`; pipeline errors carry their own
-/// mapping ([`PipelineError::exit_code`]: bad program `2`, failed run `3`).
-struct CliError {
-    msg: String,
-    code: i32,
-}
+const USAGE: &str = "\
+usage: openarc <run|cpu|verify|check|demote|profile|serve|bench|fuzz|cache> [args]
 
-impl From<String> for CliError {
-    fn from(msg: String) -> CliError {
-        CliError { msg, code: 2 }
-    }
-}
+run    <file.c>            translate and execute on the simulated device
+cpu    <file.c>            execute the sequential reference
+verify <file.c> [options]  kernel verification; options use the paper's
+                           syntax, e.g. complement=0,kernels=main_kernel0;
+                           devices=<N> spreads independent launches
+                           round-robin over N simulated devices
+check  <file.c>            memory-transfer verification report
+demote <file.c> <kernel#>  print the memory-transfer-demoted program
+profile <file.c> [flags]   run with the event journal enabled
+  --trace-out <path>       write a Chrome trace_event JSON file
+  --summary                print per-category and per-kernel totals
+  --filter-kernel <name>   restrict the trace/kernel table to one kernel
+  --explain <var>          print the event timeline for one variable
+  --verify                 profile a kernel-verification run instead
+  --verify-opts <spec>     like --verify with verificationOptions, e.g.
+                           devices=2
+serve [flags]              start the compile-and-verify daemon; clients
+                           send newline-framed JSON requests (see the
+                           README's wire-protocol table)
+  --tcp <ADDR>             listen address (default 127.0.0.1:0; the
+                           chosen port is printed as `listening on ...`)
+  --jobs <N|auto>          requests run at once (default 2)
+  --queue <N>              admission queue bound (default 64); beyond
+                           it requests are refused with retry_after_ms
+  --stats-interval-ms <N>  heartbeat period for serve gauge events
+                           (default 1000, 0 disables)
+  --journal-out <path>     write the heartbeat journal as a Chrome
+                           trace on shutdown
+bench [flags]              run the benchmark suite's 12×3 matrix
+  --scale <small|bench>    problem scale (default: bench)
+  --n <SIZE> --iters <N>   override the scale's size/iterations
+fuzz [flags]               coverage-guided differential fuzzing: generated
+                           and mutated programs run through the CPU-vs-GPU,
+                           coherence-model, and cross-config oracles; the
+                           campaign is bit-reproducible from --seed
+  --seed <N>               campaign seed (default 1)
+  --programs <N>           generated/mutated programs (default 200)
+  --jobs <N|auto>          executor worker threads (never affects results)
+  --time-budget-s <S>      stop after S wall-clock seconds (marks the
+                           report truncated)
+  --corpus <DIR>           seed the campaign with every *.c in DIR
+  --replay                 only replay the corpus + baseline (no generation)
+  --out <DIR>              write minimized finding-NNN.c repros to DIR
+  --report <PATH>          BENCH_fuzz.json path (default BENCH_fuzz.json)
+cache stats [--json]       per-stage entry counts and bytes
+cache gc --max-bytes <N>   evict least-recently-used entries to <= N bytes
+cache clear                delete every cached artifact
 
-impl From<PipelineError> for CliError {
-    fn from(e: PipelineError) -> CliError {
-        CliError {
-            msg: e.to_string(),
-            code: e.exit_code(),
-        }
-    }
-}
+run/cpu/check/verify/profile take --cache-dir <DIR> to persist pipeline
+artifacts across processes; bench and serve cache at target/openarc-cache
+by default (--no-cache disables, --cache-dir relocates); cache takes
+--cache-dir to point at a non-default store";
 
-impl From<ApiError> for CliError {
-    fn from(e: ApiError) -> CliError {
-        CliError {
-            code: e.exit_code(),
-            msg: e.message,
-        }
-    }
-}
-
-fn usage() -> String {
-    "usage: openarc <run|cpu|verify|check|demote|profile|serve|bench|fuzz|cache> [args]\n\
-     \n\
-     run    <file.c>            translate and execute on the simulated device\n\
-     cpu    <file.c>            execute the sequential reference\n\
-     verify <file.c> [options]  kernel verification; options use the paper's\n\
-                                syntax, e.g. complement=0,kernels=main_kernel0;\n\
-                                devices=<N> spreads independent launches\n\
-                                round-robin over N simulated devices\n\
-     check  <file.c>            memory-transfer verification report\n\
-     demote <file.c> <kernel#>  print the memory-transfer-demoted program\n\
-     profile <file.c> [flags]   run with the event journal enabled\n\
-       --trace-out <path>       write a Chrome trace_event JSON file\n\
-       --summary                print per-category and per-kernel totals\n\
-       --filter-kernel <name>   restrict the trace/kernel table to one kernel\n\
-       --explain <var>          print the event timeline for one variable\n\
-       --verify                 profile a kernel-verification run instead\n\
-       --verify-opts <spec>     like --verify with verificationOptions, e.g.\n\
-                                devices=2\n\
-     serve [flags]              start the compile-and-verify daemon; clients\n\
-                                send newline-framed JSON requests (see the\n\
-                                README's wire-protocol table)\n\
-       --tcp <ADDR>             listen address (default 127.0.0.1:0; the\n\
-                                chosen port is printed as `listening on ...`)\n\
-       --jobs <N|auto>          requests run at once (default 2)\n\
-       --queue <N>              admission queue bound (default 64); beyond\n\
-                                it requests are refused with retry_after_ms\n\
-       --stats-interval-ms <N>  heartbeat period for serve gauge events\n\
-                                (default 1000, 0 disables)\n\
-       --journal-out <path>     write the heartbeat journal as a Chrome\n\
-                                trace on shutdown\n\
-     bench [flags]              run the benchmark suite's 12×3 matrix\n\
-       --scale <small|bench>    problem scale (default: bench)\n\
-       --n <SIZE> --iters <N>   override the scale's size/iterations\n\
-     fuzz [flags]               coverage-guided differential fuzzing: generated\n\
-                                and mutated programs run through the CPU-vs-GPU,\n\
-                                coherence-model, and cross-config oracles; the\n\
-                                campaign is bit-reproducible from --seed\n\
-       --seed <N>               campaign seed (default 1)\n\
-       --programs <N>           generated/mutated programs (default 200)\n\
-       --jobs <N|auto>          executor worker threads (never affects results)\n\
-       --time-budget-s <S>      stop after S wall-clock seconds (marks the\n\
-                                report truncated)\n\
-       --corpus <DIR>           seed the campaign with every *.c in DIR\n\
-       --replay                 only replay the corpus + baseline (no generation)\n\
-       --out <DIR>              write minimized finding-NNN.c repros to DIR\n\
-       --report <PATH>          BENCH_fuzz.json path (default BENCH_fuzz.json)\n\
-     cache stats [--json]       per-stage entry counts and bytes\n\
-     cache gc --max-bytes <N>   evict least-recently-used entries to <= N bytes\n\
-     cache clear                delete every cached artifact\n\
-     \n\
-     run/cpu/check/profile take --cache-dir <DIR> to persist pipeline\n\
-     artifacts across processes; bench caches at target/openarc-cache by\n\
-     default (--no-cache disables, --cache-dir relocates); cache takes\n\
-     --cache-dir to point at a non-default store"
-        .to_string()
-}
-
-/// Split `--cache-dir DIR` / `--no-cache` out of `rest`, returning the
-/// remaining arguments plus the resolved cache root (`default` when
-/// neither flag appears; `--no-cache` wins over both).
-fn cache_flags(
-    rest: &[String],
-    default: Option<&str>,
-) -> Result<(Vec<String>, Option<PathBuf>), String> {
-    let mut out = Vec::with_capacity(rest.len());
-    let mut dir: Option<PathBuf> = None;
-    let mut no_cache = false;
-    let mut it = rest.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--cache-dir" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| format!("--cache-dir needs a value\n{}", usage()))?;
-                dir = Some(PathBuf::from(v));
-            }
-            "--no-cache" => no_cache = true,
-            _ => out.push(a.clone()),
-        }
-    }
-    let dir = if no_cache {
-        None
-    } else {
-        dir.or_else(|| default.map(PathBuf::from))
-    };
-    Ok((out, dir))
-}
-
-/// Fresh pipeline session honouring a resolved `--cache-dir`.
-fn session_with(cache: Option<&PathBuf>) -> Session {
-    match cache {
-        Some(dir) => Session::builder().disk_cache(dir).build(),
-        None => Session::builder().build(),
-    }
+/// Write `text` to stdout. A reader that closed the pipe early (`| head`)
+/// only cuts the output short.
+fn emit(text: &str) {
+    use std::io::Write as _;
+    let _ = std::io::stdout().lock().write_all(text.as_bytes());
 }
 
 fn read_source(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))
 }
 
-fn load(path: &str) -> Result<(openarc::minic::Program, openarc::minic::Sema), String> {
-    let src = read_source(path)?;
-    frontend(&src).map_err(|ds| {
-        ds.iter()
-            .map(|d| d.to_string())
-            .collect::<Vec<_>>()
-            .join("\n")
-    })
-}
-
 /// Route a one-shot pipeline command through [`api::handle`] — the same
 /// entry point the `serve` daemon uses — and print the rendered report
 /// verbatim, so one-shot and served output are byte-identical by
 /// construction.
-fn one_shot(action: Action, rest: &[String]) -> Result<i32, CliError> {
-    let (rest, cache) = cache_flags(rest, None)?;
-    let path = rest.first().ok_or_else(usage)?;
-    let mut req = Request::new(action, read_source(path)?);
-    if action == Action::Verify {
-        req.options = rest.get(1).cloned();
-    } else if rest.len() > 1 {
-        return Err(format!("unexpected argument `{}`\n{}", rest[1], usage()).into());
+fn one_shot(cmd: &str, action: Action, rest: &[String]) -> Result<i32, ApiError> {
+    let mut args = Args::new(cmd, rest, USAGE).with_cache(None);
+    // `verify` takes the verificationOptions spec after the file.
+    let mut pos = [None, None];
+    let slots = if action == Action::Verify { 2 } else { 1 };
+    while let Some(a) = args.next_arg()? {
+        args.positional(a, &mut pos[..slots])?;
     }
-    let session = session_with(cache.as_ref());
-    let resp = api::handle(&session, &req)?;
-    print!("{}", resp.report);
+    let [Some(path), spec] = pos else {
+        return Err(args.error(format!("{cmd}: expected <file.c>")).into());
+    };
+    let mut req = Request::new(action, read_source(path)?);
+    req.options = spec.map(str::to_string);
+    let resp = api::handle(
+        &session(args.cache_dir().as_deref(), Journal::disabled()),
+        &req,
+    )?;
+    emit(&resp.report);
     Ok(resp.exit_code)
 }
 
-fn run(args: &[String]) -> Result<i32, CliError> {
-    let (cmd, rest) = args.split_first().ok_or_else(usage)?;
+/// `openarc demote`: print the Listing-2 demotion of one kernel.
+fn demote(rest: &[String]) -> Result<i32, ApiError> {
+    let mut args = Args::new("demote", rest, USAGE);
+    let mut pos = [None, None];
+    while let Some(a) = args.next_arg()? {
+        args.positional(a, &mut pos)?;
+    }
+    let [Some(path), Some(idx)] = pos else {
+        return Err(args.error("demote: expected <file.c> <kernel#>").into());
+    };
+    let idx: usize = idx
+        .parse()
+        .map_err(|_| "kernel index must be an integer".to_string())?;
+    let session = session(None, Journal::disabled());
+    let fe = session.frontend(&read_source(path)?)?;
+    let tr = session.translate(&fe, &TranslateOptions::default())?;
+    if idx >= tr.tr.kernels.len() {
+        return Err(format!(
+            "kernel index {idx} out of range: the program has {} kernel(s)",
+            tr.tr.kernels.len()
+        )
+        .into());
+    }
+    let demoted = demote_source(&fe.program, &std::iter::once(idx).collect(), 1)
+        .map_err(|e| e.to_string())?;
+    emit(&openarc::minic::print_program(&demoted));
+    Ok(0)
+}
+
+fn run(args: &[String]) -> Result<i32, ApiError> {
+    let (cmd, rest) = args
+        .split_first()
+        .ok_or_else(|| ApiError::bad_request(USAGE))?;
     // Every action but `profile` is a one-shot command of the same name.
     if let Some(action) = Action::from_wire(cmd).filter(|a| *a != Action::Profile) {
-        return one_shot(action, rest);
+        return one_shot(cmd, action, rest);
     }
     match cmd.as_str() {
-        "demote" => {
-            let path = rest.first().ok_or_else(usage)?;
-            let idx: usize = rest
-                .get(1)
-                .ok_or_else(usage)?
-                .parse()
-                .map_err(|_| "kernel index must be an integer".to_string())?;
-            let (p, s) = load(path)?;
-            let tr = translate(&p, &s, &TranslateOptions::default())
-                .map_err(PipelineError::Translate)?;
-            if idx >= tr.kernels.len() {
-                return Err(format!(
-                    "kernel index {idx} out of range: the program has {} kernel(s)",
-                    tr.kernels.len()
-                )
-                .into());
-            }
-            let demoted =
-                demote_source(&p, &std::iter::once(idx).collect(), 1).map_err(|e| e.to_string())?;
-            print!("{}", openarc::minic::print_program(&demoted));
-            Ok(0)
-        }
+        "demote" => demote(rest),
         "profile" => profile(rest),
         "serve" => serve(rest),
         "bench" => bench(rest),
         "fuzz" => fuzz_cmd(rest),
         "cache" => cache_cmd(rest),
         "help" | "--help" | "-h" => {
-            println!("{}", usage());
+            emit(&format!("{USAGE}\n"));
             Ok(0)
         }
-        other => Err(format!("unknown command `{other}`\n{}", usage()).into()),
+        other => Err(ApiError::bad_request(format!(
+            "unknown command `{other}`\n{USAGE}"
+        ))),
     }
 }
 
@@ -256,43 +198,29 @@ fn run(args: &[String]) -> Result<i32, CliError> {
 /// one-shot commands, so served reports are byte-identical to the CLI;
 /// tenant ids map to namespaced sessions over one shared disk store
 /// (default `target/openarc-cache`, `--no-cache` for memory-only).
-fn serve(rest: &[String]) -> Result<i32, CliError> {
+fn serve(rest: &[String]) -> Result<i32, ApiError> {
     use openarc::core::serve::{Server, ServerConfig};
 
-    let (rest, cache) = cache_flags(rest, Some(DEFAULT_DIR))?;
-    let mut cfg = ServerConfig {
-        cache_dir: cache,
-        ..ServerConfig::default()
-    };
-    let mut addr = "127.0.0.1:0".to_string();
+    let mut args = Args::new("serve", rest, USAGE).with_cache(Some(DEFAULT_DIR));
+    let mut cfg = ServerConfig::default();
+    let mut addr = "127.0.0.1:0";
     let mut journal_out: Option<&str> = None;
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .map(|s| s.as_str())
-                .ok_or_else(|| format!("{flag} needs a value\n{}", usage()))
-        };
-        match arg.as_str() {
-            "--tcp" => addr = value("--tcp")?.to_string(),
-            "--jobs" => cfg.workers = openarc::core::sched::parse_jobs(value("--jobs")?)?,
-            "--queue" => {
-                cfg.queue_capacity = value("--queue")?
-                    .parse()
-                    .map_err(|_| "--queue expects a positive integer".to_string())?;
-            }
+    while let Some(a) = args.next_arg()? {
+        match a {
+            "--tcp" => addr = args.value(a)?,
+            "--jobs" => cfg.workers = openarc::core::sched::parse_jobs(args.value(a)?)?,
+            "--queue" => cfg.queue_capacity = args.parse(a, "a positive integer")?,
             "--stats-interval-ms" => {
-                let ms: u64 = value("--stats-interval-ms")?
-                    .parse()
-                    .map_err(|_| "--stats-interval-ms expects an integer".to_string())?;
+                let ms: u64 = args.parse(a, "an integer")?;
                 cfg.stats_interval = (ms > 0).then(|| std::time::Duration::from_millis(ms));
             }
-            "--journal-out" => journal_out = Some(value("--journal-out")?),
-            flag => return Err(format!("unknown serve flag `{flag}`\n{}", usage()).into()),
+            "--journal-out" => journal_out = Some(args.value(a)?),
+            other => args.positional(other, &mut [])?,
         }
     }
+    cfg.cache_dir = args.cache_dir();
     let server =
-        Server::bind_tcp(cfg, &addr).map_err(|e| format!("serve: cannot bind {addr}: {e}"))?;
+        Server::bind_tcp(cfg, addr).map_err(|e| format!("serve: cannot bind {addr}: {e}"))?;
     let local = server.local_addr().map_err(|e| format!("serve: {e}"))?;
     // The discovery line clients (and CI) parse to find the port.
     println!("listening on {local}");
@@ -313,9 +241,8 @@ fn serve(rest: &[String]) -> Result<i32, CliError> {
 /// matrix in order through one pipeline session. The persistent
 /// artifact store defaults **on** at `target/openarc-cache`, so a second
 /// `openarc bench` invocation reloads every compiled stage from disk.
-fn bench(rest: &[String]) -> Result<i32, CliError> {
-    let args =
-        BenchArgs::parse(rest, Some(DEFAULT_DIR)).map_err(|e| format!("{e}\n{}", usage()))?;
+fn bench(rest: &[String]) -> Result<i32, ApiError> {
+    let args = BenchArgs::parse(Args::new("bench", rest, USAGE).with_cache(Some(DEFAULT_DIR)))?;
     let sw = args.sweep();
     let (rows, events) = sw.matrix()?;
     println!(
@@ -347,45 +274,26 @@ fn bench(rest: &[String]) -> Result<i32, CliError> {
 /// the campaign reports is a pure function of `--seed` (and `--programs`);
 /// `--jobs` only changes wall-clock time. Exits `1` when the oracle found
 /// divergences, `0` on a clean campaign.
-fn fuzz_cmd(rest: &[String]) -> Result<i32, CliError> {
+fn fuzz_cmd(rest: &[String]) -> Result<i32, ApiError> {
     use openarc::core::fuzz::{run_campaign, CampaignConfig};
 
     let mut cfg = CampaignConfig::default();
     let mut out_dir: Option<PathBuf> = None;
-    let mut report_path = "BENCH_fuzz.json".to_string();
+    let mut report_path = "BENCH_fuzz.json";
     let mut corpus_dir: Option<PathBuf> = None;
     let mut replay = false;
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .map(|s| s.as_str())
-                .ok_or_else(|| format!("{flag} needs a value\n{}", usage()))
-        };
-        match arg.as_str() {
-            "--seed" => {
-                cfg.seed = value("--seed")?
-                    .parse()
-                    .map_err(|_| "--seed expects an integer".to_string())?;
-            }
-            "--programs" => {
-                cfg.max_programs = value("--programs")?
-                    .parse()
-                    .map_err(|_| "--programs expects an integer".to_string())?;
-            }
-            "--jobs" => cfg.jobs = openarc::core::sched::parse_jobs(value("--jobs")?)?,
-            "--time-budget-s" => {
-                cfg.time_budget_s = Some(
-                    value("--time-budget-s")?
-                        .parse()
-                        .map_err(|_| "--time-budget-s expects seconds".to_string())?,
-                );
-            }
-            "--corpus" => corpus_dir = Some(PathBuf::from(value("--corpus")?)),
+    let mut args = Args::new("fuzz", rest, USAGE);
+    while let Some(a) = args.next_arg()? {
+        match a {
+            "--seed" => cfg.seed = args.parse(a, "an integer")?,
+            "--programs" => cfg.max_programs = args.parse(a, "an integer")?,
+            "--jobs" => cfg.jobs = openarc::core::sched::parse_jobs(args.value(a)?)?,
+            "--time-budget-s" => cfg.time_budget_s = Some(args.parse(a, "seconds")?),
+            "--corpus" => corpus_dir = Some(PathBuf::from(args.value(a)?)),
             "--replay" => replay = true,
-            "--out" => out_dir = Some(PathBuf::from(value("--out")?)),
-            "--report" => report_path = value("--report")?.to_string(),
-            flag => return Err(format!("unknown fuzz flag `{flag}`\n{}", usage()).into()),
+            "--out" => out_dir = Some(PathBuf::from(args.value(a)?)),
+            "--report" => report_path = args.value(a)?,
+            other => args.positional(other, &mut [])?,
         }
     }
     if replay {
@@ -478,12 +386,12 @@ fn fuzz_cmd(rest: &[String]) -> Result<i32, CliError> {
     }
 
     let json = openarc::bench::fuzzstats::campaign_json(&r);
-    if let Some(parent) = std::path::Path::new(&report_path).parent() {
+    if let Some(parent) = std::path::Path::new(report_path).parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent).map_err(|e| format!("{}: {e}", parent.display()))?;
         }
     }
-    std::fs::write(&report_path, json.pretty()).map_err(|e| format!("{report_path}: {e}"))?;
+    std::fs::write(report_path, json.pretty()).map_err(|e| format!("{report_path}: {e}"))?;
     println!("wrote {report_path}");
     Ok(if r.findings.is_empty() { 0 } else { 1 })
 }
@@ -491,20 +399,31 @@ fn fuzz_cmd(rest: &[String]) -> Result<i32, CliError> {
 /// `openarc cache`: inspect or prune the persistent artifact store without
 /// running anything. Operates on `target/openarc-cache` unless
 /// `--cache-dir` points elsewhere.
-fn cache_cmd(rest: &[String]) -> Result<i32, CliError> {
-    let (rest, dir) = cache_flags(rest, Some(DEFAULT_DIR))?;
-    let dir = dir.ok_or_else(|| format!("cache: --no-cache makes no sense here\n{}", usage()))?;
+fn cache_cmd(rest: &[String]) -> Result<i32, ApiError> {
+    let mut args = Args::new("cache", rest, USAGE).with_cache(Some(DEFAULT_DIR));
+    let sub = args
+        .next_arg()?
+        .ok_or_else(|| args.error("cache: expected stats, gc, or clear"))?;
+    if !matches!(sub, "stats" | "gc" | "clear") {
+        return Err(args
+            .error(format!("cache: unknown subcommand `{sub}`"))
+            .into());
+    }
+    let mut json = false;
+    let mut max_bytes: Option<u64> = None;
+    while let Some(a) = args.next_arg()? {
+        match a {
+            "--json" if sub == "stats" => json = true,
+            "--max-bytes" if sub == "gc" => max_bytes = Some(args.parse(a, "a byte count")?),
+            other => args.positional(other, &mut [])?,
+        }
+    }
+    let dir = args
+        .cache_dir()
+        .ok_or_else(|| args.error("cache: --no-cache makes no sense here"))?;
     let cache = DiskCache::new(&dir);
-    let (sub, rest) = rest
-        .split_first()
-        .ok_or_else(|| format!("cache: expected stats, gc, or clear\n{}", usage()))?;
-    match sub.as_str() {
-        "stats" => {
-            let json = match rest {
-                [] => false,
-                [flag] if flag == "--json" => true,
-                _ => return Err(format!("cache stats: unexpected arguments\n{}", usage()).into()),
-            };
+    match (sub, max_bytes) {
+        ("stats", _) => {
             let rows = cache.usage();
             if json {
                 let out = Json::obj(vec![
@@ -540,13 +459,7 @@ fn cache_cmd(rest: &[String]) -> Result<i32, CliError> {
             }
             Ok(0)
         }
-        "gc" => {
-            let max_bytes: u64 = match rest {
-                [flag, v] if flag == "--max-bytes" => v
-                    .parse()
-                    .map_err(|_| "cache gc: --max-bytes expects a byte count".to_string())?,
-                _ => return Err(format!("cache gc: expected --max-bytes <N>\n{}", usage()).into()),
-            };
+        ("gc", Some(max_bytes)) => {
             let r = cache.gc(max_bytes);
             println!(
                 "examined {} entries, evicted {}, {} -> {} bytes",
@@ -554,15 +467,12 @@ fn cache_cmd(rest: &[String]) -> Result<i32, CliError> {
             );
             Ok(0)
         }
-        "clear" => {
-            if !rest.is_empty() {
-                return Err(format!("cache clear: unexpected arguments\n{}", usage()).into());
-            }
+        ("clear", _) => {
             let removed = cache.clear();
             println!("removed {removed} entries from {}", dir.display());
             Ok(0)
         }
-        other => Err(format!("cache: unknown subcommand `{other}`\n{}", usage()).into()),
+        _ => Err(args.error("cache gc: expected --max-bytes <N>").into()),
     }
 }
 
@@ -571,38 +481,29 @@ fn cache_cmd(rest: &[String]) -> Result<i32, CliError> {
 /// per-variable timeline. With `--cache-dir` the run goes through the
 /// persistent store; disk hits/misses appear as `cache` rows in the
 /// summary's stage table.
-fn profile(rest: &[String]) -> Result<i32, CliError> {
-    let (rest, cache) = cache_flags(rest, None)?;
-    let mut path: Option<&str> = None;
+fn profile(rest: &[String]) -> Result<i32, ApiError> {
+    let mut args = Args::new("profile", rest, USAGE).with_cache(None);
+    let mut path = [None];
     let mut trace_out: Option<&str> = None;
     let mut summary = false;
     let mut filter_kernel: Option<&str> = None;
     let mut explain: Vec<&str> = Vec::new();
     let mut verify = false;
     let mut verify_opts: Option<&str> = None;
-
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .map(|s| s.as_str())
-                .ok_or_else(|| format!("{flag} needs a value\n{}", usage()))
-        };
-        match arg.as_str() {
-            "--trace-out" => trace_out = Some(value("--trace-out")?),
+    while let Some(a) = args.next_arg()? {
+        match a {
+            "--trace-out" => trace_out = Some(args.value(a)?),
             "--summary" => summary = true,
-            "--filter-kernel" => filter_kernel = Some(value("--filter-kernel")?),
-            "--explain" => explain.push(value("--explain")?),
+            "--filter-kernel" => filter_kernel = Some(args.value(a)?),
+            "--explain" => explain.push(args.value(a)?),
             "--verify" => verify = true,
-            "--verify-opts" => verify_opts = Some(value("--verify-opts")?),
-            flag if flag.starts_with("--") => {
-                return Err(format!("unknown profile flag `{flag}`\n{}", usage()).into());
-            }
-            p if path.is_none() => path = Some(p),
-            p => return Err(format!("unexpected argument `{p}`\n{}", usage()).into()),
+            "--verify-opts" => verify_opts = Some(args.value(a)?),
+            other => args.positional(other, &mut path)?,
         }
     }
-    let path = path.ok_or_else(usage)?;
+    let [Some(path)] = path else {
+        return Err(args.error("profile: expected <file.c>").into());
+    };
     // With no output selected, the summary is the default deliverable.
     if trace_out.is_none() && explain.is_empty() {
         summary = true;
@@ -614,13 +515,7 @@ fn profile(rest: &[String]) -> Result<i32, CliError> {
     // The execution itself goes through `api::handle`, the same entry point
     // behind the one-shot commands and the serve daemon.
     let stage_journal = Journal::enabled();
-    let session = match &cache {
-        Some(dir) => Session::builder()
-            .journal(stage_journal.clone())
-            .disk_cache(dir)
-            .build(),
-        None => Session::builder().journal(stage_journal.clone()).build(),
-    };
+    let session = session(args.cache_dir().as_deref(), stage_journal.clone());
     let mut req = Request::new(Action::Profile, read_source(path)?);
     req.options = if let Some(spec) = verify_opts {
         Some(spec.to_string())

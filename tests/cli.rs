@@ -163,8 +163,82 @@ fn bench_rejects_the_removed_jobs_flag() {
         .unwrap();
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     let text = String::from_utf8(out.stderr).unwrap();
-    assert!(text.contains("unknown argument '--jobs'"), "{text}");
-    assert!(text.contains(openarc::bench::args::FLAGS_HELP), "{text}");
+    assert!(text.contains("unknown bench flag `--jobs`"), "{text}");
+    assert!(text.contains("bench [flags]"), "{text}");
+}
+
+#[test]
+fn every_command_rejects_an_extra_positional_argument() {
+    let path = write_temp("saxpy_extra.c", SAXPY);
+    let path = path.to_str().unwrap();
+    for argv in [
+        vec!["run", path, "extra"],
+        vec!["verify", path, "relTol=1e-6", "extra"],
+        vec!["demote", path, "0", "extra"],
+        vec!["profile", path, "extra"],
+    ] {
+        let out = bin().args(&argv).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{argv:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "{argv:?}: {out:?}");
+        let text = String::from_utf8(out.stderr).unwrap();
+        assert!(text.contains("unexpected argument `extra`"), "{text}");
+    }
+}
+
+#[test]
+fn help_keeps_the_indentation_of_its_continuation_and_flag_lines() {
+    let out = bin().arg("help").output().unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let text = String::from_utf8(out.stdout).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    let verify = lines.iter().position(|l| l.starts_with("verify ")).unwrap();
+    assert!(
+        lines[verify + 1].starts_with("                           syntax"),
+        "{text}"
+    );
+    assert!(text.contains("\n  --trace-out <path>"), "{text}");
+    assert!(text.contains("\n  --seed <N>"), "{text}");
+    // The footer names every command that takes the cache flags.
+    assert!(
+        text.contains("run/cpu/check/verify/profile take --cache-dir"),
+        "{text}"
+    );
+}
+
+#[test]
+fn help_into_a_closed_pipe_does_not_panic() {
+    for _ in 0..3 {
+        let mut child = bin()
+            .arg("help")
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .unwrap();
+        // Close the read end before the child gets to write.
+        drop(child.stdout.take());
+        let out = child.wait_with_output().unwrap();
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(!err.contains("panicked"), "{err}");
+        assert_ne!(out.status.code(), Some(101), "{err}");
+    }
+}
+
+#[test]
+fn cpu_runs_an_i64_min_global_initializer() {
+    // `-(i64::MIN)` wraps in the constant evaluator exactly as at run time.
+    let src = "int g = -(-9223372036854775807 - 1);\nint h;\nvoid main() { h = -g; }\n";
+    let path = write_temp("i64_min.c", src);
+    let out = bin().arg("cpu").arg(&path).output().unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(
+        text.contains("g                = -9223372036854775808"),
+        "{text}"
+    );
+    assert!(
+        text.contains("h                = -9223372036854775808"),
+        "{text}"
+    );
 }
 
 #[test]
