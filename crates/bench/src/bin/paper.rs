@@ -19,135 +19,125 @@
 //!    vs. one-thread-at-a-time execution: whether injected races manifest
 //!    at all (why the substrate design makes Table 2 reproducible).
 
-use openarc_bench::args::BenchArgs;
+use openarc_bench::args::{self, emit, Args, BenchArgs, Outcome, FLAGS_HELP};
 use openarc_bench::{experiments, render};
-use openarc_core::exec::{execute, ExecMode, ExecOptions, VerifyOptions};
+use openarc_core::exec::{ExecMode, ExecOptions, VerifyOptions};
 use openarc_core::faults::strip_privatization;
-use openarc_core::translate::{translate, TranslateOptions};
+use openarc_core::ir::RtOp;
+use openarc_core::pipeline::{PipelineError, Session};
+use openarc_core::translate::TranslateOptions;
 use openarc_gpusim::LaunchConfig;
 use openarc_runtime::IssueKind;
 use openarc_suite::{jacobi, Scale, Variant};
 use openarc_trace::json::Json;
 
 fn main() {
-    let sw = BenchArgs::from_env("paper").sweep();
-    let problems = exit_on_error(experiments::validate_suite(&sw));
+    args::main("paper", paper)
+}
+
+/// Each section is written to `results/` and printed as it finishes.
+/// Exits `2` on a usage error or a failed `results/` write, `1` when the
+/// suite diverges or an experiment fails.
+fn paper(argv: &[String]) -> Outcome {
+    let usage = format!("usage: paper {FLAGS_HELP}");
+    let sw = BenchArgs::parse(Args::new("paper", argv, &usage).with_cache(None))
+        .map_err(|e| (2, e))?
+        .sweep();
+    let failed = |e: String| (1, e);
+    let problems = experiments::validate_suite(&sw).map_err(failed)?;
     if !problems.is_empty() {
-        eprintln!("paper: suite validation failed:");
-        for p in &problems {
-            eprintln!("  {p}");
-        }
-        std::process::exit(1);
+        let list = problems.join("\n  ");
+        return Err(failed(format!("suite validation failed:\n  {list}")));
     }
-    println!(
-        "suite validated (n={}, iters={})\n",
-        sw.scale.n, sw.scale.iters
-    );
-    let rows = exit_on_error(experiments::figure1(&sw));
-    println!("{}", render::figure1_text(&rows));
-    write_result("figure1", experiments::rows_json(&rows, |r| r.to_json()));
-    let t = exit_on_error(experiments::table2(&sw));
-    println!("{}", render::table2_text(&t));
-    write_result("table2", t.to_json());
-    let rows = exit_on_error(experiments::figure3(&sw));
-    println!("{}", render::figure3_text(&rows));
-    write_result("figure3", experiments::rows_json(&rows, |r| r.to_json()));
-    let rows = exit_on_error(experiments::table3(&sw));
-    println!("{}", render::table3_text(&rows));
-    write_result("table3", experiments::rows_json(&rows, |r| r.to_json()));
-    let rows = exit_on_error(experiments::figure4(&sw));
-    println!("{}", render::figure4_text(&rows));
-    write_result("figure4", experiments::rows_json(&rows, |r| r.to_json()));
-    println!("pipeline cache across experiments:\n{}", sw.session.stats());
-
-    ablate_check_placement();
-    ablate_hoisting();
-    ablate_lockstep();
+    let Scale { n, iters } = sw.scale;
+    emit(&format!("suite validated (n={n}, iters={iters})\n\n"));
+    let rows = experiments::figure1(&sw).map_err(failed)?;
+    let json = experiments::rows_json(&rows, |r| r.to_json());
+    section("figure1", json, render::figure1_text(&rows))?;
+    let t = experiments::table2(&sw).map_err(failed)?;
+    section("table2", t.to_json(), render::table2_text(&t))?;
+    let rows = experiments::figure3(&sw).map_err(failed)?;
+    let json = experiments::rows_json(&rows, |r| r.to_json());
+    section("figure3", json, render::figure3_text(&rows))?;
+    let rows = experiments::table3(&sw).map_err(failed)?;
+    let json = experiments::rows_json(&rows, |r| r.to_json());
+    section("table3", json, render::table3_text(&rows))?;
+    let rows = experiments::figure4(&sw).map_err(failed)?;
+    let json = experiments::rows_json(&rows, |r| r.to_json());
+    section("figure4", json, render::figure4_text(&rows))?;
+    let stats = sw.session.stats();
+    emit(&format!("pipeline cache across experiments:\n{stats}\n"));
+    for ablation in [ablate_check_placement, ablate_hoisting, ablate_lockstep] {
+        emit(&ablation(&sw.session).map_err(|e| failed(e.to_string()))?);
+    }
+    Ok((0, String::new()))
 }
 
-/// Unwrap an experiment result, printing the error to stderr and exiting
-/// with status `1` on failure.
-fn exit_on_error<T>(r: Result<T, String>) -> T {
-    r.unwrap_or_else(|e| {
-        eprintln!("paper: {e}");
-        std::process::exit(1);
-    })
-}
-
-/// Best-effort JSON copy of one experiment at `results/<name>.json`.
-fn write_result(name: &str, json: Json) {
-    std::fs::create_dir_all("results").ok();
-    std::fs::write(format!("results/{name}.json"), json.pretty()).ok();
+/// Write one experiment's JSON copy to `results/<name>.json`, then print
+/// its `text`.
+fn section(name: &str, json: Json, text: String) -> Result<(), (i32, String)> {
+    let path = format!("results/{name}.json");
+    std::fs::create_dir_all("results")
+        .and_then(|()| std::fs::write(&path, json.pretty()))
+        .map_err(|e| (2, format!("{path}: {e}")))?;
+    emit(&format!("{text}\n"));
+    Ok(())
 }
 
 /// Ablation 1: optimized vs naive check placement on the optimized JACOBI.
-fn ablate_check_placement() {
-    println!("Ablation 1 — coherence-check placement (JACOBI, optimized variant)");
-    let baseline = {
-        let b = jacobi::benchmark(Scale::bench());
-        let (p, s) = openarc_minic::frontend(b.source(Variant::Optimized)).unwrap();
-        let tr = translate(&p, &s, &TranslateOptions::default()).unwrap();
-        execute(
-            &tr,
-            &ExecOptions {
-                race_detect: false,
-                ..Default::default()
-            },
-        )
-        .unwrap()
-        .sim_time_us()
+fn ablate_check_placement(session: &Session) -> Result<String, PipelineError> {
+    let b = jacobi::benchmark(Scale::bench());
+    let fe = session.frontend(b.source(Variant::Optimized))?;
+    let plain = ExecOptions {
+        race_detect: false,
+        ..Default::default()
     };
-    println!(
-        "{:<22}{:>14}{:>16}{:>12}",
+    let tr = session.translate(&fe, &TranslateOptions::default())?;
+    let baseline = session.execute(&tr, &plain)?.sim_time_us();
+    let checked = ExecOptions {
+        check_transfers: true,
+        ..plain
+    };
+    let mut out = format!(
+        "Ablation 1 — coherence-check placement (JACOBI, optimized variant)\n\
+         {:<22}{:>14}{:>16}{:>12}\n",
         "placement", "sim_time_us", "static checks", "overhead"
     );
     for (label, optimize) in [("first-access+hoist", true), ("every-access", false)] {
-        let b = jacobi::benchmark(Scale::bench());
-        let (p, s) = openarc_minic::frontend(b.source(Variant::Optimized)).unwrap();
         let topts = TranslateOptions {
             instrument: true,
             optimize_checks: optimize,
             ..Default::default()
         };
-        let tr = translate(&p, &s, &topts).unwrap();
+        let tr = session.translate(&fe, &topts)?;
         let checks = tr
+            .tr
             .ops
             .iter()
             .filter(|o| {
                 matches!(
                     o,
-                    openarc_core::ir::RtOp::CheckRead { .. }
-                        | openarc_core::ir::RtOp::CheckWrite { .. }
-                        | openarc_core::ir::RtOp::ResetStatus { .. }
+                    RtOp::CheckRead { .. } | RtOp::CheckWrite { .. } | RtOp::ResetStatus { .. }
                 )
             })
             .count();
-        let r = execute(
-            &tr,
-            &ExecOptions {
-                check_transfers: true,
-                race_detect: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        println!(
-            "{:<22}{:>14.1}{:>16}{:>11.2}%",
+        let r = session.execute(&tr, &checked)?;
+        out.push_str(&format!(
+            "{:<22}{:>14.1}{:>16}{:>11.2}%\n",
             label,
             r.sim_time_us(),
             checks,
             (r.sim_time_us() - baseline) / baseline * 100.0
-        );
+        ));
     }
-    println!();
+    out.push('\n');
+    Ok(out)
 }
 
 /// Ablation 2: Listing-3 hoisting on/off → detected redundant copyouts in
 /// the paper's exact Listing 3/4 scenario (kernel writes `b` each
 /// iteration, only the final value is consumed).
-fn ablate_hoisting() {
-    println!("Ablation 2 — Listing-3 GPU write-check hoisting (paper's JACOBI excerpt)");
-    println!("{:<22}{:>22}", "hoisting", "redundant copyouts");
+fn ablate_hoisting(session: &Session) -> Result<String, PipelineError> {
     let src = r#"
 double a[64];
 double b[64];
@@ -166,60 +156,68 @@ void main() {
     out = b[0];
 }
 "#;
+    let fe = session.frontend(src)?;
+    let eopts = ExecOptions {
+        check_transfers: true,
+        race_detect: false,
+        ..Default::default()
+    };
+    let mut out = format!(
+        "Ablation 2 — Listing-3 GPU write-check hoisting (paper's JACOBI excerpt)\n\
+         {:<22}{:>22}\n",
+        "hoisting", "redundant copyouts"
+    );
     for (label, hoist) in [("enabled (paper)", true), ("disabled (prior art)", false)] {
-        let (p, s) = openarc_minic::frontend(src).unwrap();
         let topts = TranslateOptions {
             instrument: true,
             hoist_gpu_checks: hoist,
             ..Default::default()
         };
-        let tr = translate(&p, &s, &topts).unwrap();
-        let r = execute(
-            &tr,
-            &ExecOptions {
-                check_transfers: true,
-                race_detect: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let tr = session.translate(&fe, &topts)?;
+        let r = session.execute(&tr, &eopts)?;
         let redundant = r.machine.report.count(IssueKind::Redundant);
-        println!("{:<22}{:>22}", label, redundant);
+        out.push_str(&format!("{:<22}{:>22}\n", label, redundant));
     }
-    println!();
+    out.push('\n');
+    Ok(out)
 }
 
 /// Ablation 3: lockstep wave width → does the injected JACOBI race
 /// manifest?
-fn ablate_lockstep() {
-    println!("Ablation 3 — lockstep wave width vs race manifestation (JACOBI, stripped clauses)");
-    println!(
-        "{:<22}{:>10}{:>18}",
-        "wave width", "races", "verification FAIL"
-    );
+fn ablate_lockstep(session: &Session) -> Result<String, PipelineError> {
     let b = jacobi::benchmark(Scale::default());
-    let (p, s) = openarc_minic::frontend(b.source(Variant::Optimized)).unwrap();
-    let (stripped, _) = strip_privatization(&p).unwrap();
+    let fe = session.frontend(b.source(Variant::Optimized))?;
+    let (stripped, _) =
+        strip_privatization(&fe.program).map_err(|d| PipelineError::Frontend(vec![d]))?;
+    let fe = session.frontend_program(stripped, fe.sema.clone());
     let topts = TranslateOptions {
         auto_privatize: false,
         auto_reduction: false,
         ..Default::default()
     };
+    let tr = session.translate(&fe, &topts)?;
+    let mut out = format!(
+        "Ablation 3 — lockstep wave width vs race manifestation (JACOBI, stripped clauses)\n\
+         {:<22}{:>10}{:>18}\n",
+        "wave width", "races", "verification FAIL"
+    );
     for wave in [1u32, 4, 64, 256] {
-        let tr = translate(&stripped, &s, &topts).unwrap();
-        let r = execute(
-            &tr,
-            &ExecOptions {
-                mode: ExecMode::Verify(VerifyOptions::default()),
-                launch: LaunchConfig {
-                    wave,
-                    ..Default::default()
-                },
+        let eopts = ExecOptions {
+            mode: ExecMode::Verify(VerifyOptions::default()),
+            launch: LaunchConfig {
+                wave,
                 ..Default::default()
             },
-        )
-        .unwrap();
+            ..Default::default()
+        };
+        let r = session.execute(&tr, &eopts)?;
         let flagged = r.verify.iter().any(|k| k.flagged());
-        println!("{:<22}{:>10}{:>18}", wave, r.races.len(), flagged);
+        out.push_str(&format!(
+            "{:<22}{:>10}{:>18}\n",
+            wave,
+            r.races.len(),
+            flagged
+        ));
     }
+    Ok(out)
 }

@@ -28,23 +28,21 @@
 //! `--no-cache` and default the store off; `bench`, `serve` and `cache`
 //! default it **on** at `target/openarc-cache`. Exit codes: `0` ok, `1`
 //! verification/check findings, `2` bad input or usage, `3` execution
-//! failure.
+//! failure. Every command returns its stdout text, and
+//! [`args::main`] writes it, so a closed pipe only cuts the output short.
 
-use openarc::bench::args::{session, Args, BenchArgs};
+use openarc::bench::args::{self, emit, session, Args, BenchArgs, Outcome};
 use openarc::core::api::{self, Action, ApiError, Request};
-use openarc::core::cache::{DiskCache, DEFAULT_DIR};
+use openarc::core::cache::{DiskCache, UsageRow, DEFAULT_DIR};
 use openarc::prelude::*;
 use openarc::trace::json::Json;
 use openarc::trace::{chrome_trace, explain_var, summarize};
 use std::path::PathBuf;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let code = run(&args).unwrap_or_else(|e| {
-        eprintln!("openarc: {}", e.message);
-        e.exit_code()
-    });
-    std::process::exit(code);
+    args::main("openarc", |argv| {
+        run(argv).map_err(|e| (e.exit_code(), e.message))
+    })
 }
 
 const USAGE: &str = "\
@@ -103,13 +101,6 @@ artifacts across processes; bench and serve cache at target/openarc-cache
 by default (--no-cache disables, --cache-dir relocates); cache takes
 --cache-dir to point at a non-default store";
 
-/// Write `text` to stdout. A reader that closed the pipe early (`| head`)
-/// only cuts the output short.
-fn emit(text: &str) {
-    use std::io::Write as _;
-    let _ = std::io::stdout().lock().write_all(text.as_bytes());
-}
-
 fn read_source(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))
 }
@@ -118,7 +109,7 @@ fn read_source(path: &str) -> Result<String, String> {
 /// entry point the `serve` daemon uses — and print the rendered report
 /// verbatim, so one-shot and served output are byte-identical by
 /// construction.
-fn one_shot(cmd: &str, action: Action, rest: &[String]) -> Result<i32, ApiError> {
+fn one_shot(cmd: &str, action: Action, rest: &[String]) -> Outcome<ApiError> {
     let mut args = Args::new(cmd, rest, USAGE).with_cache(None);
     // `verify` takes the verificationOptions spec after the file.
     let mut pos = [None, None];
@@ -131,16 +122,13 @@ fn one_shot(cmd: &str, action: Action, rest: &[String]) -> Result<i32, ApiError>
     };
     let mut req = Request::new(action, read_source(path)?);
     req.options = spec.map(str::to_string);
-    let resp = api::handle(
-        &session(args.cache_dir().as_deref(), Journal::disabled()),
-        &req,
-    )?;
-    emit(&resp.report);
-    Ok(resp.exit_code)
+    let session = session(args.cache_dir().as_deref(), Journal::disabled());
+    let resp = api::handle(&session, &req)?;
+    Ok((resp.exit_code, resp.report))
 }
 
 /// `openarc demote`: print the Listing-2 demotion of one kernel.
-fn demote(rest: &[String]) -> Result<i32, ApiError> {
+fn demote(rest: &[String]) -> Outcome<ApiError> {
     let mut args = Args::new("demote", rest, USAGE);
     let mut pos = [None, None];
     while let Some(a) = args.next_arg()? {
@@ -155,20 +143,17 @@ fn demote(rest: &[String]) -> Result<i32, ApiError> {
     let session = session(None, Journal::disabled());
     let fe = session.frontend(&read_source(path)?)?;
     let tr = session.translate(&fe, &TranslateOptions::default())?;
-    if idx >= tr.tr.kernels.len() {
-        return Err(format!(
-            "kernel index {idx} out of range: the program has {} kernel(s)",
-            tr.tr.kernels.len()
-        )
-        .into());
+    let kernels = tr.tr.kernels.len();
+    if idx >= kernels {
+        let msg = format!("kernel index {idx} out of range: the program has {kernels} kernel(s)");
+        return Err(msg.into());
     }
     let demoted = demote_source(&fe.program, &std::iter::once(idx).collect(), 1)
         .map_err(|e| e.to_string())?;
-    emit(&openarc::minic::print_program(&demoted));
-    Ok(0)
+    Ok((0, openarc::minic::print_program(&demoted)))
 }
 
-fn run(args: &[String]) -> Result<i32, ApiError> {
+fn run(args: &[String]) -> Outcome<ApiError> {
     let (cmd, rest) = args
         .split_first()
         .ok_or_else(|| ApiError::bad_request(USAGE))?;
@@ -183,10 +168,7 @@ fn run(args: &[String]) -> Result<i32, ApiError> {
         "bench" => bench(rest),
         "fuzz" => fuzz_cmd(rest),
         "cache" => cache_cmd(rest),
-        "help" | "--help" | "-h" => {
-            emit(&format!("{USAGE}\n"));
-            Ok(0)
-        }
+        "help" | "--help" | "-h" => Ok((0, format!("{USAGE}\n"))),
         other => Err(ApiError::bad_request(format!(
             "unknown command `{other}`\n{USAGE}"
         ))),
@@ -198,7 +180,7 @@ fn run(args: &[String]) -> Result<i32, ApiError> {
 /// one-shot commands, so served reports are byte-identical to the CLI;
 /// tenant ids map to namespaced sessions over one shared disk store
 /// (default `target/openarc-cache`, `--no-cache` for memory-only).
-fn serve(rest: &[String]) -> Result<i32, ApiError> {
+fn serve(rest: &[String]) -> Outcome<ApiError> {
     use openarc::core::serve::{Server, ServerConfig};
 
     let mut args = Args::new("serve", rest, USAGE).with_cache(Some(DEFAULT_DIR));
@@ -222,49 +204,48 @@ fn serve(rest: &[String]) -> Result<i32, ApiError> {
     let server =
         Server::bind_tcp(cfg, addr).map_err(|e| format!("serve: cannot bind {addr}: {e}"))?;
     let local = server.local_addr().map_err(|e| format!("serve: {e}"))?;
-    // The discovery line clients (and CI) parse to find the port.
-    println!("listening on {local}");
-    use std::io::Write as _;
-    std::io::stdout().flush().ok();
+    // The discovery line clients (and CI) parse to find the port, written
+    // before the daemon starts answering.
+    emit(&format!("listening on {local}\n"));
     server.run().map_err(|e| format!("serve: {e}"))?;
     let stats = server.stats_json();
+    let mut text = String::new();
     if let Some(out) = journal_out {
         let events = server.journal().drain();
         std::fs::write(out, chrome_trace(&events)).map_err(|e| format!("{out}: {e}"))?;
-        println!("wrote {} heartbeat events to {out}", events.len());
+        text = format!("wrote {} heartbeat events to {out}\n", events.len());
     }
-    println!("serve: shut down\n{}", stats.pretty());
-    Ok(0)
+    text.push_str(&format!("serve: shut down\n{}\n", stats.pretty()));
+    Ok((0, text))
 }
 
 /// `openarc bench`: batch mode. Runs the full 12-benchmark × 3-variant
 /// matrix in order through one pipeline session. The persistent
 /// artifact store defaults **on** at `target/openarc-cache`, so a second
 /// `openarc bench` invocation reloads every compiled stage from disk.
-fn bench(rest: &[String]) -> Result<i32, ApiError> {
+fn bench(rest: &[String]) -> Outcome<ApiError> {
     let args = BenchArgs::parse(Args::new("bench", rest, USAGE).with_cache(Some(DEFAULT_DIR)))?;
     let sw = args.sweep();
     let (rows, events) = sw.matrix()?;
-    println!(
-        "{:<10} {:<12} {:>14} {:>12} {:>9} {:>8}",
+    let mut text = format!(
+        "{:<10} {:<12} {:>14} {:>12} {:>9} {:>8}\n",
         "benchmark", "variant", "sim_time_us", "bytes", "launches", "events"
     );
     for r in &rows {
-        println!(
-            "{:<10} {:<12} {:>14.1} {:>12} {:>9} {:>8}",
+        text.push_str(&format!(
+            "{:<10} {:<12} {:>14.1} {:>12} {:>9} {:>8}\n",
             r.bench, r.variant, r.sim_us, r.transferred_bytes, r.kernel_launches, r.events
-        );
+        ));
     }
-    println!("--");
-    println!(
-        "{} cells (n={}, iters={}), {} journal events",
+    text.push_str(&format!(
+        "--\n{} cells (n={}, iters={}), {} journal events\npipeline cache:\n{}\n",
         rows.len(),
         sw.scale.n,
         sw.scale.iters,
-        events.len()
-    );
-    println!("pipeline cache:\n{}", sw.session.stats());
-    Ok(0)
+        events.len(),
+        sw.session.stats()
+    ));
+    Ok((0, text))
 }
 
 /// `openarc fuzz`: run a coverage-guided differential fuzzing campaign.
@@ -273,8 +254,9 @@ fn bench(rest: &[String]) -> Result<i32, ApiError> {
 /// the mutation corpus with the committed regression repros. Everything
 /// the campaign reports is a pure function of `--seed` (and `--programs`);
 /// `--jobs` only changes wall-clock time. Exits `1` when the oracle found
-/// divergences, `0` on a clean campaign.
-fn fuzz_cmd(rest: &[String]) -> Result<i32, ApiError> {
+/// divergences, `0` on a clean campaign. The report and the repros are
+/// written before any text is.
+fn fuzz_cmd(rest: &[String]) -> Outcome<ApiError> {
     use openarc::core::fuzz::{run_campaign, CampaignConfig};
 
     let mut cfg = CampaignConfig::default();
@@ -282,6 +264,7 @@ fn fuzz_cmd(rest: &[String]) -> Result<i32, ApiError> {
     let mut report_path = "BENCH_fuzz.json";
     let mut corpus_dir: Option<PathBuf> = None;
     let mut replay = false;
+    let mut text = String::new();
     let mut args = Args::new("fuzz", rest, USAGE);
     while let Some(a) = args.next_arg()? {
         match a {
@@ -315,8 +298,8 @@ fn fuzz_cmd(rest: &[String]) -> Result<i32, ApiError> {
             cfg.seeds
                 .push(std::fs::read_to_string(p).map_err(|e| format!("{}: {e}", p.display()))?);
         }
-        println!(
-            "corpus: {} seed program(s) from {}",
+        text = format!(
+            "corpus: {} seed program(s) from {}\n",
             paths.len(),
             dir.display()
         );
@@ -324,8 +307,8 @@ fn fuzz_cmd(rest: &[String]) -> Result<i32, ApiError> {
 
     let r = run_campaign(&cfg);
 
-    println!(
-        "fuzz: seed {} · {} program(s) executed ({} rejected, {} racy){}",
+    text.push_str(&format!(
+        "fuzz: seed {} · {} program(s) executed ({} rejected, {} racy){}\n",
         r.seed,
         r.programs,
         r.rejected,
@@ -335,18 +318,18 @@ fn fuzz_cmd(rest: &[String]) -> Result<i32, ApiError> {
         } else {
             ""
         }
-    );
-    println!(
-        "coverage: {} atoms total, {} baseline, {} new · corpus {} · fingerprint {:016x}",
+    ));
+    text.push_str(&format!(
+        "coverage: {} atoms total, {} baseline, {} new · corpus {} · fingerprint {:016x}\n",
         r.coverage.len(),
         r.baseline_coverage.len(),
         r.new_atoms().len(),
         r.corpus,
         r.fingerprint
-    );
+    ));
     for (i, f) in r.findings.iter().enumerate() {
-        println!(
-            "finding {i}: {} on {} (x{}, minimized {}) — {}",
+        text.push_str(&format!(
+            "finding {i}: {} on {} (x{}, minimized {}) — {}\n",
             f.kind.name(),
             f.config,
             f.occurrences,
@@ -356,7 +339,7 @@ fn fuzz_cmd(rest: &[String]) -> Result<i32, ApiError> {
                 "BUDGET EXPIRED"
             },
             f.detail
-        );
+        ));
     }
 
     if let Some(dir) = &out_dir {
@@ -381,25 +364,23 @@ fn fuzz_cmd(rest: &[String]) -> Result<i32, ApiError> {
             std::fs::write(&path, repro).map_err(|e| format!("{}: {e}", path.display()))?;
             let orig = dir.join(format!("finding-{i:03}.orig.c"));
             std::fs::write(&orig, &f.source).map_err(|e| format!("{}: {e}", orig.display()))?;
-            println!("wrote {}", path.display());
+            text.push_str(&format!("wrote {}\n", path.display()));
         }
     }
 
     let json = openarc::bench::fuzzstats::campaign_json(&r);
     if let Some(parent) = std::path::Path::new(report_path).parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent).map_err(|e| format!("{}: {e}", parent.display()))?;
-        }
+        std::fs::create_dir_all(parent).map_err(|e| format!("{}: {e}", parent.display()))?;
     }
     std::fs::write(report_path, json.pretty()).map_err(|e| format!("{report_path}: {e}"))?;
-    println!("wrote {report_path}");
-    Ok(if r.findings.is_empty() { 0 } else { 1 })
+    text.push_str(&format!("wrote {report_path}\n"));
+    Ok((i32::from(!r.findings.is_empty()), text))
 }
 
 /// `openarc cache`: inspect or prune the persistent artifact store without
 /// running anything. Operates on `target/openarc-cache` unless
 /// `--cache-dir` points elsewhere.
-fn cache_cmd(rest: &[String]) -> Result<i32, ApiError> {
+fn cache_cmd(rest: &[String]) -> Outcome<ApiError> {
     let mut args = Args::new("cache", rest, USAGE).with_cache(Some(DEFAULT_DIR));
     let sub = args
         .next_arg()?
@@ -422,7 +403,7 @@ fn cache_cmd(rest: &[String]) -> Result<i32, ApiError> {
         .cache_dir()
         .ok_or_else(|| args.error("cache: --no-cache makes no sense here"))?;
     let cache = DiskCache::new(&dir);
-    match (sub, max_bytes) {
+    let text = match (sub, max_bytes) {
         ("stats", _) => {
             let rows = cache.usage();
             if json {
@@ -443,45 +424,46 @@ fn cache_cmd(rest: &[String]) -> Result<i32, ApiError> {
                         ),
                     ),
                 ]);
-                println!("{}", out.pretty());
+                format!("{}\n", out.pretty())
             } else {
-                println!("cache dir: {}", dir.display());
-                println!("{:<12} {:>8} {:>12}", "stage", "entries", "bytes");
-                for r in &rows {
-                    println!("{:<12} {:>8} {:>12}", r.stage, r.entries, r.bytes);
+                let total = UsageRow {
+                    stage: "total",
+                    entries: rows.iter().map(|r| r.entries).sum(),
+                    bytes: rows.iter().map(|r| r.bytes).sum(),
+                };
+                let mut text = format!("cache dir: {}\n", dir.display());
+                text.push_str(&format!(
+                    "{:<12} {:>8} {:>12}\n",
+                    "stage", "entries", "bytes"
+                ));
+                for r in rows.iter().chain([&total]) {
+                    text.push_str(&format!(
+                        "{:<12} {:>8} {:>12}\n",
+                        r.stage, r.entries, r.bytes
+                    ));
                 }
-                println!(
-                    "{:<12} {:>8} {:>12}",
-                    "total",
-                    rows.iter().map(|r| r.entries).sum::<u64>(),
-                    rows.iter().map(|r| r.bytes).sum::<u64>()
-                );
+                text
             }
-            Ok(0)
         }
         ("gc", Some(max_bytes)) => {
             let r = cache.gc(max_bytes);
-            println!(
-                "examined {} entries, evicted {}, {} -> {} bytes",
+            format!(
+                "examined {} entries, evicted {}, {} -> {} bytes\n",
                 r.examined, r.evicted, r.bytes_before, r.bytes_after
-            );
-            Ok(0)
+            )
         }
-        ("clear", _) => {
-            let removed = cache.clear();
-            println!("removed {removed} entries from {}", dir.display());
-            Ok(0)
-        }
-        _ => Err(args.error("cache gc: expected --max-bytes <N>").into()),
-    }
+        ("clear", _) => format!("removed {} entries from {}\n", cache.clear(), dir.display()),
+        _ => return Err(args.error("cache gc: expected --max-bytes <N>").into()),
+    };
+    Ok((0, text))
 }
 
 /// `openarc profile`: run the program with the event journal enabled, then
 /// render the journal as a Chrome trace, a per-kernel summary, and/or a
 /// per-variable timeline. With `--cache-dir` the run goes through the
 /// persistent store; disk hits/misses appear as `cache` rows in the
-/// summary's stage table.
-fn profile(rest: &[String]) -> Result<i32, ApiError> {
+/// summary's stage table. The trace file is written before any text.
+fn profile(rest: &[String]) -> Outcome<ApiError> {
     let mut args = Args::new("profile", rest, USAGE).with_cache(None);
     let mut path = [None];
     let mut trace_out: Option<&str> = None;
@@ -517,38 +499,29 @@ fn profile(rest: &[String]) -> Result<i32, ApiError> {
     let stage_journal = Journal::enabled();
     let session = session(args.cache_dir().as_deref(), stage_journal.clone());
     let mut req = Request::new(Action::Profile, read_source(path)?);
-    req.options = if let Some(spec) = verify_opts {
-        Some(spec.to_string())
-    } else if verify {
-        // The empty spec parses to `VerifyOptions::default()`.
-        Some(String::new())
-    } else {
-        None
-    };
+    // `--verify` alone is the empty spec, `VerifyOptions::default()`.
+    req.options = verify_opts.or(verify.then_some("")).map(str::to_string);
     let resp = api::handle(&session, &req)?;
     let events = resp.events;
 
+    let mut text = String::new();
     if let Some(out) = trace_out {
-        let filtered: Vec<openarc::trace::TraceEvent> = match filter_kernel {
-            Some(k) => events
-                .iter()
-                .filter(|e| e.matches_kernel(k))
-                .cloned()
-                .collect(),
-            None => events.clone(),
-        };
+        let filtered: Vec<_> = events
+            .iter()
+            .filter(|e| filter_kernel.is_none_or(|k| e.matches_kernel(k)))
+            .cloned()
+            .collect();
         std::fs::write(out, chrome_trace(&filtered)).map_err(|e| format!("{out}: {e}"))?;
-        println!(
-            "wrote {} events to {out} (chrome://tracing / Perfetto)",
+        text = format!(
+            "wrote {} events to {out} (chrome://tracing / Perfetto)\n",
             filtered.len()
         );
     }
 
     for var in &explain {
-        match explain_var(&events, var) {
-            Some(text) => println!("{text}"),
-            None => println!("no journal events mention `{var}`"),
-        }
+        let timeline = explain_var(&events, var)
+            .unwrap_or_else(|| format!("no journal events mention `{var}`"));
+        text.push_str(&format!("{timeline}\n"));
     }
 
     if summary {
@@ -564,12 +537,13 @@ fn profile(rest: &[String]) -> Result<i32, ApiError> {
         if let Some(k) = filter_kernel {
             sum.kernels.retain(|row| row.name == k);
         }
-        print!("{sum}");
-        println!("--");
-        println!("journal events    : {}", events.len());
-        println!("kernel launches   : {}", resp.kernel_launches);
-        println!("simulated time    : {:.1} µs", resp.sim_time_us);
+        text.push_str(&format!(
+            "{sum}--\njournal events    : {}\nkernel launches   : {}\nsimulated time    : {:.1} µs\n",
+            events.len(),
+            resp.kernel_launches,
+            resp.sim_time_us
+        ));
     }
 
-    Ok(resp.exit_code)
+    Ok((resp.exit_code, text))
 }
