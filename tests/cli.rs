@@ -206,21 +206,50 @@ fn help_keeps_the_indentation_of_its_continuation_and_flag_lines() {
 }
 
 #[test]
-fn help_into_a_closed_pipe_does_not_panic() {
-    for _ in 0..3 {
-        let mut child = bin()
-            .arg("help")
-            .stdout(std::process::Stdio::piped())
-            .stderr(std::process::Stdio::piped())
-            .spawn()
-            .unwrap();
-        // Close the read end before the child gets to write.
-        drop(child.stdout.take());
-        let out = child.wait_with_output().unwrap();
-        let err = String::from_utf8(out.stderr).unwrap();
-        assert!(!err.contains("panicked"), "{err}");
-        assert_ne!(out.status.code(), Some(101), "{err}");
+fn closed_pipes_cut_the_output_short_and_keep_code_and_files() {
+    let dir = std::env::temp_dir().join(format!("openarc-closed-pipe-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let jacobi = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/jacobi.c");
+    // (command line, the stream closed before it runs, exit code); every
+    // line runs from `dir`.
+    let table = [
+        ("help".to_string(), "stdout", 0),
+        (format!("profile {jacobi} --summary"), "stdout", 0),
+        (format!("profile {jacobi} --explain a"), "stdout", 0),
+        (format!("profile {jacobi} --trace-out t.json"), "stdout", 0),
+        ("bench --scale small --no-cache".to_string(), "stdout", 0),
+        (format!("run {jacobi} --cache-dir store"), "stdout", 0),
+        ("cache stats --cache-dir store".to_string(), "stdout", 0),
+        ("cache clear --cache-dir store".to_string(), "stdout", 0),
+        (
+            "fuzz --seed 3 --programs 3 --report f.json".to_string(),
+            "stdout",
+            0,
+        ),
+        (format!("run {jacobi}"), "stdout", 0),
+        (format!("demote {jacobi} 0"), "stdout", 0),
+        ("run /nonexistent.c".to_string(), "stderr", 2),
+    ];
+    for (line, stream, code) in &table {
+        let (reader, writer) = std::io::pipe().unwrap();
+        // No reader: every write to the pipe fails with a broken pipe.
+        drop(reader);
+        let mut cmd = bin();
+        cmd.args(line.split_whitespace()).current_dir(&dir);
+        match *stream {
+            "stdout" => cmd.stdout(writer),
+            _ => cmd.stderr(writer),
+        };
+        let out = cmd.output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(!err.contains("panicked"), "{line}: {err}");
+        assert_eq!(out.status.code(), Some(*code), "{line}: {err}");
     }
+    for file in ["t.json", "f.json"] {
+        assert!(dir.join(file).is_file(), "{file} was not written");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
