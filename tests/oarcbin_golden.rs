@@ -10,16 +10,21 @@
 //! request's journal through `write_events`. One program uses every
 //! scalar type, operator, intrinsic, data clause and reduction, and one
 //! hand-built event sequence uses every entry of every event code table.
+//! Each entry is also decoded (`decode_frontend`, `decode_translated`,
+//! `decode_run` or `read_events`) and re-encoded, and those bytes must
+//! match the same committed digest, so the file pins both directions.
 //! `UPDATE_GOLDEN=1` rewrites the file, which is only right for a change
 //! that bumps `FORMAT_VERSION`.
 
 use openarc::core::api::{self, Action, Request};
-use openarc::core::cache::bin::{encode_frontend, encode_run, encode_translated};
+use openarc::core::cache::bin::{
+    decode_frontend, decode_run, decode_translated, encode_frontend, encode_run, encode_translated,
+};
 use openarc::core::exec::{ExecMode, ExecOptions, VerifyOptions};
 use openarc::core::pipeline::{Session, Stage, TranslatedArtifact};
 use openarc::core::translate::TranslateOptions;
 use openarc::suite::{all, Scale, Variant};
-use openarc::trace::bin::{write_events, Writer};
+use openarc::trace::bin::{read_events, write_events, Reader, Writer};
 use openarc::trace::{
     CacheOp, Category, Cause, EventKind, Journal, Phase, Severity, Side, St, TraceEvent, Track,
 };
@@ -90,9 +95,33 @@ fn event_bytes(events: &[TraceEvent]) -> Vec<u8> {
     w.into_bytes()
 }
 
+/// `events` encoded, then decoded and encoded again.
+fn event_bytes_again(events: &[TraceEvent]) -> Vec<u8> {
+    let bytes = event_bytes(events);
+    let mut r = Reader::new(&bytes);
+    let back = read_events(&mut r).expect("events decode");
+    r.expect_end().expect("events end");
+    event_bytes(&back)
+}
+
+/// One entry's bytes as encoded, and as decoded and encoded again.
+type Entry = (&'static str, Vec<u8>, Vec<u8>);
+
+fn translated_entry(label: &'static str, stage: Stage, tr: &TranslatedArtifact) -> Entry {
+    let bytes = encode_translated(stage, tr);
+    let back = decode_translated(stage, tr.id, &bytes).expect("translated entry decodes");
+    let again = encode_translated(stage, &back);
+    (label, bytes, again)
+}
+
 /// The run entry the disk layer stores for one execution: the run under
 /// its plan id, with the journal the execution recorded.
-fn run_entry(session: &Session, tr: &TranslatedArtifact, eopts: ExecOptions) -> Vec<u8> {
+fn run_entry(
+    label: &'static str,
+    session: &Session,
+    tr: &TranslatedArtifact,
+    eopts: ExecOptions,
+) -> Entry {
     let journal = Journal::enabled();
     let eopts = ExecOptions {
         journal: journal.clone(),
@@ -100,11 +129,14 @@ fn run_entry(session: &Session, tr: &TranslatedArtifact, eopts: ExecOptions) -> 
     };
     let plan = session.plan(tr, &eopts);
     let r = session.execute(tr, &eopts).expect("the program runs");
-    encode_run(plan.id, &r, &journal.drain())
+    let bytes = encode_run(plan.id, &r, &journal.drain());
+    let (back, events) = decode_run(plan.id, &bytes).expect("run entry decodes");
+    let again = encode_run(plan.id, &back, &events);
+    (label, bytes, again)
 }
 
-/// `(entry, bytes)` for every OARCBIN entry one program's requests make.
-fn entries(src: &str) -> Vec<(&'static str, Vec<u8>)> {
+/// Every OARCBIN entry one program's requests make.
+fn entries(src: &str) -> Vec<Entry> {
     let session = Session::builder().build();
     let fe = session.frontend(src).expect("frontend");
     let plain = session
@@ -119,8 +151,9 @@ fn entries(src: &str) -> Vec<(&'static str, Vec<u8>)> {
             },
         )
         .expect("translate instrumented");
-    let run = run_entry(&session, &plain, ExecOptions::default());
+    let run = run_entry("run", &session, &plain, ExecOptions::default());
     let check = run_entry(
+        "check",
         &session,
         &instrumented,
         ExecOptions {
@@ -129,6 +162,7 @@ fn entries(src: &str) -> Vec<(&'static str, Vec<u8>)> {
         },
     );
     let verify_cpu = run_entry(
+        "verify-cpu",
         &session,
         &plain,
         ExecOptions {
@@ -138,6 +172,7 @@ fn entries(src: &str) -> Vec<(&'static str, Vec<u8>)> {
         },
     );
     let verify = run_entry(
+        "verify",
         &session,
         &plain,
         ExecOptions {
@@ -148,18 +183,22 @@ fn entries(src: &str) -> Vec<(&'static str, Vec<u8>)> {
     let mut req = Request::new(Action::Profile, src);
     req.journal = true;
     let profile = api::handle(&Session::builder().build(), &req).expect("profile");
+    let frontend = encode_frontend(&fe);
+    let fe_back = decode_frontend(fe.id, &frontend).expect("frontend entry decodes");
+    let fe_again = encode_frontend(&fe_back);
     vec![
-        ("frontend", encode_frontend(&fe)),
-        ("analysis", encode_translated(Stage::Analysis, &plain)),
+        ("frontend", frontend, fe_again),
+        translated_entry("analysis", Stage::Analysis, &plain),
+        translated_entry("instrument", Stage::Instrument, &instrumented),
+        run,
+        check,
+        verify_cpu,
+        verify,
         (
-            "instrument",
-            encode_translated(Stage::Instrument, &instrumented),
+            "profile-journal",
+            event_bytes(&profile.events),
+            event_bytes_again(&profile.events),
         ),
-        ("run", run),
-        ("check", check),
-        ("verify-cpu", verify_cpu),
-        ("verify", verify),
-        ("profile-journal", event_bytes(&profile.events)),
     ]
 }
 
@@ -257,28 +296,28 @@ fn every_event_code() -> Vec<TraceEvent> {
 
 #[test]
 fn oarcbin_bytes_match_golden() {
-    let mut table = String::from("# program\tentry\tbytes\tfnv1a\n");
-    let mut row = |label: &str, entry: &str, bytes: &[u8]| {
-        writeln!(
-            table,
-            "{label}\t{entry}\t{}\t{:016x}",
-            bytes.len(),
-            fnv1a(bytes)
-        )
-        .unwrap();
+    // `table` digests the encoded entries, `again` the same entries
+    // decoded and encoded again; both must equal the golden.
+    let header = "# program\tentry\tbytes\tfnv1a\n";
+    let (mut table, mut again) = (String::from(header), String::from(header));
+    let mut row = |label: &str, (entry, bytes, back): Entry| {
+        for (out, bytes) in [(&mut table, &bytes), (&mut again, &back)] {
+            let (len, digest) = (bytes.len(), fnv1a(bytes));
+            writeln!(out, "{label}\t{entry}\t{len}\t{digest:016x}").unwrap();
+        }
     };
     for b in all(Scale::default()) {
-        for (entry, bytes) in entries(b.source(Variant::Optimized)) {
-            row(b.name, entry, &bytes);
+        for entry in entries(b.source(Variant::Optimized)) {
+            row(b.name, entry);
         }
     }
-    for (entry, bytes) in entries(EVERY_CODE) {
-        row("every-code", entry, &bytes);
+    for entry in entries(EVERY_CODE) {
+        row("every-code", entry);
     }
+    let events = every_event_code();
     row(
         "every-event-code",
-        "events",
-        &event_bytes(&every_event_code()),
+        ("events", event_bytes(&events), event_bytes_again(&events)),
     );
 
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/oarcbin.tsv");
@@ -291,4 +330,8 @@ fn oarcbin_bytes_match_golden() {
         assert_eq!(got, want, "OARCBIN bytes moved");
     }
     assert_eq!(table.lines().count(), golden.lines().count());
+    for (got, want) in again.lines().zip(golden.lines()) {
+        assert_eq!(got, want, "decoding and re-encoding moved OARCBIN bytes");
+    }
+    assert_eq!(again.lines().count(), golden.lines().count());
 }
