@@ -8,7 +8,7 @@
 
 use crate::device::DeviceId;
 use openarc_trace::{Category, EventKind, JournalPart, TraceEvent, Track};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Accumulated simulated time per category, µs.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -38,11 +38,12 @@ impl TimeBreakdown {
 /// The machine clock: a host timeline plus one timeline per async queue,
 /// where queues are namespaced per simulated device (`(device, queue)`
 /// keys). Every queue operation names its device; single-device callers
-/// pass [`DeviceId::PRIMARY`].
+/// pass [`DeviceId::PRIMARY`]. The queue map is ordered by `(device,
+/// queue)`, so snapshots and drains visit queues in one fixed order.
 #[derive(Debug, Clone, Default)]
 pub struct SimClock {
     host_now: f64,
-    queues: HashMap<(DeviceId, i64), f64>,
+    queues: BTreeMap<(DeviceId, i64), f64>,
     /// Per-category accounting of host-visible time.
     pub breakdown: TimeBreakdown,
     /// Event journal writer: a buffered [`JournalPart`] so the per-charge
@@ -82,15 +83,12 @@ impl SimClock {
     }
 
     /// Snapshot every queue timeline as `(device, queue, end)` triples,
-    /// sorted by `(device, queue)` so the encoding is deterministic.
+    /// in `(device, queue)` order so the encoding is deterministic.
     pub fn queue_snapshot(&self) -> Vec<(DeviceId, i64, f64)> {
-        let mut out: Vec<(DeviceId, i64, f64)> = self
-            .queues
+        self.queues
             .iter()
             .map(|((d, q), end)| (*d, *q, *end))
-            .collect();
-        out.sort_unstable_by_key(|(d, q, _)| (*d, *q));
-        out
+            .collect()
     }
 
     /// Current host time, µs.
@@ -147,13 +145,11 @@ impl SimClock {
     /// Block the host until every queue on device `dev` drains, in
     /// sorted-id order.
     pub fn wait_all_on(&mut self, dev: DeviceId) {
-        let mut queues: Vec<i64> = self
+        let queues: Vec<i64> = self
             .queues
-            .keys()
-            .filter(|(d, _)| *d == dev)
-            .map(|(_, q)| *q)
+            .range((dev, i64::MIN)..=(dev, i64::MAX))
+            .map(|((_, q), _)| *q)
             .collect();
-        queues.sort_unstable();
         for q in queues {
             self.wait_on(dev, q);
         }
@@ -164,8 +160,7 @@ impl SimClock {
     /// deterministic — identical to sorted-id order when only the primary
     /// device has queues.
     pub fn wait_all(&mut self) {
-        let mut keys: Vec<(DeviceId, i64)> = self.queues.keys().copied().collect();
-        keys.sort_unstable();
+        let keys: Vec<(DeviceId, i64)> = self.queues.keys().copied().collect();
         for (d, q) in keys {
             self.wait_on(d, q);
         }
@@ -315,17 +310,21 @@ mod tests {
         // Regression: `restore` used to drop queue timelines, silently
         // zeroing in-flight async state for any replay across a restore
         // point. A wait after restore must still see the queued work.
+        // 24 queues on each of two devices, enqueued out of order: an
+        // unordered map would hand them back sorted with odds of 1 in 48!.
         let mut c = SimClock::new();
-        c.enqueue_async_on(DeviceId(0), 1, 40.0);
-        c.enqueue_async_on(DeviceId(1), 2, 70.0);
+        let mut want = Vec::new();
+        for i in 0..48i64 {
+            let (dev, q) = (DeviceId((i % 2) as u32), (i * 17) % 48 - 24);
+            let end = 10.0 + i as f64;
+            c.enqueue_async_on(dev, q, end);
+            want.push((dev, q, end));
+        }
         c.advance(Category::CpuTime, 10.0);
+        want.sort_by_key(|(d, q, _)| (*d, *q));
 
         let snap = c.queue_snapshot();
-        assert_eq!(
-            snap,
-            vec![(DeviceId(0), 1, 40.0), (DeviceId(1), 2, 70.0)],
-            "snapshot is sorted by (device, queue)"
-        );
+        assert_eq!(snap, want, "snapshot is sorted by (device, queue)");
         let mut r = SimClock::restore(c.now(), c.breakdown.clone(), snap);
         assert_eq!(r.now(), c.now());
         assert_eq!(r.breakdown, c.breakdown);
@@ -335,7 +334,7 @@ mod tests {
         c.wait_all();
         r.wait_all();
         assert_eq!(r.now(), c.now());
-        assert_eq!(r.now(), 70.0);
+        assert_eq!(r.now(), 57.0);
         assert_eq!(
             r.breakdown.get(Category::AsyncWait).to_bits(),
             c.breakdown.get(Category::AsyncWait).to_bits()
