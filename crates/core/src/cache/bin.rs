@@ -14,6 +14,11 @@
 //!   strings are `u32`-length-prefixed UTF-8 validated (and borrowed)
 //!   in place, and closed label sets travel as one-byte codes.
 //!
+//! Each IR and report record's shape is declared once (below, or beside
+//! its type in the crate that owns it) and `openarc_trace::bin::Wire`
+//! generates both directions; the header and the section framing are
+//! written out here by hand.
+//!
 //! A decode is a single sequential pass over the mapped bytes: no
 //! intermediate DOM is built, strings are validated in place and copied
 //! exactly once into the artifact, and every length is bounds-checked against the
@@ -27,16 +32,11 @@ use crate::ir::{DataAction, DataRegionInfo, KernelInfo, KernelParam, RtOp};
 use crate::knowledge::{KernelAssert, KernelBound, KernelKnowledge};
 use crate::pipeline::{ArtifactId, Fnv, FrontendArtifact, Stage, TranslatedArtifact};
 use crate::translate::Translated;
-use openarc_gpusim::{RaceReport, SimClock, TimeBreakdown};
-use openarc_minic::binio as mb;
-use openarc_minic::NodeId;
-use openarc_openacc::{DataClauseKind, ReductionOp};
-use openarc_runtime::coherence::DevSide;
-use openarc_runtime::{Direction, Issue, IssueKind, Machine, Report, St, TransferStats};
-use openarc_trace::bin::{read_events, write_events, Reader, Writer};
-use openarc_trace::{Category, TraceEvent};
-use openarc_vm::binio as vb;
-use openarc_vm::{BasicEnv, Handle};
+use openarc_gpusim::{SimClock, TimeBreakdown};
+use openarc_runtime::{Machine, Report};
+use openarc_trace::bin::{read_events, write_events, Reader, Wire, Writer};
+use openarc_trace::{wire_enum, wire_record, Category, TraceEvent};
+use openarc_vm::BasicEnv;
 
 type R<T> = Result<T, String>;
 
@@ -216,472 +216,86 @@ fn get_section<'a, T>(
 }
 
 // ---------------------------------------------------------------------------
-// Small field helpers
+// IR table declarations
 // ---------------------------------------------------------------------------
 
-fn put_opt_str(w: &mut Writer, v: &Option<String>) {
-    match v {
-        Some(s) => {
-            w.put_u8(1);
-            w.put_str(s);
-        }
-        None => w.put_u8(0),
-    }
-}
+wire_record!(DataAction {
+    var,
+    map,
+    copyin,
+    copyout,
+    from_clause,
+    covering_region,
+    written,
+});
 
-fn get_opt_string(r: &mut Reader<'_>) -> R<Option<String>> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(r.string()?)),
-        t => Err(r.err(&format!("invalid option tag {t}"))),
-    }
-}
+wire_enum!(KernelParam {
+    0 => Aggregate { var },
+    1 => Scalar { var },
+    2 => SharedCell { var, init_global },
+    3 => ReductionSlot { var, op },
+});
 
-fn put_opt_u64(w: &mut Writer, v: Option<u64>) {
-    match v {
-        Some(x) => {
-            w.put_u8(1);
-            w.put_u64(x);
-        }
-        None => w.put_u8(0),
-    }
-}
+wire_record!(KernelBound { var, lo, hi });
 
-fn get_opt_u64(r: &mut Reader<'_>) -> R<Option<u64>> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(r.u64()?)),
-        t => Err(r.err(&format!("invalid option tag {t}"))),
-    }
-}
+wire_enum!(KernelAssert {
+    0 => ChecksumWithin { var, expected, tol },
+    1 => AllFinite { var },
+    2 => NonNegative { var },
+});
 
-fn put_strings(w: &mut Writer, xs: &[String]) {
-    w.put_seq_len(xs.len());
-    for x in xs {
-        w.put_str(x);
-    }
-}
+wire_record!(KernelKnowledge { bounds, asserts });
 
-fn get_strings(r: &mut Reader<'_>) -> R<Vec<String>> {
-    read_vec(r, |r| r.string())
-}
+// `wave_override` is a `u32` on a `u64` wire.
+wire_record!(KernelInfo {
+    name,
+    seq_name,
+    n_threads_global,
+    params,
+    actions,
+    gpu_reads,
+    gpu_writes,
+    hoisted_writes,
+    reductions,
+    knowledge,
+    wave_override [via Option<u64>:
+        |v: &Option<u32>| v.map(u64::from),
+        |x: Option<u64>| x.map(|x| x as u32)],
+    queue,
+    if_global,
+    stmt,
+    line,
+});
 
-fn read_vec<'a, T>(r: &mut Reader<'a>, mut f: impl FnMut(&mut Reader<'a>) -> R<T>) -> R<Vec<T>> {
-    let n = r.seq_len()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(f(r)?);
-    }
-    Ok(out)
-}
+wire_record!(DataRegionInfo {
+    actions,
+    if_global,
+    stmt
+});
 
-/// Codes of an issue's optional transfer direction.
-const DIRECTIONS: [Option<Direction>; 3] =
-    [None, Some(Direction::ToDevice), Some(Direction::ToHost)];
+wire_enum!(RtOp {
+    0 => DataEnter(region),
+    1 => DataExit(region),
+    2 => Launch(kernel),
+    3 => Update { to_host, to_device, queue, site, if_global },
+    4 => Wait(queue),
+    5 => CheckRead { var, side, site },
+    6 => CheckWrite { var, side, total, site },
+    7 => ResetStatus { var, side, st },
+    8 => LoopEnter { label },
+    9 => LoopTick,
+    10 => LoopExit,
+});
 
-// ---------------------------------------------------------------------------
-// IR table codecs
-// ---------------------------------------------------------------------------
-
-fn put_action(w: &mut Writer, a: &DataAction) {
-    w.put_str(&a.var);
-    w.put_bool(a.map);
-    w.put_bool(a.copyin);
-    w.put_bool(a.copyout);
-    match a.from_clause {
-        Some(c) => {
-            w.put_u8(1);
-            w.put_code(&DataClauseKind::ALL, c);
-        }
-        None => w.put_u8(0),
-    }
-    put_opt_u64(w, a.covering_region.map(|r| r as u64));
-    w.put_bool(a.written);
-}
-
-fn get_action(r: &mut Reader<'_>) -> R<DataAction> {
-    Ok(DataAction {
-        var: r.string()?,
-        map: r.bool()?,
-        copyin: r.bool()?,
-        copyout: r.bool()?,
-        from_clause: match r.u8()? {
-            0 => None,
-            1 => Some(r.code(&DataClauseKind::ALL, "data clause")?),
-            t => return Err(r.err(&format!("invalid option tag {t}"))),
-        },
-        covering_region: get_opt_u64(r)?.map(|x| x as usize),
-        written: r.bool()?,
-    })
-}
-
-fn put_actions(w: &mut Writer, actions: &[DataAction]) {
-    w.put_seq_len(actions.len());
-    for a in actions {
-        put_action(w, a);
-    }
-}
-
-fn get_actions(r: &mut Reader<'_>) -> R<Vec<DataAction>> {
-    read_vec(r, get_action)
-}
-
-mod param_tag {
-    pub const AGGREGATE: u8 = 0;
-    pub const SCALAR: u8 = 1;
-    pub const SHARED_CELL: u8 = 2;
-    pub const REDUCTION_SLOT: u8 = 3;
-}
-
-fn put_param(w: &mut Writer, p: &KernelParam) {
-    match p {
-        KernelParam::Aggregate { var } => {
-            w.put_u8(param_tag::AGGREGATE);
-            w.put_str(var);
-        }
-        KernelParam::Scalar { var } => {
-            w.put_u8(param_tag::SCALAR);
-            w.put_str(var);
-        }
-        KernelParam::SharedCell { var, init_global } => {
-            w.put_u8(param_tag::SHARED_CELL);
-            w.put_str(var);
-            put_opt_str(w, init_global);
-        }
-        KernelParam::ReductionSlot { var, op } => {
-            w.put_u8(param_tag::REDUCTION_SLOT);
-            w.put_str(var);
-            w.put_code(&ReductionOp::ALL, *op);
-        }
-    }
-}
-
-fn get_param(r: &mut Reader<'_>) -> R<KernelParam> {
-    let tag = r.u8()?;
-    Ok(match tag {
-        param_tag::AGGREGATE => KernelParam::Aggregate { var: r.string()? },
-        param_tag::SCALAR => KernelParam::Scalar { var: r.string()? },
-        param_tag::SHARED_CELL => KernelParam::SharedCell {
-            var: r.string()?,
-            init_global: get_opt_string(r)?,
-        },
-        param_tag::REDUCTION_SLOT => KernelParam::ReductionSlot {
-            var: r.string()?,
-            op: r.code(&ReductionOp::ALL, "reduction op")?,
-        },
-        other => return Err(r.err(&format!("unknown kernel param tag {other}"))),
-    })
-}
-
-mod assert_tag {
-    pub const CHECKSUM: u8 = 0;
-    pub const FINITE: u8 = 1;
-    pub const NONNEG: u8 = 2;
-}
-
-fn put_knowledge(w: &mut Writer, k: &KernelKnowledge) {
-    w.put_seq_len(k.bounds.len());
-    for b in &k.bounds {
-        w.put_str(&b.var);
-        w.put_f64(b.lo);
-        w.put_f64(b.hi);
-    }
-    w.put_seq_len(k.asserts.len());
-    for a in &k.asserts {
-        match a {
-            KernelAssert::ChecksumWithin { var, expected, tol } => {
-                w.put_u8(assert_tag::CHECKSUM);
-                w.put_str(var);
-                w.put_f64(*expected);
-                w.put_f64(*tol);
-            }
-            KernelAssert::AllFinite { var } => {
-                w.put_u8(assert_tag::FINITE);
-                w.put_str(var);
-            }
-            KernelAssert::NonNegative { var } => {
-                w.put_u8(assert_tag::NONNEG);
-                w.put_str(var);
-            }
-        }
-    }
-}
-
-fn get_knowledge(r: &mut Reader<'_>) -> R<KernelKnowledge> {
-    let bounds = read_vec(r, |r| {
-        Ok(KernelBound {
-            var: r.string()?,
-            lo: r.f64()?,
-            hi: r.f64()?,
-        })
-    })?;
-    let asserts = read_vec(r, |r| {
-        let tag = r.u8()?;
-        Ok(match tag {
-            assert_tag::CHECKSUM => KernelAssert::ChecksumWithin {
-                var: r.string()?,
-                expected: r.f64()?,
-                tol: r.f64()?,
-            },
-            assert_tag::FINITE => KernelAssert::AllFinite { var: r.string()? },
-            assert_tag::NONNEG => KernelAssert::NonNegative { var: r.string()? },
-            other => return Err(r.err(&format!("unknown assert tag {other}"))),
-        })
-    })?;
-    Ok(KernelKnowledge { bounds, asserts })
-}
-
-fn put_kernel(w: &mut Writer, k: &KernelInfo) {
-    w.put_str(&k.name);
-    w.put_str(&k.seq_name);
-    w.put_str(&k.n_threads_global);
-    w.put_seq_len(k.params.len());
-    for p in &k.params {
-        put_param(w, p);
-    }
-    put_actions(w, &k.actions);
-    put_strings(w, &k.gpu_reads);
-    put_strings(w, &k.gpu_writes);
-    put_strings(w, &k.hoisted_writes);
-    w.put_seq_len(k.reductions.len());
-    for (var, op) in &k.reductions {
-        w.put_str(var);
-        w.put_code(&ReductionOp::ALL, *op);
-    }
-    put_knowledge(w, &k.knowledge);
-    put_opt_u64(w, k.wave_override.map(u64::from));
-    w.put_opt_i64(k.queue);
-    put_opt_str(w, &k.if_global);
-    w.put_u32(k.stmt);
-    w.put_u32(k.line);
-}
-
-fn get_kernel(r: &mut Reader<'_>) -> R<KernelInfo> {
-    Ok(KernelInfo {
-        name: r.string()?,
-        seq_name: r.string()?,
-        n_threads_global: r.string()?,
-        params: read_vec(r, get_param)?,
-        actions: get_actions(r)?,
-        gpu_reads: get_strings(r)?,
-        gpu_writes: get_strings(r)?,
-        hoisted_writes: get_strings(r)?,
-        reductions: read_vec(r, |r| {
-            Ok((r.string()?, r.code(&ReductionOp::ALL, "reduction op")?))
-        })?,
-        knowledge: get_knowledge(r)?,
-        wave_override: get_opt_u64(r)?.map(|x| x as u32),
-        queue: r.opt_i64()?,
-        if_global: get_opt_string(r)?,
-        stmt: r.u32()? as NodeId,
-        line: r.u32()?,
-    })
-}
-
-fn put_region(w: &mut Writer, region: &DataRegionInfo) {
-    put_actions(w, &region.actions);
-    put_opt_str(w, &region.if_global);
-    w.put_u32(region.stmt);
-}
-
-fn get_region(r: &mut Reader<'_>) -> R<DataRegionInfo> {
-    Ok(DataRegionInfo {
-        actions: get_actions(r)?,
-        if_global: get_opt_string(r)?,
-        stmt: r.u32()? as NodeId,
-    })
-}
-
-mod op_tag {
-    pub const DATA_ENTER: u8 = 0;
-    pub const DATA_EXIT: u8 = 1;
-    pub const LAUNCH: u8 = 2;
-    pub const UPDATE: u8 = 3;
-    pub const WAIT: u8 = 4;
-    pub const CHECK_READ: u8 = 5;
-    pub const CHECK_WRITE: u8 = 6;
-    pub const RESET: u8 = 7;
-    pub const LOOP_ENTER: u8 = 8;
-    pub const LOOP_TICK: u8 = 9;
-    pub const LOOP_EXIT: u8 = 10;
-}
-
-fn put_op(w: &mut Writer, op: &RtOp) {
-    match op {
-        RtOp::DataEnter(i) => {
-            w.put_u8(op_tag::DATA_ENTER);
-            w.put_u64(*i as u64);
-        }
-        RtOp::DataExit(i) => {
-            w.put_u8(op_tag::DATA_EXIT);
-            w.put_u64(*i as u64);
-        }
-        RtOp::Launch(i) => {
-            w.put_u8(op_tag::LAUNCH);
-            w.put_u64(*i as u64);
-        }
-        RtOp::Update {
-            to_host,
-            to_device,
-            queue,
-            site,
-            if_global,
-        } => {
-            w.put_u8(op_tag::UPDATE);
-            put_strings(w, to_host);
-            put_strings(w, to_device);
-            w.put_opt_i64(*queue);
-            w.put_str(site);
-            put_opt_str(w, if_global);
-        }
-        RtOp::Wait(q) => {
-            w.put_u8(op_tag::WAIT);
-            w.put_opt_i64(*q);
-        }
-        RtOp::CheckRead { var, side, site } => {
-            w.put_u8(op_tag::CHECK_READ);
-            w.put_str(var);
-            w.put_code(&DevSide::ALL, *side);
-            w.put_str(site);
-        }
-        RtOp::CheckWrite {
-            var,
-            side,
-            total,
-            site,
-        } => {
-            w.put_u8(op_tag::CHECK_WRITE);
-            w.put_str(var);
-            w.put_code(&DevSide::ALL, *side);
-            w.put_bool(*total);
-            w.put_str(site);
-        }
-        RtOp::ResetStatus { var, side, st } => {
-            w.put_u8(op_tag::RESET);
-            w.put_str(var);
-            w.put_code(&DevSide::ALL, *side);
-            w.put_code(&St::ALL, *st);
-        }
-        RtOp::LoopEnter { label } => {
-            w.put_u8(op_tag::LOOP_ENTER);
-            w.put_str(label);
-        }
-        RtOp::LoopTick => w.put_u8(op_tag::LOOP_TICK),
-        RtOp::LoopExit => w.put_u8(op_tag::LOOP_EXIT),
-    }
-}
-
-fn get_op(r: &mut Reader<'_>) -> R<RtOp> {
-    let tag = r.u8()?;
-    Ok(match tag {
-        op_tag::DATA_ENTER => RtOp::DataEnter(r.u64()? as usize),
-        op_tag::DATA_EXIT => RtOp::DataExit(r.u64()? as usize),
-        op_tag::LAUNCH => RtOp::Launch(r.u64()? as usize),
-        op_tag::UPDATE => RtOp::Update {
-            to_host: get_strings(r)?,
-            to_device: get_strings(r)?,
-            queue: r.opt_i64()?,
-            site: r.string()?,
-            if_global: get_opt_string(r)?,
-        },
-        op_tag::WAIT => RtOp::Wait(r.opt_i64()?),
-        op_tag::CHECK_READ => RtOp::CheckRead {
-            var: r.string()?,
-            side: r.code(&DevSide::ALL, "side")?,
-            site: r.string()?,
-        },
-        op_tag::CHECK_WRITE => RtOp::CheckWrite {
-            var: r.string()?,
-            side: r.code(&DevSide::ALL, "side")?,
-            total: r.bool()?,
-            site: r.string()?,
-        },
-        op_tag::RESET => RtOp::ResetStatus {
-            var: r.string()?,
-            side: r.code(&DevSide::ALL, "side")?,
-            st: r.code(&St::ALL, "coherence state")?,
-        },
-        op_tag::LOOP_ENTER => RtOp::LoopEnter { label: r.string()? },
-        op_tag::LOOP_TICK => RtOp::LoopTick,
-        op_tag::LOOP_EXIT => RtOp::LoopExit,
-        other => return Err(r.err(&format!("unknown op tag {other}"))),
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Run surface codecs
-// ---------------------------------------------------------------------------
-
-fn put_loops(w: &mut Writer, loops: &[(String, i64)]) {
-    w.put_seq_len(loops.len());
-    for (label, i) in loops {
-        w.put_str(label);
-        w.put_i64(*i);
-    }
-}
-
-fn get_loops(r: &mut Reader<'_>) -> R<Vec<(String, i64)>> {
-    read_vec(r, |r| Ok((r.string()?, r.i64()?)))
-}
-
-fn put_issue(w: &mut Writer, i: &Issue) {
-    w.put_code(&IssueKind::ALL, i.kind);
-    w.put_str(&i.var);
-    w.put_str(&i.site);
-    w.put_code(&DIRECTIONS, i.direction);
-    put_loops(w, &i.loop_context);
-}
-
-fn get_issue(r: &mut Reader<'_>) -> R<Issue> {
-    Ok(Issue {
-        kind: r.code(&IssueKind::ALL, "issue kind")?,
-        var: r.string()?,
-        site: r.string()?,
-        direction: r.code(&DIRECTIONS, "direction")?,
-        loop_context: get_loops(r)?,
-    })
-}
-
-fn put_kv(w: &mut Writer, k: &KernelVerification) {
-    w.put_str(&k.kernel);
-    w.put_u64(k.launches);
-    w.put_u64(k.failed_launches);
-    w.put_u64(k.compared_elems);
-    w.put_u64(k.mismatched_elems);
-    w.put_f64(k.max_abs_err);
-    w.put_u64(k.assertion_failures);
-}
-
-fn get_kv(r: &mut Reader<'_>) -> R<KernelVerification> {
-    Ok(KernelVerification {
-        kernel: r.string()?,
-        launches: r.u64()?,
-        failed_launches: r.u64()?,
-        compared_elems: r.u64()?,
-        mismatched_elems: r.u64()?,
-        max_abs_err: r.f64()?,
-        assertion_failures: r.u64()?,
-    })
-}
-
-fn put_race(w: &mut Writer, race: &RaceReport) {
-    w.put_u32(race.handle.0);
-    w.put_str(&race.label);
-    w.put_u64(race.conflicts);
-    w.put_u64(race.example_idx);
-    w.put_u64(race.example_threads.0);
-    w.put_u64(race.example_threads.1);
-}
-
-fn get_race(r: &mut Reader<'_>) -> R<RaceReport> {
-    Ok(RaceReport {
-        handle: Handle(r.u32()?),
-        label: r.string()?,
-        conflicts: r.u64()?,
-        example_idx: r.u64()?,
-        example_threads: (r.u64()?, r.u64()?),
-    })
-}
+wire_record!(KernelVerification {
+    kernel,
+    launches,
+    failed_launches,
+    compared_elems,
+    mismatched_elems,
+    max_abs_err,
+    assertion_failures,
+});
 
 // ---------------------------------------------------------------------------
 // Artifact encoders
@@ -696,10 +310,8 @@ pub fn encode_frontend(art: &FrontendArtifact) -> Vec<u8> {
         art.id,
         FRONTEND_SECTIONS,
     );
-    put_section(&mut w, section::PROGRAM, |w| {
-        mb::write_program(w, &art.program)
-    });
-    put_section(&mut w, section::SEMA, |w| mb::write_sema(w, &art.sema));
+    put_section(&mut w, section::PROGRAM, |w| art.program.put(w));
+    put_section(&mut w, section::SEMA, |w| art.sema.put(w));
     w.into_bytes()
 }
 
@@ -719,48 +331,19 @@ pub fn encode_translated(stage: Stage, art: &TranslatedArtifact) -> Vec<u8> {
         art.id,
         TRANSLATED_SECTIONS,
     );
-    put_section(&mut w, section::FLAGS, |w| w.put_bool(art.instrumented));
-    put_section(&mut w, section::HOST_PROGRAM, |w| {
-        mb::write_program(w, &tr.host_program)
-    });
-    put_section(&mut w, section::HOST_SEMA, |w| {
-        mb::write_sema(w, &tr.host_sema)
-    });
-    put_section(&mut w, section::HOST_MODULE, |w| {
-        vb::write_module(w, &tr.host_module)
-    });
+    put_section(&mut w, section::FLAGS, |w| art.instrumented.put(w));
+    put_section(&mut w, section::HOST_PROGRAM, |w| tr.host_program.put(w));
+    put_section(&mut w, section::HOST_SEMA, |w| tr.host_sema.put(w));
+    put_section(&mut w, section::HOST_MODULE, |w| tr.host_module.put(w));
     put_section(&mut w, section::KERNEL_PROGRAM, |w| {
-        mb::write_program(w, &tr.kernel_program)
+        tr.kernel_program.put(w)
     });
-    put_section(&mut w, section::KERNEL_MODULE, |w| {
-        vb::write_module(w, &tr.kernel_module)
-    });
-    put_section(&mut w, section::OPS, |w| {
-        w.put_seq_len(tr.ops.len());
-        for op in &tr.ops {
-            put_op(w, op);
-        }
-    });
-    put_section(&mut w, section::KERNELS, |w| {
-        w.put_seq_len(tr.kernels.len());
-        for k in &tr.kernels {
-            put_kernel(w, k);
-        }
-    });
-    put_section(&mut w, section::DATA_REGIONS, |w| {
-        w.put_seq_len(tr.data_regions.len());
-        for region in &tr.data_regions {
-            put_region(w, region);
-        }
-    });
-    put_section(&mut w, section::UPDATE_SITES, |w| {
-        w.put_seq_len(tr.update_sites.len());
-        for (site, id) in &tr.update_sites {
-            w.put_str(site);
-            w.put_u32(*id);
-        }
-    });
-    put_section(&mut w, section::DECLARES, |w| put_actions(w, &tr.declares));
+    put_section(&mut w, section::KERNEL_MODULE, |w| tr.kernel_module.put(w));
+    put_section(&mut w, section::OPS, |w| tr.ops.put(w));
+    put_section(&mut w, section::KERNELS, |w| tr.kernels.put(w));
+    put_section(&mut w, section::DATA_REGIONS, |w| tr.data_regions.put(w));
+    put_section(&mut w, section::UPDATE_SITES, |w| tr.update_sites.put(w));
+    put_section(&mut w, section::DECLARES, |w| tr.declares.put(w));
     w.into_bytes()
 }
 
@@ -776,57 +359,22 @@ pub fn encode_run(id: ArtifactId, r: &RunResult, events: &[TraceEvent]) -> Vec<u
         RUN_SECTIONS,
     );
     put_section(&mut w, section::CLOCK, |w| {
-        w.put_f64(m.clock.now());
-        w.put_seq_len(Category::ALL.len());
-        for c in Category::ALL.iter() {
-            w.put_f64(m.clock.breakdown.get(*c));
-        }
-        let queues = m.clock.queue_snapshot();
-        w.put_seq_len(queues.len());
-        for (dev, q, end) in queues {
-            w.put_u32(dev.0);
-            w.put_i64(q);
-            w.put_f64(end);
-        }
+        // Host time, one total per time category, then the queue ends.
+        let per_cat: Vec<f64> = Category::ALL
+            .iter()
+            .map(|c| m.clock.breakdown.get(*c))
+            .collect();
+        (m.clock.now(), per_cat, m.clock.queue_snapshot()).put(w)
     });
-    put_section(&mut w, section::GLOBALS, |w| {
-        w.put_seq_len(m.host.globals.len());
-        for v in &m.host.globals {
-            vb::write_value(w, v);
-        }
-    });
-    put_section(&mut w, section::MEM, |w| vb::write_memspace(w, &m.host.mem));
-    put_section(&mut w, section::STATS, |w| {
-        w.put_u64(m.stats.h2d_bytes);
-        w.put_u64(m.stats.d2h_bytes);
-        w.put_u64(m.stats.h2d_count);
-        w.put_u64(m.stats.d2h_count);
-        w.put_u64(m.stats.dev_allocs);
-        w.put_u64(m.stats.dev_frees);
-    });
-    put_section(&mut w, section::ISSUES, |w| {
-        w.put_seq_len(m.report.issues.len());
-        for i in &m.report.issues {
-            put_issue(w, i);
-        }
-    });
-    put_section(&mut w, section::LOOPS, |w| put_loops(w, &m.loop_context));
-    put_section(&mut w, section::VERIFY, |w| {
-        w.put_seq_len(r.verify.len());
-        for k in &r.verify {
-            put_kv(w, k);
-        }
-    });
-    put_section(&mut w, section::RACES, |w| {
-        w.put_seq_len(r.races.len());
-        for (name, race) in &r.races {
-            w.put_str(name);
-            put_race(w, race);
-        }
-    });
+    put_section(&mut w, section::GLOBALS, |w| m.host.globals.put(w));
+    put_section(&mut w, section::MEM, |w| m.host.mem.put(w));
+    put_section(&mut w, section::STATS, |w| m.stats.put(w));
+    put_section(&mut w, section::ISSUES, |w| m.report.issues.put(w));
+    put_section(&mut w, section::LOOPS, |w| m.loop_context.put(w));
+    put_section(&mut w, section::VERIFY, |w| r.verify.put(w));
+    put_section(&mut w, section::RACES, |w| r.races.put(w));
     put_section(&mut w, section::COUNTS, |w| {
-        w.put_u64(r.kernel_launches);
-        w.put_u64(r.host_instrs);
+        (r.kernel_launches, r.host_instrs).put(w)
     });
     put_section(&mut w, section::EVENTS, |w| write_events(w, events));
     w.into_bytes()
@@ -840,8 +388,8 @@ pub fn encode_run(id: ArtifactId, r: &RunResult, events: &[TraceEvent]) -> Vec<u
 /// cache key id.
 pub fn decode_frontend(id: ArtifactId, bytes: &[u8]) -> R<FrontendArtifact> {
     let mut r = open(bytes, Stage::Frontend, id, FRONTEND_SECTIONS)?;
-    let program = get_section(&mut r, section::PROGRAM, mb::read_program)?;
-    let sema = get_section(&mut r, section::SEMA, mb::read_sema)?;
+    let program = get_section(&mut r, section::PROGRAM, Wire::get)?;
+    let sema = get_section(&mut r, section::SEMA, Wire::get)?;
     r.expect_end()?;
     Ok(FrontendArtifact { id, program, sema })
 }
@@ -850,19 +398,17 @@ pub fn decode_frontend(id: ArtifactId, bytes: &[u8]) -> R<FrontendArtifact> {
 /// id against the expected cache key id.
 pub fn decode_translated(stage: Stage, id: ArtifactId, bytes: &[u8]) -> R<TranslatedArtifact> {
     let mut r = open(bytes, stage, id, TRANSLATED_SECTIONS)?;
-    let instrumented = get_section(&mut r, section::FLAGS, |b| b.bool())?;
-    let host_program = get_section(&mut r, section::HOST_PROGRAM, mb::read_program)?;
-    let host_sema = get_section(&mut r, section::HOST_SEMA, mb::read_sema)?;
-    let host_module = get_section(&mut r, section::HOST_MODULE, vb::read_module)?;
-    let kernel_program = get_section(&mut r, section::KERNEL_PROGRAM, mb::read_program)?;
-    let kernel_module = get_section(&mut r, section::KERNEL_MODULE, vb::read_module)?;
-    let ops = get_section(&mut r, section::OPS, |b| read_vec(b, get_op))?;
-    let kernels = get_section(&mut r, section::KERNELS, |b| read_vec(b, get_kernel))?;
-    let data_regions = get_section(&mut r, section::DATA_REGIONS, |b| read_vec(b, get_region))?;
-    let update_sites = get_section(&mut r, section::UPDATE_SITES, |b| {
-        read_vec(b, |b| Ok((b.string()?, b.u32()? as NodeId)))
-    })?;
-    let declares = get_section(&mut r, section::DECLARES, get_actions)?;
+    let instrumented = get_section(&mut r, section::FLAGS, Wire::get)?;
+    let host_program = get_section(&mut r, section::HOST_PROGRAM, Wire::get)?;
+    let host_sema = get_section(&mut r, section::HOST_SEMA, Wire::get)?;
+    let host_module = get_section(&mut r, section::HOST_MODULE, Wire::get)?;
+    let kernel_program = get_section(&mut r, section::KERNEL_PROGRAM, Wire::get)?;
+    let kernel_module = get_section(&mut r, section::KERNEL_MODULE, Wire::get)?;
+    let ops = get_section(&mut r, section::OPS, Wire::get)?;
+    let kernels = get_section(&mut r, section::KERNELS, Wire::get)?;
+    let data_regions = get_section(&mut r, section::DATA_REGIONS, Wire::get)?;
+    let update_sites = get_section(&mut r, section::UPDATE_SITES, Wire::get)?;
+    let declares = get_section(&mut r, section::DECLARES, Wire::get)?;
     r.expect_end()?;
     Ok(TranslatedArtifact {
         id,
@@ -886,52 +432,34 @@ pub fn decode_translated(stage: Stage, id: ArtifactId, bytes: &[u8]) -> R<Transl
 /// key id.
 pub fn decode_run(id: ArtifactId, bytes: &[u8]) -> R<(RunResult, Vec<TraceEvent>)> {
     let mut r = open(bytes, Stage::Execute, id, RUN_SECTIONS)?;
-    let (now, breakdown, queues) = get_section(&mut r, section::CLOCK, |b| {
-        let now = b.f64()?;
-        let n = b.seq_len()?;
-        if n != Category::ALL.len() {
-            return Err(b.err(&format!(
-                "expected {} time categories, got {n}",
-                Category::ALL.len()
-            )));
-        }
-        let mut breakdown = TimeBreakdown::default();
-        for cat in Category::ALL.iter() {
-            breakdown.add(*cat, b.f64()?);
-        }
-        let nq = b.seq_len()?;
-        let mut queues = Vec::with_capacity(nq);
-        for _ in 0..nq {
-            queues.push((openarc_gpusim::DeviceId(b.u32()?), b.i64()?, b.f64()?));
-        }
-        Ok((now, breakdown, queues))
-    })?;
-    let globals = get_section(&mut r, section::GLOBALS, |b| read_vec(b, vb::read_value))?;
-    let mem = get_section(&mut r, section::MEM, vb::read_memspace)?;
+    let (now, per_cat, queues): (f64, Vec<f64>, _) =
+        get_section(&mut r, section::CLOCK, Wire::get)?;
+    if per_cat.len() != Category::ALL.len() {
+        return Err(format!(
+            "section {}: expected {} time categories, got {}",
+            section::CLOCK,
+            Category::ALL.len(),
+            per_cat.len()
+        ));
+    }
+    let mut breakdown = TimeBreakdown::default();
+    for (cat, t) in Category::ALL.iter().zip(per_cat) {
+        breakdown.add(*cat, t);
+    }
+    let globals = get_section(&mut r, section::GLOBALS, Wire::get)?;
+    let mem = get_section(&mut r, section::MEM, Wire::get)?;
 
     let mut machine = Machine::new(BasicEnv { globals, mem }, false);
     machine.clock = SimClock::restore(now, breakdown, queues);
-    machine.stats = get_section(&mut r, section::STATS, |b| {
-        Ok(TransferStats {
-            h2d_bytes: b.u64()?,
-            d2h_bytes: b.u64()?,
-            h2d_count: b.u64()?,
-            d2h_count: b.u64()?,
-            dev_allocs: b.u64()?,
-            dev_frees: b.u64()?,
-        })
-    })?;
+    machine.stats = get_section(&mut r, section::STATS, Wire::get)?;
     machine.report = Report {
-        issues: get_section(&mut r, section::ISSUES, |b| read_vec(b, get_issue))?,
+        issues: get_section(&mut r, section::ISSUES, Wire::get)?,
     };
-    machine.loop_context = get_section(&mut r, section::LOOPS, get_loops)?;
+    machine.loop_context = get_section(&mut r, section::LOOPS, Wire::get)?;
 
-    let verify = get_section(&mut r, section::VERIFY, |b| read_vec(b, get_kv))?;
-    let races = get_section(&mut r, section::RACES, |b| {
-        read_vec(b, |b| Ok((b.string()?, get_race(b)?)))
-    })?;
-    let (kernel_launches, host_instrs) =
-        get_section(&mut r, section::COUNTS, |b| Ok((b.u64()?, b.u64()?)))?;
+    let verify = get_section(&mut r, section::VERIFY, Wire::get)?;
+    let races = get_section(&mut r, section::RACES, Wire::get)?;
+    let (kernel_launches, host_instrs) = get_section(&mut r, section::COUNTS, Wire::get)?;
     let events = get_section(&mut r, section::EVENTS, read_events)?;
     r.expect_end()?;
     Ok((

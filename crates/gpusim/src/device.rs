@@ -17,6 +17,8 @@ impl DeviceId {
     pub const PRIMARY: DeviceId = DeviceId(0);
 }
 
+openarc_trace::wire_record!(DeviceId(id));
+
 impl std::fmt::Display for DeviceId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "dev{}", self.0)

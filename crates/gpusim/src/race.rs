@@ -33,6 +33,14 @@ pub struct RaceReport {
     pub example_threads: (u64, u64),
 }
 
+openarc_trace::wire_record!(RaceReport {
+    handle,
+    label,
+    conflicts,
+    example_idx,
+    example_threads,
+});
+
 #[derive(Debug, Clone, Copy, Default)]
 struct LastAccess {
     /// False until the element's first access of the launch.

@@ -25,6 +25,9 @@ pub use validate::validate_directive;
 use openarc_minic::span::Diagnostic;
 use openarc_minic::{Pragma, Stmt};
 
+// Cached kernel and data-region tables carry these as one-byte codes.
+openarc_trace::wire_codes!(DataClauseKind, ReductionOp);
+
 /// Parse all `acc` pragmas attached to a statement. Non-`acc` pragmas are
 /// skipped.
 pub fn directives_of(stmt: &Stmt) -> Result<Vec<(Directive, &Pragma)>, Diagnostic> {

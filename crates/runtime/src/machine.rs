@@ -53,6 +53,15 @@ impl TransferStats {
     }
 }
 
+openarc_trace::wire_record!(TransferStats {
+    h2d_bytes,
+    d2h_bytes,
+    h2d_count,
+    d2h_count,
+    dev_allocs,
+    dev_frees,
+});
+
 /// The whole simulated platform.
 #[derive(Debug)]
 pub struct Machine {

@@ -81,6 +81,21 @@ pub struct Issue {
     pub loop_context: Vec<(String, i64)>,
 }
 
+openarc_trace::wire_codes!(IssueKind);
+
+/// Wire codes of an issue's optional transfer direction: one byte, not an
+/// `Option` tag followed by a code.
+const DIRECTIONS: [Option<Direction>; 3] =
+    [None, Some(Direction::ToDevice), Some(Direction::ToHost)];
+
+openarc_trace::wire_record!(Issue {
+    kind,
+    var,
+    site,
+    direction [in DIRECTIONS],
+    loop_context,
+});
+
 impl fmt::Display for Issue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let ctx = if self.loop_context.is_empty() {

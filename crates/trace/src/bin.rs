@@ -1,4 +1,5 @@
-//! Little-endian binary primitives and the binary [`TraceEvent`] codec.
+//! Little-endian binary primitives, the [`Wire`] trait every OARCBIN
+//! record implements, and the binary [`TraceEvent`] codec.
 //!
 //! This module is the bottom layer of the cache's binary artifact format
 //! (`docs/FORMAT.md`): a [`Writer`] that appends fixed-width
@@ -13,6 +14,21 @@
 //! [`write_events`]/[`read_events`] are the one encoding of a journal:
 //! cached run artifacts embed it, and a served reply carries it (base64
 //! inside the JSON line, `core::api`).
+//!
+//! ## One wire declaration per type
+//!
+//! A type's wire shape is declared once, and both directions of [`Wire`]
+//! are generated from that declaration: [`wire_record!`] lists a record's
+//! fields in wire order, [`wire_enum!`] lists an enum's one-byte tags and
+//! each variant's payload fields, and [`wire_codes!`] sends a closed enum
+//! as its code in `ALL`. An encoder and its decoder therefore cannot drift
+//! apart. The generic impls below supply the shapes the declarations
+//! compose: primitives, `String`, `Box`, `Option`, `Vec`, tuples and
+//! maps (sorted by key).
+//!
+//! [`wire_record!`]: crate::wire_record
+//! [`wire_enum!`]: crate::wire_enum
+//! [`wire_codes!`]: crate::wire_codes
 //!
 //! ## Representation contract
 //!
@@ -43,6 +59,8 @@
 use crate::event::{
     CacheOp, Category, Cause, EventKind, Phase, Severity, Side, St, TraceEvent, Track,
 };
+use std::collections::HashMap;
+use std::hash::Hash;
 
 /// Appends fixed-width little-endian primitives to a byte buffer.
 ///
@@ -145,14 +163,11 @@ impl Writer {
         self.put_u8(code as u8);
     }
 
-    /// Append an `Option<i64>` (`u8` tag + payload when `Some`).
-    pub fn put_opt_i64(&mut self, v: Option<i64>) {
-        match v {
-            None => self.put_u8(0),
-            Some(x) => {
-                self.put_u8(1);
-                self.put_i64(x);
-            }
+    /// Append a sequence: its `u32` count, then each element.
+    pub fn put_seq<T: Wire>(&mut self, xs: &[T]) {
+        self.put_seq_len(xs.len());
+        for x in xs {
+            x.put(self);
         }
     }
 
@@ -303,244 +318,353 @@ impl<'a> Reader<'a> {
             .ok_or_else(|| self.err(&format!("unknown {what} code {c}")))
     }
 
-    /// Read an `Option<i64>` written by [`Writer::put_opt_i64`].
-    pub fn opt_i64(&mut self) -> Result<Option<i64>, String> {
-        match self.u8()? {
+    /// Read a sequence written by [`Writer::put_seq`].
+    pub fn seq<T: Wire>(&mut self) -> Result<Vec<T>, String> {
+        let n = self.seq_len()?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(T::get(self)?);
+        }
+        Ok(out)
+    }
+}
+
+/// A type with one declared wire shape.
+///
+/// Implement it through [`wire_record!`], [`wire_enum!`] or
+/// [`wire_codes!`], never by hand outside this module: the declaration
+/// is then the only place the shape is spelled.
+///
+/// [`wire_record!`]: crate::wire_record
+/// [`wire_enum!`]: crate::wire_enum
+/// [`wire_codes!`]: crate::wire_codes
+pub trait Wire: Sized {
+    /// Append this value's encoding.
+    fn put(&self, w: &mut Writer);
+    /// Decode one value written by [`Wire::put`].
+    fn get(r: &mut Reader<'_>) -> Result<Self, String>;
+}
+
+/// The tag and the payload of a [`wire_enum!`] type, apart: a record whose
+/// wire form puts other fields between them (a [`TraceEvent`]) names the
+/// two halves in its declaration.
+///
+/// [`wire_enum!`]: crate::wire_enum
+pub trait Tagged: Sized {
+    /// The variant's one-byte tag.
+    fn tag(&self) -> u8;
+    /// Append the variant's payload fields.
+    fn put_fields(&self, w: &mut Writer);
+    /// Decode the payload of the variant tagged `tag`.
+    fn get_fields(tag: u8, r: &mut Reader<'_>) -> Result<Self, String>;
+}
+
+macro_rules! wire_primitives {
+    ($($t:ty => $put:ident / $get:ident),+ $(,)?) => {$(
+        impl Wire for $t {
+            fn put(&self, w: &mut Writer) {
+                w.$put(*self)
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, String> {
+                r.$get()
+            }
+        }
+    )+};
+}
+
+wire_primitives! {
+    u8 => put_u8 / u8,
+    u16 => put_u16 / u16,
+    u32 => put_u32 / u32,
+    u64 => put_u64 / u64,
+    i64 => put_i64 / i64,
+    f32 => put_f32 / f32,
+    f64 => put_f64 / f64,
+    bool => put_bool / bool,
+}
+
+/// A `usize` (an index into a table) travels as a `u64`.
+impl Wire for usize {
+    fn put(&self, w: &mut Writer) {
+        w.put_u64(*self as u64)
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, String> {
+        let x = r.u64()?;
+        usize::try_from(x).map_err(|_| r.err(&format!("index {x} overflows usize")))
+    }
+}
+
+impl Wire for String {
+    fn put(&self, w: &mut Writer) {
+        w.put_str(self)
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, String> {
+        r.string()
+    }
+}
+
+impl<T: Wire> Wire for Box<T> {
+    fn put(&self, w: &mut Writer) {
+        (**self).put(w)
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, String> {
+        Ok(Box::new(T::get(r)?))
+    }
+}
+
+/// A `u8` tag, `0` for `None` and `1` for `Some`, then the payload.
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, w: &mut Writer) {
+        match self {
+            None => w.put_u8(0),
+            Some(x) => {
+                w.put_u8(1);
+                x.put(w);
+            }
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, String> {
+        match r.u8()? {
             0 => Ok(None),
-            1 => Ok(Some(self.i64()?)),
-            b => Err(self.err(&format!("invalid Option tag {b:#04x}"))),
+            1 => Ok(Some(T::get(r)?)),
+            b => Err(r.err(&format!("invalid Option tag {b:#04x}"))),
         }
     }
 }
 
-/// One-byte event-kind tags, in the normative order of `docs/FORMAT.md`.
-mod tag {
-    pub const SLICE: u8 = 0;
-    pub const LAUNCH: u8 = 1;
-    pub const COMPLETE: u8 = 2;
-    pub const ALLOC: u8 = 3;
-    pub const FREE: u8 = 4;
-    pub const TRANSFER: u8 = 5;
-    pub const PRESENT_HIT: u8 = 6;
-    pub const PRESENT_MISS: u8 = 7;
-    pub const COHERENCE: u8 = 8;
-    pub const FINDING: u8 = 9;
-    pub const VERIFICATION: u8 = 10;
-    pub const STAGE: u8 = 11;
-    pub const CACHE: u8 = 12;
-    pub const SERVE: u8 = 13;
-}
-
-/// Encode one event: kind tag, timestamps as bit patterns, track, then
-/// the kind's payload fields in declaration order.
-pub fn write_event(w: &mut Writer, ev: &TraceEvent) {
-    let t = match &ev.kind {
-        EventKind::Slice { .. } => tag::SLICE,
-        EventKind::KernelLaunch { .. } => tag::LAUNCH,
-        EventKind::KernelComplete { .. } => tag::COMPLETE,
-        EventKind::DevAlloc { .. } => tag::ALLOC,
-        EventKind::DevFree { .. } => tag::FREE,
-        EventKind::Transfer { .. } => tag::TRANSFER,
-        EventKind::PresentHit { .. } => tag::PRESENT_HIT,
-        EventKind::PresentMiss { .. } => tag::PRESENT_MISS,
-        EventKind::Coherence { .. } => tag::COHERENCE,
-        EventKind::Finding { .. } => tag::FINDING,
-        EventKind::Verification { .. } => tag::VERIFICATION,
-        EventKind::Stage { .. } => tag::STAGE,
-        EventKind::Cache { .. } => tag::CACHE,
-        EventKind::Serve { .. } => tag::SERVE,
-    };
-    w.put_u8(t);
-    w.put_f64(ev.ts_us);
-    w.put_f64(ev.dur_us);
-    // Track: option tag over the queue id, then (present only for queue
-    // tracks) the owning device id.
-    w.put_opt_i64(ev.track.queue());
-    if let Some(dev) = ev.track.device() {
-        w.put_u32(dev);
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, w: &mut Writer) {
+        w.put_seq(self)
     }
-    match &ev.kind {
-        EventKind::Slice { cat } => w.put_code(&Category::ALL, *cat),
-        EventKind::KernelLaunch {
-            kernel,
-            n_threads,
-            queue,
-            dev,
-        } => {
-            w.put_str(kernel);
-            w.put_u64(*n_threads);
-            w.put_opt_i64(*queue);
-            w.put_u32(*dev);
-        }
-        EventKind::KernelComplete { kernel } => w.put_str(kernel),
-        EventKind::DevAlloc { var, bytes } => {
-            w.put_str(var);
-            w.put_u64(*bytes);
-        }
-        EventKind::DevFree { var } => w.put_str(var),
-        EventKind::Transfer {
-            var,
-            site,
-            bytes,
-            to_device,
-        } => {
-            w.put_str(var);
-            w.put_str(site);
-            w.put_u64(*bytes);
-            w.put_bool(*to_device);
-        }
-        EventKind::PresentHit { var } | EventKind::PresentMiss { var } => w.put_str(var),
-        EventKind::Coherence {
-            var,
-            side,
-            from,
-            to,
-            cause,
-        } => {
-            w.put_str(var);
-            w.put_code(&Side::ALL, *side);
-            w.put_code(&St::ALL, *from);
-            w.put_code(&St::ALL, *to);
-            w.put_code(&Cause::ALL, *cause);
-        }
-        EventKind::Finding {
-            severity,
-            kind,
-            var,
-            site,
-            message,
-        } => {
-            w.put_code(&Severity::ALL, *severity);
-            w.put_str(kind);
-            w.put_str(var);
-            w.put_str(site);
-            w.put_str(message);
-        }
-        EventKind::Verification {
-            kernel,
-            passed,
-            compared_elems,
-            mismatched_elems,
-            max_abs_err,
-        } => {
-            w.put_str(kernel);
-            w.put_bool(*passed);
-            w.put_u64(*compared_elems);
-            w.put_u64(*mismatched_elems);
-            w.put_f64(*max_abs_err);
-        }
-        EventKind::Stage { stage, cached } => {
-            w.put_code(&Phase::ALL, *stage);
-            w.put_bool(*cached);
-        }
-        EventKind::Cache { stage, op } => {
-            w.put_code(&Phase::ALL, *stage);
-            w.put_code(&CacheOp::ALL, *op);
-        }
-        EventKind::Serve { gauge, value } => {
-            w.put_str(gauge);
-            w.put_f64(*value);
-        }
+    fn get(r: &mut Reader<'_>) -> Result<Self, String> {
+        r.seq()
     }
 }
 
-/// Decode one event written by [`write_event`].
-pub fn read_event(r: &mut Reader<'_>) -> Result<TraceEvent, String> {
-    let t = r.u8()?;
-    let ts_us = r.f64()?;
-    let dur_us = r.f64()?;
-    let track = match r.opt_i64()? {
-        None => Track::Host,
-        Some(q) => Track::Queue {
-            dev: r.u32()?,
-            id: q,
-        },
-    };
-    let kind = match t {
-        tag::SLICE => EventKind::Slice {
-            cat: r.code(&Category::ALL, "category")?,
-        },
-        tag::LAUNCH => EventKind::KernelLaunch {
-            kernel: r.string()?,
-            n_threads: r.u64()?,
-            queue: r.opt_i64()?,
-            dev: r.u32()?,
-        },
-        tag::COMPLETE => EventKind::KernelComplete {
-            kernel: r.string()?,
-        },
-        tag::ALLOC => EventKind::DevAlloc {
-            var: r.string()?,
-            bytes: r.u64()?,
-        },
-        tag::FREE => EventKind::DevFree { var: r.string()? },
-        tag::TRANSFER => EventKind::Transfer {
-            var: r.string()?,
-            site: r.string()?,
-            bytes: r.u64()?,
-            to_device: r.bool()?,
-        },
-        tag::PRESENT_HIT => EventKind::PresentHit { var: r.string()? },
-        tag::PRESENT_MISS => EventKind::PresentMiss { var: r.string()? },
-        tag::COHERENCE => EventKind::Coherence {
-            var: r.string()?,
-            side: r.code(&Side::ALL, "side")?,
-            from: r.code(&St::ALL, "state")?,
-            to: r.code(&St::ALL, "state")?,
-            cause: r.code(&Cause::ALL, "cause")?,
-        },
-        tag::FINDING => EventKind::Finding {
-            severity: r.code(&Severity::ALL, "severity")?,
-            kind: r.string()?,
-            var: r.string()?,
-            site: r.string()?,
-            message: r.string()?,
-        },
-        tag::VERIFICATION => EventKind::Verification {
-            kernel: r.string()?,
-            passed: r.bool()?,
-            compared_elems: r.u64()?,
-            mismatched_elems: r.u64()?,
-            max_abs_err: r.f64()?,
-        },
-        tag::STAGE => EventKind::Stage {
-            stage: r.code(&Phase::ALL, "stage")?,
-            cached: r.bool()?,
-        },
-        tag::CACHE => EventKind::Cache {
-            stage: r.code(&Phase::ALL, "stage")?,
-            op: r.code(&CacheOp::ALL, "cache op")?,
-        },
-        tag::SERVE => EventKind::Serve {
-            gauge: r.string()?,
-            value: r.f64()?,
-        },
-        other => return Err(format!("unknown event tag {other}")),
-    };
-    Ok(TraceEvent {
-        ts_us,
-        dur_us,
-        track,
-        kind,
-    })
+macro_rules! wire_tuples {
+    ($(($($t:ident),+)),+ $(,)?) => {$(
+        #[allow(non_snake_case)]
+        impl<$($t: Wire),+> Wire for ($($t,)+) {
+            fn put(&self, w: &mut Writer) {
+                let ($($t,)+) = self;
+                $($t.put(w);)+
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, String> {
+                Ok(($($t::get(r)?,)+))
+            }
+        }
+    )+};
 }
+
+wire_tuples!((A, B), (A, B, C));
+
+/// A map travels as a sequence of `(key, value)` pairs sorted by key, so
+/// equal maps encode to equal bytes.
+impl<K: Wire + Ord + Hash, V: Wire> Wire for HashMap<K, V> {
+    fn put(&self, w: &mut Writer) {
+        let mut entries: Vec<(&K, &V)> = self.iter().collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        w.put_seq_len(entries.len());
+        for (k, v) in entries {
+            k.put(w);
+            v.put(w);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, String> {
+        let n = r.seq_len()?;
+        let mut out = HashMap::with_capacity(n);
+        for _ in 0..n {
+            let k = K::get(r)?;
+            out.insert(k, V::get(r)?);
+        }
+        Ok(out)
+    }
+}
+
+/// Declare closed enums that travel as one-byte codes: each value's
+/// position in its type's `ALL` table (`docs/FORMAT.md` §10).
+#[macro_export]
+macro_rules! wire_codes {
+    ($($ty:ident),+ $(,)?) => {$(
+        impl $crate::bin::Wire for $ty {
+            fn put(&self, w: &mut $crate::bin::Writer) {
+                w.put_code(&$ty::ALL, *self)
+            }
+            fn get(r: &mut $crate::bin::Reader<'_>) -> ::std::result::Result<Self, String> {
+                r.code(&$ty::ALL, stringify!($ty))
+            }
+        }
+    )+};
+}
+
+/// Declare a record's wire shape: its fields in wire order.
+///
+/// `Name(a, b)` declares a tuple struct. A named-field record lists each
+/// field once; a field may carry one bracketed form:
+///
+/// * `f [in TABLE]`: a closed code, `f`'s position in `TABLE`;
+/// * `f [via W: to, from]`: the field travels as wire type `W`, converted
+///   by the closures `to(&field) -> W` and `from(W) -> field` (a field
+///   whose wire width differs from its Rust type);
+/// * `f [tag]` and later `f [fields]`: the two halves of a [`Tagged`]
+///   enum field, for a record that puts other fields between them.
+///
+/// `=> expr` builds the value from the decoded fields when the record
+/// holds more than it sends (indexes rebuilt on decode).
+#[macro_export]
+macro_rules! wire_record {
+    (@build $ty:ident { $($f:ident),+ }) => { $ty { $($f),+ } };
+    (@build $ty:ident { $($f:ident),+ } $ctor:expr) => { $ctor };
+    ($ty:ident ( $($f:ident),+ $(,)? )) => {
+        impl $crate::bin::Wire for $ty {
+            fn put(&self, w: &mut $crate::bin::Writer) {
+                let $ty($($f),+) = self;
+                $($crate::bin::Wire::put($f, w);)+
+            }
+            fn get(r: &mut $crate::bin::Reader<'_>) -> ::std::result::Result<Self, String> {
+                $(let $f = $crate::bin::Wire::get(r)?;)+
+                Ok($ty($($f),+))
+            }
+        }
+    };
+    ($ty:ident { $($f:ident $([$($how:tt)+])?),+ $(,)? } $(=> $ctor:expr)?) => {
+        impl $crate::bin::Wire for $ty {
+            fn put(&self, w: &mut $crate::bin::Writer) {
+                $($crate::__wire_put!(w, self.$f $(, $($how)+)?);)+
+            }
+            fn get(r: &mut $crate::bin::Reader<'_>) -> ::std::result::Result<Self, String> {
+                $(let $f = $crate::__wire_get!(r, $f $(, $($how)+)?);)+
+                Ok($crate::wire_record!(@build $ty { $($f),+ } $($ctor)?))
+            }
+        }
+    };
+}
+
+/// One field's encoder in a `wire_record!` declaration.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __wire_put {
+    ($w:ident, $v:expr) => {
+        $crate::bin::Wire::put(&$v, $w)
+    };
+    ($w:ident, $v:expr, in $table:expr) => {
+        $w.put_code(&$table, $v)
+    };
+    ($w:ident, $v:expr, via $wt:ty: $to:expr, $from:expr) => {
+        $crate::bin::Wire::put(&($to)(&$v), $w)
+    };
+    ($w:ident, $v:expr, tag) => {
+        $w.put_u8($crate::bin::Tagged::tag(&$v))
+    };
+    ($w:ident, $v:expr, fields) => {
+        $crate::bin::Tagged::put_fields(&$v, $w)
+    };
+}
+
+/// One field's decoder in a `wire_record!` declaration.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __wire_get {
+    ($r:ident, $f:ident) => {
+        $crate::bin::Wire::get($r)?
+    };
+    ($r:ident, $f:ident, in $table:expr) => {
+        $r.code(&$table, stringify!($f))?
+    };
+    ($r:ident, $f:ident, via $wt:ty: $to:expr, $from:expr) => {
+        ($from)(<$wt as $crate::bin::Wire>::get($r)?)
+    };
+    ($r:ident, $f:ident, tag) => {
+        $r.u8()?
+    };
+    ($r:ident, $f:ident, fields) => {
+        $crate::bin::Tagged::get_fields($f, $r)?
+    };
+}
+
+/// Declare a tagged enum's wire shape: each variant's one-byte tag, then
+/// its payload fields in wire order (`V`, `V(a, b)` or `V { a, b }`).
+#[macro_export]
+macro_rules! wire_enum {
+    ($ty:ident { $($tag:literal => $v:ident $(( $($a:ident),+ ))? $({ $($f:ident),+ })?),+ $(,)? }) => {
+        impl $crate::bin::Tagged for $ty {
+            fn tag(&self) -> u8 {
+                match self {
+                    $($ty::$v { .. } => $tag,)+
+                }
+            }
+            fn put_fields(&self, w: &mut $crate::bin::Writer) {
+                match self {
+                    $($ty::$v $(( $($a),+ ))? $({ $($f),+ })? => {
+                        $($($crate::bin::Wire::put($a, w);)+)?
+                        $($($crate::bin::Wire::put($f, w);)+)?
+                    })+
+                }
+            }
+            fn get_fields(
+                tag: u8,
+                r: &mut $crate::bin::Reader<'_>,
+            ) -> ::std::result::Result<Self, String> {
+                Ok(match tag {
+                    $($tag => {
+                        $($(let $a = $crate::bin::Wire::get(r)?;)+)?
+                        $($(let $f = $crate::bin::Wire::get(r)?;)+)?
+                        $ty::$v $(( $($a),+ ))? $({ $($f),+ })?
+                    })+
+                    t => return Err(r.err(&format!("unknown {} tag {t}", stringify!($ty)))),
+                })
+            }
+        }
+        impl $crate::bin::Wire for $ty {
+            fn put(&self, w: &mut $crate::bin::Writer) {
+                w.put_u8($crate::bin::Tagged::tag(self));
+                $crate::bin::Tagged::put_fields(self, w)
+            }
+            fn get(r: &mut $crate::bin::Reader<'_>) -> ::std::result::Result<Self, String> {
+                let tag = r.u8()?;
+                $crate::bin::Tagged::get_fields(tag, r)
+            }
+        }
+    };
+}
+
+wire_codes!(Category, Side, St, Cause, Severity, Phase, CacheOp);
+
+// A host event has no queue; a queue event names its queue, then its device.
+wire_enum!(Track {
+    0 => Host,
+    1 => Queue { id, dev },
+});
+
+wire_enum!(EventKind {
+    0 => Slice { cat },
+    1 => KernelLaunch { kernel, n_threads, queue, dev },
+    2 => KernelComplete { kernel },
+    3 => DevAlloc { var, bytes },
+    4 => DevFree { var },
+    5 => Transfer { var, site, bytes, to_device },
+    6 => PresentHit { var },
+    7 => PresentMiss { var },
+    8 => Coherence { var, side, from, to, cause },
+    9 => Finding { severity, kind, var, site, message },
+    10 => Verification { kernel, passed, compared_elems, mismatched_elems, max_abs_err },
+    11 => Stage { stage, cached },
+    12 => Cache { stage, op },
+    13 => Serve { gauge, value },
+});
+
+// The kind's tag leads, its payload trails the timestamps and the track.
+wire_record!(TraceEvent { kind [tag], ts_us, dur_us, track, kind [fields] }
+    => TraceEvent { ts_us, dur_us, track, kind });
 
 /// Encode a whole event stream (`u32` count + events).
 pub fn write_events(w: &mut Writer, events: &[TraceEvent]) {
-    w.put_seq_len(events.len());
-    for ev in events {
-        write_event(w, ev);
-    }
+    w.put_seq(events);
 }
 
 /// Decode an event stream written by [`write_events`].
 pub fn read_events(r: &mut Reader<'_>) -> Result<Vec<TraceEvent>, String> {
-    let n = r.seq_len()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(read_event(r)?);
-    }
-    Ok(out)
+    r.seq()
 }
 
 #[cfg(test)]
@@ -702,7 +826,7 @@ mod tests {
         w.put_u8(200);
         w.put_f64(0.0);
         w.put_f64(0.0);
-        w.put_opt_i64(None);
+        None::<i64>.put(&mut w);
         let bytes = w.into_bytes();
         assert!(read_events(&mut Reader::new(&bytes)).is_err());
 
@@ -757,7 +881,7 @@ mod tests {
         w.put_u8(4); // DevFree tag
         w.put_f64(0.0);
         w.put_f64(0.0);
-        w.put_opt_i64(None);
+        None::<i64>.put(&mut w);
         w.put_u32(2);
         w.put_bytes(&[0xff, 0xfe]);
         let bytes = w.into_bytes();

@@ -1,4 +1,4 @@
-//! Binary codec for compiled [`Module`]s, runtime [`Value`]s and
+//! Wire declarations for compiled [`Module`]s, runtime [`Value`]s and
 //! [`MemSpace`] snapshots — the bytecode half of the cache's binary
 //! artifact format (`docs/FORMAT.md` §Module/§MemSpace).
 //!
@@ -8,351 +8,81 @@
 //! globals stay valid; the encoding is fixed-width little-endian
 //! primitives with one-byte opcodes for instructions and value tags, and
 //! one-byte codes (positions in each enum's `ALL`) for intrinsics, scalar
-//! types and operators. Decoding never panics; malformed bytes come back as
-//! `Err(String)`.
+//! types and operators. Each shape is declared once below and
+//! `openarc_trace::bin::Wire` generates both directions. Decoding never
+//! panics; malformed bytes come back as `Err(String)`.
 
 use crate::bytecode::{Chunk, GlobalInfo, Instr, Module};
 use crate::mem::{BufData, Buffer, MemSpace};
 use crate::value::{Handle, Value};
-use openarc_minic::ast::{BinOp, UnOp};
-use openarc_minic::binio::{read_ty, write_ty};
-use openarc_minic::{Intrinsic, ScalarTy};
-use openarc_trace::bin::{Reader, Writer};
+use openarc_trace::bin::{Wire, Writer};
+use openarc_trace::{wire_enum, wire_record};
 
-type R<T> = Result<T, String>;
+wire_record!(Handle(slot));
 
-// ---------------------------------------------------------------------------
-// Values
+wire_enum!(Value {
+    0 => Int(x),
+    1 => F32(x),
+    2 => F64(x),
+    3 => Ptr(h),
+});
 
-/// Encode a runtime value: a one-byte tag (`Int`=0, `F32`=1, `F64`=2,
-/// `Ptr`=3) followed by the payload; floats as bit patterns.
-pub fn write_value(w: &mut Writer, v: &Value) {
-    match v {
-        Value::Int(x) => {
-            w.put_u8(0);
-            w.put_i64(*x);
-        }
-        Value::F32(x) => {
-            w.put_u8(1);
-            w.put_f32(*x);
-        }
-        Value::F64(x) => {
-            w.put_u8(2);
-            w.put_f64(*x);
-        }
-        Value::Ptr(h) => {
-            w.put_u8(3);
-            w.put_u32(h.0);
-        }
-    }
-}
+wire_enum!(BufData {
+    0 => I64(v),
+    1 => F32(v),
+    2 => F64(v),
+});
 
-/// Decode a value written by [`write_value`].
-pub fn read_value(r: &mut Reader<'_>) -> R<Value> {
-    match r.u8()? {
-        0 => Ok(Value::Int(r.i64()?)),
-        1 => Ok(Value::F32(r.f32()?)),
-        2 => Ok(Value::F64(r.f64()?)),
-        3 => Ok(Value::Ptr(Handle(r.u32()?))),
-        c => Err(r.err(&format!("unknown value tag {c}"))),
-    }
-}
+wire_record!(Buffer { elem, label, data });
 
-// ---------------------------------------------------------------------------
-// Memory
+// Freed slots travel as absent `Option`s, so slot numbering survives.
+wire_record!(MemSpace { peak_bytes, bufs } => MemSpace::restore(bufs, peak_bytes));
 
-fn write_buffer(w: &mut Writer, b: &Buffer) {
-    w.put_code(&ScalarTy::ALL, b.elem);
-    w.put_str(&b.label);
-    match &b.data {
-        BufData::I64(v) => {
-            w.put_u8(0);
-            w.put_seq_len(v.len());
-            for x in v {
-                w.put_i64(*x);
-            }
-        }
-        BufData::F32(v) => {
-            w.put_u8(1);
-            w.put_seq_len(v.len());
-            for x in v {
-                w.put_f32(*x);
-            }
-        }
-        BufData::F64(v) => {
-            w.put_u8(2);
-            w.put_seq_len(v.len());
-            for x in v {
-                w.put_f64(*x);
-            }
-        }
-    }
-}
+wire_enum!(Instr {
+    0 => Const(x),
+    1 => LoadLocal(x),
+    2 => StoreLocal(x),
+    3 => LoadGlobal(x),
+    4 => StoreGlobal(x),
+    5 => LoadElem,
+    6 => StoreElem,
+    7 => Bin(op),
+    8 => Un(op),
+    9 => Cast(s),
+    10 => Jump(x),
+    11 => JumpIfFalse(x),
+    12 => JumpIfTrue(x),
+    13 => Call(x),
+    14 => CallIntrinsic(i),
+    15 => Malloc(s, label),
+    16 => Free,
+    17 => Return,
+    18 => ReturnVoid,
+    19 => HostOp(x),
+    20 => Pop,
+    21 => Dup,
+});
 
-fn read_buffer(r: &mut Reader<'_>) -> R<Buffer> {
-    let elem = r.code(&ScalarTy::ALL, "scalar type")?;
-    let label = r.string()?;
-    let data = match r.u8()? {
-        0 => {
-            let n = r.seq_len()?;
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                v.push(r.i64()?);
-            }
-            BufData::I64(v)
-        }
-        1 => {
-            let n = r.seq_len()?;
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                v.push(r.f32()?);
-            }
-            BufData::F32(v)
-        }
-        2 => {
-            let n = r.seq_len()?;
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                v.push(r.f64()?);
-            }
-            BufData::F64(v)
-        }
-        c => return Err(r.err(&format!("unknown buffer data tag {c}"))),
-    };
-    Ok(Buffer { elem, data, label })
-}
+wire_record!(Chunk {
+    name,
+    code,
+    consts,
+    n_params,
+    n_locals,
+    local_names,
+    local_tys,
+    labels
+});
 
-/// Encode a memory-space snapshot, preserving slot numbering (freed
-/// slots serialize as an absent `Option`).
-pub fn write_memspace(w: &mut Writer, m: &MemSpace) {
-    w.put_u64(m.peak_bytes());
-    w.put_seq_len(m.slots().len());
-    for s in m.slots() {
-        match s {
-            None => w.put_u8(0),
-            Some(b) => {
-                w.put_u8(1);
-                write_buffer(w, b);
-            }
-        }
-    }
-}
+wire_record!(GlobalInfo { name, ty });
 
-/// Decode a memory space written by [`write_memspace`].
-pub fn read_memspace(r: &mut Reader<'_>) -> R<MemSpace> {
-    let peak = r.u64()?;
-    let n = r.seq_len()?;
-    let mut slots = Vec::with_capacity(n);
-    for _ in 0..n {
-        slots.push(match r.u8()? {
-            0 => None,
-            1 => Some(read_buffer(r)?),
-            c => return Err(r.err(&format!("invalid Option tag {c:#04x}"))),
-        });
-    }
-    Ok(MemSpace::restore(slots, peak))
-}
+// The name→index maps are rebuilt from the chunk and global order, so
+// they are not stored.
+wire_record!(Module { chunks, globals } => indexed(chunks, globals)?);
 
-// ---------------------------------------------------------------------------
-// Bytecode
-
-fn write_instr(w: &mut Writer, i: &Instr) {
-    match i {
-        Instr::Const(x) => {
-            w.put_u8(0);
-            w.put_u16(*x);
-        }
-        Instr::LoadLocal(x) => {
-            w.put_u8(1);
-            w.put_u16(*x);
-        }
-        Instr::StoreLocal(x) => {
-            w.put_u8(2);
-            w.put_u16(*x);
-        }
-        Instr::LoadGlobal(x) => {
-            w.put_u8(3);
-            w.put_u16(*x);
-        }
-        Instr::StoreGlobal(x) => {
-            w.put_u8(4);
-            w.put_u16(*x);
-        }
-        Instr::LoadElem => w.put_u8(5),
-        Instr::StoreElem => w.put_u8(6),
-        Instr::Bin(op) => {
-            w.put_u8(7);
-            w.put_code(&BinOp::ALL, *op);
-        }
-        Instr::Un(op) => {
-            w.put_u8(8);
-            w.put_code(&UnOp::ALL, *op);
-        }
-        Instr::Cast(s) => {
-            w.put_u8(9);
-            w.put_code(&ScalarTy::ALL, *s);
-        }
-        Instr::Jump(x) => {
-            w.put_u8(10);
-            w.put_u32(*x);
-        }
-        Instr::JumpIfFalse(x) => {
-            w.put_u8(11);
-            w.put_u32(*x);
-        }
-        Instr::JumpIfTrue(x) => {
-            w.put_u8(12);
-            w.put_u32(*x);
-        }
-        Instr::Call(x) => {
-            w.put_u8(13);
-            w.put_u16(*x);
-        }
-        Instr::CallIntrinsic(i) => {
-            w.put_u8(14);
-            w.put_code(&Intrinsic::ALL, *i);
-        }
-        Instr::Malloc(s, l) => {
-            w.put_u8(15);
-            w.put_code(&ScalarTy::ALL, *s);
-            w.put_u16(*l);
-        }
-        Instr::Free => w.put_u8(16),
-        Instr::Return => w.put_u8(17),
-        Instr::ReturnVoid => w.put_u8(18),
-        Instr::HostOp(x) => {
-            w.put_u8(19);
-            w.put_u16(*x);
-        }
-        Instr::Pop => w.put_u8(20),
-        Instr::Dup => w.put_u8(21),
-    }
-}
-
-fn read_instr(r: &mut Reader<'_>) -> R<Instr> {
-    Ok(match r.u8()? {
-        0 => Instr::Const(r.u16()?),
-        1 => Instr::LoadLocal(r.u16()?),
-        2 => Instr::StoreLocal(r.u16()?),
-        3 => Instr::LoadGlobal(r.u16()?),
-        4 => Instr::StoreGlobal(r.u16()?),
-        5 => Instr::LoadElem,
-        6 => Instr::StoreElem,
-        7 => Instr::Bin(r.code(&BinOp::ALL, "binary op")?),
-        8 => Instr::Un(r.code(&UnOp::ALL, "unary op")?),
-        9 => Instr::Cast(r.code(&ScalarTy::ALL, "scalar type")?),
-        10 => Instr::Jump(r.u32()?),
-        11 => Instr::JumpIfFalse(r.u32()?),
-        12 => Instr::JumpIfTrue(r.u32()?),
-        13 => Instr::Call(r.u16()?),
-        14 => Instr::CallIntrinsic(r.code(&Intrinsic::ALL, "intrinsic")?),
-        15 => Instr::Malloc(r.code(&ScalarTy::ALL, "scalar type")?, r.u16()?),
-        16 => Instr::Free,
-        17 => Instr::Return,
-        18 => Instr::ReturnVoid,
-        19 => Instr::HostOp(r.u16()?),
-        20 => Instr::Pop,
-        21 => Instr::Dup,
-        c => return Err(r.err(&format!("unknown instr opcode {c}"))),
-    })
-}
-
-fn write_chunk(w: &mut Writer, c: &Chunk) {
-    w.put_str(&c.name);
-    w.put_seq_len(c.code.len());
-    for i in &c.code {
-        write_instr(w, i);
-    }
-    w.put_seq_len(c.consts.len());
-    for v in &c.consts {
-        write_value(w, v);
-    }
-    w.put_u16(c.n_params);
-    w.put_u16(c.n_locals);
-    w.put_seq_len(c.local_names.len());
-    for s in &c.local_names {
-        w.put_str(s);
-    }
-    w.put_seq_len(c.local_tys.len());
-    for ty in &c.local_tys {
-        write_ty(w, ty);
-    }
-    w.put_seq_len(c.labels.len());
-    for s in &c.labels {
-        w.put_str(s);
-    }
-}
-
-fn read_chunk(r: &mut Reader<'_>) -> R<Chunk> {
-    let name = r.string()?;
-    let n = r.seq_len()?;
-    let mut code = Vec::with_capacity(n);
-    for _ in 0..n {
-        code.push(read_instr(r)?);
-    }
-    let n = r.seq_len()?;
-    let mut consts = Vec::with_capacity(n);
-    for _ in 0..n {
-        consts.push(read_value(r)?);
-    }
-    let n_params = r.u16()?;
-    let n_locals = r.u16()?;
-    let n = r.seq_len()?;
-    let mut local_names = Vec::with_capacity(n);
-    for _ in 0..n {
-        local_names.push(r.string()?);
-    }
-    let n = r.seq_len()?;
-    let mut local_tys = Vec::with_capacity(n);
-    for _ in 0..n {
-        local_tys.push(read_ty(r)?);
-    }
-    let n = r.seq_len()?;
-    let mut labels = Vec::with_capacity(n);
-    for _ in 0..n {
-        labels.push(r.string()?);
-    }
-    Ok(Chunk {
-        name,
-        code,
-        consts,
-        n_params,
-        n_locals,
-        local_names,
-        local_tys,
-        labels,
-    })
-}
-
-/// Encode a compiled module. The name→index maps are rebuilt on decode
-/// from the chunk/global declaration order, so they are not stored.
-pub fn write_module(w: &mut Writer, m: &Module) {
-    w.put_seq_len(m.chunks.len());
-    for c in &m.chunks {
-        write_chunk(w, c);
-    }
-    w.put_seq_len(m.globals.len());
-    for g in &m.globals {
-        w.put_str(&g.name);
-        write_ty(w, &g.ty);
-    }
-}
-
-/// Decode a module written by [`write_module`].
-pub fn read_module(r: &mut Reader<'_>) -> R<Module> {
-    let n = r.seq_len()?;
-    let mut chunks = Vec::with_capacity(n);
-    for _ in 0..n {
-        chunks.push(read_chunk(r)?);
-    }
-    let n = r.seq_len()?;
-    let mut globals = Vec::with_capacity(n);
-    for _ in 0..n {
-        globals.push(GlobalInfo {
-            name: r.string()?,
-            ty: read_ty(r)?,
-        });
-    }
+/// A module over `chunks` and `globals`, with both name→index maps built
+/// from their order.
+fn indexed(chunks: Vec<Chunk>, globals: Vec<GlobalInfo>) -> Result<Module, String> {
     let mut func_index = std::collections::HashMap::new();
     for (i, c) in chunks.iter().enumerate() {
         func_index.insert(
@@ -375,11 +105,18 @@ pub fn read_module(r: &mut Reader<'_>) -> R<Module> {
     })
 }
 
+/// Encode a compiled module: the bytes the launch memo fingerprints and
+/// the translated artifact's module sections hold.
+pub fn write_module(w: &mut Writer, m: &Module) {
+    m.put(w);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use openarc_minic::ast::{BinOp, UnOp};
-    use openarc_minic::{ScalarTy, Ty};
+    use openarc_minic::{Intrinsic, ScalarTy, Ty};
+    use openarc_trace::bin::Reader;
 
     fn sample_module() -> Module {
         let mut c = Chunk {
@@ -455,7 +192,7 @@ mod tests {
         let m = sample_module();
         let bytes = encode_module(&m);
         let mut r = Reader::new(&bytes);
-        let back = read_module(&mut r).unwrap();
+        let back = Module::get(&mut r).unwrap();
         r.expect_end().unwrap();
         assert_eq!(back.chunks.len(), m.chunks.len());
         let (a, b) = (&back.chunks[0], &m.chunks[0]);
@@ -490,10 +227,10 @@ mod tests {
         m.store(h3, 0, Value::Int(-9)).unwrap();
         m.free(h2).unwrap(); // leave a hole so slot numbering matters
         let mut w = Writer::new();
-        write_memspace(&mut w, &m);
+        m.put(&mut w);
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
-        let back = read_memspace(&mut r).unwrap();
+        let back = <MemSpace as Wire>::get(&mut r).unwrap();
         r.expect_end().unwrap();
         assert_eq!(back.allocated_bytes(), m.allocated_bytes());
         assert_eq!(back.peak_bytes(), m.peak_bytes());
@@ -508,7 +245,7 @@ mod tests {
         assert_eq!(back.get(h1).unwrap().label, "a");
         // Deterministic re-encode.
         let mut w2 = Writer::new();
-        write_memspace(&mut w2, &back);
+        back.put(&mut w2);
         assert_eq!(w2.into_bytes(), bytes);
     }
 
@@ -517,7 +254,7 @@ mod tests {
         let bytes = encode_module(&sample_module());
         for cut in 0..bytes.len() {
             let mut r = Reader::new(&bytes[..cut]);
-            let res = read_module(&mut r).and_then(|m| r.expect_end().map(|()| m));
+            let res = Module::get(&mut r).and_then(|m| r.expect_end().map(|()| m));
             assert!(res.is_err(), "truncation at {cut} did not error");
         }
         let mut w = Writer::new();
@@ -526,7 +263,7 @@ mod tests {
         w.put_u32(1); // one instr
         w.put_u8(99); // unknown opcode
         let bytes = w.into_bytes();
-        assert!(read_module(&mut Reader::new(&bytes)).is_err());
-        assert!(read_value(&mut Reader::new(&[9])).is_err());
+        assert!(Module::get(&mut Reader::new(&bytes)).is_err());
+        assert!(Value::get(&mut Reader::new(&[9])).is_err());
     }
 }

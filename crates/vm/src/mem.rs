@@ -136,11 +136,11 @@ impl Buffer {
 #[derive(Debug, Default, Clone)]
 pub struct MemSpace {
     /// Slot 0 is reserved for the null handle.
-    bufs: Vec<Option<Buffer>>,
+    pub(crate) bufs: Vec<Option<Buffer>>,
     /// Total bytes currently allocated.
     allocated_bytes: u64,
     /// High-water mark of allocated bytes.
-    peak_bytes: u64,
+    pub(crate) peak_bytes: u64,
 }
 
 impl MemSpace {
