@@ -43,6 +43,8 @@ fn paper(argv: &[String]) -> Outcome {
     let sw = BenchArgs::parse(Args::new("paper", argv, &usage).with_cache(None))
         .map_err(|e| (2, e))?
         .sweep();
+    // An unwritable `results/` fails before any experiment runs.
+    std::fs::create_dir_all("results").map_err(|e| (2, format!("results: {e}")))?;
     let failed = |e: String| (1, e);
     let problems = experiments::validate_suite(&sw).map_err(failed)?;
     if !problems.is_empty() {
@@ -77,9 +79,7 @@ fn paper(argv: &[String]) -> Outcome {
 /// its `text`.
 fn section(name: &str, json: Json, text: String) -> Result<(), (i32, String)> {
     let path = format!("results/{name}.json");
-    std::fs::create_dir_all("results")
-        .and_then(|()| std::fs::write(&path, json.pretty()))
-        .map_err(|e| (2, format!("{path}: {e}")))?;
+    std::fs::write(&path, json.pretty()).map_err(|e| (2, format!("{path}: {e}")))?;
     emit(&format!("{text}\n"));
     Ok(())
 }

@@ -108,5 +108,11 @@ fn an_unwritable_results_dir_is_an_error() {
     // The same code `openarc fuzz` exits with for an unwritable --report.
     assert_eq!(out.status.code(), Some(2), "{stderr}");
     assert!(stderr.contains("results"), "{stderr}");
+    // `results/` is made before any work: nothing ran, nothing printed.
+    assert!(
+        out.stdout.is_empty(),
+        "{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
     let _ = std::fs::remove_dir_all(&work);
 }

@@ -47,7 +47,7 @@ pub use fuzz::{run_campaign, CampaignConfig, CampaignReport};
 pub use interactive::{optimize_transfers_in_session, InteractiveOutcome, OutputSpec};
 pub use ir::{DataAction, KernelInfo, KernelParam, RtOp};
 pub use knowledge::{KernelAssert, KernelBound, KernelKnowledge};
-pub use options::{parse_verification_options, verification_options_from_env};
+pub use options::parse_verification_options;
 pub use pipeline::{PipelineRun, PipelineStats, Session, Stage};
 pub use sched::{parse_jobs, run_tasks};
 pub use serve::{Server, ServerConfig};

@@ -135,23 +135,6 @@ pub fn parse_verification_options(spec: &str) -> Result<VerifyOptions, OptionErr
     Ok(opts)
 }
 
-/// Read [`VerifyOptions`] from the process environment, mirroring the
-/// paper's interface: `OPENARC_VERIFICATION_OPTIONS` holds the
-/// `verificationOptions` string and `OPENARC_MIN_VALUE_TO_CHECK` overrides
-/// the threshold.
-pub fn verification_options_from_env() -> Result<VerifyOptions, OptionError> {
-    let mut opts = match std::env::var("OPENARC_VERIFICATION_OPTIONS") {
-        Ok(spec) => parse_verification_options(&spec)?,
-        Err(_) => VerifyOptions::default(),
-    };
-    if let Ok(v) = std::env::var("OPENARC_MIN_VALUE_TO_CHECK") {
-        opts.min_value_to_check = v
-            .parse()
-            .map_err(|_| OptionError(format!("bad float `{v}`")))?;
-    }
-    Ok(opts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,17 +288,5 @@ mod tests {
             let err = parse_verification_options(spec).unwrap_err();
             assert!(err.0.contains(needle), "{spec}: {err}");
         }
-    }
-
-    #[test]
-    fn env_interface_round_trips() {
-        // Set-and-read through the documented env vars.
-        std::env::set_var("OPENARC_VERIFICATION_OPTIONS", "kernels=main_kernel1");
-        std::env::set_var("OPENARC_MIN_VALUE_TO_CHECK", "0.5");
-        let v = verification_options_from_env().unwrap();
-        assert!(v.targets.unwrap().contains("main_kernel1"));
-        assert_eq!(v.min_value_to_check, 0.5);
-        std::env::remove_var("OPENARC_VERIFICATION_OPTIONS");
-        std::env::remove_var("OPENARC_MIN_VALUE_TO_CHECK");
     }
 }

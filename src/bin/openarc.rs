@@ -282,6 +282,13 @@ fn fuzz_cmd(rest: &[String]) -> Outcome<ApiError> {
     if replay {
         cfg.max_programs = 0;
     }
+    // An unwritable --out or --report fails before the campaign runs.
+    if let Some(dir) = &out_dir {
+        std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+    }
+    if let Some(parent) = std::path::Path::new(report_path).parent() {
+        std::fs::create_dir_all(parent).map_err(|e| format!("{}: {e}", parent.display()))?;
+    }
     cfg.baseline = openarc::suite::reduced_corpus(openarc::suite::Scale { n: 8, iters: 2 })
         .into_iter()
         .map(|(_, src)| src)
@@ -343,7 +350,6 @@ fn fuzz_cmd(rest: &[String]) -> Outcome<ApiError> {
     }
 
     if let Some(dir) = &out_dir {
-        std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
         for (i, f) in r.findings.iter().enumerate() {
             // Self-contained repro: the header comment carries everything
             // needed to replay the finding by hand.
@@ -369,9 +375,6 @@ fn fuzz_cmd(rest: &[String]) -> Outcome<ApiError> {
     }
 
     let json = openarc::bench::fuzzstats::campaign_json(&r);
-    if let Some(parent) = std::path::Path::new(report_path).parent() {
-        std::fs::create_dir_all(parent).map_err(|e| format!("{}: {e}", parent.display()))?;
-    }
     std::fs::write(report_path, json.pretty()).map_err(|e| format!("{report_path}: {e}"))?;
     text.push_str(&format!("wrote {report_path}\n"));
     Ok((i32::from(!r.findings.is_empty()), text))

@@ -253,6 +253,37 @@ fn closed_pipes_cut_the_output_short_and_keep_code_and_files() {
 }
 
 #[test]
+fn fuzz_fails_fast_on_an_unwritable_report() {
+    let dir = std::env::temp_dir().join(format!("openarc-fuzz-report-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("afile"), "a regular file").unwrap();
+    // A campaign this long runs for minutes; the report's directory is
+    // checked before it starts.
+    let start = std::time::Instant::now();
+    let out = bin()
+        .args(["fuzz", "--seed", "1", "--programs", "50000"])
+        .args(["--report", "afile/x.json"])
+        .current_dir(&dir)
+        .output()
+        .unwrap();
+    let elapsed = start.elapsed();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.contains("afile"), "{err}");
+    assert!(
+        out.stdout.is_empty(),
+        "{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+    assert!(
+        elapsed.as_secs() < 10,
+        "took {elapsed:?}: the campaign ran first"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn cpu_runs_an_i64_min_global_initializer() {
     // `-(i64::MIN)` wraps in the constant evaluator exactly as at run time.
     let src = "int g = -(-9223372036854775807 - 1);\nint h;\nvoid main() { h = -g; }\n";
