@@ -6,7 +6,10 @@
 //!   kernels, coherence checks (when instrumented).
 //! * **CpuOnly** — the reference run: every compute region executes its
 //!   sequential fallback on the host; no device traffic (the normalization
-//!   baseline of Figures 1 and 3).
+//!   baseline of Figures 1 and 3). A Verify run's host executes exactly
+//!   these instructions, so `Session::verify` reads its baseline off the
+//!   verified run ([`RunResult::host_projection`]) instead of running the
+//!   program twice.
 //! * **Verify** — the paper's §III-A kernel verification: target kernels
 //!   run on the device *and* sequentially on the host (asynchronously
 //!   overlapped on the simulated timeline, post-demotion semantics),
@@ -41,9 +44,9 @@ use crate::translate::Translated;
 use env::ExecEnv;
 pub use reduce::red_eval;
 
-use openarc_gpusim::{DeviceId, LaunchConfig, LaunchMemo, RaceReport};
+use openarc_gpusim::{DeviceId, LaunchConfig, LaunchMemo, RaceReport, SimClock, TimeBreakdown};
 use openarc_runtime::Machine;
-use openarc_trace::Journal;
+use openarc_trace::{Category, Journal};
 use openarc_vm::interp::BasicEnv;
 use openarc_vm::{Stop, ThreadState, Value, VmError, Yield, GLOBALS_INIT};
 use std::collections::{BTreeSet, HashMap};
@@ -245,6 +248,41 @@ impl RunResult {
                 )
             }
             _ => None,
+        }
+    }
+
+    /// The `CpuOnly` run of the same translation, read off this Verify
+    /// run, built the way `cache::bin::decode_run` builds a loaded run.
+    ///
+    /// In Verify mode the host executes the instructions of `CpuOnly`
+    /// mode: data, update, wait and check ops are no-ops in both; every
+    /// verified launch runs the same `__seq_*` call on the same arguments
+    /// and keeps its results, and every other launch runs the sequential
+    /// fallback. The only `CpuTime` charges are those instruction charges,
+    /// in the same order, so this run's `CpuTime` total is the `CpuOnly`
+    /// clock to the bit. The projection keeps the host state, the final
+    /// loop context and both counts; it has no device work, no verdicts
+    /// (one default record per kernel), no races and no events.
+    pub fn host_projection(&self) -> RunResult {
+        let cpu = self.machine.clock.breakdown.get(Category::CpuTime);
+        let mut breakdown = TimeBreakdown::default();
+        breakdown.add(Category::CpuTime, cpu);
+        let mut machine = Machine::new(self.machine.host.clone(), false);
+        machine.clock = SimClock::restore(cpu, breakdown, Vec::new());
+        machine.loop_context = self.machine.loop_context.clone();
+        RunResult {
+            machine,
+            verify: self
+                .verify
+                .iter()
+                .map(|k| KernelVerification {
+                    kernel: k.kernel.clone(),
+                    ..Default::default()
+                })
+                .collect(),
+            races: Vec::new(),
+            kernel_launches: self.kernel_launches,
+            host_instrs: self.host_instrs,
         }
     }
 }

@@ -169,14 +169,14 @@ impl ExecEnv<'_> {
             self.store_scalar(var, cpu_final.cast(elem))?;
         }
         // Falsely-shared global scalars: compare the device cell against
-        // the sequential cell; the CPU value stays canonical.
-        for ((var, dh), (_, hh)) in dcells.iter().zip(&hcells) {
+        // the sequential cell; the CPU value stays canonical, written back
+        // as the sequential fallback writes it, so an integer keeps every bit.
+        for ((_, dh), (_, hh)) in dcells.iter().zip(&hcells) {
             let g = self.machine.devices.get(dev).mem.load(*dh, 0)?.as_f64();
             let c = self.machine.host.mem.load(*hh, 0)?.as_f64();
             cmp.add(v, None, c, g);
-            let elem = self.scalar_elem_of(var);
-            self.store_scalar(var, Value::F64(c).cast(elem))?;
         }
+        self.writeback_cells(&hcells, false, dev)?;
         // §III-C assertions on the device results: the `openarc verify
         // assert_*` pragmas attached to the kernel.
         let mut assertion_failures = 0u64;

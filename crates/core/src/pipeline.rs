@@ -37,8 +37,8 @@
 //!   whole-run memo, every device launch goes through the session's
 //!   [`LaunchMemo`]: a run that misses still skips simulating any kernel
 //!   whose inputs an earlier run already had ([`PipelineStats::launches`]).
-//! * **Verify** — the §III-A report: CPU baseline + verification run, both
-//!   routed through the Execute stage so they cache independently.
+//! * **Verify** — the §III-A report: verification run + CPU baseline, two
+//!   Execute-stage entries; the baseline is the verified run's projection.
 //!
 //! Every stage request runs the same memo protocol (one routine, one
 //! table type): memory lookup, disk load-through for the persisted kinds,
@@ -383,23 +383,16 @@ impl PipelineError {
 
 impl std::fmt::Display for PipelineError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PipelineError::Frontend(ds) => {
-                write!(f, "frontend failed:")?;
-                for d in ds {
-                    write!(f, " {d}")?;
-                }
-                Ok(())
-            }
-            PipelineError::Translate(ds) => {
-                write!(f, "translation failed:")?;
-                for d in ds {
-                    write!(f, " {d}")?;
-                }
-                Ok(())
-            }
-            PipelineError::Run(e) => write!(f, "execution failed: {e}"),
+        let (what, ds) = match self {
+            PipelineError::Frontend(ds) => ("frontend", ds),
+            PipelineError::Translate(ds) => ("translation", ds),
+            PipelineError::Run(e) => return write!(f, "execution failed: {e}"),
+        };
+        write!(f, "{what} failed:")?;
+        for d in ds {
+            write!(f, " {d}")?;
         }
+        Ok(())
     }
 }
 
@@ -775,18 +768,19 @@ impl Session {
         eopts: &ExecOptions,
     ) -> Result<Arc<RunResult>, PipelineError> {
         let plan = self.plan(tr, eopts);
-        self.execute_plan(tr, eopts, &plan)
+        self.execute_plan(eopts, &plan, || self.run_plan(tr, eopts))
     }
 
     /// Execute stage against an already-materialized plan (avoids metering
-    /// the Plan stage twice when the caller holds the plan).
+    /// the Plan stage twice when the caller holds the plan); `compute`
+    /// produces the run on a miss.
     fn execute_plan(
         &self,
-        tr: &TranslatedArtifact,
         eopts: &ExecOptions,
         plan: &ExecPlan,
+        compute: impl FnOnce() -> Result<CachedRun, PipelineError>,
     ) -> Result<Arc<RunResult>, PipelineError> {
-        let t = Instant::now();
+        let (t, key) = (Instant::now(), plan.id.0);
         let disk = DiskHooks {
             load: &|d| {
                 d.load_run(plan.id).map(|(result, events)| CachedRun {
@@ -796,40 +790,8 @@ impl Session {
             },
             store: &|d, run| d.store_run(plan.id, &run.result, &run.events),
         };
-        let compute = || -> Result<_, PipelineError> {
-            if !plan.journaled {
-                let result =
-                    execute_in(&tr.tr, eopts, &self.launches).map_err(PipelineError::Run)?;
-                return Ok(CachedRun {
-                    result: Arc::new(result),
-                    events: Arc::default(),
-                });
-            }
-            // Run against a private capture journal so exactly this run's
-            // events are recorded for replay, then forward them to the
-            // caller's journal.
-            let capture = Journal::enabled();
-            let run_opts = ExecOptions {
-                journal: capture.clone(),
-                ..eopts.clone()
-            };
-            let result =
-                execute_in(&tr.tr, &run_opts, &self.launches).map_err(PipelineError::Run)?;
-            let events = capture.drain();
-            eopts.journal.extend(events.clone());
-            Ok(CachedRun {
-                result: Arc::new(result),
-                events: Arc::new(events),
-            })
-        };
-        let (run, cached) = self.memoized(
-            Stage::Execute,
-            t,
-            &self.runs,
-            plan.id.0,
-            Some(disk),
-            compute,
-        )?;
+        let (run, cached) =
+            self.memoized(Stage::Execute, t, &self.runs, key, Some(disk), compute)?;
         if cached && !run.events.is_empty() {
             // Replay the recorded journal side effect.
             eopts.journal.extend((*run.events).clone());
@@ -837,8 +799,33 @@ impl Session {
         Ok(run.result)
     }
 
-    /// Verify stage: §III-A report (CPU baseline + verification run), both
-    /// legs routed through the Execute stage so they cache independently.
+    /// A real run of `tr` under `eopts`. A journaled run records into a
+    /// private capture journal, then forwards exactly its events.
+    fn run_plan(
+        &self,
+        tr: &TranslatedArtifact,
+        eopts: &ExecOptions,
+    ) -> Result<CachedRun, PipelineError> {
+        let capture = eopts.journal.is_enabled().then(Journal::enabled);
+        let capture = capture.unwrap_or_default();
+        let opts = ExecOptions {
+            journal: capture.clone(),
+            ..eopts.clone()
+        };
+        let result = execute_in(&tr.tr, &opts, &self.launches).map_err(PipelineError::Run)?;
+        let events = capture.drain();
+        eopts.journal.extend(events.clone());
+        Ok(CachedRun {
+            result: Arc::new(result),
+            events: Arc::new(events),
+        })
+    }
+
+    /// Verify stage: §III-A report (verification run + CPU baseline), two
+    /// Execute-stage entries, but one run: the baseline's compute is the
+    /// verified run's [`RunResult::host_projection`] (after a failed one,
+    /// a real run whose error comes first; debug builds check the entry
+    /// against a real run, outside the Execute stage and the launch memo).
     /// This is the one verification driver; a program that is already
     /// parsed (or transformed) enters through [`Session::frontend_program`].
     ///
@@ -869,15 +856,26 @@ impl Session {
         };
         let key = combine(tr.id.0, fp_exec_options(&vrun_opts));
         let compute = || -> Result<_, PipelineError> {
-            let base = self.execute(
-                &tr,
-                &ExecOptions {
-                    mode: ExecMode::CpuOnly,
-                    race_detect: false,
-                    ..Default::default()
-                },
-            )?;
-            let run = self.execute(&tr, &vrun_opts)?;
+            let run = self.execute(&tr, &vrun_opts);
+            let cpu = ExecOptions {
+                mode: ExecMode::CpuOnly,
+                race_detect: false,
+                ..Default::default()
+            };
+            let plan = self.plan(&tr, &cpu);
+            let base = self.execute_plan(&cpu, &plan, || match &run {
+                Ok(run) => Ok(CachedRun {
+                    result: Arc::new(run.host_projection()),
+                    events: Arc::default(),
+                }),
+                Err(_) => self.run_plan(&tr, &cpu),
+            })?;
+            let run = run?;
+            let bytes = |r: &RunResult| crate::cache::bin::encode_run(plan.id, r, &[]);
+            debug_assert!(
+                crate::exec::execute(&tr.tr, &cpu).is_ok_and(|r| bytes(&r) == bytes(&base)),
+                "the CpuOnly entry differs from a real CpuOnly run"
+            );
             Ok(Arc::new(VerificationReport {
                 kernels: run.verify.clone(),
                 breakdown: run.machine.clock.breakdown.clone(),
@@ -899,7 +897,7 @@ impl Session {
         let fe = self.frontend(src)?;
         let tr = self.translate(&fe, topts)?;
         let plan = self.plan(&tr, eopts);
-        let result = self.execute_plan(&tr, eopts, &plan)?;
+        let result = self.execute_plan(eopts, &plan, || self.run_plan(&tr, eopts))?;
         Ok(PipelineRun {
             frontend: fe,
             translated: tr,

@@ -480,7 +480,19 @@ impl Tx<'_> {
             Directive::HostData { .. } => 5,
             Directive::Loop(_) | Directive::Cache(_) => 6,
         };
+        // `seq` on a compute construct's own loop would need a one-thread
+        // kernel, a second lowering of its body: refuse it rather than run
+        // the iterations in parallel.
+        let seq = dirs.iter().any(|(d, _)| match d {
+            Directive::Compute(c) => c.loop_spec.seq,
+            Directive::Loop(l) => l.seq,
+            _ => false,
+        });
         match dirs.iter().map(|(d, _)| d).min_by_key(|d| rank(d)) {
+            Some(Directive::Compute(_)) if seq => self.err(
+                "`loop seq` on a compute construct's own loop is unsupported",
+                s.span,
+            ),
             Some(Directive::Compute(spec)) => self.lower_compute(s, spec, out),
             Some(Directive::Data(spec)) => self.lower_data(s, spec, out),
             Some(Directive::Update(spec)) => self.lower_update(s, spec, out),
