@@ -2,7 +2,7 @@
 //! kernel launch paths.
 
 use super::env::ExecEnv;
-use super::reduce::red_eval;
+use super::reduce::red_finish;
 use crate::ir::KernelParam;
 use openarc_gpusim::{DeviceId, KernelOutcome, ModuleFp};
 use openarc_minic::ScalarTy;
@@ -234,7 +234,7 @@ impl ExecEnv<'_> {
             }
             let gpu_val = self.fold_device_on(*buf, *op, n, dev)?;
             let init = self.scalar_value(var)?;
-            let final_v = red_eval(*op, init, gpu_val)?;
+            let final_v = red_finish(*op, init, gpu_val)?;
             let elem = self.scalar_elem_of(var);
             self.store_scalar(var, final_v.cast(elem))?;
             // One scalar-sized transfer for the result.
@@ -277,7 +277,7 @@ impl ExecEnv<'_> {
         for (var, op, buf) in &reds {
             let cpu_val = self.fold_host(*buf, *op, n)?;
             let init = self.scalar_value(var)?;
-            let final_v = red_eval(*op, init, cpu_val)?;
+            let final_v = red_finish(*op, init, cpu_val)?;
             let elem = self.scalar_elem_of(var);
             self.store_scalar(var, final_v.cast(elem))?;
         }

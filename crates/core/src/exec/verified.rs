@@ -25,7 +25,7 @@
 //! [`EventKind::Stage`]: openarc_trace::EventKind::Stage
 
 use super::env::ExecEnv;
-use super::reduce::red_eval;
+use super::reduce::red_finish;
 use super::VerifyOptions;
 use crate::knowledge::KernelAssert;
 use openarc_trace::{Category, Phase};
@@ -162,8 +162,8 @@ impl ExecEnv<'_> {
             let gpu_val = self.fold_device_on(*dbuf, *op, n, dev)?;
             let cpu_val = self.fold_host(*hbuf, *op, n)?;
             let init = self.scalar_value(var)?;
-            let cpu_final = red_eval(*op, init, cpu_val)?;
-            let gpu_final = red_eval(*op, init, gpu_val)?;
+            let cpu_final = red_finish(*op, init, cpu_val)?;
+            let gpu_final = red_finish(*op, init, gpu_val)?;
             cmp.add(v, None, cpu_final.as_f64(), gpu_final.as_f64());
             let elem = self.scalar_elem_of(var);
             self.store_scalar(var, cpu_final.cast(elem))?;

@@ -153,8 +153,12 @@ fn fp_exec_options(o: &ExecOptions) -> u64 {
             fp_verify_options(&mut h, v);
         }
     }
+    // A `CpuOnly` run launches nothing on a device, so it never reads
+    // `race_detect`: its key writes `false`, and `cpu` finds the entry the
+    // verify baseline stored.
+    let races = o.race_detect && !matches!(o.mode, ExecMode::CpuOnly);
     h.write_bool(o.check_transfers)
-        .write_bool(o.race_detect)
+        .write_bool(races)
         .write_u64(o.launch.wave as u64)
         .write_u64(o.launch.step_budget)
         .write_u64(o.step_budget);

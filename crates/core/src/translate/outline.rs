@@ -337,7 +337,7 @@ impl Tx<'_> {
                 }
                 ScalarClass::Reduction(op) => {
                     let elem = self.scalar_elem(name);
-                    let init = self.identity_expr(*op, elem, span);
+                    let init = self.expr(op.identity(elem), span);
                     out.push(self.decl(name, Ty::Scalar(elem), Some(init), span));
                 }
                 _ => {}
@@ -418,29 +418,6 @@ impl Tx<'_> {
         };
         let lo = self.var(&format!("__lo{l}"), span);
         self.bin(BinOp::Add, lo, local, span)
-    }
-
-    /// Identity literal for a reduction operator.
-    fn identity_expr(&mut self, op: ReductionOp, elem: ScalarTy, span: Span) -> Expr {
-        let single = elem == ScalarTy::Float;
-        let kind = match (op, elem.is_float()) {
-            (
-                ReductionOp::Add | ReductionOp::BitOr | ReductionOp::BitXor | ReductionOp::LogOr,
-                true,
-            ) => ExprKind::FloatLit(0.0, single),
-            (
-                ReductionOp::Add | ReductionOp::BitOr | ReductionOp::BitXor | ReductionOp::LogOr,
-                false,
-            ) => ExprKind::IntLit(0),
-            (ReductionOp::Mul | ReductionOp::LogAnd, true) => ExprKind::FloatLit(1.0, single),
-            (ReductionOp::Mul | ReductionOp::LogAnd, false) => ExprKind::IntLit(1),
-            (ReductionOp::Max, true) => ExprKind::FloatLit(-1e30, single),
-            (ReductionOp::Max, false) => ExprKind::IntLit(i64::MIN / 2),
-            (ReductionOp::Min, true) => ExprKind::FloatLit(1e30, single),
-            (ReductionOp::Min, false) => ExprKind::IntLit(i64::MAX / 2),
-            (ReductionOp::BitAnd, _) => ExprKind::IntLit(-1),
-        };
-        self.expr(kind, span)
     }
 
     /// `((i0 * d1 + i1) * d2 + i2) ...`

@@ -1,5 +1,6 @@
 //! OpenACC clause types shared by all directives.
 
+use openarc_minic::{ExprKind, ScalarTy};
 use std::fmt;
 
 /// Data-movement clause kinds of OpenACC 1.0.
@@ -218,14 +219,25 @@ impl ReductionOp {
         ReductionOp::LogOr,
     ];
 
-    /// Identity element as f64 (integer reductions convert).
-    pub fn identity(self) -> f64 {
-        match self {
-            ReductionOp::Add | ReductionOp::BitOr | ReductionOp::BitXor | ReductionOp::LogOr => 0.0,
-            ReductionOp::Mul | ReductionOp::LogAnd => 1.0,
-            ReductionOp::Max => f64::NEG_INFINITY,
-            ReductionOp::Min => f64::INFINITY,
-            ReductionOp::BitAnd => -1.0, // all ones for integers
+    /// The identity of the operator on `elem`, as the literal that seeds
+    /// each thread's partial: `max` starts at -inf or `i64::MIN`, `min` at
+    /// +inf or `i64::MAX`, so every element wins against it.
+    pub fn identity(self, elem: ScalarTy) -> ExprKind {
+        let single = elem == ScalarTy::Float;
+        let (int, float) = match self {
+            ReductionOp::Add | ReductionOp::BitOr | ReductionOp::BitXor | ReductionOp::LogOr => {
+                (0, 0.0)
+            }
+            ReductionOp::Mul | ReductionOp::LogAnd => (1, 1.0),
+            ReductionOp::Max => (i64::MIN, f64::NEG_INFINITY),
+            ReductionOp::Min => (i64::MAX, f64::INFINITY),
+            // All ones, on either type.
+            ReductionOp::BitAnd => return ExprKind::IntLit(-1),
+        };
+        if elem.is_float() {
+            ExprKind::FloatLit(float, single)
+        } else {
+            ExprKind::IntLit(int)
         }
     }
 
@@ -364,8 +376,22 @@ mod tests {
 
     #[test]
     fn identities() {
-        assert_eq!(ReductionOp::Add.identity(), 0.0);
-        assert_eq!(ReductionOp::Mul.identity(), 1.0);
-        assert!(ReductionOp::Max.identity().is_infinite());
+        use ScalarTy::*;
+        assert_eq!(
+            ReductionOp::Add.identity(Double),
+            ExprKind::FloatLit(0.0, false)
+        );
+        assert_eq!(ReductionOp::Mul.identity(Int), ExprKind::IntLit(1));
+        assert_eq!(ReductionOp::BitAnd.identity(Float), ExprKind::IntLit(-1));
+        let extremes = [
+            (ReductionOp::Max, i64::MIN, f64::NEG_INFINITY),
+            (ReductionOp::Min, i64::MAX, f64::INFINITY),
+        ];
+        for (op, int, float) in extremes {
+            assert_eq!(op.identity(Long), ExprKind::IntLit(int));
+            assert_eq!(op.identity(Int), ExprKind::IntLit(int));
+            assert_eq!(op.identity(Double), ExprKind::FloatLit(float, false));
+            assert_eq!(op.identity(Float), ExprKind::FloatLit(float, true));
+        }
     }
 }

@@ -4,6 +4,8 @@
 //! (zero frontend/translate misses), corrupted stores must recompute
 //! cleanly, and concurrent writers must not corrupt each other.
 
+use openarc::core::api::{handle, Action, Request};
+use openarc::core::pipeline::{Session, Stage};
 use std::process::Command;
 
 fn bin() -> Command {
@@ -183,5 +185,39 @@ fn concurrent_processes_share_one_store() {
     assert!(disk_hits > 0, "{warm}");
     assert_eq!(disk_misses, 0, "{warm}");
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn cpu_after_verify_reads_the_verify_baseline() {
+    // `verify` stores the program's `CpuOnly` run; `cpu` on the same store
+    // finds that entry instead of adding a third one.
+    let dir = scratch("cpu-after-verify");
+    let file = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/jacobi.c");
+    for cmd in ["verify", "cpu"] {
+        let out = bin()
+            .arg(cmd)
+            .arg(&file)
+            .arg("--cache-dir")
+            .arg(&dir)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{cmd}: {out:?}");
+    }
+    let out = bin()
+        .args(["cache", "stats", "--cache-dir"])
+        .arg(&dir)
+        .output()
+        .unwrap();
+    let stats = String::from_utf8(out.stdout).unwrap();
+    let execute = stats.lines().find(|l| l.starts_with("execute")).unwrap();
+    assert_eq!(execute.split_whitespace().nth(1), Some("2"), "{stats}");
+
+    // A fresh process's `cpu` is an Execute hit on that entry.
+    let session = Session::builder().disk_cache(&dir).build();
+    let src = std::fs::read_to_string(&file).unwrap();
+    handle(&session, &Request::new(Action::Cpu, src)).unwrap();
+    let s = session.stats().get(Stage::Execute);
+    assert_eq!((s.hits, s.misses), (1, 0));
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -284,51 +284,6 @@ fn fuzz_fails_fast_on_an_unwritable_report() {
 }
 
 #[test]
-fn cpu_runs_an_i64_min_global_initializer() {
-    // `-(i64::MIN)` wraps in the constant evaluator exactly as at run time.
-    let src = "int g = -(-9223372036854775807 - 1);\nint h;\nvoid main() { h = -g; }\n";
-    let path = write_temp("i64_min.c", src);
-    let out = bin().arg("cpu").arg(&path).output().unwrap();
-    assert!(out.status.success(), "{out:?}");
-    let text = String::from_utf8(out.stdout).unwrap();
-    assert!(
-        text.contains("g                = -9223372036854775808"),
-        "{text}"
-    );
-    assert!(
-        text.contains("h                = -9223372036854775808"),
-        "{text}"
-    );
-}
-
-#[test]
-fn loop_seq_on_a_compute_construct_is_refused() {
-    // A prefix sum: each iteration reads the one before, so the loop must
-    // not run in parallel. Every translating command refuses it (exit 2),
-    // whether `seq` sits on the combined construct or on a `loop`
-    // directive of the same statement.
-    let body = "for (i = 1; i < 64; i++) { a[i] = a[i-1] + a[i]; }";
-    let init = "double a[64];\ndouble out;\nvoid main() {\n int i;\n for (i = 0; i < 64; i++) { a[i] = 1.0; }\n";
-    let forms = [
-        "#pragma acc parallel loop seq copy(a)\n",
-        "#pragma acc kernels copy(a)\n#pragma acc loop seq\n",
-    ];
-    for (f, pragmas) in forms.iter().enumerate() {
-        let src = format!("{init}{pragmas}{body}\n out = a[63];\n}}\n");
-        let path = write_temp(&format!("loop_seq{f}.c"), &src);
-        for cmd in ["cpu", "run", "check", "verify"] {
-            let out = bin().args([cmd, "--no-cache"]).arg(&path).output().unwrap();
-            assert_eq!(out.status.code(), Some(2), "{cmd}: {out:?}");
-            let err = String::from_utf8(out.stderr).unwrap();
-            assert!(
-                err.contains("`loop seq` on a compute construct's own loop is unsupported"),
-                "{cmd}: {err}"
-            );
-        }
-    }
-}
-
-#[test]
 fn missing_file_is_a_clean_error() {
     let out = bin()
         .arg("run")

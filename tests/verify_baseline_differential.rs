@@ -6,7 +6,9 @@
 //! modes, and the OARCBIN bytes of the projection must equal those of the
 //! real `CpuOnly` run: the suite variants, the stripped mutants, the
 //! corpus and 200 generated programs in tier-1, and 2 000 generated
-//! programs in the `#[ignore]`d large variant. The session-level tests pin
+//! programs in the `#[ignore]`d large variant. A `CpuOnly` run gives the
+//! same bytes with and without `race_detect`, which its Execute key drops.
+//! The session-level tests pin
 //! what a verify leaves in the stage counters and the disk store.
 
 use openarc::core::cache::bin::encode_run;
@@ -14,7 +16,7 @@ use openarc::core::exec::{execute, ExecMode, ExecOptions, VerifyOptions};
 use openarc::core::faults::strip_privatization;
 use openarc::core::fuzz::{gen, FuzzRng};
 use openarc::core::pipeline::{ArtifactId, Session, Stage};
-use openarc::core::translate::{translate, TranslateOptions};
+use openarc::core::translate::{translate, TranslateOptions, Translated};
 use openarc::minic::frontend;
 use openarc::suite::{all, Scale, Variant};
 use openarc::vm::Value;
@@ -58,17 +60,23 @@ fn verify_opts() -> ExecOptions {
     }
 }
 
-/// Run `src` in both modes and compare the projection with the real
-/// `CpuOnly` run. Returns whether the verified run succeeded (a failed one
-/// has nothing to project).
-fn projection_matches(label: &str, src: &str, strip: bool) -> bool {
+/// `src` translated, stripped of privatization with `strip`; `None` when
+/// the translator refuses it.
+fn translated(label: &str, src: &str, strip: bool) -> Option<Translated> {
     let (p, sema) = frontend(src).unwrap_or_else(|e| panic!("{label}: {e:?}"));
     let (p, topts) = if strip {
         (strip_privatization(&p).expect("strip").0, stripped())
     } else {
         (p, TranslateOptions::default())
     };
-    let Ok(tr) = translate(&p, &sema, &topts) else {
+    translate(&p, &sema, &topts).ok()
+}
+
+/// Run `src` in both modes and compare the projection with the real
+/// `CpuOnly` run. Returns whether the verified run succeeded (a failed one
+/// has nothing to project).
+fn projection_matches(label: &str, src: &str, strip: bool) -> bool {
+    let Some(tr) = translated(label, src, strip) else {
         return false;
     };
     let Ok(verified) = execute(&tr, &verify_opts()) else {
@@ -135,6 +143,29 @@ fn projection_equals_the_cpu_only_run_on_the_pinned_programs() {
         .count();
     assert_eq!(verified, programs.len(), "every fixed program verifies");
     assert!(generated(200) > 150, "most generated programs verify");
+}
+
+#[test]
+fn a_cpu_only_run_does_not_read_race_detect() {
+    // The Execute key of a `CpuOnly` run drops `race_detect`, so both
+    // settings must give the same entry.
+    let id = ArtifactId(0);
+    for (label, src, strip) in fixed_programs() {
+        let Some(tr) = translated(&label, &src, strip) else {
+            continue;
+        };
+        let racing = ExecOptions {
+            race_detect: true,
+            ..cpu_opts()
+        };
+        match (execute(&tr, &cpu_opts()), execute(&tr, &racing)) {
+            (Ok(off), Ok(on)) => assert!(
+                encode_run(id, &off, &[]) == encode_run(id, &on, &[]),
+                "{label}: race_detect moved the CpuOnly run"
+            ),
+            (off, on) => assert_eq!(off.err(), on.err(), "{label}"),
+        }
+    }
 }
 
 #[test]
