@@ -358,14 +358,15 @@ pub(crate) fn execute_in(
             }
         }
     }
-    // Run `main` from one runtime op to the next. A slice's instructions
-    // are owed to the clock (`pending_cpu`) before the op that ends it
-    // executes; the op's own instruction is owed after it.
+    // Run `main` from one runtime op to the next: each slice executes the
+    // op the last one stopped in front of, then runs up to the next. The
+    // op flushes what the clock is owed (`pending_cpu`) before it runs, so
+    // its own instruction is owed with the rest of its slice.
     let mut t = ThreadState::new(&tr.host_module, "main", &[])?;
-    let slice = |t: &mut ThreadState, env: &mut ExecEnv, at_most: u64, stop: Stop| {
+    let slice = |t: &mut ThreadState, env: &mut ExecEnv, stop: Stop| {
         let before = t.steps;
         // One instruction past the budget is the error: never run further.
-        let fuel = at_most.min(opts.step_budget.saturating_add(1) - before);
+        let fuel = opts.step_budget.saturating_add(1) - before;
         let why = t.run(&tr.host_module, env, fuel, stop)?;
         env.pending_cpu += t.steps - before;
         if t.steps > opts.step_budget {
@@ -373,9 +374,7 @@ pub(crate) fn execute_in(
         }
         Ok(why)
     };
-    while slice(&mut t, &mut env, u64::MAX, Stop::HostOp)? == Yield::Stopped {
-        slice(&mut t, &mut env, 1, Stop::Never)?;
-    }
+    while slice(&mut t, &mut env, Stop::HostOp)? == Yield::Stopped {}
     let steps = t.steps;
     env.flush_cpu();
     if !matches!(opts.mode, ExecMode::CpuOnly | ExecMode::Verify(_)) {

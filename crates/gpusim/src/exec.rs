@@ -62,10 +62,9 @@ const RUN_AHEAD: u64 = 1 << 12;
 /// What a parked thread does when the schedule reaches its position.
 #[derive(Debug)]
 enum Parked {
-    /// Keeps running privately (fresh, or its last slice ran out of fuel).
+    /// Runs its next slice: the `Env` access it stopped in front of, if
+    /// any, then privately up to the access after it.
     Resume,
-    /// Executes the `Env` access it stopped in front of.
-    Access,
     /// Reports the trap it ran into on its own.
     Trap(VmError),
     /// Has returned; its position is one past its last instruction.
@@ -85,15 +84,17 @@ struct Lane {
 const RETIRED: u64 = u64::MAX;
 
 impl Lane {
-    /// Run privately up to the next `Env` access and park there.
+    /// Execute the instruction this lane is parked at, run privately up to
+    /// the next `Env` access and park there. A slice never hands back its
+    /// first instruction, so a lane parked in front of an access performs
+    /// it here.
     fn run_ahead(&mut self, module: &Module, env: &mut DeviceEnv<'_>, budget: u64) {
         // No thread executes more than `budget + 1` instructions before
         // the launch is over one way or another.
         let fuel = RUN_AHEAD.min(budget.saturating_sub(self.thread.steps).saturating_add(1));
         let slice = self.thread.run(module, env, fuel, Stop::EnvAccess);
         (self.parked, self.at) = match slice {
-            Ok(Yield::Stopped) => (Parked::Access, self.thread.steps + 1),
-            Ok(Yield::Fuel) => (Parked::Resume, self.thread.steps + 1),
+            Ok(Yield::Stopped | Yield::Fuel) => (Parked::Resume, self.thread.steps + 1),
             Ok(Yield::Done) => (Parked::Done, self.thread.steps + 1),
             // `steps` counts the trapping instruction.
             Err(e) => (Parked::Trap(e), self.thread.steps),
@@ -169,7 +170,6 @@ pub fn launch(
             for (i, lane) in lanes.iter_mut().enumerate() {
                 while lane.at == s {
                     match std::mem::replace(&mut lane.parked, Parked::Resume) {
-                        Parked::Resume => {}
                         // Its last instruction was `s - 1`: nothing to do in
                         // this round or any later one.
                         Parked::Done => {
@@ -187,11 +187,9 @@ pub fn launch(
                             return Err(over_budget())
                         }
                         Parked::Trap(e) => return Err(e),
-                        Parked::Access => {
-                            env.current_tid = start + i as u64;
-                            lane.thread.run(module, &mut env, 1, Stop::Never)?;
-                        }
+                        Parked::Resume => {}
                     }
+                    env.current_tid = start + i as u64;
                     lane.run_ahead(module, &mut env, budget);
                 }
                 if lane.at != RETIRED {

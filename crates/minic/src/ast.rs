@@ -17,6 +17,15 @@ use std::fmt;
 /// Unique id of an AST node within one [`Program`].
 pub type NodeId = u32;
 
+/// Deepest nesting a MiniC program may have: one level per statement,
+/// expression node and parenthesis on the way down from a function body or
+/// global initializer. C sets no such limit. MiniC's passes recurse on the
+/// syntax tree, and a program at this depth fits every pass into a 2 MiB
+/// thread stack (that of an `openarc serve` connection), so no program
+/// text can overflow one; the parser refuses anything deeper
+/// (DESIGN.md §7).
+pub const MAX_DEPTH: usize = 128;
+
 /// Primitive scalar types.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ScalarTy {
@@ -453,39 +462,35 @@ pub enum ExprKind {
     SizeOf(ScalarTy),
 }
 
-impl Expr {
-    /// Visit this expression and all sub-expressions (pre-order).
-    pub fn walk(&self, f: &mut impl FnMut(&Expr)) {
-        f(self);
-        match &self.kind {
+impl ExprKind {
+    /// The direct sub-expressions, in source order.
+    pub fn operands(&self) -> impl Iterator<Item = &Expr> {
+        let (boxed, listed): ([Option<&Expr>; 3], &[Expr]) = match self {
             ExprKind::IntLit(_)
             | ExprKind::FloatLit(..)
             | ExprKind::Var(_)
-            | ExprKind::SizeOf(_) => {}
-            ExprKind::Index { indices, .. } => {
-                for e in indices {
-                    e.walk(f);
-                }
+            | ExprKind::SizeOf(_) => ([None; 3], &[]),
+            ExprKind::Index { indices: l, .. } | ExprKind::Call { args: l, .. } => ([None; 3], l),
+            ExprKind::Unary { expr, .. } | ExprKind::Cast { expr, .. } => {
+                ([Some(expr), None, None], &[])
             }
-            ExprKind::Unary { expr, .. } | ExprKind::Cast { expr, .. } => expr.walk(f),
-            ExprKind::Binary { lhs, rhs, .. } => {
-                lhs.walk(f);
-                rhs.walk(f);
-            }
+            ExprKind::Binary { lhs, rhs, .. } => ([Some(lhs), Some(rhs), None], &[]),
             ExprKind::Ternary {
                 cond,
                 then_e,
                 else_e,
-            } => {
-                cond.walk(f);
-                then_e.walk(f);
-                else_e.walk(f);
-            }
-            ExprKind::Call { args, .. } => {
-                for e in args {
-                    e.walk(f);
-                }
-            }
+            } => ([Some(cond), Some(then_e), Some(else_e)], &[]),
+        };
+        boxed.into_iter().flatten().chain(listed)
+    }
+}
+
+impl Expr {
+    /// Visit this expression and all sub-expressions (pre-order).
+    pub fn walk(&self, f: &mut impl FnMut(&Expr)) {
+        f(self);
+        for e in self.kind.operands() {
+            e.walk(f);
         }
     }
 

@@ -12,25 +12,14 @@ use crate::token::{Token, TokenKind};
 
 /// Parse a full MiniC translation unit.
 pub fn parse(src: &str) -> Result<Program, Diagnostic> {
-    let tokens = lex(src)?;
-    let mut p = Parser {
-        tokens,
-        pos: 0,
-        next_id: 0,
-    };
-    p.program()
+    Parser::new(lex(src)?).program()
 }
 
 /// Parse a standalone expression (used for directive `if(...)` conditions).
 /// Node ids restart from 0; callers embedding the result into an existing
 /// program must not rely on id uniqueness.
 pub fn parse_expression(src: &str) -> Result<Expr, Diagnostic> {
-    let tokens = lex(src)?;
-    let mut p = Parser {
-        tokens,
-        pos: 0,
-        next_id: 0,
-    };
+    let mut p = Parser::new(lex(src)?);
     let e = p.expr()?;
     if !matches!(p.peek(), TokenKind::Eof) {
         return Err(Diagnostic::error(
@@ -66,13 +55,61 @@ struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     next_id: NodeId,
+    /// Statements, expressions and parentheses open at the current token.
+    depth: usize,
+    /// Height of each expression node built so far, by id (0 for others).
+    heights: Vec<usize>,
+}
+
+fn too_deep(span: Span) -> Diagnostic {
+    let msg = format!("nesting deeper than {MAX_DEPTH} levels (a MiniC limit)");
+    Diagnostic::error(msg, span)
 }
 
 impl Parser {
+    fn new(tokens: Vec<Token>) -> Parser {
+        Parser {
+            tokens,
+            pos: 0,
+            next_id: 0,
+            depth: 0,
+            heights: Vec::new(),
+        }
+    }
+
     fn fresh(&mut self) -> NodeId {
+        self.heights.push(0);
         let id = self.next_id;
         self.next_id += 1;
         id
+    }
+
+    /// Run `parse` one level deeper; refused past [`MAX_DEPTH`].
+    fn nested<T>(
+        &mut self,
+        parse: fn(&mut Self) -> Result<T, Diagnostic>,
+    ) -> Result<T, Diagnostic> {
+        if self.depth == MAX_DEPTH {
+            return Err(too_deep(self.span()));
+        }
+        self.depth += 1;
+        let r = parse(self);
+        self.depth -= 1;
+        r
+    }
+
+    /// A new expression node. Its deepest leaf sits at least `depth +
+    /// height - 1` levels down, so the tree grows no deeper than the limit
+    /// even where a node becomes the left operand of a later one.
+    fn node(&mut self, span: Span, kind: ExprKind) -> Result<Expr, Diagnostic> {
+        let below = kind.operands().map(|e| self.heights[e.id as usize]).max();
+        let height = below.unwrap_or(0) + 1;
+        if self.depth + height > MAX_DEPTH + 1 {
+            return Err(too_deep(span));
+        }
+        let id = self.fresh();
+        self.heights[id as usize] = height;
+        Ok(Expr { id, span, kind })
     }
 
     fn peek(&self) -> &TokenKind {
@@ -349,7 +386,7 @@ impl Parser {
             }
         }
         if !pragmas.is_empty() || !matches!(self.peek(), TokenKind::RBrace | TokenKind::Eof) {
-            let mut stmts = self.stmt_multi()?;
+            let mut stmts = self.nested(Self::stmt_multi)?;
             if let Some(first) = stmts.first_mut() {
                 first.pragmas = pragmas;
             } else if !pragmas.is_empty() {
@@ -538,7 +575,7 @@ impl Parser {
                 AssignOp::Sub
             };
             let lv = self.lvalue()?;
-            let one = self.int_one(sp);
+            let one = self.int_one(sp)?;
             return Ok(self.mk_stmt(
                 sp,
                 StmtKind::Assign {
@@ -578,7 +615,7 @@ impl Parser {
                 let target = expr_to_lvalue(&e).ok_or_else(|| {
                     Diagnostic::error("operand of ++/-- is not assignable", e.span)
                 })?;
-                let one = self.int_one(sp);
+                let one = self.int_one(sp)?;
                 Ok(self.mk_stmt(
                     sp,
                     StmtKind::Assign {
@@ -592,12 +629,8 @@ impl Parser {
         }
     }
 
-    fn int_one(&mut self, sp: Span) -> Expr {
-        Expr {
-            id: self.fresh(),
-            span: sp,
-            kind: ExprKind::IntLit(1),
-        }
+    fn int_one(&mut self, sp: Span) -> Result<Expr, Diagnostic> {
+        self.node(sp, ExprKind::IntLit(1))
     }
 
     fn lvalue(&mut self) -> Result<LValue, Diagnostic> {
@@ -609,7 +642,7 @@ impl Parser {
     // ---------------- Expressions ----------------
 
     fn expr(&mut self) -> Result<Expr, Diagnostic> {
-        self.ternary()
+        self.nested(Self::ternary)
     }
 
     fn ternary(&mut self) -> Result<Expr, Diagnostic> {
@@ -617,17 +650,16 @@ impl Parser {
         if self.eat(&TokenKind::Question) {
             let then_e = self.expr()?;
             self.expect(TokenKind::Colon)?;
-            let else_e = self.ternary()?;
+            let else_e = self.expr()?;
             let span = cond.span.to(else_e.span);
-            Ok(Expr {
-                id: self.fresh(),
+            self.node(
                 span,
-                kind: ExprKind::Ternary {
+                ExprKind::Ternary {
                     cond: Box::new(cond),
                     then_e: Box::new(then_e),
                     else_e: Box::new(else_e),
                 },
-            })
+            )
         } else {
             Ok(cond)
         }
@@ -663,15 +695,8 @@ impl Parser {
             self.bump();
             let rhs = self.binary(prec + 1)?;
             let span = lhs.span.to(rhs.span);
-            lhs = Expr {
-                id: self.fresh(),
-                span,
-                kind: ExprKind::Binary {
-                    op,
-                    lhs: Box::new(lhs),
-                    rhs: Box::new(rhs),
-                },
-            };
+            let (lhs_, rhs) = (Box::new(lhs), Box::new(rhs));
+            lhs = self.node(span, ExprKind::Binary { op, lhs: lhs_, rhs })?;
         }
         Ok(lhs)
     }
@@ -684,22 +709,14 @@ impl Parser {
             TokenKind::Tilde => Some(UnOp::BitNot),
             TokenKind::Plus => {
                 self.bump();
-                return self.unary();
+                return self.nested(Self::unary);
             }
             _ => None,
         };
         if let Some(op) = op {
             self.bump();
-            let e = self.unary()?;
-            let span = sp.to(e.span);
-            return Ok(Expr {
-                id: self.fresh(),
-                span,
-                kind: ExprKind::Unary {
-                    op,
-                    expr: Box::new(e),
-                },
-            });
+            let e = Box::new(self.nested(Self::unary)?);
+            return self.node(sp.to(e.span), ExprKind::Unary { op, expr: e });
         }
         self.postfix_expr()
     }
@@ -719,16 +736,8 @@ impl Parser {
                 } else {
                     Ty::Scalar(base)
                 };
-                let inner = self.unary()?;
-                let span = sp.to(inner.span);
-                return Ok(Expr {
-                    id: self.fresh(),
-                    span,
-                    kind: ExprKind::Cast {
-                        ty,
-                        expr: Box::new(inner),
-                    },
-                });
+                let e = Box::new(self.nested(Self::unary)?);
+                return self.node(sp.to(e.span), ExprKind::Cast { ty, expr: e });
             }
             self.bump();
             let e = self.expr()?;
@@ -741,28 +750,16 @@ impl Parser {
             let (base, tsp) = self.base_type()?;
             let base = base.ok_or_else(|| Diagnostic::error("sizeof(void) is invalid", tsp))?;
             self.expect(TokenKind::RParen)?;
-            return Ok(Expr {
-                id: self.fresh(),
-                span: sp.to(self.prev_span()),
-                kind: ExprKind::SizeOf(base),
-            });
+            return self.node(sp.to(self.prev_span()), ExprKind::SizeOf(base));
         }
         match self.peek().clone() {
             TokenKind::IntLit(v) => {
                 self.bump();
-                Ok(Expr {
-                    id: self.fresh(),
-                    span: sp,
-                    kind: ExprKind::IntLit(v),
-                })
+                self.node(sp, ExprKind::IntLit(v))
             }
             TokenKind::FloatLit(v, suf) => {
                 self.bump();
-                Ok(Expr {
-                    id: self.fresh(),
-                    span: sp,
-                    kind: ExprKind::FloatLit(v, suf),
-                })
+                self.node(sp, ExprKind::FloatLit(v, suf))
             }
             TokenKind::Ident(name) => {
                 self.bump();
@@ -778,18 +775,10 @@ impl Parser {
                         }
                         self.expect(TokenKind::RParen)?;
                     }
-                    let e = Expr {
-                        id: self.fresh(),
-                        span: sp.to(self.prev_span()),
-                        kind: ExprKind::Call { name, args },
-                    };
+                    let e = self.node(sp.to(self.prev_span()), ExprKind::Call { name, args })?;
                     return self.maybe_index(e);
                 }
-                let e = Expr {
-                    id: self.fresh(),
-                    span: sp,
-                    kind: ExprKind::Var(name),
-                };
+                let e = self.node(sp, ExprKind::Var(name))?;
                 self.maybe_index(e)
             }
             other => Err(Diagnostic::error(
@@ -818,12 +807,10 @@ impl Parser {
             indices.push(self.expr()?);
             self.expect(TokenKind::RBracket)?;
         }
-        let span = e.span.to(self.prev_span());
-        Ok(Expr {
-            id: self.fresh(),
-            span,
-            kind: ExprKind::Index { base, indices },
-        })
+        self.node(
+            e.span.to(self.prev_span()),
+            ExprKind::Index { base, indices },
+        )
     }
 }
 

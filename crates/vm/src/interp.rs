@@ -4,7 +4,9 @@
 //! [`ThreadState::run`] executes instructions until the entry function
 //! returns, the slice's fuel runs out, or the next instruction is one the
 //! caller asked to be handed ([`Stop`]) — and it yields *before* that
-//! instruction. This resumability is what lets the GPU simulator order
+//! instruction. A slice never hands back its first instruction, so the
+//! caller's next slice performs the handed-back instruction and runs on to
+//! the one after it. This resumability is what lets the GPU simulator order
 //! every shared access of a wave exactly as one-instruction round-robin
 //! would (lockstep), which in turn makes data races from missed
 //! privatization manifest deterministically — the behaviour the paper's
@@ -48,7 +50,9 @@ pub trait Env {
 }
 
 /// Which instructions a slice hands back to its caller instead of
-/// executing them.
+/// executing them. The first instruction of a slice is never handed back:
+/// the slice that follows a [`Yield::Stopped`] executes the instruction it
+/// stopped in front of.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stop {
     /// None: run until done or out of fuel.
@@ -69,8 +73,8 @@ pub enum Yield {
     Done,
     /// The slice's fuel is spent.
     Fuel,
-    /// The next instruction matches the slice's [`Stop`]; it has not been
-    /// executed or counted.
+    /// The next instruction matches the slice's [`Stop`] and is not the
+    /// slice's first; it has not been executed or counted.
     Stopped,
 }
 
@@ -158,9 +162,9 @@ impl ThreadState {
 
     /// Execute one slice: at most `fuel` instructions, yielding early when
     /// the entry function returns or *before* an instruction selected by
-    /// `stop`. `steps` grows by the number of instructions executed; on
-    /// `Err` that includes the trapping instruction, and the thread must
-    /// not be resumed.
+    /// `stop` other than the slice's first. `steps` grows by the number of
+    /// instructions executed; on `Err` that includes the trapping
+    /// instruction, and the thread must not be resumed.
     ///
     /// This is the interpreter's only dispatch loop. The frame cursor lives
     /// in locals for the duration of the slice and is written back once.
@@ -207,9 +211,18 @@ impl ThreadState {
                 }
             };
         }
+        macro_rules! top {
+            () => {
+                match stack.last_mut() {
+                    Some(v) => v,
+                    None => break Err(underflow()),
+                }
+            };
+        }
+        // Nothing has run yet exactly while `left == fuel`.
         macro_rules! hand_back {
             ($kind:pat) => {
-                if matches!(stop, $kind) {
+                if matches!(stop, $kind) && left != fuel {
                     break Ok(Yield::Stopped);
                 }
             };
@@ -257,19 +270,21 @@ impl ThreadState {
                 }
                 Instr::Bin(op) => {
                     let b = pop!();
-                    let a = pop!();
-                    stack.push(tri!(eval_bin(op, a, b)));
+                    let a = top!();
+                    *a = match bin_in_registers(op, *a, b) {
+                        Some(v) => v,
+                        None => tri!(eval_bin(op, *a, b)),
+                    };
                 }
                 Instr::Un(op) => {
                     let a = pop!();
                     stack.push(tri!(eval_un(op, a)));
                 }
                 Instr::Cast(ty) => {
-                    let a = pop!();
-                    stack.push(match a {
-                        Value::Ptr(_) => a,
-                        other => other.cast(ty),
-                    });
+                    let a = top!();
+                    if !matches!(a, Value::Ptr(_)) {
+                        *a = a.cast(ty);
+                    }
                 }
                 Instr::Jump(t) => next = t as usize,
                 Instr::JumpIfFalse(t) => {
@@ -426,25 +441,42 @@ fn coerce_local(v: Value, ty: &Ty) -> Value {
 /// in `f32` — the single-precision rounding divergence between CPU and GPU
 /// paths that motivates the paper's configurable comparison margins.
 ///
-/// The two operand shapes loops are made of (`int ⊕ int`, `double ⊕ double`)
-/// are decided inline in the caller; everything else is one call away.
-#[inline]
+/// This is the one definition of the operators. The interpreter loop first
+/// tries `bin_in_registers`, which shares its bodies, and calls this for
+/// every shape that one declines.
+#[inline(never)]
 pub fn eval_bin(op: BinOp, a: Value, b: Value) -> Result<Value, VmError> {
     match (a, b) {
-        (Value::Int(x), Value::Int(y)) => int_bin(op, x, y),
-        (Value::F64(x), Value::F64(y)) => f64_bin(op, x, y),
+        (Value::Int(x), Value::Int(y)) => {
+            int_bin(op, x, y).map(Value::Int).ok_or(VmError::DivByZero)
+        }
+        (Value::F64(x), Value::F64(y)) => f64_bin(op, x, y).ok_or_else(|| integers_only(op)),
         _ => mixed_bin(op, a, b),
     }
 }
 
-#[inline]
-fn int_bin(op: BinOp, x: i64, y: i64) -> Result<Value, VmError> {
+/// `int ⊕ int` and `double ⊕ double`, the shapes loops are made of, with
+/// the result in registers; `None` for every other shape and for each
+/// operator that fails on its operands (integer `/` or `%` by zero, an
+/// integer-only operator on doubles). Those go to [`eval_bin`].
+#[inline(always)]
+fn bin_in_registers(op: BinOp, a: Value, b: Value) -> Option<Value> {
+    match (a, b) {
+        (Value::Int(x), Value::Int(y)) => int_bin(op, x, y).map(Value::Int),
+        (Value::F64(x), Value::F64(y)) => f64_bin(op, x, y),
+        _ => None,
+    }
+}
+
+/// `None` only for `/` and `%` by zero.
+#[inline(always)]
+fn int_bin(op: BinOp, x: i64, y: i64) -> Option<i64> {
     use BinOp::*;
-    Ok(Value::Int(match op {
+    Some(match op {
         Add => x.wrapping_add(y),
         Sub => x.wrapping_sub(y),
         Mul => x.wrapping_mul(y),
-        Div | Rem if y == 0 => return Err(VmError::DivByZero),
+        Div | Rem if y == 0 => return None,
         Div => x.wrapping_div(y),
         Rem => x.wrapping_rem(y),
         Lt => (x < y) as i64,
@@ -460,13 +492,14 @@ fn int_bin(op: BinOp, x: i64, y: i64) -> Result<Value, VmError> {
         Shr => x.wrapping_shr(y as u32),
         And => ((x != 0) && (y != 0)) as i64,
         Or => ((x != 0) || (y != 0)) as i64,
-    }))
+    })
 }
 
-#[inline]
-fn f64_bin(op: BinOp, x: f64, y: f64) -> Result<Value, VmError> {
+/// `None` for the integer-only operators.
+#[inline(always)]
+fn f64_bin(op: BinOp, x: f64, y: f64) -> Option<Value> {
     use BinOp::*;
-    Ok(match op {
+    Some(match op {
         Add => Value::F64(x + y),
         Sub => Value::F64(x - y),
         Mul => Value::F64(x * y),
@@ -475,12 +508,18 @@ fn f64_bin(op: BinOp, x: f64, y: f64) -> Result<Value, VmError> {
     })
 }
 
+#[cold]
+fn integers_only(op: BinOp) -> VmError {
+    VmError::TypeError(format!("operator `{op}` requires integers"))
+}
+
 /// Comparisons and logical connectives on floats (an `f32` widens exactly,
-/// so one `f64` body serves both precisions).
-#[inline]
-fn float_flag(op: BinOp, x: f64, y: f64) -> Result<bool, VmError> {
+/// so one `f64` body serves both precisions); `None` for the integer-only
+/// operators.
+#[inline(always)]
+fn float_flag(op: BinOp, x: f64, y: f64) -> Option<bool> {
     use BinOp::*;
-    Ok(match op {
+    Some(match op {
         Lt => x < y,
         Gt => x > y,
         Le => x <= y,
@@ -489,11 +528,7 @@ fn float_flag(op: BinOp, x: f64, y: f64) -> Result<bool, VmError> {
         Ne => x != y,
         And => (x != 0.0) && (y != 0.0),
         Or => (x != 0.0) || (y != 0.0),
-        _ => {
-            return Err(VmError::TypeError(format!(
-                "operator `{op}` requires integers"
-            )))
-        }
+        _ => return None,
     })
 }
 
@@ -509,7 +544,9 @@ fn mixed_bin(op: BinOp, a: Value, b: Value) -> Result<Value, VmError> {
         (Value::Ptr(_), _) | (_, Value::Ptr(_)) => Err(VmError::TypeError(format!(
             "operator `{op}` mixes pointer and number"
         ))),
-        (Value::F64(_), _) | (_, Value::F64(_)) => f64_bin(op, a.as_f64(), b.as_f64()),
+        (Value::F64(_), _) | (_, Value::F64(_)) => {
+            f64_bin(op, a.as_f64(), b.as_f64()).ok_or_else(|| integers_only(op))
+        }
         // Single precision when no f64 operand is involved.
         _ => {
             let (x, y) = (a.as_f64() as f32, b.as_f64() as f32);
@@ -518,7 +555,10 @@ fn mixed_bin(op: BinOp, a: Value, b: Value) -> Result<Value, VmError> {
                 Sub => Value::F32(x - y),
                 Mul => Value::F32(x * y),
                 Div => Value::F32(x / y),
-                _ => Value::Int(float_flag(op, x as f64, y as f64)? as i64),
+                _ => {
+                    let flag = float_flag(op, x as f64, y as f64);
+                    Value::Int(flag.ok_or_else(|| integers_only(op))? as i64)
+                }
             })
         }
     }
@@ -667,6 +707,7 @@ pub fn call_function<E: Env>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bytecode::Chunk;
     use crate::compile::{compile, GLOBALS_INIT};
     use openarc_minic::frontend;
 
@@ -883,36 +924,148 @@ mod tests {
         }
     }
 
+    /// `main`'s code and, 1-based, the instructions that call into the Env.
+    fn env_accesses(m: &Module) -> (usize, Vec<u64>) {
+        let code = &m.chunk("main").unwrap().code;
+        let at = (1..=code.len() as u64).filter(|&k| {
+            matches!(
+                code[k as usize - 1],
+                Instr::LoadGlobal(_)
+                    | Instr::StoreGlobal(_)
+                    | Instr::LoadElem
+                    | Instr::StoreElem
+                    | Instr::Malloc(..)
+                    | Instr::Free
+                    | Instr::HostOp(_)
+            )
+        });
+        (code.len(), at.collect())
+    }
+
     #[test]
     fn stop_yields_before_the_instruction_without_counting_it() {
+        // Straight-line code: the k-th instruction executed is `code[k - 1]`.
         let (p, s) =
             frontend("double a[4];\nvoid main() { int i; i = 1 + 2; a[i] = 1.0; }").unwrap();
         let m = compile(&p, &s).unwrap();
+        let (len, accesses) = env_accesses(&m);
+        // `a` is a global array: one LoadGlobal for the handle, one StoreElem.
+        assert_eq!(accesses.len(), 2, "{accesses:?}");
         let mut env = BasicEnv::for_module(&m);
         let mut t = ThreadState::new(&m, "main", &[]).unwrap();
-        let mut handed = Vec::new();
-        loop {
-            match t.run(&m, &mut env, u64::MAX, Stop::EnvAccess).unwrap() {
-                Yield::Done => break,
-                Yield::Stopped => {
-                    let before = t.steps;
-                    // Asking again changes nothing; one unit of fuel with
-                    // `Stop::Never` executes exactly the handed-back access.
-                    assert_eq!(
-                        t.run(&m, &mut env, u64::MAX, Stop::EnvAccess),
-                        Ok(Yield::Stopped)
-                    );
-                    assert_eq!(t.steps, before);
-                    step(&mut t, &m, &mut env).unwrap();
-                    assert_eq!(t.steps, before + 1);
-                    handed.push(before + 1);
-                }
-                Yield::Fuel => unreachable!(),
+        for &access in &accesses {
+            // Each slice but the first starts on the access the last one
+            // handed back, executes it, and stops in front of the next one
+            // without executing it.
+            assert_eq!(
+                t.run(&m, &mut env, u64::MAX, Stop::EnvAccess),
+                Ok(Yield::Stopped)
+            );
+            assert_eq!(t.steps, access - 1);
+            assert_eq!(env.mem.load(Handle(1), 3).unwrap(), Value::F64(0.0));
+        }
+        assert_eq!(
+            t.run(&m, &mut env, u64::MAX, Stop::EnvAccess),
+            Ok(Yield::Done)
+        );
+        // Every instruction, the handed-back ones included, counted once.
+        assert_eq!(t.steps, len as u64);
+        assert_eq!(env.mem.load(Handle(1), 3).unwrap(), Value::F64(1.0));
+    }
+
+    #[test]
+    fn one_unit_of_fuel_on_a_handed_back_access_executes_it() {
+        let (p, s) = frontend("double a[4];\nvoid main() { a[2] = 1.0; a[3] = 2.0; }").unwrap();
+        let m = compile(&p, &s).unwrap();
+        let (_, accesses) = env_accesses(&m);
+        let mut env = BasicEnv::for_module(&m);
+        let mut t = ThreadState::new(&m, "main", &[]).unwrap();
+        let mut stored = 0;
+        while t.run(&m, &mut env, u64::MAX, Stop::EnvAccess) == Ok(Yield::Stopped) {
+            let before = t.steps;
+            assert!(accesses.contains(&(before + 1)), "{before} {accesses:?}");
+            assert_eq!(t.run(&m, &mut env, 1, Stop::EnvAccess), Ok(Yield::Fuel));
+            assert_eq!(t.steps, before + 1);
+            stored = (2..4)
+                .filter(|&i| env.mem.load(Handle(1), i).unwrap() != Value::F64(0.0))
+                .count();
+        }
+        assert!(t.is_done());
+        // The last handed-back access was the second StoreElem, and the
+        // one unit of fuel performed it.
+        assert_eq!(stored, 2);
+    }
+
+    /// Bits of a value, so that NaNs and signed zeros compare exactly.
+    fn bits(v: Value) -> (u8, u64) {
+        match v {
+            Value::Int(x) => (0, x as u64),
+            Value::F32(x) => (1, x.to_bits() as u64),
+            Value::F64(x) => (2, x.to_bits()),
+            Value::Ptr(h) => (3, h.0 as u64),
+        }
+    }
+
+    #[test]
+    fn the_loop_decides_every_operator_as_eval_bin_does() {
+        use Value::{Int, Ptr, F32, F64};
+        let ints = [0, 1, -1, 2, -7, 3, 63, 64, i64::MIN, i64::MAX];
+        let doubles = [
+            0.0,
+            -0.0,
+            1.0,
+            -2.5,
+            0.1,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let floats = [0.0f32, -0.0, 1.5, f32::NAN, f32::INFINITY, -3.0];
+        let mut pairs = Vec::new();
+        for &x in &ints {
+            pairs.extend(ints.iter().map(|&y| (Int(x), Int(y))));
+            pairs.extend(doubles.iter().map(|&y| (Int(x), F64(y))));
+            pairs.extend(floats.iter().map(|&y| (F32(y), Int(x))));
+            pairs.push((Ptr(Handle(1)), Int(x)));
+        }
+        for &x in &doubles {
+            pairs.extend(doubles.iter().map(|&y| (F64(x), F64(y))));
+            pairs.extend(floats.iter().map(|&y| (F32(y), F64(x))));
+        }
+        for &x in &floats {
+            pairs.extend(floats.iter().map(|&y| (F32(x), F32(y))));
+        }
+        for (x, y) in [(1, 1), (1, 2), (0, 1)] {
+            pairs.push((Ptr(Handle(x)), Ptr(Handle(y))));
+        }
+        pairs.push((F64(1.0), Ptr(Handle(2))));
+        let mut checked = 0;
+        for op in BinOp::ALL {
+            for &(a, b) in &pairs {
+                let chunk = Chunk {
+                    name: "f".into(),
+                    code: vec![
+                        Instr::Const(0),
+                        Instr::Const(1),
+                        Instr::Bin(op),
+                        Instr::Return,
+                    ],
+                    consts: vec![a, b],
+                    ..Chunk::default()
+                };
+                let m = Module {
+                    chunks: vec![chunk],
+                    func_index: [("f".to_string(), 0)].into(),
+                    ..Module::default()
+                };
+                let mut env = BasicEnv::default();
+                let got = call_function(&m, &mut env, "f", &[], 10).map(|v| bits(v.unwrap()));
+                let want = eval_bin(op, a, b).map(bits);
+                assert_eq!(got, want, "{a:?} {op} {b:?}");
+                checked += 1;
             }
         }
-        // `a` is a global array: one LoadGlobal for the handle, one StoreElem.
-        assert_eq!(handed.len(), 2, "{handed:?}");
-        assert_eq!(env.mem.load(Handle(1), 3).unwrap(), Value::F64(1.0));
+        assert_eq!(checked, BinOp::ALL.len() * pairs.len());
     }
 
     #[test]

@@ -178,12 +178,14 @@ programs! {
     bounds_pragma_absolves_in_range_divergence: "knowledge/bounds-absolves-race.c",
     verification_options_select_kernels_end_to_end: "knowledge/kernel-selection.c",
     race_is_flagged_without_bounds: "knowledge/race-flagged-without-bounds.c",
+    bounds_test_the_device_value_too: "knowledge/bounds-device-outside.c",
     cpu_runs_an_i64_min_global_initializer: "lowering/i64-min-global-initializer.c",
     loop_seq_on_a_compute_construct_is_refused: "lowering/loop-seq-combined.c",
     loop_seq_on_an_inner_loop_directive_is_refused: "lowering/loop-seq-inner-loop.c",
     max_reduction_below_minus_1e30: "reduction/max-float-below-1e30.c",
     min_reduction_near_5e18: "reduction/min-long-near-5e18.c",
     min_reduction_past_2_pow_53: "reduction/min-long-past-2-pow-53.c",
+    int_and_double_operators_agree_with_gcc: "semantics/int-and-double-operators.c",
     async_read_before_wait_is_a_finding: "defects/async-without-wait.c",
     device_read_before_write_is_a_finding: "defects/device-memory-read.c",
 }
@@ -281,4 +283,83 @@ fn harness_failures_name_file_and_line() {
         &format!("// expect cpu: x                = 1\n{prog}"),
     )
     .unwrap();
+}
+
+/// MiniC's nesting limit (DESIGN.md §7). A program nested exactly
+/// `MAX_DEPTH` levels deep goes through every command on a 2 MiB thread,
+/// the stack of an `openarc serve` connection. One level more, and the two
+/// 200 000-deep repros that used to overflow the stack, are a frontend
+/// diagnostic with exit 2.
+#[test]
+fn nesting_past_max_depth_is_a_diagnostic() {
+    use openarc::minic::ast::MAX_DEPTH;
+    type Shape = (&'static str, fn(usize) -> String, usize);
+    let in_loop = |body: String| {
+        format!(
+            "double a[4];\nvoid main() {{\n    int i;\n    #pragma acc parallel loop\n    \
+             for (i = 0; i < 4; i++) {{ {body} }}\n}}\n"
+        )
+    };
+    // A shape at `n` has its deepest leaf `n + offset` levels down: the
+    // loop is one level, the first statement of its body two, that
+    // statement's expression three, and an index in its target four.
+    let shapes: [Shape; 5] = [
+        (
+            "parentheses",
+            |n| format!("a[i] = {}1{};", "(".repeat(n), ")".repeat(n)),
+            3,
+        ),
+        (
+            "operator chain",
+            |n| format!("a[i] = 1{};", " + 1".repeat(n)),
+            3,
+        ),
+        (
+            "prefix operators",
+            |n| format!("a[i] = {}1;", "!".repeat(n)),
+            3,
+        ),
+        (
+            "ternary chain",
+            |n| format!("a[i] = {}1;", "1 ? 1 : ".repeat(n)),
+            3,
+        ),
+        (
+            "statements",
+            |n| format!("{}a[i] = 1.0;", "if (i < 4) ".repeat(n)),
+            4,
+        ),
+    ];
+    let on_small_stack = |src: String, action: Action| {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || outcome(&src, action, &None))
+            .unwrap()
+            .join()
+            .unwrap()
+    };
+    let refused = |(code, msg): (i32, String)| {
+        code == 2 && msg.contains(&format!("nesting deeper than {MAX_DEPTH} levels"))
+    };
+    for (name, body, offset) in shapes {
+        let at_limit = in_loop(body(MAX_DEPTH - offset));
+        for action in [Action::Check, Action::Run, Action::Verify] {
+            let (code, out) = on_small_stack(at_limit.clone(), action);
+            assert_eq!(code, 0, "{name} at the limit, {action:?}: {out}");
+        }
+        let over = on_small_stack(in_loop(body(MAX_DEPTH - offset + 1)), Action::Check);
+        assert!(refused(over.clone()), "{name} one level over: {over:?}");
+    }
+    let n = 200_000;
+    for repro in [
+        format!(
+            "int x;\nvoid main() {{ x = {}1{}; }}\n",
+            "(".repeat(n),
+            ")".repeat(n)
+        ),
+        format!("int x;\nvoid main() {{ x = 1{}; }}\n", " + 1".repeat(n)),
+    ] {
+        let got = on_small_stack(repro, Action::Check);
+        assert!(refused(got.clone()), "{got:?}");
+    }
 }

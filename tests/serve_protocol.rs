@@ -191,6 +191,37 @@ fn framing_abuse_gets_structured_errors_never_a_hang() {
     c.shutdown(handle);
 }
 
+/// Parentheses nested 200 000 deep once overflowed the stack of the
+/// connection's thread and aborted the daemon. They are a program error
+/// now, and the same connection goes on answering.
+#[test]
+fn a_deeply_nested_program_is_refused_and_the_daemon_keeps_serving() {
+    let (addr, handle) = start(quiet());
+    let mut c = Client::connect(addr);
+    let n = 200_000;
+    let deep = format!(
+        "int x;\nvoid main() {{ x = {}1{}; }}\n",
+        "(".repeat(n),
+        ")".repeat(n)
+    );
+    let v = c.round_trip(&Request::new(Action::Check, &deep).to_json().to_string());
+    assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false));
+    let e = ApiError::from_json(v.get("error").unwrap()).unwrap();
+    assert_eq!((e.kind, e.exit_code()), (ErrorKind::Program, 2));
+    assert!(e.message.contains("nesting deeper than"), "{}", e.message);
+    let v = c.round_trip(&Request::new(Action::Run, SAXPY).to_json().to_string());
+    assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true));
+    let resp = Response::from_json(v.get("response").unwrap()).unwrap();
+    assert_eq!(resp.exit_code, 0);
+    assert!(
+        resp.report
+            .contains("y                = [2.000000, 3.000000, 4.000000"),
+        "{}",
+        resp.report
+    );
+    c.shutdown(handle);
+}
+
 #[test]
 fn overload_refusals_carry_a_retry_hint() {
     // 1 worker and a queue of 1: firing several concurrent requests must
