@@ -361,7 +361,6 @@ fn check_at_scale(sw: &Sweep, b: &Benchmark, v: Variant) -> Result<(), String> {
             &tr,
             &ExecOptions {
                 mode: ExecMode::CpuOnly,
-                race_detect: false,
                 ..Default::default()
             },
         )

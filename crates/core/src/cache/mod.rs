@@ -16,9 +16,10 @@
 //! Design rules, all load-bearing:
 //!
 //! * **Keys** fold the artifact's content hash together with
-//!   [`SCHEMA_VERSION`] and the tool fingerprint (crate version), so a
-//!   schema bump or a new binary never reads stale layouts — old entries
-//!   simply stop being addressed and age out via [`DiskCache::gc`].
+//!   [`BUILD_ID`], a hash of the sources that decide what an artifact
+//!   means, so a binary built from other sources never reads this one's
+//!   entries — old entries simply stop being addressed and age out via
+//!   [`DiskCache::gc`].
 //! * **Publishing is atomic**: entries are written to a private temp file
 //!   and `rename`d into place, so readers never observe partial writes.
 //! * **Writers hold an advisory lock** (`create_new` lock file) per entry;
@@ -42,15 +43,17 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, SystemTime};
 
-/// On-disk layout version; folded into every entry key. Bump when any
-/// [`bin`] encoding changes shape.
-pub const SCHEMA_VERSION: u64 = 2;
+// `BUILD_ID`, computed by `build.rs`: the build identity every entry key
+// folds.
+include!(concat!(env!("OUT_DIR"), "/build_id.rs"));
 
 /// Default cache directory used by the CLI and bench drivers.
 pub const DEFAULT_DIR: &str = "target/openarc-cache";
 
-/// Fingerprint of the producing tool, folded into every entry key so
-/// artifacts written by one build are never read by another.
+/// Fingerprint of the producing tool (the crate version), hashed into
+/// every entry header. It guards only the header: the entry key folds
+/// [`BUILD_ID`], which is what keeps artifacts written by one build from
+/// ever being read by another.
 pub fn tool_fingerprint() -> &'static str {
     env!("CARGO_PKG_VERSION")
 }
@@ -137,6 +140,9 @@ pub struct DiskCache {
     /// Tenant namespace folded into every entry key (`""` = the default
     /// namespace, whose keys are identical to a pre-namespace store).
     namespace: String,
+    /// Build identity folded into every entry key: [`BUILD_ID`], except
+    /// where a test plays another build.
+    build: u64,
     hits: AtomicU64,
     misses: AtomicU64,
     stores: AtomicU64,
@@ -181,6 +187,7 @@ impl DiskCache {
         DiskCache {
             root: root.into(),
             namespace: namespace.into(),
+            build: BUILD_ID,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             stores: AtomicU64::new(0),
@@ -210,16 +217,13 @@ impl DiskCache {
         }
     }
 
-    /// Entry key: the artifact's content hash folded with the schema
-    /// version, tool fingerprint, and (when non-empty) the tenant
-    /// namespace, so incompatible layouts — and other tenants' entries —
-    /// are simply never addressed. The empty namespace writes nothing
-    /// into the hash, keeping default-namespace keys stable across the
-    /// namespace feature's introduction.
+    /// Entry key: the artifact's content hash folded with the build
+    /// identity and (when non-empty) the tenant namespace, so another
+    /// build's entries — and other tenants' — are simply never addressed.
+    /// The empty namespace writes nothing into the hash.
     fn entry_key(&self, stage: Stage, id: ArtifactId) -> u64 {
         let mut h = Fnv::new();
-        h.write_u64(SCHEMA_VERSION)
-            .write_str(tool_fingerprint())
+        h.write_u64(self.build)
             .write_str(stage.label())
             .write_u64(id.0);
         if !self.namespace.is_empty() {
@@ -487,6 +491,7 @@ mod tests {
     use super::*;
     use crate::exec::{execute, ExecOptions};
     use crate::translate::{translate, TranslateOptions};
+    use openarc_trace::bin::MAX_NESTING;
     use std::sync::atomic::AtomicU32;
 
     /// A fresh per-test cache root under the system temp dir.
@@ -743,6 +748,98 @@ mod tests {
         assert!(default.store_run(art.id, &run_result(), &[]));
         let again = DiskCache::new(&root);
         assert!(is_hit(again.load_run(art.id)));
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// A frontend entry whose `x = !x` holds `levels` nested `!`s, spliced
+    /// in as bytes: building the tree itself would recurse that deep.
+    fn deep_frontend_entry(levels: usize) -> (ArtifactId, Vec<u8>) {
+        use openarc_minic::ast::{ExprKind, Item, StmtKind};
+        use openarc_trace::bin::{Wire, Writer};
+        let (program, sema) = openarc_minic::frontend("int x;\nvoid main() { x = !x; }").unwrap();
+        let Item::Func(f) = &program.items[1] else {
+            panic!("main is the second item")
+        };
+        let StmtKind::Assign { value, .. } = &f.body.stmts[0].kind else {
+            panic!("an assignment")
+        };
+        let ExprKind::Unary { expr: leaf, .. } = &value.kind else {
+            panic!("a prefix operator")
+        };
+        let encode = |e: &openarc_minic::ast::Expr| {
+            let mut w = Writer::new();
+            e.put(&mut w);
+            w.into_bytes()
+        };
+        let (node, leaf) = (encode(value), encode(leaf));
+        // The leaf is encoded last, so a node's own bytes are a prefix.
+        let chain = [node[..node.len() - leaf.len()].repeat(levels), leaf].concat();
+        let art = FrontendArtifact {
+            id: ArtifactId(9),
+            program,
+            sema,
+        };
+        let mut bytes = bin::encode_frontend(&art);
+        let at = bytes.windows(node.len()).position(|w| w == node).unwrap();
+        bytes.splice(at..at + node.len(), chain.iter().copied());
+        // The program section's length follows its kind, after the header.
+        let len_at = bin::HEADER_LEN + 4;
+        let len = u64::from_le_bytes(bytes[len_at..len_at + 8].try_into().unwrap());
+        let len = len + (chain.len() - node.len()) as u64;
+        bytes[len_at..len_at + 8].copy_from_slice(&len.to_le_bytes());
+        (art.id, bytes)
+    }
+
+    #[test]
+    fn a_tree_nested_past_the_decode_limit_loads_as_corrupt() {
+        // On the stack of an `openarc serve` connection: the entry is
+        // refused at the nesting limit, deleted and counted, never an
+        // overflow. One level deep, the same splice loads.
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let cache = DiskCache::new(scratch("deep"));
+                let path = cache.entry_path(
+                    Stage::Frontend,
+                    cache.entry_key(Stage::Frontend, ArtifactId(9)),
+                );
+                for (levels, loads) in [(1, true), (200_000, false)] {
+                    let (id, bytes) = deep_frontend_entry(levels);
+                    assert!(cache.store_frontend(&frontend_artifact(id.0)));
+                    fs::write(&path, &bytes).unwrap();
+                    assert_eq!(is_hit(cache.load_frontend(id)), loads, "{levels} levels");
+                    let err = bin::decode_frontend(id, &bytes).err().unwrap_or_default();
+                    let refused = format!("nesting deeper than {MAX_NESTING} levels");
+                    assert_eq!(err.contains(&refused), !loads, "{err}");
+                }
+                assert_eq!(cache.stats().corrupt, 1);
+                assert!(!path.exists(), "the corrupt entry is deleted");
+                let _ = fs::remove_dir_all(cache.root());
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
+    #[test]
+    fn another_builds_entries_are_misses() {
+        // One root, two builds: what the other build stored is a plain
+        // miss here — never decoded, never counted corrupt — and its
+        // entries stay readable by that build.
+        let root = scratch("build");
+        let ours = DiskCache::new(&root);
+        let theirs = DiskCache {
+            build: BUILD_ID ^ 1,
+            ..DiskCache::new(&root)
+        };
+        let art = frontend_artifact(3);
+        assert!(theirs.store_frontend(&art));
+        assert!(theirs.store_run(art.id, &run_result(), &[]));
+        assert!(matches!(ours.load_frontend(art.id), Lookup::Miss));
+        assert!(matches!(ours.load_run(art.id), Lookup::Miss));
+        assert_eq!((ours.stats().misses, ours.stats().corrupt), (2, 0));
+        assert!(is_hit(theirs.load_frontend(art.id)));
+        assert!(is_hit(theirs.load_run(art.id)));
         let _ = fs::remove_dir_all(&root);
     }
 

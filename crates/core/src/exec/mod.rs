@@ -182,6 +182,37 @@ impl Default for ExecOptions {
     }
 }
 
+impl ExecOptions {
+    /// These options with every field the mode never reads set to one
+    /// canonical value (its default; `race_detect` off). A plan key
+    /// hashes the view, so two option sets one run cannot tell apart
+    /// share a cache entry; the executor itself reads the raw options.
+    ///
+    /// * `CpuOnly` launches nothing on a device and moves no data: it
+    ///   reads neither `check_transfers`, `race_detect`, `launch` nor the
+    ///   overlay.
+    /// * `Verify` moves data only through its own staging, never through
+    ///   a transfer site: it reads no overlay.
+    /// * `Normal` reads every field.
+    ///
+    /// `tests/plan_keys.rs` checks both directions: a cleared field never
+    /// changes a run, and every kept one changes some run.
+    pub fn key_view(&self) -> ExecOptions {
+        let mut view = self.clone();
+        match self.mode {
+            ExecMode::CpuOnly => {
+                view.check_transfers = false;
+                view.race_detect = false;
+                view.launch = LaunchConfig::default();
+                view.overlay = TransferOverlay::default();
+            }
+            ExecMode::Verify(_) => view.overlay = TransferOverlay::default(),
+            ExecMode::Normal => {}
+        }
+        view
+    }
+}
+
 /// Verification verdict for one kernel.
 #[derive(Debug, Clone, Default)]
 pub struct KernelVerification {

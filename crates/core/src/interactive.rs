@@ -190,7 +190,6 @@ pub fn optimize_transfers_in_session(
             &tr0a,
             &ExecOptions {
                 mode: crate::exec::ExecMode::CpuOnly,
-                race_detect: false,
                 ..base_opts.clone()
             },
         )

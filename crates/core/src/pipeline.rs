@@ -101,7 +101,9 @@ fn combine(a: u64, b: u64) -> u64 {
     Fnv::new().write_u64(a).write_u64(b).finish()
 }
 
+/// Fingerprint of what a translation reads of `o` ([`TranslateOptions::key_view`]).
 fn fp_translate_options(o: &TranslateOptions) -> u64 {
+    let o = o.key_view();
     let mut h = Fnv::new();
     h.write_bool(o.instrument)
         .write_bool(o.optimize_checks)
@@ -130,16 +132,14 @@ fn fp_verify_options(h: &mut Fnv, v: &VerifyOptions) {
     h.write_bool(v.complement)
         .write_f64(v.rel_tol)
         .write_f64(v.abs_tol)
-        .write_f64(v.min_value_to_check);
-    // `1` and `0` are the retired `dagJobs` and `placement` defaults,
-    // hashed in place so every plan id and cache key keeps its value.
-    h.write_u64(v.queue as u64)
-        .write_u64(1)
-        .write_u64(v.devices as u64)
-        .write_u64(0);
+        .write_f64(v.min_value_to_check)
+        .write_u64(v.queue as u64)
+        .write_u64(v.devices as u64);
 }
 
+/// Fingerprint of what a run reads of `o` ([`ExecOptions::key_view`]).
 fn fp_exec_options(o: &ExecOptions) -> u64 {
+    let o = o.key_view();
     let mut h = Fnv::new();
     match &o.mode {
         ExecMode::Normal => {
@@ -153,12 +153,8 @@ fn fp_exec_options(o: &ExecOptions) -> u64 {
             fp_verify_options(&mut h, v);
         }
     }
-    // A `CpuOnly` run launches nothing on a device, so it never reads
-    // `race_detect`: its key writes `false`, and `cpu` finds the entry the
-    // verify baseline stored.
-    let races = o.race_detect && !matches!(o.mode, ExecMode::CpuOnly);
     h.write_bool(o.check_transfers)
-        .write_bool(races)
+        .write_bool(o.race_detect)
         .write_u64(o.launch.wave as u64)
         .write_u64(o.launch.step_budget)
         .write_u64(o.step_budget);
@@ -863,7 +859,6 @@ impl Session {
             let run = self.execute(&tr, &vrun_opts);
             let cpu = ExecOptions {
                 mode: ExecMode::CpuOnly,
-                race_detect: false,
                 ..Default::default()
             };
             let plan = self.plan(&tr, &cpu);

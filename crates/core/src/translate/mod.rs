@@ -71,6 +71,29 @@ impl Default for TranslateOptions {
     }
 }
 
+impl TranslateOptions {
+    /// These options with every flag the translation never reads set to
+    /// its default: a translation key hashes the view. An uninstrumented
+    /// translation reads only the privatization and reduction flags;
+    /// `hoist_gpu_checks` is read only with `optimize_checks`, and
+    /// `ignored_update_stmts` only when both are set (`instrument::plan`).
+    pub fn key_view(&self) -> TranslateOptions {
+        let default = TranslateOptions::default();
+        let optimize = self.instrument && self.optimize_checks;
+        let mut view = self.clone();
+        if !self.instrument {
+            view.optimize_checks = default.optimize_checks;
+        }
+        if !optimize {
+            view.hoist_gpu_checks = default.hoist_gpu_checks;
+        }
+        if !(optimize && self.hoist_gpu_checks) {
+            view.ignored_update_stmts = default.ignored_update_stmts;
+        }
+        view
+    }
+}
+
 /// Output of translation.
 #[derive(Debug)]
 pub struct Translated {

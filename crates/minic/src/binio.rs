@@ -21,6 +21,11 @@ use crate::sema::{FuncInfo, Sema};
 use crate::span::Span;
 use openarc_trace::{wire_codes, wire_enum, wire_record};
 
+// Every tree the parser accepts, with what translation wraps around it,
+// decodes under the codec's nesting limit (`Expr` and `Stmt` below are
+// its levels).
+const _: () = assert!(openarc_trace::bin::MAX_NESTING >= 2 * MAX_DEPTH);
+
 wire_codes!(ScalarTy, BinOp, UnOp, AssignOp, Intrinsic);
 
 wire_enum!(Ty {
@@ -32,7 +37,7 @@ wire_enum!(Ty {
 
 wire_record!(Span { start, end, line });
 
-wire_record!(Expr { id, span, kind });
+wire_record!(nested Expr { id, span, kind });
 
 wire_enum!(ExprKind {
     0 => IntLit(v),
@@ -64,7 +69,7 @@ wire_record!(Block { stmts });
 
 wire_record!(Pragma { text, span });
 
-wire_record!(Stmt {
+wire_record!(nested Stmt {
     id,
     span,
     pragmas,

@@ -219,7 +219,6 @@ pub fn check_variant(b: &Benchmark, v: Variant) -> Result<(), String> {
         &tr,
         &ExecOptions {
             mode: ExecMode::CpuOnly,
-            race_detect: false,
             ..Default::default()
         },
     )

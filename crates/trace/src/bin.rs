@@ -45,6 +45,9 @@
 //!   count larger than the bytes remaining in the buffer is rejected
 //!   before any allocation (every element encodes to at least one byte),
 //!   so an oversized length prefix cannot drive an OOM.
+//! * A tree's nodes (a record declared `nested`) open one
+//!   [`Reader::nested`] level each; past [`MAX_NESTING`] levels the input
+//!   is a decode error, so no tree can overflow the decoder's stack.
 //! * A value from a closed set (a time category, coherence side, state or
 //!   cause, a severity, stage label or cache op here; types, operators,
 //!   clauses and the like in the artifact codecs) is a one-byte code: its
@@ -179,6 +182,13 @@ impl Writer {
     }
 }
 
+/// Open levels of the recursive shapes ([`Reader::nested`]) a decode
+/// accepts. A MiniC tree the parser accepts is at most
+/// `minic::ast::MAX_DEPTH` (128) levels deep and translation adds a few,
+/// so this admits every tree the pipeline builds, and decoding this deep
+/// fits a 2 MiB thread stack.
+pub const MAX_NESTING: usize = 256;
+
 /// A borrowing cursor over one contiguous encoded buffer.
 ///
 /// All reads are bounds-checked; running off the end of the buffer —
@@ -189,12 +199,34 @@ impl Writer {
 pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// Open [`Reader::nested`] levels.
+    depth: usize,
 }
 
 impl<'a> Reader<'a> {
     /// A reader positioned at the start of `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
+        Self {
+            buf,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// Decode one level of a recursive shape with `get`. Past
+    /// [`MAX_NESTING`] open levels the input is refused, so no encoded
+    /// tree, however deep, can overflow the decoder's stack.
+    pub fn nested<T>(
+        &mut self,
+        get: impl FnOnce(&mut Self) -> Result<T, String>,
+    ) -> Result<T, String> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(&format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let out = get(self);
+        self.depth -= 1;
+        out
     }
 
     /// Current byte offset.
@@ -511,8 +543,24 @@ macro_rules! wire_codes {
 ///
 /// `=> expr` builds the value from the decoded fields when the record
 /// holds more than it sends (indexes rebuilt on decode).
+///
+/// `nested Name { … }` declares a record every recursive shape passes
+/// through (a tree's node): its decode is one [`Reader::nested`] level.
 #[macro_export]
 macro_rules! wire_record {
+    (nested $ty:ident { $($f:ident),+ $(,)? }) => {
+        impl $crate::bin::Wire for $ty {
+            fn put(&self, w: &mut $crate::bin::Writer) {
+                $($crate::bin::Wire::put(&self.$f, w);)+
+            }
+            fn get(r: &mut $crate::bin::Reader<'_>) -> ::std::result::Result<Self, String> {
+                r.nested(|r| {
+                    $(let $f = $crate::bin::Wire::get(r)?;)+
+                    Ok($ty { $($f),+ })
+                })
+            }
+        }
+    };
     (@build $ty:ident { $($f:ident),+ }) => { $ty { $($f),+ } };
     (@build $ty:ident { $($f:ident),+ } $ctor:expr) => { $ctor };
     ($ty:ident ( $($f:ident),+ $(,)? )) => {
@@ -670,6 +718,25 @@ pub fn read_events(r: &mut Reader<'_>) -> Result<Vec<TraceEvent>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `levels` nested [`Reader::nested`] calls over an empty buffer.
+    fn nest(r: &mut Reader<'_>, levels: usize) -> Result<usize, String> {
+        r.nested(|r| match levels {
+            1 => Ok(r.depth),
+            _ => nest(r, levels - 1),
+        })
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_refused_and_unwinds() {
+        let mut r = Reader::new(&[]);
+        assert_eq!(nest(&mut r, MAX_NESTING), Ok(MAX_NESTING));
+        let err = nest(&mut r, MAX_NESTING + 1).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        // Every level closes on the way out, refused or not.
+        assert_eq!(r.depth, 0);
+        assert_eq!(nest(&mut r, 2), Ok(2));
+    }
 
     fn sample_events() -> Vec<TraceEvent> {
         let mk = |track, kind| TraceEvent {

@@ -1073,8 +1073,19 @@ mod tests {
         let (p, s) = frontend("int n;\nvoid main() { n = 5; n = n / 0; }").unwrap();
         let m = compile(&p, &s).unwrap();
         let mut env = BasicEnv::for_module(&m);
+        // Step while each slice spends its fuel, at most once per
+        // instruction of the straight-line program: a finished thread
+        // keeps answering `Done`, so a missing trap must end the loop too.
+        let bound: usize = m.chunks.iter().map(|c| c.code.len()).sum();
         let mut by_one = ThreadState::new(&m, "main", &[]).unwrap();
-        while step(&mut by_one, &m, &mut env).is_ok() {}
+        let mut last = Ok(Yield::Fuel);
+        for _ in 0..=bound {
+            if last != Ok(Yield::Fuel) {
+                break;
+            }
+            last = step(&mut by_one, &m, &mut env);
+        }
+        assert_eq!(last, Err(VmError::DivByZero));
         let mut env = BasicEnv::for_module(&m);
         let mut whole = ThreadState::new(&m, "main", &[]).unwrap();
         assert_eq!(

@@ -30,7 +30,8 @@ void main() {
     let (program, sema) = frontend(src).expect("frontend");
 
     // 1. Show the memory-transfer demotion (Listing 2).
-    let demoted = demote_source(&program, &std::iter::once(0).collect(), 1).unwrap();
+    let tr = translate(&program, &sema, &TranslateOptions::default()).expect("translate");
+    let demoted = demote_source(&program, &tr.kernels[0], 1).unwrap();
     println!("--- demoted program (target kernel 0) ---");
     println!("{}", openarc::minic::print_program(&demoted));
 

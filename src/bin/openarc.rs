@@ -143,13 +143,13 @@ fn demote(rest: &[String]) -> Outcome<ApiError> {
     let session = session(None, Journal::disabled());
     let fe = session.frontend(&read_source(path)?)?;
     let tr = session.translate(&fe, &TranslateOptions::default())?;
-    let kernels = tr.tr.kernels.len();
-    if idx >= kernels {
-        let msg = format!("kernel index {idx} out of range: the program has {kernels} kernel(s)");
+    let kernels = &tr.tr.kernels;
+    let Some(kernel) = kernels.get(idx) else {
+        let n = kernels.len();
+        let msg = format!("kernel index {idx} out of range: the program has {n} kernel(s)");
         return Err(msg.into());
-    }
-    let demoted = demote_source(&fe.program, &std::iter::once(idx).collect(), 1)
-        .map_err(|e| e.to_string())?;
+    };
+    let demoted = demote_source(&fe.program, kernel, 1).map_err(|e| e.to_string())?;
     Ok((0, openarc::minic::print_program(&demoted)))
 }
 

@@ -48,7 +48,8 @@ fn listing1_pipeline_end_to_end() {
 #[test]
 fn listing2_demotion_then_verification_passes() {
     let (p, s) = frontend(LISTING1).unwrap();
-    let demoted = demote_source(&p, &std::iter::once(0).collect(), 1).unwrap();
+    let tr = translate(&p, &s, &TranslateOptions::default()).unwrap();
+    let demoted = demote_source(&p, &tr.kernels[0], 1).unwrap();
     let text = openarc::minic::print_program(&demoted);
     assert!(text.contains("async(1)"), "{text}");
     assert!(text.contains("copy(q)"), "{text}");

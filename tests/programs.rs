@@ -287,9 +287,10 @@ fn harness_failures_name_file_and_line() {
 
 /// MiniC's nesting limit (DESIGN.md §7). A program nested exactly
 /// `MAX_DEPTH` levels deep goes through every command on a 2 MiB thread,
-/// the stack of an `openarc serve` connection. One level more, and the two
-/// 200 000-deep repros that used to overflow the stack, are a frontend
-/// diagnostic with exit 2.
+/// the stack of an `openarc serve` connection, and a fresh session then
+/// loads every stage's entry back from the disk cache, the deep trees
+/// included. One level more, and the two 200 000-deep repros that used to
+/// overflow the stack, are a frontend diagnostic with exit 2.
 #[test]
 fn nesting_past_max_depth_is_a_diagnostic() {
     use openarc::minic::ast::MAX_DEPTH;
@@ -338,15 +339,41 @@ fn nesting_past_max_depth_is_a_diagnostic() {
             .join()
             .unwrap()
     };
+    // `action` answered by a fresh session over the disk cache `dir`, on
+    // the same stack: the outcome and the session's disk counters.
+    let cached = |src: String, action: Action, dir: std::path::PathBuf| {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let session = Session::builder().disk_cache(dir).build();
+                let got = match handle(&session, &Request::new(action, src)) {
+                    Ok(r) => (r.exit_code, r.report),
+                    Err(e) => (e.exit_code(), e.message),
+                };
+                (got, session.stats().disk)
+            })
+            .unwrap()
+            .join()
+            .unwrap()
+    };
     let refused = |(code, msg): (i32, String)| {
         code == 2 && msg.contains(&format!("nesting deeper than {MAX_DEPTH} levels"))
     };
     for (name, body, offset) in shapes {
         let at_limit = in_loop(body(MAX_DEPTH - offset));
+        let dir = std::env::temp_dir().join(format!("openarc-nesting-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         for action in [Action::Check, Action::Run, Action::Verify] {
-            let (code, out) = on_small_stack(at_limit.clone(), action);
-            assert_eq!(code, 0, "{name} at the limit, {action:?}: {out}");
+            let (cold, _) = cached(at_limit.clone(), action, dir.clone());
+            assert_eq!(cold.0, 0, "{name} at the limit, {action:?}: {}", cold.1);
+            let (warm, disk) = cached(at_limit.clone(), action, dir.clone());
+            assert_eq!(warm, cold, "{name} at the limit, {action:?}, from disk");
+            assert!(
+                disk.hits > 0 && disk.misses == 0 && disk.corrupt == 0,
+                "{name} at the limit, {action:?}: {disk:?}"
+            );
         }
+        let _ = std::fs::remove_dir_all(&dir);
         let over = on_small_stack(in_loop(body(MAX_DEPTH - offset + 1)), Action::Check);
         assert!(refused(over.clone()), "{name} one level over: {over:?}");
     }
