@@ -250,7 +250,13 @@ pub struct RunResult {
     pub races: Vec<(String, RaceReport)>,
     /// Total kernel launches.
     pub kernel_launches: u64,
-    /// Host instructions interpreted.
+    /// Instructions `main`'s thread executed. The `__seq_*` runs (a kernel
+    /// that falls back to the host, a verified launch's reference) are not
+    /// counted here, though the clock charges them to `CpuTime` like
+    /// `main`'s; nor is `__globals_init`, which the clock does not charge.
+    /// In a `CpuOnly` run, the `CpuTime` charge times `cpu_instr_per_us`
+    /// counts every interpreted host instruction but `__globals_init`'s;
+    /// this is `main`'s share of it.
     pub host_instrs: u64,
 }
 

@@ -27,6 +27,7 @@
 use super::env::ExecEnv;
 use super::reduce::red_finish;
 use super::VerifyOptions;
+use crate::compare;
 use crate::knowledge::KernelAssert;
 use openarc_trace::{Category, Phase};
 use openarc_vm::{Handle, Value, VmError};
@@ -47,18 +48,24 @@ struct Comparison {
 
 impl Comparison {
     /// Compare the CPU value `c` with the device value `g` under the one
-    /// §III-A tolerance rule: skip `c` below `min_value_to_check`, and count
-    /// a mismatch when the error exceeds `abs_tol + rel_tol·|c|` unless
-    /// both values lie inside the kernel's `bounds` knowledge `(lo, hi)`.
+    /// §III-A tolerance rule, [`compare::within`]: skip a finite `c` below
+    /// `min_value_to_check`, and count a mismatch unless `g` is within
+    /// `abs_tol + rel_tol·|c|` of it or both values lie inside the
+    /// kernel's `bounds` knowledge `(lo, hi)`. A mismatch involving NaN or
+    /// infinity counts as an infinite error.
     fn add(&mut self, v: &VerifyOptions, bound: Option<(f64, f64)>, c: f64, g: f64) {
-        if c.abs() < v.min_value_to_check {
+        if c.is_finite() && c.abs() < v.min_value_to_check {
             return;
         }
         self.compared += 1;
-        let err = (c - g).abs();
-        let within = |(lo, hi): (f64, f64)| (lo..=hi).contains(&c) && (lo..=hi).contains(&g);
-        if err > v.abs_tol + v.rel_tol * c.abs() && !bound.is_some_and(within) {
+        let in_bounds = |(lo, hi): (f64, f64)| (lo..=hi).contains(&c) && (lo..=hi).contains(&g);
+        if !compare::within(c, g, v.abs_tol, v.rel_tol) && !bound.is_some_and(in_bounds) {
             self.mismatches += 1;
+            let err = if c.is_finite() && g.is_finite() {
+                (c - g).abs()
+            } else {
+                f64::INFINITY
+            };
             if err > self.max_err {
                 self.max_err = err;
             }

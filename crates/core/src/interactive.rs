@@ -16,6 +16,7 @@
 //!    **incorrect iteration**;
 //! 5. repeat until no further suggestion survives.
 
+use crate::compare;
 use crate::exec::{ExecOptions, RunResult, TransferKey, TransferOverlay};
 use crate::pipeline::Session;
 use crate::translate::Translated;
@@ -73,7 +74,8 @@ pub fn capture_outputs(tr: &Translated, r: &RunResult, spec: &OutputSpec) -> Ref
     }
 }
 
-/// Compare a run's outputs against the reference.
+/// Compare a run's outputs against the reference, each value under
+/// [`compare::within`] with `tol` as both margins.
 pub fn outputs_match(tr: &Translated, r: &RunResult, reference: &Reference, tol: f64) -> bool {
     for (name, expect) in &reference.arrays {
         let Some(got) = r.global_array(tr, name) else {
@@ -83,7 +85,7 @@ pub fn outputs_match(tr: &Translated, r: &RunResult, reference: &Reference, tol:
             return false;
         }
         for (g, e) in got.iter().zip(expect) {
-            if (g - e).abs() > tol + tol * e.abs() {
+            if !compare::within(*e, *g, tol, tol) {
                 return false;
             }
         }
@@ -92,7 +94,7 @@ pub fn outputs_match(tr: &Translated, r: &RunResult, reference: &Reference, tol:
         let Some(got) = r.global_scalar(tr, name) else {
             return false;
         };
-        if (got.as_f64() - expect).abs() > tol + tol * expect.abs() {
+        if !compare::within(*expect, got.as_f64(), tol, tol) {
             return false;
         }
     }

@@ -22,6 +22,7 @@
 
 pub mod api;
 pub mod cache;
+pub mod compare;
 pub mod exec;
 pub mod faults;
 pub mod fuzz;

@@ -102,6 +102,7 @@ fn indexed(chunks: Vec<Chunk>, globals: Vec<GlobalInfo>) -> Result<Module, Strin
         func_index,
         globals,
         global_index,
+        ..Module::default()
     })
 }
 
@@ -174,6 +175,7 @@ mod tests {
                 },
             ],
             global_index: Default::default(),
+            ..Module::default()
         };
         m.func_index.insert("main".into(), 0);
         m.global_index.insert("g".into(), 0);

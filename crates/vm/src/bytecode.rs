@@ -1,5 +1,6 @@
 //! Bytecode definitions: instructions, chunks, modules.
 
+use crate::fuse::LazyFused;
 use crate::value::Value;
 use openarc_minic::ast::{BinOp, UnOp};
 use openarc_minic::{Intrinsic, ScalarTy, Ty};
@@ -120,6 +121,8 @@ pub struct Module {
     pub globals: Vec<GlobalInfo>,
     /// Global name → slot.
     pub global_index: HashMap<String, u16>,
+    /// The fused execution form of `chunks`, built by the first run.
+    pub(crate) fused: LazyFused,
 }
 
 impl Module {

@@ -20,6 +20,7 @@
 
 use crate::bytecode::{Instr, Module};
 use crate::error::VmError;
+use crate::fuse::{self, Op};
 use crate::mem::MemSpace;
 use crate::value::{Handle, Value};
 use openarc_minic::ast::{BinOp, UnOp};
@@ -168,6 +169,9 @@ impl ThreadState {
     ///
     /// This is the interpreter's only dispatch loop. The frame cursor lives
     /// in locals for the duration of the slice and is written back once.
+    /// It dispatches on the module's fused execution form (`fuse.rs`),
+    /// whose entries keep every count canonical; a slice of fuel 1 runs
+    /// the canonical instruction stream one instruction at a time.
     pub fn run<E: Env>(
         &mut self,
         module: &Module,
@@ -190,8 +194,11 @@ impl ThreadState {
             mut pc,
             mut base,
         } = *frames.last().expect("active frame");
+        let fused = module.fused();
         let mut chunk = &module.chunks[top as usize];
+        let mut ops = fused.chunk(top);
         let mut left = fuel;
+        let mut next;
 
         // `?` would skip the write-back below; every fallible operation in
         // the loop goes through these instead.
@@ -227,77 +234,129 @@ impl ThreadState {
                 }
             };
         }
+        macro_rules! bin {
+            ($op:expr) => {{
+                let b = pop!();
+                let a = top!();
+                *a = match bin_in_registers($op, *a, b) {
+                    Some(v) => v,
+                    None => tri!(eval_bin($op, *a, b)),
+                };
+            }};
+        }
+        macro_rules! cast {
+            ($ty:expr) => {{
+                let a = top!();
+                if let Some(v) = cast_in_registers(*a, $ty) {
+                    *a = v;
+                }
+            }};
+        }
+        // A fused entry of width `$w` runs its stretch only with `$w` units
+        // of fuel left and a value the register path accepts ...
+        macro_rules! fits {
+            ($w:expr, $v:expr) => {
+                (left >= $w).then(|| $v).flatten()
+            };
+        }
+        // ... and then accounts for the `$w - 1` instructions after its
+        // first.
+        macro_rules! ran {
+            ($w:expr) => {{
+                next = pc + $w;
+                left -= $w - 1;
+            }};
+        }
+        macro_rules! local {
+            ($s:expr) => {
+                locals[base + $s as usize]
+            };
+        }
+        // A stretch that ends in a push: `$v`, or else its first push.
+        macro_rules! push_or {
+            ($first:expr, $w:expr, $v:expr) => {
+                match fits!($w, $v) {
+                    Some(v) => {
+                        stack.push(v);
+                        ran!($w);
+                    }
+                    None => stack.push($first),
+                }
+            };
+        }
+        // A stretch that pushes `b` and applies `Bin(op)`: the top
+        // becomes `$then(top op b)`, or else `b` is pushed.
+        macro_rules! onto_top {
+            ($w:expr, $op:expr, $b:expr, $then:expr) => {{
+                let b = $b;
+                match stack.last_mut() {
+                    Some(a) if left >= $w => match bin_in_registers($op, *a, b) {
+                        Some(v) => {
+                            *a = $then(v);
+                            ran!($w);
+                        }
+                        None => stack.push(b),
+                    },
+                    _ => stack.push(b),
+                }
+            }};
+        }
 
         let outcome = loop {
             if left == 0 {
                 break Ok(Yield::Fuel);
             }
-            let Some(&instr) = chunk.code.get(pc) else {
+            let Some(&op) = ops.get(pc) else {
                 break Err(VmError::Internal(format!(
                     "pc {pc} out of range in `{}`",
                     chunk.name
                 )));
             };
-            let mut next = pc + 1;
-            match instr {
-                Instr::Const(i) => stack.push(chunk.consts[i as usize]),
-                Instr::LoadLocal(s) => stack.push(locals[base + s as usize]),
-                Instr::StoreLocal(s) => {
-                    let v = pop!();
-                    locals[base + s as usize] = v;
-                }
-                Instr::LoadGlobal(s) => {
+            next = pc + 1;
+            match op {
+                Op::One(Instr::Const(i)) => stack.push(chunk.consts[i as usize]),
+                Op::One(Instr::LoadLocal(s)) => stack.push(local!(s)),
+                Op::One(Instr::StoreLocal(s)) => local!(s) = pop!(),
+                Op::One(Instr::LoadGlobal(s)) => {
                     hand_back!(Stop::EnvAccess);
                     stack.push(tri!(env.load_global(s)));
                 }
-                Instr::StoreGlobal(s) => {
+                Op::One(Instr::StoreGlobal(s)) => {
                     hand_back!(Stop::EnvAccess);
                     let v = pop!();
                     tri!(env.store_global(s, v));
                 }
-                Instr::LoadElem => {
+                Op::One(Instr::LoadElem) => {
                     hand_back!(Stop::EnvAccess);
                     let idx = pop!();
                     let h = tri!(as_handle(pop!()));
                     stack.push(tri!(env.load_elem(h, tri!(index_of(idx)))));
                 }
-                Instr::StoreElem => {
+                Op::One(Instr::StoreElem) => {
                     hand_back!(Stop::EnvAccess);
                     let v = pop!();
                     let idx = pop!();
                     let h = tri!(as_handle(pop!()));
                     tri!(env.store_elem(h, tri!(index_of(idx)), v));
                 }
-                Instr::Bin(op) => {
-                    let b = pop!();
-                    let a = top!();
-                    *a = match bin_in_registers(op, *a, b) {
-                        Some(v) => v,
-                        None => tri!(eval_bin(op, *a, b)),
-                    };
-                }
-                Instr::Un(op) => {
+                Op::One(Instr::Bin(op)) => bin!(op),
+                Op::One(Instr::Un(op)) => {
                     let a = pop!();
                     stack.push(tri!(eval_un(op, a)));
                 }
-                Instr::Cast(ty) => {
-                    let a = top!();
-                    if !matches!(a, Value::Ptr(_)) {
-                        *a = a.cast(ty);
-                    }
-                }
-                Instr::Jump(t) => next = t as usize,
-                Instr::JumpIfFalse(t) => {
+                Op::One(Instr::Cast(ty)) => cast!(ty),
+                Op::One(Instr::Jump(t)) => next = t as usize,
+                Op::One(Instr::JumpIfFalse(t)) => {
                     if !pop!().truthy() {
                         next = t as usize;
                     }
                 }
-                Instr::JumpIfTrue(t) => {
+                Op::One(Instr::JumpIfTrue(t)) => {
                     if pop!().truthy() {
                         next = t as usize;
                     }
                 }
-                Instr::Call(fidx) => {
+                Op::One(Instr::Call(fidx)) => {
                     let callee = &module.chunks[fidx as usize];
                     let n = callee.n_params as usize;
                     let Some(args_at) = stack.len().checked_sub(n) else {
@@ -317,9 +376,9 @@ impl ThreadState {
                         pc: 0,
                         base: new_base,
                     });
-                    (chunk, base, next) = (callee, new_base, 0);
+                    (chunk, ops, base, next) = (callee, fused.chunk(fidx), new_base, 0);
                 }
-                Instr::CallIntrinsic(intr) => {
+                Op::One(Instr::CallIntrinsic(intr)) => {
                     let v = if intr.arity() == 2 {
                         let b = pop!();
                         let a = pop!();
@@ -330,7 +389,7 @@ impl ThreadState {
                     };
                     stack.push(v);
                 }
-                Instr::Malloc(elem, label) => {
+                Op::One(Instr::Malloc(elem, label)) => {
                     hand_back!(Stop::EnvAccess);
                     let len = pop!().as_i64();
                     if len <= 0 {
@@ -341,12 +400,12 @@ impl ThreadState {
                     let name = chunk.labels.get(label as usize).map_or("malloc", |s| s);
                     stack.push(Value::Ptr(tri!(env.malloc(elem, elems, name))));
                 }
-                Instr::Free => {
+                Op::One(Instr::Free) => {
                     hand_back!(Stop::EnvAccess);
                     let h = tri!(as_handle(pop!()));
                     tri!(env.free(h));
                 }
-                Instr::Return | Instr::ReturnVoid => {
+                Op::One(instr @ (Instr::Return | Instr::ReturnVoid)) => {
                     let v = if instr == Instr::Return {
                         Some(pop!())
                     } else {
@@ -360,24 +419,88 @@ impl ThreadState {
                         break Ok(Yield::Done);
                     };
                     stack.extend(v);
-                    (chunk, base, next) = (
+                    (chunk, ops, base, next) = (
                         &module.chunks[caller.chunk as usize],
+                        fused.chunk(caller.chunk),
                         caller.base,
                         caller.pc,
                     );
                 }
-                Instr::HostOp(id) => {
+                Op::One(Instr::HostOp(id)) => {
                     hand_back!(Stop::HostOp | Stop::EnvAccess);
                     tri!(env.host_op(id));
                 }
-                Instr::Pop => {
+                Op::One(Instr::Pop) => {
                     pop!();
                 }
-                Instr::Dup => {
+                Op::One(Instr::Dup) => {
                     let Some(&v) = stack.last() else {
                         break Err(underflow());
                     };
                     stack.push(v);
+                }
+                // Fused entries (`fuse.rs`): the stretch when it fits, else
+                // its first instruction as above.
+                Op::LocalLocalBin(x, y, op) => {
+                    let a = local!(x);
+                    push_or!(a, 3, bin_in_registers(op, a, local!(y)));
+                }
+                Op::LocalConstBin(x, k, op) => {
+                    let a = local!(x);
+                    push_or!(a, 3, bin_in_registers(op, a, chunk.consts[k as usize]));
+                }
+                Op::LocalLocalConstBin(x, y, k, op) => {
+                    stack.push(local!(x));
+                    let b = chunk.consts[k as usize];
+                    if let Some(v) = fits!(4, bin_in_registers(op, local!(y), b)) {
+                        stack.push(v);
+                        ran!(4);
+                    }
+                }
+                Op::LocalConstBinJumpIfFalse(x, k, op) => {
+                    let a = local!(x);
+                    match fits!(4, bin_in_registers(op, a, chunk.consts[k as usize])) {
+                        Some(v) => {
+                            ran!(4);
+                            if !v.truthy() {
+                                next = fuse::jump_target(chunk.code[pc + 3]);
+                            }
+                        }
+                        None => stack.push(a),
+                    }
+                }
+                Op::LocalCast(x, ty) => {
+                    let a = local!(x);
+                    push_or!(a, 2, cast_in_registers(a, ty));
+                }
+                Op::LocalBin(y, op) => onto_top!(2, op, local!(y), |v| v),
+                Op::ConstBin(k, op) => onto_top!(2, op, chunk.consts[k as usize], |v| v),
+                Op::LocalBinCast(y, op, ty) => onto_top!(3, op, local!(y), |v: Value| v.cast(ty)),
+                Op::BinCastStore(op, ty, s) => match fits!(3, fuse::bin_on_top(op, stack)) {
+                    Some(v) => {
+                        stack.truncate(stack.len() - 2);
+                        local!(s) = v.cast(ty);
+                        ran!(3);
+                    }
+                    None => bin!(op),
+                },
+                Op::BinCast(op, ty) => match fits!(2, fuse::bin_on_top(op, stack)) {
+                    Some(v) => {
+                        stack.pop();
+                        *top!() = v.cast(ty);
+                        ran!(2);
+                    }
+                    None => bin!(op),
+                },
+                Op::CastStore(ty, s) => {
+                    match fits!(2, stack.last().and_then(|&a| cast_in_registers(a, ty))) {
+                        Some(v) => {
+                            stack.pop();
+                            local!(s) = v;
+                            ran!(2);
+                        }
+                        None => cast!(ty),
+                    }
                 }
             }
             pc = next;
@@ -460,12 +583,19 @@ pub fn eval_bin(op: BinOp, a: Value, b: Value) -> Result<Value, VmError> {
 /// operator that fails on its operands (integer `/` or `%` by zero, an
 /// integer-only operator on doubles). Those go to [`eval_bin`].
 #[inline(always)]
-fn bin_in_registers(op: BinOp, a: Value, b: Value) -> Option<Value> {
+pub(crate) fn bin_in_registers(op: BinOp, a: Value, b: Value) -> Option<Value> {
     match (a, b) {
         (Value::Int(x), Value::Int(y)) => int_bin(op, x, y).map(Value::Int),
         (Value::F64(x), Value::F64(y)) => f64_bin(op, x, y),
         _ => None,
     }
+}
+
+/// The cast fast path: every value but a pointer, which `Cast` leaves as
+/// it is.
+#[inline(always)]
+fn cast_in_registers(v: Value, ty: ScalarTy) -> Option<Value> {
+    (!matches!(v, Value::Ptr(_))).then(|| v.cast(ty))
 }
 
 /// `None` only for `/` and `%` by zero.
@@ -1161,5 +1291,252 @@ mod tests {
         let (m, env) = run_main("int a;\nint b;\nvoid main() { a = 17 % 5; b = (3 << 2) | 1; }");
         assert_eq!(global_val(&m, &env, "a"), Value::Int(2));
         assert_eq!(global_val(&m, &env, "b"), Value::Int(13));
+    }
+
+    /// A module of one function `f(x, y)` over `code`, with a third local
+    /// for stores and `consts` as its pool.
+    fn module_of(code: Vec<Instr>, consts: Vec<Value>) -> Module {
+        let chunk = Chunk {
+            name: "f".into(),
+            code,
+            consts,
+            n_params: 2,
+            n_locals: 3,
+            local_tys: vec![Ty::Void; 3],
+            ..Chunk::default()
+        };
+        Module {
+            chunks: vec![chunk],
+            func_index: [("f".to_string(), 0)].into(),
+            ..Module::default()
+        }
+    }
+
+    type End = (u64, Result<Option<(u8, u64)>, VmError>);
+
+    /// `f(x, y)` in slices of `fuel`, to its end or its trap.
+    fn sliced(m: &Module, args: [Value; 2], fuel: u64) -> End {
+        let mut t = ThreadState::new(m, "f", &args).unwrap();
+        let mut env = BasicEnv::default();
+        let end = loop {
+            match t.run(m, &mut env, fuel, Stop::EnvAccess) {
+                Ok(Yield::Done) => break Ok(t.result().unwrap().map(bits)),
+                Ok(_) => assert!(t.steps < 10_000, "runs away"),
+                Err(e) => break Err(e),
+            }
+        };
+        (t.steps, end)
+    }
+
+    /// Every slicing ends where fuel-1 slices, the canonical interpreter,
+    /// end: same steps, same result bits or error.
+    fn assert_canonical(what: &str, m: &Module, args: [Value; 2]) -> End {
+        let canonical = sliced(m, args, 1);
+        for fuel in (2..=9).chain([u64::MAX]) {
+            assert_eq!(
+                sliced(m, args, fuel),
+                canonical,
+                "{what} {args:?} fuel {fuel}"
+            );
+        }
+        canonical
+    }
+
+    /// One program per fused pattern: (code, pc of the pattern, its entry).
+    fn pattern_programs() -> Vec<(Vec<Instr>, usize, Op)> {
+        use BinOp::*;
+        use Instr::*;
+        use ScalarTy::{Double, Int};
+        vec![
+            (
+                vec![LoadLocal(0), LoadLocal(1), Bin(Add), Return],
+                0,
+                Op::LocalLocalBin(0, 1, Add),
+            ),
+            (
+                vec![LoadLocal(0), Const(0), Bin(Div), Return],
+                0,
+                Op::LocalConstBin(0, 0, Div),
+            ),
+            (
+                vec![
+                    LoadLocal(0),
+                    LoadLocal(1),
+                    Const(0),
+                    Bin(Rem),
+                    Bin(Add),
+                    Return,
+                ],
+                0,
+                Op::LocalLocalConstBin(0, 1, 0, Rem),
+            ),
+            (
+                vec![
+                    LoadLocal(0),
+                    Const(0),
+                    Bin(Lt),
+                    JumpIfFalse(6),
+                    LoadLocal(0),
+                    Return,
+                    LoadLocal(1),
+                    Return,
+                ],
+                0,
+                Op::LocalConstBinJumpIfFalse(0, 0, Lt),
+            ),
+            (
+                vec![LoadLocal(0), Cast(Double), Return],
+                0,
+                Op::LocalCast(0, Double),
+            ),
+            (
+                vec![Const(0), LoadLocal(1), Bin(Div), Return],
+                1,
+                Op::LocalBin(1, Div),
+            ),
+            (
+                vec![LoadLocal(0), Dup, Const(0), Bin(Sub), Bin(Add), Return],
+                2,
+                Op::ConstBin(0, Sub),
+            ),
+            (
+                vec![Const(0), LoadLocal(1), Bin(Mul), Cast(Int), Return],
+                1,
+                Op::LocalBinCast(1, Mul, Int),
+            ),
+            (
+                vec![
+                    LoadLocal(0),
+                    LoadLocal(1),
+                    Dup,
+                    Bin(Div),
+                    Cast(Int),
+                    StoreLocal(2),
+                    LoadLocal(2),
+                    Bin(Add),
+                    Return,
+                ],
+                3,
+                Op::BinCastStore(Div, Int, 2),
+            ),
+            (
+                vec![LoadLocal(0), Dup, Bin(Mul), Cast(Double), Return],
+                2,
+                Op::BinCast(Mul, Double),
+            ),
+            (
+                vec![
+                    LoadLocal(0),
+                    Dup,
+                    Cast(Int),
+                    StoreLocal(2),
+                    Pop,
+                    LoadLocal(2),
+                    Return,
+                ],
+                2,
+                Op::CastStore(Int, 2),
+            ),
+        ]
+    }
+
+    #[test]
+    fn a_fused_entry_short_of_fuel_runs_its_first_instruction_only() {
+        use Value::{Int, F64};
+        for (code, at, want) in pattern_programs() {
+            let m = module_of(code, vec![Int(5)]);
+            assert_eq!(m.fused().chunk(0)[at], want);
+            let w = want.width();
+            let args = [Int(7), Int(3)];
+            let end = assert_canonical(&format!("{want:?}"), &m, args);
+            // Run up to the pattern, then give it one unit of fuel too few.
+            let mut t = ThreadState::new(&m, "f", &args).unwrap();
+            let mut env = BasicEnv::default();
+            if at > 0 {
+                assert_eq!(t.run(&m, &mut env, at as u64, Stop::Never), Ok(Yield::Fuel));
+            }
+            assert_eq!(
+                t.run(&m, &mut env, w - 1, Stop::Never),
+                Ok(Yield::Fuel),
+                "{want:?}"
+            );
+            assert_eq!(t.steps, at as u64 + w - 1, "{want:?}");
+            assert_eq!(t.run(&m, &mut env, u64::MAX, Stop::Never), Ok(Yield::Done));
+            assert_eq!(
+                (t.steps, Ok(t.result().unwrap().map(bits))),
+                end,
+                "{want:?}"
+            );
+            // Doubles take the register path too (`%` on them traps).
+            let _ = assert_canonical(
+                &format!("{want:?}"),
+                &module_of(m.chunks[0].code.clone(), vec![F64(0.5)]),
+                [F64(7.5), F64(-2.0)],
+            );
+        }
+    }
+
+    #[test]
+    fn declined_shapes_and_traps_take_the_canonical_path() {
+        use Value::{Int, Ptr, F32, F64};
+        let shapes = [
+            // `float` and mixed operands: the register path declines.
+            (vec![F32(0.25)], [F32(1.5), F32(3.0)]),
+            (vec![Int(5)], [Int(7), F64(0.5)]),
+            (vec![F64(2.0)], [Int(7), Int(2)]),
+            // A pointer: `Cast` leaves it as it is, `Bin` traps.
+            (vec![Int(1)], [Ptr(Handle(1)), Int(3)]),
+            (vec![Int(1)], [Int(3), Ptr(Handle(2))]),
+            // Integer `/` and `%` by zero trap at their canonical step.
+            (vec![Int(0)], [Int(7), Int(0)]),
+            (vec![Int(0)], [Int(0), Int(0)]),
+        ];
+        let mut traps = 0;
+        for (code, _, want) in pattern_programs() {
+            for (consts, args) in &shapes {
+                let m = module_of(code.clone(), consts.clone());
+                let end = assert_canonical(&format!("{want:?}"), &m, *args);
+                if end.1 == Err(VmError::DivByZero) {
+                    // The code is straight up to the trap, which is the
+                    // first `/` or `%`, and it is counted.
+                    let bin = code
+                        .iter()
+                        .position(|i| matches!(i, Instr::Bin(BinOp::Div | BinOp::Rem)));
+                    assert_eq!(Some(end.0), bin.map(|i| i as u64 + 1), "{want:?}");
+                    traps += 1;
+                }
+            }
+        }
+        assert!(traps >= 5, "{traps} division traps");
+    }
+
+    #[test]
+    fn a_jump_into_a_fused_stretch_runs_the_entry_at_its_target() {
+        use BinOp::*;
+        use Instr::*;
+        // while (x < 5) x = x + 1; the back edge lands on the `Const` in
+        // the middle of the loop test's four-instruction stretch.
+        let code = vec![
+            LoadLocal(0),
+            Const(0),
+            Bin(Lt),
+            JumpIfFalse(10),
+            LoadLocal(0),
+            Const(1),
+            Bin(Add),
+            Dup,
+            StoreLocal(0),
+            Jump(1),
+            LoadLocal(0),
+            Return,
+        ];
+        let m = module_of(code, vec![Value::Int(5), Value::Int(1)]);
+        let table = m.fused().chunk(0);
+        assert_eq!(table[0], Op::LocalConstBinJumpIfFalse(0, 0, Lt));
+        assert_eq!(table[1], Op::ConstBin(0, Lt));
+        let (steps, end) = assert_canonical("loop", &m, [Value::Int(0), Value::Int(0)]);
+        // The test at entry, five rounds of body and test, the exit.
+        assert_eq!(steps, 4 + 5 * (6 + 3) + 2);
+        assert_eq!(end, Ok(Some(bits(Value::Int(5)))));
     }
 }

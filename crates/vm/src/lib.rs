@@ -21,6 +21,7 @@ pub mod binio;
 pub mod bytecode;
 pub mod compile;
 pub mod error;
+mod fuse;
 pub mod interp;
 pub mod mem;
 pub mod value;

@@ -178,6 +178,8 @@ programs! {
     bounds_pragma_absolves_in_range_divergence: "knowledge/bounds-absolves-race.c",
     verification_options_select_kernels_end_to_end: "knowledge/kernel-selection.c",
     race_is_flagged_without_bounds: "knowledge/race-flagged-without-bounds.c",
+    a_nan_matches_only_a_nan: "knowledge/race-flagged-nan-reference.c",
+    an_infinity_matches_only_an_equal_infinity: "knowledge/race-flagged-inf-reference.c",
     bounds_test_the_device_value_too: "knowledge/bounds-device-outside.c",
     cpu_runs_an_i64_min_global_initializer: "lowering/i64-min-global-initializer.c",
     loop_seq_on_a_compute_construct_is_refused: "lowering/loop-seq-combined.c",
