@@ -126,8 +126,7 @@ impl ExecEnv<'_> {
         // reference, so their cost folds into Async-Wait (like the kernel
         // itself) instead of blocking host time as Mem Transfer.
         for &(_, host_h, _) in &staged {
-            self.machine
-                .copy_named_on(dev, host_h, true, &verify_site, Some(q), None)?;
+            self.machine.stage_on(dev, host_h, &verify_site, Some(q))?;
         }
         let (args, dreds, dtemps, dcells) = self.build_args(k, n, true, dev)?;
         let (mut hargs, hreds, htemps, hcells) = self.build_args(k, n, false, dev)?;

@@ -80,7 +80,7 @@ use std::collections::HashMap;
 use std::convert::Infallible;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
@@ -537,11 +537,18 @@ impl<V> Default for Memo<V> {
 
 impl<V: Clone> Memo<V> {
     fn get(&self, key: u64) -> Option<V> {
-        self.0.lock().unwrap().get(&key).cloned()
+        self.lock().get(&key).cloned()
     }
 
     fn insert(&self, key: u64, v: V) {
-        self.0.lock().unwrap().insert(key, v);
+        self.lock().insert(key, v);
+    }
+
+    /// The map, also after a thread panicked holding it: a single `get` or
+    /// `insert` cannot leave it half-written, so a poisoned lock is
+    /// recovered, not fatal.
+    fn lock(&self) -> MutexGuard<'_, HashMap<u64, V>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 

@@ -520,3 +520,21 @@ fn an_interactive_loop_replays_launches_and_counts_their_steps() {
     assert_eq!(st.replayed_thread_steps, st.hits * one.total_instrs);
     assert_eq!(st.evictions, 0);
 }
+
+#[test]
+fn a_poisoned_memo_table_still_answers() {
+    let memo: Memo<u32> = Memo::default();
+    memo.insert(1, 10);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let _held = memo.lock();
+            panic!("poison the memo table");
+        })
+        .join()
+        .expect_err("the thread panicked");
+    });
+    assert!(memo.0.is_poisoned());
+    assert_eq!(memo.get(1), Some(10), "lookup after the poisoning");
+    memo.insert(2, 20);
+    assert_eq!(memo.get(2), Some(20), "store after the poisoning");
+}

@@ -1,18 +1,20 @@
 //! Lockstep kernel executor.
 //!
 //! Kernels are MiniC functions compiled to bytecode whose first parameter
-//! is the global thread id. The executor runs one resumable
-//! [`ThreadState`] per thread, in waves of bounded width (like resident
-//! thread blocks), and orders everything one thread can observe of another
+//! is the global thread id. The executor runs threads in waves of bounded
+//! width (like resident thread blocks), each wave an [`openarc_vm::Wave`]
+//! of lane groups, and orders everything one thread can observe of another
 //! as **round-robin, one instruction at a time** would: an access to device
 //! memory or a trap by thread `tid` at its `s`-th instruction happens at
 //! position `(s, tid)`, and positions are served in increasing order.
 //!
-//! Between two such positions a thread touches only its own stack and
-//! locals, so it runs that stretch in one slice ("runs ahead") and parks
-//! at its next position; nobody can tell the difference from stepping it
-//! one instruction per round. DESIGN.md, "The interpreter loop and the
-//! lockstep contract", has the argument in full.
+//! Between two such positions a thread touches only its own registers, so
+//! its group runs that stretch in one slice ("runs ahead") and parks at its
+//! next position; nobody can tell the difference from stepping it one
+//! instruction per round. A round serves the access of every lane parked
+//! at its `s` from its group's registers, one lane at a time in tid order
+//! across groups, and only then lets each served group run ahead.
+//! DESIGN.md §18, "Device: what lockstep has to mean", has the argument.
 //!
 //! Lockstep interleaving is what makes the paper's target bugs observable:
 //! when a privatization is missed and a scalar temporary is shared, every
@@ -21,7 +23,7 @@
 
 use crate::device::{Device, DeviceEnv};
 use crate::race::{RaceDetector, RaceReport};
-use openarc_vm::{Module, Stop, ThreadState, Value, VmError, Yield};
+use openarc_vm::{Module, Park, Value, VmError, Wave};
 
 /// Execution knobs for one launch.
 #[derive(Debug, Clone)]
@@ -54,53 +56,10 @@ pub struct KernelOutcome {
     pub n_threads: u64,
 }
 
-/// Longest stretch a thread runs ahead before it parks anyway. A kernel
+/// Longest stretch a group runs ahead before it parks anyway. A kernel
 /// that spins without touching memory then overshoots the step budget by
 /// at most a wave of these instead of by the whole budget per thread.
 const RUN_AHEAD: u64 = 1 << 12;
-
-/// What a parked thread does when the schedule reaches its position.
-#[derive(Debug)]
-enum Parked {
-    /// Runs its next slice: the `Env` access it stopped in front of, if
-    /// any, then privately up to the access after it.
-    Resume,
-    /// Reports the trap it ran into on its own.
-    Trap(VmError),
-    /// Has returned; its position is one past its last instruction.
-    Done,
-}
-
-/// One resident thread of the current wave.
-#[derive(Debug)]
-struct Lane {
-    thread: ThreadState,
-    /// 1-based index of the instruction this lane is parked at;
-    /// `RETIRED` once it has been accounted for.
-    at: u64,
-    parked: Parked,
-}
-
-const RETIRED: u64 = u64::MAX;
-
-impl Lane {
-    /// Execute the instruction this lane is parked at, run privately up to
-    /// the next `Env` access and park there. A slice never hands back its
-    /// first instruction, so a lane parked in front of an access performs
-    /// it here.
-    fn run_ahead(&mut self, module: &Module, env: &mut DeviceEnv<'_>, budget: u64) {
-        // No thread executes more than `budget + 1` instructions before
-        // the launch is over one way or another.
-        let fuel = RUN_AHEAD.min(budget.saturating_sub(self.thread.steps).saturating_add(1));
-        let slice = self.thread.run(module, env, fuel, Stop::EnvAccess);
-        (self.parked, self.at) = match slice {
-            Ok(Yield::Stopped | Yield::Fuel) => (Parked::Resume, self.thread.steps + 1),
-            Ok(Yield::Done) => (Parked::Done, self.thread.steps + 1),
-            // `steps` counts the trapping instruction.
-            Err(e) => (Parked::Trap(e), self.thread.steps),
-        };
-    }
-}
 
 /// Launch `kernel` over `n_threads` threads. Thread `i` receives arguments
 /// `[Int(i), base_args...]`.
@@ -129,86 +88,152 @@ pub fn launch(
         .ok_or_else(|| VmError::UnknownFunction(kernel.to_string()))?;
     let mut detector = device.race_detect.then(RaceDetector::new);
     let mut env = DeviceEnv::new(&mut device.mem, detector.as_mut());
-    let wave = cfg.wave.max(1) as u64;
+    let wave_width = cfg.wave.max(1) as u64;
     let over_budget = || VmError::StepLimit(cfg.step_budget);
     // Instructions the rest of the launch may still execute.
     let mut budget = cfg.step_budget;
-    // One wave of threads, re-entered for every wave of the launch.
-    let mut lanes: Vec<Lane> = Vec::new();
-    let mut args: Vec<Value> = Vec::with_capacity(base_args.len() + 1);
-    args.push(Value::Int(0));
-    args.extend_from_slice(base_args);
+    // One wave of lanes, re-entered for every wave of the launch; its
+    // groups not yet retired, and those parked at the round being served.
+    let mut wave = Wave::default();
+    let (mut active, mut due) = (Vec::new(), Vec::new());
+    // The due groups still being served: (group, index of its next lane).
+    let mut heads: Vec<(usize, usize)> = Vec::new();
 
     let mut start = 0u64;
     while start < n_threads {
-        let width = (n_threads - start).min(wave) as usize;
-        lanes.resize_with(width, || Lane {
-            thread: ThreadState::default(),
-            at: RETIRED,
-            parked: Parked::Done,
-        });
-        for (i, lane) in lanes.iter_mut().enumerate() {
-            args[0] = Value::Int((start + i as u64) as i64);
-            lane.thread.reset(module, func, &args)?;
-            (lane.parked, lane.at) = (Parked::Resume, 1);
-        }
+        let width = (n_threads - start).min(wave_width);
+        wave.reset(module, func, start..start + width, base_args)?;
+        active.clear();
+        active.push(0);
 
         // Round-robin executes, before round `s`, every instruction of the
         // retired lanes plus `s - 1` of each live one; within round `s`,
         // one more for each live lane of lower tid that has an `s`-th
         // instruction (`rank`). A lane is never parked behind the round
         // being served, so both are known without running anything.
-        let (mut retired_instrs, mut live) = (0u64, width as u64);
+        let (mut retired_instrs, mut live) = (0u64, width);
         let mut s = 1;
         while live > 0 {
             let before_round = retired_instrs.saturating_add(live.saturating_mul(s - 1));
             if before_round > budget {
                 return Err(over_budget());
             }
-            let mut rank = 0;
-            let mut next_round = RETIRED;
-            for (i, lane) in lanes.iter_mut().enumerate() {
-                while lane.at == s {
-                    match std::mem::replace(&mut lane.parked, Parked::Resume) {
+            due.clear();
+            due.extend(
+                active
+                    .iter()
+                    .copied()
+                    .filter(|&g| wave.groups()[g].at() == s),
+            );
+            // Serve the round. Round-robin reaches `(s, tid)` only while
+            // within budget, and checks again right after it; only a round
+            // that could pass the budget needs each lane's rank.
+            let near = before_round.saturating_add(live) > budget;
+            let mut retire = |steps: u64, lanes: u64| {
+                outcome.total_instrs += steps * lanes;
+                outcome.max_thread_instrs = outcome.max_thread_instrs.max(steps);
+                retired_instrs += steps * lanes;
+                live -= lanes;
+            };
+            let enter =
+                |env: &mut DeviceEnv<'_>, lane: usize| env.current_tid = start + lane as u64;
+            if !near {
+                // In tid order: each time, the run of one group's lanes up
+                // to the next lane of another due group.
+                heads.clear();
+                for &g in &due {
+                    let grp = &wave.groups()[g];
+                    match grp.park() {
                         // Its last instruction was `s - 1`: nothing to do in
                         // this round or any later one.
-                        Parked::Done => {
-                            let steps = lane.thread.steps;
-                            outcome.total_instrs += steps;
-                            outcome.max_thread_instrs = outcome.max_thread_instrs.max(steps);
-                            retired_instrs += steps;
-                            live -= 1;
-                            lane.at = RETIRED;
-                            break;
+                        Park::Done => retire(grp.steps(), grp.lanes().len() as u64),
+                        _ => heads.push((g, 0)),
+                    }
+                }
+                while let Some(k) = (0..heads.len()).min_by_key(|&k| first_lane(&wave, heads[k])) {
+                    let (g, from) = heads[k];
+                    let bound = (0..heads.len())
+                        .filter(|&j| j != k)
+                        .map(|j| first_lane(&wave, heads[j]))
+                        .min()
+                        .unwrap_or(u32::MAX);
+                    let grp = &wave.groups()[g];
+                    if let Park::Trap(e) = grp.park() {
+                        return Err(e.clone());
+                    }
+                    let lanes = grp.lanes();
+                    let to = from + lanes[from..].partition_point(|&l| l < bound);
+                    let finished = to == lanes.len();
+                    wave.serve(module, g, from..to, &mut env, enter)?;
+                    if finished {
+                        heads.swap_remove(k);
+                    } else {
+                        heads[k].1 = to;
+                    }
+                }
+            } else {
+                let mut rank = 0;
+                for lane in 0..width as usize {
+                    let g = wave.group_of(lane);
+                    let grp = &wave.groups()[g];
+                    match grp.park() {
+                        Park::Done if grp.at() <= s => {
+                            if grp.at() == s {
+                                retire(grp.steps(), 1);
+                            }
+                            continue;
                         }
-                        // Round-robin reaches `(s, tid)` only while within
-                        // budget, and checks again right after it.
+                        _ if grp.at() != s => {}
                         _ if before_round.saturating_add(rank) > budget => {
                             return Err(over_budget())
                         }
-                        Parked::Trap(e) => return Err(e),
-                        Parked::Resume => {}
+                        Park::Trap(e) => return Err(e.clone()),
+                        _ => {
+                            let i = grp.lanes().partition_point(|&l| (l as usize) < lane);
+                            wave.serve(module, g, i..i + 1, &mut env, enter)?;
+                        }
                     }
-                    env.current_tid = start + i as u64;
-                    lane.run_ahead(module, &mut env, budget);
-                }
-                if lane.at != RETIRED {
                     rank += 1;
-                    next_round = next_round.min(lane.at);
                 }
             }
-            s = next_round;
+            // Run every served group ahead. No thread executes more than
+            // `budget + 1` instructions before the launch is over one way
+            // or another.
+            let fuel = RUN_AHEAD.min(budget.saturating_sub(s - 1).saturating_add(1));
+            let known = wave.groups().len();
+            for &g in &due {
+                if *wave.groups()[g].park() == Park::Resume {
+                    wave.run_ahead(module, g, fuel);
+                }
+            }
+            active.extend(known..wave.groups().len());
+            // Drop the groups every lane was shed from and those retired.
+            active.retain(|&g| {
+                let grp = &wave.groups()[g];
+                let retired = *grp.park() == Park::Done && grp.at() <= s;
+                !grp.lanes().is_empty() && !retired
+            });
+            s = active
+                .iter()
+                .map(|&g| wave.groups()[g].at())
+                .min()
+                .unwrap_or(s);
         }
         if retired_instrs > budget {
             return Err(over_budget());
         }
         budget -= retired_instrs;
-        start += width as u64;
+        start += width;
     }
     if let Some(d) = detector {
         outcome.races = d.reports();
     }
     Ok(outcome)
+}
+
+/// The lane a served group `g` reaches next: the `i`-th of its lanes.
+fn first_lane(wave: &Wave, (g, i): (usize, usize)) -> u32 {
+    wave.groups()[g].lanes()[i]
 }
 
 /// Combine per-thread partial values pairwise (tournament tree), the way a

@@ -31,6 +31,7 @@ use openarc_vm::binio::write_module;
 use openarc_vm::{BufData, Handle, Module, Value, VmError};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::PoisonError;
 use std::sync::{Arc, Mutex};
 
 /// Most bytes of stored state one memo holds: post-launch buffer contents
@@ -369,8 +370,10 @@ impl LaunchMemo {
         }
     }
 
+    /// The table, also after a thread panicked holding it: every write
+    /// leaves it consistent, so a poisoned lock is recovered, not fatal.
     fn lock(&self) -> std::sync::MutexGuard<'_, Table> {
-        self.table.lock().expect("launch memo lock poisoned")
+        self.table.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Store `entry` unless it alone passes the budget; clear the table
@@ -542,6 +545,43 @@ mod tests {
             memo.stats().hits,
             before.hits,
             "changing the kernel body still hit"
+        );
+    }
+
+    #[test]
+    fn a_poisoned_table_still_answers() {
+        let memo = LaunchMemo::default();
+        let m = module("void k(int gid, double *a) { a[gid] = 2.0; }");
+        let fp = ModuleFp::of(&m);
+        let launch = || {
+            let mut dev = Device::new();
+            let a = dev.mem.alloc(ScalarTy::Double, 4, "a");
+            memo.launch(
+                &mut dev,
+                &m,
+                fp,
+                "k",
+                &[Value::Ptr(a)],
+                4,
+                &LaunchConfig::default(),
+            )
+        };
+        launch().expect("first launch");
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = memo.lock();
+                panic!("poison the launch memo");
+            })
+            .join()
+            .expect_err("the thread panicked");
+        });
+        assert!(memo.table.is_poisoned());
+        let before = memo.stats();
+        launch().expect("a launch after the poisoning");
+        assert_eq!(
+            memo.stats().hits,
+            before.hits + 1,
+            "the stored entry replays"
         );
     }
 

@@ -334,6 +334,40 @@ impl Machine {
         queue: Option<i64>,
         name: Option<&str>,
     ) -> Result<(), VmError> {
+        let (from, to, dir) = self.copy_untracked(dev, host_h, to_device, site, queue, name)?;
+        let before = self.coh_snapshot(host_h);
+        let diag = self.coherence.on_transfer_between(host_h, from, to);
+        self.emit_coherence_diff(host_h, before, Cause::Transfer);
+        self.transfer_issues(diag, host_h, site, dir, name);
+        Ok(())
+    }
+
+    /// Copy host → device `dev` for the verifier's own staging: copied,
+    /// charged and journaled like [`Machine::copy_named_on`], but the
+    /// §III-B tracker never sees it. The program made no transfer here, so
+    /// there is nothing to report as redundant or incorrect.
+    pub fn stage_on(
+        &mut self,
+        dev: DeviceId,
+        host_h: Handle,
+        site: &str,
+        queue: Option<i64>,
+    ) -> Result<(), VmError> {
+        self.copy_untracked(dev, host_h, true, site, queue, None)
+            .map(|_| ())
+    }
+
+    /// The copy, its charge and its journal event; returns where the data
+    /// went from and to.
+    fn copy_untracked(
+        &mut self,
+        dev: DeviceId,
+        host_h: Handle,
+        to_device: bool,
+        site: &str,
+        queue: Option<i64>,
+        name: Option<&str>,
+    ) -> Result<(Loc, Loc, Direction), VmError> {
         self.track_handle(host_h);
         let dev_h = self.presents[dev.0 as usize]
             .device_of(host_h)
@@ -360,11 +394,7 @@ impl Machine {
             (Loc::Dev(dev), Loc::Cpu, Direction::ToHost)
         };
         self.emit_transfer(host_h, name, site, ts, dt, track, bytes, to_device);
-        let before = self.coh_snapshot(host_h);
-        let diag = self.coherence.on_transfer_between(host_h, from, to);
-        self.emit_coherence_diff(host_h, before, Cause::Transfer);
-        self.transfer_issues(diag, host_h, site, dir, name);
-        Ok(())
+        Ok((from, to, dir))
     }
 
     /// Charge a transfer to the clock. Returns the span's simulated start

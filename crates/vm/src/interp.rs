@@ -80,10 +80,10 @@ pub enum Yield {
 }
 
 #[derive(Debug, Clone, Copy)]
-struct Frame {
-    chunk: u16,
-    pc: usize,
-    base: usize,
+pub(crate) struct Frame {
+    pub(crate) chunk: u16,
+    pub(crate) pc: usize,
+    pub(crate) base: usize,
 }
 
 /// One executing activation of a function (a host thread or one simulated
@@ -100,7 +100,7 @@ pub struct ThreadState {
 }
 
 #[cold]
-fn underflow() -> VmError {
+pub(crate) fn underflow() -> VmError {
     VmError::Internal("stack underflow".into())
 }
 
@@ -529,7 +529,7 @@ impl ThreadState {
 }
 
 #[inline]
-fn as_handle(v: Value) -> Result<Handle, VmError> {
+pub(crate) fn as_handle(v: Value) -> Result<Handle, VmError> {
     match v {
         Value::Ptr(h) if !h.is_null() => Ok(h),
         Value::Ptr(h) => Err(VmError::BadHandle(h)),
@@ -540,7 +540,7 @@ fn as_handle(v: Value) -> Result<Handle, VmError> {
 }
 
 #[inline]
-fn index_of(v: Value) -> Result<u64, VmError> {
+pub(crate) fn index_of(v: Value) -> Result<u64, VmError> {
     let i = v.as_i64();
     if i < 0 {
         Err(VmError::TypeError(format!("negative index {i}")))
@@ -550,7 +550,7 @@ fn index_of(v: Value) -> Result<u64, VmError> {
 }
 
 #[inline]
-fn coerce_local(v: Value, ty: &Ty) -> Value {
+pub(crate) fn coerce_local(v: Value, ty: &Ty) -> Value {
     match ty {
         Ty::Scalar(s) => match v {
             Value::Ptr(_) => v,
@@ -594,7 +594,7 @@ pub(crate) fn bin_in_registers(op: BinOp, a: Value, b: Value) -> Option<Value> {
 /// The cast fast path: every value but a pointer, which `Cast` leaves as
 /// it is.
 #[inline(always)]
-fn cast_in_registers(v: Value, ty: ScalarTy) -> Option<Value> {
+pub(crate) fn cast_in_registers(v: Value, ty: ScalarTy) -> Option<Value> {
     (!matches!(v, Value::Ptr(_))).then(|| v.cast(ty))
 }
 
@@ -707,7 +707,7 @@ pub fn eval_un(op: UnOp, a: Value) -> Result<Value, VmError> {
     }
 }
 
-fn eval_intrinsic1(intr: Intrinsic, a: Value) -> Result<Value, VmError> {
+pub(crate) fn eval_intrinsic1(intr: Intrinsic, a: Value) -> Result<Value, VmError> {
     if matches!(a, Value::Ptr(_)) {
         return Err(VmError::TypeError("intrinsic on pointer".into()));
     }
@@ -730,7 +730,7 @@ fn eval_intrinsic1(intr: Intrinsic, a: Value) -> Result<Value, VmError> {
     })
 }
 
-fn eval_intrinsic2(intr: Intrinsic, a: Value, b: Value) -> Result<Value, VmError> {
+pub(crate) fn eval_intrinsic2(intr: Intrinsic, a: Value, b: Value) -> Result<Value, VmError> {
     if matches!(a, Value::Ptr(_)) || matches!(b, Value::Ptr(_)) {
         return Err(VmError::TypeError("intrinsic on pointer".into()));
     }

@@ -504,3 +504,156 @@ fn host_step_limit_fires_one_past_the_budget() {
         Err(VmError::StepLimit(need - 1))
     );
 }
+
+/// Lane-group shapes: kernels of at least 256 threads whose lanes split,
+/// shed and park apart, at every wave width, against round-robin.
+fn group_shape(what: &str, src: &str, n_threads: u64, step_budget: u64) -> Observed {
+    let m = kernel_module(src);
+    let mut last = None;
+    for wave in WAVES {
+        let cfg = LaunchConfig { wave, step_budget };
+        last = Some(assert_same(
+            what,
+            &int_buffer(n_threads as usize + 2),
+            &m,
+            "k",
+            n_threads,
+            &cfg,
+        ));
+    }
+    last.expect("at least one wave width")
+}
+
+const UNLIMITED: u64 = 2_000_000_000;
+
+#[test]
+fn lane_dependent_ternaries_split_groups_in_lockstep() {
+    group_shape(
+        "ternaries",
+        "void k(int gid, int *a) {
+            int x; int y;
+            x = (gid % 5 == 0) ? 1 : gid * 2;
+            y = (gid > 150) ? x : -x;
+            a[gid] = x + y;
+            a[gid + 1] = a[gid] + ((gid % 64 == 63) ? 7 : 0);
+        }",
+        300,
+        UNLIMITED,
+    );
+}
+
+#[test]
+fn lane_dependent_trip_counts_and_early_returns_match() {
+    group_shape(
+        "trip counts",
+        "void k(int gid, int *a) {
+            int i; int s;
+            s = 0;
+            for (i = 0; i < gid % 7; i++) { s = s + a[i]; }
+            a[gid] = s + 1;
+        }",
+        300,
+        UNLIMITED,
+    );
+    group_shape(
+        "early return",
+        "void k(int gid, int *a) {
+            if (gid % 3 == 1) { return; }
+            a[gid] = a[gid + 1] + 1;
+        }",
+        300,
+        UNLIMITED,
+    );
+}
+
+#[test]
+fn one_lane_trapping_mid_stretch_is_shed_from_a_full_group() {
+    let got = group_shape(
+        "one trap",
+        "void k(int gid, int *a) {
+            int x;
+            a[gid] = 1;
+            x = 7 / (gid - 100);
+            a[gid + 1] = x;
+        }",
+        300,
+        UNLIMITED,
+    );
+    assert_eq!(got.result, Err(VmError::DivByZero));
+}
+
+#[test]
+fn traps_in_two_groups_are_ordered_by_position() {
+    for pad in 0..4 {
+        group_shape(
+            "two traps",
+            &format!(
+                "void k(int gid, int *a) {{
+                    int x;
+                    x = 1;
+                    if (gid % 2 == 0) {{ {} x = 1 / (gid - 200); }}
+                    else {{ a[gid] = 2; x = 1 / (gid - 51); }}
+                    a[gid + 1] = x;
+                }}",
+                "x = x + 1; ".repeat(pad)
+            ),
+            300,
+            UNLIMITED,
+        );
+    }
+}
+
+#[test]
+fn a_helper_function_runs_inside_the_group() {
+    group_shape(
+        "helper",
+        "int f(int v, int k) { if (k % 2 == 0) { return v * 2; } return v + 1; }
+        void k(int gid, int *a) {
+            a[gid] = f(gid, gid / 3);
+            a[gid + 1] = f(a[gid], gid);
+        }",
+        300,
+        UNLIMITED,
+    );
+}
+
+#[test]
+fn spinning_groups_park_at_run_ahead() {
+    // Longer than one run-ahead stretch, with lane-dependent ends.
+    group_shape(
+        "long spin",
+        "void k(int gid, int *a) {
+            int i;
+            for (i = 0; i < 1100 + gid % 4; i++) { }
+            a[gid] = i;
+        }",
+        256,
+        UNLIMITED,
+    );
+    let got = group_shape(
+        "endless spin",
+        "void k(int gid, int *a) {
+            a[gid] = 1;
+            if (gid % 2 == 0) { while (1) { } }
+            a[gid + 1] = 2;
+        }",
+        256,
+        20_000,
+    );
+    assert_eq!(got.result, Err(VmError::StepLimit(20_000)));
+}
+
+/// SRAD's boundary ternaries at the size that splits its waves (CI runs it
+/// in release: `cargo test --release -- --ignored`).
+#[test]
+#[ignore = "large: run in release"]
+fn srad_ternaries_at_n64_match_round_robin_large() {
+    let scale = Scale { n: 64, iters: 1 };
+    let b = all(scale)
+        .into_iter()
+        .find(|b| b.name == "SRAD")
+        .expect("SRAD is in the suite");
+    let tr = translated(b.source(Variant::Optimized), &TranslateOptions::default())
+        .expect("SRAD translates");
+    assert!(check_program("SRAD n=64", &tr) >= 3);
+}
