@@ -657,3 +657,28 @@ fn srad_ternaries_at_n64_match_round_robin_large() {
         .expect("SRAD translates");
     assert!(check_program("SRAD n=64", &tr) >= 3);
 }
+
+#[test]
+fn a_shed_lane_stays_shed_under_every_budget_near_its_trap() {
+    // Lane 100 traps twice in a row: once shed at the first division it
+    // must not run on to the second, whichever rounds the budget reaches.
+    let m = kernel_module(
+        "void k(int gid, int *a) {
+            int x;
+            a[gid] = 1;
+            x = 7 / (gid - 100);
+            x = x + 7 / (gid - 100);
+            a[gid + 1] = x;
+        }",
+    );
+    let (at, e) = trap_step(&m, 100, 258);
+    assert_eq!(e, VmError::DivByZero);
+    let stage = int_buffer(258);
+    for step_budget in (at - 1) * 256..=at * 256 {
+        let cfg = LaunchConfig {
+            wave: 256,
+            step_budget,
+        };
+        assert_same("shed lane", &stage, &m, "k", 256, &cfg);
+    }
+}
